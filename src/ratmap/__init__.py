@@ -17,9 +17,11 @@ from .sphere import INFINITY, SpherePoint, parse_point
 
 from .dynamics import (
     INFINITE,
+    CriticalFate,
     OrbitFate,
     PeriodicCycle,
     asymptotic_valency,
+    critical_fate,
     critical_points,
     orbit_fate,
     periodic_cycles,
@@ -60,10 +62,12 @@ __all__ = [
     # dynamics
     "PeriodicCycle",
     "OrbitFate",
+    "CriticalFate",
     "critical_points",
     "periodic_cycles",
     "orbit_fate",
     "asymptotic_valency",
+    "critical_fate",
     # restricted orbits
     "ROWitness",
     "ExposedOrbit",

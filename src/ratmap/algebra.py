@@ -196,15 +196,10 @@ def _sort_key(e: Expr):
 
 def normalize(e: Expr) -> Expr:
     """Canonical form; idempotent, and invariant under child reordering."""
-    out = _normalize(e)
-    return out
-
-
-def _normalize(e: Expr) -> Expr:
     t = type(e)
     if t is CompactsOn:
         if e.exposed_size is not None:
-            return _normalize(Matrix(e.exposed_size)) if e.exposed_size > 1 else Scalars()
+            return normalize(Matrix(e.exposed_size)) if e.exposed_size > 1 else Scalars()
         return Compacts()
     if t is Matrix:
         return Scalars() if e.n == 1 else e
@@ -213,14 +208,14 @@ def _normalize(e: Expr) -> Expr:
              OpaqueSimple, NamedUnknown):
         return e
     if t is FinitePower:
-        base = _normalize(e.base)
+        base = normalize(e.base)
         if e.k == 1:
             return base
-        return _normalize(DirectSum([e.base] * e.k))
+        return normalize(DirectSum([e.base] * e.k))
     if t is DirectSum:
         flat = []
         for s in e.summands:
-            ns = _normalize(s)
+            ns = normalize(s)
             if isinstance(ns, DirectSum):
                 flat.extend(ns.summands)
             elif isinstance(ns, Zero):
@@ -235,7 +230,7 @@ def _normalize(e: Expr) -> Expr:
     if t is Tensor:
         flat = []
         for f in e.factors:
-            nf = _normalize(f)
+            nf = normalize(f)
             if isinstance(nf, Tensor):
                 flat.extend(nf.factors)
             elif isinstance(nf, Zero):
@@ -246,7 +241,7 @@ def _normalize(e: Expr) -> Expr:
         for i, f in enumerate(flat):
             if isinstance(f, DirectSum):
                 rest = flat[:i] + flat[i + 1:]
-                return _normalize(
+                return normalize(
                     DirectSum([Tensor([s] + rest) for s in f.summands])
                 )
         matrix_product = 1

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dynamics import asymptotic_valency, orbit_fate
-from .errors import AtlasInvariantError, DeclarationError, RatmapError
+from .errors import AtlasInvariantError, DeclarationError
 from .rational import RationalMap
-from .restricted import ro_related
+from .restricted import orbit_with_valencies, ro_witness
 from .sphere import SpherePoint, point_sort_key
 
 
@@ -126,11 +125,11 @@ def _prepare_declarations(r, declarations, cycles):
 
 
 def build_atlas(r: RationalMap, cycles, crit_points, fates, declarations=(), *,
-                ro_depth: int = 12, budget: int = 10_000) -> Atlas:
+                ro_depth: int = 12) -> Atlas:
     """Assemble stable regions and the critical/periodic class partition.
 
-    fates maps critical points to OrbitFate values; missing entries are
-    computed on demand.
+    fates maps every critical point to its CriticalFate record, as
+    dynamics.critical_fate computes it.
     """
     tol = r.tolerance
     warnings = []
@@ -220,39 +219,28 @@ def build_atlas(r: RationalMap, cycles, crit_points, fates, declarations=(), *,
     # attach critical records
     unresolved = []
     for c in crit_points:
-        fate = fates.get(c.point)
-        if fate is None:
-            fate = orbit_fate(r, c.point, cycles, budget)
-            fates[c.point] = fate
+        cf = fates[c.point]
+        fate = cf.fate
         if fate.kind == "unresolved":
             unresolved.append((c.point, "orbit fate unresolved within budget"))
             continue
-        if fate.kind == "rotation_domain":
-            region_id = fate.region_id
-        else:
-            region_id = cycle_to_region.get(fate.cycle_id)
-            if fate.kind == "preperiodic" and fate.cycle_id is not None:
-                landing = cycles[fate.cycle_id]
-                if landing.classification == "rationally_indifferent":
-                    # the parabolic cycle itself lies in the Julia set; a
-                    # critical point landing on it is not a Fatou record
-                    region_id = None
+        region_id = cycle_to_region.get(fate.cycle_id)
+        if fate.kind == "preperiodic" and fate.cycle_id is not None:
+            landing = cycles[fate.cycle_id]
+            if landing.classification == "rationally_indifferent":
+                # the parabolic cycle itself lies in the Julia set; a
+                # critical point landing on it is not a Fatou record
+                region_id = None
         if region_id is None:
             # lands on or converges to a Julia-side cycle: not a Fatou record
             continue
-        try:
-            aval = asymptotic_valency(r, c.point, fate, cycles=cycles, crit_points=crit_points)
-            obstruction = None
-        except RatmapError as err:
-            aval = None
-            obstruction = str(err)
         regions[region_id].critical_records.append(
             CriticalOrbitRecord(
                 point=c.point,
                 region_id=region_id,
                 preperiodic=(fate.kind == "preperiodic"),
-                asymptotic_valency=aval,
-                obstruction=obstruction,
+                asymptotic_valency=cf.asymptotic_valency,
+                obstruction=None if cf.error is None else str(cf.error),
             )
         )
 
@@ -262,24 +250,27 @@ def build_atlas(r: RationalMap, cycles, crit_points, fates, declarations=(), *,
     iota_p = []
     iota_c = []
     for region in regions:
-        region.critical_records.sort(key=lambda rec: point_sort_key(rec.point))
-        classes = []
-        for rec in region.critical_records:
-            placed = False
-            for cls in classes:
-                witness = ro_related(r, rec.point, cls[0].point, depth=ro_depth)
-                if witness is not None:
-                    cls.append(rec)
-                    rec.ro_representative = False
-                    rec.ro_class_id = cls[0].ro_class_id
-                    placed = True
-                    break
-            if not placed:
+        records = region.critical_records
+        records.sort(key=lambda rec: point_sort_key(rec.point))
+        # each orbit is built once, and only where a comparison reads it
+        orbits = []
+        if len(records) > 1:
+            orbits = [orbit_with_valencies(r, rec.point, ro_depth) for rec in records]
+        reps = []  # indices of the class representatives
+        for i, rec in enumerate(records):
+            j = next(
+                (j for j in reps if ro_witness(orbits[i], orbits[j], ro_depth, tol) is not None),
+                None,
+            )
+            if j is None:
                 rec.ro_class_id = class_counter
                 class_counter += 1
-                classes.append([rec])
-        for cls in classes:
-            rep = cls[0]
+                reps.append(i)
+            else:
+                rec.ro_representative = False
+                rec.ro_class_id = records[j].ro_class_id
+        for j in reps:
+            rep = records[j]
             landing_cycle = None
             if region.anchor_cycle_id is not None:
                 landing_cycle = cycles[region.anchor_cycle_id]

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .errors import RatmapError
+from .errors import ConfigError, RatmapError
 from .report import AnalysisConfig, RenderConfig, parse_map, run_analysis
 
 
@@ -38,14 +38,18 @@ def _load_config(path: str | None) -> AnalysisConfig:
     if path is None:
         return AnalysisConfig()
     with open(path, "r", encoding="utf-8") as fh:
-        return AnalysisConfig.from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as err:
+            raise ConfigError(f"configuration file is not valid JSON: {err}") from None
+    return AnalysisConfig.from_dict(data)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.map, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
+        with open(args.map, "rb") as fh:
+            document = fh.read()
         config = _load_config(args.config)
         if args.render and config.render is None:
             config.render = RenderConfig()

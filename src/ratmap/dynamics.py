@@ -13,7 +13,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import ClassificationAmbiguousError, RatmapError
+from .errors import (
+    AsymptoticValencyUndeterminedError,
+    ClassificationAmbiguousError,
+    RatmapError,
+)
 from .poly import Polynomial
 from .rational import EXACT_HEIGHT_CAP_BITS, CriticalPoint, RationalMap, point_height_bits
 from .roots import find_roots
@@ -104,6 +108,44 @@ def _classify(multiplier, contains_critical: bool):
     return "repelling", None, None
 
 
+def make_cycle(r: RationalMap, pts, warnings) -> PeriodicCycle:
+    """The classified cycle through pts, listed in orbit order.
+
+    The cycle starts at its least point; cycle_id is left at -1.  An
+    ambiguous multiplier classifies the cycle as indifferent_ambiguous and
+    appends a coded record to warnings.
+    """
+    vals = [r.valency_at(pt) for pt in pts]
+    contains_crit = any(v >= 2 for v in vals)
+    if contains_crit:
+        multiplier = GaussianRational(0) if r.is_exact else complex(0.0)
+    else:
+        multiplier = r.cycle_multiplier(pts)
+    try:
+        classification, order, theta = _classify(multiplier, contains_crit)
+    except ClassificationAmbiguousError as err:
+        classification, order, theta = "indifferent_ambiguous", None, None
+        warnings.append(
+            {
+                "code": err.code,
+                "message": str(err),
+                "period": len(pts),
+                "point": str(pts[0]),
+            }
+        )
+    start = min(range(len(pts)), key=lambda i: point_sort_key(pts[i]))
+    return PeriodicCycle(
+        period=len(pts),
+        points=pts[start:] + pts[:start],
+        multiplier=multiplier,
+        classification=classification,
+        contains_critical=contains_crit,
+        local_degree=math.prod(vals),
+        root_of_unity_order=order,
+        rotation_estimate=theta,
+    )
+
+
 def periodic_cycles(r: RationalMap, max_period: int = DEFAULT_MAX_PERIOD,
                     work_cap: int = DEFAULT_PERIOD_WORK_CAP):
     """All cycles of exact period <= max_period.
@@ -153,38 +195,7 @@ def periodic_cycles(r: RationalMap, max_period: int = DEFAULT_MAX_PERIOD,
             pts = tuple(orbit[:p])
             if any(c.contains(x, tol) for c in cycles):
                 continue
-            vals = [r.valency_at(pt) for pt in pts]
-            contains_crit = any(v >= 2 for v in vals)
-            if contains_crit:
-                multiplier = GaussianRational(0) if r.is_exact else complex(0.0)
-            else:
-                multiplier = r.cycle_multiplier(pts)
-            try:
-                classification, order, theta = _classify(multiplier, contains_crit)
-            except ClassificationAmbiguousError as err:
-                classification, order, theta = "indifferent_ambiguous", None, None
-                warnings.append(
-                    {
-                        "code": err.code,
-                        "message": str(err),
-                        "period": p,
-                        "point": str(pts[0]),
-                    }
-                )
-            start = min(range(len(pts)), key=lambda i: point_sort_key(pts[i]))
-            pts = pts[start:] + pts[:start]
-            cycles.append(
-                PeriodicCycle(
-                    period=p,
-                    points=pts,
-                    multiplier=multiplier,
-                    classification=classification,
-                    contains_critical=contains_crit,
-                    local_degree=math.prod(vals),
-                    root_of_unity_order=order,
-                    rotation_estimate=theta,
-                )
-            )
+            cycles.append(make_cycle(r, pts, warnings))
     cycles.sort(key=PeriodicCycle.sort_key)
     for i, c in enumerate(cycles):
         c.cycle_id = i
@@ -193,11 +204,10 @@ def periodic_cycles(r: RationalMap, max_period: int = DEFAULT_MAX_PERIOD,
 
 @dataclass(frozen=True)
 class OrbitFate:
-    kind: str  # "preperiodic" | "converges" | "rotation_domain" | "unresolved"
+    kind: str  # "preperiodic" | "converges" | "unresolved"
     cycle_id: int | None = None
     step: int | None = None
     steps_used: int = 0
-    region_id: int | None = None
 
     @property
     def resolved(self) -> bool:
@@ -310,8 +320,6 @@ def asymptotic_valency(r: RationalMap, x: SpherePoint, fate: OrbitFate, *,
     Finite unless the orbit lands exactly on a cycle containing a critical
     point, in which case it is INFINITE.
     """
-    from .errors import AsymptoticValencyUndeterminedError
-
     tol = r.tolerance
     crit_pts = [c.point for c in crit_points]
 
@@ -359,3 +367,23 @@ def asymptotic_valency(r: RationalMap, x: SpherePoint, fate: OrbitFate, *,
         "orbit fate unresolved with critical points still reachable",
         fate=fate.kind,
     )
+
+
+@dataclass(frozen=True)
+class CriticalFate:
+    """A critical point's orbit fate and asymptotic valency, computed once."""
+
+    fate: OrbitFate
+    asymptotic_valency: object  # int, INFINITE, or None when error is set
+    error: RatmapError | None = None
+
+
+def critical_fate(r: RationalMap, x: SpherePoint, cycles, crit_points,
+                  budget: int) -> CriticalFate:
+    """orbit_fate of x, then its asymptotic_valency or the coded error."""
+    fate = orbit_fate(r, x, cycles, budget)
+    try:
+        aval = asymptotic_valency(r, x, fate, cycles=cycles, crit_points=crit_points)
+    except RatmapError as err:
+        return CriticalFate(fate, None, err)
+    return CriticalFate(fate, aval)

@@ -157,17 +157,6 @@ class RationalMap:
             x = self.evaluate(x)
         return x
 
-    def orbit(self, x: SpherePoint, steps: int):
-        """x, R(x), ..., R^steps(x); switches to floating when exact heights blow up."""
-        out = [x]
-        current = x
-        for _ in range(steps):
-            if current.is_exact and point_height_bits(current) > EXACT_HEIGHT_CAP_BITS:
-                current = current.to_float()
-            current = self.evaluate(current)
-            out.append(current)
-        return out
-
     # -- preimages -----------------------------------------------------------
 
     def _target_polynomial(self, y: SpherePoint) -> Polynomial:

@@ -18,13 +18,12 @@ from .dynamics import (
     DEFAULT_ORBIT_BUDGET,
     DEFAULT_PERIOD_WORK_CAP,
     INFINITE,
-    asymptotic_valency,
     critical_divisor_degree,
+    critical_fate,
     critical_points,
-    orbit_fate,
     periodic_cycles,
 )
-from .errors import ConfigError, InputFormatError, MapDegreeError, RatmapError
+from .errors import ConfigError, InputFormatError, MapDegreeError
 from .poly import Polynomial
 from .rational import RationalMap
 from .restricted import (
@@ -84,7 +83,13 @@ class AnalysisConfig:
         if self.tolerance <= 0:
             raise ConfigError("tolerance must be positive")
         for dec in self.declarations:
-            theta = float(dec.get("theta", -1))
+            if not isinstance(dec, dict):
+                raise ConfigError("a declaration must be a JSON object")
+            try:
+                theta = float(dec.get("theta", -1))
+            except (TypeError, ValueError):
+                raise ConfigError("declaration theta must be a number",
+                                  theta=dec.get("theta")) from None
             if not (0.0 < theta < 1.0):
                 raise ConfigError(
                     "declaration theta must lie in (0, 1); irrationality is "
@@ -95,6 +100,8 @@ class AnalysisConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("configuration must be a JSON object")
         cfg = cls()
         known = {
             "max_period", "max_seed_period", "ro_depth", "preimage_depth",
@@ -104,19 +111,25 @@ class AnalysisConfig:
         for key, value in data.items():
             if key not in known:
                 raise ConfigError(f"unknown configuration key {key!r}")
-            if key == "render":
-                cfg.render = RenderConfig(
-                    width=int(value.get("width", 800)),
-                    height=int(value.get("height", 800)),
-                    window=tuple(value.get("window", (-2.0, 2.0, -2.0, 2.0))),
-                    max_iter=int(value.get("max_iter", 100)),
-                )
-            elif key == "declarations":
-                cfg.declarations = list(value)
-            elif key == "tolerance":
-                cfg.tolerance = float(value)
-            else:
-                setattr(cfg, key, int(value))
+            try:
+                if key == "render":
+                    if not isinstance(value, dict):
+                        raise ConfigError("render must be a JSON object")
+                    cfg.render = RenderConfig(
+                        width=int(value.get("width", 800)),
+                        height=int(value.get("height", 800)),
+                        window=tuple(value.get("window", (-2.0, 2.0, -2.0, 2.0))),
+                        max_iter=int(value.get("max_iter", 100)),
+                    )
+                elif key == "declarations":
+                    cfg.declarations = list(value)
+                elif key == "tolerance":
+                    cfg.tolerance = float(value)
+                else:
+                    setattr(cfg, key, int(value))
+            except (TypeError, ValueError):
+                raise ConfigError(f"cannot read configuration key {key!r}",
+                                  value=repr(value)) from None
         cfg.validate()
         return cfg
 
@@ -153,7 +166,10 @@ def parse_map(document, *, tolerance: float = 1e-9) -> RationalMap:
     exact, decimal notation anywhere switches the whole map to floating.
     """
     if isinstance(document, (str, bytes)):
-        document = json.loads(document)
+        try:
+            document = json.loads(document)
+        except ValueError as err:
+            raise InputFormatError(f"map document is not valid JSON: {err}") from None
     if not isinstance(document, dict):
         raise InputFormatError("map document must be a JSON object")
     try:
@@ -189,7 +205,7 @@ def _fate_json(fate):
         "cycle_id": fate.cycle_id,
         "step": fate.step,
         "steps_used": fate.steps_used,
-        "region_id": fate.region_id,
+        "region_id": None,  # kept in the report schema; no fate names a region
     }
 
 
@@ -243,21 +259,17 @@ def run_analysis(r: RationalMap, config: AnalysisConfig | None = None) -> Report
     fates = {}
     fate_rows = []
     for c in crit:
-        fate = orbit_fate(r, c.point, cycles, config.orbit_budget)
-        fates[c.point] = fate
-        try:
-            aval = asymptotic_valency(r, c.point, fate, cycles=cycles, crit_points=crit)
-        except RatmapError as err:
-            aval = None
+        cf = fates[c.point] = critical_fate(r, c.point, cycles, crit, config.orbit_budget)
+        if cf.error is not None:
             warnings.append({
-                "code": err.code,
-                "message": str(err),
+                "code": cf.error.code,
+                "message": str(cf.error),
                 "point": point_str(c.point),
             })
         fate_rows.append({
             "point": point_str(c.point),
-            "fate": _fate_json(fate),
-            "asymptotic_valency": _valency_json(aval),
+            "fate": _fate_json(cf.fate),
+            "asymptotic_valency": _valency_json(cf.asymptotic_valency),
         })
 
     scan = exposed_orbits(
@@ -270,10 +282,7 @@ def run_analysis(r: RationalMap, config: AnalysisConfig | None = None) -> Report
     warnings.extend(scan.warnings)
     notes.extend(scan.notes)
 
-    atlas = build_atlas(
-        r, cycles, crit, fates, declarations,
-        ro_depth=config.ro_depth, budget=config.orbit_budget,
-    )
+    atlas = build_atlas(r, cycles, crit, fates, declarations, ro_depth=config.ro_depth)
     warnings.extend(atlas.warnings)
 
     resolver = ExposureResolver(scan.orbits, r.tolerance)

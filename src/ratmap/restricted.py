@@ -17,8 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dynamics import asymptotic_valency, orbit_fate
-from .errors import RatmapError
+from .dynamics import (
+    DEFAULT_ORBIT_BUDGET,
+    _step_with_height_guard,
+    critical_fate,
+    critical_points,
+    make_cycle,
+)
+from .errors import JuliaMembershipUndeterminedError, RatmapError
 from .rational import RationalMap
 from .sphere import SpherePoint, coincide, contains_point, dedup_points, point_sort_key
 
@@ -43,31 +49,28 @@ class ROWitness:
     valency: int
 
 
-def _orbit_with_valencies(r: RationalMap, x: SpherePoint, depth: int):
-    """[(R^j(x), val(R^j, x))] for j = 0..depth, with val(R^0, x) = 1."""
-    from .dynamics import _step_with_height_guard
+def orbit_with_valencies(r: RationalMap, x: SpherePoint, depth: int):
+    """[(R^j(x), val(R^j, x))] for j = 0..depth, with val(R^0, x) = 1.
 
+    None when a step of the orbit fails.
+    """
     out = [(x, 1)]
     current = x
     cum = 1
-    for _ in range(depth):
-        cum *= r.valency_at(current)
-        current = _step_with_height_guard(r, current)
-        out.append((current, cum))
+    try:
+        for _ in range(depth):
+            cum *= r.valency_at(current)
+            current = _step_with_height_guard(r, current)
+            out.append((current, cum))
+    except RatmapError:
+        return None
     return out
 
 
-def ro_related(r: RationalMap, x: SpherePoint, y: SpherePoint,
-               depth: int = RO_DEPTH_DEFAULT) -> ROWitness | None:
-    """First witness of restricted-orbit equivalence in (n+m, n) order.
-
-    None means no witness within the depth, not non-equivalence.
-    """
-    tol = r.tolerance
-    try:
-        ox = _orbit_with_valencies(r, x, depth)
-        oy = _orbit_with_valencies(r, y, depth)
-    except RatmapError:
+def ro_witness(ox, oy, depth: int, tol: float) -> ROWitness | None:
+    """First witness in (n+m, n) order between two orbit_with_valencies
+    results of the same depth; None when either orbit is None."""
+    if ox is None or oy is None:
         return None
     for total in range(0, 2 * depth + 1):
         for n in range(max(0, total - depth), min(depth, total) + 1):
@@ -77,6 +80,17 @@ def ro_related(r: RationalMap, x: SpherePoint, y: SpherePoint,
             if vx == vy and coincide(px, py, tol):
                 return ROWitness(n=n, m=m, valency=vx)
     return None
+
+
+def ro_related(r: RationalMap, x: SpherePoint, y: SpherePoint,
+               depth: int = RO_DEPTH_DEFAULT) -> ROWitness | None:
+    """First witness of restricted-orbit equivalence in (n+m, n) order.
+
+    None means no witness within the depth, not non-equivalence.
+    """
+    ox = orbit_with_valencies(r, x, depth)
+    oy = orbit_with_valencies(r, y, depth) if ox is not None else None
+    return ro_witness(ox, oy, depth, r.tolerance)
 
 
 @dataclass
@@ -186,18 +200,13 @@ def _verify_critical_invariance(r: RationalMap, pts, depth, tol,
     (node budget exhausted before the depth was covered).
     """
     nodes = 0
-    vmax = r.degree**depth
     for a in pts:
         targets = []
         t, v = a, 1
         for _ in range(depth + 1):
             targets.append((t, v))
-            if v > vmax:
-                break
             try:
                 v = v * r.valency_at(t)
-                from .dynamics import _step_with_height_guard
-
                 t = _step_with_height_guard(r, t)
             except RatmapError:
                 break
@@ -230,15 +239,13 @@ def _verify_critical_invariance(r: RationalMap, pts, depth, tol,
     return True
 
 
-def _find_or_make_cycle(r: RationalMap, pts, cycles, tol):
+def _find_or_make_cycle(r: RationalMap, pts, cycles, tol, warnings):
     """The cycle inside a forward-closed finite set, as a known cycle when
-    one matches, otherwise classified on the spot."""
+    one matches, otherwise classified on the spot (warnings collects what
+    the classification records)."""
     for cyc in cycles:
         if any(cyc.contains(a, tol) for a in pts):
             return cyc
-    from .dynamics import PeriodicCycle, _classify
-    from .scalars import GaussianRational
-
     a = pts[0]
     seen = [a]
     current = a
@@ -246,27 +253,7 @@ def _find_or_make_cycle(r: RationalMap, pts, cycles, tol):
         current = r.evaluate(current)
         for i, s in enumerate(seen):
             if coincide(current, s, tol):
-                cycle_pts = tuple(seen[i:])
-                vals = [r.valency_at(p) for p in cycle_pts]
-                crit = any(v >= 2 for v in vals)
-                if crit:
-                    mult = GaussianRational(0) if r.is_exact else complex(0.0)
-                else:
-                    mult = r.cycle_multiplier(cycle_pts)
-                cls, order, theta = _classify(mult, crit)
-                import math
-
-                return PeriodicCycle(
-                    period=len(cycle_pts),
-                    points=cycle_pts,
-                    multiplier=mult,
-                    classification=cls,
-                    contains_critical=crit,
-                    local_degree=math.prod(vals),
-                    root_of_unity_order=order,
-                    rotation_estimate=theta,
-                    cycle_id=-1,
-                )
+                return make_cycle(r, tuple(seen[i:]), warnings)
         seen.append(current)
     return None
 
@@ -298,26 +285,29 @@ def exposed_orbits(r: RationalMap, cycles,
     forward orbits (up to 8 steps) of critical points that land on cycles.
     The search scope is part of the result's truncation metadata: absence
     of further exposed sets is only claimed within these bounds.
-    """
-    from .dynamics import DEFAULT_ORBIT_BUDGET, critical_points
 
+    fates maps critical points to CriticalFate records, as
+    dynamics.critical_fate computes them.  A critical member of a verified
+    candidate missing from it gets its record computed here, with budget;
+    the caller's mapping is left unchanged.
+    """
     tol = r.tolerance
     if crit is None:
         crit = critical_points(r)
     crit_pts = [c.point for c in crit]
     if budget is None:
         budget = DEFAULT_ORBIT_BUDGET
-    if fates is None:
-        # fates are only needed for critical members of verified candidates;
-        # computing them lazily keeps bulk scans cheap
-        fates = {}
+    # records are only needed for critical members of verified candidates;
+    # computing the missing ones lazily keeps bulk scans cheap
+    fates = dict(fates or {})
 
     pool = list(crit_pts)
     for cyc in cycles:
         if cyc.period <= max_seed_period:
             pool.extend(cyc.points)
     for c in crit:
-        fate = fates.get(c.point)
+        cf = fates.get(c.point)
+        fate = cf.fate if cf is not None else None
         if fate is not None and fate.kind == "preperiodic" and (fate.step or 0) <= CRITICAL_ORBIT_SEED_STEPS:
             current = c.point
             for _ in range(fate.step):
@@ -368,7 +358,7 @@ def exposed_orbits(r: RationalMap, cycles,
         if not contains_crit:
             if not _verify_type1(r, pts, tol):
                 continue
-            cyc = _find_or_make_cycle(r, pts, cycles, tol)
+            cyc = _find_or_make_cycle(r, pts, cycles, tol, warnings)
             if cyc is None:
                 undecided.append(UndecidedCandidate(tuple(pts), "no cycle found inside the set"))
                 continue
@@ -392,32 +382,25 @@ def exposed_orbits(r: RationalMap, cycles,
             continue
         member_fates = []
         for cm in crit_members:
-            fate = fates.get(cm)
-            if fate is None:
-                fate = orbit_fate(r, cm, cycles, budget)
-                fates[cm] = fate
-            member_fates.append((cm, fate))
-        if any(f.kind == "unresolved" for _, f in member_fates):
+            if cm not in fates:
+                fates[cm] = critical_fate(r, cm, cycles, crit, budget)
+            member_fates.append(fates[cm])
+        if any(cf.fate.kind == "unresolved" for cf in member_fates):
             undecided.append(UndecidedCandidate(
                 tuple(pts),
                 "critical orbit fate unresolved within budget",
             ))
             continue
-        preperiodic = [cm for cm, f in member_fates if f.kind == "preperiodic"]
-        orbit_type = 2 if preperiodic else 3
-        cm0, fate0 = member_fates[0]
-        try:
-            aval = asymptotic_valency(r, cm0, fate0, cycles=cycles, crit_points=crit)
-        except RatmapError as err:
-            undecided.append(UndecidedCandidate(tuple(pts), str(err)))
+        orbit_type = 2 if any(cf.fate.kind == "preperiodic" for cf in member_fates) else 3
+        first = member_fates[0]
+        if first.error is not None:
+            undecided.append(UndecidedCandidate(tuple(pts), str(first.error)))
             continue
+        fate0 = first.fate
         if fate0.kind == "preperiodic":
-            cyc = cycles[fate0.cycle_id]
-            in_julia = _cycle_in_julia(cyc, declarations, tol)
-            landing = fate0.cycle_id
+            in_julia = _cycle_in_julia(cycles[fate0.cycle_id], declarations, tol)
         else:
             in_julia = False  # converges into a basin, hence the Fatou set
-            landing = fate0.cycle_id
         if orbit_type == 3:
             notes.append({
                 "code": "type3-labeling",
@@ -429,8 +412,8 @@ def exposed_orbits(r: RationalMap, cycles,
             orbit_type=orbit_type,
             contains_critical=True,
             in_julia=in_julia,
-            asymptotic_valency=aval,
-            landing_cycle_id=landing,
+            asymptotic_valency=first.asymptotic_valency,
+            landing_cycle_id=fate0.cycle_id,
             verified_depth=preimage_depth,
         ))
 
@@ -480,8 +463,6 @@ def exposed_orbits(r: RationalMap, cycles,
 
 def julia_exposed_partition(orbits):
     """Split exposed orbits by Julia membership; undetermined blocks."""
-    from .errors import JuliaMembershipUndeterminedError
-
     for o in orbits:
         if o.in_julia is None:
             raise JuliaMembershipUndeterminedError(

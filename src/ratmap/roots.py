@@ -24,7 +24,6 @@ import numpy as np
 from .errors import MultiplicityAmbiguousError, RootFindingFailedError
 from .poly import Polynomial, vanishing_order_exact
 from .scalars import GaussianRational
-from .sphere import SpherePoint
 
 ABERTH_MAX_ITER = 200
 NEWTON_POLISH_STEPS = 5
@@ -243,8 +242,8 @@ def _find_roots_numeric(p: Polynomial, cluster_radius: float):
 
         residuals = [_eval_scaled(rc, zi) for zi in z]
         # multiple roots legitimately stall above machine precision; the
-        # acceptance bar here only rejects genuine non-convergence
-        if max(residuals) > 1e-6:
+        # acceptance bar here only rejects genuine non-convergence, NaN included
+        if not all(res <= 1e-6 for res in residuals):
             raise RootFindingFailedError(
                 "root finder did not converge",
                 residuals=residuals,
@@ -315,7 +314,3 @@ def _find_roots_numeric(p: Polynomial, cluster_radius: float):
         )
     results.sort(key=lambda t: (complex(t[0]).real, complex(t[0]).imag))
     return results
-
-
-def roots_as_points(p: Polynomial, cluster_radius: float = DEFAULT_CLUSTER_RADIUS):
-    return [(SpherePoint.finite(root), mult) for root, mult, _ in find_roots(p, cluster_radius)]

@@ -103,9 +103,6 @@ class GaussianRational:
 
     # -- predicates and conversions ------------------------------------
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def abs2(self):
         """|z|^2 as an exact Fraction."""
         return self.re * self.re + self.im * self.im
@@ -247,8 +244,3 @@ def scalar_str(value) -> str:
     if z.real == 0:
         return ("-" if z.imag < 0 else "") + im
     return repr(z.real) + ("-" if z.imag < 0 else "+") + im
-
-
-def scalar_sort_key(value):
-    z = complex(value)
-    return (z.real, z.imag)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import (
+    BunceDeddens,
     CantorAlg,
     CaseIvDiagram,
     CircleAlg,
@@ -40,7 +41,7 @@ from .algebra import (
 from .dynamics import INFINITE
 from .errors import RegionBlockedError
 from .restricted import ExposedOrbit
-from .sphere import point_sort_key, point_str
+from .sphere import coincide, point_sort_key, point_str
 
 JULIA_IDEAL_ATTRIBUTES = ("separable", "purely_infinite", "nuclear", "simple", "UCT")
 
@@ -96,8 +97,6 @@ class ExposureResolver:
     tolerance: float
 
     def orbit_size(self, point):
-        from .sphere import coincide
-
         for o in self.exposed_orbits:
             for p in o.points:
                 if coincide(point, p, self.tolerance):
@@ -312,7 +311,7 @@ def case_iv_diagram(region, resolver: ExposureResolver, cycles,
     """The primitive-quotient diagram for a free orbit in a stable region."""
     kind = region.core.kind
     if kind == "superattracting":
-        top = Tensor([BunceDeddensFromRegion(region), Compacts()])
+        top = Tensor([BunceDeddens(region.core.local_degree), Compacts()])
     elif kind == "attracting":
         top = Compacts()
     elif kind == "parabolic":
@@ -366,9 +365,3 @@ def case_iv_diagram(region, resolver: ExposureResolver, cycles,
         label="bookkeeping row",
     ))
     return CaseIvDiagram(region_kind=kind, top=top, rows=rows)
-
-
-def BunceDeddensFromRegion(region):
-    from .algebra import BunceDeddens
-
-    return BunceDeddens(region.core.local_degree)

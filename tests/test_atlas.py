@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 from ratmap.atlas import build_atlas
-from ratmap.dynamics import INFINITE, critical_points, orbit_fate, periodic_cycles
+from ratmap.dynamics import (
+    DEFAULT_ORBIT_BUDGET,
+    INFINITE,
+    critical_fate,
+    critical_points,
+    periodic_cycles,
+)
 from ratmap.errors import DeclarationError
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
@@ -17,7 +23,7 @@ from ratmap.sphere import SpherePoint
 def run(r, max_period=2, declarations=()):
     crit = critical_points(r)
     cycles, _, _ = periodic_cycles(r, max_period)
-    fates = {c.point: orbit_fate(r, c.point, cycles) for c in crit}
+    fates = {c.point: critical_fate(r, c.point, cycles, crit, DEFAULT_ORBIT_BUDGET) for c in crit}
     return crit, cycles, fates, build_atlas(r, cycles, crit, fates, declarations)
 
 

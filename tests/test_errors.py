@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from ratmap.dynamics import periodic_cycles
 from ratmap.errors import (
     DegenerateMapError,
     IndeterminateEvaluationError,
     MultiplicityAmbiguousError,
+    RootFindingFailedError,
     ValencyAmbiguousError,
 )
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
+from ratmap.report import parse_map
+from ratmap.restricted import _find_or_make_cycle
 from ratmap.roots import find_roots
 from ratmap.scalars import GaussianRational
 from ratmap.sphere import SpherePoint
@@ -66,11 +71,28 @@ def test_exact_mode_resolves_the_same_geometry():
 
 
 def test_ambiguous_indifferent_classification_is_recorded():
-    from ratmap.dynamics import periodic_cycles
-
     lam = 1.0 + 1e-8  # inside the indifferent band, off the unit circle
     r = RationalMap(Polynomial([1.0, lam, 0.0]), Polynomial([1.0]))
     cycles, _, warnings = periodic_cycles(r, 1)
     fixed_zero = next(c for c in cycles if abs(complex(c.points[0].z)) < 1e-6)
     assert fixed_zero.classification == "indifferent_ambiguous"
     assert any(w["code"] == "cycle-classification-ambiguous" for w in warnings)
+
+
+def test_ambiguous_indifferent_cycle_classified_on_the_spot():
+    # the same fixed point, met by the exposed-orbit scan without a known cycle
+    r = RationalMap(Polynomial([1.0, 1.0 + 1e-8, 0.0]), Polynomial([1.0]))
+    warnings = []
+    cyc = _find_or_make_cycle(r, [SpherePoint.finite(0.0)], [], r.tolerance, warnings)
+    assert cyc.classification == "indifferent_ambiguous"
+    assert [w["code"] for w in warnings] == ["cycle-classification-ambiguous"]
+
+
+def test_non_finite_roots_are_a_root_finding_failure():
+    # Aberth overflows on the period-3 fixed-point polynomial of this
+    # floating map and returns NaN roots, whose NaN residuals must not pass
+    r = parse_map({"numerator": ["1.0", "4.0", "1.0", "-1.0+2.0i", "-2.0+1.0i"],
+                   "denominator": ["-2.0+2.0i"]})
+    with pytest.raises(RootFindingFailedError) as failure:
+        periodic_cycles(r, 3)
+    assert any(math.isnan(res) for res in failure.value.residuals)

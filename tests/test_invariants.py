@@ -9,7 +9,7 @@ import pytest
 
 from ratmap.algebra import DirectSum, Matrix, Tensor, normalize
 from ratmap.atlas import build_atlas
-from ratmap.dynamics import critical_points, orbit_fate, periodic_cycles
+from ratmap.dynamics import DEFAULT_ORBIT_BUDGET, critical_fate, critical_points, periodic_cycles
 from ratmap.poly import Polynomial
 from ratmap.primitive import primitive_catalog
 from ratmap.rational import RationalMap
@@ -62,7 +62,7 @@ def test_julia_quotient_matrix_size_bounds():
 def _catalog(r, max_period=4):
     crit = critical_points(r)
     cycles, _, _ = periodic_cycles(r, max_period)
-    fates = {c.point: orbit_fate(r, c.point, cycles) for c in crit}
+    fates = {c.point: critical_fate(r, c.point, cycles, crit, DEFAULT_ORBIT_BUDGET) for c in crit}
     scan = exposed_orbits(r, cycles, crit=crit, fates=fates)
     atlas = build_atlas(r, cycles, crit, fates)
     resolver = ExposureResolver(scan.orbits, r.tolerance)
@@ -102,7 +102,7 @@ def test_iota_p_periodic_valency_one():
     r = RationalMap(Polynomial([1, 0, GaussianRational(Fraction(-1, 2))]), Polynomial([1]))
     crit = critical_points(r)
     cycles, _, _ = periodic_cycles(r, 2)
-    fates = {c.point: orbit_fate(r, c.point, cycles) for c in crit}
+    fates = {c.point: critical_fate(r, c.point, cycles, crit, DEFAULT_ORBIT_BUDGET) for c in crit}
     atlas = build_atlas(r, cycles, crit, fates)
     for cls in atlas.iota_p:
         region = atlas.regions[cls.region_id]

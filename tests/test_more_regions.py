@@ -9,7 +9,7 @@ import pytest
 
 from ratmap.algebra import render
 from ratmap.atlas import build_atlas
-from ratmap.dynamics import critical_points, orbit_fate, periodic_cycles
+from ratmap.dynamics import DEFAULT_ORBIT_BUDGET, critical_fate, critical_points, periodic_cycles
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
 from ratmap.report import AnalysisConfig, parse_map, run_analysis
@@ -76,7 +76,7 @@ def test_parabolic_case_iv_diagram():
     )
     crit = critical_points(r)
     cycles, _, _ = periodic_cycles(r, 2)
-    fates = {c.point: orbit_fate(r, c.point, cycles) for c in crit}
+    fates = {c.point: critical_fate(r, c.point, cycles, crit, DEFAULT_ORBIT_BUDGET) for c in crit}
     scan = exposed_orbits(r, cycles, crit=crit, fates=fates)
     atlas = build_atlas(r, cycles, crit, fates)
     res = ExposureResolver(scan.orbits, r.tolerance)

@@ -7,7 +7,13 @@ import pytest
 
 from ratmap.algebra import Matrix, render
 from ratmap.atlas import build_atlas
-from ratmap.dynamics import INFINITE, critical_points, orbit_fate, periodic_cycles
+from ratmap.dynamics import (
+    DEFAULT_ORBIT_BUDGET,
+    INFINITE,
+    critical_fate,
+    critical_points,
+    periodic_cycles,
+)
 from ratmap.errors import RatmapError
 from ratmap.poly import Polynomial
 from ratmap.primitive import IsotropyGroup, PointContext, isotropy_of, primitive_catalog
@@ -20,7 +26,7 @@ from ratmap.synth import ExposureResolver, full_decomposition
 def catalog_for(r, max_period=4):
     crit = critical_points(r)
     cycles, _, _ = periodic_cycles(r, max_period)
-    fates = {c.point: orbit_fate(r, c.point, cycles) for c in crit}
+    fates = {c.point: critical_fate(r, c.point, cycles, crit, DEFAULT_ORBIT_BUDGET) for c in crit}
     scan = exposed_orbits(r, cycles, crit=crit, fates=fates)
     atlas = build_atlas(r, cycles, crit, fates)
     resolver = ExposureResolver(scan.orbits, r.tolerance)

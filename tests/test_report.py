@@ -1,14 +1,33 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import ratmap.dynamics
+from ratmap import cli
 from ratmap.errors import ConfigError, InputFormatError, MapDegreeError
 from ratmap.report import AnalysisConfig, RenderConfig, parse_map, run_analysis
 from ratmap.scalars import GaussianRational
+
+# the CLI child process finds the package in the source tree without an install
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CLI_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+)
+
+WORKED_MAPS = [
+    {"numerator": ["1", "0", "-2"], "denominator": ["1"]},
+    {"numerator": ["1", "-4", "4"], "denominator": ["1", "0", "0"]},
+    {"numerator": ["1", "0", "0"], "denominator": ["1"]},
+]
+DECIMAL_TWINS = [{k: [c + ".0" for c in v] for k, v in doc.items()} for doc in WORKED_MAPS]
 
 
 def test_parse_map_examples():
@@ -113,6 +132,43 @@ def test_report_schema(tmp_path):
     jsonschema.validate(data, REPORT_SCHEMA)
 
 
+@pytest.mark.parametrize("doc", WORKED_MAPS + DECIMAL_TWINS)
+def test_critical_fates_computed_once_per_critical_point(doc, monkeypatch):
+    calls = Counter()
+    for name in ("orbit_fate", "asymptotic_valency"):
+        original = getattr(ratmap.dynamics, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "ratmap" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    data = run_analysis(parse_map(doc)).data
+    n = len(data["critical_points"])
+    assert calls == {"orbit_fate": n, "asymptotic_valency": n}
+
+
+@pytest.mark.parametrize("map_text, config, code", [
+    ("not json {", None, "input-format"),
+    (None, {"max_period": "x"}, "config-invalid"),
+    (None, {"render": 5}, "config-invalid"),
+    (None, [1, 2], "config-invalid"),
+    (None, {"declarations": [{"kind": "siegel", "theta": "abc"}]}, "config-invalid"),
+])
+def test_malformed_input_is_a_coded_error(tmp_path, capsys, map_text, config, code):
+    map_file = tmp_path / "map.json"
+    map_file.write_text(map_text or json.dumps(WORKED_MAPS[0]))
+    argv = ["analyze", str(map_file)]
+    if config is not None:
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        argv += ["--config", str(config_file)]
+    assert cli.main(argv) == 2
+    assert f"error [{code}]" in capsys.readouterr().err
+
+
 def test_cli_round_trip(tmp_path):
     map_file = tmp_path / "map.json"
     map_file.write_text(json.dumps({"numerator": ["1", "0", "-2"], "denominator": ["1"]}))
@@ -120,7 +176,7 @@ def test_cli_round_trip(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ratmap", "analyze", str(map_file),
          "--out", str(out_file), "--text"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CLI_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert "C(T) (x) M_2" in proc.stdout
@@ -133,7 +189,7 @@ def test_cli_rejects_low_degree(tmp_path):
     map_file.write_text(json.dumps({"numerator": ["1", "0"], "denominator": ["1"]}))
     proc = subprocess.run(
         [sys.executable, "-m", "ratmap", "analyze", str(map_file)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CLI_ENV,
     )
     assert proc.returncode == 2
     assert "degree" in proc.stderr

@@ -20,7 +20,13 @@ from ratmap.algebra import (
     render,
 )
 from ratmap.atlas import build_atlas
-from ratmap.dynamics import INFINITE, critical_points, orbit_fate, periodic_cycles
+from ratmap.dynamics import (
+    DEFAULT_ORBIT_BUDGET,
+    INFINITE,
+    critical_fate,
+    critical_points,
+    periodic_cycles,
+)
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
 from ratmap.restricted import ExposedOrbit, exposed_orbits
@@ -38,7 +44,7 @@ from ratmap.synth import (
 def pipeline(r, max_period=4, declarations=()):
     crit = critical_points(r)
     cycles, _, _ = periodic_cycles(r, max_period)
-    fates = {c.point: orbit_fate(r, c.point, cycles) for c in crit}
+    fates = {c.point: critical_fate(r, c.point, cycles, crit, DEFAULT_ORBIT_BUDGET) for c in crit}
     scan = exposed_orbits(r, cycles, crit=crit, fates=fates, declarations=declarations)
     atlas = build_atlas(r, cycles, crit, fates, declarations)
     resolver = ExposureResolver(scan.orbits, r.tolerance)
