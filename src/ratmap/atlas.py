@@ -87,7 +87,11 @@ def _prepare_declarations(r, declarations, cycles):
         theta = float(dec["theta"])
         if not (0.0 < theta < 1.0):
             raise DeclarationError("theta must lie in (0, 1)", theta=theta)
-        period = int(dec.get("period", 1))
+        try:
+            period = int(dec.get("period", 1))
+        except (TypeError, ValueError):
+            raise DeclarationError("declaration period must be an integer",
+                                   period=repr(dec.get("period"))) from None
         if kind == "herman":
             if r.degree < 3:
                 raise DeclarationError(
@@ -98,8 +102,9 @@ def _prepare_declarations(r, declarations, cycles):
                         "theta_label": dec.get("theta_label")})
             continue
         anchor = dec.get("anchor_point")
-        if anchor is None:
-            raise DeclarationError("siegel declaration needs an anchor point")
+        if not isinstance(anchor, SpherePoint):
+            raise DeclarationError("siegel declaration needs an anchor point",
+                                   anchor=repr(anchor))
         cycle = next(
             (c for c in cycles if c.contains(anchor, r.tolerance)), None
         )

@@ -14,6 +14,7 @@ import json
 import sys
 
 from .errors import ConfigError, RatmapError
+from .render import render_julia
 from .report import AnalysisConfig, RenderConfig, parse_map, run_analysis
 
 
@@ -56,8 +57,6 @@ def main(argv=None) -> int:
         r = parse_map(document, tolerance=config.tolerance)
         report = run_analysis(r, config)
         if args.render:
-            from .render import render_julia
-
             with open(args.render, "wb") as fh:
                 fh.write(render_julia(r, config.render))
         if args.out:

@@ -94,7 +94,3 @@ class ConfigError(RatmapError):
 
 class InputFormatError(RatmapError):
     code = "input-format"
-
-
-class RenderConfigError(RatmapError):
-    code = "render-config"

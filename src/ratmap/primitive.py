@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import (
+    Compacts,
     ExtensionSeq,
     Matrix,
     NamedUnknown,
@@ -21,7 +22,7 @@ from .algebra import (
 )
 from .dynamics import INFINITE
 from .errors import RatmapError
-from .sphere import point_sort_key, point_str
+from .sphere import contains_point, point_sort_key, point_str
 from .synth import case_iv_diagram
 
 
@@ -182,8 +183,6 @@ def primitive_catalog(atlas, decomposition, exposed_scan, cycles,
     # type (iii): bookkeeping classes in the Fatou set, outside the exposed set
     exposed_points = exposed_scan.union
     julia_corner = decomposition.square.corners["julia"]
-    from .sphere import contains_point
-
     for cls in sorted(
         atlas.iota_p + atlas.iota_c, key=lambda c: point_sort_key(c.representative)
     ):
@@ -209,7 +208,7 @@ def primitive_catalog(atlas, decomposition, exposed_scan, cycles,
             ))
             continue
         ext = ExtensionSeq(
-            ideal=_compacts(),
+            ideal=Compacts(),
             total=NamedUnknown("C*_r(R)/I"),
             quotient=julia_corner,
             label="compact perturbation of the Julia quotient",
@@ -260,9 +259,3 @@ def primitive_catalog(atlas, decomposition, exposed_scan, cycles,
         t0_verdict=verdict,
         simple_quotients=simple_quotients,
     )
-
-
-def _compacts():
-    from .algebra import Compacts
-
-    return Compacts()

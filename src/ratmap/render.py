@@ -3,9 +3,12 @@
 Pixels iterate under the map until captured by a small chordal
 neighbourhood of an attracting, superattracting or parabolic cycle; the
 capture time drives the color.  Pixels never captured (the Julia locus at
-this resolution) are black.  The whole grid is advanced with numpy, rows
-need no coordination, and the output is deterministic for a fixed
-configuration.
+this resolution) are black.  Only the pixels still in flight are advanced:
+each step evaluates the map, measures the distance to the targets and
+drops the captured pixels, so its cost follows the active set, not the
+grid.  A map with no such cycle of period <= 2 has nothing to capture, so
+its image is all black and no pixel is iterated.  The output is
+deterministic for a fixed configuration.
 
 Output format: binary PPM (P6), 8-bit RGB, header "P6\\n<w> <h>\\n255\\n"
 followed by rows top to bottom, left to right.
@@ -15,25 +18,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import RenderConfigError
+from .dynamics import periodic_cycles
 from .rational import RationalMap
 
 CAPTURE_RADIUS = 1e-3
 
 
-def _chordal_to_point(z: np.ndarray, target: complex | None) -> np.ndarray:
-    """Chordal distance from an array of chart values to a target point
-    (None encodes infinity).  NaN/inf entries in z mean 'at infinity'."""
+def _captured(z: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Masks (captured, non-finite) over an array of chart values.
+
+    A value is captured when its chordal distance to some target (None
+    encodes infinity) is below CAPTURE_RADIUS; NaN/inf entries mean 'at
+    infinity'.
+    """
     bad = ~np.isfinite(z)
     zs = np.where(bad, 0.0, z)
     norm = np.sqrt(np.abs(zs) ** 2 + 1.0)
-    if target is None:
-        d = 2.0 / norm
-        return np.where(bad, 0.0, d)
-    tnorm = np.sqrt(abs(target) ** 2 + 1.0)
-    d = 2.0 * np.abs(zs - target) / (norm * tnorm)
-    d_inf_target = 2.0 / tnorm  # distance from infinity to the target
-    return np.where(bad, d_inf_target, d)
+    hit = np.zeros(z.shape, dtype=bool)
+    for target in targets:
+        if target is None:
+            hit |= bad | (2.0 / norm < CAPTURE_RADIUS)
+            continue
+        tnorm = np.sqrt(abs(target) ** 2 + 1.0)
+        d = 2.0 * np.abs(zs - target) / (norm * tnorm)
+        if 2.0 / tnorm < CAPTURE_RADIUS:  # infinity lies inside this target's disc
+            hit |= bad
+        hit |= ~bad & (d < CAPTURE_RADIUS)
+    return hit, bad
 
 
 def _capture_targets(r: RationalMap, cycles):
@@ -48,69 +59,57 @@ def _capture_targets(r: RationalMap, cycles):
     return targets
 
 
-def render_julia(r: RationalMap, render_cfg, cycles=None) -> bytes:
-    """Render the capture-time picture as PPM bytes."""
+def _capture_times(r: RationalMap, render_cfg, cycles=None) -> np.ndarray:
+    """The h x w grid of capture iterations; -1 marks a pixel never captured."""
     render_cfg.validate()
     w, h = render_cfg.width, render_cfg.height
     xmin, xmax, ymin, ymax = render_cfg.window
-    if not (xmax > xmin and ymax > ymin):
-        raise RenderConfigError("render window has zero area")
-    max_iter = render_cfg.max_iter
-
+    times = np.full(h * w, -1, dtype=int)
     if cycles is None:
-        from .dynamics import periodic_cycles
-
         cycles, _, _ = periodic_cycles(r.floating(), 2)
     targets = _capture_targets(r, cycles)
+    if not targets:
+        return times.reshape(h, w)
 
     xs = xmin + (xmax - xmin) * (np.arange(w) + 0.5) / w
     ys = ymax - (ymax - ymin) * (np.arange(h) + 0.5) / h
-    z = xs[None, :] + 1j * ys[:, None]
-    z = z.astype(complex)
-
+    z = (xs[None, :] + 1j * ys[:, None]).astype(complex).ravel()
     pc = r.floating().p.to_complex_array()
     qc = r.floating().q.to_complex_array()
 
-    times = np.full(z.shape, -1, dtype=int)
-    active = np.ones(z.shape, dtype=bool)
-
-    for target in targets:
-        d = _chordal_to_point(z, target)
-        captured = active & (d < CAPTURE_RADIUS)
-        times[captured] = 0
-        active &= ~captured
-
-    for it in range(1, max_iter + 1):
-        if not active.any():
+    # idx holds the flat indices of the pixels in flight, z their chart values
+    hit, _ = _captured(z, targets)
+    times[hit] = 0
+    idx = np.flatnonzero(~hit)
+    z = z[idx]
+    for it in range(1, render_cfg.max_iter + 1):
+        if idx.size == 0:
             break
-        za = z[active]
         with np.errstate(all="ignore"):
-            num = np.zeros_like(za)
+            num = np.zeros_like(z)
             for c in pc:
-                num = num * za + c
-            den = np.zeros_like(za)
+                num = num * z + c
+            den = np.zeros_like(z)
             for c in qc:
-                den = den * za + c
-            nxt = num / den
+                den = den * z + c
             # poles go to infinity, encoded as inf
-            nxt = np.where(np.abs(den) == 0.0, np.inf, nxt)
-        znew = z.copy()
-        znew[active] = nxt
-        z = znew
-        for target in targets:
-            d = _chordal_to_point(z, target)
-            captured = active & (d < CAPTURE_RADIUS)
-            times[captured] = it
-            active &= ~captured
-        # numerical overflow without an infinity target keeps iterating; cap it
-        blown = active & ~np.isfinite(z)
-        if blown.any() and not any(t is None for t in targets):
-            times[blown] = -1
-            active &= ~blown
+            z = np.where(den == 0.0, np.inf, num / den)
+        hit, bad = _captured(z, targets)
+        times[idx[hit]] = it
+        # a blown-up value is captured by an infinity target or dropped
+        keep = ~(hit | bad)
+        idx = idx[keep]
+        z = z[keep]
+    return times.reshape(h, w)
 
+
+def render_julia(r: RationalMap, render_cfg, cycles=None) -> bytes:
+    """Render the capture-time picture as PPM bytes."""
+    times = _capture_times(r, render_cfg, cycles)
+    h, w = times.shape
     rgb = np.zeros((h, w, 3), dtype=np.uint8)
     escaped = times >= 0
-    t = np.where(escaped, times, 0).astype(float) / max(1, max_iter)
+    t = np.where(escaped, times, 0).astype(float) / max(1, render_cfg.max_iter)
     rgb[..., 0] = np.where(escaped, (40 + 215 * t).astype(np.uint8), 0)
     rgb[..., 1] = np.where(escaped, (20 + 160 * np.sqrt(t)).astype(np.uint8), 0)
     rgb[..., 2] = np.where(escaped, (90 + 165 * (1 - t)).astype(np.uint8), 0)
@@ -121,8 +120,4 @@ def render_julia(r: RationalMap, render_cfg, cycles=None) -> bytes:
 
 def max_iteration_mask(r: RationalMap, render_cfg, cycles=None) -> np.ndarray:
     """Boolean grid of pixels never captured; used by the acceptance checks."""
-    data = render_julia(r, render_cfg, cycles)
-    w, h = render_cfg.width, render_cfg.height
-    header_len = len(f"P6\n{w} {h}\n255\n".encode())
-    rgb = np.frombuffer(data[header_len:], dtype=np.uint8).reshape(h, w, 3)
-    return (rgb == 0).all(axis=2)
+    return _capture_times(r, render_cfg, cycles) < 0

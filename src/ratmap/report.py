@@ -23,7 +23,7 @@ from .dynamics import (
     critical_points,
     periodic_cycles,
 )
-from .errors import ConfigError, InputFormatError, MapDegreeError
+from .errors import ConfigError, DeclarationError, InputFormatError, MapDegreeError
 from .poly import Polynomial
 from .rational import RationalMap
 from .restricted import (
@@ -115,10 +115,14 @@ class AnalysisConfig:
                 if key == "render":
                     if not isinstance(value, dict):
                         raise ConfigError("render must be a JSON object")
+                    window = tuple(float(x) for x in value.get("window", RenderConfig.window))
+                    if len(window) != 4:
+                        raise ConfigError("render window must be [xmin, xmax, ymin, ymax]",
+                                          window=repr(value["window"]))
                     cfg.render = RenderConfig(
                         width=int(value.get("width", 800)),
                         height=int(value.get("height", 800)),
-                        window=tuple(value.get("window", (-2.0, 2.0, -2.0, 2.0))),
+                        window=window,
                         max_iter=int(value.get("max_iter", 100)),
                     )
                 elif key == "declarations":
@@ -177,6 +181,8 @@ def parse_map(document, *, tolerance: float = 1e-9) -> RationalMap:
         den = document["denominator"]
     except KeyError as missing:
         raise InputFormatError(f"map document lacks {missing.args[0]!r}") from None
+    if not isinstance(num, (list, tuple)) or not isinstance(den, (list, tuple)):
+        raise InputFormatError("numerator and denominator must be coefficient lists")
     p = Polynomial(_parse_coeff(c) for c in num)
     q = Polynomial(_parse_coeff(c) for c in den)
     if p.is_exact != q.is_exact:
@@ -240,7 +246,11 @@ def run_analysis(r: RationalMap, config: AnalysisConfig | None = None) -> Report
     for dec in config.declarations:
         d = dict(dec)
         if "anchor" in d:
-            d["anchor_point"] = parse_point(d.pop("anchor"))
+            anchor = d.pop("anchor")
+            if not isinstance(anchor, str):
+                raise DeclarationError("a declaration anchor must be a point string",
+                                       anchor=repr(anchor))
+            d["anchor_point"] = parse_point(anchor)
         declarations.append(d)
 
     crit = critical_points(r)

@@ -201,15 +201,15 @@ def _verify_critical_invariance(r: RationalMap, pts, depth, tol,
     """
     nodes = 0
     for a in pts:
-        targets = []
+        targets = [(a, 1)]
         t, v = a, 1
-        for _ in range(depth + 1):
-            targets.append((t, v))
+        for _ in range(depth):
             try:
                 v = v * r.valency_at(t)
                 t = _step_with_height_guard(r, t)
             except RatmapError:
                 break
+            targets.append((t, v))
         for t, v in targets:
             frontier = [(t, 1)]
             for _ in range(depth):

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MultiplicityAmbiguousError, RootFindingFailedError
-from .poly import Polynomial, vanishing_order_exact
+from .poly import Polynomial, squarefree_decomposition_exact, vanishing_order_exact
 from .scalars import GaussianRational
 
 ABERTH_MAX_ITER = 200
@@ -186,8 +186,6 @@ def find_roots(p: Polynomial, cluster_radius: float = DEFAULT_CLUSTER_RADIUS):
     if p.degree < 1:
         raise ValueError("find_roots needs degree >= 1")
     if p.is_exact:
-        from .poly import squarefree_decomposition_exact
-
         _, factors = squarefree_decomposition_exact(p)
         results = []
         for factor, mult in factors:

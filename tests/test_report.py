@@ -156,6 +156,16 @@ def test_critical_fates_computed_once_per_critical_point(doc, monkeypatch):
     (None, {"render": 5}, "config-invalid"),
     (None, [1, 2], "config-invalid"),
     (None, {"declarations": [{"kind": "siegel", "theta": "abc"}]}, "config-invalid"),
+    (None, {"max_period": 1, "declarations": [{"kind": "herman", "theta": 0.3, "period": "x"}]},
+     "declaration-invalid"),
+    ('{"numerator": 5, "denominator": ["1"]}', None, "input-format"),
+    (None, {"max_period": 1, "declarations": [{"kind": "siegel", "theta": 0.3, "anchor": 5}]},
+     "declaration-invalid"),
+    (None, {"max_period": 1,
+            "declarations": [{"kind": "siegel", "theta": 0.3, "anchor_point": 5}]},
+     "declaration-invalid"),
+    (None, {"render": {"window": [1, 2, 3]}}, "config-invalid"),
+    (None, {"render": {"window": [1, 2, 3, "a"]}}, "config-invalid"),
 ])
 def test_malformed_input_is_a_coded_error(tmp_path, capsys, map_text, config, code):
     map_file = tmp_path / "map.json"

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import ratmap.restricted
 from ratmap.dynamics import INFINITE, critical_points, periodic_cycles
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
 from ratmap.restricted import (
+    _verify_critical_invariance,
     brute_force_preimage_check,
     exposed_orbits,
     julia_exposed_partition,
@@ -171,3 +173,18 @@ def test_no_exposed_set_for_generic_quadratic():
     cycles, _, _ = periodic_cycles(r, 2)
     scan = exposed_orbits(r, cycles)
     assert [sorted(str(p) for p in o.points) for o in scan.orbits] == [["inf"]]
+
+
+def test_invariance_check_steps_each_member_depth_times(monkeypatch):
+    # targets R^m(a) for m = 0..depth need depth forward steps, not depth + 1
+    steps = []
+    original = ratmap.restricted._step_with_height_guard
+
+    def counted(r, t):
+        steps.append(t)
+        return original(r, t)
+
+    monkeypatch.setattr(ratmap.restricted, "_step_with_height_guard", counted)
+    r = cheb()
+    _verify_critical_invariance(r, [SpherePoint.finite(0)], 3, r.tolerance)
+    assert len(steps) == 3
