@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .errors import AtlasInvariantError, DeclarationError
 from .rational import RationalMap
-from .restricted import orbit_with_valencies, ro_witness
+from .restricted import ro_witness
 from .sphere import SpherePoint, point_sort_key
 
 
@@ -93,6 +93,8 @@ def _prepare_declarations(r, declarations, cycles):
             raise DeclarationError("declaration period must be an integer",
                                    period=repr(dec.get("period"))) from None
         if kind == "herman":
+            if period < 1:
+                raise DeclarationError("herman period must be positive", period=period)
             if r.degree < 3:
                 raise DeclarationError(
                     "a degree-2 map cannot have a Herman ring; rejected",
@@ -257,14 +259,12 @@ def build_atlas(r: RationalMap, cycles, crit_points, fates, declarations=(), *,
     for region in regions:
         records = region.critical_records
         records.sort(key=lambda rec: point_sort_key(rec.point))
-        # each orbit is built once, and only where a comparison reads it
-        orbits = []
-        if len(records) > 1:
-            orbits = [orbit_with_valencies(r, rec.point, ro_depth) for rec in records]
+        # the comparisons read the walks the fates were computed on
+        walks = [fates[rec.point].fate.walk for rec in records]
         reps = []  # indices of the class representatives
         for i, rec in enumerate(records):
             j = next(
-                (j for j in reps if ro_witness(orbits[i], orbits[j], ro_depth, tol) is not None),
+                (j for j in reps if ro_witness(walks[i], walks[j], ro_depth, tol) is not None),
                 None,
             )
             if j is None:

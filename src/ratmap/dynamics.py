@@ -1,5 +1,9 @@
 """Critical points, periodic cycles, orbit fates, asymptotic valency.
 
+Forward orbits are walked by one engine, Orbit, under one height guard: an
+exact orbit steps exactly until a coordinate passes EXACT_HEIGHT_CAP_BITS
+(512) bits, then in floating point.  A fate keeps its walk for later readers.
+
 Cycle classification never guesses: super-attraction is decided by
 criticality of the cycle (exactly, when the map is exact), attracting and
 repelling come from |multiplier| against a band of width 1e-6 around 1,
@@ -11,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     AsymptoticValencyUndeterminedError,
@@ -202,22 +206,64 @@ def periodic_cycles(r: RationalMap, max_period: int = DEFAULT_MAX_PERIOD,
     return cycles, truncated, warnings
 
 
+def _step_with_height_guard(r: RationalMap, x: SpherePoint) -> SpherePoint:
+    if x.is_exact and point_height_bits(x) > EXACT_HEIGHT_CAP_BITS:
+        x = x.to_float()
+    return r.evaluate(x)
+
+
+class Orbit:
+    """The forward orbit of x, walked once and extended on demand.
+
+    points[j] is R^j(x).  The RatmapError of a failed step ends the walk and
+    is kept in error; asking for a point past it raises it again, so each
+    caller applies its own rule.  Cumulative valencies are memoized.
+    """
+
+    def __init__(self, r: RationalMap, x: SpherePoint):
+        self.r = r
+        self.points = [x]
+        self.error = None
+        self._valencies = [1]
+
+    def point(self, n: int) -> SpherePoint:
+        """R^n(x), walking on as far as needed."""
+        pts = self.points
+        while len(pts) <= n and self.error is None:
+            try:
+                pts.append(_step_with_height_guard(self.r, pts[-1]))
+            except RatmapError as err:
+                self.error = err
+        if len(pts) <= n:
+            raise self.error
+        return pts[n]
+
+    def valency(self, n: int) -> int:
+        """val(R^n, x): the product of local valencies at R^0(x)..R^(n-1)(x)."""
+        vals = self._valencies
+        while len(vals) <= n:
+            vals.append(vals[-1] * self.r.valency_at(self.point(len(vals) - 1)))
+        return vals[n]
+
+    def with_valencies(self, depth: int):
+        """[(R^j(x), val(R^j, x))] for j = 0..depth, cut short at a failure."""
+        out = []
+        for j in range(depth + 1):
+            try:
+                out.append((self.point(j), self.valency(j)))
+            except RatmapError:
+                break
+        return out
+
+
 @dataclass(frozen=True)
 class OrbitFate:
     kind: str  # "preperiodic" | "converges" | "unresolved"
     cycle_id: int | None = None
     step: int | None = None
     steps_used: int = 0
-
-    @property
-    def resolved(self) -> bool:
-        return self.kind != "unresolved"
-
-
-def _step_with_height_guard(r: RationalMap, x: SpherePoint) -> SpherePoint:
-    if x.is_exact and point_height_bits(x) > EXACT_HEIGHT_CAP_BITS:
-        x = x.to_float()
-    return r.evaluate(x)
+    # the walk the fate was read from, for callers that read the orbit again
+    walk: Orbit | None = field(default=None, compare=False, repr=False)
 
 
 def _reverify_landing(r: RationalMap, x: SpherePoint, cyc, n: int, tol: float) -> bool:
@@ -225,14 +271,11 @@ def _reverify_landing(r: RationalMap, x: SpherePoint, cyc, n: int, tol: float) -
     too consequential downstream to accept from a single pass)."""
     if x.is_infinity:
         return True
-    z = complex(x.z) + complex(1e-12, 1e-12)
-    current = SpherePoint.finite(z)
+    rerun = Orbit(r, SpherePoint.finite(complex(x.z) + complex(1e-12, 1e-12)))
     try:
-        for _ in range(n):
-            current = r.evaluate(current)
+        return any(rerun.point(n).chordal(pt) <= 1e4 * tol for pt in cyc.points)
     except RatmapError:
         return False
-    return any(current.chordal(pt) <= 1e4 * tol for pt in cyc.points)
 
 
 def orbit_fate(r: RationalMap, x: SpherePoint, cycles,
@@ -244,25 +287,20 @@ def orbit_fate(r: RationalMap, x: SpherePoint, cycles,
     which the orbit is continued in floating point to detect convergence.
     """
     tol = r.tolerance
-    prefix_len = min(budget, 64)
-    prefix = [x]
-    current = x
-    for _ in range(prefix_len):
+    walk = Orbit(r, x)
+    for n in range(min(budget, 64) + 1):
         try:
-            current = _step_with_height_guard(r, current)
+            pt = walk.point(n)
         except RatmapError:
             break
-        prefix.append(current)
-
-    for n, pt in enumerate(prefix):
         for cyc in cycles:
             for cpt in cyc.points:
                 if n == 0 and coincide(pt, cpt, tol):
                     # identity case: the queried point is a cycle point
-                    return OrbitFate("preperiodic", cyc.cycle_id, 0, 0)
+                    return OrbitFate("preperiodic", cyc.cycle_id, 0, 0, walk)
                 if pt.is_exact and cpt.is_exact:
                     if pt == cpt:
-                        return OrbitFate("preperiodic", cyc.cycle_id, n, n)
+                        return OrbitFate("preperiodic", cyc.cycle_id, n, n, walk)
                     continue
                 # floating leg: landings on critical cycles are not decidable
                 # (convergence underflows to an exact hit); report convergence
@@ -270,18 +308,19 @@ def orbit_fate(r: RationalMap, x: SpherePoint, cycles,
                     continue
                 if pt.chordal(cpt) <= tol * 1e-3:
                     if _reverify_landing(r, x, cyc, n, tol):
-                        return OrbitFate("preperiodic", cyc.cycle_id, n, n)
+                        return OrbitFate("preperiodic", cyc.cycle_id, n, n, walk)
 
+    # the floating tail streams: an unresolved orbit may run the whole budget
     rf = r.floating()
-    z = prefix[-1].to_float()
-    steps_done = len(prefix) - 1
+    z = walk.points[-1].to_float()
+    steps_done = len(walk.points) - 1
     targets = [
         c
         for c in cycles
         if c.classification in ("superattracting", "attracting", "rationally_indifferent")
     ]
     if not targets:
-        return OrbitFate("unresolved", steps_used=steps_done)
+        return OrbitFate("unresolved", steps_used=steps_done, walk=walk)
     hits = {c.cycle_id: 0 for c in targets}
     dist_history = {c.cycle_id: [] for c in targets}
     sample_every = max(1, budget // 256)
@@ -289,14 +328,14 @@ def orbit_fate(r: RationalMap, x: SpherePoint, cycles,
         try:
             z = rf.evaluate(z)
         except RatmapError:
-            return OrbitFate("unresolved", steps_used=step)
+            return OrbitFate("unresolved", steps_used=step, walk=walk)
         for cyc in targets:
             d = min(z.chordal(pt) for pt in cyc.points)
             if cyc.classification in ("superattracting", "attracting"):
                 if d < 1e-8:
                     hits[cyc.cycle_id] += 1
                     if hits[cyc.cycle_id] >= 3 * cyc.period:
-                        return OrbitFate("converges", cyc.cycle_id, steps_used=step + 1)
+                        return OrbitFate("converges", cyc.cycle_id, steps_used=step + 1, walk=walk)
                 else:
                     hits[cyc.cycle_id] = 0
             elif step % sample_every == 0:
@@ -309,8 +348,8 @@ def orbit_fate(r: RationalMap, x: SpherePoint, cycles,
         if len(h) >= 8:
             q1, q2, q3 = h[len(h) // 4], h[len(h) // 2], h[-1]
             if q3 < 1e-2 and q3 < q2 < q1:
-                return OrbitFate("converges", cyc.cycle_id, steps_used=budget)
-    return OrbitFate("unresolved", steps_used=budget)
+                return OrbitFate("converges", cyc.cycle_id, steps_used=budget, walk=walk)
+    return OrbitFate("unresolved", steps_used=budget, walk=walk)
 
 
 def asymptotic_valency(r: RationalMap, x: SpherePoint, fate: OrbitFate, *,
@@ -322,17 +361,12 @@ def asymptotic_valency(r: RationalMap, x: SpherePoint, fate: OrbitFate, *,
     """
     tol = r.tolerance
     crit_pts = [c.point for c in crit_points]
+    walk = fate.walk or Orbit(r, x)
 
     if fate.kind == "preperiodic":
-        cyc = cycles[fate.cycle_id]
-        product = 1
-        current = x
-        for _ in range(fate.step):
-            product *= r.valency_at(current)
-            current = _step_with_height_guard(r, current)
-        if cyc.contains_critical:
-            return INFINITE
-        return product  # on a non-critical cycle every further valency is 1
+        # a failing valency wins; past a non-critical cycle every valency is 1
+        product = walk.valency(fate.step)
+        return INFINITE if cycles[fate.cycle_id].contains_critical else product
 
     if fate.kind == "converges":
         cyc = cycles[fate.cycle_id]
@@ -343,14 +377,11 @@ def asymptotic_valency(r: RationalMap, x: SpherePoint, fate: OrbitFate, *,
         )
         stop_dist = min(collar / 2, 1e-6)
         product = 1
-        current = x
         for step in range(fate.steps_used):
+            current = walk.points[step]
             if contains_point(crit_pts, current, tol):
-                exact_hit = current.is_exact and any(
-                    current == p for p in crit_pts if p.is_exact
-                )
-                float_hit = any(current.chordal(p) == 0.0 for p in crit_pts)
-                if exact_hit or float_hit:
+                # an exact hit has chordal distance 0.0 too
+                if any(current.chordal(p) == 0.0 for p in crit_pts):
                     product *= r.valency_at(current)
                 else:
                     raise AsymptoticValencyUndeterminedError(
@@ -358,8 +389,7 @@ def asymptotic_valency(r: RationalMap, x: SpherePoint, fate: OrbitFate, *,
                         "without an exact hit",
                         step=step,
                     )
-            current = _step_with_height_guard(r, current)
-            if min(current.chordal(pt) for pt in cyc.points) < stop_dist:
+            if min(walk.point(step + 1).chordal(pt) for pt in cyc.points) < stop_dist:
                 break
         return product
 

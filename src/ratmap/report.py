@@ -9,6 +9,7 @@ warning carries a machine-readable code.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -51,6 +52,9 @@ class RenderConfig:
         xmin, xmax, ymin, ymax = self.window
         if not (xmax > xmin and ymax > ymin):
             raise ConfigError("render window has zero or negative area")
+        # a finite width and height also means finite corners
+        if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)):
+            raise ConfigError("render window must have a finite width and height")
         if self.max_iter <= 0:
             raise ConfigError("max_iter must be positive")
 

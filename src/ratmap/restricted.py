@@ -10,7 +10,9 @@ sets without critical points must satisfy the exact preimage identity
 characterizing type 1; sets with critical points are checked for
 invariance by a bounded backward search with valency matching, pruned by
 the fact that cumulative valency never decreases along a backward path.
-All coincidence decisions are exact when the inputs are exact.
+Forward orbits come from dynamics.Orbit: exact steps until a coordinate
+passes 512 bits, floating after.  All coincidence decisions are exact when
+the inputs are exact.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .dynamics import (
     DEFAULT_ORBIT_BUDGET,
-    _step_with_height_guard,
+    Orbit,
     critical_fate,
     critical_points,
     make_cycle,
@@ -49,28 +51,12 @@ class ROWitness:
     valency: int
 
 
-def orbit_with_valencies(r: RationalMap, x: SpherePoint, depth: int):
-    """[(R^j(x), val(R^j, x))] for j = 0..depth, with val(R^0, x) = 1.
-
-    None when a step of the orbit fails.
-    """
-    out = [(x, 1)]
-    current = x
-    cum = 1
-    try:
-        for _ in range(depth):
-            cum *= r.valency_at(current)
-            current = _step_with_height_guard(r, current)
-            out.append((current, cum))
-    except RatmapError:
-        return None
-    return out
-
-
-def ro_witness(ox, oy, depth: int, tol: float) -> ROWitness | None:
-    """First witness in (n+m, n) order between two orbit_with_valencies
-    results of the same depth; None when either orbit is None."""
-    if ox is None or oy is None:
+def ro_witness(x_walk: Orbit, y_walk: Orbit, depth: int, tol: float) -> ROWitness | None:
+    """First witness in (n+m, n) order between two forward orbits walked to
+    depth; None when either walk fails before depth."""
+    ox = x_walk.with_valencies(depth)
+    oy = y_walk.with_valencies(depth) if len(ox) > depth else []
+    if len(oy) <= depth:
         return None
     for total in range(0, 2 * depth + 1):
         for n in range(max(0, total - depth), min(depth, total) + 1):
@@ -88,9 +74,7 @@ def ro_related(r: RationalMap, x: SpherePoint, y: SpherePoint,
 
     None means no witness within the depth, not non-equivalence.
     """
-    ox = orbit_with_valencies(r, x, depth)
-    oy = orbit_with_valencies(r, y, depth) if ox is not None else None
-    return ro_witness(ox, oy, depth, r.tolerance)
+    return ro_witness(Orbit(r, x), Orbit(r, y), depth, r.tolerance)
 
 
 @dataclass
@@ -101,7 +85,6 @@ class ExposedOrbit:
     in_julia: bool | None
     asymptotic_valency: object  # int, INFINITE, or None for type 1
     landing_cycle_id: int | None = None
-    verified_depth: int = 0
 
     @property
     def size(self) -> int:
@@ -188,29 +171,22 @@ def _verify_type1(r: RationalMap, pts, tol) -> bool:
 
 
 def _verify_critical_invariance(r: RationalMap, pts, depth, tol,
-                                node_cap=VERIFY_NODE_CAP):
+                                node_cap=VERIFY_NODE_CAP, fates=None):
     """Bounded invariance check for sets containing a critical point.
 
     For every member a and every m <= depth, walks the backward tree of
-    R^m(a) matching the cumulative valency val(R^m, a); a match outside the
-    set witnesses non-invariance.  Cumulative valency never decreases along
-    a backward path, which prunes the tree.
+    R^m(a) matching the cumulative valency val(R^m, a), read from the walk
+    of a's fate when fates has one; a match outside the set witnesses
+    non-invariance.  Cumulative valency never decreases along a backward
+    path, which prunes the tree.
 
     Returns True (no witness found), False (witness found) or None
     (node budget exhausted before the depth was covered).
     """
     nodes = 0
     for a in pts:
-        targets = [(a, 1)]
-        t, v = a, 1
-        for _ in range(depth):
-            try:
-                v = v * r.valency_at(t)
-                t = _step_with_height_guard(r, t)
-            except RatmapError:
-                break
-            targets.append((t, v))
-        for t, v in targets:
+        walk = fates[a].fate.walk if a in (fates or {}) else Orbit(r, a)
+        for t, v in walk.with_valencies(depth):
             frontier = [(t, 1)]
             for _ in range(depth):
                 new = []
@@ -246,15 +222,11 @@ def _find_or_make_cycle(r: RationalMap, pts, cycles, tol, warnings):
     for cyc in cycles:
         if any(cyc.contains(a, tol) for a in pts):
             return cyc
-    a = pts[0]
-    seen = [a]
-    current = a
-    for _ in range(len(pts) + 1):
-        current = r.evaluate(current)
-        for i, s in enumerate(seen):
-            if coincide(current, s, tol):
-                return make_cycle(r, tuple(seen[i:]), warnings)
-        seen.append(current)
+    walk = Orbit(r, pts[0])
+    for n in range(1, len(pts) + 2):
+        for i in range(n):
+            if coincide(walk.point(n), walk.points[i], tol):
+                return make_cycle(r, tuple(walk.points[i:n]), warnings)
     return None
 
 
@@ -278,7 +250,7 @@ def exposed_orbits(r: RationalMap, cycles,
                    max_seed_period: int = MAX_SEED_PERIOD_DEFAULT,
                    preimage_depth: int = PREIMAGE_DEPTH_DEFAULT, *,
                    crit=None, fates=None, declarations=(),
-                   budget=None) -> ExposedScan:
+                   budget=DEFAULT_ORBIT_BUDGET) -> ExposedScan:
     """Enumerate the minimal finite restricted-orbit-invariant sets.
 
     Seeds are critical points, cycle points up to max_seed_period, and the
@@ -295,8 +267,6 @@ def exposed_orbits(r: RationalMap, cycles,
     if crit is None:
         crit = critical_points(r)
     crit_pts = [c.point for c in crit]
-    if budget is None:
-        budget = DEFAULT_ORBIT_BUDGET
     # records are only needed for critical members of verified candidates;
     # computing the missing ones lazily keeps bulk scans cheap
     fates = dict(fates or {})
@@ -306,13 +276,9 @@ def exposed_orbits(r: RationalMap, cycles,
         if cyc.period <= max_seed_period:
             pool.extend(cyc.points)
     for c in crit:
-        cf = fates.get(c.point)
-        fate = cf.fate if cf is not None else None
-        if fate is not None and fate.kind == "preperiodic" and (fate.step or 0) <= CRITICAL_ORBIT_SEED_STEPS:
-            current = c.point
-            for _ in range(fate.step):
-                pool.append(current)
-                current = r.evaluate(current)
+        fate = fates[c.point].fate if c.point in fates else None
+        if fate and fate.kind == "preperiodic" and fate.step <= CRITICAL_ORBIT_SEED_STEPS:
+            pool.extend(fate.walk.points[:fate.step])
     pool = dedup_points(pool, tol)
 
     candidates = []
@@ -370,11 +336,10 @@ def exposed_orbits(r: RationalMap, cycles,
                 in_julia=in_julia,
                 asymptotic_valency=None,
                 landing_cycle_id=cyc.cycle_id if cyc.cycle_id >= 0 else None,
-                verified_depth=1,
             ))
             continue
 
-        verdict = _verify_critical_invariance(r, pts, preimage_depth, tol)
+        verdict = _verify_critical_invariance(r, pts, preimage_depth, tol, fates=fates)
         if verdict is False:
             continue
         if verdict is None:
@@ -414,7 +379,6 @@ def exposed_orbits(r: RationalMap, cycles,
             in_julia=in_julia,
             asymptotic_valency=first.asymptotic_valency,
             landing_cycle_id=fate0.cycle_id,
-            verified_depth=preimage_depth,
         ))
 
     # minimality: an emitted orbit must not strictly contain another

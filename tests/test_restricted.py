@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-import ratmap.restricted
+import ratmap.dynamics
 from ratmap.dynamics import INFINITE, critical_points, periodic_cycles
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
@@ -178,13 +178,13 @@ def test_no_exposed_set_for_generic_quadratic():
 def test_invariance_check_steps_each_member_depth_times(monkeypatch):
     # targets R^m(a) for m = 0..depth need depth forward steps, not depth + 1
     steps = []
-    original = ratmap.restricted._step_with_height_guard
+    original = ratmap.dynamics._step_with_height_guard
 
     def counted(r, t):
         steps.append(t)
         return original(r, t)
 
-    monkeypatch.setattr(ratmap.restricted, "_step_with_height_guard", counted)
+    monkeypatch.setattr(ratmap.dynamics, "_step_with_height_guard", counted)
     r = cheb()
     _verify_critical_invariance(r, [SpherePoint.finite(0)], 3, r.tolerance)
     assert len(steps) == 3
