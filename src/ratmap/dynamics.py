@@ -4,6 +4,13 @@ Forward orbits are walked by one engine, Orbit, under one height guard: an
 exact orbit steps exactly until a coordinate passes EXACT_HEIGHT_CAP_BITS
 (512) bits, then in floating point.  A fate keeps its walk for later readers.
 
+The cycles of period p come from the fixed points of R^p, found by Aberth
+on the orbit recursion in a fixed Möbius chart (never on an expanded
+polynomial), merged where multiple and snapped to exact points where exact
+iteration verifies them.  Each period is certified by the rational
+fixed-point formula sum 1/(1 - mu) = 1; a failed or uncertified period is
+a coded warning, and the search goes on.
+
 Cycle classification never guesses: super-attraction is decided by
 criticality of the cycle (exactly, when the map is exact), attracting and
 repelling come from |multiplier| against a band of width 1e-6 around 1,
@@ -17,14 +24,17 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     AsymptoticValencyUndeterminedError,
     ClassificationAmbiguousError,
+    MultiplicityAmbiguousError,
     RatmapError,
+    RootFindingFailedError,
 )
-from .poly import Polynomial
 from .rational import EXACT_HEIGHT_CAP_BITS, CriticalPoint, RationalMap, point_height_bits
-from .roots import find_roots
+from .roots import DEFAULT_CLUSTER_RADIUS, find_roots, find_zeros, polish, snap, start_circle
 from .scalars import GaussianRational
 from .sphere import INFINITY, SpherePoint, coincide, contains_point, point_sort_key
 
@@ -150,37 +160,213 @@ def make_cycle(r: RationalMap, pts, warnings) -> PeriodicCycle:
     )
 
 
+# Charts w -> (alpha w + beta : gamma w + delta) for the fixed points of R^p.
+# Aberth solves in SOLVE_CHART, whose non-real coefficients keep every
+# periodic point off w = infinity; simple roots are then polished in the
+# chart of the balanced evaluation, (w : 1) on |x| <= 1 and (1 : w) beyond,
+# where a real map keeps real arithmetic on real points.
+SOLVE_CHART = (1.0, 0.3 + 0.2j, -0.37 + 0.11j, 1.0)
+INNER_CHART = (1.0, 0.0, 0.0, 1.0)
+OUTER_CHART = (0.0, 1.0, 1.0, 0.0)
+# radius of the Aberth start circle in SOLVE_CHART
+CHART_START_RADIUS = 1.0
+EPSILON = float(np.finfo(float).eps)
+
+
+class _FixedPointEquation:
+    """f(w) = u m2 - v m1 = 0 for the fixed points of R^p in a chart.
+
+    (m1 : m2) = (alpha w + beta : gamma w + delta), and (u : v) = R^p(m1 : m2)
+    is walked through the homogeneous pair with chain-rule derivatives,
+    never through an expanded polynomial.  Each step rescales u, v and both
+    derivatives by max(|u|, |v|); a step is homogeneous of degree d in all
+    four, so f/f' is unchanged and nothing overflows.
+    """
+
+    def __init__(self, rf: RationalMap, p: int, chart=SOLVE_CHART):
+        d = self.d = rf.degree
+        self.p = p
+        self.chart = chart
+        self.pc = np.concatenate([np.zeros(d - rf.p.degree, complex), rf.p.to_complex_array()])
+        self.qc = np.concatenate([np.zeros(d - rf.q.degree, complex), rf.q.to_complex_array()])
+
+    def walk(self, w, shared_scale=False):
+        """(m1, m2, u, v, f, f'); one rescaling for the whole array when shared_scale."""
+        pc, qc = self.pc, self.qc
+        alpha, beta, gamma, delta = self.chart
+        m1, m2 = alpha * w + beta, gamma * w + delta
+        u, v, du, dv = m1, m2, np.full_like(w, alpha), np.full_like(w, gamma)
+        for _ in range(self.p):
+            # P_h(u, v) = sum c_i u^(d-i) v^i by Horner in u, carrying v^i
+            pu, qu = np.full_like(w, pc[0]), np.full_like(w, qc[0])
+            dpu, dqu = np.zeros_like(w), np.zeros_like(w)
+            vi, dvi = np.ones_like(w), np.zeros_like(w)
+            for i in range(1, self.d + 1):
+                vi, dvi = vi * v, dvi * v + vi * dv
+                pu, dpu = pu * u + pc[i] * vi, dpu * u + pu * du + pc[i] * dvi
+                qu, dqu = qu * u + qc[i] * vi, dqu * u + qu * du + qc[i] * dvi
+            s = np.maximum(np.abs(pu), np.abs(qu))
+            if shared_scale:
+                s = s.max()
+            u, v, du, dv = pu / s, qu / s, dpu / s, dqu / s
+        return m1, m2, u, v, u * m2 - v * m1, du * m2 + u * gamma - dv * m1 - v * alpha
+
+    def evaluate(self, w):
+        return self.walk(w)[4:]
+
+    def residual(self, w):
+        """The chordal distance from M(w) to R^p(M(w))."""
+        m1, m2, u, v, f, _ = self.walk(w)
+        return 2.0 * np.abs(f) / (np.hypot(np.abs(u), np.abs(v)) * np.hypot(np.abs(m1), np.abs(m2)))
+
+    def uncertainty(self, w):
+        """|f| plus the rounding error of its final difference, over |f'|.
+
+        About 1/m of the distance to a root of multiplicity m that the
+        iteration has not reached, and no less than rounding allows.
+        """
+        m1, m2, u, v, f, df = self.walk(w)
+        with np.errstate(divide="ignore"):
+            return (np.abs(f) + EPSILON * (np.abs(u * m2) + np.abs(v * m1))) / np.abs(df)
+
+    def merge(self, members: np.ndarray) -> complex:
+        """One root for a cluster of m approximations of an m-fold root w0.
+
+        Near w0, f' ~ c (w - w0)^(m-1), and so is the interpolant of f'
+        through the members (under one scale); w0 is the zero of its
+        (m-2)-th derivative.  In Newton's divided differences a_k that is the
+        mean of the first m-1 members minus a_(m-2) / ((m-1) a_(m-1)).  The
+        centroid, the fallback, keeps about eps^(1/m) of noise.
+        """
+        m = len(members)
+        center = complex(members.mean())
+        if m == 1:
+            return center
+        a = self.walk(members, shared_scale=True)[5]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k in range(1, m):
+                a[k:] = (a[k:] - a[k - 1:-1]) / (members[k:] - members[:-k])
+            root = complex(members[:-1].mean() - a[m - 2] / ((m - 1) * a[m - 1]))
+        if abs(root - center) <= max(abs(members - center)):  # False for NaN
+            return root
+        return center
+
+    def point(self, w: complex) -> SpherePoint:
+        alpha, beta, gamma, delta = self.chart
+        return SpherePoint(alpha * w + beta, gamma * w + delta)
+
+
+def _polish_in_balanced_charts(rf: RationalMap, p: int, points):
+    """Newton-polished simple fixed points of R^p, each in its balanced chart."""
+    out = list(points)
+    for chart, inner in ((INNER_CHART, True), (OUTER_CHART, False)):
+        idx = [i for i, x in enumerate(points)
+               if not x.is_infinity and (abs(complex(x.z)) <= 1.0) == inner]
+        if not idx:
+            continue
+        w = np.array([complex(points[i].z) for i in idx])
+        if not inner:
+            w = 1.0 / w
+        eq = _FixedPointEquation(rf, p, chart)
+        for i, wi in zip(idx, polish(eq.evaluate, w)):
+            out[i] = eq.point(wi)
+    return out
+
+
+def _exact_fixed_point(r: RationalMap, x: SpherePoint, p: int) -> SpherePoint | None:
+    """The snap of x when it is exactly a fixed point of R^p, else None."""
+    if x.chordal(INFINITY) <= DEFAULT_CLUSTER_RADIUS:
+        cand = INFINITY
+    else:
+        value = snap(complex(x.z))
+        if value is None:
+            return None
+        cand = SpherePoint.finite(value)
+    y = cand
+    for _ in range(p):
+        if point_height_bits(y) > EXACT_HEIGHT_CAP_BITS:
+            return None  # a verified fixed point would come back to cand's height
+        y = r.evaluate(y)
+    return cand if y == cand else None
+
+
+def fixed_points(r: RationalMap, p: int):
+    """The d^p + 1 fixed points of R^p, multiple ones merged, as (point, reach).
+
+    Aberth runs on the orbit recursion of the floating map.  On an exact map
+    a point is exact when its snap is verified exactly.  reach is 0 for an
+    exact point and otherwise the chordal distance from the point to the
+    farthest approximation merged into it.  Sorted by point.  Raises
+    RootFindingFailedError, or MultiplicityAmbiguousError unless every point
+    is exact.
+    """
+    rf = r.floating()
+    eq = _FixedPointEquation(rf, p)
+    start = start_circle(r.degree**p + 1, CHART_START_RADIUS)
+    clusters, ambiguity = find_zeros(eq.evaluate, eq.residual, eq.uncertainty, start, period=p)
+    simple = [i for i, members in enumerate(clusters) if len(members) == 1]
+    points = [eq.point(eq.merge(members)) for members in clusters]
+    for i, x in zip(simple, _polish_in_balanced_charts(rf, p, [points[i] for i in simple])):
+        points[i] = x
+    out = []
+    for x, members in zip(points, clusters):
+        exact = _exact_fixed_point(r, x, p) if r.is_exact else None
+        if exact is not None:
+            out.append((exact, 0.0))
+        else:
+            out.append((x, max(x.chordal(eq.point(w)) for w in members)))
+    if ambiguity is not None and not all(x.is_exact for x, _ in out):
+        raise ambiguity
+    return sorted(out, key=lambda pair: point_sort_key(pair[0]))
+
+
+def _certificate_residual(cycles, p: int):
+    """|sum 1/(1 - mu) - 1| over the fixed points of R^p, relative to the largest term.
+
+    By the rational fixed-point formula the sum is 1 when every fixed point
+    of R^p is found and none is multiple.  None when some mu is within 1e-6
+    of 1, where the formula does not apply.
+    """
+    terms = []
+    for c in cycles:
+        if p % c.period:
+            continue
+        one_minus = 1.0 - complex(c.multiplier) ** (p // c.period)
+        if abs(one_minus) < 1e-6:
+            return None
+        terms.append(c.period / one_minus)
+    return abs(sum(terms) - 1.0) / max([1.0] + [abs(t) for t in terms])
+
+
 def periodic_cycles(r: RationalMap, max_period: int = DEFAULT_MAX_PERIOD,
                     work_cap: int = DEFAULT_PERIOD_WORK_CAP):
     """All cycles of exact period <= max_period.
 
     Returns (cycles, truncated_periods, warnings).  Periods whose
     fixed-point solve would exceed work_cap sphere points are skipped and
-    reported in truncated_periods.
+    reported in truncated_periods.  A period whose solve fails is a
+    cycle-search-failed warning; a period whose cycles fail the fixed-point
+    formula is a cycle-search-uncertified warning.
     """
     tol = r.tolerance
     cycles = []
     truncated = []
     warnings = []
     for p in range(1, max_period + 1):
-        target_degree = r.degree**p + 1
-        if target_degree > work_cap:
+        if r.degree**p + 1 > work_cap:
             truncated.append(p)
             continue
-        p_n, q_n, _ = r.iterated_pair(p)
-        fixed = p_n - Polynomial((1, 0)) * q_n
-        if not fixed.is_exact:
-            fixed = fixed.strip_leading(tol * max(p_n.coeff_scale(), q_n.coeff_scale()))
-        if fixed.is_zero:
-            raise RatmapError("fixed-point polynomial vanished identically")
-        inf_mult = target_degree - fixed.degree
-        candidates = []
-        if fixed.degree >= 1:
-            for root, _mult, _res in find_roots(fixed):
-                candidates.append(SpherePoint.finite(root))
-        if inf_mult > 0:
-            candidates.append(INFINITY if fixed.is_exact else SpherePoint.infinity(exact=False))
-        for x in candidates:
+        try:
+            candidates = fixed_points(r, p)
+        except (RootFindingFailedError, MultiplicityAmbiguousError) as err:
+            warnings.append({
+                "code": "cycle-search-failed",
+                "message": f"fixed points of period {p} not found: {err}",
+                "period": p,
+                "error": err.code,
+            })
+            continue
+        for x, reach in candidates:
             try:
                 orbit = [x]
                 for _ in range(p):
@@ -189,17 +375,28 @@ def periodic_cycles(r: RationalMap, max_period: int = DEFAULT_MAX_PERIOD,
                 continue
             if not r.is_exact and not coincide(orbit[p], x, 10 * tol):
                 continue  # phantom root introduced by floating composition
+            # a merged multiple root is known only to within its reach, and a
+            # point that close to a smaller period belongs to it
+            near = max(tol, 4 * reach)
             ret = None
             for t in range(1, p + 1):
-                if coincide(orbit[t], x, tol):
+                if coincide(orbit[t], x, tol if t == p else near):
                     ret = t
                     break
             if ret != p:
                 continue  # belongs to a strictly smaller period
             pts = tuple(orbit[:p])
-            if any(c.contains(x, tol) for c in cycles):
+            if any(c.contains(x, near) for c in cycles):
                 continue
             cycles.append(make_cycle(r, pts, warnings))
+        residual = _certificate_residual(cycles, p)
+        if residual is not None and residual > 1e-8:
+            warnings.append({
+                "code": "cycle-search-uncertified",
+                "message": f"cycles of period dividing {p} fail the fixed-point formula",
+                "period": p,
+                "residual": residual,
+            })
     cycles.sort(key=PeriodicCycle.sort_key)
     for i, c in enumerate(cycles):
         c.cycle_id = i

@@ -256,23 +256,3 @@ def vanishing_order_exact(p: Polynomial, x) -> int:
         g = g.derivative()
     return k
 
-
-def compose_homogeneous(poly: Polynomial, target_degree: int, num: Polynomial, den: Polynomial) -> Polynomial:
-    """den^target_degree * poly(num/den), for poly of degree <= target_degree.
-
-    Homogeneous Horner: feeding the pair (num, den) through poly without
-    ever forming the rational function.
-    """
-    if poly.is_zero:
-        return Polynomial.zero()
-    m = poly.degree
-    if m > target_degree:
-        raise ValueError("polynomial degree exceeds homogenization target")
-    acc = Polynomial((poly.coeffs[0],))
-    den_pow = Polynomial.one()
-    for c in poly.coeffs[1:]:
-        den_pow = den_pow * den
-        acc = acc * num + den_pow * c
-    for _ in range(target_degree - m):
-        acc = acc * den
-    return acc

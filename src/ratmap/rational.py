@@ -23,7 +23,7 @@ from .errors import (
     MapDegreeError,
     ValencyAmbiguousError,
 )
-from .poly import Polynomial, compose_homogeneous, vanishing_order_exact
+from .poly import Polynomial, vanishing_order_exact
 from .roots import DEFAULT_CLUSTER_RADIUS, find_roots
 from .scalars import GaussianRational, is_exact, to_complex
 from .sphere import INFINITY, SpherePoint
@@ -278,28 +278,6 @@ class RationalMap:
         for pt in points:
             m = m * self.local_derivative(pt)
         return m
-
-    # -- iterated pair -------------------------------------------------------------
-
-    def iterated_pair(self, n: int):
-        """(P_n, Q_n) with R^n = P_n/Q_n, homogeneous composition, reduced."""
-        p_cur, q_cur = self.p, self.q
-        d_cur = self.degree
-        for _ in range(n - 1):
-            p_next = compose_homogeneous(self.p, self.degree, p_cur, q_cur)
-            q_next = compose_homogeneous(self.q, self.degree, p_cur, q_cur)
-            if p_next.is_exact and q_next.is_exact:
-                g = p_next.gcd_exact(q_next)
-                if g.degree > 0:
-                    p_next, _ = p_next.divmod_exact(g)
-                    q_next, _ = q_next.divmod_exact(g)
-            else:
-                scale = max(p_next.coeff_scale(), q_next.coeff_scale())
-                p_next = Polynomial(complex(c) / scale for c in p_next.coeffs)
-                q_next = Polynomial(complex(c) / scale for c in q_next.coeffs)
-            p_cur, q_cur = p_next, q_next
-            d_cur = max(p_cur.degree, q_cur.degree)
-        return p_cur, q_cur, d_cur
 
 
 @dataclass(frozen=True)

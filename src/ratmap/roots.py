@@ -1,11 +1,18 @@
-"""Simultaneous polynomial root finding.
+"""Simultaneous root finding by Aberth-Ehrlich iteration.
 
-Aberth-Ehrlich iteration started on a perturbed circle at the Cauchy
-bound, capped at 200 sweeps, followed by a short Newton polish.
-Multiplicities are assigned by clustering in the chordal metric; the
-assignment is rejected as ambiguous when re-clustering at ten times the
-radius changes the multiplicity profile and exact arithmetic cannot break
-the tie.
+One Aberth loop serves two callers.  It takes an evaluator of (f, f') on an
+array and start points, so it never needs the coefficients of f:
+
+* find_roots, for polynomials, passes Horner and a perturbed circle at the
+  Cauchy bound;
+* the cycle solver in dynamics passes the orbit recursion of R^p through
+  find_zeros.
+
+At most 200 sweeps run, then a short Newton polish.  The residual check and
+the clustering are shared (_settle).  Multiplicities are assigned by
+clustering in the chordal metric.  The assignment is ambiguous when
+re-clustering at ten times the radius changes the multiplicity profile;
+that is an error unless exact arithmetic breaks the tie.
 
 For exact polynomials every cluster is snapped to a small Gaussian
 rational candidate and kept exact only when the candidate is verified to
@@ -48,17 +55,30 @@ def _horner_pair(coeffs: np.ndarray, dcoeffs: np.ndarray, z: np.ndarray):
     return p, d
 
 
-def _aberth(coeffs: np.ndarray) -> np.ndarray:
+def _horner(coeffs: np.ndarray):
+    """The (p, p') evaluator of a polynomial for _aberth and _newton_polish."""
     n = len(coeffs) - 1
     dcoeffs = coeffs[:-1] * np.arange(n, 0, -1)
-    cauchy = 1.0 + float(max(abs(coeffs[1:] / coeffs[0])))
+    return lambda z: _horner_pair(coeffs, dcoeffs, z)
+
+
+def start_circle(n: int, radius: float) -> np.ndarray:
+    """n Aberth start points on a perturbed circle of the given radius."""
     # deterministic perturbed circle; the 0.41 offset breaks real-coefficient symmetry
     k = np.arange(n)
     angles = 2.0 * np.pi * (k + 0.41) / n + 0.003 * k
-    radii = cauchy * (1.0 + 0.002 * (k + 1) / n)
-    z = radii * np.exp(1j * angles)
+    radii = radius * (1.0 + 0.002 * (k + 1) / n)
+    return radii * np.exp(1j * angles)
+
+
+def _aberth(evaluate, z: np.ndarray) -> np.ndarray:
+    """Aberth-Ehrlich sweeps from the start points z, one root per point.
+
+    evaluate(z) gives (f(z), f'(z)) on an array, or any common rescaling of
+    the pair: only the Newton correction f/f' enters.
+    """
     for _ in range(ABERTH_MAX_ITER):
-        p, d = _horner_pair(coeffs, dcoeffs, z)
+        p, d = evaluate(z)
         d = np.where(d == 0, 1e-300, d)
         newton = p / d
         diff = z[:, None] - z[None, :]
@@ -75,19 +95,90 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
     return z
 
 
-def _newton_polish(coeffs: np.ndarray, z: np.ndarray, steps: int) -> np.ndarray:
-    n = len(coeffs) - 1
-    dcoeffs = coeffs[:-1] * np.arange(n, 0, -1)
+def _newton_polish(evaluate, z: np.ndarray, steps: int) -> np.ndarray:
     for _ in range(steps):
-        p, d = _horner_pair(coeffs, dcoeffs, z)
+        p, d = evaluate(z)
         safe = np.abs(d) > 1e-300
         step = np.where(safe, p / np.where(safe, d, 1.0), 0.0)
         z = z - step
     return z
 
 
-def _cluster(points: np.ndarray, radius: float):
-    """Union-find clustering under the chordal metric."""
+def polish(evaluate, z: np.ndarray) -> np.ndarray:
+    """Newton-polished simple roots, with denormal components cleared."""
+    return np.array([_zap_denormals(complex(zi))
+                     for zi in _newton_polish(evaluate, z, NEWTON_POLISH_STEPS)])
+
+
+def _settle(evaluate, residual, z: np.ndarray, cluster_radius: float, *,
+            uncertainty=None, **context):
+    """Polish approximate roots, check them, and group them into clusters.
+
+    residual(z) gives a scale-free residual per root; a root above 1e-6, NaN
+    included, is a RootFindingFailedError.  uncertainty(z), when given, is
+    the radius within which each root is still undetermined; two roots whose
+    radii are both far below their distance are resolved simple roots and
+    never share a cluster.  Returns (z, clusters, ambiguity),
+    where ambiguity is the MultiplicityAmbiguousError to raise unless every
+    cluster is then resolved exactly, or None.
+    """
+    z = _newton_polish(evaluate, z, NEWTON_POLISH_STEPS)
+    residuals = residual(z)
+    # multiple roots legitimately stall above machine precision; the
+    # acceptance bar here only rejects genuine non-convergence, NaN included
+    if not all(res <= 1e-6 for res in residuals):
+        raise RootFindingFailedError(
+            "root finder did not converge", residuals=residuals, **context
+        )
+    radii = None
+    if uncertainty is not None:
+        # a vanishing derivative says nothing beyond "somewhere in the cluster"
+        radii = np.minimum(uncertainty(z), 100.0 * cluster_radius)
+    clusters = _cluster(z, cluster_radius, radii)
+    clusters_wide = _cluster(z, 10.0 * cluster_radius, radii)
+    ambiguity = None
+    if _profile(clusters) != _profile(clusters_wide):
+        ambiguity = MultiplicityAmbiguousError(
+            "two clusterings within a factor 10 disagree",
+            radius=cluster_radius,
+            profiles=(_profile(clusters), _profile(clusters_wide)),
+        )
+    return z, clusters, ambiguity
+
+
+def find_zeros(evaluate, residual, uncertainty, start: np.ndarray,
+               cluster_radius: float = DEFAULT_CLUSTER_RADIUS, **context):
+    """Zeros of an analytic f from evaluations of (f, f') only, one per start point.
+
+    Aberth from start, then _settle.  Returns ([members], ambiguity): one
+    array of approximations per cluster, a simple zero being a cluster of one.
+    """
+    z, clusters, ambiguity = _settle(
+        evaluate, residual, _aberth(evaluate, start), cluster_radius,
+        uncertainty=uncertainty, **context,
+    )
+    return [z[g] for g in clusters], ambiguity
+
+
+def _linked(points, radius, radii, i, j) -> bool:
+    if radii is None:
+        return _chordal_c(points[i], points[j]) <= radius
+    gap = abs(points[i] - points[j])
+    if max(radii[i], radii[j]) < 1e-3 * gap:
+        return False  # both resolved: distinct simple roots
+    # a root of multiplicity m scatters its approximations over about
+    # eps^(1/m), which passes the radius for m >= 3; their uncertainty
+    # discs still overlap
+    return _chordal_c(points[i], points[j]) <= radius or gap <= 10.0 * (radii[i] + radii[j])
+
+
+def _cluster(points: np.ndarray, radius: float, radii=None):
+    """Union-find clustering under the chordal metric.
+
+    Given uncertainty radii, two points whose radii are both below 1e-3 of
+    their distance are never linked, and two points within ten times the
+    sum of their radii always are.
+    """
     n = len(points)
     parent = list(range(n))
 
@@ -99,7 +190,7 @@ def _cluster(points: np.ndarray, radius: float):
 
     for i in range(n):
         for j in range(i + 1, n):
-            if _chordal_c(points[i], points[j]) <= radius:
+            if _linked(points, radius, radii, i, j):
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[rj] = ri
@@ -113,6 +204,19 @@ def _profile(clusters):
     return sorted(len(g) for g in clusters)
 
 
+def snap(center: complex) -> GaussianRational | None:
+    """The nearest Gaussian rational with denominators <= SNAP_DENOMINATOR_BOUND.
+
+    None for a non-finite center, which has no rational neighbour.
+    """
+    if not (math.isfinite(center.real) and math.isfinite(center.imag)):
+        return None
+    return GaussianRational(
+        Fraction(center.real).limit_denominator(SNAP_DENOMINATOR_BOUND),
+        Fraction(center.imag).limit_denominator(SNAP_DENOMINATOR_BOUND),
+    )
+
+
 def _snap_root(reduced: Polynomial, center: complex) -> GaussianRational | None:
     """Verified Gaussian-rational root near a floating approximation.
 
@@ -123,10 +227,9 @@ def _snap_root(reduced: Polynomial, center: complex) -> GaussianRational | None:
     exact rational Newton steps before snapping.  None when no exact root
     confirms.
     """
-    cand = GaussianRational(
-        Fraction(center.real).limit_denominator(SNAP_DENOMINATOR_BOUND),
-        Fraction(center.imag).limit_denominator(SNAP_DENOMINATOR_BOUND),
-    )
+    cand = snap(center)
+    if cand is None:
+        return None
     if reduced.evaluate(cand).is_zero():
         return cand
     dv_center = complex(reduced.derivative().evaluate(complex(center)))
@@ -224,6 +327,7 @@ def _find_roots_numeric(p: Polynomial, cluster_radius: float):
     if reduced.degree >= 1:
         rc = reduced.to_complex_array()
         rc = rc / max(abs(rc))
+        horner = _horner(rc)
         if reduced.degree == 1:
             z = np.array([-rc[1] / rc[0]])
         elif reduced.degree == 2:
@@ -235,22 +339,12 @@ def _find_roots_numeric(p: Polynomial, cluster_radius: float):
             else:
                 z = np.array([q / a, c / q])
         else:
-            z = _aberth(rc)
-        z = _newton_polish(rc, z, NEWTON_POLISH_STEPS)
-
-        residuals = [_eval_scaled(rc, zi) for zi in z]
-        # multiple roots legitimately stall above machine precision; the
-        # acceptance bar here only rejects genuine non-convergence, NaN included
-        if not all(res <= 1e-6 for res in residuals):
-            raise RootFindingFailedError(
-                "root finder did not converge",
-                residuals=residuals,
-                degree=p.degree,
-            )
-
-        clusters = _cluster(z, cluster_radius)
-        clusters_wide = _cluster(z, 10.0 * cluster_radius)
-        ambiguous = _profile(clusters) != _profile(clusters_wide)
+            cauchy = 1.0 + float(max(abs(rc[1:] / rc[0])))
+            z = _aberth(horner, start_circle(reduced.degree, cauchy))
+        z, clusters, ambiguity = _settle(
+            horner, lambda zs: [_eval_scaled(rc, zi) for zi in zs], z, cluster_radius,
+            degree=p.degree,
+        )
 
         pending = []
         for group in clusters:
@@ -265,9 +359,7 @@ def _find_roots_numeric(p: Polynomial, cluster_radius: float):
                     g = g.derivative()
                 gc = g.to_complex_array()
                 gc = gc / max(abs(gc))
-                center = _zap_denormals(
-                    complex(_newton_polish(gc, np.array([center]), NEWTON_POLISH_STEPS)[0])
-                )
+                center = complex(polish(_horner(gc), np.array([center]))[0])
             pending.append((center, mult))
 
         # exact representation when a snapped candidate verifies exactly
@@ -293,12 +385,8 @@ def _find_roots_numeric(p: Polynomial, cluster_radius: float):
             else:
                 results.append((cand, mult, _eval_scaled(rc, complex(cand))))
 
-        if ambiguous and not all_resolved_exactly:
-            raise MultiplicityAmbiguousError(
-                "two clusterings within a factor 10 disagree",
-                radius=cluster_radius,
-                profiles=(_profile(clusters), _profile(clusters_wide)),
-            )
+        if ambiguity is not None and not all_resolved_exactly:
+            raise ambiguity
 
         for center, mult in floating:
             results.append((center, mult, _eval_scaled(rc, center)))

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import ratmap.dynamics
 from ratmap.dynamics import periodic_cycles
 from ratmap.errors import (
     DegenerateMapError,
@@ -17,9 +18,9 @@ from ratmap.errors import (
 )
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
-from ratmap.report import parse_map
+from ratmap.report import AnalysisConfig, parse_map, run_analysis
 from ratmap.restricted import _find_or_make_cycle
-from ratmap.roots import find_roots
+from ratmap.roots import _snap_root, find_roots, snap
 from ratmap.scalars import GaussianRational
 from ratmap.sphere import SpherePoint
 
@@ -89,10 +90,62 @@ def test_ambiguous_indifferent_cycle_classified_on_the_spot():
 
 
 def test_non_finite_roots_are_a_root_finding_failure():
-    # Aberth overflows on the period-3 fixed-point polynomial of this
-    # floating map and returns NaN roots, whose NaN residuals must not pass
+    # a leading coefficient 1e300 times smaller than the rest puts the Aberth
+    # start circle at 1e300, where Horner overflows to NaN roots, whose NaN
+    # residuals must not pass
+    p = Polynomial([1e-300, 1.0, 2.0, 3.0])
+    with pytest.raises(RootFindingFailedError) as failure:
+        find_roots(p)
+    assert any(math.isnan(res) for res in failure.value.residuals)
+
+
+def test_period_three_of_a_map_whose_expanded_solve_overflowed():
+    # Aberth on the expanded period-3 fixed-point polynomial of this degree-4
+    # floating map overflowed to NaN; the orbit recursion finds all 4^3 + 1
+    # fixed points of R^3, in cycles of period 1 and 3
     r = parse_map({"numerator": ["1.0", "4.0", "1.0", "-1.0+2.0i", "-2.0+1.0i"],
                    "denominator": ["-2.0+2.0i"]})
-    with pytest.raises(RootFindingFailedError) as failure:
-        periodic_cycles(r, 3)
-    assert any(math.isnan(res) for res in failure.value.residuals)
+    cycles, truncated, warnings = periodic_cycles(r, 3)
+    assert truncated == [] and warnings == []
+    assert sum(c.period for c in cycles if c.period in (1, 3)) == 65
+
+
+def test_a_failed_period_is_a_coded_warning(monkeypatch):
+    # one period whose solve fails costs that period only
+    solve = ratmap.dynamics.find_zeros
+
+    def failing_at_period_two(*args, period, **kwargs):
+        if period == 2:
+            raise RootFindingFailedError("root finder did not converge", residuals=[math.nan])
+        return solve(*args, period=period, **kwargs)
+
+    monkeypatch.setattr(ratmap.dynamics, "find_zeros", failing_at_period_two)
+    r = parse_map({"numerator": ["1", "0", "-2"], "denominator": ["1"]})
+    cycles, _, warnings = periodic_cycles(r, 3)
+    assert sorted({c.period for c in cycles}) == [1, 3]
+    assert [(w["code"], w["period"], w["error"]) for w in warnings] == [
+        ("cycle-search-failed", 2, "roots-no-convergence"),
+    ]
+    report = run_analysis(r, AnalysisConfig(max_period=3))
+    assert "cycle-search-failed" in {w["code"] for w in report.data["warnings"]}
+
+
+def test_a_lost_cycle_fails_the_fixed_point_formula(monkeypatch):
+    # z^2 - 2 has fixed points 2, -1 and inf with multipliers 4, -2 and 0;
+    # without -1 the sum of 1/(1 - mu) is -1/3 + 1, off by 1/3
+    solve = ratmap.dynamics.fixed_points
+
+    def losing_minus_one(r, p):
+        return [(x, reach) for x, reach in solve(r, p) if x != SpherePoint.finite(-1)]
+
+    monkeypatch.setattr(ratmap.dynamics, "fixed_points", losing_minus_one)
+    r = parse_map({"numerator": ["1", "0", "-2"], "denominator": ["1"]})
+    _, _, warnings = periodic_cycles(r, 1)
+    assert [(w["code"], w["period"]) for w in warnings] == [("cycle-search-uncertified", 1)]
+    assert warnings[0]["residual"] == pytest.approx(1 / 3)
+
+
+def test_snap_of_a_non_finite_center_is_no_candidate():
+    assert snap(complex(math.nan, 0.0)) is None
+    assert snap(complex(math.inf, 1.0)) is None
+    assert _snap_root(Polynomial([1, 0, -2]), complex(math.nan, math.nan)) is None

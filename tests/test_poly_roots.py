@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ratmap.errors import RootFindingFailedError
-from ratmap.poly import Polynomial, compose_homogeneous
+from ratmap.poly import Polynomial
 from ratmap.roots import find_roots
 from ratmap.scalars import GaussianRational
 
@@ -40,14 +40,6 @@ def test_reversed_padded():
     p = Polynomial([2, 3])  # 2z + 3
     rp = p.reversed_padded(2)  # w^2 * p(1/w) = 2w + 3w^2
     assert rp == Polynomial([3, 2, 0])
-
-
-def test_compose_homogeneous():
-    # p(z) = z^2 + 1 through (num, den) = (z, z - 1), target degree 2:
-    # den^2 * p(num/den) = z^2 + (z-1)^2
-    p = Polynomial([1, 0, 1])
-    out = compose_homogeneous(p, 2, Polynomial([1, 0]), Polynomial([1, -1]))
-    assert out == Polynomial([2, -2, 1])
 
 
 # roots: oracle values from the quadratic formula

@@ -113,13 +113,6 @@ def test_preimage_valency_sum_is_degree():
             assert r.valency_at(p) == m
 
 
-def test_iterated_pair_fixed_points_count():
-    r = cheb()
-    p2, q2, _ = r.iterated_pair(2)
-    # R^2 of Chebyshev: degree 4 polynomial over constant
-    assert max(p2.degree, q2.degree) == 4
-
-
 def test_multiplier_at_infinity():
     # z + 1/z style map: R = (z^2+1)/z has a parabolic-type fixed infinity
     r = RationalMap(Polynomial([1, 0, 1]), Polynomial([1, 0]))

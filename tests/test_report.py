@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -14,11 +15,11 @@ import pytest
 
 import ratmap.dynamics
 from ratmap import cli
-from ratmap.errors import ConfigError, InputFormatError, MapDegreeError
+from ratmap.errors import ConfigError, InputFormatError, MapDegreeError, RatmapError
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
 from ratmap.report import AnalysisConfig, RenderConfig, parse_map, run_analysis
-from ratmap.scalars import GaussianRational
+from ratmap.scalars import GaussianRational, parse_scalar
 
 from .test_acceptance import _random_exact_map
 
@@ -286,111 +287,258 @@ def _corpus_map(index: int, twin: bool) -> RationalMap:
 
 
 MP2 = {"max_period": 2}
-# sha256 of to_json_bytes() and of to_text(), recorded while every caller
-# still stepped its own copy of each critical orbit: sharing one walk per
-# orbit must not change a byte.  Corpus map 8 has two records in one region
-# landing at steps 49 and 50, so ro_depth 80 walks past the 64-step prefix;
-# orbit_budget 40 makes the prefix shorter than 64.
+# sha256 of to_json_bytes(), of to_text() and of the report's shape (see
+# _shape).  Corpus map 8 has two records in one region landing at steps 49
+# and 50, so ro_depth 80 walks past the 64-step prefix; orbit_budget 40 makes
+# the prefix shorter than 64.  The shape digests were recorded while cycles
+# were still solved from the expanded polynomial of R^p: a cycle solver may
+# move floating digits, but no exact value, count, classification or fate.
+# Only corpus map 6 and its twin were recorded again, when the repelling
+# 2-cycle that solve had dropped was found.
 PINNED_REPORTS = [
     ("worked", 0, False, {},
-     "e376fbb4487ac9399dca4d69ee8738358e464c789d2ef4c1874896f76f4d269f",
-     "7fc1ab8c5021f5fd11bff3d269cc2535bb8bfb5894e97d2fc72196cd306dffc5"),
+     "83eca03c7f20d394a2f7ffa34f03522bf09a7244c0f03b70a85b2e6cd8b98cca",
+     "67885f17d277c7d72156d8bf8d79f7c62b5e05c5abd14ab3607023893479df79",
+     "16b6ae7ac0a3cc233e0dd1532898203ca60e3eed6e29cbef500c2140dbebdfc6"),
     ("worked", 0, True, {},
-     "036d2194528963311065e6f740e070ae294dedcbfc0a24597d572c4fbe9b8426",
-     "4b95bcdc9e93f07acb491463c4ec5c0f09b0e89a71cbc7930125e8cc5e94c148"),
+     "67d22b80e48157cba799fd1db1c5a157cc0f25f554afdea433ac048003c1dd00",
+     "98363378ac8f4fef3b553f22af7abba2c050c3fcbeb1743941a52f88ee61f8cb",
+     "21be0ed9583bef42d478a248e5e3eb5f3d4229e0199038f7c0e410b0666e75bd"),
     ("worked", 1, False, {},
-     "07d62d071bbb9acad5440c614b2fd2d351a086f0d1e76014630282093666ab0a",
-     "c85e95a8b76ac05b19cdc34926a8ff96ed2445e8faaa0e66ef2d777d0ea5cad1"),
+     "c284d8e63b4594b85e455f6e0ed6fe5b971e97c1bdf59707773b134b3030f18b",
+     "301962521af81f70a959598a502a72b7522de84fd9c73e2c29e654d85477d88f",
+     "8d9a8911f6dcf057f5b16a2a72677f7cf1c19c88743a28682e2a558d09eac153"),
     ("worked", 1, True, {},
-     "a3250ce4f05d13848762c2dcb2fb00d68acf4c472ebc8b1750492dcbd2d24abc",
-     "ceb42c16bf4a57b40f0faa25b1f639ee1ee5df074152423ab62cadbec1045fed"),
+     "aaad972c424c29a49b97c66685220f1fbd18b3114a48cf3077d2b4ef91fb1f2b",
+     "3c4af963713a06663526b8eaa39ea65e9d59685e57391ab95bace7ba8d970199",
+     "b3209e403b0390a62e3247aac7fc938cd690e5c82edd0299ec288191572121bf"),
     ("worked", 2, False, {},
-     "eca7c49848d173bb509d33155f0626100af7a6f92aff2a8ffb95621016c9e251",
-     "910202465ff8c8b92db71d31c43b9ff5373d006544f8b224992e4ce543882fe3"),
+     "7ba0501dcbcabc361251cb50df8c5901b844bbbdcc4d0a019ead36d891cd0fe7",
+     "73594ac1534959323a2c860555149453dcd52329b7a2f4aa76768d08cec0f6b5",
+     "efbc2d575690c15e2a97f596d6d23072cf0bbe1ee83280723b1c2c9e41cc436b"),
     ("worked", 2, True, {},
-     "713e2e53b2efc106a259770df82954f6da8e8119a4597be6b7768397805bf8b1",
-     "ed26a3d5aa2a5136aaa702b0425c87d0901de846bf8048f2397542d3d8c9ad81"),
+     "c802d2f12e9a4dfb780e17e67fdfae2dcf2a2cf7d233f055d38035bda0d758e5",
+     "c004e7050bf002a7f00ce3ffc92a35bfece0c85e3ec15704771cc59449247fbc",
+     "9d5055e845a239c09e635e50d0a5f272e340ee7cfc1db1eb7503d42b3c6984bf"),
     ("corpus", 0, False, MP2,
-     "26935f883b2535c0cfa7e9706dd6a7ab986daf4e8f2fc8bc355dccb5650c4017",
-     "319f183f5e0f7077251ac151518ca9bf43a4f5ee96b6ce21e4326e88ce0d697b"),
+     "b62c14542ee1282d6c68927d10b2462ba5e7f94a98fe1c26edac8ef1b64123ce",
+     "4513104f614aaee2415dbe9da05d60423e56c4a675e4263d98932095dc40a576",
+     "fccb22a0bc39cf65ad4b045b9c05606eb500c0a7b19eaec947aca23dbde60849"),
     ("corpus", 0, True, MP2,
-     "aa1cf2c3808c79b0a757c49f9df20d71cd9604b948ec138e9afb4e612fac7d67",
-     "e5c714c0fe80e55e8015674e1249e2cbd17ef2a9ab6a28d21dba1f74fcab18ab"),
+     "5103c75ea1dacae4d61c18e4e16d0bb10b6c0161e5617be704ab64bd4c128b11",
+     "e0c0bd4a5463726db48adfc603cc55e9c6f131e4514849c80475997d199366d5",
+     "8ed9e349b8d4d6098ce70474907569debd7c5c05eb271d1820ead618a6b93cb0"),
     ("corpus", 1, False, MP2,
-     "767d3801387299f68923d0590b332b633eaa9bf198e96f698de88fa4f7ecc9f8",
-     "d17f1d4f600eb3ea165a8658b4c86b2076db42796ebdcb918b242425719f0691"),
+     "499f5e6923f8a19e555b461738f29c5d75442f5b0bf4da7a579f3d741ae324b6",
+     "8effe31bcef4a6ad651496ff417aa61ebddc17be4af03e1a3d80293b7e192831",
+     "ace478d18e14d172ce2cce5796b79d8b274e0044e8bd5f84fe0cc27b633bdca2"),
     ("corpus", 1, True, MP2,
-     "73813e9034464d0af26927fe0eca4e2163bc57a75be5ce7ccb6aeab36c5d73e8",
-     "48089fdd33d849ff4a62e7a36b886134c592a5ee6a28724f7d075aa0a11ec870"),
+     "d3eff3e0a4f6c70c74fc1cd4911e004b0899449e282a3416fee50e3ebb9952f9",
+     "f4e10e5724b905ab24b394b480322aac6f6abbc141c985be122a02cbeae57fba",
+     "6831c052349cf27fb6130f722993e8e0cc1eb0dfdb2fbc64b624294ba34ab960"),
     ("corpus", 2, False, MP2,
-     "c69eeb3007f9995e78254f8acf4bfd157b2a7285c19edb2201732387a7f01ca0",
-     "a4abde03117aa2070a7e222bec5c59b87aa8de2cd11c7ad3e9ebc1ec792146bb"),
+     "cd33c91609cb15dda0fbde1c49f2e70435f0d229a73dff54cfc342bbcc902065",
+     "7101a970e557c137d1771d7a29348a7c8284edcd9bb12b5e21e42c47187dbe6a",
+     "bc37df28205bf8fe49a4c1171f7be411df89d9e6ea5c4ced3531fb327ded88ab"),
     ("corpus", 2, True, MP2,
-     "7c829cf6fbfd3f67775e06dcffc314bc703b3f2359c82bb75ae618474079fa6c",
-     "f4a93c5b380192a64b7387252323319e3fb8431816dd791c8f33a427e704f29e"),
+     "575fa13a8ca61c71a10f624a9fabae1eab88d3dd0faa7d8773f4b58405e1d082",
+     "75ff9dc1cf7344fab46e0dfbf844abf7ae3d74714944e4fdf5c2d4ca9dd95962",
+     "2deb8d378dafac2966d6b1f77cd7fab56e7e952517a0ad47bce89af23e45e3de"),
     ("corpus", 3, False, MP2,
-     "ddcd5a08bc54cdf2489f7637efa25624d3f18dae6678339aa7c98a44073b59d8",
-     "6382cad335263052d06246d93772b67c9f268b0d1947c9b53ef1218aa516b710"),
+     "156cdeb40b36a477b20b622b65d9b813fe343387091b791264cebc600e207134",
+     "cf343e91583dd1bc46ab169d07bcc49c5b3120b69e30477d501dba2ad101c8a9",
+     "5036c784bf446f8424655d76f3ab3fb87679b824125a1b59006453ff017136f2"),
     ("corpus", 3, True, MP2,
-     "7101aaa385bd2fbd833b245e5a3b2806805c0b2b3a95f499f4793e0872e6146a",
-     "19c55ba9a1affcbae7df15a725bfa18bb6fe0adcdec9a525a436fb73594e0275"),
+     "e3fcc59687ebd115777c4fc4b25ff6507fbacf40fcabb6a4042947c15677df19",
+     "f3bc8e3dadd2a2718f9def04e251fb530661943d856492903168ae48b39be6ca",
+     "53f6401d8c188699229b17aca62914d0108d8da0083eb6b4b9b880487b6cc275"),
     ("corpus", 4, False, MP2,
-     "b0dd308f9243f3f239588916139eb88b4b5a883c93e0dd21d1c9d120580b846c",
-     "2a033a9bbbb20c99c089d541d28499641a153e8e55e7e97842de3e73c45e8516"),
+     "068062d11942eaf2f44ac7c3557148f63b8c156d718ed7324c45077f3f1177d9",
+     "be7c0d75c4dd8b6a80b366713f92c542576e6c0966858306d167fd4accdc5aa0",
+     "dd11da633a988002ee1177451575106b1a8155aa61cdd7e83a5d87c77f2ae823"),
     ("corpus", 4, True, MP2,
-     "63e49fc06a33d374d4f810a2301ac42d70e000d7f6045561105020c145fae43e",
-     "480b6fee90dcb7fe5bf72511e3c46090c077f92c72752cf00c2eb0705bfb886a"),
+     "e975c0e1fc010b8f71a93fb1766d43932e8a279a182e7442b64bbb976b2dd94a",
+     "c8eb3eae74e6a162eb1fcc4b598bf1374afb20482c02b74f29c09ce8ebd1d803",
+     "42cf8dd6d055350900f9047a3174f84876976b04d56835f31405e228bc419b8d"),
     ("corpus", 5, False, MP2,
-     "b0215f1dfdca5bc52034b5951dd94c14d6a6e580e7d40ed4ce76bcd506b2b458",
-     "998cd52526d27554160bf5fd5a7ccf21d661b4e62549a71daa15c78735f9d450"),
+     "f4a0c7a63db4587b8959b2f4d0a05c29b77fbed23bd1a41f9fca4e51b774b0be",
+     "4d20862c862e6729d353569dc41e5514705cfeb153f056d54d8c82d204981b7f",
+     "f1df9e6367c0727a54d520ae7a0cb4c0c4d01d41089957de17ae5a104e6d4cfa"),
     ("corpus", 5, True, MP2,
-     "1e6c9e920cc910ab778e44b88229d4872c8e987d230880fbd4c50b884218d04b",
-     "3a13fb7416f814b528d47292dbf707df620e3f91fc3bb7f640b3f611846a229f"),
+     "3ff6268d550db7451834c06a91eed207b3b042f8636cbe8833fe9ef83a679791",
+     "15f7a0466a20cd7bfaf740027b9a0d7a06298909d96ed069b80dd6c0337d0abb",
+     "39b5f55ee0a2e257a3c475572e823759d151a84eafd31962cc61a161b2ea5b75"),
     ("corpus", 6, False, MP2,
-     "b2ab78acc93fa35571db249d7e61f18f637266b4e8e975a5cab1c13becdf3194",
-     "8fd8408808bc7f84082ac3e025c7606c25cd82e3d4304e155da7a2e2a5b1b809"),
+     "35efe2308bf07a2b5d2383d0e2e89ada6fc24681cf9fba015a7b91cb5486eafb",
+     "654acc3e0f62e4e3c0be075817e068b16ec082c54cd6ef697f8625abbd1ad916",
+     "77df56d685ed56660ed4a8712574acbeebec421f59811fc83fc8c15b9a8faa92"),
     ("corpus", 6, True, MP2,
-     "f6e10541ed4c8193ba48668dc2a0595519a6596ef35387c7b2642b4762c069ac",
-     "c363fa08b6d034a275d857d83f7998ab8cbc3386582a2749cb02cb8a96415ecc"),
+     "883462f0db05f3f800c346be740e99efa4b528ab22cb52d273061f72d0a87a7e",
+     "cfaa44eed3d95b9cdc5f4af34d47e8c94fa0077e2574035fb8dc9185303057c8",
+     "e4e26743b3f971680db10c5b7b9a7ad8a0e362387003c924d246e6e57704136f"),
     ("corpus", 7, False, MP2,
-     "a07180ad85f11dc29fbfda6b42535b99a58b39cf02dc564559c6e6518ebfec50",
-     "b3d46f15bace28c8ca9d22288e38841b446b59346befb120e857358bfe00e679"),
+     "ba4901a099888a552333194106e03db2d76eb1cbe5983ded09f75bf9909d4532",
+     "32b50e27cd7b412695d9d11158d9a0df4e82755fc416935d4e4f20f57cc1aa56",
+     "9d071422dcbe2058377de0410231b64137ba992906373835009a4d4f7b62fbad"),
     ("corpus", 7, True, MP2,
-     "e6f07a7e2c09373dd45da94ff610ac223cffd2b7482af66693eb4007816a40ad",
-     "ca88de36914e135293c48b349be1f831013cd89f368831991d44d8bc2b32ec8b"),
+     "8009ddb5309bc56ddbd791c472dac954e17b423da3442d08f4c141dd8a4f0223",
+     "b36b28d63eb8f403f4e6d8251d9c88d01c875c119d7f3e7883fe44148d3888c5",
+     "7b423a70d3dd70c8dfcc107ba105ebc7e88f2c0d23bd3d961d75e74258f3b2e9"),
     ("corpus", 8, False, MP2,
-     "3629e0ff8eb98a6df1187939d7008640d94741d8895009f5de0b3b06d738c7e9",
-     "9a69413a02e4b51871fe812fb54e937f1a5f9d0a9b387c4cd556fb7ffa89d036"),
+     "187713593a0a8b2edd5f733b21bfec98d8cbd2a7cd8ea2f9b278f28abd916e2a",
+     "968b715315258411782d4059826604e5c68f1434a7f74fde2eab9ab799aacb75",
+     "23ac9a0807f36c31b7309e423c0627e49491a3c9e1439252a11e357e71477616"),
     ("corpus", 8, True, MP2,
-     "2676f5faec0bfa8e9bac20c69c122d02100a06f56414c9c0a16dce7f13c7ccb4",
-     "94439613e5bab4d91d86547d265292689601f1e787e6baf1b5fb19f8e5a3b8b6"),
+     "8165a9dbafffa42f5b5c44996d8f67eef2d9f6ff7f7df7f2c2e6f8aa43ceca4d",
+     "b695ef3020d27a5bbc3ffab093c9a1c42c40676ef9fecf1c1d8015d6b0b213ea",
+     "d4a12e9bc34a2e598561cfbb5534087caafa82b3825559cb36e720aab87b43cc"),
     ("corpus", 9, False, MP2,
-     "676257244686b22e61d7cbd37d5fbd578b38552fe96ba989c19e0e327e38b9ad",
-     "c7f8d7151f3b623de08ae59f42acfad3b98b3523d7c277ef33b16b590e432565"),
+     "46958826328d6fad5d420fcba9a92fa6cd0dcd16f9abf34be0800e52956231a0",
+     "e32bc683147e5e215e27a9cc60061d5eceda7830ba35dff410aa065b258f73bd",
+     "e65925aaf433ee6e97d4468973b6f3193f0d701dbf4d2c071f8dd66359d45032"),
     ("corpus", 9, True, MP2,
-     "04e0aeb0886b3c248b236b38b49229334e56d12b0ab511c5dbd711aaeb2923d7",
-     "027c49b0c4f486a35a2e0c46e34b172886843f85b24ed6f3a0bf77c4a569b210"),
+     "21971e89829862f22de900a3995762af5dc074e1f3db15ea7a2cbaf561978f6d",
+     "33c38a1a7bc3f0cc1eaba8d7fa874d53db9fc54218ca5bb69ed31266978dbb70",
+     "e5fe191eef4a3ca0ec1528c5f5891502870573cb74956f29adef79419f21602f"),
     ("corpus", 8, False, {"max_period": 2, "ro_depth": 80},
-     "0bdcb8becd556e32eeb2dc8a415a1fbfcdd9a6c4c8317d60431d3e41aaa68921",
-     "44fd14d8d09e2cbd52fdfbbc542199b98459be787d4195cbe05e3478e3ef1b1d"),
+     "2a031a44987612f3d3dd1e6b6899fd03fed09f5ac8b0a312d61c0e8f7f67738c",
+     "c748fc2d481512f2dc0195ea89b31018c5dbd7b117e6ead8047daf810ba2c706",
+     "5bbcf914ff8ead6be391ced9374a4fcfeda74b813fd424588427c1d13351901a"),
     ("corpus", 8, True, {"max_period": 2, "ro_depth": 80},
-     "06bb3f6fa8d48e10cc805bf94f5e391d196ad8296f6fea3dd4c0dc43232d2c75",
-     "9e15ecca6aa2b523cc6afb012f1f92a4e480f309e3c75e7d64ae46d0a9a7508c"),
+     "0012a2d2b3824dfdbb3c8cc55d1fee494fd9d686cec97de936f88f5538b6b936",
+     "18621d0700c06377bbc912f9ec66905359e88c68499c9bd9ca99e38cfe637c1b",
+     "69c2499122a06c83694062c71d674609b01136cbbb0c9e88f621f5330625a8fe"),
     ("corpus", 7, False, {"max_period": 2, "orbit_budget": 40},
-     "52a63cf4c0eda61889bf72948a15df1a845ca7f09313e3e4984f2d4bc216ab8d",
-     "e81f78fa774206a1c85e187d2cc0cee3bbfd11ccbce234e115db4140cf43e9ca"),
+     "c5ff0bdd284ced588e35951ded2fd55d1fe7ea7f6683f9503a47b8fccaab99fc",
+     "2dc2bc791ac20a17831a07e42aae57a7e15938879c843f8e97f97a1818a79950",
+     "7a7f2cc035391253c4cab592b4432eb45a176a95ef949026a5951474730c1716"),
     ("corpus", 7, True, {"max_period": 2, "orbit_budget": 40},
-     "fab364994ee1e0cb1b30fe69aab90f370d7644013737119aa0ab25810acea29e",
+     "8934d831f19a594b76fc6278e9fa336d580a9d5ea478ba27489b00d4d4f57513",
+     "f2886ff6a83038b0e90a8d78f5885193aad4709cf136ab9a0dbdf0b67ce13d7c",
+     "d6fe0bcc82663ce53b5b68fc51fbca172915af7c87d4dabee8739dba89db1d87"),
+]
+
+# The test id of each case embeds the JSON and text digests it was first
+# pinned with, so re-recording a digest does not rename the test.
+FIRST_PINNED_DIGESTS = [
+    ("e376fbb4487ac9399dca4d69ee8738358e464c789d2ef4c1874896f76f4d269f",
+     "7fc1ab8c5021f5fd11bff3d269cc2535bb8bfb5894e97d2fc72196cd306dffc5"),
+    ("036d2194528963311065e6f740e070ae294dedcbfc0a24597d572c4fbe9b8426",
+     "4b95bcdc9e93f07acb491463c4ec5c0f09b0e89a71cbc7930125e8cc5e94c148"),
+    ("07d62d071bbb9acad5440c614b2fd2d351a086f0d1e76014630282093666ab0a",
+     "c85e95a8b76ac05b19cdc34926a8ff96ed2445e8faaa0e66ef2d777d0ea5cad1"),
+    ("a3250ce4f05d13848762c2dcb2fb00d68acf4c472ebc8b1750492dcbd2d24abc",
+     "ceb42c16bf4a57b40f0faa25b1f639ee1ee5df074152423ab62cadbec1045fed"),
+    ("eca7c49848d173bb509d33155f0626100af7a6f92aff2a8ffb95621016c9e251",
+     "910202465ff8c8b92db71d31c43b9ff5373d006544f8b224992e4ce543882fe3"),
+    ("713e2e53b2efc106a259770df82954f6da8e8119a4597be6b7768397805bf8b1",
+     "ed26a3d5aa2a5136aaa702b0425c87d0901de846bf8048f2397542d3d8c9ad81"),
+    ("26935f883b2535c0cfa7e9706dd6a7ab986daf4e8f2fc8bc355dccb5650c4017",
+     "319f183f5e0f7077251ac151518ca9bf43a4f5ee96b6ce21e4326e88ce0d697b"),
+    ("aa1cf2c3808c79b0a757c49f9df20d71cd9604b948ec138e9afb4e612fac7d67",
+     "e5c714c0fe80e55e8015674e1249e2cbd17ef2a9ab6a28d21dba1f74fcab18ab"),
+    ("767d3801387299f68923d0590b332b633eaa9bf198e96f698de88fa4f7ecc9f8",
+     "d17f1d4f600eb3ea165a8658b4c86b2076db42796ebdcb918b242425719f0691"),
+    ("73813e9034464d0af26927fe0eca4e2163bc57a75be5ce7ccb6aeab36c5d73e8",
+     "48089fdd33d849ff4a62e7a36b886134c592a5ee6a28724f7d075aa0a11ec870"),
+    ("c69eeb3007f9995e78254f8acf4bfd157b2a7285c19edb2201732387a7f01ca0",
+     "a4abde03117aa2070a7e222bec5c59b87aa8de2cd11c7ad3e9ebc1ec792146bb"),
+    ("7c829cf6fbfd3f67775e06dcffc314bc703b3f2359c82bb75ae618474079fa6c",
+     "f4a93c5b380192a64b7387252323319e3fb8431816dd791c8f33a427e704f29e"),
+    ("ddcd5a08bc54cdf2489f7637efa25624d3f18dae6678339aa7c98a44073b59d8",
+     "6382cad335263052d06246d93772b67c9f268b0d1947c9b53ef1218aa516b710"),
+    ("7101aaa385bd2fbd833b245e5a3b2806805c0b2b3a95f499f4793e0872e6146a",
+     "19c55ba9a1affcbae7df15a725bfa18bb6fe0adcdec9a525a436fb73594e0275"),
+    ("b0dd308f9243f3f239588916139eb88b4b5a883c93e0dd21d1c9d120580b846c",
+     "2a033a9bbbb20c99c089d541d28499641a153e8e55e7e97842de3e73c45e8516"),
+    ("63e49fc06a33d374d4f810a2301ac42d70e000d7f6045561105020c145fae43e",
+     "480b6fee90dcb7fe5bf72511e3c46090c077f92c72752cf00c2eb0705bfb886a"),
+    ("b0215f1dfdca5bc52034b5951dd94c14d6a6e580e7d40ed4ce76bcd506b2b458",
+     "998cd52526d27554160bf5fd5a7ccf21d661b4e62549a71daa15c78735f9d450"),
+    ("1e6c9e920cc910ab778e44b88229d4872c8e987d230880fbd4c50b884218d04b",
+     "3a13fb7416f814b528d47292dbf707df620e3f91fc3bb7f640b3f611846a229f"),
+    ("b2ab78acc93fa35571db249d7e61f18f637266b4e8e975a5cab1c13becdf3194",
+     "8fd8408808bc7f84082ac3e025c7606c25cd82e3d4304e155da7a2e2a5b1b809"),
+    ("f6e10541ed4c8193ba48668dc2a0595519a6596ef35387c7b2642b4762c069ac",
+     "c363fa08b6d034a275d857d83f7998ab8cbc3386582a2749cb02cb8a96415ecc"),
+    ("a07180ad85f11dc29fbfda6b42535b99a58b39cf02dc564559c6e6518ebfec50",
+     "b3d46f15bace28c8ca9d22288e38841b446b59346befb120e857358bfe00e679"),
+    ("e6f07a7e2c09373dd45da94ff610ac223cffd2b7482af66693eb4007816a40ad",
+     "ca88de36914e135293c48b349be1f831013cd89f368831991d44d8bc2b32ec8b"),
+    ("3629e0ff8eb98a6df1187939d7008640d94741d8895009f5de0b3b06d738c7e9",
+     "9a69413a02e4b51871fe812fb54e937f1a5f9d0a9b387c4cd556fb7ffa89d036"),
+    ("2676f5faec0bfa8e9bac20c69c122d02100a06f56414c9c0a16dce7f13c7ccb4",
+     "94439613e5bab4d91d86547d265292689601f1e787e6baf1b5fb19f8e5a3b8b6"),
+    ("676257244686b22e61d7cbd37d5fbd578b38552fe96ba989c19e0e327e38b9ad",
+     "c7f8d7151f3b623de08ae59f42acfad3b98b3523d7c277ef33b16b590e432565"),
+    ("04e0aeb0886b3c248b236b38b49229334e56d12b0ab511c5dbd711aaeb2923d7",
+     "027c49b0c4f486a35a2e0c46e34b172886843f85b24ed6f3a0bf77c4a569b210"),
+    ("0bdcb8becd556e32eeb2dc8a415a1fbfcdd9a6c4c8317d60431d3e41aaa68921",
+     "44fd14d8d09e2cbd52fdfbbc542199b98459be787d4195cbe05e3478e3ef1b1d"),
+    ("06bb3f6fa8d48e10cc805bf94f5e391d196ad8296f6fea3dd4c0dc43232d2c75",
+     "9e15ecca6aa2b523cc6afb012f1f92a4e480f309e3c75e7d64ae46d0a9a7508c"),
+    ("52a63cf4c0eda61889bf72948a15df1a845ca7f09313e3e4984f2d4bc216ab8d",
+     "e81f78fa774206a1c85e187d2cc0cee3bbfd11ccbce234e115db4140cf43e9ca"),
+    ("fab364994ee1e0cb1b30fe69aab90f370d7644013737119aa0ab25810acea29e",
      "fc74edfaaf4856b41b3d929019e020528d969db0cf80a620107d8e1820ecb76d"),
+]
+PINNED_IDS = [
+    f"{case[0]}-{case[1]}-{case[2]}-config{i}-{first_json}-{first_text}"
+    for i, (case, (first_json, first_text)) in enumerate(zip(PINNED_REPORTS, FIRST_PINNED_DIGESTS))
 ]
 
 
-@pytest.mark.parametrize("source, index, twin, config, json_digest, text_digest", PINNED_REPORTS)
-def test_report_bytes_pinned(source, index, twin, config, json_digest, text_digest):
+# a floating scalar written inside a longer string, such as the label
+# "K_[0.03+0.75i]" or "RO({-2.0, 2.0})"; exact ones such as "-1/8+3/8i" have
+# no decimal point or exponent
+_DECIMAL = r"(?:\d+\.\d*(?:e[-+]?\d+)?|\.\d+(?:e[-+]?\d+)?|\d+e[-+]?\d+)"
+_FLOATING_LITERAL = re.compile(rf"[-+]?{_DECIMAL}(?:[-+]{_DECIMAL}i)?i?")
+
+
+def _shape(node):
+    """The report JSON with every floating value replaced by "F".
+
+    Floating values are the non-integer JSON numbers, the strings that
+    parse_scalar reads as floating scalars, and floating scalars written
+    inside other strings; exact strings such as "1/2" or "inf" and all
+    integers are kept.
+    """
+    if isinstance(node, dict):
+        return {k: _shape(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_shape(v) for v in node]
+    if isinstance(node, float):
+        return "F"
+    if isinstance(node, str):
+        try:
+            value = parse_scalar(node)
+        except RatmapError:
+            return _FLOATING_LITERAL.sub("F", node)
+        return "F" if isinstance(value, complex) else node
+    return node
+
+
+def _pinned_report(source, index, twin, config):
     if source == "worked":
         r = parse_map((DECIMAL_TWINS if twin else WORKED_MAPS)[index])
     else:
         r = _corpus_map(index, twin)
-    report = run_analysis(r, AnalysisConfig.from_dict(config))
+    return run_analysis(r, AnalysisConfig.from_dict(config))
+
+
+@pytest.mark.parametrize("source, index, twin, config, json_digest, text_digest, shape_digest",
+                         PINNED_REPORTS, ids=PINNED_IDS)
+def test_report_bytes_pinned(source, index, twin, config, json_digest, text_digest,
+                             shape_digest):
+    report = _pinned_report(source, index, twin, config)
     assert hashlib.sha256(report.to_json_bytes()).hexdigest() == json_digest
     assert hashlib.sha256(report.to_text().encode()).hexdigest() == text_digest
+
+
+@pytest.mark.parametrize("source, index, twin, config, json_digest, text_digest, shape_digest",
+                         PINNED_REPORTS, ids=PINNED_IDS)
+def test_report_shape_pinned(source, index, twin, config, json_digest, text_digest,
+                             shape_digest):
+    report = _pinned_report(source, index, twin, config)
+    shape = _shape(json.loads(report.to_json_bytes()))
+    assert hashlib.sha256(json.dumps(shape, sort_keys=True).encode()).hexdigest() == shape_digest
