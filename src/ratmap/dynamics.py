@@ -7,9 +7,11 @@ exact orbit steps exactly until a coordinate passes EXACT_HEIGHT_CAP_BITS
 The cycles of period p come from the fixed points of R^p, found by Aberth
 on the orbit recursion in a fixed Möbius chart (never on an expanded
 polynomial), merged where multiple and snapped to exact points where exact
-iteration verifies them.  Each period is certified by the rational
-fixed-point formula sum 1/(1 - mu) = 1; a failed or uncertified period is
-a coded warning, and the search goes on.
+iteration verifies them.  R maps these points onto themselves, so the
+cycles of exact period p are the chains of p solved points that close
+under R, each point followed by the solved point nearest its image.  Each
+period is certified by the rational fixed-point formula sum 1/(1 - mu) = 1;
+a failed or uncertified period is a coded warning, and the search goes on.
 
 Cycle classification never guesses: super-attraction is decided by
 criticality of the cycle (exactly, when the map is exact), attracting and
@@ -36,7 +38,14 @@ from .errors import (
 from .rational import EXACT_HEIGHT_CAP_BITS, CriticalPoint, RationalMap, point_height_bits
 from .roots import DEFAULT_CLUSTER_RADIUS, find_roots, find_zeros, polish, snap, start_circle
 from .scalars import GaussianRational
-from .sphere import INFINITY, SpherePoint, coincide, contains_point, point_sort_key
+from .sphere import (
+    INFINITY,
+    SpherePoint,
+    chordal_matrix,
+    coincide,
+    contains_point,
+    point_sort_key,
+)
 
 INDIFFERENT_BAND = 1e-6
 ROOT_OF_UNITY_CAP = 64
@@ -291,12 +300,10 @@ def _exact_fixed_point(r: RationalMap, x: SpherePoint, p: int) -> SpherePoint | 
 
 
 def fixed_points(r: RationalMap, p: int):
-    """The d^p + 1 fixed points of R^p, multiple ones merged, as (point, reach).
+    """The d^p + 1 fixed points of R^p, multiple ones merged, sorted by point.
 
     Aberth runs on the orbit recursion of the floating map.  On an exact map
-    a point is exact when its snap is verified exactly.  reach is 0 for an
-    exact point and otherwise the chordal distance from the point to the
-    farthest approximation merged into it.  Sorted by point.  Raises
+    a point is exact when its snap is verified exactly.  Raises
     RootFindingFailedError, or MultiplicityAmbiguousError unless every point
     is exact.
     """
@@ -308,16 +315,56 @@ def fixed_points(r: RationalMap, p: int):
     points = [eq.point(eq.merge(members)) for members in clusters]
     for i, x in zip(simple, _polish_in_balanced_charts(rf, p, [points[i] for i in simple])):
         points[i] = x
-    out = []
-    for x, members in zip(points, clusters):
-        exact = _exact_fixed_point(r, x, p) if r.is_exact else None
-        if exact is not None:
-            out.append((exact, 0.0))
-        else:
-            out.append((x, max(x.chordal(eq.point(w)) for w in members)))
-    if ambiguity is not None and not all(x.is_exact for x, _ in out):
+    if r.is_exact:
+        points = [_exact_fixed_point(r, x, p) or x for x in points]
+    if ambiguity is not None and not all(x.is_exact for x in points):
         raise ambiguity
-    return sorted(out, key=lambda pair: point_sort_key(pair[0]))
+    return sorted(points, key=point_sort_key)
+
+
+def _successors(r: RationalMap, points):
+    """For each solved point, the index of the solved point its image matches.
+
+    The image matches the nearest point within DEFAULT_CLUSTER_RADIUS, the
+    solver's own residual bar; an image that fails or matches nothing gives
+    None.
+    """
+    succ = [None] * len(points)
+    images = {}
+    for i, x in enumerate(points):
+        try:
+            images[i] = r.evaluate(x)
+        except RatmapError:
+            continue
+    if images:
+        dist = chordal_matrix(list(images.values()), points)
+        for i, row in zip(images, dist):
+            j = int(row.argmin())
+            if row[j] <= DEFAULT_CLUSTER_RADIUS:
+                succ[i] = j
+    return succ
+
+
+def _closed_chains(succ, p: int):
+    """The chains of the successor map that close after exactly p steps.
+
+    Each is listed once, from its least index.  A chain that closes sooner
+    belongs to a smaller period; one that never closes is dropped.
+    """
+    used = set()
+    chains = []
+    for i in range(len(succ)):
+        if i in used:
+            continue
+        chain = [i]
+        j = succ[i]
+        while j is not None and j != i and len(chain) < p:
+            chain.append(j)
+            j = succ[j]
+        if j == i and len(chain) == p:
+            used.update(chain)
+            chains.append(chain)
+    return chains
 
 
 def _certificate_residual(cycles, p: int):
@@ -342,13 +389,15 @@ def periodic_cycles(r: RationalMap, max_period: int = DEFAULT_MAX_PERIOD,
                     work_cap: int = DEFAULT_PERIOD_WORK_CAP):
     """All cycles of exact period <= max_period.
 
-    Returns (cycles, truncated_periods, warnings).  Periods whose
-    fixed-point solve would exceed work_cap sphere points are skipped and
-    reported in truncated_periods.  A period whose solve fails is a
-    cycle-search-failed warning; a period whose cycles fail the fixed-point
-    formula is a cycle-search-uncertified warning.
+    The cycles of period p are the closed chains of p points among the
+    fixed points of R^p (see _successors); a chain that closes sooner was
+    found at its own period.  Returns (cycles, truncated_periods, warnings).
+    Periods whose fixed-point solve would exceed work_cap sphere points are
+    skipped and reported in truncated_periods.  A period whose solve fails
+    is a cycle-search-failed warning; a period whose cycles fail the
+    fixed-point formula, as when the solve loses a point of a cycle, is a
+    cycle-search-uncertified warning.
     """
-    tol = r.tolerance
     cycles = []
     truncated = []
     warnings = []
@@ -357,7 +406,7 @@ def periodic_cycles(r: RationalMap, max_period: int = DEFAULT_MAX_PERIOD,
             truncated.append(p)
             continue
         try:
-            candidates = fixed_points(r, p)
+            points = fixed_points(r, p)
         except (RootFindingFailedError, MultiplicityAmbiguousError) as err:
             warnings.append({
                 "code": "cycle-search-failed",
@@ -366,27 +415,11 @@ def periodic_cycles(r: RationalMap, max_period: int = DEFAULT_MAX_PERIOD,
                 "error": err.code,
             })
             continue
-        for x, reach in candidates:
+        for chain in _closed_chains(_successors(r, points), p):
+            walk = Orbit(r, points[chain[0]])
             try:
-                orbit = [x]
-                for _ in range(p):
-                    orbit.append(r.evaluate(orbit[-1]))
+                pts = tuple(walk.point(k) for k in range(p))
             except RatmapError:
-                continue
-            if not r.is_exact and not coincide(orbit[p], x, 10 * tol):
-                continue  # phantom root introduced by floating composition
-            # a merged multiple root is known only to within its reach, and a
-            # point that close to a smaller period belongs to it
-            near = max(tol, 4 * reach)
-            ret = None
-            for t in range(1, p + 1):
-                if coincide(orbit[t], x, tol if t == p else near):
-                    ret = t
-                    break
-            if ret != p:
-                continue  # belongs to a strictly smaller period
-            pts = tuple(orbit[:p])
-            if any(c.contains(x, near) for c in cycles):
                 continue
             cycles.append(make_cycle(r, pts, warnings))
         residual = _certificate_residual(cycles, p)

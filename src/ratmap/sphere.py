@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .scalars import (
     GaussianRational,
     as_scalar,
@@ -176,3 +178,14 @@ def dedup_points(points, tol):
 
 def contains_point(points, p, tol) -> bool:
     return any(coincide(p, q, tol) for q in points)
+
+
+def chordal_matrix(ps, qs) -> np.ndarray:
+    """The array of chordal distances d(ps[i], qs[j])."""
+
+    def unit_pairs(points):
+        pairs = np.array([x._norm_pair() for x in points], dtype=complex)
+        return pairs / np.hypot(np.abs(pairs[:, :1]), np.abs(pairs[:, 1:]))
+
+    a, b = unit_pairs(ps), unit_pairs(qs)
+    return 2.0 * np.abs(np.outer(a[:, 0], b[:, 1]) - np.outer(a[:, 1], b[:, 0]))

@@ -8,6 +8,8 @@ R^p must hold (Milnor, Dynamics in One Complex Variable, Thm 12.4).
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from ratmap.dynamics import DEFAULT_MAX_PERIOD, periodic_cycles
@@ -78,3 +80,15 @@ def test_no_period_two_point_is_dropped(index, twin):
     # 1e-9 only, so they failed the return check and their 2-cycle was lost
     cycles, _, _ = periodic_cycles(_corpus_map(index, twin), 2)
     assert sum(c.period for c in cycles) == 37
+
+
+@pytest.mark.parametrize("twin", [False, True])
+def test_a_multiple_fixed_point_of_r4_is_one_cycle(twin):
+    # corpus map 23 fixes 0 with multiplier -i, so 0 is a 5-fold fixed point
+    # of R^4; it must close at period 1 and start no cycle of period 2 or 4
+    r = _corpus_map(23, twin)
+    cycles, truncated, warnings = periodic_cycles(r, 4)
+    assert truncated == [] and warnings == []
+    assert Counter(c.period for c in cycles) == {1: 4, 2: 3, 3: 8, 4: 17}
+    zero = SpherePoint.finite(0)
+    assert [c.period for c in cycles if c.contains(zero, r.tolerance)] == [1]

@@ -136,13 +136,30 @@ def test_a_lost_cycle_fails_the_fixed_point_formula(monkeypatch):
     solve = ratmap.dynamics.fixed_points
 
     def losing_minus_one(r, p):
-        return [(x, reach) for x, reach in solve(r, p) if x != SpherePoint.finite(-1)]
+        return [x for x in solve(r, p) if x != SpherePoint.finite(-1)]
 
     monkeypatch.setattr(ratmap.dynamics, "fixed_points", losing_minus_one)
     r = parse_map({"numerator": ["1", "0", "-2"], "denominator": ["1"]})
     _, _, warnings = periodic_cycles(r, 1)
     assert [(w["code"], w["period"]) for w in warnings] == [("cycle-search-uncertified", 1)]
     assert warnings[0]["residual"] == pytest.approx(1 / 3)
+
+
+def test_a_lost_point_of_a_cycle_drops_the_cycle(monkeypatch):
+    # z^2 - 2 has one 2-cycle, (-1 +- sqrt 5)/2; without one of its points the
+    # other has no successor, so the cycle is dropped and period 2 fails the
+    # fixed-point formula (1 - 1/15 - 1/3 over the three fixed points)
+    solve = ratmap.dynamics.fixed_points
+    lost = SpherePoint.finite((math.sqrt(5) - 1) / 2)
+
+    def losing_one_point(r, p):
+        return [x for x in solve(r, p) if x.chordal(lost) > 1e-6]
+
+    monkeypatch.setattr(ratmap.dynamics, "fixed_points", losing_one_point)
+    r = parse_map({"numerator": ["1", "0", "-2"], "denominator": ["1"]})
+    cycles, _, warnings = periodic_cycles(r, 2)
+    assert [c.period for c in cycles] == [1, 1, 1]
+    assert [(w["code"], w["period"]) for w in warnings] == [("cycle-search-uncertified", 2)]
 
 
 def test_snap_of_a_non_finite_center_is_no_candidate():
