@@ -416,12 +416,7 @@ def periodic_cycles(r: RationalMap, max_period: int = DEFAULT_MAX_PERIOD,
             })
             continue
         for chain in _closed_chains(_successors(r, points), p):
-            walk = Orbit(r, points[chain[0]])
-            try:
-                pts = tuple(walk.point(k) for k in range(p))
-            except RatmapError:
-                continue
-            cycles.append(make_cycle(r, pts, warnings))
+            cycles.append(make_cycle(r, tuple(points[i] for i in chain), warnings))
         residual = _certificate_residual(cycles, p)
         if residual is not None and residual > 1e-8:
             warnings.append({

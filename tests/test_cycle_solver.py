@@ -39,9 +39,7 @@ def _check_period(r, cycles, p):
             if x.is_exact:
                 assert orbit[p] == x and x not in orbit[1:p]
             else:
-                # p steps magnify the rounding of x by up to |multiplier|
-                spread = max(1.0, abs(complex(c.multiplier)))
-                assert coincide(orbit[p], x, r.tolerance * spread)
+                assert coincide(orbit[p], x, r.tolerance)
                 assert not any(coincide(y, x, r.tolerance) for y in orbit[1:p])
 
 

@@ -297,44 +297,44 @@ MP2 = {"max_period": 2}
 # 2-cycle that solve had dropped was found.
 PINNED_REPORTS = [
     ("worked", 0, False, {},
-     "83eca03c7f20d394a2f7ffa34f03522bf09a7244c0f03b70a85b2e6cd8b98cca",
-     "67885f17d277c7d72156d8bf8d79f7c62b5e05c5abd14ab3607023893479df79",
+     "370b97c3e0a4673f05eee9f37f175a1596ffe9454a49de4651b9ef0a4876b273",
+     "71fddc5dcd6e8789a6d2fe9d8137ddd10ba3971c6a6c1921e2b50b66a7fd6736",
      "16b6ae7ac0a3cc233e0dd1532898203ca60e3eed6e29cbef500c2140dbebdfc6"),
     ("worked", 0, True, {},
-     "67d22b80e48157cba799fd1db1c5a157cc0f25f554afdea433ac048003c1dd00",
-     "98363378ac8f4fef3b553f22af7abba2c050c3fcbeb1743941a52f88ee61f8cb",
+     "cc3397425912749997d5873294bcba66338449500f1dbce25c84277e60565137",
+     "fa6583a2b1209f2da7585a75c188a12fc3c5f857f8e30c30345f27efb44a5ec8",
      "21be0ed9583bef42d478a248e5e3eb5f3d4229e0199038f7c0e410b0666e75bd"),
     ("worked", 1, False, {},
-     "c284d8e63b4594b85e455f6e0ed6fe5b971e97c1bdf59707773b134b3030f18b",
-     "301962521af81f70a959598a502a72b7522de84fd9c73e2c29e654d85477d88f",
+     "e32cde2849a63aa4caa9594c958380d53de7c0cf51e994f5d5b771b4da4e5193",
+     "ed062721ddc5430ffaa0759c80ec1244ac9e3c518b1580b31a66572a1331e4f4",
      "8d9a8911f6dcf057f5b16a2a72677f7cf1c19c88743a28682e2a558d09eac153"),
     ("worked", 1, True, {},
-     "aaad972c424c29a49b97c66685220f1fbd18b3114a48cf3077d2b4ef91fb1f2b",
-     "3c4af963713a06663526b8eaa39ea65e9d59685e57391ab95bace7ba8d970199",
+     "752524b6a1fb55b65eefecdb10eb8124a09bde3d09c938fd757d34eb3dfe7b09",
+     "2606ec2559de6a5d0edfb43b1cf0cda88e215ee88d7ce606c897c093e4cc514c",
      "b3209e403b0390a62e3247aac7fc938cd690e5c82edd0299ec288191572121bf"),
     ("worked", 2, False, {},
-     "7ba0501dcbcabc361251cb50df8c5901b844bbbdcc4d0a019ead36d891cd0fe7",
-     "73594ac1534959323a2c860555149453dcd52329b7a2f4aa76768d08cec0f6b5",
+     "1699783cb8a7a4e4aa948623005838e5c1fc13392ec9bba8cb844bc6ce01813c",
+     "4bb7bd5b890a6ee154162205e1384c250e5afd07c14663f115137f9bcd535a47",
      "efbc2d575690c15e2a97f596d6d23072cf0bbe1ee83280723b1c2c9e41cc436b"),
     ("worked", 2, True, {},
-     "c802d2f12e9a4dfb780e17e67fdfae2dcf2a2cf7d233f055d38035bda0d758e5",
-     "c004e7050bf002a7f00ce3ffc92a35bfece0c85e3ec15704771cc59449247fbc",
+     "82e4b96fd3d9334e5d1bf0c2eb06d7b56f2d195c5e1b0548a42f53e19464dc8b",
+     "883a3e32daece0796a1fd0a48df12c8812a6489400920e32b4b2560b65eb8663",
      "9d5055e845a239c09e635e50d0a5f272e340ee7cfc1db1eb7503d42b3c6984bf"),
     ("corpus", 0, False, MP2,
-     "b62c14542ee1282d6c68927d10b2462ba5e7f94a98fe1c26edac8ef1b64123ce",
-     "4513104f614aaee2415dbe9da05d60423e56c4a675e4263d98932095dc40a576",
+     "6686bf393236dd9d2ad1a9796656e7f20086b2353b09583cbe0a5ea518582d4d",
+     "fd5a76c0ee1b2aa111e9a4d898e8076e22f0948bccff15dedfec7962347441b0",
      "fccb22a0bc39cf65ad4b045b9c05606eb500c0a7b19eaec947aca23dbde60849"),
     ("corpus", 0, True, MP2,
-     "5103c75ea1dacae4d61c18e4e16d0bb10b6c0161e5617be704ab64bd4c128b11",
-     "e0c0bd4a5463726db48adfc603cc55e9c6f131e4514849c80475997d199366d5",
+     "12bd6bb729d84bda26ad479b8f070624bfed235e20268465db3d0c4727fd5f31",
+     "bc50b3784759a1f8c246708e3378ea08e251ced09acb4d6e8d17d2c8c4aedfb6",
      "8ed9e349b8d4d6098ce70474907569debd7c5c05eb271d1820ead618a6b93cb0"),
     ("corpus", 1, False, MP2,
-     "499f5e6923f8a19e555b461738f29c5d75442f5b0bf4da7a579f3d741ae324b6",
-     "8effe31bcef4a6ad651496ff417aa61ebddc17be4af03e1a3d80293b7e192831",
+     "35ceea721836234ee50ae29a606032e5db2a2955a83acad8d9ce533978f56077",
+     "7f5836907a5b5d11ecde23c1c1ecb3295d571bc92a081306b30e184021d8a785",
      "ace478d18e14d172ce2cce5796b79d8b274e0044e8bd5f84fe0cc27b633bdca2"),
     ("corpus", 1, True, MP2,
-     "d3eff3e0a4f6c70c74fc1cd4911e004b0899449e282a3416fee50e3ebb9952f9",
-     "f4e10e5724b905ab24b394b480322aac6f6abbc141c985be122a02cbeae57fba",
+     "946c52fbbd03cd2c0bdf240561efe44654eb9899faa9de20083a2994a9b0619d",
+     "79116a6c9a8c87d505f636fcc99e9d99780b4c2422115223a785f56e517ad1d7",
      "6831c052349cf27fb6130f722993e8e0cc1eb0dfdb2fbc64b624294ba34ab960"),
     ("corpus", 2, False, MP2,
      "cd33c91609cb15dda0fbde1c49f2e70435f0d229a73dff54cfc342bbcc902065",
@@ -345,76 +345,76 @@ PINNED_REPORTS = [
      "75ff9dc1cf7344fab46e0dfbf844abf7ae3d74714944e4fdf5c2d4ca9dd95962",
      "2deb8d378dafac2966d6b1f77cd7fab56e7e952517a0ad47bce89af23e45e3de"),
     ("corpus", 3, False, MP2,
-     "156cdeb40b36a477b20b622b65d9b813fe343387091b791264cebc600e207134",
-     "cf343e91583dd1bc46ab169d07bcc49c5b3120b69e30477d501dba2ad101c8a9",
+     "e07af42d6de1777baa956ff0359fd58dd745eb0a25ec6ee4774ab8b879c94b55",
+     "29252bb132c062bb2bbbdf14427d46b5e53f8d9229fefe0565ff24f7e8969145",
      "5036c784bf446f8424655d76f3ab3fb87679b824125a1b59006453ff017136f2"),
     ("corpus", 3, True, MP2,
-     "e3fcc59687ebd115777c4fc4b25ff6507fbacf40fcabb6a4042947c15677df19",
-     "f3bc8e3dadd2a2718f9def04e251fb530661943d856492903168ae48b39be6ca",
+     "84c41b651bf7ccd12f0a3dcc44973b88e1ae1acbf195cbe74c60a4271ce36a0e",
+     "079267b8fae9cbffdf24ac503346c3cfc5de1b93688fc6beaa240c8937257508",
      "53f6401d8c188699229b17aca62914d0108d8da0083eb6b4b9b880487b6cc275"),
     ("corpus", 4, False, MP2,
-     "068062d11942eaf2f44ac7c3557148f63b8c156d718ed7324c45077f3f1177d9",
-     "be7c0d75c4dd8b6a80b366713f92c542576e6c0966858306d167fd4accdc5aa0",
+     "46e7e8b7f5a7b852bfa66873c940fdbcfad99053148c85e253158d20af1dc8a7",
+     "45336f7c6a7e7d6eba6611de5d5418be92e8b141446edacf26dbdb60779ae5ab",
      "dd11da633a988002ee1177451575106b1a8155aa61cdd7e83a5d87c77f2ae823"),
     ("corpus", 4, True, MP2,
-     "e975c0e1fc010b8f71a93fb1766d43932e8a279a182e7442b64bbb976b2dd94a",
-     "c8eb3eae74e6a162eb1fcc4b598bf1374afb20482c02b74f29c09ce8ebd1d803",
+     "0105e2790332a7d3a93db8768066e494fd3e7001ead6af9e0032b3862fbe1a74",
+     "11d9540de099ceffd79d1021e53987b32872ed77f2554d95dc14ae1a6185d235",
      "42cf8dd6d055350900f9047a3174f84876976b04d56835f31405e228bc419b8d"),
     ("corpus", 5, False, MP2,
-     "f4a0c7a63db4587b8959b2f4d0a05c29b77fbed23bd1a41f9fca4e51b774b0be",
-     "4d20862c862e6729d353569dc41e5514705cfeb153f056d54d8c82d204981b7f",
+     "a07f328ef7840dca7f924e52f4b4cef99eb7ff9a557bb6f1b82042a6083f6ed8",
+     "e49b65305b2633a8f8c435b8572da8a7b77bd61a423771d7f8b6d8a893a74565",
      "f1df9e6367c0727a54d520ae7a0cb4c0c4d01d41089957de17ae5a104e6d4cfa"),
     ("corpus", 5, True, MP2,
-     "3ff6268d550db7451834c06a91eed207b3b042f8636cbe8833fe9ef83a679791",
-     "15f7a0466a20cd7bfaf740027b9a0d7a06298909d96ed069b80dd6c0337d0abb",
+     "296dd50b05c540fbf21c16e0a2f90fce552398aac8af2a7c81966f407a6a8205",
+     "e4ca36b41f07d1c1925d8c360607d1d3b15136cf11981d6f3643f22ff83d8f8b",
      "39b5f55ee0a2e257a3c475572e823759d151a84eafd31962cc61a161b2ea5b75"),
     ("corpus", 6, False, MP2,
-     "35efe2308bf07a2b5d2383d0e2e89ada6fc24681cf9fba015a7b91cb5486eafb",
-     "654acc3e0f62e4e3c0be075817e068b16ec082c54cd6ef697f8625abbd1ad916",
+     "18f629a8fc60322373499692023c3b1c4b9088ff1bd49e844ed8d33894eac0ce",
+     "6ed27eb88c9f537c15c07f1803834aaeeb340d687052f9009709ad582dc53877",
      "77df56d685ed56660ed4a8712574acbeebec421f59811fc83fc8c15b9a8faa92"),
     ("corpus", 6, True, MP2,
-     "883462f0db05f3f800c346be740e99efa4b528ab22cb52d273061f72d0a87a7e",
-     "cfaa44eed3d95b9cdc5f4af34d47e8c94fa0077e2574035fb8dc9185303057c8",
+     "9314f5d4e0b04b8834b8424f8826fb67c315ec87c3f9a3ea07e1f99cf37e3b2b",
+     "468c9267572155b99884ee325db667dffdc415dc935c76d3e78d94bf24f886f3",
      "e4e26743b3f971680db10c5b7b9a7ad8a0e362387003c924d246e6e57704136f"),
     ("corpus", 7, False, MP2,
-     "ba4901a099888a552333194106e03db2d76eb1cbe5983ded09f75bf9909d4532",
-     "32b50e27cd7b412695d9d11158d9a0df4e82755fc416935d4e4f20f57cc1aa56",
+     "8747432fe82f655a26ec621406e1b013688c99a450229e93c0c8472fb1e5cbb7",
+     "0a6f64c04ca9eeb84759eb63d930e50c8b73821926952d7d42406347572db239",
      "9d071422dcbe2058377de0410231b64137ba992906373835009a4d4f7b62fbad"),
     ("corpus", 7, True, MP2,
-     "8009ddb5309bc56ddbd791c472dac954e17b423da3442d08f4c141dd8a4f0223",
-     "b36b28d63eb8f403f4e6d8251d9c88d01c875c119d7f3e7883fe44148d3888c5",
+     "8da847d8296ea63c09ba7b499feeefcb5a6af144224092909e202975bd2890c7",
+     "5b016b41da13e0a8855a1bc33b3ec4778fe46c731852aba928acf8a2472feca3",
      "7b423a70d3dd70c8dfcc107ba105ebc7e88f2c0d23bd3d961d75e74258f3b2e9"),
     ("corpus", 8, False, MP2,
-     "187713593a0a8b2edd5f733b21bfec98d8cbd2a7cd8ea2f9b278f28abd916e2a",
-     "968b715315258411782d4059826604e5c68f1434a7f74fde2eab9ab799aacb75",
+     "e0ccd1df4dd3010378b7a1469b0f2a1e53ec7bb88f42cb3bc5fca869074c70f3",
+     "b7314c859cf894baddb2f05adc05f70e3a98c048ac914f444828027a2996d0f8",
      "23ac9a0807f36c31b7309e423c0627e49491a3c9e1439252a11e357e71477616"),
     ("corpus", 8, True, MP2,
-     "8165a9dbafffa42f5b5c44996d8f67eef2d9f6ff7f7df7f2c2e6f8aa43ceca4d",
-     "b695ef3020d27a5bbc3ffab093c9a1c42c40676ef9fecf1c1d8015d6b0b213ea",
+     "8197ec150151b2789073af5c535be05d445f7de4a4f8b3dc84e0606b78db902b",
+     "5e21a973ca123fcd4e24961b23f1227da9fc6370f51533c0c80c98157f4fefdf",
      "d4a12e9bc34a2e598561cfbb5534087caafa82b3825559cb36e720aab87b43cc"),
     ("corpus", 9, False, MP2,
-     "46958826328d6fad5d420fcba9a92fa6cd0dcd16f9abf34be0800e52956231a0",
-     "e32bc683147e5e215e27a9cc60061d5eceda7830ba35dff410aa065b258f73bd",
+     "e942fec4dd38ca5c7065da3b0ecee67a96239f897563cad8cfcf47939f28310a",
+     "9385f1170b26f53f055295c0af2a400b19a3eeb09e892d33509298ab9bd9a847",
      "e65925aaf433ee6e97d4468973b6f3193f0d701dbf4d2c071f8dd66359d45032"),
     ("corpus", 9, True, MP2,
-     "21971e89829862f22de900a3995762af5dc074e1f3db15ea7a2cbaf561978f6d",
-     "33c38a1a7bc3f0cc1eaba8d7fa874d53db9fc54218ca5bb69ed31266978dbb70",
+     "6b9ea5965c7d307827ec97570cbbb192d5fc1d8da569427a862758fe6dc5d835",
+     "9cf487efc20fba947927341acb27dd8ea66023238b8e9bb5ff5ed702711b639b",
      "e5fe191eef4a3ca0ec1528c5f5891502870573cb74956f29adef79419f21602f"),
     ("corpus", 8, False, {"max_period": 2, "ro_depth": 80},
-     "2a031a44987612f3d3dd1e6b6899fd03fed09f5ac8b0a312d61c0e8f7f67738c",
-     "c748fc2d481512f2dc0195ea89b31018c5dbd7b117e6ead8047daf810ba2c706",
+     "ce2c56a2003fd9254c10e085eb2dfde173fe8ac7829959720a17d055f7455794",
+     "03f13167547eeee06cbf03e75d448d771cbca260b983cefe3b04fe2156404703",
      "5bbcf914ff8ead6be391ced9374a4fcfeda74b813fd424588427c1d13351901a"),
     ("corpus", 8, True, {"max_period": 2, "ro_depth": 80},
-     "0012a2d2b3824dfdbb3c8cc55d1fee494fd9d686cec97de936f88f5538b6b936",
-     "18621d0700c06377bbc912f9ec66905359e88c68499c9bd9ca99e38cfe637c1b",
+     "de74df15205bdd278db347d4a287213425d1179add17ceac890c7eded656d9af",
+     "fe9f009a88bb17a94f08c1b58ffa8a6a15fdd9a9f7a4ec58bd75d837a814eab9",
      "69c2499122a06c83694062c71d674609b01136cbbb0c9e88f621f5330625a8fe"),
     ("corpus", 7, False, {"max_period": 2, "orbit_budget": 40},
-     "c5ff0bdd284ced588e35951ded2fd55d1fe7ea7f6683f9503a47b8fccaab99fc",
-     "2dc2bc791ac20a17831a07e42aae57a7e15938879c843f8e97f97a1818a79950",
+     "dbc4cb99b7d46842fc48c1c95cfa7d963d4e724bbdeb3e9e4488e06cdeb3bea1",
+     "fc34a1e2375b9e0f23f9227745de7dc1cdb36f3111afc75197b1a5fc92307272",
      "7a7f2cc035391253c4cab592b4432eb45a176a95ef949026a5951474730c1716"),
     ("corpus", 7, True, {"max_period": 2, "orbit_budget": 40},
-     "8934d831f19a594b76fc6278e9fa336d580a9d5ea478ba27489b00d4d4f57513",
-     "f2886ff6a83038b0e90a8d78f5885193aad4709cf136ab9a0dbdf0b67ce13d7c",
+     "24facbfdead6b3b569863030a0bc3b802805f0f44456ab77d59d8a710949846f",
+     "416510ccf2f53bb14797edbe1f29d5817344490905f3410759840b460634ba68",
      "d6fe0bcc82663ce53b5b68fc51fbca172915af7c87d4dabee8739dba89db1d87"),
 ]
 
