@@ -8,6 +8,7 @@ warning carries a machine-readable code.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -156,15 +157,19 @@ class AnalysisConfig:
 
 
 def _parse_coeff(raw):
-    if isinstance(raw, str):
-        return parse_scalar(raw)
     if isinstance(raw, bool):
         raise InputFormatError("boolean is not a coefficient")
-    if isinstance(raw, int):
-        return parse_scalar(str(raw))
-    if isinstance(raw, float):
-        return complex(raw)
-    raise InputFormatError(f"cannot read coefficient {raw!r}")
+    if isinstance(raw, str):
+        value = parse_scalar(raw)
+    elif isinstance(raw, int):
+        value = parse_scalar(str(raw))
+    elif isinstance(raw, float):
+        value = complex(raw)
+    else:
+        raise InputFormatError(f"cannot read coefficient {raw!r}")
+    if isinstance(value, complex) and not cmath.isfinite(value):
+        raise InputFormatError(f"coefficient {raw!r} is not finite")
+    return value
 
 
 def parse_map(document, *, tolerance: float = 1e-9) -> RationalMap:

@@ -236,6 +236,10 @@ def test_each_critical_orbit_is_walked_once(monkeypatch):
      "declaration-invalid"),
     (None, {"render": {"window": [-1e308, 1e308, -1, 1]}}, "config-invalid"),
     (None, {"render": {"window": [-math.inf, math.inf, -1, 1]}}, "config-invalid"),
+    ('{"numerator": [1e400, "0", "-2"], "denominator": ["1"]}', None, "input-format"),
+    ('{"numerator": ["1e400", "0", "-2"], "denominator": ["1"]}', None, "input-format"),
+    ('{"numerator": [NaN, "0", "-2"], "denominator": ["1"]}', None, "input-format"),
+    ('{"numerator": ["1", "0", "-2"], "denominator": [-Infinity]}', None, "input-format"),
 ])
 def test_malformed_input_is_a_coded_error(tmp_path, capsys, map_text, config, code):
     map_file = tmp_path / "map.json"
