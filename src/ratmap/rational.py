@@ -24,7 +24,7 @@ from .errors import (
     ValencyAmbiguousError,
 )
 from .poly import Polynomial, vanishing_order_exact
-from .roots import DEFAULT_CLUSTER_RADIUS, find_roots
+from .roots import find_roots
 from .scalars import GaussianRational, is_exact, to_complex
 from .sphere import INFINITY, SpherePoint
 
@@ -47,7 +47,7 @@ def point_height_bits(p: SpherePoint) -> int:
 
 class RationalMap:
     def __init__(self, p: Polynomial, q: Polynomial, *, tolerance: float = DEFAULT_TOLERANCE,
-                 auto_reduce: bool = True, verified_coprime: bool = False):
+                 verified_coprime: bool = False):
         if q.is_zero:
             raise MapDegreeError("denominator is identically zero")
         if p.is_zero:
@@ -56,8 +56,6 @@ class RationalMap:
         if p.is_exact and q.is_exact:
             g = p.gcd_exact(q)
             if g.degree > 0:
-                if not auto_reduce:
-                    raise DegenerateMapError("numerator and denominator share a factor")
                 p, _ = p.divmod_exact(g)
                 q, _ = q.divmod_exact(g)
                 self.reduced_from_input = True
@@ -171,7 +169,7 @@ class RationalMap:
             [complex(c) for c in fl.p.coeffs]
         ) - Polynomial([complex(c) for c in fl.q.coeffs]) * to_complex(yv)
 
-    def preimages(self, y: SpherePoint, cluster_radius: float = DEFAULT_CLUSTER_RADIUS):
+    def preimages(self, y: SpherePoint):
         """Multiset R^-1(y) as (point, multiplicity); multiplicities sum to d."""
         key = y
         cached = self._preimage_cache.get(key)
@@ -185,7 +183,7 @@ class RationalMap:
         inf_mult = self.degree - a.degree
         out = []
         if a.degree >= 1:
-            for root, mult, _ in find_roots(a, cluster_radius):
+            for root, mult, _ in find_roots(a):
                 out.append((SpherePoint.finite(root), mult))
         if inf_mult > 0:
             out.append((INFINITY if a.is_exact else SpherePoint.infinity(exact=False), inf_mult))

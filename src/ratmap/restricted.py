@@ -170,8 +170,7 @@ def _verify_type1(r: RationalMap, pts, tol) -> bool:
     )
 
 
-def _verify_critical_invariance(r: RationalMap, pts, depth, tol,
-                                node_cap=VERIFY_NODE_CAP, fates=None):
+def _verify_critical_invariance(r: RationalMap, pts, depth, tol, fates=None):
     """Bounded invariance check for sets containing a critical point.
 
     For every member a and every m <= depth, walks the backward tree of
@@ -198,7 +197,7 @@ def _verify_critical_invariance(r: RationalMap, pts, depth, tol,
                     for pre, mult in pres:
                         c2 = cum * mult
                         nodes += 1
-                        if nodes > node_cap:
+                        if nodes > VERIFY_NODE_CAP:
                             return None
                         if c2 > v:
                             continue

@@ -110,8 +110,7 @@ def polish(evaluate, z: np.ndarray) -> np.ndarray:
                      for zi in _newton_polish(evaluate, z, NEWTON_POLISH_STEPS)])
 
 
-def _settle(evaluate, residual, z: np.ndarray, cluster_radius: float, *,
-            uncertainty=None, **context):
+def _settle(evaluate, residual, z: np.ndarray, *, uncertainty=None, **context):
     """Polish approximate roots, check them, and group them into clusters.
 
     residual(z) gives a scale-free residual per root; a root above 1e-6, NaN
@@ -133,29 +132,27 @@ def _settle(evaluate, residual, z: np.ndarray, cluster_radius: float, *,
     radii = None
     if uncertainty is not None:
         # a vanishing derivative says nothing beyond "somewhere in the cluster"
-        radii = np.minimum(uncertainty(z), 100.0 * cluster_radius)
-    clusters = _cluster(z, cluster_radius, radii)
-    clusters_wide = _cluster(z, 10.0 * cluster_radius, radii)
+        radii = np.minimum(uncertainty(z), 100.0 * DEFAULT_CLUSTER_RADIUS)
+    clusters = _cluster(z, DEFAULT_CLUSTER_RADIUS, radii)
+    clusters_wide = _cluster(z, 10.0 * DEFAULT_CLUSTER_RADIUS, radii)
     ambiguity = None
     if _profile(clusters) != _profile(clusters_wide):
         ambiguity = MultiplicityAmbiguousError(
             "two clusterings within a factor 10 disagree",
-            radius=cluster_radius,
+            radius=DEFAULT_CLUSTER_RADIUS,
             profiles=(_profile(clusters), _profile(clusters_wide)),
         )
     return z, clusters, ambiguity
 
 
-def find_zeros(evaluate, residual, uncertainty, start: np.ndarray,
-               cluster_radius: float = DEFAULT_CLUSTER_RADIUS, **context):
+def find_zeros(evaluate, residual, uncertainty, start: np.ndarray, **context):
     """Zeros of an analytic f from evaluations of (f, f') only, one per start point.
 
     Aberth from start, then _settle.  Returns ([members], ambiguity): one
     array of approximations per cluster, a simple zero being a cluster of one.
     """
     z, clusters, ambiguity = _settle(
-        evaluate, residual, _aberth(evaluate, start), cluster_radius,
-        uncertainty=uncertainty, **context,
+        evaluate, residual, _aberth(evaluate, start), uncertainty=uncertainty, **context,
     )
     return [z[g] for g in clusters], ambiguity
 
@@ -275,7 +272,7 @@ def _zap_denormals(z: complex) -> complex:
     return complex(re, im)
 
 
-def find_roots(p: Polynomial, cluster_radius: float = DEFAULT_CLUSTER_RADIUS):
+def find_roots(p: Polynomial):
     """All roots of p with multiplicities; the multiplicities sum to deg p.
 
     Returns a list of (root, multiplicity, residual) triples, sorted by the
@@ -292,7 +289,7 @@ def find_roots(p: Polynomial, cluster_radius: float = DEFAULT_CLUSTER_RADIUS):
         _, factors = squarefree_decomposition_exact(p)
         results = []
         for factor, mult in factors:
-            for root, m, res in _find_roots_numeric(factor, cluster_radius):
+            for root, m, res in _find_roots_numeric(factor):
                 results.append((root, m * mult, res))
         total = sum(m for _, m, _ in results)
         if total != p.degree:
@@ -303,10 +300,10 @@ def find_roots(p: Polynomial, cluster_radius: float = DEFAULT_CLUSTER_RADIUS):
             )
         results.sort(key=lambda t: (complex(t[0]).real, complex(t[0]).imag))
         return results
-    return _find_roots_numeric(p, cluster_radius)
+    return _find_roots_numeric(p)
 
 
-def _find_roots_numeric(p: Polynomial, cluster_radius: float):
+def _find_roots_numeric(p: Polynomial):
     exact = p.is_exact
 
     # deflate exact zeros at the origin first
@@ -342,8 +339,7 @@ def _find_roots_numeric(p: Polynomial, cluster_radius: float):
             cauchy = 1.0 + float(max(abs(rc[1:] / rc[0])))
             z = _aberth(horner, start_circle(reduced.degree, cauchy))
         z, clusters, ambiguity = _settle(
-            horner, lambda zs: [_eval_scaled(rc, zi) for zi in zs], z, cluster_radius,
-            degree=p.degree,
+            horner, lambda zs: [_eval_scaled(rc, zi) for zi in zs], z, degree=p.degree,
         )
 
         pending = []
