@@ -7,9 +7,8 @@ exact orbit steps exactly until a coordinate passes EXACT_HEIGHT_CAP_BITS
 The cycles of period p come from the fixed points of R^p, found by Aberth
 on the orbit recursion in a fixed Möbius chart (never on an expanded
 polynomial), merged where multiple and snapped to exact points where exact
-iteration verifies them.  R maps these points onto themselves, so the
-cycles of exact period p are the chains of p solved points that close
-under R, each point followed by the solved point nearest its image.  Each
+iteration verifies them; R maps each to the solved point nearest its image,
+and the chains of p points that close are the cycles of period p.  Each
 period is certified by the rational fixed-point formula sum 1/(1 - mu) = 1;
 a failed or uncertified period is a coded warning, and the search goes on.
 
@@ -38,14 +37,7 @@ from .errors import (
 from .rational import EXACT_HEIGHT_CAP_BITS, CriticalPoint, RationalMap, point_height_bits
 from .roots import DEFAULT_CLUSTER_RADIUS, find_roots, find_zeros, polish, snap, start_circle
 from .scalars import GaussianRational
-from .sphere import (
-    INFINITY,
-    SpherePoint,
-    chordal_matrix,
-    coincide,
-    contains_point,
-    point_sort_key,
-)
+from .sphere import INFINITY, SpherePoint, chordal_matrix, coincide, contains_point, point_sort_key
 
 INDIFFERENT_BAND = 1e-6
 ROOT_OF_UNITY_CAP = 64
@@ -322,48 +314,30 @@ def fixed_points(r: RationalMap, p: int):
     return sorted(points, key=point_sort_key)
 
 
-def _successors(r: RationalMap, points):
-    """For each solved point, the index of the solved point its image matches.
+def _closed_chains(r: RationalMap, points, p: int):
+    """The chains of p solved points that close under R, from their least points.
 
-    The image matches the nearest point within DEFAULT_CLUSTER_RADIUS, the
-    solver's own residual bar; an image that fails or matches nothing gives
-    None.
+    A point is followed by the solved point nearest its image within
+    DEFAULT_CLUSTER_RADIUS (the solver's residual bar), or by none.  A chain
+    that closes sooner belongs to a smaller period.
     """
-    succ = [None] * len(points)
     images = {}
     for i, x in enumerate(points):
         try:
             images[i] = r.evaluate(x)
         except RatmapError:
-            continue
-    if images:
-        dist = chordal_matrix(list(images.values()), points)
-        for i, row in zip(images, dist):
-            j = int(row.argmin())
-            if row[j] <= DEFAULT_CLUSTER_RADIUS:
-                succ[i] = j
-    return succ
-
-
-def _closed_chains(succ, p: int):
-    """The chains of the successor map that close after exactly p steps.
-
-    Each is listed once, from its least index.  A chain that closes sooner
-    belongs to a smaller period; one that never closes is dropped.
-    """
-    used = set()
+            pass
+    succ = [None] * len(points)
+    for i, row in zip(images, chordal_matrix(list(images.values()), points)):
+        if row.min() <= DEFAULT_CLUSTER_RADIUS:
+            succ[i] = int(row.argmin())
     chains = []
-    for i in range(len(succ)):
-        if i in used:
-            continue
+    for i in range(len(points)):
         chain = [i]
-        j = succ[i]
-        while j is not None and j != i and len(chain) < p:
-            chain.append(j)
-            j = succ[j]
-        if j == i and len(chain) == p:
-            used.update(chain)
-            chains.append(chain)
+        while len(chain) <= p and chain[-1] is not None:
+            chain.append(succ[chain[-1]])
+        if chain[p:] == [i] and i not in chain[1:p] and i == min(chain):
+            chains.append(tuple(points[k] for k in chain[:p]))
     return chains
 
 
@@ -387,16 +361,13 @@ def _certificate_residual(cycles, p: int):
 
 def periodic_cycles(r: RationalMap, max_period: int = DEFAULT_MAX_PERIOD,
                     work_cap: int = DEFAULT_PERIOD_WORK_CAP):
-    """All cycles of exact period <= max_period.
+    """All cycles of exact period <= max_period, read off the fixed points of R^p.
 
-    The cycles of period p are the closed chains of p points among the
-    fixed points of R^p (see _successors); a chain that closes sooner was
-    found at its own period.  Returns (cycles, truncated_periods, warnings).
-    Periods whose fixed-point solve would exceed work_cap sphere points are
-    skipped and reported in truncated_periods.  A period whose solve fails
-    is a cycle-search-failed warning; a period whose cycles fail the
-    fixed-point formula, as when the solve loses a point of a cycle, is a
-    cycle-search-uncertified warning.
+    Returns (cycles, truncated_periods, warnings).  Periods whose
+    fixed-point solve would exceed work_cap sphere points are skipped and
+    reported in truncated_periods.  A period whose solve fails is a
+    cycle-search-failed warning; a period whose cycles fail the fixed-point
+    formula (a lost cycle point, say) is a cycle-search-uncertified warning.
     """
     cycles = []
     truncated = []
@@ -415,8 +386,7 @@ def periodic_cycles(r: RationalMap, max_period: int = DEFAULT_MAX_PERIOD,
                 "error": err.code,
             })
             continue
-        for chain in _closed_chains(_successors(r, points), p):
-            cycles.append(make_cycle(r, tuple(points[i] for i in chain), warnings))
+        cycles.extend(make_cycle(r, pts, warnings) for pts in _closed_chains(r, points, p))
         residual = _certificate_residual(cycles, p)
         if residual is not None and residual > 1e-8:
             warnings.append({

@@ -157,16 +157,9 @@ class AnalysisConfig:
 
 
 def _parse_coeff(raw):
-    if isinstance(raw, bool):
-        raise InputFormatError("boolean is not a coefficient")
-    if isinstance(raw, str):
-        value = parse_scalar(raw)
-    elif isinstance(raw, int):
-        value = parse_scalar(str(raw))
-    elif isinstance(raw, float):
-        value = complex(raw)
-    else:
+    if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
         raise InputFormatError(f"cannot read coefficient {raw!r}")
+    value = complex(raw) if isinstance(raw, float) else parse_scalar(str(raw))
     if isinstance(value, complex) and not cmath.isfinite(value):
         raise InputFormatError(f"coefficient {raw!r} is not finite")
     return value

@@ -182,10 +182,7 @@ def contains_point(points, p, tol) -> bool:
 
 def chordal_matrix(ps, qs) -> np.ndarray:
     """The array of chordal distances d(ps[i], qs[j])."""
-
-    def unit_pairs(points):
-        pairs = np.array([x._norm_pair() for x in points], dtype=complex)
-        return pairs / np.hypot(np.abs(pairs[:, :1]), np.abs(pairs[:, 1:]))
-
-    a, b = unit_pairs(ps), unit_pairs(qs)
+    a, b = (np.array([x._norm_pair() for x in pts], dtype=complex).reshape(-1, 2)
+            for pts in (ps, qs))
+    a, b = (u / np.linalg.norm(u, axis=1, keepdims=True) for u in (a, b))
     return 2.0 * np.abs(np.outer(a[:, 0], b[:, 1]) - np.outer(a[:, 1], b[:, 0]))

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from ratmap.scalars import GaussianRational
-from ratmap.sphere import INFINITY, SpherePoint, coincide, parse_point
+from ratmap.sphere import INFINITY, SpherePoint, chordal_matrix, coincide, parse_point
 
 
 def test_canonical_form():
@@ -36,6 +36,26 @@ def test_chordal_metric():
     assert zero.chordal(one) == pytest.approx(2.0 / math.sqrt(2.0))
     # symmetric
     assert one.chordal(inf) == pytest.approx(inf.chordal(one))
+
+
+def test_chordal_matrix_matches_the_pointwise_metric():
+    points = [
+        INFINITY,
+        SpherePoint.infinity(exact=False),
+        SpherePoint.finite(0),
+        SpherePoint.finite(GaussianRational(-1, 2)),
+        SpherePoint.finite(GaussianRational(10**400)),  # beyond float range
+        SpherePoint.finite(0.3 - 2.5j),
+        SpherePoint.finite(-1.5e7 + 3j),
+        SpherePoint.finite(1e-9j),
+    ]
+    dist = chordal_matrix(points[:5], points)
+    assert dist.shape == (5, len(points))
+    for i, p in enumerate(points[:5]):
+        for j, q in enumerate(points):
+            # both sides stay below 2; the order of operations differs
+            assert abs(dist[i, j] - p.chordal(q)) <= 8 * 2.0**-52
+    assert chordal_matrix([], points).shape == (0, len(points))
 
 
 def test_floating_infinity_is_not_exact():
