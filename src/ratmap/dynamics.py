@@ -37,7 +37,16 @@ from .errors import (
 from .rational import EXACT_HEIGHT_CAP_BITS, CriticalPoint, RationalMap, point_height_bits
 from .roots import DEFAULT_CLUSTER_RADIUS, find_roots, find_zeros, polish, snap, start_circle
 from .scalars import GaussianRational
-from .sphere import INFINITY, SpherePoint, chordal_matrix, coincide, contains_point, point_sort_key
+from .sphere import (
+    INFINITY,
+    SpherePoint,
+    chordal_matrix,
+    coincide,
+    contains_point,
+    near_pairs,
+    normalized_pairs,
+    point_sort_key,
+)
 
 INDIFFERENT_BAND = 1e-6
 ROOT_OF_UNITY_CAP = 64
@@ -464,6 +473,7 @@ class OrbitFate:
 def _reverify_landing(r: RationalMap, x: SpherePoint, cyc, n: int, tol: float) -> bool:
     """Floating landings must survive a perturbed re-run (preperiodicity is
     too consequential downstream to accept from a single pass)."""
+    x = x.to_float()  # an exact point beyond float range becomes infinity
     if x.is_infinity:
         return True
     rerun = Orbit(r, SpherePoint.finite(complex(x.z) + complex(1e-12, 1e-12)))
@@ -483,27 +493,30 @@ def orbit_fate(r: RationalMap, x: SpherePoint, cycles,
     """
     tol = r.tolerance
     walk = Orbit(r, x)
+    members = [(cyc, cpt) for cyc in cycles for cpt in cyc.points]
+    table = normalized_pairs([cpt for _, cpt in members])
     for n in range(min(budget, 64) + 1):
         try:
             pt = walk.point(n)
         except RatmapError:
             break
-        for cyc in cycles:
-            for cpt in cyc.points:
-                if n == 0 and coincide(pt, cpt, tol):
-                    # identity case: the queried point is a cycle point
-                    return OrbitFate("preperiodic", cyc.cycle_id, 0, 0, walk)
-                if pt.is_exact and cpt.is_exact:
-                    if pt == cpt:
-                        return OrbitFate("preperiodic", cyc.cycle_id, n, n, walk)
-                    continue
-                # floating leg: landings on critical cycles are not decidable
-                # (convergence underflows to an exact hit); report convergence
-                if cyc.contains_critical:
-                    continue
-                if pt.chordal(cpt) <= tol * 1e-3:
-                    if _reverify_landing(r, x, cyc, n, tol):
-                        return OrbitFate("preperiodic", cyc.cycle_id, n, n, walk)
+        # only the screened members can pass the tests below, in the same order
+        for k in np.flatnonzero(near_pairs(normalized_pairs([pt]), table, tol)[0]):
+            cyc, cpt = members[k]
+            if n == 0 and coincide(pt, cpt, tol):
+                # identity case: the queried point is a cycle point
+                return OrbitFate("preperiodic", cyc.cycle_id, 0, 0, walk)
+            if pt.is_exact and cpt.is_exact:
+                if pt == cpt:
+                    return OrbitFate("preperiodic", cyc.cycle_id, n, n, walk)
+                continue
+            # floating leg: landings on critical cycles are not decidable
+            # (convergence underflows to an exact hit); report convergence
+            if cyc.contains_critical:
+                continue
+            if pt.chordal(cpt) <= tol * 1e-3:
+                if _reverify_landing(r, x, cyc, n, tol):
+                    return OrbitFate("preperiodic", cyc.cycle_id, n, n, walk)
 
     # the floating tail streams: an unresolved orbit may run the whole budget
     rf = r.floating()

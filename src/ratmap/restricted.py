@@ -13,6 +13,13 @@ the fact that cumulative valency never decreases along a backward path.
 Forward orbits come from dynamics.Orbit: exact steps until a coordinate
 passes 512 bits, floating after.  All coincidence decisions are exact when
 the inputs are exact.
+
+Candidates are closures of seeds (see _closure), and a cycle with no
+critical member is seeded once.  Nothing is lost: the closure of a
+non-critical x holds R(x), so the closure of any point of such a cycle holds
+the whole cycle; being the least set that holds its seed and is closed under
+the rules, it is the same set (or the same None past 4 points) for every
+point of the cycle.  A cycle with a critical member keeps one seed per point.
 """
 
 from __future__ import annotations
@@ -28,7 +35,14 @@ from .dynamics import (
 )
 from .errors import JuliaMembershipUndeterminedError, RatmapError
 from .rational import RationalMap
-from .sphere import SpherePoint, coincide, contains_point, dedup_points, point_sort_key
+from .sphere import (
+    SpherePoint,
+    coincide,
+    contains_point,
+    dedup_indices,
+    dedup_points,
+    point_sort_key,
+)
 
 RO_DEPTH_DEFAULT = 12
 MAX_SEED_PERIOD_DEFAULT = 4
@@ -254,6 +268,9 @@ def exposed_orbits(r: RationalMap, cycles,
 
     Seeds are critical points, cycle points up to max_seed_period, and the
     forward orbits (up to 8 steps) of critical points that land on cycles.
+    A cycle none of whose points is critical (by the contains_point test
+    _closure uses) gives one seed: each of its points has the same closure,
+    since each closure holds the whole cycle.
     The search scope is part of the result's truncation metadata: absence
     of further exposed sets is only claimed within these bounds.
 
@@ -270,18 +287,26 @@ def exposed_orbits(r: RationalMap, cycles,
     # computing the missing ones lazily keeps bulk scans cheap
     fates = dict(fates or {})
 
-    pool = list(crit_pts)
+    # each seed with the critical-free cycle it lies on, or None
+    pool = [(p, None) for p in crit_pts]
     for cyc in cycles:
         if cyc.period <= max_seed_period:
-            pool.extend(cyc.points)
+            free = not any(contains_point(crit_pts, a, tol) for a in cyc.points)
+            pool.extend((a, cyc if free else None) for a in cyc.points)
     for c in crit:
         fate = fates[c.point].fate if c.point in fates else None
         if fate and fate.kind == "preperiodic" and fate.step <= CRITICAL_ORBIT_SEED_STEPS:
-            pool.extend(fate.walk.points[:fate.step])
-    pool = dedup_points(pool, tol)
+            pool.extend((p, None) for p in fate.walk.points[:fate.step])
+    pool = [pool[i] for i in dedup_indices([p for p, _ in pool], tol)]
 
     candidates = []
-    for seed in pool:
+    closed = set()  # ids of the critical-free cycles already seeded
+    for seed, cyc in pool:
+        if cyc is not None:
+            # every point of a critical-free cycle has the same closure
+            if id(cyc) in closed:
+                continue
+            closed.add(id(cyc))
         closure = _closure(r, seed, crit_pts, tol)
         if closure is None:
             continue

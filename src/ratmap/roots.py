@@ -259,10 +259,23 @@ def _snap_root(reduced: Polynomial, center: complex) -> GaussianRational | None:
 
 
 def _eval_scaled(coeffs: np.ndarray, z: complex) -> float:
+    """|p(z)| / max(1, |z|)^n, where n = deg p.
+
+    Where |z|^n overflows, |z| > 1 and the value is |p(z) / z^n|, the
+    reversed Horner sum at 1/z.
+    """
+    try:
+        power = max(1.0, float(abs(z))) ** (len(coeffs) - 1)
+    except OverflowError:
+        u = 1.0 / z
+        acc = 0j
+        for a in reversed(coeffs):
+            acc = acc * u + a
+        return abs(acc)
     acc = 0j
     for a in coeffs:
         acc = acc * z + a
-    return abs(acc) / max(1.0, abs(z)) ** (len(coeffs) - 1)
+    return abs(acc) / power
 
 
 def _zap_denormals(z: complex) -> complex:

@@ -169,20 +169,57 @@ def point_sort_key(p: SpherePoint):
 
 def dedup_points(points, tol):
     """Greedy dedup preserving first occurrences."""
-    out = []
-    for p in points:
-        if not any(coincide(p, q, tol) for q in out):
-            out.append(p)
-    return out
+    points = list(points)
+    return [points[i] for i in dedup_indices(points, tol)]
+
+
+def dedup_indices(points, tol):
+    """The indices of the points dedup_points keeps, in order.
+
+    Only the pairs that near_pairs passes go through coincide.
+    """
+    table = normalized_pairs(points)
+    near = near_pairs(table, table, tol)
+    keep = np.zeros(len(points), dtype=bool)
+    for i, p in enumerate(points):
+        keep[i] = not any(coincide(p, points[j], tol)
+                          for j in np.flatnonzero(near[i, :i] & keep[:i]))
+    return [int(i) for i in np.flatnonzero(keep)]
 
 
 def contains_point(points, p, tol) -> bool:
     return any(coincide(p, q, tol) for q in points)
 
 
+def normalized_pairs(points) -> np.ndarray:
+    """The (n, 2) complex array of the points' pairs (z : w), each row of norm 1.
+
+    The chordal distance of rows a and b is 2|a0 b1 - a1 b0|.  Two points
+    that are equal exactly have identical rows, hence distance exactly 0; any
+    other difference from SpherePoint.chordal is rounding, a few units in
+    the last place of 2.  So a pair whose array distance is above
+    2 tol + SCREEN_SLACK cannot pass coincide at tol: near_pairs screens
+    with that margin, and only what it passes needs coincide.
+    """
+    a = np.array([x._norm_pair() for x in points], dtype=complex).reshape(-1, 2)
+    # hypot, unlike the norm's sum of squares, does not overflow past |z| = 1e154
+    return a / np.hypot(np.abs(a[:, :1]), np.abs(a[:, 1:]))
+
+
+# far above the rounding of either chordal evaluation (a few units in the last place of 2)
+SCREEN_SLACK = 1e-14
+
+
+def array_chordal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The chordal distances between the rows of two normalized_pairs arrays."""
+    return 2.0 * np.abs(np.outer(a[:, 0], b[:, 1]) - np.outer(a[:, 1], b[:, 0]))
+
+
+def near_pairs(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """True where rows of a and b may coincide at tol (the screen margin)."""
+    return array_chordal(a, b) <= 2.0 * tol + SCREEN_SLACK
+
+
 def chordal_matrix(ps, qs) -> np.ndarray:
     """The array of chordal distances d(ps[i], qs[j])."""
-    a, b = (np.array([x._norm_pair() for x in pts], dtype=complex).reshape(-1, 2)
-            for pts in (ps, qs))
-    a, b = (u / np.linalg.norm(u, axis=1, keepdims=True) for u in (a, b))
-    return 2.0 * np.abs(np.outer(a[:, 0], b[:, 1]) - np.outer(a[:, 1], b[:, 0]))
+    return array_chordal(normalized_pairs(ps), normalized_pairs(qs))

@@ -4,6 +4,9 @@ import pytest
 
 from ratmap.dynamics import (
     INFINITE,
+    Orbit,
+    PeriodicCycle,
+    _reverify_landing,
     asymptotic_valency,
     critical_divisor_degree,
     critical_points,
@@ -13,7 +16,9 @@ from ratmap.dynamics import (
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
 from ratmap.scalars import GaussianRational
-from ratmap.sphere import INFINITY, SpherePoint
+from ratmap.sphere import INFINITY, SpherePoint, coincide
+
+from .test_sphere import SCREEN_CASES
 
 
 def cheb():
@@ -113,6 +118,52 @@ def test_orbit_fate_identity_case():
     one = next(c for c in cycles if str(c.points[0]) == "1")
     f = orbit_fate(r, SpherePoint.finite(1), cycles)
     assert f.kind == "preperiodic" and f.step == 0 and f.cycle_id == one.cycle_id
+
+
+def _scalar_landing(r, x, cycles):
+    """(cycle_id, step) of the first landing on the 64-step prefix, compared
+    pair by pair as orbit_fate did before it screened the cycle points."""
+    tol = r.tolerance
+    walk = Orbit(r, x)
+    for n in range(65):
+        pt = walk.point(n)
+        for cyc in cycles:
+            for cpt in cyc.points:
+                if n == 0 and coincide(pt, cpt, tol):
+                    return cyc.cycle_id, 0
+                if pt.is_exact and cpt.is_exact:
+                    if pt == cpt:
+                        return cyc.cycle_id, n
+                    continue
+                if cyc.contains_critical:
+                    continue
+                if pt.chordal(cpt) <= tol * 1e-3 and _reverify_landing(r, x, cyc, n, tol):
+                    return cyc.cycle_id, n
+    return None
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("name, p, q, same", SCREEN_CASES, ids=[c[0] for c in SCREEN_CASES])
+def test_orbit_fate_screen_matches_the_scalar_rule(name, p, q, same, swap):
+    x, cpt = (q, p) if swap else (p, q)
+    r = zsq()
+    far = SpherePoint.finite(GaussianRational(-7, 5))
+    # two fake repelling cycles: the landing one comes second in the scan
+    cycles = [PeriodicCycle(1, (far,), GaussianRational(2), "repelling", False, cycle_id=0),
+              PeriodicCycle(2, (far, cpt), GaussianRational(2), "repelling", False, cycle_id=1)]
+    fate = orbit_fate(r, x, cycles)
+    landing = _scalar_landing(r, x, cycles)
+    if same:
+        assert landing == (1, 0)
+    if landing is None:
+        assert fate.kind != "preperiodic"
+    else:
+        assert fate.kind == "preperiodic" and (fate.cycle_id, fate.step) == landing
+
+
+def test_orbit_fate_walks_the_whole_prefix_without_cycles():
+    fate = orbit_fate(cheb(), SpherePoint.finite(0.5 + 0j), [])
+    assert fate.kind == "unresolved" and fate.steps_used == 64
 
 
 def test_asymptotic_valency_examples():

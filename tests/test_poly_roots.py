@@ -3,11 +3,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ratmap.errors import RootFindingFailedError
 from ratmap.poly import Polynomial
-from ratmap.roots import find_roots
+from ratmap.roots import _eval_scaled, find_roots
 from ratmap.scalars import GaussianRational
 
 
@@ -119,3 +120,13 @@ def test_resultant_detects_common_roots():
     assert p.resultant_magnitude(q) < 1e-12
     q2 = Polynomial([1.0, -4.0])
     assert p.resultant_magnitude(q2) > 1e-6
+
+
+def test_scaled_residual_past_float_range():
+    coeffs = np.array([1.0, 0.0, 1.0], dtype=complex)  # z^2 + 1
+    for z in (3 + 4j, np.complex128(-2e100 + 1j), 0.5j):
+        acc = (z * z + 1)
+        assert _eval_scaled(coeffs, z) == abs(acc) / max(1.0, abs(z)) ** 2
+    # |z|^2 overflows: |p(z)| / |z|^2 = |1 + 1/z^2|
+    for z in (-2e200 + 0j, np.complex128(3e250j)):
+        assert _eval_scaled(coeffs, z) == pytest.approx(1.0)

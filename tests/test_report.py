@@ -253,6 +253,16 @@ def test_malformed_input_is_a_coded_error(tmp_path, capsys, map_text, config, co
     assert f"error [{code}]" in capsys.readouterr().err
 
 
+def test_root_past_float_range_gives_a_report_or_a_coded_error(tmp_path, capsys):
+    # the Wronskian has a root near -2e200, whose scaled residual once
+    # raised OverflowError inside critical_points
+    map_file = tmp_path / "map.json"
+    map_file.write_text(json.dumps({"numerator": ["1", "0", "1"],
+                                    "denominator": ["1e-200", "1"]}))
+    code = cli.main(["analyze", str(map_file)])
+    assert code == 0 or (code == 2 and "error [" in capsys.readouterr().err)
+
+
 def test_cli_round_trip(tmp_path):
     map_file = tmp_path / "map.json"
     map_file.write_text(json.dumps({"numerator": ["1", "0", "-2"], "denominator": ["1"]}))

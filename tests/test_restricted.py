@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 
 import ratmap.dynamics
+import ratmap.restricted
 from ratmap.dynamics import INFINITE, critical_points, periodic_cycles
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
+from ratmap.report import parse_map, run_analysis
 from ratmap.restricted import (
+    _closure,
     _verify_critical_invariance,
     brute_force_preimage_check,
     exposed_orbits,
@@ -17,7 +20,9 @@ from ratmap.restricted import (
     ro_related,
 )
 from ratmap.scalars import GaussianRational
-from ratmap.sphere import INFINITY, SpherePoint
+from ratmap.sphere import INFINITY, SpherePoint, contains_point
+
+from .test_report import DECIMAL_TWINS, WORKED_MAPS, _corpus_map
 
 
 def cheb():
@@ -188,3 +193,45 @@ def test_invariance_check_steps_each_member_depth_times(monkeypatch):
     r = cheb()
     _verify_critical_invariance(r, [SpherePoint.finite(0)], 3, r.tolerance)
     assert len(steps) == 3
+
+
+def _same_set(a, b, tol):
+    return (len(a) == len(b) and all(contains_point(b, p, tol) for p in a)
+            and all(contains_point(a, p, tol) for p in b))
+
+
+@pytest.mark.parametrize("source, index, twin", [
+    ("worked", i, t) for i in range(3) for t in (False, True)
+] + [("corpus", i, t) for i in range(4) for t in (False, True)])
+def test_every_point_of_a_critical_free_cycle_has_one_closure(source, index, twin):
+    # exposed_orbits seeds such a cycle once, on this property
+    if source == "worked":
+        r = parse_map((DECIMAL_TWINS if twin else WORKED_MAPS)[index])
+    else:
+        r = _corpus_map(index, twin)
+    tol = r.tolerance
+    crit_pts = [c.point for c in critical_points(r)]
+    cycles, _, _ = periodic_cycles(r, 4)
+    free = [c for c in cycles if not any(contains_point(crit_pts, a, tol) for a in c.points)]
+    assert free
+    for cyc in free:
+        first, *rest = [_closure(r, a, crit_pts, tol) for a in cyc.points]
+        if first is None:
+            assert rest == [None] * len(rest)
+        else:
+            assert all(c is not None and _same_set(c, first, tol) for c in rest)
+
+
+@pytest.mark.parametrize("doc, calls", zip(WORKED_MAPS + DECIMAL_TWINS, (11, 12, 9) * 2))
+def test_closure_runs_once_per_critical_free_cycle(doc, calls, monkeypatch):
+    # with one closure per seed point the counts were 25, 26 and 23
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return closure(*args, **kwargs)
+
+    closure = ratmap.restricted._closure
+    monkeypatch.setattr(ratmap.restricted, "_closure", counted)
+    run_analysis(parse_map(doc))
+    assert count[0] == calls

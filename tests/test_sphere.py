@@ -1,11 +1,21 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
 from ratmap.scalars import GaussianRational
-from ratmap.sphere import INFINITY, SpherePoint, chordal_matrix, coincide, parse_point
+from ratmap.sphere import (
+    INFINITY,
+    SpherePoint,
+    chordal_matrix,
+    coincide,
+    dedup_points,
+    near_pairs,
+    normalized_pairs,
+    parse_point,
+)
 
 
 def test_canonical_form():
@@ -48,6 +58,7 @@ def test_chordal_matrix_matches_the_pointwise_metric():
         SpherePoint.finite(0.3 - 2.5j),
         SpherePoint.finite(-1.5e7 + 3j),
         SpherePoint.finite(1e-9j),
+        SpherePoint.finite(GaussianRational(3 * 10**200)),  # |z|^2 beyond float range
     ]
     dist = chordal_matrix(points[:5], points)
     assert dist.shape == (5, len(points))
@@ -78,3 +89,43 @@ def test_coincide_exact_vs_tolerance():
 def test_parse_point():
     assert parse_point("inf").is_infinity
     assert parse_point("-1/2").value() == GaussianRational(-0.5)
+
+
+TOL = 1e-9
+# (name, p, q, whether coincide(p, q, TOL) holds)
+SCREEN_CASES = [
+    ("exact-equal", SpherePoint.finite(GaussianRational(Fraction(1, 3))),
+     SpherePoint.finite(GaussianRational(Fraction(1, 3))), True),
+    ("exact-1e-30-apart", SpherePoint.finite(GaussianRational(1)),
+     SpherePoint.finite(GaussianRational(1 + Fraction(1, 10**30))), False),
+    ("exact-beyond-float-range", SpherePoint.finite(GaussianRational(10**400)),
+     SpherePoint.finite(GaussianRational(10**400 + 1)), False),
+    ("exact-and-floating-infinity", INFINITY, SpherePoint.infinity(exact=False), True),
+    ("0.9-tol", SpherePoint.finite(1.0 + 0j), SpherePoint.finite(1.0 + 0.9 * TOL * 1j), True),
+    ("1.5-tol", SpherePoint.finite(1.0 + 0j), SpherePoint.finite(1.0 + 1.5 * TOL * 1j), False),
+]
+
+
+def _scalar_dedup(points, tol):
+    out = []
+    for p in points:
+        if not any(coincide(p, q, tol) for q in out):
+            out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("name, p, q, same", SCREEN_CASES, ids=[c[0] for c in SCREEN_CASES])
+def test_dedup_screen_matches_the_scalar_rule(name, p, q, same):
+    assert coincide(p, q, TOL) == same
+    # the screen passes every pair that coincides
+    assert near_pairs(normalized_pairs([p]), normalized_pairs([q]), TOL)[0, 0] or not same
+    kept = dedup_points([p, q], TOL)
+    assert [id(x) for x in kept] == ([id(p)] if same else [id(p), id(q)])
+
+
+def test_dedup_of_a_mixed_list_matches_the_scalar_rule():
+    points = [x for _, p, q, _ in SCREEN_CASES for x in (p, q)]
+    points += [SpherePoint.finite(0.3 - 2.5j), SpherePoint.finite(-1.5e7 + 3j)]
+    points = points + points[::-1]
+    assert [id(x) for x in dedup_points(points, TOL)] == \
+        [id(x) for x in _scalar_dedup(points, TOL)]
