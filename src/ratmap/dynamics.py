@@ -7,10 +7,15 @@ exact orbit steps exactly until a coordinate passes EXACT_HEIGHT_CAP_BITS
 The cycles of period p come from the fixed points of R^p, found by Aberth
 on the orbit recursion in a fixed Möbius chart (never on an expanded
 polynomial), merged where multiple and snapped to exact points where exact
-iteration verifies them; R maps each to the solved point nearest its image,
-and the chains of p points that close are the cycles of period p.  Each
-period is certified by the rational fixed-point formula sum 1/(1 - mu) = 1;
-a failed or uncertified period is a coded warning, and the search goes on.
+iteration verifies them.  A snap is first walked p steps modulo a prime
+(_screen_rejects): reduction modulo the prime is a ring map, so an exact
+fixed point is one modulo the prime too, and only a snap that passes is
+iterated in Fraction arithmetic; the screen cannot change a verdict, it
+only spares the exact walk of most non-fixed snaps.  R maps each solved
+point to the solved point nearest its image, and the chains of p points
+that close are the cycles of period p.  Each period is certified by the
+rational fixed-point formula sum 1/(1 - mu) = 1; a failed or uncertified
+period is a coded warning, and the search goes on.
 
 Cycle classification never guesses: super-attraction is decided by
 criticality of the cycle (exactly, when the map is exact), attracting and
@@ -36,7 +41,7 @@ from .errors import (
 )
 from .rational import EXACT_HEIGHT_CAP_BITS, CriticalPoint, RationalMap, point_height_bits
 from .roots import DEFAULT_CLUSTER_RADIUS, find_roots, find_zeros, polish, snap, start_circle
-from .scalars import GaussianRational
+from .scalars import MODULAR_PRIME, GaussianRational, mod_prime
 from .sphere import (
     INFINITY,
     SpherePoint,
@@ -283,15 +288,49 @@ def _polish_in_balanced_charts(rf: RationalMap, p: int, points):
     return out
 
 
+def _screen_rejects(r: RationalMap, value, p: int) -> bool:
+    """True when R^p(c) != c shows modulo MODULAR_PRIME, for c = value (infinity for None).
+
+    The homogeneous pair (u : v) = R^p_h(c1 : c2) is walked modulo the prime
+    q.  Reduction mod q is a ring map on the Gaussian rationals whose
+    denominators are prime to q, and an exact fixed point has
+    u c2 - v c1 = 0, hence 0 mod q: a fixed point is never rejected.  The
+    screen declines (False) when q divides a denominator of c or of a
+    coefficient; a pair that vanishes mod q gives 0 and passes too.
+    """
+    coeffs = r.coeffs_mod_prime
+    c1, c2 = (1, 0) if value is None else (mod_prime(value), 1)
+    if coeffs is None or c1 is None:
+        return False
+    q = MODULAR_PRIME
+    (p0, *pc), (q0, *qc) = coeffs
+    u, v = c1, c2
+    for _ in range(p):
+        pu, qu, vi = p0, q0, 1
+        for a, b in zip(pc, qc):
+            vi = vi * v % q
+            pu = (pu * u + a * vi) % q
+            qu = (qu * u + b * vi) % q
+        u, v = pu, qu
+    return (u * c2 - v * c1) % q != 0
+
+
 def _exact_fixed_point(r: RationalMap, x: SpherePoint, p: int) -> SpherePoint | None:
-    """The snap of x when it is exactly a fixed point of R^p, else None."""
-    if x.chordal(INFINITY) <= DEFAULT_CLUSTER_RADIUS:
-        cand = INFINITY
-    else:
+    """The snap of x when it is exactly a fixed point of R^p, else None.
+
+    The modular screen (_screen_rejects) turns most snaps away before any
+    Fraction arithmetic.  It never rejects a fixed point, and every snap it
+    passes is checked by exact iteration, so the verdict is that of the exact
+    iteration alone.
+    """
+    value = None
+    if x.chordal(INFINITY) > DEFAULT_CLUSTER_RADIUS:
         value = snap(complex(x.z))
         if value is None:
             return None
-        cand = SpherePoint.finite(value)
+    if _screen_rejects(r, value, p):
+        return None
+    cand = INFINITY if value is None else SpherePoint.finite(value)
     y = cand
     for _ in range(p):
         if point_height_bits(y) > EXACT_HEIGHT_CAP_BITS:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputFormatError
 from .scalars import GaussianRational, as_scalar, is_exact, scalar_is_zero
 
 
@@ -182,6 +183,17 @@ class Polynomial:
         return a.monic_exact()
 
     # -- numeric helpers ----------------------------------------------------
+
+    def to_complex(self) -> "Polynomial":
+        """The polynomial with complex coefficients.
+
+        Raises InputFormatError when an exact coefficient has no finite
+        floating value.
+        """
+        try:
+            return Polynomial(complex(c) for c in self.coeffs)
+        except OverflowError:
+            raise InputFormatError("an exact coefficient has no finite floating value") from None
 
     def to_complex_array(self) -> np.ndarray:
         return np.array([complex(c) for c in self.coeffs], dtype=complex)

@@ -23,9 +23,9 @@ from .errors import (
     MapDegreeError,
     ValencyAmbiguousError,
 )
-from .poly import Polynomial, vanishing_order_exact
+from .poly import Polynomial
 from .roots import find_roots
-from .scalars import GaussianRational, is_exact, to_complex
+from .scalars import GaussianRational, is_exact, mod_prime, to_complex
 from .sphere import INFINITY, SpherePoint
 
 DEFAULT_TOLERANCE = 1e-9
@@ -84,10 +84,20 @@ class RationalMap:
         self._wronskian_rev = (
             self._q_rev.derivative() * self._p_rev - self._q_rev * self._p_rev.derivative()
         )
+        # the coefficients of P_h and Q_h modulo MODULAR_PRIME, padded to d + 1;
+        # None for a floating map or when MODULAR_PRIME divides a denominator
+        self.coeffs_mod_prime = None
+        if self.is_exact:
+            reduced = [[0] * (d - f.degree) + [mod_prime(c) for c in f.coeffs] for f in (p, q)]
+            if None not in reduced[0] + reduced[1]:
+                self.coeffs_mod_prime = reduced
         self._floating = None
+        self._scale = None
         # memoization only: entries are write-once per key and recomputation
         # is harmless, so concurrent readers stay safe
         self._preimage_cache = {}
+        self._wronskian_chains = {}
+        self._exact_valencies = {}
 
     # -- basics ----------------------------------------------------------
 
@@ -102,8 +112,8 @@ class RationalMap:
         if self._floating is None:
             # coprimality was established exactly; do not re-check in floats
             self._floating = RationalMap(
-                Polynomial(complex(c) for c in self.p.coeffs),
-                Polynomial(complex(c) for c in self.q.coeffs),
+                self.p.to_complex(),
+                self.q.to_complex(),
                 tolerance=self.tolerance,
                 verified_coprime=True,
             )
@@ -113,7 +123,9 @@ class RationalMap:
         return f"RationalMap(degree={self.degree}, exact={self.is_exact})"
 
     def _coeff_scale(self) -> float:
-        return max(self.p.coeff_scale(), self.q.coeff_scale())
+        if self._scale is None:
+            self._scale = max(self.p.coeff_scale(), self.q.coeff_scale())
+        return self._scale
 
     # -- evaluation --------------------------------------------------------
 
@@ -165,9 +177,7 @@ class RationalMap:
         if is_exact(yv) and self.is_exact:
             return self.p - self.q * yv
         fl = self.floating()
-        return Polynomial(
-            [complex(c) for c in fl.p.coeffs]
-        ) - Polynomial([complex(c) for c in fl.q.coeffs]) * to_complex(yv)
+        return fl.p - fl.q * to_complex(yv)
 
     def preimages(self, y: SpherePoint):
         """Multiset R^-1(y) as (point, multiplicity); multiplicities sum to d."""
@@ -198,13 +208,30 @@ class RationalMap:
 
     # -- valency ---------------------------------------------------------------
 
-    def _vanishing_order_float(self, poly: Polynomial, x0: complex) -> int:
+    def _wronskian_chain(self, at_infinity: bool, exact: bool):
+        """[(g, coeff_scale of g)] for W and its nonzero derivatives, built once.
+
+        W_rev at infinity; floating W is W with complex coefficients, and
+        the exact chain carries no scales.
+        """
+        key = (at_infinity, exact)
+        chain = self._wronskian_chains.get(key)
+        if chain is None:
+            g = self._wronskian_rev if at_infinity else self.wronskian
+            if not (exact or at_infinity):
+                g = g.to_complex()
+            chain = []
+            while not g.is_zero:
+                chain.append((g, None if exact else g.coeff_scale()))
+                g = g.derivative()
+            self._wronskian_chains[key] = chain
+        return chain
+
+    def _vanishing_order_float(self, chain, x0: complex) -> int:
         """First non-vanishing derivative order, with a tolerance gray zone."""
-        g = poly
-        k = 0
         tol = self.tolerance
-        while not g.is_zero:
-            scale = g.coeff_scale() * max(1.0, abs(x0)) ** max(g.degree, 0)
+        for k, (g, coeff_scale) in enumerate(chain):
+            scale = coeff_scale * max(1.0, abs(x0)) ** g.degree
             val = abs(complex(g.evaluate(x0)))
             ratio = val / scale if scale > 0 else 0.0
             if ratio > 1000.0 * tol:
@@ -215,23 +242,28 @@ class RationalMap:
                     candidates=(k + 1, k + 2),
                     point=str(x0), ratio=ratio,
                 )
-            k += 1
-            g = g.derivative()
-        return k
+        return len(chain)
 
     def valency_at(self, x: SpherePoint) -> int:
         """Local degree val(R, x) via the vanishing order of W in charts."""
         if x.is_infinity:
-            w_poly = self._wronskian_rev
-            if self.is_exact:
-                return 1 + vanishing_order_exact(w_poly, GaussianRational(0))
-            return 1 + self._vanishing_order_float(w_poly, 0j)
-        z = x.value()
-        if is_exact(z) and self.is_exact:
-            return 1 + vanishing_order_exact(self.wronskian, z)
-        return 1 + self._vanishing_order_float(
-            Polynomial(complex(c) for c in self.wronskian.coeffs), to_complex(z)
-        )
+            exact = self.is_exact
+            z = GaussianRational(0) if exact else 0j
+        else:
+            z = x.value()
+            exact = is_exact(z) and self.is_exact
+            if not exact:
+                z = to_complex(z)
+        chain = self._wronskian_chain(x.is_infinity, exact)
+        if not exact:
+            return 1 + self._vanishing_order_float(chain, z)
+        # orbits come back to the same exact points, the critical ones above all
+        key = None if x.is_infinity else (z.re, z.im)
+        if key not in self._exact_valencies:
+            # the exact vanishing order of W at z, as poly.vanishing_order_exact
+            self._exact_valencies[key] = 1 + next(
+                (k for k, (g, _) in enumerate(chain) if not g.evaluate(z).is_zero()), len(chain))
+        return self._exact_valencies[key]
 
     def valency(self, n: int, x: SpherePoint) -> int:
         """val(R^n, x) by the chain rule for local degree."""

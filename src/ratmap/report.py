@@ -189,8 +189,7 @@ def parse_map(document, *, tolerance: float = 1e-9) -> RationalMap:
     q = Polynomial(_parse_coeff(c) for c in den)
     if p.is_exact != q.is_exact:
         # one floating coefficient demotes everything
-        p = Polynomial(complex(c) for c in p.coeffs)
-        q = Polynomial(complex(c) for c in q.coeffs)
+        p, q = p.to_complex(), q.to_complex()
     candidate_degree = max(p.degree, q.degree)
     if candidate_degree < 2:
         raise MapDegreeError(
@@ -256,6 +255,14 @@ def run_analysis(r: RationalMap, config: AnalysisConfig | None = None) -> Report
         declarations.append(d)
 
     crit = critical_points(r)
+    divisor = critical_divisor_degree(crit)
+    if divisor != 2 * r.degree - 2:
+        warnings.append({
+            "code": "critical-divisor-mismatch",
+            "message": "the critical divisor does not have degree 2d - 2",
+            "found": divisor,
+            "expected": 2 * r.degree - 2,
+        })
     cycles, truncated_periods, cycle_warnings = periodic_cycles(
         r, config.max_period, work_cap=config.period_work_cap
     )
@@ -341,7 +348,7 @@ def run_analysis(r: RationalMap, config: AnalysisConfig | None = None) -> Report
             }
             for c in crit
         ],
-        "critical_divisor_degree": critical_divisor_degree(crit),
+        "critical_divisor_degree": divisor,
         "cycles": [
             {
                 "id": c.cycle_id,

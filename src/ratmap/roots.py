@@ -169,12 +169,36 @@ def _linked(points, radius, radii, i, j) -> bool:
     return _chordal_c(points[i], points[j]) <= radius or gap <= 10.0 * (radii[i] + radii[j])
 
 
+# relative margin of the pair screen, far above the rounding of either evaluation
+PAIR_SCREEN_SLACK = 1e-9
+
+
+def _screened_pairs(points: np.ndarray, radius: float, radii):
+    """The pairs (i, j), i < j, in row order, that _linked may accept.
+
+    The arrays repeat _linked's chordal and gap formulas; they differ from
+    its scalar values by rounding only, so a pair above both bounds by the
+    relative margin PAIR_SCREEN_SLACK cannot link.  A NaN is never screened
+    out.
+    """
+    z = np.asarray(points, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.abs(z[:, None] - z[None, :])
+        norm = np.hypot(np.abs(z), 1.0)
+        far = 2.0 * gap / np.outer(norm, norm) > radius * (1.0 + PAIR_SCREEN_SLACK)
+        if radii is not None:
+            radii = np.asarray(radii, dtype=float)
+            far &= gap > 10.0 * (radii[:, None] + radii[None, :]) * (1.0 + PAIR_SCREEN_SLACK)
+    return np.argwhere(np.triu(~far, 1))
+
+
 def _cluster(points: np.ndarray, radius: float, radii=None):
     """Union-find clustering under the chordal metric.
 
     Given uncertainty radii, two points whose radii are both below 1e-3 of
     their distance are never linked, and two points within ten times the
-    sum of their radii always are.
+    sum of their radii always are.  Only the pairs _screened_pairs passes
+    are tested.
     """
     n = len(points)
     parent = list(range(n))
@@ -185,12 +209,11 @@ def _cluster(points: np.ndarray, radius: float, radii=None):
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _linked(points, radius, radii, i, j):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    for i, j in _screened_pairs(points, radius, radii).tolist():
+        if _linked(points, radius, radii, i, j):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[rj] = ri
     groups = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)

@@ -138,6 +138,23 @@ class GaussianRational:
         return scalar_str(self)
 
 
+# A prime q = 1 (mod 4) and a square root of -1 modulo q.  a + bi -> a + b*MODULAR_I
+# (mod q) is a ring map on the Gaussian rationals whose denominators are prime
+# to q, so an exact identity between such numbers holds modulo q as well.
+MODULAR_PRIME = 2**61 + 21
+MODULAR_I = 1035093963448091331
+
+
+def mod_prime(x: GaussianRational) -> int | None:
+    """The image of x modulo MODULAR_PRIME; None when q divides a denominator."""
+    q = MODULAR_PRIME
+    den = x.re.denominator * x.im.denominator
+    if den % q == 0:
+        return None
+    num = x.re.numerator * x.im.denominator + x.im.numerator * x.re.denominator * MODULAR_I
+    return num * pow(den, -1, q) % q
+
+
 def is_exact(value) -> bool:
     return isinstance(value, (GaussianRational, int, Fraction))
 

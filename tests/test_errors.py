@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from ratmap.dynamics import periodic_cycles
 from ratmap.errors import (
     DegenerateMapError,
     IndeterminateEvaluationError,
+    InputFormatError,
     MultiplicityAmbiguousError,
     RootFindingFailedError,
     ValencyAmbiguousError,
@@ -166,3 +168,31 @@ def test_snap_of_a_non_finite_center_is_no_candidate():
     assert snap(complex(math.nan, 0.0)) is None
     assert snap(complex(math.inf, 1.0)) is None
     assert _snap_root(Polynomial([1, 0, -2]), complex(math.nan, math.nan)) is None
+
+
+@pytest.mark.parametrize("doc", [
+    {"numerator": ["1", "0", "1" + "0" * 400], "denominator": ["1"]},
+    {"numerator": ["1", "0", "1"], "denominator": ["1" + "0" * 400]},
+])
+def test_an_exact_coefficient_beyond_float_range_is_an_input_error(doc):
+    r = parse_map(doc)
+    with pytest.raises(InputFormatError, match="no finite floating value"):
+        run_analysis(r)
+    # one decimal coefficient demotes the map while it is parsed
+    doc = dict(doc, denominator=doc["denominator"] + ["0.0"])
+    with pytest.raises(InputFormatError, match="no finite floating value"):
+        parse_map(doc)
+
+
+def test_a_critical_divisor_other_than_2d_minus_2_is_a_coded_warning():
+    # the floating Wronskian root near -2e200 rounds to infinity, which is
+    # critical itself, so infinity is listed twice
+    r = parse_map({"numerator": ["1", "0", "1"], "denominator": ["1e-200", "1"]})
+    report = json.loads(run_analysis(r, AnalysisConfig(max_period=1)).to_json_bytes())
+    assert report["critical_divisor_degree"] == 3
+    mismatch = [w for w in report["warnings"] if w["code"] == "critical-divisor-mismatch"]
+    assert [(w["found"], w["expected"]) for w in mismatch] == [(3, 2)]
+    exact = parse_map({"numerator": ["1", "0", "1"], "denominator": ["1/10", "1"]})
+    report = json.loads(run_analysis(exact, AnalysisConfig(max_period=1)).to_json_bytes())
+    assert report["critical_divisor_degree"] == 2
+    assert all(w["code"] != "critical-divisor-mismatch" for w in report["warnings"])

@@ -8,7 +8,7 @@ import pytest
 
 from ratmap.errors import RootFindingFailedError
 from ratmap.poly import Polynomial
-from ratmap.roots import _eval_scaled, find_roots
+from ratmap.roots import _cluster, _eval_scaled, _linked, find_roots
 from ratmap.scalars import GaussianRational
 
 
@@ -130,3 +130,47 @@ def test_scaled_residual_past_float_range():
     # |z|^2 overflows: |p(z)| / |z|^2 = |1 + 1/z^2|
     for z in (-2e200 + 0j, np.complex128(3e250j)):
         assert _eval_scaled(coeffs, z) == pytest.approx(1.0)
+
+
+def _cluster_pairwise(points, radius, radii=None):
+    """roots._cluster as it was before the pair screen: every pair through _linked."""
+    n = len(points)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if _linked(points, radius, radii, i, j):
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return sorted((sorted(idx) for idx in groups.values()), key=lambda g: g[0])
+
+
+def _point_cloud(rng):
+    """Clusters of spreads around both clustering radii, at magnitudes up to 1e200."""
+    points = []
+    for _ in range(rng.integers(2, 8)):
+        center = complex(*rng.normal(size=2)) * 10.0 ** rng.choice([-3, 0, 2, 80, 160, 200])
+        spread = 10.0 ** rng.uniform(-9, -3) * max(1.0, abs(center))
+        points += [center + spread * complex(*rng.normal(size=2))
+                   for _ in range(rng.integers(1, 6))]
+    return np.array(points)
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("with_radii", [False, True])
+def test_screened_clusters_match_the_pairwise_loop(seed, with_radii):
+    rng = np.random.default_rng(seed)
+    z = _point_cloud(rng)
+    radii = 10.0 ** rng.uniform(-12, -4, size=len(z)) if with_radii else None
+    for radius in (1e-6, 1e-5):
+        assert _cluster(z, radius, radii) == _cluster_pairwise(z, radius, radii)

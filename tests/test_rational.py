@@ -5,11 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from ratmap.dynamics import DEFAULT_MAX_PERIOD, critical_points, periodic_cycles
 from ratmap.errors import MapDegreeError
-from ratmap.poly import Polynomial
+from ratmap.poly import Polynomial, vanishing_order_exact
 from ratmap.rational import RationalMap
-from ratmap.scalars import GaussianRational
+from ratmap.report import parse_map
+from ratmap.scalars import GaussianRational, is_exact
 from ratmap.sphere import INFINITY, SpherePoint, coincide
+
+from .test_report import DECIMAL_TWINS, WORKED_MAPS
 
 
 def cheb():
@@ -82,6 +86,37 @@ def test_valency_chain_rule():
         n, m = rng.randint(1, 3), rng.randint(1, 3)
         xn = r.iterate(x, n)
         assert r.valency(n + m, x) == r.valency(n, x) * r.valency(m, xn)
+
+
+def _valency_from_scratch(r, x):
+    """val(R, x) from W built afresh: its exact vanishing order at an exact
+    point of an exact map, its floating one otherwise."""
+    if x.is_infinity:
+        w, z = r._wronskian_rev, (GaussianRational(0) if r.is_exact else 0j)
+    else:
+        w, z = r.wronskian, x.value()
+    if r.is_exact and is_exact(z):
+        return 1 + vanishing_order_exact(w, z)
+    g, z = Polynomial(complex(c) for c in w.coeffs), complex(z)
+    k = 0
+    while not g.is_zero and (abs(complex(g.evaluate(z)))
+                             <= 1000 * r.tolerance * g.coeff_scale() * max(1.0, abs(z)) ** g.degree):
+        k += 1
+        g = g.derivative()
+    return 1 + k
+
+
+@pytest.mark.parametrize("doc", WORKED_MAPS + DECIMAL_TWINS)
+def test_valency_at_matches_a_fresh_computation(doc):
+    r = parse_map(doc)
+    cycles, _, _ = periodic_cycles(r, DEFAULT_MAX_PERIOD)
+    crit = [c.point for c in critical_points(r)]
+    points = crit + [x for c in cycles for x in c.points]
+    assert crit and any(not x.is_exact for x in points)
+    expected = [_valency_from_scratch(r, x) for x in points]
+    # the second pass reads the memoized chains and exact valencies
+    for _ in range(2):
+        assert [r.valency_at(x) for x in points] == expected
 
 
 def test_preimages_examples():

@@ -30,12 +30,20 @@ CLI_ENV = dict(
     PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
 )
 
+
+def _decimal_twin(doc):
+    """The map with every coefficient written in decimal notation."""
+    return {k: [c + ".0" for c in v] for k, v in doc.items()}
+
+
 WORKED_MAPS = [
     {"numerator": ["1", "0", "-2"], "denominator": ["1"]},
     {"numerator": ["1", "-4", "4"], "denominator": ["1", "0", "0"]},
     {"numerator": ["1", "0", "0"], "denominator": ["1"]},
 ]
-DECIMAL_TWINS = [{k: [c + ".0" for c in v] for k, v in doc.items()} for doc in WORKED_MAPS]
+DECIMAL_TWINS = [_decimal_twin(doc) for doc in WORKED_MAPS]
+# z^2 - 1, whose superattracting 2-cycle {0, -1} is exact
+EXACT_TWO_CYCLE_MAP = {"numerator": ["1", "0", "-1"], "denominator": ["1"]}
 
 
 def test_parse_map_examples():
@@ -308,7 +316,9 @@ MP2 = {"max_period": 2}
 # were still solved from the expanded polynomial of R^p: a cycle solver may
 # move floating digits, but no exact value, count, classification or fate.
 # Only corpus map 6 and its twin were recorded again, when the repelling
-# 2-cycle that solve had dropped was found.
+# 2-cycle that solve had dropped was found.  The "two-cycle" cases are
+# EXACT_TWO_CYCLE_MAP and its decimal twin, pinned before the modular screen
+# of exact fixed-point candidates.
 PINNED_REPORTS = [
     ("worked", 0, False, {},
      "370b97c3e0a4673f05eee9f37f175a1596ffe9454a49de4651b9ef0a4876b273",
@@ -430,6 +440,14 @@ PINNED_REPORTS = [
      "24facbfdead6b3b569863030a0bc3b802805f0f44456ab77d59d8a710949846f",
      "416510ccf2f53bb14797edbe1f29d5817344490905f3410759840b460634ba68",
      "d6fe0bcc82663ce53b5b68fc51fbca172915af7c87d4dabee8739dba89db1d87"),
+    ("two-cycle", 0, False, {},
+     "663801e50c6744c3a15f4f1a6cf0c3198221c3833062bf0725bf3b1dc2533d4a",
+     "014bbdde034c00631e414f03ed4c9a7d07cdff4091899c5f1e17919ee4ea0587",
+     "d56030e682526290b214eaa49c4e86fa327be7acbd47602899bb15b792e12da0"),
+    ("two-cycle", 0, True, {},
+     "cf2d180e05cb2531324d00e960d58dd96b2272b3e14b456208d5639237839018",
+     "776db60377a3ba8f04c4213863051aaff32f507e3962405b7883393cb6205808",
+     "53d42ef8a7aa3e3a82a2a7ae3d12f487610cb6ee4c8b7b2cde3f969f55964a79"),
 ]
 
 # The test id of each case embeds the JSON and text digests it was first
@@ -495,6 +513,10 @@ FIRST_PINNED_DIGESTS = [
      "e81f78fa774206a1c85e187d2cc0cee3bbfd11ccbce234e115db4140cf43e9ca"),
     ("fab364994ee1e0cb1b30fe69aab90f370d7644013737119aa0ab25810acea29e",
      "fc74edfaaf4856b41b3d929019e020528d969db0cf80a620107d8e1820ecb76d"),
+    ("663801e50c6744c3a15f4f1a6cf0c3198221c3833062bf0725bf3b1dc2533d4a",
+     "014bbdde034c00631e414f03ed4c9a7d07cdff4091899c5f1e17919ee4ea0587"),
+    ("cf2d180e05cb2531324d00e960d58dd96b2272b3e14b456208d5639237839018",
+     "776db60377a3ba8f04c4213863051aaff32f507e3962405b7883393cb6205808"),
 ]
 PINNED_IDS = [
     f"{case[0]}-{case[1]}-{case[2]}-config{i}-{first_json}-{first_text}"
@@ -535,6 +557,8 @@ def _shape(node):
 def _pinned_report(source, index, twin, config):
     if source == "worked":
         r = parse_map((DECIMAL_TWINS if twin else WORKED_MAPS)[index])
+    elif source == "two-cycle":
+        r = parse_map(_decimal_twin(EXACT_TWO_CYCLE_MAP) if twin else EXACT_TWO_CYCLE_MAP)
     else:
         r = _corpus_map(index, twin)
     return run_analysis(r, AnalysisConfig.from_dict(config))
