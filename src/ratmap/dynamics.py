@@ -323,8 +323,9 @@ def _exact_fixed_point(r: RationalMap, x: SpherePoint, p: int) -> SpherePoint | 
     passes is checked by exact iteration, so the verdict is that of the exact
     iteration alone.
     """
-    value = None
-    if x.chordal(INFINITY) > DEFAULT_CLUSTER_RADIUS:
+    if x.chordal(INFINITY) <= DEFAULT_CLUSTER_RADIUS:
+        value = None  # the candidate is infinity
+    else:
         value = snap(complex(x.z))
         if value is None:
             return None

@@ -193,7 +193,7 @@ class Polynomial:
         try:
             return Polynomial(complex(c) for c in self.coeffs)
         except OverflowError:
-            raise InputFormatError("an exact coefficient has no finite floating value") from None
+            raise InputFormatError("a coefficient has no finite floating value") from None
 
     def to_complex_array(self) -> np.ndarray:
         return np.array([complex(c) for c in self.coeffs], dtype=complex)

@@ -177,7 +177,9 @@ class RationalMap:
         if is_exact(yv) and self.is_exact:
             return self.p - self.q * yv
         fl = self.floating()
-        return fl.p - fl.q * to_complex(yv)
+        return Polynomial(
+            [complex(c) for c in fl.p.coeffs]
+        ) - Polynomial([complex(c) for c in fl.q.coeffs]) * to_complex(yv)
 
     def preimages(self, y: SpherePoint):
         """Multiset R^-1(y) as (point, multiplicity); multiplicities sum to d."""

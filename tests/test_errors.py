@@ -173,15 +173,18 @@ def test_snap_of_a_non_finite_center_is_no_candidate():
 @pytest.mark.parametrize("doc", [
     {"numerator": ["1", "0", "1" + "0" * 400], "denominator": ["1"]},
     {"numerator": ["1", "0", "1"], "denominator": ["1" + "0" * 400]},
+    # finite coefficients, but 10^400 in W = P'Q - PQ'
+    {"numerator": ["1", "0", "1" + "0" * 200], "denominator": ["1" + "0" * 200, "1"]},
 ])
-def test_an_exact_coefficient_beyond_float_range_is_an_input_error(doc):
-    r = parse_map(doc)
+def test_an_exact_map_beyond_float_range_is_an_input_error(doc):
     with pytest.raises(InputFormatError, match="no finite floating value"):
-        run_analysis(r)
+        run_analysis(parse_map(doc))
+
+
+def test_demoting_an_exact_coefficient_beyond_float_range_is_an_input_error():
     # one decimal coefficient demotes the map while it is parsed
-    doc = dict(doc, denominator=doc["denominator"] + ["0.0"])
     with pytest.raises(InputFormatError, match="no finite floating value"):
-        parse_map(doc)
+        parse_map({"numerator": ["1", "0", "1" + "0" * 400], "denominator": ["1.0"]})
 
 
 def test_a_critical_divisor_other_than_2d_minus_2_is_a_coded_warning():
