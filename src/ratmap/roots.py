@@ -181,13 +181,11 @@ def _screened_pairs(points: np.ndarray, radius: float, radii):
     relative margin PAIR_SCREEN_SLACK cannot link.  A NaN is never screened
     out.
     """
-    z = np.asarray(points, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        gap = np.abs(z[:, None] - z[None, :])
-        norm = np.hypot(np.abs(z), 1.0)
+        gap = np.abs(points[:, None] - points[None, :])
+        norm = np.hypot(np.abs(points), 1.0)
         far = 2.0 * gap / np.outer(norm, norm) > radius * (1.0 + PAIR_SCREEN_SLACK)
         if radii is not None:
-            radii = np.asarray(radii, dtype=float)
             far &= gap > 10.0 * (radii[:, None] + radii[None, :]) * (1.0 + PAIR_SCREEN_SLACK)
     return np.argwhere(np.triu(~far, 1))
 
