@@ -1,5 +1,10 @@
 """Critical points, periodic cycles, orbit fates, asymptotic valency.
 
+The critical points are the entries of the map's critical table of valency
+2 or more.  Every valency used here (criticality of a cycle, cumulative
+valency along an orbit, asymptotic valency) is a lookup in that table
+through RationalMap.valency_at, so each is decided once per map.
+
 Forward orbits are walked by one engine, Orbit, under one height guard: an
 exact orbit steps exactly until a coordinate passes EXACT_HEIGHT_CAP_BITS
 (512) bits, then in floating point.  A fate keeps its walk for later readers.
@@ -40,7 +45,7 @@ from .errors import (
     RootFindingFailedError,
 )
 from .rational import EXACT_HEIGHT_CAP_BITS, CriticalPoint, RationalMap, point_height_bits
-from .roots import DEFAULT_CLUSTER_RADIUS, find_roots, find_zeros, polish, snap, start_circle
+from .roots import DEFAULT_CLUSTER_RADIUS, find_zeros, polish, snap, start_circle
 from .scalars import MODULAR_PRIME, GaussianRational, mod_prime
 from .sphere import (
     INFINITY,
@@ -64,20 +69,9 @@ INFINITE = float("inf")
 
 
 def critical_points(r: RationalMap):
-    """All critical points with local valencies; sum(val - 1) = 2d - 2."""
-    out = []
-    w = r.wronskian
-    if w.degree >= 1:
-        for root, _mult, _res in find_roots(w):
-            pt = SpherePoint.finite(root)
-            val = r.valency_at(pt)
-            if val >= 2:
-                out.append(CriticalPoint(pt, val))
-    val_inf = r.valency_at(INFINITY)
-    if val_inf >= 2:
-        out.append(CriticalPoint(INFINITY, val_inf))
-    out.sort(key=lambda c: point_sort_key(c.point))
-    return out
+    """The entries of the critical table of valency >= 2; sum(val - 1) = 2d - 2."""
+    crit = [CriticalPoint(pt, val) for pt, val in r.critical_table() if val >= 2]
+    return sorted(crit, key=lambda c: point_sort_key(c.point))
 
 
 def critical_divisor_degree(crits) -> int:

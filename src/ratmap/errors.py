@@ -34,16 +34,6 @@ class IndeterminateEvaluationError(RatmapError):
     code = "evaluate-indeterminate"
 
 
-class ValencyAmbiguousError(RatmapError):
-    """A vanishing-order decision fell inside the tolerance gray zone."""
-
-    code = "valency-ambiguous"
-
-    def __init__(self, message, candidates, **context):
-        super().__init__(message, **context)
-        self.candidates = candidates
-
-
 class RootFindingFailedError(RatmapError):
     code = "roots-no-convergence"
 

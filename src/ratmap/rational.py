@@ -6,25 +6,29 @@ homogenizations of P and Q, infinity is the homogeneous zero of the
 denominator side (an exact zero or a verified degree drop), never a
 magnitude threshold on a chart value.
 
-Valency is computed from vanishing orders of the derivative numerator
-W = P'Q - PQ' in charts.  Preimage multiplicities are computed by the
-root finder.  The two routes are independent on purpose: the classical
-identity sum(val(R,x) for x in R^-1(y)) = d is a cross-check between
-them, not a definition.
+Valency is read from one critical table, built once per map from the
+roots of the derivative numerator W = P'Q - PQ': 1 + multiplicity at each
+root and 1 + (2d - 2 - deg W) at infinity.  An exact point of an exact map
+keeps its exact valency, 1 + the vanishing order of W there; any other
+point takes the valency of the nearest table entry within the root
+finder's cluster radius, or 1.  Preimage multiplicities come from the
+roots of P - yQ, so the identity sum(val(R,x) for x in R^-1(y)) = d is a
+cross-check between two polynomials, not a definition.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .errors import (
     DegenerateMapError,
     IndeterminateEvaluationError,
+    InputFormatError,
     MapDegreeError,
-    ValencyAmbiguousError,
 )
-from .poly import Polynomial
-from .roots import find_roots
+from .poly import Polynomial, vanishing_order_exact
+from .roots import DEFAULT_CLUSTER_RADIUS, find_roots
 from .scalars import GaussianRational, is_exact, mod_prime, to_complex
 from .sphere import INFINITY, SpherePoint
 
@@ -96,7 +100,7 @@ class RationalMap:
         # memoization only: entries are write-once per key and recomputation
         # is harmless, so concurrent readers stay safe
         self._preimage_cache = {}
-        self._wronskian_chains = {}
+        self._critical_table = None
         self._exact_valencies = {}
 
     # -- basics ----------------------------------------------------------
@@ -210,62 +214,47 @@ class RationalMap:
 
     # -- valency ---------------------------------------------------------------
 
-    def _wronskian_chain(self, at_infinity: bool, exact: bool):
-        """[(g, coeff_scale of g)] for W and its nonzero derivatives, built once.
+    def critical_table(self):
+        """[(point, val(R, point))] at each root of W, then at infinity; built once.
 
-        W_rev at infinity; floating W is W with complex coefficients, and
-        the exact chain carries no scales.
+        A root of W of multiplicity m has valency 1 + m and infinity has
+        1 + (2d - 2 - deg W), so the valencies less one sum to 2d - 2.  A
+        floating W first drops leading coefficients below the tolerance, the
+        rounding left where the leading terms of P'Q and PQ' cancel.  Raises
+        InputFormatError when W has no finite floating value.
         """
-        key = (at_infinity, exact)
-        chain = self._wronskian_chains.get(key)
-        if chain is None:
-            g = self._wronskian_rev if at_infinity else self.wronskian
-            if not (exact or at_infinity):
-                g = g.to_complex()
-            chain = []
-            while not g.is_zero:
-                chain.append((g, None if exact else g.coeff_scale()))
-                g = g.derivative()
-            self._wronskian_chains[key] = chain
-        return chain
-
-    def _vanishing_order_float(self, chain, x0: complex) -> int:
-        """First non-vanishing derivative order, with a tolerance gray zone."""
-        tol = self.tolerance
-        for k, (g, coeff_scale) in enumerate(chain):
-            scale = coeff_scale * max(1.0, abs(x0)) ** g.degree
-            val = abs(complex(g.evaluate(x0)))
-            ratio = val / scale if scale > 0 else 0.0
-            if ratio > 1000.0 * tol:
-                return k
-            if ratio > tol:
-                raise ValencyAmbiguousError(
-                    "vanishing-order decision inside the tolerance gray zone",
-                    candidates=(k + 1, k + 2),
-                    point=str(x0), ratio=ratio,
-                )
-        return len(chain)
+        if self._critical_table is None:
+            w = self.wronskian
+            if not all(cmath.isfinite(c) for c in w.to_complex().coeffs):
+                raise InputFormatError("a coefficient of W has no finite floating value")
+            if not w.is_exact:
+                w = w.strip_leading(self.tolerance * w.coeff_scale())
+            table = []
+            if w.degree >= 1:
+                table = [(SpherePoint.finite(root), 1 + mult) for root, mult, _ in find_roots(w)]
+            table.append((INFINITY, 1 + 2 * self.degree - 2 - w.degree))
+            self._critical_table = table
+        return self._critical_table
 
     def valency_at(self, x: SpherePoint) -> int:
-        """Local degree val(R, x) via the vanishing order of W in charts."""
-        if x.is_infinity:
-            exact = self.is_exact
-            z = GaussianRational(0) if exact else 0j
-        else:
-            z = x.value()
-            exact = is_exact(z) and self.is_exact
-            if not exact:
-                z = to_complex(z)
-        chain = self._wronskian_chain(x.is_infinity, exact)
-        if not exact:
-            return 1 + self._vanishing_order_float(chain, z)
-        # orbits come back to the same exact points, the critical ones above all
-        key = None if x.is_infinity else (z.re, z.im)
-        if key not in self._exact_valencies:
-            # the exact vanishing order of W at z, as poly.vanishing_order_exact
-            self._exact_valencies[key] = 1 + next(
-                (k for k, (g, _) in enumerate(chain) if not g.evaluate(z).is_zero()), len(chain))
-        return self._exact_valencies[key]
+        """Local degree val(R, x), read from the critical table.
+
+        For an exact map, an exact finite point has 1 + the exact vanishing
+        order of W there and infinity the table's exact entry.  Any other
+        point has the valency of the nearest table entry within
+        DEFAULT_CLUSTER_RADIUS, and 1 when there is none.
+        """
+        if self.is_exact and x.is_exact and not x.is_infinity:
+            # orbits come back to the same exact points, the critical ones above all
+            key = (x.z.re, x.z.im)
+            if key not in self._exact_valencies:
+                self._exact_valencies[key] = 1 + vanishing_order_exact(self.wronskian, x.z)
+            return self._exact_valencies[key]
+        table = self.critical_table()
+        if self.is_exact and x.is_infinity:
+            return table[-1][1]
+        nearest, val = min(table, key=lambda entry: x.chordal(entry[0]))
+        return val if x.chordal(nearest) <= DEFAULT_CLUSTER_RADIUS else 1
 
     def valency(self, n: int, x: SpherePoint) -> int:
         """val(R^n, x) by the chain rule for local degree."""

@@ -9,14 +9,16 @@ array and start points, so it never needs the coefficients of f:
   find_zeros.
 
 At most 200 sweeps run, then a short Newton polish.  The residual check and
-the clustering are shared (_settle).  Multiplicities are assigned by
-clustering in the chordal metric.  The assignment is ambiguous when
-re-clustering at ten times the radius changes the multiplicity profile;
-that is an error unless exact arithmetic breaks the tie.
+the clustering are shared (_settle).  Multiplicities of a floating
+polynomial are assigned by clustering in the chordal metric.  The
+assignment is ambiguous when re-clustering at ten times the radius changes
+the multiplicity profile; that is an error unless exact arithmetic breaks
+the tie.  An exact polynomial is split into square-free factors first, and
+every root of a factor is simple, so nothing is clustered.
 
-For exact polynomials every cluster is snapped to a small Gaussian
-rational candidate and kept exact only when the candidate is verified to
-be a root whose exact vanishing order matches the cluster size.  This is
+For exact polynomials every root is snapped to a small Gaussian rational
+candidate and kept exact only when the candidate is verified to be a
+root whose exact vanishing order matches its multiplicity.  This is
 what lets downstream set-membership decisions (criticality, preimage
 coincidences) run in exact arithmetic on the maps where it matters.
 """
@@ -314,8 +316,7 @@ def find_roots(p: Polynomial):
     verified exactly and a complex number otherwise.
 
     Exact polynomials are split into square-free factors first, so their
-    multiplicities are exact algebra; clustering then only has to separate
-    distinct roots, not recognize multiple ones.
+    multiplicities are exact algebra and no two roots of a factor merge.
     """
     if p.degree < 1:
         raise ValueError("find_roots needs degree >= 1")
@@ -323,7 +324,7 @@ def find_roots(p: Polynomial):
         _, factors = squarefree_decomposition_exact(p)
         results = []
         for factor, mult in factors:
-            for root, m, res in _find_roots_numeric(factor):
+            for root, m, res in _find_roots_numeric(factor, squarefree=True):
                 results.append((root, m * mult, res))
         total = sum(m for _, m, _ in results)
         if total != p.degree:
@@ -337,7 +338,8 @@ def find_roots(p: Polynomial):
     return _find_roots_numeric(p)
 
 
-def _find_roots_numeric(p: Polynomial):
+def _find_roots_numeric(p: Polynomial, squarefree: bool = False):
+    """find_roots without the square-free split; a square-free p has simple roots only."""
     exact = p.is_exact
 
     # deflate exact zeros at the origin first
@@ -375,6 +377,9 @@ def _find_roots_numeric(p: Polynomial):
         z, clusters, ambiguity = _settle(
             horner, lambda zs: [_eval_scaled(rc, zi) for zi in zs], z, degree=p.degree,
         )
+        if squarefree:
+            # two approximations in one cluster are two close simple roots
+            clusters, ambiguity = [[i] for i in range(len(z))], None
 
         pending = []
         for group in clusters:
@@ -408,6 +413,11 @@ def _find_roots_numeric(p: Polynomial):
             floating.append((center, mult))
 
         for cand, mult in merged_exact.values():
+            if squarefree and mult > 1:
+                raise MultiplicityAmbiguousError(
+                    "approximations of distinct simple roots snap to one point",
+                    point=str(cand), approximations=mult,
+                )
             order = vanishing_order_exact(reduced, cand)
             if order != mult:
                 all_resolved_exactly = False

@@ -16,7 +16,6 @@ from ratmap.errors import (
     InputFormatError,
     MultiplicityAmbiguousError,
     RootFindingFailedError,
-    ValencyAmbiguousError,
 )
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
@@ -46,13 +45,12 @@ def test_indeterminate_evaluation_never_silent():
         r.evaluate(SpherePoint.finite(1.0 + 5e-9))
 
 
-def test_valency_gray_zone_reported():
-    # floating z^2: the derivative numerator is 2z, and a point 1e-8 from the
-    # critical point lands inside the [tol, 1000 tol] gray zone
+def test_a_floating_valency_is_a_lookup_in_the_critical_table():
+    # floating z^2: the critical table is [(0, 2), (inf, 2)]; a point within
+    # the cluster radius of 0 reads its valency, a point beyond it has none
     r = RationalMap(Polynomial([1.0, 0.0, 0.0]), Polynomial([1.0]))
-    with pytest.raises(ValencyAmbiguousError) as info:
-        r.valency_at(SpherePoint.finite(1e-8 + 0j))
-    assert info.value.candidates == (1, 2)
+    assert r.valency_at(SpherePoint.finite(1e-8 + 0j)) == 2
+    assert r.valency_at(SpherePoint.finite(1e-3 + 0j)) == 1
 
 
 def test_multiplicity_ambiguity_reported():
@@ -71,6 +69,15 @@ def test_exact_mode_resolves_the_same_geometry():
     p = Polynomial([1, -1]) * Polynomial([1, -1 - g])
     roots = find_roots(p)
     assert sorted(m for _, m, _ in roots) == [1, 1]
+
+
+def test_simple_roots_that_snap_to_one_point_are_ambiguous():
+    # the square-free (z - 1/3)(z - 1/3 - 10^-13): both approximations snap
+    # to the root 1/3, and neither may be returned as a double root
+    third = GaussianRational(Fraction(1, 3))
+    p = Polynomial([1, -third]) * Polynomial([1, -third - GaussianRational(Fraction(1, 10**13))])
+    with pytest.raises(MultiplicityAmbiguousError):
+        find_roots(p)
 
 
 def test_ambiguous_indifferent_classification_is_recorded():
@@ -187,14 +194,14 @@ def test_demoting_an_exact_coefficient_beyond_float_range_is_an_input_error():
         parse_map({"numerator": ["1", "0", "1" + "0" * 400], "denominator": ["1.0"]})
 
 
-def test_a_critical_divisor_other_than_2d_minus_2_is_a_coded_warning():
-    # the floating Wronskian root near -2e200 rounds to infinity, which is
-    # critical itself, so infinity is listed twice
+def test_a_critical_point_near_infinity_is_listed_once():
+    # the floating W is 1e-200 z^2 + 2z - 1e-200; its leading coefficient is
+    # below the tolerance, so the root near -2e200 is infinity's own valency 2
     r = parse_map({"numerator": ["1", "0", "1"], "denominator": ["1e-200", "1"]})
     report = json.loads(run_analysis(r, AnalysisConfig(max_period=1)).to_json_bytes())
-    assert report["critical_divisor_degree"] == 3
-    mismatch = [w for w in report["warnings"] if w["code"] == "critical-divisor-mismatch"]
-    assert [(w["found"], w["expected"]) for w in mismatch] == [(3, 2)]
+    assert report["critical_divisor_degree"] == 2
+    assert [c["point"] for c in report["critical_points"]].count("inf") <= 1
+    assert all(w["code"] != "critical-divisor-mismatch" for w in report["warnings"])
     exact = parse_map({"numerator": ["1", "0", "1"], "denominator": ["1/10", "1"]})
     report = json.loads(run_analysis(exact, AnalysisConfig(max_period=1)).to_json_bytes())
     assert report["critical_divisor_degree"] == 2

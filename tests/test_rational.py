@@ -10,10 +10,11 @@ from ratmap.errors import MapDegreeError
 from ratmap.poly import Polynomial, vanishing_order_exact
 from ratmap.rational import RationalMap
 from ratmap.report import parse_map
+from ratmap.roots import DEFAULT_CLUSTER_RADIUS
 from ratmap.scalars import GaussianRational, is_exact
 from ratmap.sphere import INFINITY, SpherePoint, coincide
 
-from .test_report import DECIMAL_TWINS, WORKED_MAPS
+from .test_report import DECIMAL_TWINS, WORKED_MAPS, _corpus_map
 
 
 def cheb():
@@ -114,9 +115,37 @@ def test_valency_at_matches_a_fresh_computation(doc):
     points = crit + [x for c in cycles for x in c.points]
     assert crit and any(not x.is_exact for x in points)
     expected = [_valency_from_scratch(r, x) for x in points]
-    # the second pass reads the memoized chains and exact valencies
+    # the second pass reads the memoized table and exact valencies
     for _ in range(2):
         assert [r.valency_at(x) for x in points] == expected
+
+
+def test_close_critical_points_of_an_exact_map_stay_apart():
+    # z^3 - 3 a^2 z with a = 1/10000019: W = 3 (z - a)(z + a) is square-free,
+    # so its roots +-a, 2e-7 apart and not snapped, are two simple roots
+    a = GaussianRational(Fraction(1, 10000019))
+    r = RationalMap(Polynomial([1, 0, -3 * a * a, 0]), Polynomial([1]))
+    crit = critical_points(r)
+    assert [c.local_valency for c in crit] == [2, 2, 3]
+    assert crit[0].point.chordal(SpherePoint.finite(-a)) < 1e-12
+    assert crit[1].point.chordal(SpherePoint.finite(a)) < 1e-12
+    assert crit[2].point.is_infinity
+    assert r.valency_at(SpherePoint.finite(a)) == 2
+    assert r.valency_at(SpherePoint.finite(a + GaussianRational(Fraction(1, 10**20)))) == 1
+
+
+def _cross_check_maps():
+    docs = [parse_map(doc) for doc in WORKED_MAPS + DECIMAL_TWINS]
+    return docs + [_corpus_map(i, twin) for i in range(20) for twin in (False, True)]
+
+
+def test_critical_valencies_match_preimage_multiplicities():
+    # the multiplicity of c in R^-1(R(c)) comes from the roots of P - yQ, not W
+    for r in _cross_check_maps():
+        for c in critical_points(r):
+            fiber = r.preimages(r.evaluate(c.point))
+            mults = [m for x, m in fiber if coincide(x, c.point, DEFAULT_CLUSTER_RADIUS)]
+            assert mults == [c.local_valency], (r.p, r.q, c)
 
 
 def test_preimages_examples():

@@ -248,6 +248,9 @@ def test_each_critical_orbit_is_walked_once(monkeypatch):
     ('{"numerator": ["1e400", "0", "-2"], "denominator": ["1"]}', None, "input-format"),
     ('{"numerator": [NaN, "0", "-2"], "denominator": ["1"]}', None, "input-format"),
     ('{"numerator": ["1", "0", "-2"], "denominator": [-Infinity]}', None, "input-format"),
+    # the twin of (z^2 + 10^200) / (10^200 z + 1): W = P'Q - PQ' has the coefficient -inf
+    ('{"numerator": ["1.0", "0.0", "1e200"], "denominator": ["1e200", "1.0"]}', None,
+     "input-format"),
 ])
 def test_malformed_input_is_a_coded_error(tmp_path, capsys, map_text, config, code):
     map_file = tmp_path / "map.json"
