@@ -10,8 +10,8 @@ Valency is read from one critical table, built once per map from the
 roots of the derivative numerator W = P'Q - PQ': 1 + multiplicity at each
 root and 1 + (2d - 2 - deg W) at infinity.  An exact point of an exact map
 keeps its exact valency, 1 + the vanishing order of W there; any other
-point takes the valency of the nearest table entry within the root
-finder's cluster radius, or 1.  Preimage multiplicities come from the
+point takes the valency of the nearest table entry when it coincides with
+it at the map's tolerance, or 1.  Preimage multiplicities come from the
 roots of P - yQ, so the identity sum(val(R,x) for x in R^-1(y)) = d is a
 cross-check between two polynomials, not a definition.
 """
@@ -28,9 +28,9 @@ from .errors import (
     MapDegreeError,
 )
 from .poly import Polynomial, vanishing_order_exact
-from .roots import DEFAULT_CLUSTER_RADIUS, find_roots
+from .roots import find_roots
 from .scalars import GaussianRational, is_exact, mod_prime, to_complex
-from .sphere import INFINITY, SpherePoint
+from .sphere import INFINITY, SpherePoint, coincide
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -220,8 +220,12 @@ class RationalMap:
         A root of W of multiplicity m has valency 1 + m and infinity has
         1 + (2d - 2 - deg W), so the valencies less one sum to 2d - 2.  A
         floating W first drops leading coefficients below the tolerance, the
-        rounding left where the leading terms of P'Q and PQ' cancel.  Raises
-        InputFormatError when W has no finite floating value.
+        rounding left where the leading terms of P'Q and PQ' cancel.  A root
+        so large that its floating point is infinity (|z| above about 1e14)
+        cannot be told apart from infinity's own entry, so it is left out:
+        the divisor then falls short of 2d - 2 and the report warns
+        critical-divisor-mismatch.  Raises InputFormatError when W has no
+        finite floating value.
         """
         if self._critical_table is None:
             w = self.wronskian
@@ -231,7 +235,8 @@ class RationalMap:
                 w = w.strip_leading(self.tolerance * w.coeff_scale())
             table = []
             if w.degree >= 1:
-                table = [(SpherePoint.finite(root), 1 + mult) for root, mult, _ in find_roots(w)]
+                roots = [(SpherePoint.finite(root), 1 + mult) for root, mult, _ in find_roots(w)]
+                table = [entry for entry in roots if not entry[0].is_infinity]
             table.append((INFINITY, 1 + 2 * self.degree - 2 - w.degree))
             self._critical_table = table
         return self._critical_table
@@ -241,8 +246,9 @@ class RationalMap:
 
         For an exact map, an exact finite point has 1 + the exact vanishing
         order of W there and infinity the table's exact entry.  Any other
-        point has the valency of the nearest table entry within
-        DEFAULT_CLUSTER_RADIUS, and 1 when there is none.
+        point has the valency of the nearest table entry when it coincides
+        with it at the tolerance, and 1 otherwise: a point near a critical
+        point but not on it is not critical.
         """
         if self.is_exact and x.is_exact and not x.is_infinity:
             # orbits come back to the same exact points, the critical ones above all
@@ -254,7 +260,7 @@ class RationalMap:
         if self.is_exact and x.is_infinity:
             return table[-1][1]
         nearest, val = min(table, key=lambda entry: x.chordal(entry[0]))
-        return val if x.chordal(nearest) <= DEFAULT_CLUSTER_RADIUS else 1
+        return val if coincide(x, nearest, self.tolerance) else 1
 
     def valency(self, n: int, x: SpherePoint) -> int:
         """val(R^n, x) by the chain rule for local degree."""

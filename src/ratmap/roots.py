@@ -12,15 +12,15 @@ At most 200 sweeps run, then a short Newton polish.  The residual check and
 the clustering are shared (_settle).  Multiplicities of a floating
 polynomial are assigned by clustering in the chordal metric.  The
 assignment is ambiguous when re-clustering at ten times the radius changes
-the multiplicity profile; that is an error unless exact arithmetic breaks
-the tie.  An exact polynomial is split into square-free factors first, and
-every root of a factor is simple, so nothing is clustered.
+the multiplicity profile; that is an error.  An exact polynomial is split
+into square-free factors first, and every root of a factor is simple, so
+nothing is clustered.
 
 For exact polynomials every root is snapped to a small Gaussian rational
-candidate and kept exact only when the candidate is verified to be a
-root whose exact vanishing order matches its multiplicity.  This is
-what lets downstream set-membership decisions (criticality, preimage
-coincidences) run in exact arithmetic on the maps where it matters.
+candidate and kept exact when the candidate is verified to be a root; two
+approximations that snap to one root are an error.  This is what lets
+downstream set-membership decisions (criticality, preimage coincidences)
+run in exact arithmetic on the maps where it matters.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MultiplicityAmbiguousError, RootFindingFailedError
-from .poly import Polynomial, squarefree_decomposition_exact, vanishing_order_exact
+from .poly import Polynomial, squarefree_decomposition_exact
 from .scalars import GaussianRational
 
 ABERTH_MAX_ITER = 200
@@ -324,7 +324,7 @@ def find_roots(p: Polynomial):
         _, factors = squarefree_decomposition_exact(p)
         results = []
         for factor, mult in factors:
-            for root, m, res in _find_roots_numeric(factor, squarefree=True):
+            for root, m, res in _find_roots_numeric(factor):
                 results.append((root, m * mult, res))
         total = sum(m for _, m, _ in results)
         if total != p.degree:
@@ -338,8 +338,8 @@ def find_roots(p: Polynomial):
     return _find_roots_numeric(p)
 
 
-def _find_roots_numeric(p: Polynomial, squarefree: bool = False):
-    """find_roots without the square-free split; a square-free p has simple roots only."""
+def _find_roots_numeric(p: Polynomial):
+    """find_roots of a floating p, or of one square-free factor of an exact p."""
     exact = p.is_exact
 
     # deflate exact zeros at the origin first
@@ -377,11 +377,14 @@ def _find_roots_numeric(p: Polynomial, squarefree: bool = False):
         z, clusters, ambiguity = _settle(
             horner, lambda zs: [_eval_scaled(rc, zi) for zi in zs], z, degree=p.degree,
         )
-        if squarefree:
-            # two approximations in one cluster are two close simple roots
-            clusters, ambiguity = [[i] for i in range(len(z))], None
+        if exact:
+            # a square-free factor: two approximations in one cluster are two
+            # close simple roots, never one multiple root
+            clusters = [[i] for i in range(len(z))]
+        elif ambiguity is not None:
+            raise ambiguity
 
-        pending = []
+        snapped = set()
         for group in clusters:
             pts = z[group]
             center = _zap_denormals(complex(pts.mean()))
@@ -395,41 +398,18 @@ def _find_roots_numeric(p: Polynomial, squarefree: bool = False):
                 gc = g.to_complex_array()
                 gc = gc / max(abs(gc))
                 center = complex(polish(_horner(gc), np.array([center]))[0])
-            pending.append((center, mult))
-
-        # exact representation when a snapped candidate verifies exactly
-        all_resolved_exactly = True
-        merged_exact = {}
-        floating = []
-        for center, mult in pending:
-            if exact:
-                cand = _snap_root(reduced, center)
-                if cand is not None:
-                    key = (cand.re, cand.im)
-                    prev = merged_exact.get(key, (cand, 0))
-                    merged_exact[key] = (cand, prev[1] + mult)
-                    continue
-            all_resolved_exactly = False
-            floating.append((center, mult))
-
-        for cand, mult in merged_exact.values():
-            if squarefree and mult > 1:
+            # exact representation when a snapped candidate verifies exactly
+            cand = _snap_root(reduced, center) if exact else None
+            if cand is None:
+                results.append((center, mult, _eval_scaled(rc, center)))
+                continue
+            if (cand.re, cand.im) in snapped:
                 raise MultiplicityAmbiguousError(
                     "approximations of distinct simple roots snap to one point",
-                    point=str(cand), approximations=mult,
+                    point=str(cand),
                 )
-            order = vanishing_order_exact(reduced, cand)
-            if order != mult:
-                all_resolved_exactly = False
-                floating.append((complex(cand), mult))
-            else:
-                results.append((cand, mult, _eval_scaled(rc, complex(cand))))
-
-        if ambiguity is not None and not all_resolved_exactly:
-            raise ambiguity
-
-        for center, mult in floating:
-            results.append((center, mult, _eval_scaled(rc, center)))
+            snapped.add((cand.re, cand.im))
+            results.append((cand, 1, _eval_scaled(rc, complex(cand))))
 
     total_mult = sum(m for _, m, _ in results)
     if total_mult != p.degree:

@@ -23,7 +23,7 @@ from ratmap.report import AnalysisConfig, parse_map, run_analysis
 from ratmap.restricted import _find_or_make_cycle
 from ratmap.roots import _snap_root, find_roots, snap
 from ratmap.scalars import GaussianRational
-from ratmap.sphere import SpherePoint
+from ratmap.sphere import INFINITY, SpherePoint
 
 
 def test_floating_shared_root_rejected():
@@ -46,11 +46,28 @@ def test_indeterminate_evaluation_never_silent():
 
 
 def test_a_floating_valency_is_a_lookup_in_the_critical_table():
-    # floating z^2: the critical table is [(0, 2), (inf, 2)]; a point within
-    # the cluster radius of 0 reads its valency, a point beyond it has none
+    # floating z^2: the critical table is [(0, 2), (inf, 2)]; a point that
+    # coincides with 0 at the tolerance (1e-9) reads its valency, a point
+    # beyond it is not critical
     r = RationalMap(Polynomial([1.0, 0.0, 0.0]), Polynomial([1.0]))
-    assert r.valency_at(SpherePoint.finite(1e-8 + 0j)) == 2
+    assert r.valency_at(SpherePoint.finite(1e-10 + 0j)) == 2
+    assert r.valency_at(SpherePoint.finite(1e-8 + 0j)) == 1
     assert r.valency_at(SpherePoint.finite(1e-3 + 0j)) == 1
+
+
+@pytest.mark.parametrize("numerator", [["1", "0", "1/10000000"], ["1.0", "0.0", "1e-7"]])
+def test_a_fixed_point_near_a_critical_point_is_not_superattracting(numerator):
+    # z^2 + 10^-7, exact and twin: the fixed point near 1e-7 is irrational,
+    # 2e-7 from the critical point 0, and its multiplier is about 2e-7
+    r = parse_map({"numerator": numerator, "denominator": ["1"]})
+    near_zero = [c for c in periodic_cycles(r, 1)[0]
+                 if not c.points[0].is_infinity and abs(complex(c.points[0].value())) < 1e-6]
+    assert len(near_zero) == 1
+    cycle = near_zero[0]
+    assert r.valency_at(cycle.points[0]) == 1
+    assert not cycle.contains_critical
+    assert cycle.classification == "attracting"
+    assert abs(complex(cycle.multiplier) - 2e-7) < 1e-12
 
 
 def test_multiplicity_ambiguity_reported():
@@ -200,9 +217,32 @@ def test_a_critical_point_near_infinity_is_listed_once():
     r = parse_map({"numerator": ["1", "0", "1"], "denominator": ["1e-200", "1"]})
     report = json.loads(run_analysis(r, AnalysisConfig(max_period=1)).to_json_bytes())
     assert report["critical_divisor_degree"] == 2
-    assert [c["point"] for c in report["critical_points"]].count("inf") <= 1
+    assert [c["valency"] for c in report["critical_points"] if c["point"] == "inf"] == [2]
     assert all(w["code"] != "critical-divisor-mismatch" for w in report["warnings"])
     exact = parse_map({"numerator": ["1", "0", "1"], "denominator": ["1/10", "1"]})
     report = json.loads(run_analysis(exact, AnalysisConfig(max_period=1)).to_json_bytes())
     assert report["critical_divisor_degree"] == 2
     assert all(w["code"] != "critical-divisor-mismatch" for w in report["warnings"])
+
+
+@pytest.mark.parametrize("numerator, found, inf_valency, inf_class", [
+    # W = 10^-20 z^2 + 2z - 10^-20: infinity is not critical; the root near
+    # -2e20 is, but its floating point is infinity
+    (["1", "0", "1"], 1, 1, "attracting"),
+    # W = 2 10^-20 z^3 + 3z^2 - 10^-20: infinity is critical with valency 2,
+    # and the root near -1.5e20 is again a floating infinity
+    (["1", "0", "0", "1"], 3, 2, "superattracting"),
+])
+def test_an_exact_critical_point_beyond_the_finite_chart_is_a_coded_warning(
+        numerator, found, inf_valency, inf_class):
+    r = parse_map({"numerator": numerator, "denominator": ["1/1" + "0" * 20, "1"]})
+    report = json.loads(run_analysis(r, AnalysisConfig(max_period=1)).to_json_bytes())
+    assert report["critical_divisor_degree"] == found
+    inf_vals = [c["valency"] for c in report["critical_points"] if c["point"] == "inf"]
+    assert inf_vals == [v for v in [inf_valency] if v > 1]
+    mismatch = [w for w in report["warnings"] if w["code"] == "critical-divisor-mismatch"]
+    assert [(w["found"], w["expected"]) for w in mismatch] == [(found, 2 * r.degree - 2)]
+    # the fixed point at infinity keeps its exact valency and classification
+    assert r.valency_at(INFINITY) == inf_valency
+    at_inf = [c for c in periodic_cycles(r, 1)[0] if c.points[0].is_infinity]
+    assert [c.classification for c in at_inf] == [inf_class]
