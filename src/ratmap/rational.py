@@ -26,6 +26,7 @@ from .errors import (
     IndeterminateEvaluationError,
     InputFormatError,
     MapDegreeError,
+    RatmapError,
 )
 from .poly import Polynomial, vanishing_order_exact
 from .roots import find_roots
@@ -47,6 +48,11 @@ def point_height_bits(p: SpherePoint) -> int:
         return 0
     z = p.value()
     return max(_bits(z.re), _bits(z.im))
+
+
+def _padded(f: Polynomial, d: int) -> list:
+    """The d + 1 coefficients of f, highest degree first, with leading zeros."""
+    return [0] * (d + 1 - len(f.coeffs)) + list(f.coeffs)
 
 
 class RationalMap:
@@ -101,6 +107,7 @@ class RationalMap:
         # is harmless, so concurrent readers stay safe
         self._preimage_cache = {}
         self._critical_table = None
+        self._critical_values = None
         self._exact_valencies = {}
 
     # -- basics ----------------------------------------------------------
@@ -174,16 +181,35 @@ class RationalMap:
     # -- preimages -----------------------------------------------------------
 
     def _target_polynomial(self, y: SpherePoint) -> Polynomial:
-        """The polynomial whose sphere roots are R^-1(y): P - y Q, or Q for y = inf."""
+        """The polynomial whose sphere roots are R^-1(y): P - y Q, or Q for y = inf.
+
+        A floating target drops the leading coefficients that are rounding:
+        for Q, those within the tolerance times the coefficient scale; for
+        P - yQ, each a_k = p_k - y q_k with |a_k| <= tol (|p_k| + |y| |q_k|),
+        so a coefficient where q_k = 0, equal to p_k, stays however large y is.
+        """
         if y.is_infinity:
-            return self.q
+            if self.q.is_exact:
+                return self.q
+            return self.q.strip_leading(
+                self.tolerance * max(self._coeff_scale(), self.q.coeff_scale()))
         yv = y.value()
         if is_exact(yv) and self.is_exact:
             return self.p - self.q * yv
         fl = self.floating()
-        return Polynomial(
+        yc = to_complex(yv)
+        a = Polynomial(
             [complex(c) for c in fl.p.coeffs]
-        ) - Polynomial([complex(c) for c in fl.q.coeffs]) * to_complex(yv)
+        ) - Polynomial([complex(c) for c in fl.q.coeffs]) * yc
+        n = len(a.coeffs)
+        scales = [
+            abs(pk) + abs(yc) * abs(qk)
+            for pk, qk in zip(_padded(fl.p, self.degree)[-n:], _padded(fl.q, self.degree)[-n:])
+        ]
+        k = 0
+        while k < n and abs(a.coeffs[k]) <= self.tolerance * scales[k]:
+            k += 1
+        return Polynomial(a.coeffs[k:])
 
     def preimages(self, y: SpherePoint):
         """Multiset R^-1(y) as (point, multiplicity); multiplicities sum to d."""
@@ -192,8 +218,6 @@ class RationalMap:
         if cached is not None:
             return cached
         a = self._target_polynomial(y)
-        if not a.is_exact:
-            a = a.strip_leading(self.tolerance * max(self._coeff_scale(), a.coeff_scale()))
         if a.is_zero:
             raise DegenerateMapError("target polynomial vanished identically")
         inf_mult = self.degree - a.degree
@@ -240,6 +264,20 @@ class RationalMap:
             table.append((INFINITY, 1 + 2 * self.degree - 2 - w.degree))
             self._critical_table = table
         return self._critical_table
+
+    def critical_values(self):
+        """[(R(c), val(R, c))] for each critical-table entry c of valency > 1,
+        with None for R(c) where evaluation raises RatmapError; built once."""
+        if self._critical_values is None:
+            values = []
+            for c, val in self.critical_table():
+                if val > 1:
+                    try:
+                        values.append((self.evaluate(c), val))
+                    except RatmapError:
+                        values.append((None, val))
+            self._critical_values = values
+        return self._critical_values
 
     def valency_at(self, x: SpherePoint) -> int:
         """Local degree val(R, x), read from the critical table.

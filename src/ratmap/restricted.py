@@ -20,6 +20,15 @@ non-critical x holds R(x), so the closure of any point of such a cycle holds
 the whole cycle; being the least set that holds its seed and is closed under
 the rules, it is the same set (or the same None past 4 points) for every
 point of the cycle.  A cycle with a critical member keeps one seed per point.
+
+Each closure is budgeted by simple preimages.  A point a has
+s(a) = d - sum(val(c) for critical c with R(c) = a) simple preimages, and
+the simple preimages of distinct members of a closure E are distinct
+members of E, so sum(s(a) for a in E) <= |E|.  The closure is given up as
+soon as that sum over the members found so far passes 4, before their
+preimages are solved.  The count taken is a lower bound: a critical value
+within DEFAULT_CLUSTER_RADIUS of a counts as over a, and so does one whose
+evaluation failed.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from .dynamics import (
 )
 from .errors import JuliaMembershipUndeterminedError, RatmapError
 from .rational import RationalMap
+from .roots import DEFAULT_CLUSTER_RADIUS
 from .sphere import (
     SpherePoint,
     coincide,
@@ -121,15 +131,39 @@ class ExposedScan:
     notes: list = field(default_factory=list)
 
 
+def _simple_preimage_count(r: RationalMap, a: SpherePoint) -> int:
+    """At most the number of simple preimages of a: d less the valencies of
+    the critical points whose image lies within DEFAULT_CLUSTER_RADIUS of a,
+    a critical point whose image raised counting as near every point."""
+    near = sum(val for v, val in r.critical_values()
+               if v is None or v.chordal(a) <= DEFAULT_CLUSTER_RADIUS)
+    return max(0, r.degree - near)
+
+
 def _closure(r: RationalMap, seed: SpherePoint, crit_pts, tol, max_size=4):
     """Minimal superset of the seed closed under forward images at
     non-critical members and non-critical preimages of all members.
 
     Any finite restricted-orbit-invariant set containing the seed contains
     this closure, so a closure that grows past max_size rules the seed out.
+    The simple preimages of distinct members are distinct members, so the
+    members' simple-preimage counts sum to at most the closure's size: the
+    seed is ruled out, before any preimage is solved, once that sum over
+    the members found so far passes max_size.
     """
-    pts = [seed]
-    queue = [seed]
+    pts = []
+    queue = []
+    simple = 0
+
+    def ruled_out(p):
+        nonlocal simple
+        pts.append(p)
+        queue.append(p)
+        simple += _simple_preimage_count(r, p)
+        return len(pts) > max_size or simple > max_size
+
+    if ruled_out(seed):
+        return None
     while queue:
         a = queue.pop()
         if not contains_point(crit_pts, a, tol):
@@ -137,11 +171,8 @@ def _closure(r: RationalMap, seed: SpherePoint, crit_pts, tol, max_size=4):
                 fa = r.evaluate(a)
             except RatmapError:
                 return None
-            if not contains_point(pts, fa, tol):
-                pts.append(fa)
-                queue.append(fa)
-                if len(pts) > max_size:
-                    return None
+            if not contains_point(pts, fa, tol) and ruled_out(fa):
+                return None
         try:
             pres = r.preimages(a)
         except RatmapError:
@@ -149,11 +180,8 @@ def _closure(r: RationalMap, seed: SpherePoint, crit_pts, tol, max_size=4):
         for pre, mult in pres:
             if mult > 1:
                 continue  # critical preimage: not forced into the set
-            if not contains_point(pts, pre, tol):
-                pts.append(pre)
-                queue.append(pre)
-                if len(pts) > max_size:
-                    return None
+            if not contains_point(pts, pre, tol) and ruled_out(pre):
+                return None
     return pts
 
 
@@ -217,15 +245,22 @@ def _verify_critical_invariance(r: RationalMap, pts, depth, tol, fates=None):
                             continue
                         if c2 == v and not contains_point(pts, pre, tol):
                             return False
-                        dup = any(
-                            c2 == c0 and coincide(pre, p0, tol) for p0, c0 in new
-                        )
-                        if not dup:
-                            new.append((pre, c2))
-                frontier = new
+                        new.append((pre, c2))
+                frontier = _dedup_by_valency(new, tol)
                 if not frontier:
                     break
     return True
+
+
+def _dedup_by_valency(nodes, tol):
+    """The (point, cumulative valency) nodes left, in order, when each is
+    dropped that coincides with a kept earlier node of the same valency."""
+    classes = {}
+    for i, (_, cum) in enumerate(nodes):
+        classes.setdefault(cum, []).append(i)
+    kept = sorted(idx[k] for idx in classes.values()
+                  for k in dedup_indices([nodes[i][0] for i in idx], tol))
+    return [nodes[i] for i in kept]
 
 
 def _find_or_make_cycle(r: RationalMap, pts, cycles, tol, warnings):

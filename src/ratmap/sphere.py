@@ -176,14 +176,19 @@ def dedup_points(points, tol):
 def dedup_indices(points, tol):
     """The indices of the points dedup_points keeps, in order.
 
-    Only the pairs that near_pairs passes go through coincide.
+    Only the pairs whose screen_keys differ by at most 2 tol + SCREEN_SLACK
+    go through coincide; sorting the keys finds those pairs in n log n.
     """
-    table = normalized_pairs(points)
-    near = near_pairs(table, table, tol)
+    keys = screen_keys(points)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    reach = 2.0 * tol + SCREEN_SLACK
+    lo = np.searchsorted(sorted_keys, keys - reach, "left")
+    hi = np.searchsorted(sorted_keys, keys + reach, "right")
     keep = np.zeros(len(points), dtype=bool)
     for i, p in enumerate(points):
         keep[i] = not any(coincide(p, points[j], tol)
-                          for j in np.flatnonzero(near[i, :i] & keep[:i]))
+                          for j in order[lo[i]:hi[i]] if j < i and keep[j])
     return [int(i) for i in np.flatnonzero(keep)]
 
 
@@ -208,6 +213,24 @@ def normalized_pairs(points) -> np.ndarray:
 
 # far above the rounding of either chordal evaluation (a few units in the last place of 2)
 SCREEN_SLACK = 1e-14
+# a unit vector off every coordinate plane, so that points sharing a
+# coordinate (conjugates, points of one modulus) do not share a key
+SCREEN_AXIS = np.array([0.48, 0.6, 0.64])
+
+
+def screen_keys(points) -> np.ndarray:
+    """Each point's place on the unit sphere of R^3, projected on SCREEN_AXIS.
+
+    A row (a0, a1) of normalized_pairs lies over the point
+    X = (2 Re a0 conj(a1), 2 Im a0 conj(a1), |a0|^2 - |a1|^2) of the unit
+    sphere, and |X - Y| is the chordal distance 2|a0 b1 - a1 b0|.  So the
+    keys of two points differ by at most their chordal distance, up to
+    rounding far below SCREEN_SLACK, and equal points have equal keys.
+    """
+    a = normalized_pairs(points)
+    h = a[:, 0] * np.conj(a[:, 1])
+    height = np.abs(a[:, 0]) ** 2 - np.abs(a[:, 1]) ** 2
+    return np.stack([2.0 * h.real, 2.0 * h.imag, height], axis=1) @ SCREEN_AXIS
 
 
 def array_chordal(a: np.ndarray, b: np.ndarray) -> np.ndarray:

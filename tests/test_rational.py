@@ -163,6 +163,24 @@ def test_preimages_examples():
     assert len(got0) == 1 and got0[0][1] == 2
 
 
+# floating polynomials whose P - yQ at large y once lost its leading
+# coefficients to a threshold scaled by y: each gave (inf, 3) as the fiber
+# of a finite point, and false exposed-bound-violation warnings
+SMALL_LEADING_POLYNOMIALS = [
+    ([-8e-4, 2e-5, 30, 8e-6], [-9e4]),
+    ([2e-4, -0.9, 3e-5, 6e-2], [7e4]),
+]
+
+
+@pytest.mark.parametrize("p, q", SMALL_LEADING_POLYNOMIALS)
+@pytest.mark.parametrize("y", [335385.1975563968, -2.5e7 + 4e6j, 1e12, 0.5])
+def test_no_finite_point_of_a_polynomial_has_infinity_as_preimage(p, q, y):
+    r = RationalMap(Polynomial(complex(c) for c in p), Polynomial(complex(c) for c in q))
+    fiber = r.preimages(SpherePoint.finite(y))
+    assert sum(m for _, m in fiber) == r.degree
+    assert not any(x.is_infinity for x, _ in fiber)
+
+
 def test_preimage_valency_sum_is_degree():
     # the valency of each preimage, computed by the derivative route,
     # must sum to the degree, computed by the multiplicity route

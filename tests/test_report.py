@@ -300,15 +300,17 @@ def test_cli_rejects_low_degree(tmp_path):
     assert "degree" in proc.stderr
 
 
+def _floating_twin(r: RationalMap) -> RationalMap:
+    return RationalMap(Polynomial(complex(c) for c in r.p.coeffs),
+                       Polynomial(complex(c) for c in r.q.coeffs))
+
+
 def _corpus_map(index: int, twin: bool) -> RationalMap:
     """Map `index` of the acceptance stream (seed 20240811), or its floating twin."""
     rng = random.Random(20240811)
     for _ in range(index + 1):
         r = _random_exact_map(rng)
-    if twin:
-        r = RationalMap(Polynomial(complex(c) for c in r.p.coeffs),
-                        Polynomial(complex(c) for c in r.q.coeffs))
-    return r
+    return _floating_twin(r) if twin else r
 
 
 MP2 = {"max_period": 2}

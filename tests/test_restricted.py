@@ -6,13 +6,17 @@ from fractions import Fraction
 import pytest
 
 import ratmap.dynamics
+import ratmap.rational
 import ratmap.restricted
-from ratmap.dynamics import INFINITE, critical_points, periodic_cycles
+from ratmap.dynamics import INFINITE, Orbit, critical_points, periodic_cycles
+from ratmap.errors import RatmapError
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
 from ratmap.report import parse_map, run_analysis
 from ratmap.restricted import (
+    VERIFY_NODE_CAP,
     _closure,
+    _dedup_by_valency,
     _verify_critical_invariance,
     brute_force_preimage_check,
     exposed_orbits,
@@ -20,7 +24,7 @@ from ratmap.restricted import (
     ro_related,
 )
 from ratmap.scalars import GaussianRational
-from ratmap.sphere import INFINITY, SpherePoint, contains_point
+from ratmap.sphere import INFINITY, SpherePoint, coincide, contains_point
 
 from .test_report import DECIMAL_TWINS, WORKED_MAPS, _corpus_map
 
@@ -235,3 +239,133 @@ def test_closure_runs_once_per_critical_free_cycle(doc, calls, monkeypatch):
     monkeypatch.setattr(ratmap.restricted, "_closure", counted)
     run_analysis(parse_map(doc))
     assert count[0] == calls
+
+
+def _unbudgeted_closure(r, seed, crit_pts, tol, max_size=4):
+    """_closure as it was before the simple-preimage budget."""
+    pts = [seed]
+    queue = [seed]
+    while queue:
+        a = queue.pop()
+        if not contains_point(crit_pts, a, tol):
+            try:
+                fa = r.evaluate(a)
+            except RatmapError:
+                return None
+            if not contains_point(pts, fa, tol):
+                pts.append(fa)
+                queue.append(fa)
+                if len(pts) > max_size:
+                    return None
+        try:
+            pres = r.preimages(a)
+        except RatmapError:
+            return None
+        for pre, mult in pres:
+            if mult > 1:
+                continue
+            if not contains_point(pts, pre, tol):
+                pts.append(pre)
+                queue.append(pre)
+                if len(pts) > max_size:
+                    return None
+    return pts
+
+
+def _quadratic_invariance_check(r, pts, depth, tol, fates=None):
+    """_verify_critical_invariance as it was before the screened frontier dedup."""
+    nodes = 0
+    for a in pts:
+        walk = fates[a].fate.walk if a in (fates or {}) else Orbit(r, a)
+        for t, v in walk.with_valencies(depth):
+            frontier = [(t, 1)]
+            for _ in range(depth):
+                new = []
+                for y, cum in frontier:
+                    try:
+                        pres = r.preimages(y)
+                    except RatmapError:
+                        return None
+                    for pre, mult in pres:
+                        c2 = cum * mult
+                        nodes += 1
+                        if nodes > VERIFY_NODE_CAP:
+                            return None
+                        if c2 > v:
+                            continue
+                        if c2 == v and not contains_point(pts, pre, tol):
+                            return False
+                        if not any(c2 == c0 and coincide(pre, p0, tol) for p0, c0 in new):
+                            new.append((pre, c2))
+                frontier = new
+                if not frontier:
+                    break
+    return True
+
+
+@pytest.mark.parametrize("source, index, twin", [
+    ("worked", i, t) for i in range(3) for t in (False, True)
+] + [("corpus", i, t) for i in range(20) for t in (False, True)])
+def test_pruned_closures_and_linear_dedup_match_the_old_rules(source, index, twin, monkeypatch):
+    # a seed the budget rules out has no closure under the old rule either,
+    # every other closure is the same set, and every verdict is the same
+    if source == "worked":
+        r = parse_map((DECIMAL_TWINS if twin else WORKED_MAPS)[index])
+    else:
+        r = _corpus_map(index, twin)
+    closure = ratmap.restricted._closure
+    verify = ratmap.restricted._verify_critical_invariance
+    closures = []
+
+    def compared_closure(r, seed, crit_pts, tol):
+        got = closure(r, seed, crit_pts, tol)
+        old = _unbudgeted_closure(r, seed, crit_pts, tol)
+        assert (got is None) == (old is None) and (got is None or _same_set(got, old, tol))
+        closures.append(got)
+        return got
+
+    def compared_verify(r, pts, depth, tol, fates=None):
+        got = verify(r, pts, depth, tol, fates=fates)
+        assert got == _quadratic_invariance_check(r, pts, depth, tol, fates=fates)
+        return got
+
+    monkeypatch.setattr(ratmap.restricted, "_closure", compared_closure)
+    monkeypatch.setattr(ratmap.restricted, "_verify_critical_invariance", compared_verify)
+    run_analysis(r)
+    assert closures
+
+
+def test_a_seed_that_is_no_critical_value_of_a_quintic_costs_no_solve(monkeypatch):
+    # z^5 + 2: its 5 simple preimages of 7 already pass 4 points
+    r = RationalMap(Polynomial([1, 0, 0, 0, 0, 2]), Polynomial([1]))
+    crit_pts = [c.point for c in critical_points(r)]
+    r.critical_values()
+    calls = []
+    find_roots = ratmap.rational.find_roots
+    monkeypatch.setattr(ratmap.rational, "find_roots", lambda *a: calls.append(a) or find_roots(*a))
+    assert _closure(r, SpherePoint.finite(7), crit_pts, r.tolerance) is None
+    assert calls == []
+    # the critical value infinity, of valency 5, keeps its one-point closure
+    assert _closure(r, INFINITY, crit_pts, r.tolerance) == [INFINITY]
+
+
+@pytest.mark.parametrize("twin", [False, True])
+def test_uncached_preimage_solves_over_ten_corpus_maps(twin, monkeypatch):
+    # 398 in either mode before closures were budgeted by simple preimages
+    solves = []
+    target = RationalMap._target_polynomial
+    monkeypatch.setattr(RationalMap, "_target_polynomial",
+                        lambda self, y: solves.append(y) or target(self, y))
+    for index in range(10):
+        run_analysis(_corpus_map(index, twin))
+    assert len(solves) == 62
+
+
+def test_frontier_dedup_keeps_the_first_node_of_each_point_and_valency():
+    tol = 1e-9
+    p = SpherePoint.finite(GaussianRational(1))
+    near_p = SpherePoint.finite(1.0 + 0.5e-9j)
+    q = SpherePoint.finite(0.25 - 3j)
+    nodes = [(near_p, 1), (q, 2), (p, 2), (p, 1), (q, 2), (INFINITY, 1),
+             (SpherePoint.infinity(exact=False), 1), (q, 1)]
+    assert _dedup_by_valency(nodes, tol) == [nodes[i] for i in (0, 1, 2, 5, 7)]

@@ -15,6 +15,7 @@ from ratmap.sphere import (
     near_pairs,
     normalized_pairs,
     parse_point,
+    screen_keys,
 )
 
 
@@ -67,6 +68,28 @@ def test_chordal_matrix_matches_the_pointwise_metric():
             # both sides stay below 2; the order of operations differs
             assert abs(dist[i, j] - p.chordal(q)) <= 8 * 2.0**-52
     assert chordal_matrix([], points).shape == (0, len(points))
+
+
+def test_screen_keys_differ_by_at_most_the_chordal_distance():
+    # dedup_indices compares only the points whose keys are within 2 tol
+    points = [
+        INFINITY,
+        SpherePoint.infinity(exact=False),
+        SpherePoint.finite(0),
+        SpherePoint.finite(GaussianRational(-1, 2)),
+        SpherePoint.finite(GaussianRational(10**400)),
+        SpherePoint.finite(GaussianRational(3 * 10**200)),
+        SpherePoint.finite(-1.5e7 + 3j),
+        SpherePoint.finite(1e-9j),
+        SpherePoint.finite(1.0 + 0.9e-9j),
+        SpherePoint.finite(1.0),
+    ] + [SpherePoint.finite(complex(math.cos(k), math.sin(3 * k)) * 10 ** (k % 7 - 3))
+         for k in range(40)]
+    keys = screen_keys(points)
+    for i, p in enumerate(points):
+        for j, q in enumerate(points):
+            assert abs(keys[i] - keys[j]) <= p.chordal(q) + 1e-15
+    assert screen_keys([]).shape == (0,)
 
 
 def test_floating_infinity_is_not_exact():
