@@ -3,12 +3,16 @@
 Pixels iterate under the map until captured by a small chordal
 neighbourhood of an attracting, superattracting or parabolic cycle; the
 capture time drives the color.  Pixels never captured (the Julia locus at
-this resolution) are black.  Only the pixels still in flight are advanced:
-each step evaluates the map, measures the distance to the targets and
-drops the captured pixels, so its cost follows the active set, not the
-grid.  A map with no such cycle of period <= 2 has nothing to capture, so
-its image is all black and no pixel is iterated.  The output is
-deterministic for a fixed configuration.
+this resolution) are black.  The grid is iterated in fixed blocks of
+BLOCK_PIXELS pixels, small enough for the cache, one block after the
+other.  Within a block only the pixels still in flight are advanced: each
+step evaluates the map by in-place Horner, measures the distance to the
+targets and drops the captured pixels, so its cost follows the active set,
+not the grid.  Every pixel sees the same floating-point operations in the
+same order whatever the block size, so the capture times do not depend on
+it.  A map with no such cycle of period <= 2 has nothing to capture, so its
+image is all black and no pixel is iterated.  The output is deterministic
+for a fixed configuration.
 
 Output format: binary PPM (P6), 8-bit RGB, header "P6\\n<w> <h>\\n255\\n"
 followed by rows top to bottom, left to right.
@@ -22,6 +26,8 @@ from .dynamics import periodic_cycles
 from .rational import RationalMap
 
 CAPTURE_RADIUS = 1e-3
+# pixels iterated together: 16 384 complex128 values are 256 KB
+BLOCK_PIXELS = 16384
 
 
 def _captured(z: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -76,31 +82,43 @@ def _capture_times(r: RationalMap, render_cfg, cycles=None) -> np.ndarray:
     z = (xs[None, :] + 1j * ys[:, None]).astype(complex).ravel()
     pc = r.floating().p.to_complex_array()
     qc = r.floating().q.to_complex_array()
+    # overflow to inf or NaN is how a pixel reaches infinity
+    with np.errstate(all="ignore"):
+        for start in range(0, h * w, BLOCK_PIXELS):
+            block = slice(start, start + BLOCK_PIXELS)
+            _iterate_block(z[block], times[block], targets, pc, qc, render_cfg.max_iter)
+    return times.reshape(h, w)
 
-    # idx holds the flat indices of the pixels in flight, z their chart values
+
+def _iterate_block(z: np.ndarray, times: np.ndarray, targets, pc, qc, max_iter: int):
+    """Iterate the pixels z of one block, writing their capture times into times."""
+    # idx holds the block indices of the pixels in flight, z their chart values
     hit, _ = _captured(z, targets)
     times[hit] = 0
     idx = np.flatnonzero(~hit)
     z = z[idx]
-    for it in range(1, render_cfg.max_iter + 1):
+    for it in range(1, max_iter + 1):
         if idx.size == 0:
             break
-        with np.errstate(all="ignore"):
-            num = np.zeros_like(z)
-            for c in pc:
-                num = num * z + c
-            den = np.zeros_like(z)
-            for c in qc:
-                den = den * z + c
-            # poles go to infinity, encoded as inf
-            z = np.where(den == 0.0, np.inf, num / den)
+        num = np.zeros_like(z)
+        for c in pc:
+            num *= z
+            num += c
+        den = np.zeros_like(z)
+        for c in qc:
+            den *= z
+            den += c
+        # poles go to infinity, encoded as inf
+        pole = den == 0.0
+        num /= den
+        num[pole] = np.inf
+        z = num
         hit, bad = _captured(z, targets)
         times[idx[hit]] = it
         # a blown-up value is captured by an infinity target or dropped
         keep = ~(hit | bad)
         idx = idx[keep]
         z = z[keep]
-    return times.reshape(h, w)
 
 
 def render_julia(r: RationalMap, render_cfg, cycles=None) -> bytes:

@@ -85,8 +85,8 @@ class AnalysisConfig:
                      "preimage_depth", "orbit_budget", "period_work_cap"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ConfigError("tolerance must be a positive finite number")
         for dec in self.declarations:
             if not isinstance(dec, dict):
                 raise ConfigError("a declaration must be a JSON object")
@@ -136,7 +136,8 @@ class AnalysisConfig:
                     cfg.tolerance = float(value)
                 else:
                     setattr(cfg, key, int(value))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
+                # OverflowError: int() of an infinite number
                 raise ConfigError(f"cannot read configuration key {key!r}",
                                   value=repr(value)) from None
         cfg.validate()

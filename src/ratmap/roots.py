@@ -79,21 +79,24 @@ def _aberth(evaluate, z: np.ndarray) -> np.ndarray:
     evaluate(z) gives (f(z), f'(z)) on an array, or any common rescaling of
     the pair: only the Newton correction f/f' enters.
     """
-    for _ in range(ABERTH_MAX_ITER):
-        p, d = evaluate(z)
-        d = np.where(d == 0, 1e-300, d)
-        newton = p / d
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        s = inv.sum(axis=1)
-        denom = 1.0 - newton * s
-        denom = np.where(denom == 0, 1e-300, denom)
-        corr = newton / denom
-        z = z - corr
-        if np.all(np.abs(corr) <= 1e-14 * (1.0 + np.abs(z))):
-            break
+    # a start too far out overflows to inf and NaN; _settle rejects the
+    # NaN residuals that follow
+    with np.errstate(all="ignore"):
+        for _ in range(ABERTH_MAX_ITER):
+            p, d = evaluate(z)
+            d = np.where(d == 0, 1e-300, d)
+            newton = p / d
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, 1.0)
+            inv = 1.0 / diff
+            np.fill_diagonal(inv, 0.0)
+            s = inv.sum(axis=1)
+            denom = 1.0 - newton * s
+            denom = np.where(denom == 0, 1e-300, denom)
+            corr = newton / denom
+            z = z - corr
+            if np.all(np.abs(corr) <= 1e-14 * (1.0 + np.abs(z))):
+                break
     return z
 
 

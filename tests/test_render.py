@@ -5,11 +5,21 @@ import hashlib
 import numpy as np
 import pytest
 
+import ratmap.render
+from ratmap.dynamics import periodic_cycles
 from ratmap.errors import ConfigError
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
-from ratmap.render import _capture_times, max_iteration_mask, render_julia
-from ratmap.report import RenderConfig
+from ratmap.render import (
+    _capture_targets,
+    _capture_times,
+    _captured,
+    max_iteration_mask,
+    render_julia,
+)
+from ratmap.report import RenderConfig, parse_map
+
+from .test_report import WORKED_MAPS
 
 
 def test_ppm_header_and_size():
@@ -87,3 +97,93 @@ def test_pole_pixel_captured_by_a_far_target():
     r = RationalMap(Polynomial([3001, -6000, 9003000]), Polynomial([1, 0, 1]))
     cfg = RenderConfig(width=3, height=3, window=(-1.0, 1.0, -1.0, 3.0), max_iter=30)
     assert (_capture_times(r, cfg) == 1).all()
+
+
+# sha256 of the PPM bytes of the worked maps at the default 800x800 config,
+# which spans many blocks; recorded from the whole-grid renderer
+WORKED_MAP_DIGESTS = [
+    "8c7e58df60ae511fa8a19500a289c54dd469d68822b0391fe11cd060cd10dadb",  # z^2 - 2
+    "8be7eb7e98d208ff1ff5a7547c3c4b07b0d14d8a3d7c45ac0dd32b84a7329458",  # (z-2)^2/z^2
+    "80618930c36678d2b5c62de49a7ea84abe6f10f60f627796a42aaeca3c7ffb44",  # z^2
+]
+
+
+@pytest.mark.parametrize("doc, digest", zip(WORKED_MAPS, WORKED_MAP_DIGESTS))
+def test_worked_map_images_pinned(doc, digest):
+    data = render_julia(parse_map(doc), RenderConfig())
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def _whole_grid_capture_times(r, render_cfg):
+    """Reference: every step advances all pixels in flight over the whole grid."""
+    w, h = render_cfg.width, render_cfg.height
+    xmin, xmax, ymin, ymax = render_cfg.window
+    times = np.full(h * w, -1, dtype=int)
+    cycles, _, _ = periodic_cycles(r.floating(), 2)
+    targets = _capture_targets(r, cycles)
+    if not targets:
+        return times.reshape(h, w)
+
+    xs = xmin + (xmax - xmin) * (np.arange(w) + 0.5) / w
+    ys = ymax - (ymax - ymin) * (np.arange(h) + 0.5) / h
+    z = (xs[None, :] + 1j * ys[:, None]).astype(complex).ravel()
+    pc = r.floating().p.to_complex_array()
+    qc = r.floating().q.to_complex_array()
+
+    hit, _ = _captured(z, targets)
+    times[hit] = 0
+    idx = np.flatnonzero(~hit)
+    z = z[idx]
+    for it in range(1, render_cfg.max_iter + 1):
+        if idx.size == 0:
+            break
+        with np.errstate(all="ignore"):
+            num = np.zeros_like(z)
+            for c in pc:
+                num = num * z + c
+            den = np.zeros_like(z)
+            for c in qc:
+                den = den * z + c
+            z = np.where(den == 0.0, np.inf, num / den)
+            hit, bad = _captured(z, targets)
+        times[idx[hit]] = it
+        keep = ~(hit | bad)
+        idx = idx[keep]
+        z = z[keep]
+    return times.reshape(h, w)
+
+
+PARITY_MAPS = [(num, den) for num, den, _ in PINNED_DIGESTS] + [
+    ([4, 0, 1], [4]),  # z^2 + 1/4: parabolic fixed point 1/2
+    ([1, 0, 0, 0], [3, 0, 0, 1]),  # z^3/(3z^3 + 1)
+]
+PARITY_CONFIGS = [
+    # 77 357 pixels: the last block is partial
+    RenderConfig(width=301, height=257, window=(-2.0, 2.0, -1.5, 1.5), max_iter=60),
+    # smaller than one block
+    RenderConfig(width=120, height=90, window=(-2.0, 2.0, -1.5, 1.5), max_iter=1),
+    RenderConfig(width=120, height=90, window=(-2.0, 2.0, -1.5, 1.5), max_iter=200),
+]
+
+
+@pytest.mark.parametrize("cfg", PARITY_CONFIGS)
+@pytest.mark.parametrize("num, den", PARITY_MAPS)
+def test_capture_times_match_the_whole_grid_loop(num, den, cfg):
+    r = RationalMap(Polynomial(num), Polynomial(den))
+    assert np.array_equal(_capture_times(r, cfg), _whole_grid_capture_times(r, cfg))
+
+
+def test_pole_map_matches_the_whole_grid_loop():
+    r = RationalMap(Polynomial([3001, -6000, 9003000]), Polynomial([1, 0, 1]))
+    for cfg in [RenderConfig(width=3, height=3, window=(-1.0, 1.0, -1.0, 3.0), max_iter=30),
+                *PARITY_CONFIGS]:
+        assert np.array_equal(_capture_times(r, cfg), _whole_grid_capture_times(r, cfg))
+
+
+@pytest.mark.parametrize("block_pixels", [7, 500, 1201])
+def test_capture_times_do_not_depend_on_the_block_size(monkeypatch, block_pixels):
+    r = RationalMap(Polynomial([4, 0, 1]), Polynomial([4]))
+    cfg = RenderConfig(width=40, height=30, window=(-2.0, 2.0, -1.5, 1.5), max_iter=80)
+    expected = _capture_times(r, cfg)
+    monkeypatch.setattr(ratmap.render, "BLOCK_PIXELS", block_pixels)
+    assert np.array_equal(_capture_times(r, cfg), expected)

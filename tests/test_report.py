@@ -244,6 +244,14 @@ def test_each_critical_orbit_is_walked_once(monkeypatch):
      "declaration-invalid"),
     (None, {"render": {"window": [-1e308, 1e308, -1, 1]}}, "config-invalid"),
     (None, {"render": {"window": [-math.inf, math.inf, -1, 1]}}, "config-invalid"),
+    # int() of an infinite number raises OverflowError; a NaN or infinite
+    # tolerance compares false with 0
+    (None, {"max_period": 1e400}, "config-invalid"),
+    (None, {"orbit_budget": -1e400}, "config-invalid"),
+    (None, {"render": {"max_iter": 1e400}}, "config-invalid"),
+    (None, {"render": {"width": 1e400}}, "config-invalid"),
+    (None, {"tolerance": math.nan}, "config-invalid"),
+    (None, {"tolerance": math.inf}, "config-invalid"),
     ('{"numerator": [1e400, "0", "-2"], "denominator": ["1"]}', None, "input-format"),
     ('{"numerator": ["1e400", "0", "-2"], "denominator": ["1"]}', None, "input-format"),
     ('{"numerator": [NaN, "0", "-2"], "denominator": ["1"]}', None, "input-format"),
