@@ -12,7 +12,11 @@ exact orbit steps exactly until a coordinate passes EXACT_HEIGHT_CAP_BITS
 The cycles of period p come from the fixed points of R^p, found by Aberth
 on the orbit recursion in a fixed Möbius chart (never on an expanded
 polynomial), merged where multiple and snapped to exact points where exact
-iteration verifies them.  A snap is first walked p steps modulo a prime
+iteration verifies them.  In each step of the recursion P, Q and their
+derivatives advance as the rows of one array.  Simple fixed points are
+polished in the balanced charts, (w : 1) on |z| <= 1 and (1 : w) beyond,
+by one walk per Newton step whose chart holds one coefficient per point.
+A snap is first walked p steps modulo a prime
 (_screen_rejects): reduction modulo the prime is a ring map, so an exact
 fixed point is one modulo the prime too, and only a snap that passes is
 iterated in Fraction arithmetic; the screen cannot change a verdict, it
@@ -182,6 +186,13 @@ CHART_START_RADIUS = 1.0
 EPSILON = float(np.finfo(float).eps)
 
 
+def _times(x, m, dm):
+    """(f, f') <- (f m, f' m + f m') in place, for x = (f, f')."""
+    tmp = x[0] * dm
+    x *= m
+    x[1] += tmp
+
+
 class _FixedPointEquation:
     """f(w) = u m2 - v m1 = 0 for the fixed points of R^p in a chart.
 
@@ -189,36 +200,46 @@ class _FixedPointEquation:
     is walked through the homogeneous pair with chain-rule derivatives,
     never through an expanded polynomial.  Each step rescales u, v and both
     derivatives by max(|u|, |v|); a step is homogeneous of degree d in all
-    four, so f/f' is unchanged and nothing overflows.
+    four, so f/f' is unchanged and nothing overflows.  A chart coefficient
+    may be an array, one entry per point.
     """
 
     def __init__(self, rf: RationalMap, p: int, chart=SOLVE_CHART):
-        d = self.d = rf.degree
+        d = rf.degree
         self.p = p
         self.chart = chart
-        self.pc = np.concatenate([np.zeros(d - rf.p.degree, complex), rf.p.to_complex_array()])
-        self.qc = np.concatenate([np.zeros(d - rf.q.degree, complex), rf.q.to_complex_array()])
+        # coef[i] is the column (P_i, Q_i) of P_h(u, v) = sum P_i u^(d-i) v^i
+        self.coef = np.stack([
+            np.concatenate([np.zeros(d - poly.degree, complex), poly.to_complex_array()])
+            for poly in (rf.p, rf.q)
+        ], axis=1)[:, :, None]
 
     def walk(self, w, shared_scale=False):
         """(m1, m2, u, v, f, f'); one rescaling for the whole array when shared_scale."""
-        pc, qc = self.pc, self.qc
         alpha, beta, gamma, delta = self.chart
-        m1, m2 = alpha * w + beta, gamma * w + delta
-        u, v, du, dv = m1, m2, np.full_like(w, alpha), np.full_like(w, gamma)
-        for _ in range(self.p):
-            # P_h(u, v) = sum c_i u^(d-i) v^i by Horner in u, carrying v^i
-            pu, qu = np.full_like(w, pc[0]), np.full_like(w, qc[0])
-            dpu, dqu = np.zeros_like(w), np.zeros_like(w)
-            vi, dvi = np.ones_like(w), np.zeros_like(w)
-            for i in range(1, self.d + 1):
-                vi, dvi = vi * v, dvi * v + vi * dv
-                pu, dpu = pu * u + pc[i] * vi, dpu * u + pu * du + pc[i] * dvi
-                qu, dqu = qu * u + qc[i] * vi, dqu * u + qu * du + qc[i] * dvi
-            s = np.maximum(np.abs(pu), np.abs(qu))
-            if shared_scale:
-                s = s.max()
-            u, v, du, dv = pu / s, qu / s, dpu / s, dqu / s
-        return m1, m2, u, v, u * m2 - v * m1, du * m2 + u * gamma - dv * m1 - v * alpha
+        # a row that overflows, or whose P and Q both vanish, gives inf or NaN,
+        # which fails the residual check
+        with np.errstate(all="ignore"):
+            m1, m2 = alpha * w + beta, gamma * w + delta
+            u, v, du, dv = m1, m2, np.full_like(w, alpha), np.full_like(w, gamma)
+            for _ in range(self.p):
+                # x = ((P, Q), (P', Q')) by Horner in u, carrying vi = (v^i, (v^i)').
+                # vi is (2, n), not (2, 1, n): numpy multiplies a (1, 1) by a (1,)
+                # array in a loop that rounds differently, which would make n = 1
+                # walks differ in the last bit from the same points in a longer array
+                x = np.zeros((2, 2) + w.shape, complex)
+                x[0] = self.coef[0]
+                vi = np.zeros((2,) + w.shape, complex)
+                vi[0] = 1.0
+                for c in self.coef[1:]:
+                    _times(vi, v, dv)
+                    _times(x, u, du)
+                    x += c * vi[:, None]
+                s = np.maximum(*np.abs(x[0]))
+                if shared_scale:
+                    s = s.max()
+                (u, v), (du, dv) = x / s
+            return m1, m2, u, v, u * m2 - v * m1, du * m2 + u * gamma - dv * m1 - v * alpha
 
     def evaluate(self, w):
         return self.walk(w)[4:]
@@ -260,25 +281,31 @@ class _FixedPointEquation:
             return root
         return center
 
-    def point(self, w: complex) -> SpherePoint:
-        alpha, beta, gamma, delta = self.chart
-        return SpherePoint(alpha * w + beta, gamma * w + delta)
+
+def _chart_point(chart, w) -> SpherePoint:
+    alpha, beta, gamma, delta = chart
+    return SpherePoint(alpha * w + beta, gamma * w + delta)
 
 
 def _polish_in_balanced_charts(rf: RationalMap, p: int, points):
-    """Newton-polished simple fixed points of R^p, each in its balanced chart."""
+    """Newton-polished simple fixed points of R^p, each in its balanced chart.
+
+    One walk per Newton step serves both charts: the equation's chart holds
+    INNER_CHART's coefficients at the points with |z| <= 1 and OUTER_CHART's
+    at the others.
+    """
     out = list(points)
-    for chart, inner in ((INNER_CHART, True), (OUTER_CHART, False)):
-        idx = [i for i, x in enumerate(points)
-               if not x.is_infinity and (abs(complex(x.z)) <= 1.0) == inner]
-        if not idx:
-            continue
-        w = np.array([complex(points[i].z) for i in idx])
-        if not inner:
-            w = 1.0 / w
-        eq = _FixedPointEquation(rf, p, chart)
-        for i, wi in zip(idx, polish(eq.evaluate, w)):
-            out[i] = eq.point(wi)
+    idx = [i for i, x in enumerate(points) if not x.is_infinity]
+    if not idx:
+        return out
+    z = [complex(points[i].z) for i in idx]
+    inner = np.array([abs(zi) <= 1.0 for zi in z])
+    w = np.array(z)
+    w[~inner] = 1.0 / w[~inner]
+    chart = tuple(np.where(inner, a, b) for a, b in zip(INNER_CHART, OUTER_CHART))
+    eq = _FixedPointEquation(rf, p, chart)
+    for i, inside, wi in zip(idx, inner, polish(eq.evaluate, w)):
+        out[i] = _chart_point(INNER_CHART if inside else OUTER_CHART, wi)
     return out
 
 
@@ -347,7 +374,7 @@ def fixed_points(r: RationalMap, p: int):
     start = start_circle(r.degree**p + 1, CHART_START_RADIUS)
     clusters, ambiguity = find_zeros(eq.evaluate, eq.residual, eq.uncertainty, start, period=p)
     simple = [i for i, members in enumerate(clusters) if len(members) == 1]
-    points = [eq.point(eq.merge(members)) for members in clusters]
+    points = [_chart_point(SOLVE_CHART, eq.merge(members)) for members in clusters]
     for i, x in zip(simple, _polish_in_balanced_charts(rf, p, [points[i] for i in simple])):
         points[i] = x
     if r.is_exact:

@@ -82,7 +82,8 @@ def _capture_times(r: RationalMap, render_cfg, cycles=None) -> np.ndarray:
     z = (xs[None, :] + 1j * ys[:, None]).astype(complex).ravel()
     pc = r.floating().p.to_complex_array()
     qc = r.floating().q.to_complex_array()
-    # overflow to inf or NaN is how a pixel reaches infinity
+    # overflow, or division by zero at a pole, gives the inf or NaN by which
+    # a pixel reaches infinity
     with np.errstate(all="ignore"):
         for start in range(0, h * w, BLOCK_PIXELS):
             block = slice(start, start + BLOCK_PIXELS)
@@ -108,10 +109,7 @@ def _iterate_block(z: np.ndarray, times: np.ndarray, targets, pc, qc, max_iter: 
         for c in qc:
             den *= z
             den += c
-        # poles go to infinity, encoded as inf
-        pole = den == 0.0
         num /= den
-        num[pole] = np.inf
         z = num
         hit, bad = _captured(z, targets)
         times[idx[hit]] = it

@@ -188,6 +188,15 @@ def test_a_lost_point_of_a_cycle_drops_the_cycle(monkeypatch):
     assert [(w["code"], w["period"]) for w in warnings] == [("cycle-search-uncertified", 2)]
 
 
+def test_a_walk_that_vanishes_leaks_no_runtime_warning():
+    # max(|P|, |Q|) reaches 0 in the fixed-point walk while _settle polishes,
+    # and the rescale divides by it; the NaN it gives fails the residual check
+    # as a coded warning, and no RuntimeWarning is printed
+    r = parse_map({"numerator": ["1e-5", "1e7", "-2e-5"], "denominator": ["2e-8"]})
+    report = run_analysis(r)
+    assert "cycles" in report.data
+
+
 def test_snap_of_a_non_finite_center_is_no_candidate():
     assert snap(complex(math.nan, 0.0)) is None
     assert snap(complex(math.inf, 1.0)) is None
