@@ -14,6 +14,8 @@ from ratmap.render import (
     _capture_targets,
     _capture_times,
     _captured,
+    _color,
+    _infinity_threshold,
     max_iteration_mask,
     render_julia,
 )
@@ -114,6 +116,24 @@ def test_worked_map_images_pinned(doc, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+def _reference_captured(z, targets):
+    """Reference: the chordal capture test evaluated on every value for every target."""
+    bad = ~np.isfinite(z)
+    zs = np.where(bad, 0.0, z)
+    norm = np.sqrt(np.abs(zs) ** 2 + 1.0)
+    hit = np.zeros(z.shape, dtype=bool)
+    for target in targets:
+        if target is None:
+            hit |= bad | (2.0 / norm < ratmap.render.CAPTURE_RADIUS)
+            continue
+        tnorm = np.sqrt(abs(target) ** 2 + 1.0)
+        d = 2.0 * np.abs(zs - target) / (norm * tnorm)
+        if 2.0 / tnorm < ratmap.render.CAPTURE_RADIUS:
+            hit |= bad
+        hit |= ~bad & (d < ratmap.render.CAPTURE_RADIUS)
+    return hit, bad
+
+
 def _whole_grid_capture_times(r, render_cfg):
     """Reference: every step advances all pixels in flight over the whole grid."""
     w, h = render_cfg.width, render_cfg.height
@@ -130,7 +150,7 @@ def _whole_grid_capture_times(r, render_cfg):
     pc = r.floating().p.to_complex_array()
     qc = r.floating().q.to_complex_array()
 
-    hit, _ = _captured(z, targets)
+    hit, _ = _reference_captured(z, targets)
     times[hit] = 0
     idx = np.flatnonzero(~hit)
     z = z[idx]
@@ -145,7 +165,7 @@ def _whole_grid_capture_times(r, render_cfg):
             for c in qc:
                 den = den * z + c
             z = np.where(den == 0.0, np.inf, num / den)
-            hit, bad = _captured(z, targets)
+            hit, bad = _reference_captured(z, targets)
         times[idx[hit]] = it
         keep = ~(hit | bad)
         idx = idx[keep]
@@ -156,6 +176,10 @@ def _whole_grid_capture_times(r, render_cfg):
 PARITY_MAPS = [(num, den) for num, den, _ in PINNED_DIGESTS] + [
     ([4, 0, 1], [4]),  # z^2 + 1/4: parabolic fixed point 1/2
     ([1, 0, 0, 0], [3, 0, 0, 1]),  # z^3/(3z^3 + 1)
+    # decimal coefficients with -0.0 imaginary parts: Horner that starts at
+    # the leading coefficient differs from 0*z + c0 in the sign of a zero
+    (["1.0-0.0i", "0.0", "-1.0-0.0i"], ["1.0-0.0i"]),
+    (["1.0-0.0i", "0.0", "0.0"], ["-1.0-0.0i"]),
 ]
 PARITY_CONFIGS = [
     # 77 357 pixels: the last block is partial
@@ -169,7 +193,7 @@ PARITY_CONFIGS = [
 @pytest.mark.parametrize("cfg", PARITY_CONFIGS)
 @pytest.mark.parametrize("num, den", PARITY_MAPS)
 def test_capture_times_match_the_whole_grid_loop(num, den, cfg):
-    r = RationalMap(Polynomial(num), Polynomial(den))
+    r = parse_map({"numerator": num, "denominator": den})
     assert np.array_equal(_capture_times(r, cfg), _whole_grid_capture_times(r, cfg))
 
 
@@ -180,10 +204,116 @@ def test_pole_map_matches_the_whole_grid_loop():
         assert np.array_equal(_capture_times(r, cfg), _whole_grid_capture_times(r, cfg))
 
 
-@pytest.mark.parametrize("block_pixels", [7, 500, 1201])
+@pytest.mark.parametrize("block_pixels", [1, 7, 500, 1201, 16385])
 def test_capture_times_do_not_depend_on_the_block_size(monkeypatch, block_pixels):
-    r = RationalMap(Polynomial([4, 0, 1]), Polynomial([4]))
-    cfg = RenderConfig(width=40, height=30, window=(-2.0, 2.0, -1.5, 1.5), max_iter=80)
-    expected = _capture_times(r, cfg)
-    monkeypatch.setattr(ratmap.render, "BLOCK_PIXELS", block_pixels)
-    assert np.array_equal(_capture_times(r, cfg), expected)
+    # z^2 + 1/4 and z^2 each have a finite target and the infinity target;
+    # 161 x 103 pixels span two blocks of either 16 384 or 16 385
+    size = (40, 30) if block_pixels < 16384 else (161, 103)
+    cfg = RenderConfig(width=size[0], height=size[1], window=(-2.0, 2.0, -1.5, 1.5),
+                       max_iter=80)
+    for num, den in (([4, 0, 1], [4]), ([1, 0, 0], [1])):
+        r = RationalMap(Polynomial(num), Polynomial(den))
+        expected = _capture_times(r, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(ratmap.render, "BLOCK_PIXELS", block_pixels)
+            assert np.array_equal(_capture_times(r, cfg), expected)
+
+
+def test_infinity_threshold_is_where_the_chordal_test_turns():
+    a_inf = _infinity_threshold()
+    assert a_inf == 1999.9997499999845
+    below = np.nextafter(a_inf, 0.0)
+    hit, _ = _reference_captured(np.array([a_inf, below, -a_inf, -below], dtype=complex), [None])
+    assert hit.tolist() == [True, False, True, False]
+
+
+# the screen on |z| is nearly tight for targets far out, such as 900
+CAPTURE_TEST_TARGETS = [0.0, 0.5 + 0.25j, 1e-9j, 900.0, -600 + 700j]
+
+
+def _disc_boundary_points(target, rng, rays=64):
+    """Points a few ulps either side of target's capture-disc boundary, on random rays."""
+    u = np.exp(2j * np.pi * rng.random(rays))
+    lo, hi = np.zeros(rays), np.full(rays, 1e4)
+    for _ in range(100):  # bisect each ray's boundary radius to the last bit
+        mid = (lo + hi) / 2
+        inside, _ = _reference_captured(target + mid * u, [target])
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    steps = np.arange(-4, 5)
+    radii = hi[:, None] * (1.0 + steps[None, :] * np.finfo(float).eps)
+    return (target + radii * u[:, None]).ravel()
+
+
+def _capture_test_values(rng):
+    a_inf = _infinity_threshold()
+    ulps = a_inf + np.arange(-6, 7) * np.spacing(a_inf)
+    angles = np.exp(2j * np.pi * rng.random(ulps.size))
+    inf, nan = np.inf, np.nan
+    special = np.array([
+        complex(inf, 0), complex(-inf, 1), complex(0, inf), complex(nan, 0),
+        complex(0, nan), complex(inf, nan), complex(nan, -inf), complex(inf, inf),
+        # finite values whose |z| or |z|^2 overflows
+        1e200, 8e307j, complex(1.5e308, 1.5e308), 1.3e154, 1.4e154,
+    ])
+    return np.concatenate([
+        ulps, -ulps, 1j * ulps, ulps * angles, special,
+        *(_disc_boundary_points(t, rng) for t in CAPTURE_TEST_TARGETS),
+        3000 + 10.0 ** rng.uniform(-3, 6, 200) * np.exp(2j * np.pi * rng.random(200)),
+        10.0 ** rng.uniform(-12, 4, 400) * np.exp(2j * np.pi * rng.random(400)),
+    ])
+
+
+@pytest.mark.parametrize("length", [1, 7, 16384, 16385])
+@pytest.mark.parametrize("targets", [
+    [None],
+    [0.0, None],
+    [0.5 + 0.25j],
+    [1e-9j, 0.5 + 0.25j],
+    [900.0, -600 + 700j, 0.0],
+    [3000.0],  # its disc holds infinity
+    [None, 3000.0, 0.0],
+    [3000.0, 1e-9j],
+])
+def test_capture_test_matches_the_chordal_reference(length, targets):
+    rng = np.random.default_rng(length)
+    values = _capture_test_values(rng)
+    a_inf = _infinity_threshold()
+    for _ in range(max(1, 3 * values.size // length)):
+        z = rng.choice(values, length)
+        with np.errstate(all="ignore"):  # as in _capture_times
+            hit, bad = _captured(z, targets, a_inf)
+            ref_hit, ref_bad = _reference_captured(z, targets)
+        assert np.array_equal(bad, ref_bad)
+        assert np.array_equal(hit, ref_hit)
+
+
+def _reference_color(times, max_iter):
+    """Reference: each pixel's color computed from its capture time."""
+    rgb = np.zeros((*times.shape, 3), dtype=np.uint8)
+    escaped = times >= 0
+    t = np.where(escaped, times, 0).astype(float) / max(1, max_iter)
+    rgb[..., 0] = np.where(escaped, (40 + 215 * t).astype(np.uint8), 0)
+    rgb[..., 1] = np.where(escaped, (20 + 160 * np.sqrt(t)).astype(np.uint8), 0)
+    rgb[..., 2] = np.where(escaped, (90 + 165 * (1 - t)).astype(np.uint8), 0)
+    return rgb
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 60, 100, 1000])
+def test_color_table_matches_the_per_pixel_formula(max_iter):
+    rng = np.random.default_rng(max_iter)
+    for shape in [(1, 1), (7, 3), (90, 120)]:
+        times = rng.integers(-1, max_iter + 1, size=shape)
+        assert np.array_equal(_color(times, max_iter), _reference_color(times, max_iter))
+    black = np.full((5, 4), -1)
+    assert np.array_equal(_color(black, max_iter), np.zeros((5, 4, 3), dtype=np.uint8))
+
+
+def test_color_table_is_sized_by_the_capture_times():
+    # every pixel near 0 is captured within a few steps, so a huge budget
+    # costs neither iterations nor a table row per allowed step
+    r = RationalMap(Polynomial([1, 0, 0]), Polynomial([1]))
+    cfg = RenderConfig(width=4, height=4, window=(-0.1, 0.1, -0.1, 0.1), max_iter=10**12)
+    times = _capture_times(r, cfg)
+    assert 0 <= times.min() and times.max() < 5
+    data = render_julia(r, cfg)
+    assert data == b"P6\n4 4\n255\n" + _reference_color(times, cfg.max_iter).tobytes()
