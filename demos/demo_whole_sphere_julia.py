@@ -5,19 +5,17 @@ the three points 0, 1, infinity form two finite restricted orbits, and the
 orbit {0} carries asymptotic valency 2 through the critical point at 0.
 """
 
+from ratmap.dynamics import Orbit
 from ratmap.report import parse_map, run_analysis
 from ratmap.sphere import SpherePoint
 
 r = parse_map({"numerator": ["1", "-4", "4"], "denominator": ["1", "0", "0"]})
 
 # the orbit of the critical point 0 lands on the repelling fixed point 1
-x = SpherePoint.finite(0)
-orbit = [x]
-for _ in range(3):
-    orbit.append(r.evaluate(orbit[-1]))
-print("orbit of 0:", " -> ".join(str(p) for p in orbit))
+walk = Orbit(r, SpherePoint.finite(0))
+print("orbit of 0:", " -> ".join(str(walk.point(n)) for n in range(4)))
 print("val(R, 0) =", r.valency_at(SpherePoint.finite(0)), "(double pole)")
-print("val(R^2, 0) =", r.valency(2, SpherePoint.finite(0)))
+print("val(R^2, 0) =", walk.valency(2))
 
 report = run_analysis(r)
 data = report.data

@@ -5,9 +5,11 @@ The critical points are the entries of the map's critical table of valency
 valency along an orbit, asymptotic valency) is a lookup in that table
 through RationalMap.valency_at, so each is decided once per map.
 
-Forward orbits are walked by one engine, Orbit, under one height guard: an
-exact orbit steps exactly until a coordinate passes EXACT_HEIGHT_CAP_BITS
-(512) bits, then in floating point.  A fate keeps its walk for later readers.
+Forward orbits are stepped only by Orbit, under one height guard: an exact
+orbit steps exactly until a coordinate passes EXACT_HEIGHT_CAP_BITS (512)
+bits, then in floating point.  Each orbit is walked once: orbit_fate's
+floating tail extends the walk of its exact prefix, and the fate keeps that
+walk for asymptotic_valency and the other readers.
 
 The cycles of period p come from the fixed points of R^p, found by Aberth
 on the orbit recursion in a fixed Möbius chart (never on an expanded
@@ -99,6 +101,11 @@ class PeriodicCycle:
 
     def contains(self, x: SpherePoint, tol: float) -> bool:
         return contains_point(self.points, x, tol)
+
+    @property
+    def has_basin(self) -> bool:
+        """True when the cycle attracts an open set: superattracting, attracting or parabolic."""
+        return self.classification in ("superattracting", "attracting", "rationally_indifferent")
 
 
 def _classify(multiplier, contains_critical: bool):
@@ -503,6 +510,12 @@ class Orbit:
             raise self.error
         return pts[n]
 
+    def truncate(self, n: int):
+        """Forget R^j(x) for j >= n; point(j) walks them again."""
+        if len(self.points) > n:
+            del self.points[n:]
+            self.error = None  # it came from a step past n
+
     def valency(self, n: int) -> int:
         """val(R^n, x): the product of local valencies at R^0(x)..R^(n-1)(x)."""
         vals = self._valencies
@@ -528,7 +541,7 @@ class OrbitFate:
     step: int | None = None
     steps_used: int = 0
     # the walk the fate was read from, for callers that read the orbit again
-    walk: Orbit | None = field(default=None, compare=False, repr=False)
+    walk: Orbit = field(kw_only=True, compare=False, repr=False)
 
 
 def _reverify_landing(r: RationalMap, x: SpherePoint, cyc, n: int, tol: float) -> bool:
@@ -550,7 +563,8 @@ def orbit_fate(r: RationalMap, x: SpherePoint, cycles,
 
     Exact landings are searched on a short prefix (they are exact-arithmetic
     facts for exact inputs, tolerance plus re-verification otherwise), after
-    which the orbit is continued in floating point to detect convergence.
+    which the same walk goes on, floating once past the height cap, to detect
+    convergence.  An unresolved fate keeps only the prefix of its walk.
     """
     tol = r.tolerance
     walk = Orbit(r, x)
@@ -566,10 +580,10 @@ def orbit_fate(r: RationalMap, x: SpherePoint, cycles,
             cyc, cpt = members[k]
             if n == 0 and coincide(pt, cpt, tol):
                 # identity case: the queried point is a cycle point
-                return OrbitFate("preperiodic", cyc.cycle_id, 0, 0, walk)
+                return OrbitFate("preperiodic", cyc.cycle_id, 0, 0, walk=walk)
             if pt.is_exact and cpt.is_exact:
                 if pt == cpt:
-                    return OrbitFate("preperiodic", cyc.cycle_id, n, n, walk)
+                    return OrbitFate("preperiodic", cyc.cycle_id, n, n, walk=walk)
                 continue
             # floating leg: landings on critical cycles are not decidable
             # (convergence underflows to an exact hit); report convergence
@@ -577,27 +591,21 @@ def orbit_fate(r: RationalMap, x: SpherePoint, cycles,
                 continue
             if pt.chordal(cpt) <= tol * 1e-3:
                 if _reverify_landing(r, x, cyc, n, tol):
-                    return OrbitFate("preperiodic", cyc.cycle_id, n, n, walk)
+                    return OrbitFate("preperiodic", cyc.cycle_id, n, n, walk=walk)
 
-    # the floating tail streams: an unresolved orbit may run the whole budget
-    rf = r.floating()
-    z = walk.points[-1].to_float()
-    steps_done = len(walk.points) - 1
-    targets = [
-        c
-        for c in cycles
-        if c.classification in ("superattracting", "attracting", "rationally_indifferent")
-    ]
-    if not targets:
-        return OrbitFate("unresolved", steps_used=steps_done, walk=walk)
+    # the tail: an unresolved orbit may run the whole budget
+    prefix = len(walk.points)
+    targets = [c for c in cycles if c.has_basin]
     hits = {c.cycle_id: 0 for c in targets}
     dist_history = {c.cycle_id: [] for c in targets}
     sample_every = max(1, budget // 256)
-    for step in range(steps_done, budget):
+    end = budget if targets else prefix - 1
+    for step in range(prefix - 1, end):
         try:
-            z = rf.evaluate(z)
+            z = walk.point(step + 1)
         except RatmapError:
-            return OrbitFate("unresolved", steps_used=step, walk=walk)
+            end = step
+            break
         for cyc in targets:
             d = min(z.chordal(pt) for pt in cyc.points)
             if cyc.classification in ("superattracting", "attracting"):
@@ -609,28 +617,29 @@ def orbit_fate(r: RationalMap, x: SpherePoint, cycles,
                     hits[cyc.cycle_id] = 0
             elif step % sample_every == 0:
                 dist_history[cyc.cycle_id].append(d)
-    # parabolic attraction is slow; accept a decreasing trend into a small collar
-    for cyc in targets:
-        if cyc.classification != "rationally_indifferent":
-            continue
-        h = dist_history[cyc.cycle_id]
-        if len(h) >= 8:
-            q1, q2, q3 = h[len(h) // 4], h[len(h) // 2], h[-1]
-            if q3 < 1e-2 and q3 < q2 < q1:
-                return OrbitFate("converges", cyc.cycle_id, steps_used=budget, walk=walk)
-    return OrbitFate("unresolved", steps_used=budget, walk=walk)
+    else:
+        # parabolic attraction is slow; accept a decreasing trend into a small collar
+        for cyc in targets:
+            if cyc.classification != "rationally_indifferent":
+                continue
+            h = dist_history[cyc.cycle_id]
+            if len(h) >= 8:
+                q1, q2, q3 = h[len(h) // 4], h[len(h) // 2], h[-1]
+                if q3 < 1e-2 and q3 < q2 < q1:
+                    return OrbitFate("converges", cyc.cycle_id, steps_used=budget, walk=walk)
+    walk.truncate(prefix)  # no reader looks past the prefix of an unresolved walk
+    return OrbitFate("unresolved", steps_used=end, walk=walk)
 
 
-def asymptotic_valency(r: RationalMap, x: SpherePoint, fate: OrbitFate, *,
-                       cycles, crit_points):
-    """lim val(R^k, x): the product of local valencies along the forward orbit.
+def asymptotic_valency(r: RationalMap, fate: OrbitFate, *, cycles, crit_points):
+    """lim val(R^k, x) for the x whose fate this is, read along fate.walk.
 
     Finite unless the orbit lands exactly on a cycle containing a critical
     point, in which case it is INFINITE.
     """
     tol = r.tolerance
     crit_pts = [c.point for c in crit_points]
-    walk = fate.walk or Orbit(r, x)
+    walk = fate.walk
 
     if fate.kind == "preperiodic":
         # a failing valency wins; past a non-critical cycle every valency is 1
@@ -682,7 +691,7 @@ def critical_fate(r: RationalMap, x: SpherePoint, cycles, crit_points,
     """orbit_fate of x, then its asymptotic_valency or the coded error."""
     fate = orbit_fate(r, x, cycles, budget)
     try:
-        aval = asymptotic_valency(r, x, fate, cycles=cycles, crit_points=crit_points)
+        aval = asymptotic_valency(r, fate, cycles=cycles, crit_points=crit_points)
     except RatmapError as err:
         return CriticalFate(fate, None, err)
     return CriticalFate(fate, aval)

@@ -39,10 +39,6 @@ class Polynomial:
         return cls(())
 
     @classmethod
-    def one(cls):
-        return cls((1,))
-
-    @classmethod
     def from_roots(cls, roots, leading=1):
         p = cls((leading,))
         for r in roots:

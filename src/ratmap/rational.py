@@ -173,11 +173,6 @@ class RationalMap:
             )
         return SpherePoint(u, v)
 
-    def iterate(self, x: SpherePoint, n: int) -> SpherePoint:
-        for _ in range(n):
-            x = self.evaluate(x)
-        return x
-
     # -- preimages -----------------------------------------------------------
 
     def _target_polynomial(self, y: SpherePoint) -> Polynomial:
@@ -299,17 +294,6 @@ class RationalMap:
             return table[-1][1]
         nearest, val = min(table, key=lambda entry: x.chordal(entry[0]))
         return val if coincide(x, nearest, self.tolerance) else 1
-
-    def valency(self, n: int, x: SpherePoint) -> int:
-        """val(R^n, x) by the chain rule for local degree."""
-        if n == 0:
-            return 1
-        total = 1
-        current = x
-        for _ in range(n):
-            total *= self.valency_at(current)
-            current = self.evaluate(current)
-        return total
 
     # -- derivative in charts ----------------------------------------------------
 

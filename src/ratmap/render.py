@@ -104,16 +104,9 @@ def _captured(z: np.ndarray, targets, a_inf: float) -> tuple[np.ndarray, np.ndar
     return hit, bad
 
 
-def _capture_targets(r: RationalMap, cycles):
-    targets = []
-    for cyc in cycles or ():
-        if cyc.classification not in (
-            "superattracting", "attracting", "rationally_indifferent"
-        ):
-            continue
-        for p in cyc.points:
-            targets.append(None if p.is_infinity else complex(p.z))
-    return targets
+def _capture_targets(cycles):
+    return [None if p.is_infinity else complex(p.z)
+            for cyc in cycles if cyc.has_basin for p in cyc.points]
 
 
 def _capture_times(r: RationalMap, render_cfg, cycles=None) -> np.ndarray:
@@ -124,7 +117,7 @@ def _capture_times(r: RationalMap, render_cfg, cycles=None) -> np.ndarray:
     times = np.full(h * w, -1, dtype=int)
     if cycles is None:
         cycles, _, _ = periodic_cycles(r.floating(), 2)
-    targets = _capture_targets(r, cycles)
+    targets = _capture_targets(cycles)
     if not targets:
         return times.reshape(h, w)
 

@@ -113,20 +113,26 @@ def _record_needs_valency(record, region_kind: str) -> bool:
     return region_kind in ("attracting", "siegel")
 
 
+def _valency_summand(v, preperiodic: bool, kx: CompactsOn, point, missing: str) -> Expr:
+    """C^v tensor C(T) tensor K_x for a preperiodic point, C^v tensor K_x otherwise.
+
+    Raises RegionBlockedError with the message missing when v is not finite.
+    """
+    if v is None or v == INFINITE:
+        raise RegionBlockedError(missing, point=str(point))
+    if preperiodic:
+        return Tensor([FinitePower(Scalars(), int(v)), CircleAlg(), kx])
+    return Tensor([FinitePower(Scalars(), int(v)), kx])
+
+
 def _record_summand(record, region_kind: str, resolver: ExposureResolver) -> Expr:
     kx = resolver.compacts_on(record.point)
     if record.preperiodic and region_kind == "superattracting":
         return Tensor([CantorAlg(), kx])
-    v = record.asymptotic_valency
-    if v is None or v == INFINITE:
-        raise RegionBlockedError(
-            "record lacks the finite asymptotic valency its summand needs",
-            point=str(record.point),
-        )
-    v = int(v)
-    if record.preperiodic:
-        return Tensor([FinitePower(Scalars(), v), CircleAlg(), kx])
-    return Tensor([FinitePower(Scalars(), v), kx])
+    return _valency_summand(
+        record.asymptotic_valency, record.preperiodic, kx, record.point,
+        "record lacks the finite asymptotic valency its summand needs",
+    )
 
 
 def region_ideal(region) -> Expr:
@@ -185,16 +191,10 @@ def iota_class_algebra(cls, resolver: ExposureResolver) -> Expr:
         return Tensor([CircleAlg(), kx])
     if cls.lands_on_critical_cycle:
         return Tensor([CantorAlg(), kx])
-    v = cls.asymptotic_valency
-    if v is None or v == INFINITE:
-        raise RegionBlockedError(
-            "bookkeeping class lacks a finite asymptotic valency",
-            point=str(cls.representative),
-        )
-    v = int(v)
-    if cls.preperiodic:
-        return Tensor([FinitePower(Scalars(), v), CircleAlg(), kx])
-    return Tensor([FinitePower(Scalars(), v), kx])
+    return _valency_summand(
+        cls.asymptotic_valency, cls.preperiodic, kx, cls.representative,
+        "bookkeeping class lacks a finite asymptotic valency",
+    )
 
 
 @dataclass

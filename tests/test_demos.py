@@ -1,7 +1,7 @@
 """Every script in demos/ runs to the end.
 
-The demos call the public API (orbit_fate, RationalMap.valency,
-run_analysis, render_julia) the way a reader would; each runs in a fresh
+The demos call the public API (run_analysis, render_julia, Orbit,
+RationalMap.valency_at) the way a reader would; each runs in a fresh
 temporary working directory because demo_render.py writes PPM files.
 """
 

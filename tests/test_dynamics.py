@@ -171,19 +171,19 @@ def test_asymptotic_valency_examples():
     cycles2, _, _ = periodic_cycles(r2, 1)
     crit2 = critical_points(r2)
     f0 = orbit_fate(r2, SpherePoint.finite(0), cycles2)
-    assert asymptotic_valency(r2, SpherePoint.finite(0), f0, cycles=cycles2, crit_points=crit2) == 2
+    assert asymptotic_valency(r2, f0, cycles=cycles2, crit_points=crit2) == 2
 
     r = zsq()
     cycles, _, _ = periodic_cycles(r, 1)
     crit = critical_points(r)
     f = orbit_fate(r, SpherePoint.finite(0), cycles)
-    assert asymptotic_valency(r, SpherePoint.finite(0), f, cycles=cycles, crit_points=crit) == INFINITE
+    assert asymptotic_valency(r, f, cycles=cycles, crit_points=crit) == INFINITE
 
     rc = cheb()
     cyclesc, _, _ = periodic_cycles(rc, 1)
     critc = critical_points(rc)
     f3 = orbit_fate(rc, SpherePoint.finite(3), cyclesc)
-    assert asymptotic_valency(rc, SpherePoint.finite(3), f3, cycles=cyclesc, crit_points=critc) == 1
+    assert asymptotic_valency(rc, f3, cycles=cyclesc, crit_points=critc) == 1
 
 
 def test_attracting_multiplier_value():

@@ -9,7 +9,13 @@ import pytest
 
 from ratmap.algebra import DirectSum, Matrix, Tensor, normalize
 from ratmap.atlas import build_atlas
-from ratmap.dynamics import DEFAULT_ORBIT_BUDGET, critical_fate, critical_points, periodic_cycles
+from ratmap.dynamics import (
+    DEFAULT_ORBIT_BUDGET,
+    Orbit,
+    critical_fate,
+    critical_points,
+    periodic_cycles,
+)
 from ratmap.poly import Polynomial
 from ratmap.primitive import primitive_catalog
 from ratmap.rational import RationalMap
@@ -31,8 +37,8 @@ def test_ro_bounded_transitivity():
     checked = 0
     for _ in range(40):
         x = SpherePoint.finite(GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1)))
-        y = r.iterate(x, rng.randint(0, 2))
-        z = r.iterate(y, rng.randint(0, 2))
+        y = Orbit(r, x).point(rng.randint(0, 2))
+        z = Orbit(r, y).point(rng.randint(0, 2))
         k = 4
         wxy = ro_related(r, x, y, depth=k)
         wyz = ro_related(r, y, z, depth=k)
@@ -107,4 +113,4 @@ def test_iota_p_periodic_valency_one():
     for cls in atlas.iota_p:
         region = atlas.regions[cls.region_id]
         anchor = cycles[region.anchor_cycle_id]
-        assert r.valency(anchor.period, cls.representative) == 1
+        assert Orbit(r, cls.representative).valency(anchor.period) == 1

@@ -74,7 +74,10 @@ def test_a_rejected_candidate_is_never_a_fixed_point(case):
         assume(False)
     x = _point(value)
     if _screen_rejects(r, value, period):
-        assert r.iterate(x, period) != x
+        y = x
+        for _ in range(period):  # unguarded exact iteration: the reference
+            y = r.evaluate(y)
+        assert y != x
 
 
 @pytest.mark.parametrize("source, index", [("worked", i) for i in range(len(WORKED_MAPS))]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ratmap.dynamics import DEFAULT_MAX_PERIOD, critical_points, periodic_cycles
+from ratmap.dynamics import DEFAULT_MAX_PERIOD, Orbit, critical_points, periodic_cycles
 from ratmap.errors import MapDegreeError
 from ratmap.poly import Polynomial, vanishing_order_exact
 from ratmap.rational import RationalMap
@@ -72,10 +72,10 @@ def test_evaluate_chart_consistency():
 
 
 def test_valency_examples():
-    assert zsq().valency(1, SpherePoint.finite(0)) == 2
-    assert zsq().valency(1, SpherePoint.finite(1)) == 1
+    assert Orbit(zsq(), SpherePoint.finite(0)).valency(1) == 2
+    assert Orbit(zsq(), SpherePoint.finite(1)).valency(1) == 1
     # (z-2)^2/z^2 at the double pole: val(R,0)=2, val(R,inf)=1
-    assert rees_shape().valency(2, SpherePoint.finite(0)) == 2
+    assert Orbit(rees_shape(), SpherePoint.finite(0)).valency(2) == 2
     assert rees_shape().valency_at(INFINITY) == 1
 
 
@@ -85,8 +85,8 @@ def test_valency_chain_rule():
     for _ in range(20):
         x = SpherePoint.finite(GaussianRational(rng.randint(-3, 3), rng.randint(-2, 2)))
         n, m = rng.randint(1, 3), rng.randint(1, 3)
-        xn = r.iterate(x, n)
-        assert r.valency(n + m, x) == r.valency(n, x) * r.valency(m, xn)
+        walk = Orbit(r, x)
+        assert walk.valency(n + m) == walk.valency(n) * Orbit(r, walk.point(n)).valency(m)
 
 
 def _valency_from_scratch(r, x):

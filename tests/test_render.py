@@ -140,7 +140,7 @@ def _whole_grid_capture_times(r, render_cfg):
     xmin, xmax, ymin, ymax = render_cfg.window
     times = np.full(h * w, -1, dtype=int)
     cycles, _, _ = periodic_cycles(r.floating(), 2)
-    targets = _capture_targets(r, cycles)
+    targets = _capture_targets(cycles)
     if not targets:
         return times.reshape(h, w)
 

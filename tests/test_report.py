@@ -15,6 +15,7 @@ import pytest
 
 import ratmap.dynamics
 from ratmap import cli
+from ratmap.dynamics import DEFAULT_ORBIT_BUDGET
 from ratmap.errors import ConfigError, InputFormatError, MapDegreeError, RatmapError
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
@@ -179,7 +180,11 @@ def test_each_critical_orbit_is_walked_once(monkeypatch):
     # worked maps; asymptotic_valency re-walked 14 of those steps and the
     # exposed seed pool 14 more through plain evaluation.  On the first 10
     # corpus maps and their twins at max_period 2, orbit_fate stepped 4736
-    # times, asymptotic_valency 544 more and build_atlas 840 more.
+    # times, asymptotic_valency 544 more and build_atlas 840 more.  Later,
+    # orbit_fate's floating tail still stepped past the 64-step prefix through
+    # its own evaluation, and asymptotic_valency stepped the same points again
+    # (2 steps per run on corpus map 2).  Map 2 converges past the prefix, so
+    # here the tail is stepped by the counted stepper too.
     # Points are told apart by (map, object): a module constant such as
     # INFINITY is shared by every map and by its cycles.
     stepped = Counter()
@@ -207,7 +212,7 @@ def test_each_critical_orbit_is_walked_once(monkeypatch):
 
     for doc in WORKED_MAPS + DECIMAL_TWINS:
         run_analysis(parse_map(doc))
-    for index in (7, 8):
+    for index in (2, 7, 8):
         for twin in (False, True):
             run_analysis(_corpus_map(index, twin), AnalysisConfig(max_period=2))
 
@@ -218,6 +223,52 @@ def test_each_critical_orbit_is_walked_once(monkeypatch):
 
     orbit_steps = [n for key, n in stepped.items() if on_critical_orbit(key)]
     assert orbit_steps and max(orbit_steps) == 1
+
+
+@pytest.mark.parametrize("twin", [False, True])
+def test_asymptotic_valency_only_reads_the_fate_walk(twin, monkeypatch):
+    # corpus map 2 converges past the 64-step prefix: the fate's tail walks
+    # those steps, and asymptotic_valency reads them without stepping
+    inside = []
+    stepped = []
+
+    def counted_step(r, x):
+        if inside:
+            stepped.append(x)
+        return step(r, x)
+
+    def flagged_valency(*args, **kwargs):
+        inside.append(True)
+        try:
+            return valency(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    step = _patch_everywhere(monkeypatch, ratmap.dynamics, "_step_with_height_guard",
+                             counted_step)
+    valency = _patch_everywhere(monkeypatch, ratmap.dynamics, "asymptotic_valency",
+                                flagged_valency)
+    data = run_analysis(_corpus_map(2, twin), AnalysisConfig(max_period=2)).data
+    assert any(row["fate"]["kind"] == "converges" and row["fate"]["steps_used"] > 64
+               for row in data["critical_fates"])
+    assert stepped == []
+
+
+@pytest.mark.parametrize("twin", [False, True])
+def test_an_unresolved_walk_keeps_only_its_prefix(twin, monkeypatch):
+    # corpus map 23 has four critical orbits that run the whole budget unresolved
+    fates = []
+
+    def kept_fate(*args, **kwargs):
+        fates.append(fate(*args, **kwargs))
+        return fates[-1]
+
+    fate = _patch_everywhere(monkeypatch, ratmap.dynamics, "orbit_fate", kept_fate)
+    run_analysis(_corpus_map(23, twin), AnalysisConfig(max_period=2))
+    unresolved = [f for f in fates if f.kind == "unresolved"]
+    assert len(unresolved) == 4
+    assert all(f.steps_used == DEFAULT_ORBIT_BUDGET for f in unresolved)
+    assert all(len(f.walk.points) <= 65 for f in unresolved)
 
 
 @pytest.mark.parametrize("map_text, config, code", [
@@ -331,7 +382,9 @@ MP2 = {"max_period": 2}
 # Only corpus map 6 and its twin were recorded again, when the repelling
 # 2-cycle that solve had dropped was found.  The "two-cycle" cases are
 # EXACT_TWO_CYCLE_MAP and its decimal twin, pinned before the modular screen
-# of exact fixed-point candidates.
+# of exact fixed-point candidates.  Corpus map 23 has four critical orbits
+# that run the whole orbit budget unresolved; it was pinned before
+# orbit_fate's floating tail went through the orbit's own walk.
 PINNED_REPORTS = [
     ("worked", 0, False, {},
      "370b97c3e0a4673f05eee9f37f175a1596ffe9454a49de4651b9ef0a4876b273",
@@ -461,6 +514,14 @@ PINNED_REPORTS = [
      "cf2d180e05cb2531324d00e960d58dd96b2272b3e14b456208d5639237839018",
      "776db60377a3ba8f04c4213863051aaff32f507e3962405b7883393cb6205808",
      "53d42ef8a7aa3e3a82a2a7ae3d12f487610cb6ee4c8b7b2cde3f969f55964a79"),
+    ("corpus", 23, False, MP2,
+     "18766952abee64232ba668e2e85623136d24865c24b92bdb25ea57869314a900",
+     "d93ef06ef80b1164f1851cd1a63e314ece93002deab7d9285cf81c0e9f8fccd2",
+     "77e930421d7542b6787e62a3549dcad160b83c070760e7f6973501375a1b7377"),
+    ("corpus", 23, True, MP2,
+     "1fc68bc787d197a1c2e60a41f4bd9bb345d96322fafc60c3d044bb6c34ca0038",
+     "e6a1bd67cf7fa2b28d8444f853fa6ef1ce5d8e397e2913d057859ca15bf5a193",
+     "645e888540b0ea30ce7f9194c634428ef31a4c31cc4d47ce1cf74ccbd4399633"),
 ]
 
 # The test id of each case embeds the JSON and text digests it was first
@@ -530,6 +591,10 @@ FIRST_PINNED_DIGESTS = [
      "014bbdde034c00631e414f03ed4c9a7d07cdff4091899c5f1e17919ee4ea0587"),
     ("cf2d180e05cb2531324d00e960d58dd96b2272b3e14b456208d5639237839018",
      "776db60377a3ba8f04c4213863051aaff32f507e3962405b7883393cb6205808"),
+    ("18766952abee64232ba668e2e85623136d24865c24b92bdb25ea57869314a900",
+     "d93ef06ef80b1164f1851cd1a63e314ece93002deab7d9285cf81c0e9f8fccd2"),
+    ("1fc68bc787d197a1c2e60a41f4bd9bb345d96322fafc60c3d044bb6c34ca0038",
+     "e6a1bd67cf7fa2b28d8444f853fa6ef1ce5d8e397e2913d057859ca15bf5a193"),
 ]
 PINNED_IDS = [
     f"{case[0]}-{case[1]}-{case[2]}-config{i}-{first_json}-{first_text}"

@@ -81,9 +81,10 @@ def test_ro_simpleobs_property():
             Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
         ))
         n = rng.randint(1, 3)
-        if r.valency(n, x) != 1:
+        walk = Orbit(r, x)
+        if walk.valency(n) != 1:
             continue
-        xn = r.iterate(x, n)
+        xn = walk.point(n)
         w = ro_related(r, xn, x, depth=n)
         assert w is not None
         checked += 1
