@@ -26,7 +26,9 @@ only spares the exact walk of most non-fixed snaps.  R maps each solved
 point to the solved point nearest its image, and the chains of p points
 that close are the cycles of period p.  Each period is certified by the
 rational fixed-point formula sum 1/(1 - mu) = 1; a failed or uncertified
-period is a coded warning, and the search goes on.
+period is a coded warning, and the search goes on.  The floating solve of
+each period is memoized on the floating map, so an analysis and a render
+of the same map solve it once; the snaps are made per call.
 
 Cycle classification never guesses: super-attraction is decided by
 criticality of the cycle (exactly, when the map is exact), attracting and
@@ -368,22 +370,46 @@ def _exact_fixed_point(r: RationalMap, x: SpherePoint, p: int) -> SpherePoint | 
     return cand if y == cand else None
 
 
+def _floating_fixed_points(rf: RationalMap, p: int):
+    """(points, ambiguity): the floating solve of the fixed points of R^p.
+
+    Aberth runs on the orbit recursion of the floating map rf; the points
+    come in solve order, the simple ones polished.  ambiguity is the
+    MultiplicityAmbiguousError that find_zeros reports, or None.  The solve
+    is memoized per period on rf, a RootFindingFailedError too: a later call
+    raises it again.
+    """
+    solved = rf._fixed_point_cache.get(p)
+    if solved is None:
+        eq = _FixedPointEquation(rf, p)
+        start = start_circle(rf.degree**p + 1, CHART_START_RADIUS)
+        try:
+            clusters, ambiguity = find_zeros(eq.evaluate, eq.residual, eq.uncertainty, start,
+                                             period=p)
+        except RootFindingFailedError as err:
+            solved = err
+        else:
+            simple = [i for i, members in enumerate(clusters) if len(members) == 1]
+            points = [_chart_point(SOLVE_CHART, eq.merge(members)) for members in clusters]
+            polished = _polish_in_balanced_charts(rf, p, [points[i] for i in simple])
+            for i, x in zip(simple, polished):
+                points[i] = x
+            solved = (tuple(points), ambiguity)
+        rf._fixed_point_cache[p] = solved
+    if isinstance(solved, RootFindingFailedError):
+        raise solved
+    return solved
+
+
 def fixed_points(r: RationalMap, p: int):
     """The d^p + 1 fixed points of R^p, multiple ones merged, sorted by point.
 
-    Aberth runs on the orbit recursion of the floating map.  On an exact map
-    a point is exact when its snap is verified exactly.  Raises
+    The floating solve is that of r.floating(), done once per period.  On an
+    exact map a point is exact when its snap is verified exactly.  Raises
     RootFindingFailedError, or MultiplicityAmbiguousError unless every point
     is exact.
     """
-    rf = r.floating()
-    eq = _FixedPointEquation(rf, p)
-    start = start_circle(r.degree**p + 1, CHART_START_RADIUS)
-    clusters, ambiguity = find_zeros(eq.evaluate, eq.residual, eq.uncertainty, start, period=p)
-    simple = [i for i, members in enumerate(clusters) if len(members) == 1]
-    points = [_chart_point(SOLVE_CHART, eq.merge(members)) for members in clusters]
-    for i, x in zip(simple, _polish_in_balanced_charts(rf, p, [points[i] for i in simple])):
-        points[i] = x
+    points, ambiguity = _floating_fixed_points(r.floating(), p)
     if r.is_exact:
         points = [_exact_fixed_point(r, x, p) or x for x in points]
     if ambiguity is not None and not all(x.is_exact for x in points):
@@ -489,21 +515,27 @@ class Orbit:
 
     points[j] is R^j(x).  The RatmapError of a failed step ends the walk and
     is kept in error; asking for a point past it raises it again, so each
-    caller applies its own rule.  Cumulative valencies are memoized.
+    caller applies its own rule.  Cumulative valencies are memoized.  When
+    float_from is set, a step from points[j] with j >= float_from starts
+    from the floating value of that point.
     """
 
     def __init__(self, r: RationalMap, x: SpherePoint):
         self.r = r
         self.points = [x]
         self.error = None
+        self.float_from = None
         self._valencies = [1]
 
     def point(self, n: int) -> SpherePoint:
         """R^n(x), walking on as far as needed."""
         pts = self.points
         while len(pts) <= n and self.error is None:
+            x = pts[-1]
+            if self.float_from is not None and len(pts) > self.float_from:
+                x = x.to_float()
             try:
-                pts.append(_step_with_height_guard(self.r, pts[-1]))
+                pts.append(_step_with_height_guard(self.r, x))
             except RatmapError as err:
                 self.error = err
         if len(pts) <= n:
@@ -511,10 +543,11 @@ class Orbit:
         return pts[n]
 
     def truncate(self, n: int):
-        """Forget R^j(x) for j >= n; point(j) walks them again."""
+        """Forget R^j(x) for j >= n; point(j) walks them again, floating only past the cap."""
         if len(self.points) > n:
             del self.points[n:]
             self.error = None  # it came from a step past n
+        self.float_from = None
 
     def valency(self, n: int) -> int:
         """val(R^n, x): the product of local valencies at R^0(x)..R^(n-1)(x)."""
@@ -563,8 +596,9 @@ def orbit_fate(r: RationalMap, x: SpherePoint, cycles,
 
     Exact landings are searched on a short prefix (they are exact-arithmetic
     facts for exact inputs, tolerance plus re-verification otherwise), after
-    which the same walk goes on, floating once past the height cap, to detect
-    convergence.  An unresolved fate keeps only the prefix of its walk.
+    which the same walk goes on in floating point, from the prefix's last
+    point, to detect convergence.  An unresolved fate keeps only the prefix
+    of its walk.
     """
     tol = r.tolerance
     walk = Orbit(r, x)
@@ -593,8 +627,10 @@ def orbit_fate(r: RationalMap, x: SpherePoint, cycles,
                 if _reverify_landing(r, x, cyc, n, tol):
                     return OrbitFate("preperiodic", cyc.cycle_id, n, n, walk=walk)
 
-    # the tail: an unresolved orbit may run the whole budget
+    # the tail steps in floating point from the prefix's last point: an
+    # unresolved orbit may run the whole budget
     prefix = len(walk.points)
+    walk.float_from = prefix - 1
     targets = [c for c in cycles if c.has_basin]
     hits = {c.cycle_id: 0 for c in targets}
     dist_history = {c.cycle_id: [] for c in targets}

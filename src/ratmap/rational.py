@@ -106,6 +106,8 @@ class RationalMap:
         # memoization only: entries are write-once per key and recomputation
         # is harmless, so concurrent readers stay safe
         self._preimage_cache = {}
+        # period -> the floating fixed-point solve of R^p (dynamics._floating_fixed_points)
+        self._fixed_point_cache = {}
         self._critical_table = None
         self._critical_values = None
         self._exact_valencies = {}

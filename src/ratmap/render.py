@@ -7,23 +7,31 @@ time up to the largest in the image.  Pixels never captured (the Julia
 locus at this resolution) are black.
 
 A capture is defined by the chordal test alone: the chordal distance to a
-target is below CAPTURE_RADIUS.  Two cheaper tests are derived from it and
-decide the same way.  For the infinity target the test is monotone in |z|,
-so it is a threshold on |z|, found once per image by bisection over the
-float64 values.  For a finite target t every capture has ||z| - |t|| below
-a bound that depends on t only, so the chordal test runs only on the
-values within it.
+target is below CAPTURE_RADIUS.  Where |z|^2 + 1 overflows, the norm
+sqrt(|z|^2 + 1) in it is |z|, divided out before anything else multiplies
+in, so a huge finite value keeps its true distance to a finite target.
+Two cheaper tests are derived from the chordal one and decide the same
+way.  For the infinity target the test is monotone in |z|, so it is a
+threshold on |z|, found once per image by bisection over the float64
+values; it is decided from |z| alone, since every non-finite value fails
+|z| < threshold too.  For a finite target t every capture has
+||z| - |t|| below a bound that depends on t only, so the chordal test runs
+only on the values within it.
 
 The grid is iterated in fixed blocks of BLOCK_PIXELS pixels, small enough
 for the cache, one block after the other.  Within a block only the pixels
 still in flight are advanced: each step evaluates the map by in-place
-Horner from the leading coefficient, tests the captures and drops the
-captured pixels, so its cost follows the active set, not the grid.  Every
-pixel sees the same floating-point operations in the same order whatever
-the block size, so the capture times do not depend on it.  A map with no
-such cycle of period <= 2 has nothing to capture, so its image is all black
-and no pixel is iterated.  The output is deterministic for a fixed
-configuration.
+Horner from the leading coefficient, adding no zero coefficient and
+dividing by no denominator that is the constant 1, tests the captures and
+drops the captured pixels, so its cost follows the active set, not the
+grid; a step that captures and drops nothing gathers nothing.  These
+shortcuts change at most the sign of a zero part, which no capture reads.
+Every pixel sees the same floating-point operations in the same order
+whatever the block size, so the capture times do not depend on it.  The
+targets are the cycles of period <= 2 of the floating map, whose solves an
+analysis of the same map has memoized already.  A map with no such cycle
+has nothing to capture, so its image is all black and no pixel is
+iterated.  The output is deterministic for a fixed configuration.
 
 Output format: binary PPM (P6), 8-bit RGB, header "P6\\n<w> <h>\\n255\\n"
 followed by rows top to bottom, left to right.
@@ -62,28 +70,26 @@ def _infinity_threshold() -> float:
 
 
 def _captured(z: np.ndarray, targets, a_inf: float) -> tuple[np.ndarray, np.ndarray]:
-    """Masks (captured, non-finite) over an array of chart values.
+    """Masks (captured, dropped) over an array of chart values.
 
     A value is captured when its chordal distance to some target (None
     encodes infinity) is below CAPTURE_RADIUS; NaN/inf entries mean 'at
-    infinity'.  a_inf is _infinity_threshold().  The chordal expression
-    2|z - t| / (sqrt(|z|^2 + 1) sqrt(|t|^2 + 1)) is the one definition of
-    a capture by a finite target t; it is evaluated only on the values that
-    pass a screen on |z| which every capture passes.
+    infinity'.  A dropped value is captured or non-finite; with an infinity
+    target every non-finite value is captured, so dropped is captured
+    itself.  a_inf is _infinity_threshold(): a capture by infinity is
+    ~(|z| < a_inf), which holds for every non-finite z too.  The chordal
+    expression 2|z - t| / (sqrt(|z|^2 + 1) sqrt(|t|^2 + 1)) is the one
+    definition of a capture by a finite target t, with |z| for the norm
+    where |z|^2 + 1 overflows; it is evaluated only on the values that pass
+    a screen on |z| which every capture passes.
     """
     a = np.abs(z)
-    bad = ~np.isfinite(z)
     if None in targets:
-        hit = bad | (a >= a_inf)
-        wide = np.empty(0, dtype=np.intp)
+        hit = ~(a < a_inf)
+        bad = None
     else:
         hit = np.zeros(z.shape, dtype=bool)
-        # for a huge finite z, |z|^2 overflows the chordal norm to inf and the
-        # expression can read 0, a capture no screen on |z| foresees; the
-        # infinity test captures those values first, so only without it are
-        # the finite values from a_inf up checked against every target
-        wide = np.flatnonzero(a >= a_inf)
-        wide = wide[~bad[wide]]
+        bad = ~np.isfinite(z)
     for target in targets:
         if target is None:
             continue
@@ -93,15 +99,23 @@ def _captured(z: np.ndarray, targets, a_inf: float) -> tuple[np.ndarray, np.ndar
             # so a capture has ||z| - |t|| < R tnorm^2 / (2 - R tnorm); the
             # factor 2 is margin for rounding
             bound = 2.0 * CAPTURE_RADIUS * tnorm**2 / (2.0 - CAPTURE_RADIUS * tnorm)
-            near = np.flatnonzero(np.abs(a - abs(target)) < bound)
-            near = np.concatenate((near, wide))
-        else:  # the bound grows without limit as R tnorm nears 2: check every value
-            near = np.flatnonzero(~bad)
-            if 2.0 / tnorm < CAPTURE_RADIUS:  # infinity lies inside this target's disc
-                hit |= bad
-        d = 2.0 * np.abs(z[near] - target) / (np.sqrt(a[near] ** 2 + 1.0) * tnorm)
+            lo, hi = abs(target) - bound, abs(target) + bound
+            # |z| >= 0, so a negative lo bounds nothing: one comparison screens
+            near = np.flatnonzero(a < hi if lo < 0 else (lo < a) & (a < hi))
+        else:  # the bound grows without limit as R tnorm nears 2: check every finite |z|
+            near = np.flatnonzero(a < np.inf)
+            if bad is not None and 2.0 / tnorm < CAPTURE_RADIUS:
+                hit |= bad  # infinity lies inside this target's disc
+        an = a[near]
+        dist = np.abs(z[near] - target)
+        norm = np.sqrt(an**2 + 1.0)
+        d = 2.0 * dist / (norm * tnorm)
+        # where |z|^2 + 1 overflows the norm is |z|, divided out first so
+        # that no product overflows either
+        huge = np.isinf(norm)
+        d[huge] = 2.0 * (dist[huge] / an[huge]) / tnorm
         hit[near[d < CAPTURE_RADIUS]] = True
-    return hit, bad
+    return hit, (hit if bad is None else hit | bad)
 
 
 def _capture_targets(cycles):
@@ -137,6 +151,32 @@ def _capture_times(r: RationalMap, render_cfg, cycles=None) -> np.ndarray:
     return times.reshape(h, w)
 
 
+def _horner(coeffs, z: np.ndarray) -> np.ndarray:
+    """The polynomial with these coefficients, leading first, at the finite values z.
+
+    Horner starts at the leading coefficient c0 and adds no zero
+    coefficient; against 0*z + c0 and additions of 0 this differs at most
+    in the sign of a zero part.  A real c0 multiplies z directly, which
+    rounds as the product of two arrays does; a complex one is filled in
+    first, since numpy rounds a complex scalar product differently.
+    """
+    c0, *rest = coeffs
+    if not rest:
+        return np.full_like(z, c0)
+    if c0.imag == 0:
+        out = z * c0
+    else:
+        out = np.full_like(z, c0)
+        out *= z
+    for c in rest[:-1]:
+        if c != 0:
+            out += c
+        out *= z
+    if rest[-1] != 0:
+        out += rest[-1]
+    return out
+
+
 def _iterate_block(z: np.ndarray, times: np.ndarray, targets, a_inf: float, pc, qc,
                    max_iter: int):
     """Iterate the pixels z of one block, writing their capture times into times."""
@@ -145,27 +185,22 @@ def _iterate_block(z: np.ndarray, times: np.ndarray, targets, a_inf: float, pc, 
     times[hit] = 0
     idx = np.flatnonzero(~hit)
     z = z[idx]
+    # dividing by 1 is exact up to the sign of a zero part, which no capture reads
+    unit_den = len(qc) == 1 and qc[0] == 1
     for it in range(1, max_iter + 1):
         if idx.size == 0:
             break
-        # z is finite, so starting at the leading coefficient differs from
-        # 0*z + c0 at most in the sign of a zero part
-        num = np.full_like(z, pc[0])
-        for c in pc[1:]:
-            num *= z
-            num += c
-        den = np.full_like(z, qc[0])
-        for c in qc[1:]:
-            den *= z
-            den += c
-        num /= den
+        num = _horner(pc, z)
+        if not unit_den:
+            num /= _horner(qc, z)
         z = num
-        hit, bad = _captured(z, targets, a_inf)
-        times[idx[hit]] = it
-        # a blown-up value is captured by an infinity target or dropped
-        keep = ~(hit | bad)
-        idx = idx[keep]
-        z = z[keep]
+        hit, dropped = _captured(z, targets, a_inf)
+        if dropped.any():
+            # a blown-up value is captured by an infinity target or dropped
+            times[idx[hit]] = it
+            keep = ~dropped
+            idx = idx[keep]
+            z = z[keep]
 
 
 def render_julia(r: RationalMap, render_cfg, cycles=None) -> bytes:

@@ -8,11 +8,14 @@ R^p must hold (Milnor, Dynamics in One Complex Variable, Thm 12.4).
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import ratmap.dynamics
+from ratmap import cli
 from ratmap.dynamics import (
     DEFAULT_MAX_PERIOD,
     INNER_CHART,
@@ -23,6 +26,7 @@ from ratmap.dynamics import (
     fixed_points,
     periodic_cycles,
 )
+from ratmap.errors import RootFindingFailedError
 from ratmap.report import parse_map
 from ratmap.roots import polish, start_circle
 from ratmap.sphere import INFINITY, SpherePoint, coincide
@@ -206,3 +210,61 @@ def test_one_polish_walk_matches_a_pass_per_chart(index, twin):
         want = _reference_polish(rf, p, points)
         got = _polish_in_balanced_charts(rf, p, points)
         assert [_point_bits(x) for x in got] == [_point_bits(x) for x in want]
+
+
+def _count_solves(monkeypatch):
+    """The periods of the floating fixed-point solves from here on, one per find_zeros call."""
+    periods = []
+
+    def counted(*args, _find_zeros=ratmap.dynamics.find_zeros, **kwargs):
+        periods.append(kwargs["period"])
+        return _find_zeros(*args, **kwargs)
+
+    monkeypatch.setattr(ratmap.dynamics, "find_zeros", counted)
+    return periods
+
+
+@pytest.mark.parametrize("config, solved", [(None, [1, 2, 3, 4]), ({"max_period": 1}, [1, 2])])
+def test_the_cli_render_reuses_the_solves_of_the_analysis(tmp_path, monkeypatch, config, solved):
+    # the analysis solves periods 1 to max_period and the render periods 1
+    # and 2, both on the same floating map
+    periods = _count_solves(monkeypatch)
+    map_file = tmp_path / "map.json"
+    map_file.write_text(json.dumps(WORKED_MAPS[0]))
+    argv = ["analyze", str(map_file), "--out", str(tmp_path / "report.json"),
+            "--render", str(tmp_path / "julia.ppm")]
+    if config is not None:
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        argv += ["--config", str(config_file)]
+    assert cli.main(argv) == 0
+    assert periods == solved
+
+
+@pytest.mark.parametrize("doc, twin", WORKED)
+def test_fixed_points_returns_a_fresh_list_on_every_call(doc, twin, monkeypatch):
+    periods = _count_solves(monkeypatch)
+    r = parse_map(doc)
+    first = fixed_points(r, 2)
+    expected = list(first)
+    first.clear()
+    second = fixed_points(r, 2)
+    assert second == expected and second is not first
+    # the floating map shares the solve, without the exact snap
+    floating = fixed_points(r.floating(), 2)
+    assert floating is not second and not any(x.is_exact for x in floating)
+    assert len(floating) == len(second)
+    assert all(any(coincide(x, y, 1e-6) for y in second) for x in floating)
+    assert periods == [2]
+
+
+def test_a_failed_solve_raises_the_same_error_again(monkeypatch):
+    periods = _count_solves(monkeypatch)
+    r = parse_map({"numerator": ["1e-5", "1e7", "-2e-5"], "denominator": ["2e-8"]})
+    errors = []
+    for _ in range(2):
+        with pytest.raises(RootFindingFailedError) as info:
+            fixed_points(r, 1)
+        errors.append(info.value)
+    assert errors[0] is errors[1] and errors[0].code == "roots-no-convergence"
+    assert periods == [1]

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+import ratmap.dynamics
 from ratmap.dynamics import (
+    DEFAULT_ORBIT_BUDGET,
     INFINITE,
     Orbit,
     PeriodicCycle,
@@ -164,6 +166,27 @@ def test_orbit_fate_screen_matches_the_scalar_rule(name, p, q, same, swap):
 def test_orbit_fate_walks_the_whole_prefix_without_cycles():
     fate = orbit_fate(cheb(), SpherePoint.finite(0.5 + 0j), [])
     assert fate.kind == "unresolved" and fate.steps_used == 64
+
+
+def test_the_fate_tail_takes_no_exact_step_past_the_prefix(monkeypatch):
+    # z^2 - 1 at max_period 1: the critical point 0 lies on the unlisted exact
+    # 2-cycle {0, -1}, so its orbit stays exact, and unresolved, for the whole
+    # budget; only the 64 steps of the prefix may be taken exactly
+    steps = []
+
+    def counted(r, x, _step=ratmap.dynamics._step_with_height_guard):
+        steps.append(x.is_exact)
+        return _step(r, x)
+
+    monkeypatch.setattr(ratmap.dynamics, "_step_with_height_guard", counted)
+    r = RationalMap(Polynomial([1, 0, -1]), Polynomial([1]))
+    cycles, _, _ = periodic_cycles(r, 1)
+    fate = orbit_fate(r, SpherePoint.finite(0), cycles)
+    assert (fate.kind, fate.steps_used) == ("unresolved", DEFAULT_ORBIT_BUDGET)
+    assert steps == [True] * 64 + [False] * (DEFAULT_ORBIT_BUDGET - 64)
+    # the walk keeps its exact prefix; a reader past it walks exactly again
+    assert len(fate.walk.points) == 65 and fate.walk.points[-1] == SpherePoint.finite(0)
+    assert fate.walk.point(65).is_exact and fate.walk.point(65) == SpherePoint.finite(-1)
 
 
 def test_asymptotic_valency_examples():

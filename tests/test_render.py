@@ -15,6 +15,7 @@ from ratmap.render import (
     _capture_times,
     _captured,
     _color,
+    _horner,
     _infinity_threshold,
     max_iteration_mask,
     render_julia,
@@ -117,21 +118,44 @@ def test_worked_map_images_pinned(doc, digest):
 
 
 def _reference_captured(z, targets):
-    """Reference: the chordal capture test evaluated on every value for every target."""
+    """Reference: the chordal capture test evaluated on every value for every target.
+
+    The norm sqrt(|z|^2 + 1) is taken as |z| where |z|^2 + 1 overflows,
+    and divided out before tnorm multiplies in.
+    """
     bad = ~np.isfinite(z)
     zs = np.where(bad, 0.0, z)
-    norm = np.sqrt(np.abs(zs) ** 2 + 1.0)
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.abs(zs) ** 2 + 1.0)
+    huge = np.isinf(norm)
     hit = np.zeros(z.shape, dtype=bool)
     for target in targets:
         if target is None:
             hit |= bad | (2.0 / norm < ratmap.render.CAPTURE_RADIUS)
             continue
         tnorm = np.sqrt(abs(target) ** 2 + 1.0)
-        d = 2.0 * np.abs(zs - target) / (norm * tnorm)
+        dist = np.abs(zs - target)
+        d = 2.0 * dist / (norm * tnorm)
+        d[huge] = 2.0 * (dist[huge] / np.abs(zs[huge])) / tnorm
         if 2.0 / tnorm < ratmap.render.CAPTURE_RADIUS:
             hit |= bad
         hit |= ~bad & (d < ratmap.render.CAPTURE_RADIUS)
     return hit, bad
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, 0, -2], [4, 0, 1], [1 - 0j, 0, 0], [2.5], [-1 - 0j], [0.6 + 0.8j],
+    [0.6 + 0.8j, 0, -0.5 + 0.1j], [3, 1e-3 + 2j, 0, 7j], [1e-3j, 0, 0, 0, 1],
+])
+def test_horner_matches_horner_from_zero(coeffs):
+    # equal as numbers: only the sign of a zero part may differ
+    rng = np.random.default_rng(len(coeffs))
+    z = (rng.normal(size=999) + 1j * rng.normal(size=999)) * 10.0 ** rng.uniform(-3, 3, 999)
+    coeffs = np.array(coeffs, dtype=complex)
+    expected = np.zeros_like(z)
+    for c in coeffs:
+        expected = expected * z + c
+    assert np.array_equal(_horner(coeffs, z), expected)
 
 
 def _whole_grid_capture_times(r, render_cfg):
@@ -180,6 +204,10 @@ PARITY_MAPS = [(num, den) for num, den, _ in PINNED_DIGESTS] + [
     # the leading coefficient differs from 0*z + c0 in the sign of a zero
     (["1.0-0.0i", "0.0", "-1.0-0.0i"], ["1.0-0.0i"]),
     (["1.0-0.0i", "0.0", "0.0"], ["-1.0-0.0i"]),
+    # complex leading coefficients: numpy rounds the product of an array and
+    # a complex scalar differently from the product of two arrays
+    (["0.6+0.8i", "0.0", "-0.5+0.1i"], ["1.0"]),
+    (["1.0", "0.0", "0.0"], ["0.6+0.8i", "0.0", "1.0"]),
 ]
 PARITY_CONFIGS = [
     # 77 357 pixels: the last block is partial
@@ -202,6 +230,17 @@ def test_pole_map_matches_the_whole_grid_loop():
     for cfg in [RenderConfig(width=3, height=3, window=(-1.0, 1.0, -1.0, 3.0), max_iter=30),
                 *PARITY_CONFIGS]:
         assert np.array_equal(_capture_times(r, cfg), _whole_grid_capture_times(r, cfg))
+
+
+def test_huge_values_are_not_captured_by_a_finite_target():
+    # the Newton map of z^2 - 1 has the targets 1 and -1 and none at
+    # infinity; every pixel has |z| >= 1e200, where |z|^2 overflows, and once
+    # read chordal distance 0 to a finite target, a capture at time 0
+    r = RationalMap(Polynomial([1, 0, 1]), Polynomial([2, 0]))
+    cfg = RenderConfig(width=40, height=30, window=(1e200, 2e200, -1e200, 1e200), max_iter=50)
+    times = _capture_times(r, cfg)
+    assert (times != 0).all()
+    assert np.array_equal(times, _whole_grid_capture_times(r, cfg))
 
 
 @pytest.mark.parametrize("block_pixels", [1, 7, 500, 1201, 16385])
@@ -281,10 +320,10 @@ def test_capture_test_matches_the_chordal_reference(length, targets):
     for _ in range(max(1, 3 * values.size // length)):
         z = rng.choice(values, length)
         with np.errstate(all="ignore"):  # as in _capture_times
-            hit, bad = _captured(z, targets, a_inf)
+            hit, dropped = _captured(z, targets, a_inf)
             ref_hit, ref_bad = _reference_captured(z, targets)
-        assert np.array_equal(bad, ref_bad)
         assert np.array_equal(hit, ref_hit)
+        assert np.array_equal(dropped, ref_hit | ref_bad)
 
 
 def _reference_color(times, max_iter):

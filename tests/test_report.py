@@ -384,7 +384,10 @@ MP2 = {"max_period": 2}
 # EXACT_TWO_CYCLE_MAP and its decimal twin, pinned before the modular screen
 # of exact fixed-point candidates.  Corpus map 23 has four critical orbits
 # that run the whole orbit budget unresolved; it was pinned before
-# orbit_fate's floating tail went through the orbit's own walk.
+# orbit_fate's floating tail went through the orbit's own walk.  At
+# max_period 1 the two-cycle map's critical orbit {0, -1} is on no listed
+# cycle and stays exact past the prefix; those cases were pinned while the
+# tail still stepped it exactly.
 PINNED_REPORTS = [
     ("worked", 0, False, {},
      "370b97c3e0a4673f05eee9f37f175a1596ffe9454a49de4651b9ef0a4876b273",
@@ -522,6 +525,14 @@ PINNED_REPORTS = [
      "1fc68bc787d197a1c2e60a41f4bd9bb345d96322fafc60c3d044bb6c34ca0038",
      "e6a1bd67cf7fa2b28d8444f853fa6ef1ce5d8e397e2913d057859ca15bf5a193",
      "645e888540b0ea30ce7f9194c634428ef31a4c31cc4d47ce1cf74ccbd4399633"),
+    ("two-cycle", 0, False, {"max_period": 1},
+     "b5d22a455f55bd71d51e39f9bca683232fc7c03293a9cab9dbaab512ff982957",
+     "d0053fdcf3e5a4292852c9120665121f6e09988ec189184c97d4709001b1074c",
+     "cdf2805f18a28fd898a4d7342831756d73c0547c60ed210bfdbc9b2da0802f39"),
+    ("two-cycle", 0, True, {"max_period": 1},
+     "80bc581d228fd233220f07961efbc5b7b9c1450269d6499d493857a6ecfdde95",
+     "b0509a14b953ee6eb78beac295b108d744820209d2211a66b479a49221f4fbab",
+     "217f363db3fa4c7813cb58f51471a0215904c48be7873cc7a338725aeb8b6b56"),
 ]
 
 # The test id of each case embeds the JSON and text digests it was first
@@ -595,6 +606,10 @@ FIRST_PINNED_DIGESTS = [
      "d93ef06ef80b1164f1851cd1a63e314ece93002deab7d9285cf81c0e9f8fccd2"),
     ("1fc68bc787d197a1c2e60a41f4bd9bb345d96322fafc60c3d044bb6c34ca0038",
      "e6a1bd67cf7fa2b28d8444f853fa6ef1ce5d8e397e2913d057859ca15bf5a193"),
+    ("b5d22a455f55bd71d51e39f9bca683232fc7c03293a9cab9dbaab512ff982957",
+     "d0053fdcf3e5a4292852c9120665121f6e09988ec189184c97d4709001b1074c"),
+    ("80bc581d228fd233220f07961efbc5b7b9c1450269d6499d493857a6ecfdde95",
+     "b0509a14b953ee6eb78beac295b108d744820209d2211a66b479a49221f4fbab"),
 ]
 PINNED_IDS = [
     f"{case[0]}-{case[1]}-{case[2]}-config{i}-{first_json}-{first_text}"
