@@ -377,7 +377,8 @@ def _floating_fixed_points(rf: RationalMap, p: int):
     come in solve order, the simple ones polished.  ambiguity is the
     MultiplicityAmbiguousError that find_zeros reports, or None.  The solve
     is memoized per period on rf, a RootFindingFailedError too: a later call
-    raises it again.
+    raises it again, each time with a fresh traceback, so the memo keeps no
+    solver frames alive.
     """
     solved = rf._fixed_point_cache.get(p)
     if solved is None:
@@ -387,7 +388,7 @@ def _floating_fixed_points(rf: RationalMap, p: int):
             clusters, ambiguity = find_zeros(eq.evaluate, eq.residual, eq.uncertainty, start,
                                              period=p)
         except RootFindingFailedError as err:
-            solved = err
+            solved = err.with_traceback(None)
         else:
             simple = [i for i, members in enumerate(clusters) if len(members) == 1]
             points = [_chart_point(SOLVE_CHART, eq.merge(members)) for members in clusters]
@@ -397,7 +398,7 @@ def _floating_fixed_points(rf: RationalMap, p: int):
             solved = (tuple(points), ambiguity)
         rf._fixed_point_cache[p] = solved
     if isinstance(solved, RootFindingFailedError):
-        raise solved
+        raise solved.with_traceback(None)
     return solved
 
 
@@ -413,7 +414,7 @@ def fixed_points(r: RationalMap, p: int):
     if r.is_exact:
         points = [_exact_fixed_point(r, x, p) or x for x in points]
     if ambiguity is not None and not all(x.is_exact for x in points):
-        raise ambiguity
+        raise ambiguity.with_traceback(None)  # it is memoized with the solve
     return sorted(points, key=point_sort_key)
 
 
@@ -515,39 +516,44 @@ class Orbit:
 
     points[j] is R^j(x).  The RatmapError of a failed step ends the walk and
     is kept in error; asking for a point past it raises it again, so each
-    caller applies its own rule.  Cumulative valencies are memoized.  When
-    float_from is set, a step from points[j] with j >= float_from starts
-    from the floating value of that point.
+    caller applies its own rule.  Cumulative valencies are memoized.
     """
 
     def __init__(self, r: RationalMap, x: SpherePoint):
         self.r = r
         self.points = [x]
         self.error = None
-        self.float_from = None
         self._valencies = [1]
 
     def point(self, n: int) -> SpherePoint:
         """R^n(x), walking on as far as needed."""
         pts = self.points
         while len(pts) <= n and self.error is None:
-            x = pts[-1]
-            if self.float_from is not None and len(pts) > self.float_from:
-                x = x.to_float()
-            try:
-                pts.append(_step_with_height_guard(self.r, x))
-            except RatmapError as err:
-                self.error = err
+            self._step(pts[-1])
         if len(pts) <= n:
             raise self.error
         return pts[n]
 
+    def step_floating(self):
+        """Walk one step on from the floating value of the last point.
+
+        The new point is floating, so every later step is floating too.
+        Nothing happens once the walk has failed.
+        """
+        if self.error is None:
+            self._step(self.points[-1].to_float())
+
+    def _step(self, x: SpherePoint):
+        try:
+            self.points.append(_step_with_height_guard(self.r, x))
+        except RatmapError as err:
+            self.error = err
+
     def truncate(self, n: int):
-        """Forget R^j(x) for j >= n; point(j) walks them again, floating only past the cap."""
+        """Forget R^j(x) for j >= n; point(j) walks them again."""
         if len(self.points) > n:
             del self.points[n:]
             self.error = None  # it came from a step past n
-        self.float_from = None
 
     def valency(self, n: int) -> int:
         """val(R^n, x): the product of local valencies at R^0(x)..R^(n-1)(x)."""
@@ -630,12 +636,13 @@ def orbit_fate(r: RationalMap, x: SpherePoint, cycles,
     # the tail steps in floating point from the prefix's last point: an
     # unresolved orbit may run the whole budget
     prefix = len(walk.points)
-    walk.float_from = prefix - 1
     targets = [c for c in cycles if c.has_basin]
     hits = {c.cycle_id: 0 for c in targets}
     dist_history = {c.cycle_id: [] for c in targets}
     sample_every = max(1, budget // 256)
     end = budget if targets else prefix - 1
+    if end >= prefix:
+        walk.step_floating()
     for step in range(prefix - 1, end):
         try:
             z = walk.point(step + 1)

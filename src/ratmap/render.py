@@ -21,17 +21,17 @@ only on the values within it.
 The grid is iterated in fixed blocks of BLOCK_PIXELS pixels, small enough
 for the cache, one block after the other.  Within a block only the pixels
 still in flight are advanced: each step evaluates the map by in-place
-Horner from the leading coefficient, adding no zero coefficient and
-dividing by no denominator that is the constant 1, tests the captures and
-drops the captured pixels, so its cost follows the active set, not the
-grid; a step that captures and drops nothing gathers nothing.  These
-shortcuts change at most the sign of a zero part, which no capture reads.
-Every pixel sees the same floating-point operations in the same order
-whatever the block size, so the capture times do not depend on it.  The
-targets are the cycles of period <= 2 of the floating map, whose solves an
-analysis of the same map has memoized already.  A map with no such cycle
-has nothing to capture, so its image is all black and no pixel is
-iterated.  The output is deterministic for a fixed configuration.
+Horner from the leading coefficient, tests the captures and drops the
+captured pixels, so its cost follows the active set, not the grid; a step
+that captures and drops nothing gathers nothing.  A denominator that is
+the constant 1 is not evaluated or divided by: that changes at most the
+sign of a zero part, which no capture reads.  Every pixel sees the same
+floating-point operations in the same order whatever the block size, so
+the capture times do not depend on it.  The targets are the cycles of
+period <= 2 of the floating map, whose solves an analysis of the same map
+has memoized already.  A map with no such cycle has nothing to capture, so
+its image is all black and no pixel is iterated.  The output is
+deterministic for a fixed configuration.
 
 Output format: binary PPM (P6), 8-bit RGB, header "P6\\n<w> <h>\\n255\\n"
 followed by rows top to bottom, left to right.
@@ -99,9 +99,7 @@ def _captured(z: np.ndarray, targets, a_inf: float) -> tuple[np.ndarray, np.ndar
             # so a capture has ||z| - |t|| < R tnorm^2 / (2 - R tnorm); the
             # factor 2 is margin for rounding
             bound = 2.0 * CAPTURE_RADIUS * tnorm**2 / (2.0 - CAPTURE_RADIUS * tnorm)
-            lo, hi = abs(target) - bound, abs(target) + bound
-            # |z| >= 0, so a negative lo bounds nothing: one comparison screens
-            near = np.flatnonzero(a < hi if lo < 0 else (lo < a) & (a < hi))
+            near = np.flatnonzero(np.abs(a - abs(target)) < bound)
         else:  # the bound grows without limit as R tnorm nears 2: check every finite |z|
             near = np.flatnonzero(a < np.inf)
             if bad is not None and 2.0 / tnorm < CAPTURE_RADIUS:
@@ -151,32 +149,6 @@ def _capture_times(r: RationalMap, render_cfg, cycles=None) -> np.ndarray:
     return times.reshape(h, w)
 
 
-def _horner(coeffs, z: np.ndarray) -> np.ndarray:
-    """The polynomial with these coefficients, leading first, at the finite values z.
-
-    Horner starts at the leading coefficient c0 and adds no zero
-    coefficient; against 0*z + c0 and additions of 0 this differs at most
-    in the sign of a zero part.  A real c0 multiplies z directly, which
-    rounds as the product of two arrays does; a complex one is filled in
-    first, since numpy rounds a complex scalar product differently.
-    """
-    c0, *rest = coeffs
-    if not rest:
-        return np.full_like(z, c0)
-    if c0.imag == 0:
-        out = z * c0
-    else:
-        out = np.full_like(z, c0)
-        out *= z
-    for c in rest[:-1]:
-        if c != 0:
-            out += c
-        out *= z
-    if rest[-1] != 0:
-        out += rest[-1]
-    return out
-
-
 def _iterate_block(z: np.ndarray, times: np.ndarray, targets, a_inf: float, pc, qc,
                    max_iter: int):
     """Iterate the pixels z of one block, writing their capture times into times."""
@@ -190,9 +162,18 @@ def _iterate_block(z: np.ndarray, times: np.ndarray, targets, a_inf: float, pc, 
     for it in range(1, max_iter + 1):
         if idx.size == 0:
             break
-        num = _horner(pc, z)
+        # z is finite, so starting at the leading coefficient differs from
+        # 0*z + c0 at most in the sign of a zero part
+        num = np.full_like(z, pc[0])
+        for c in pc[1:]:
+            num *= z
+            num += c
         if not unit_den:
-            num /= _horner(qc, z)
+            den = np.full_like(z, qc[0])
+            for c in qc[1:]:
+                den *= z
+                den += c
+            num /= den
         z = num
         hit, dropped = _captured(z, targets, a_inf)
         if dropped.any():

@@ -261,10 +261,13 @@ def test_fixed_points_returns_a_fresh_list_on_every_call(doc, twin, monkeypatch)
 def test_a_failed_solve_raises_the_same_error_again(monkeypatch):
     periods = _count_solves(monkeypatch)
     r = parse_map({"numerator": ["1e-5", "1e7", "-2e-5"], "denominator": ["2e-8"]})
-    errors = []
-    for _ in range(2):
+    errors, depths = [], []
+    for _ in range(3):
         with pytest.raises(RootFindingFailedError) as info:
             fixed_points(r, 1)
         errors.append(info.value)
-    assert errors[0] is errors[1] and errors[0].code == "roots-no-convergence"
+        depths.append(len(info.traceback))
+    assert errors[0] is errors[1] is errors[2] and errors[0].code == "roots-no-convergence"
     assert periods == [1]
+    # each raise of the memoized error starts a fresh traceback
+    assert depths[0] == depths[1] == depths[2]
