@@ -24,8 +24,10 @@ fixed point is one modulo the prime too, and only a snap that passes is
 iterated in Fraction arithmetic; the screen cannot change a verdict, it
 only spares the exact walk of most non-fixed snaps.  R maps each solved
 point to the solved point nearest its image, and the chains of p points
-that close are the cycles of period p.  Each period is certified by the
-rational fixed-point formula sum 1/(1 - mu) = 1; a failed or uncertified
+that close are the cycles of period p.  Each solved point's image is
+computed once: a cycle's images come from its chain, and the chart factors
+of its multiplier read them.  Each period is certified by the rational
+fixed-point formula sum 1/(1 - mu) = 1; a failed or uncertified
 period is a coded warning, and the search goes on.  The floating solve of
 each period is memoized on the floating map, so an analysis and a render
 of the same map solve it once; the snaps are made per call.
@@ -144,8 +146,8 @@ def _classify(multiplier, contains_critical: bool):
     return "repelling", None, None
 
 
-def make_cycle(r: RationalMap, pts, warnings) -> PeriodicCycle:
-    """The classified cycle through pts, listed in orbit order.
+def make_cycle(r: RationalMap, pts, images, warnings) -> PeriodicCycle:
+    """The classified cycle through pts, listed in orbit order; images[k] is R(pts[k]).
 
     The cycle starts at its least point; cycle_id is left at -1.  An
     ambiguous multiplier classifies the cycle as indifferent_ambiguous and
@@ -156,7 +158,7 @@ def make_cycle(r: RationalMap, pts, warnings) -> PeriodicCycle:
     if contains_crit:
         multiplier = GaussianRational(0) if r.is_exact else complex(0.0)
     else:
-        multiplier = r.cycle_multiplier(pts)
+        multiplier = r.cycle_multiplier(pts, images)
     try:
         classification, order, theta = _classify(multiplier, contains_crit)
     except ClassificationAmbiguousError as err:
@@ -214,14 +216,10 @@ class _FixedPointEquation:
     """
 
     def __init__(self, rf: RationalMap, p: int, chart=SOLVE_CHART):
-        d = rf.degree
         self.p = p
         self.chart = chart
-        # coef[i] is the column (P_i, Q_i) of P_h(u, v) = sum P_i u^(d-i) v^i
-        self.coef = np.stack([
-            np.concatenate([np.zeros(d - poly.degree, complex), poly.to_complex_array()])
-            for poly in (rf.p, rf.q)
-        ], axis=1)[:, :, None]
+        # coef[i] is the row (P_i, Q_i) of P_h(u, v) = sum P_i u^(d-i) v^i
+        self.coef = np.array(rf.homogeneous, complex)[:, :, None]
 
     def walk(self, w, shared_scale=False):
         """(m1, m2, u, v, f, f'); one rescaling for the whole array when shared_scale."""
@@ -333,11 +331,11 @@ def _screen_rejects(r: RationalMap, value, p: int) -> bool:
     if coeffs is None or c1 is None:
         return False
     q = MODULAR_PRIME
-    (p0, *pc), (q0, *qc) = coeffs
+    (p0, q0), *rows = coeffs
     u, v = c1, c2
     for _ in range(p):
         pu, qu, vi = p0, q0, 1
-        for a, b in zip(pc, qc):
+        for a, b in rows:
             vi = vi * v % q
             pu = (pu * u + a * vi) % q
             qu = (qu * u + b * vi) % q
@@ -419,7 +417,8 @@ def fixed_points(r: RationalMap, p: int):
 
 
 def _closed_chains(r: RationalMap, points, p: int):
-    """The chains of p solved points that close under R, from their least points.
+    """(chain, images) for the chains of p solved points that close under R,
+    from their least points; images[k] is R(chain[k]).
 
     A point is followed by the solved point nearest its image within
     DEFAULT_CLUSTER_RADIUS (the solver's residual bar), or by none.  A chain
@@ -441,7 +440,8 @@ def _closed_chains(r: RationalMap, points, p: int):
         while len(chain) <= p and chain[-1] is not None:
             chain.append(succ[chain[-1]])
         if chain[p:] == [i] and i not in chain[1:p] and i == min(chain):
-            chains.append(tuple(points[k] for k in chain[:p]))
+            chains.append((tuple(points[k] for k in chain[:p]),
+                           tuple(images[k] for k in chain[:p])))
     return chains
 
 
@@ -490,7 +490,8 @@ def periodic_cycles(r: RationalMap, max_period: int = DEFAULT_MAX_PERIOD,
                 "error": err.code,
             })
             continue
-        cycles.extend(make_cycle(r, pts, warnings) for pts in _closed_chains(r, points, p))
+        cycles.extend(make_cycle(r, pts, images, warnings)
+                      for pts, images in _closed_chains(r, points, p))
         residual = _certificate_residual(cycles, p)
         if residual is not None and residual > 1e-8:
             warnings.append({

@@ -127,19 +127,6 @@ class Polynomial:
             return Polynomial.zero()
         return Polynomial(c * (n - i) for i, c in enumerate(self.coeffs[:-1]))
 
-    def reversed_padded(self, n: int) -> "Polynomial":
-        """The w-chart companion: coefficients of w^n * p(1/w) as a w-polynomial.
-
-        Requires n >= degree.  For p(z) = sum c_j z^(m-j) this is
-        [c_m, ..., c_0, 0 ... 0] with n - m trailing zeros.
-        """
-        if self.is_zero:
-            return Polynomial.zero()
-        m = self.degree
-        if n < m:
-            raise ValueError("pad target below degree")
-        return Polynomial(tuple(reversed(self.coeffs)) + (0,) * (n - m))
-
     # -- exact-only operations -------------------------------------------
 
     def divmod_exact(self, other):

@@ -22,6 +22,7 @@ from .algebra import (
 )
 from .dynamics import INFINITE
 from .errors import RatmapError
+from .rational import DEFAULT_TOLERANCE
 from .sphere import contains_point, point_sort_key, point_str
 from .synth import case_iv_diagram
 
@@ -158,7 +159,7 @@ def _orbit_entry(orbit, cycles) -> PrimitiveIdealEntry:
 
 
 def primitive_catalog(atlas, decomposition, exposed_scan, cycles,
-                      resolver, tolerance: float = 1e-9) -> PrimitiveCatalog:
+                      resolver, tolerance: float = DEFAULT_TOLERANCE) -> PrimitiveCatalog:
     """All primitive ideals of the analyzed map's algebra, by co-support."""
     entries = []
 

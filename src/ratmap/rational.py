@@ -6,6 +6,18 @@ homogenizations of P and Q, infinity is the homogeneous zero of the
 denominator side (an exact zero or a verified degree drop), never a
 magnitude threshold on a chart value.
 
+The homogeneous form is one table, RationalMap.homogeneous, built once per
+map: the d + 1 rows (P_i, Q_i) of P_h(u, v) = sum P_i u^(d-i) v^i and Q_h.
+Row 0 is R at infinity, the columns read backwards are the pair in the 1/z
+chart, and the fixed-point walk, the modular screen and the preimage
+targets read the same rows.  The derivative at x is read as the chart
+factor W_h(x) / s^2, where s = Q_h(x) when R(x) is finite and P_h(x) when
+it is infinity, W_h(z : 1) = W(z) for W = P'Q - PQ', and
+W_h(1 : 0) = Q_1 P_0 - Q_0 P_1 is stored as one value.  That is the
+derivative in the charts z and 1/z, negated on a step onto or off
+infinity; such steps come in pairs around a cycle, so the factors multiply
+to the multiplier.
+
 Valency is read from one critical table, built once per map from the
 roots of the derivative numerator W = P'Q - PQ': 1 + multiplicity at each
 root and 1 + (2d - 2 - deg W) at infinity.  An exact point of an exact map
@@ -30,7 +42,7 @@ from .errors import (
 )
 from .poly import Polynomial, vanishing_order_exact
 from .roots import find_roots
-from .scalars import GaussianRational, is_exact, mod_prime, to_complex
+from .scalars import GaussianRational, is_exact, mod_prime, scalar_is_zero, to_complex
 from .sphere import INFINITY, SpherePoint, coincide
 
 DEFAULT_TOLERANCE = 1e-9
@@ -50,9 +62,19 @@ def point_height_bits(p: SpherePoint) -> int:
     return max(_bits(z.re), _bits(z.im))
 
 
-def _padded(f: Polynomial, d: int) -> list:
-    """The d + 1 coefficients of f, highest degree first, with leading zeros."""
-    return [0] * (d + 1 - len(f.coeffs)) + list(f.coeffs)
+def _reversed_horner(rows, j: int, t):
+    """sum(rows[i][j] t^i) by Horner from the last nonzero entry of column j.
+
+    That is column j of the homogeneous table in the 1/z chart, evaluated
+    in the operations of Polynomial.evaluate, which drops leading zeros.
+    """
+    k = len(rows) - 1
+    while k > 0 and scalar_is_zero(rows[k][j]):
+        k -= 1
+    acc = rows[k][j]
+    for i in range(k - 1, -1, -1):
+        acc = acc * t + rows[i][j]
+    return acc
 
 
 class RationalMap:
@@ -85,21 +107,20 @@ class RationalMap:
             )
         self.tolerance = tolerance
         self.is_exact = p.is_exact and q.is_exact
-        d = self.degree
-        self._p_rev = p.reversed_padded(d)
-        self._q_rev = q.reversed_padded(d)
-        # W = P'Q - PQ', the numerator of the derivative
+        # the rows (P_i, Q_i) of P_h(u, v) = sum P_i u^(d-i) v^i and of Q_h
+        self.homogeneous = tuple(zip(*(
+            (GaussianRational(0),) * (self.degree - f.degree) + f.coeffs for f in (p, q)
+        )))
+        # W = P'Q - PQ', the numerator of the derivative, and W_h(1 : 0)
         self.wronskian = p.derivative() * q - p * q.derivative()
-        # the same object for the conjugated map S = q_rev / p_rev at w = 0
-        self._wronskian_rev = (
-            self._q_rev.derivative() * self._p_rev - self._q_rev * self._p_rev.derivative()
-        )
-        # the coefficients of P_h and Q_h modulo MODULAR_PRIME, padded to d + 1;
-        # None for a floating map or when MODULAR_PRIME divides a denominator
+        (p0, q0), (p1, q1) = self.homogeneous[:2]
+        self._wronskian_at_infinity = q1 * p0 - q0 * p1
+        # the rows modulo MODULAR_PRIME; None for a floating map or when
+        # MODULAR_PRIME divides a denominator
         self.coeffs_mod_prime = None
         if self.is_exact:
-            reduced = [[0] * (d - f.degree) + [mod_prime(c) for c in f.coeffs] for f in (p, q)]
-            if None not in reduced[0] + reduced[1]:
+            reduced = [(mod_prime(a), mod_prime(b)) for a, b in self.homogeneous]
+            if not any(None in row for row in reduced):
                 self.coeffs_mod_prime = reduced
         self._floating = None
         self._scale = None
@@ -144,12 +165,9 @@ class RationalMap:
 
     def evaluate(self, x: SpherePoint) -> SpherePoint:
         """R(x) through the homogeneous pair; poles and infinity need no cases."""
-        d = self.degree
         if x.is_infinity:
-            exact_out = self.is_exact and x.is_exact
-            u = self.p.coeffs[0] if self.p.degree == d else GaussianRational(0)
-            v = self.q.coeffs[0] if self.q.degree == d else GaussianRational(0)
-            if not exact_out:
+            u, v = self.homogeneous[0]
+            if not (self.is_exact and x.is_exact):
                 u, v = complex(u), complex(v)
             return SpherePoint(u, v)
         z = x.value()
@@ -163,10 +181,10 @@ class RationalMap:
             u = self.floating().p.evaluate(zc)
             v = self.floating().q.evaluate(zc)
         else:
-            # balanced chart: evaluate the reversed pair at 1/z (homogeneous rescale)
+            # balanced chart: the 1/z-chart pair at t = 1/z (homogeneous rescale)
             t = 1.0 / zc
-            u = self.floating()._p_rev.evaluate(t)
-            v = self.floating()._q_rev.evaluate(t)
+            rows = self.floating().homogeneous
+            u, v = _reversed_horner(rows, 0, t), _reversed_horner(rows, 1, t)
         scale = self._coeff_scale()
         if max(abs(u), abs(v)) <= self.tolerance * scale:
             raise IndeterminateEvaluationError(
@@ -199,10 +217,7 @@ class RationalMap:
             [complex(c) for c in fl.p.coeffs]
         ) - Polynomial([complex(c) for c in fl.q.coeffs]) * yc
         n = len(a.coeffs)
-        scales = [
-            abs(pk) + abs(yc) * abs(qk)
-            for pk, qk in zip(_padded(fl.p, self.degree)[-n:], _padded(fl.q, self.degree)[-n:])
-        ]
+        scales = [abs(pk) + abs(yc) * abs(qk) for pk, qk in fl.homogeneous[-n:]]
         k = 0
         while k < n and abs(a.coeffs[k]) <= self.tolerance * scales[k]:
             k += 1
@@ -299,35 +314,24 @@ class RationalMap:
 
     # -- derivative in charts ----------------------------------------------------
 
-    def local_derivative(self, x: SpherePoint):
-        """Derivative at x in charts moving x and R(x) to finite positions.
-
-        Around a cycle these chart factors multiply to the multiplier,
-        because the chart choices cancel on the return to the start.
-        """
-        rx = self.evaluate(x)
-        if not x.is_infinity:
+    def local_derivative(self, x: SpherePoint, image: SpherePoint):
+        """The chart factor W_h(x) / s^2 at x, with s = Q_h(x) when image = R(x)
+        is finite and P_h(x) when it is infinity; around a cycle these
+        factors multiply to the multiplier."""
+        if x.is_infinity:
+            w = self._wronskian_at_infinity
+            s = self.homogeneous[0][0 if image.is_infinity else 1]
+        else:
             z = x.value()
-            w_val = self.wronskian.evaluate(z)
-            if not rx.is_infinity:
-                qv = self.q.evaluate(z)
-                return w_val / (qv * qv)
-            pv = self.p.evaluate(z)
-            return -w_val / (pv * pv)
-        w_val = self._wronskian_rev.evaluate(
-            GaussianRational(0) if self.is_exact else 0j
-        )
-        if rx.is_infinity:
-            pv = self._p_rev.evaluate(GaussianRational(0) if self.is_exact else 0j)
-            return w_val / (pv * pv)
-        qv = self._q_rev.evaluate(GaussianRational(0) if self.is_exact else 0j)
-        return -w_val / (qv * qv)
+            w = self.wronskian.evaluate(z)
+            s = (self.p if image.is_infinity else self.q).evaluate(z)
+        return w / (s * s)
 
-    def cycle_multiplier(self, points):
-        """Multiplier of the cycle through the given orbit points."""
+    def cycle_multiplier(self, points, images):
+        """Multiplier of the cycle through the given orbit points; images[k] is R(points[k])."""
         m = GaussianRational(1) if self.is_exact else complex(1.0)
-        for pt in points:
-            m = m * self.local_derivative(pt)
+        for pt, image in zip(points, images):
+            m = m * self.local_derivative(pt, image)
         return m
 
 

@@ -27,7 +27,10 @@ that captures and drops nothing gathers nothing.  A denominator that is
 the constant 1 is not evaluated or divided by: that changes at most the
 sign of a zero part, which no capture reads.  Every pixel sees the same
 floating-point operations in the same order whatever the block size, so
-the capture times do not depend on it.  The targets are the cycles of
+the capture times do not depend on it.  On a map without an infinity
+target, a finite value whose Horner overflows in the chart of z is stepped
+again through the 1/z-chart pair, as RationalMap.evaluate steps it, so an
+orbit that is huge but finite is not lost.  The targets are the cycles of
 period <= 2 of the floating map, whose solves an analysis of the same map
 has memoized already.  A map with no such cycle has nothing to capture, so
 its image is all black and no pixel is iterated.  The output is
@@ -121,14 +124,13 @@ def _capture_targets(cycles):
             for cyc in cycles if cyc.has_basin for p in cyc.points]
 
 
-def _capture_times(r: RationalMap, render_cfg, cycles=None) -> np.ndarray:
+def _capture_times(r: RationalMap, render_cfg) -> np.ndarray:
     """The h x w grid of capture iterations; -1 marks a pixel never captured."""
     render_cfg.validate()
     w, h = render_cfg.width, render_cfg.height
     xmin, xmax, ymin, ymax = render_cfg.window
     times = np.full(h * w, -1, dtype=int)
-    if cycles is None:
-        cycles, _, _ = periodic_cycles(r.floating(), 2)
+    cycles, _, _ = periodic_cycles(r.floating(), 2)
     targets = _capture_targets(cycles)
     if not targets:
         return times.reshape(h, w)
@@ -138,20 +140,39 @@ def _capture_times(r: RationalMap, render_cfg, cycles=None) -> np.ndarray:
     z = (xs[None, :] + 1j * ys[:, None]).ravel()
     pc = r.floating().p.to_complex_array()
     qc = r.floating().q.to_complex_array()
+    # the homogeneous table's rows backwards, (P_d, Q_d) first: the 1/z-chart pair
+    rev = None if None in targets else np.array(r.floating().homogeneous, complex)[::-1]
     a_inf = _infinity_threshold()
     # overflow, or division by zero at a pole, gives the inf or NaN by which
     # a pixel reaches infinity
     with np.errstate(all="ignore"):
         for start in range(0, h * w, BLOCK_PIXELS):
             block = slice(start, start + BLOCK_PIXELS)
-            _iterate_block(z[block], times[block], targets, a_inf, pc, qc,
+            _iterate_block(z[block], times[block], targets, a_inf, pc, qc, rev,
                            render_cfg.max_iter)
     return times.reshape(h, w)
 
 
-def _iterate_block(z: np.ndarray, times: np.ndarray, targets, a_inf: float, pc, qc,
+def _horner(coeffs, z: np.ndarray) -> np.ndarray:
+    """The polynomial with coefficients coeffs, highest degree first, at z.
+
+    Horner runs in place from the leading coefficient: for finite z that
+    differs from 0*z + c0 at most in the sign of a zero part.
+    """
+    acc = np.full_like(z, coeffs[0])
+    for c in coeffs[1:]:
+        acc *= z
+        acc += c
+    return acc
+
+
+def _iterate_block(z: np.ndarray, times: np.ndarray, targets, a_inf: float, pc, qc, rev,
                    max_iter: int):
-    """Iterate the pixels z of one block, writing their capture times into times."""
+    """Iterate the pixels z of one block, writing their capture times into times.
+
+    rev is the 1/z-chart pair on a map without an infinity target and None
+    on a map with one.
+    """
     # idx holds the block indices of the pixels in flight, z their chart values
     hit, _ = _captured(z, targets, a_inf)
     times[hit] = 0
@@ -162,31 +183,32 @@ def _iterate_block(z: np.ndarray, times: np.ndarray, targets, a_inf: float, pc, 
     for it in range(1, max_iter + 1):
         if idx.size == 0:
             break
-        # z is finite, so starting at the leading coefficient differs from
-        # 0*z + c0 at most in the sign of a zero part
-        num = np.full_like(z, pc[0])
-        for c in pc[1:]:
-            num *= z
-            num += c
+        num = _horner(pc, z)
         if not unit_den:
-            den = np.full_like(z, qc[0])
-            for c in qc[1:]:
-                den *= z
-                den += c
+            den = _horner(qc, z)
             num /= den
-        z = num
-        hit, dropped = _captured(z, targets, a_inf)
+        hit, dropped = _captured(num, targets, a_inf)
         if dropped.any():
+            if rev is not None:
+                # a non-finite value off a pole overflowed in the chart of z:
+                # step it again in the 1/z chart
+                over = np.flatnonzero(dropped)
+                over = over[~np.isfinite(num[over]) & (unit_den or den[over] != 0)]
+                if over.size:
+                    t = 1.0 / z[over]
+                    num[over] = _horner(rev[:, 0], t) / _horner(rev[:, 1], t)
+                    hit[over], dropped[over] = _captured(num[over], targets, a_inf)
             # a blown-up value is captured by an infinity target or dropped
             times[idx[hit]] = it
             keep = ~dropped
             idx = idx[keep]
-            z = z[keep]
+            num = num[keep]
+        z = num
 
 
-def render_julia(r: RationalMap, render_cfg, cycles=None) -> bytes:
+def render_julia(r: RationalMap, render_cfg) -> bytes:
     """Render the capture-time picture as PPM bytes."""
-    times = _capture_times(r, render_cfg, cycles)
+    times = _capture_times(r, render_cfg)
     h, w = times.shape
     rgb = _color(times, render_cfg.max_iter)
     header = f"P6\n{w} {h}\n255\n".encode()
@@ -208,6 +230,6 @@ def _color(times: np.ndarray, max_iter: int) -> np.ndarray:
     return np.take(table, times + 1, axis=0)
 
 
-def max_iteration_mask(r: RationalMap, render_cfg, cycles=None) -> np.ndarray:
+def max_iteration_mask(r: RationalMap, render_cfg) -> np.ndarray:
     """Boolean grid of pixels never captured; used by the acceptance checks."""
-    return _capture_times(r, render_cfg, cycles) < 0
+    return _capture_times(r, render_cfg) < 0

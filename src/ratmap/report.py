@@ -27,7 +27,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, DeclarationError, InputFormatError, MapDegreeError
 from .poly import Polynomial
-from .rational import RationalMap
+from .rational import DEFAULT_TOLERANCE, RationalMap
 from .restricted import (
     MAX_SEED_PERIOD_DEFAULT,
     PREIMAGE_DEPTH_DEFAULT,
@@ -75,7 +75,7 @@ class AnalysisConfig:
     ro_depth: int = RO_DEPTH_DEFAULT
     preimage_depth: int = PREIMAGE_DEPTH_DEFAULT
     orbit_budget: int = DEFAULT_ORBIT_BUDGET
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_TOLERANCE
     period_work_cap: int = DEFAULT_PERIOD_WORK_CAP
     declarations: list = field(default_factory=list)
     render: RenderConfig | None = None
@@ -125,10 +125,10 @@ class AnalysisConfig:
                         raise ConfigError("render window must be [xmin, xmax, ymin, ymax]",
                                           window=repr(value["window"]))
                     cfg.render = RenderConfig(
-                        width=int(value.get("width", 800)),
-                        height=int(value.get("height", 800)),
+                        width=int(value.get("width", RenderConfig.width)),
+                        height=int(value.get("height", RenderConfig.height)),
                         window=window,
-                        max_iter=int(value.get("max_iter", 100)),
+                        max_iter=int(value.get("max_iter", RenderConfig.max_iter)),
                     )
                 elif key == "declarations":
                     cfg.declarations = list(value)
@@ -166,7 +166,7 @@ def _parse_coeff(raw):
     return value
 
 
-def parse_map(document, *, tolerance: float = 1e-9) -> RationalMap:
+def parse_map(document, *, tolerance: float = DEFAULT_TOLERANCE) -> RationalMap:
     """Build a rational map from {"numerator": [...], "denominator": [...]}.
 
     Coefficients are highest degree first; integer and p/q strings stay

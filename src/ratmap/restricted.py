@@ -59,6 +59,8 @@ MAX_SEED_PERIOD_DEFAULT = 4
 PREIMAGE_DEPTH_DEFAULT = 6
 CRITICAL_ORBIT_SEED_STEPS = 8
 VERIFY_NODE_CAP = 50_000
+# exposed orbits hold at most this many points together, so a closure past it holds none
+EXPOSED_BOUND = 4
 
 TYPE3_LABELING_NOTE = (
     "type assignment follows the definitions: a critical point that is not "
@@ -140,16 +142,16 @@ def _simple_preimage_count(r: RationalMap, a: SpherePoint) -> int:
     return max(0, r.degree - near)
 
 
-def _closure(r: RationalMap, seed: SpherePoint, crit_pts, tol, max_size=4):
+def _closure(r: RationalMap, seed: SpherePoint, crit_pts, tol):
     """Minimal superset of the seed closed under forward images at
     non-critical members and non-critical preimages of all members.
 
     Any finite restricted-orbit-invariant set containing the seed contains
-    this closure, so a closure that grows past max_size rules the seed out.
+    this closure, so a closure that grows past EXPOSED_BOUND rules the seed out.
     The simple preimages of distinct members are distinct members, so the
     members' simple-preimage counts sum to at most the closure's size: the
     seed is ruled out, before any preimage is solved, once that sum over
-    the members found so far passes max_size.
+    the members found so far passes EXPOSED_BOUND.
     """
     pts = []
     queue = []
@@ -160,7 +162,7 @@ def _closure(r: RationalMap, seed: SpherePoint, crit_pts, tol, max_size=4):
         pts.append(p)
         queue.append(p)
         simple += _simple_preimage_count(r, p)
-        return len(pts) > max_size or simple > max_size
+        return len(pts) > EXPOSED_BOUND or simple > EXPOSED_BOUND
 
     if ruled_out(seed):
         return None
@@ -274,7 +276,8 @@ def _find_or_make_cycle(r: RationalMap, pts, cycles, tol, warnings):
     for n in range(1, len(pts) + 2):
         for i in range(n):
             if coincide(walk.point(n), walk.points[i], tol):
-                return make_cycle(r, tuple(walk.points[i:n]), warnings)
+                return make_cycle(r, tuple(walk.points[i:n]),
+                                  tuple(walk.points[i + 1:n + 1]), warnings)
     return None
 
 
@@ -362,7 +365,8 @@ def exposed_orbits(r: RationalMap, cycles,
         contains_crit = bool(crit_members)
 
         # structural bounds; a candidate past them is a numerical artifact
-        if len(pts) > 4 or (contains_crit and len(pts) > 3):
+        # (no closure passes EXPOSED_BOUND points)
+        if contains_crit and len(pts) > 3:
             warnings.append({
                 "code": "exposed-bound-violation",
                 "message": "candidate set exceeds the size bound; discarded",
@@ -453,7 +457,7 @@ def exposed_orbits(r: RationalMap, cycles,
         minimal.append(o)
 
     union = dedup_points([p for o in minimal for p in o.points], tol)
-    if len(union) > 4:
+    if len(union) > EXPOSED_BOUND:
         warnings.append({
             "code": "exposed-bound-violation",
             "message": "total exposed points exceed 4; output truncated to smallest orbits",
@@ -462,7 +466,7 @@ def exposed_orbits(r: RationalMap, cycles,
         kept = []
         count = 0
         for o in minimal:
-            if count + o.size > 4:
+            if count + o.size > EXPOSED_BOUND:
                 break
             kept.append(o)
             count += o.size

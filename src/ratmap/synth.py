@@ -107,12 +107,6 @@ class ExposureResolver:
         return CompactsOn(point_str(point), self.orbit_size(point))
 
 
-def _record_needs_valency(record, region_kind: str) -> bool:
-    if not record.preperiodic:
-        return True
-    return region_kind in ("attracting", "siegel")
-
-
 def _valency_summand(v, preperiodic: bool, kx: CompactsOn, point, missing: str) -> Expr:
     """C^v tensor C(T) tensor K_x for a preperiodic point, C^v tensor K_x otherwise.
 
@@ -131,7 +125,7 @@ def _record_summand(record, region_kind: str, resolver: ExposureResolver) -> Exp
         return Tensor([CantorAlg(), kx])
     return _valency_summand(
         record.asymptotic_valency, record.preperiodic, kx, record.point,
-        "record lacks the finite asymptotic valency its summand needs",
+        "critical record lacks a finite asymptotic valency",
     )
 
 
@@ -154,26 +148,17 @@ def region_ideal(region) -> Expr:
 def region_extension(region, resolver: ExposureResolver, cycles) -> ExtensionSeq:
     """The extension of a stable region's algebra over its free part."""
     kind = region.core.kind
-    reps = region.representatives()
-    for rec in reps:
-        if rec.obstruction is not None:
-            raise RegionBlockedError(
-                "critical record unresolved; region synthesis blocked",
-                point=str(rec.point), reason=rec.obstruction,
-            )
-        if _record_needs_valency(rec, kind) and (
-            rec.asymptotic_valency is None or rec.asymptotic_valency == INFINITE
-        ):
-            raise RegionBlockedError(
-                "critical record lacks a finite asymptotic valency",
-                point=str(rec.point),
-            )
     summands = []
     if kind in ("attracting", "siegel"):
         anchor = cycles[region.anchor_cycle_id]
         q = min(anchor.points, key=point_sort_key)
         summands.append(Tensor([CircleAlg(), resolver.compacts_on(q)]))
-    for rec in reps:
+    for rec in region.representatives():
+        if rec.obstruction is not None:
+            raise RegionBlockedError(
+                "critical record unresolved; region synthesis blocked",
+                point=str(rec.point), reason=rec.obstruction,
+            )
         summands.append(_record_summand(rec, kind, resolver))
     quotient = DirectSum(summands) if summands else Zero()
     return ExtensionSeq(

@@ -37,12 +37,6 @@ def test_exact_divmod_and_gcd():
     assert g == Polynomial([1, -1])
 
 
-def test_reversed_padded():
-    p = Polynomial([2, 3])  # 2z + 3
-    rp = p.reversed_padded(2)  # w^2 * p(1/w) = 2w + 3w^2
-    assert rp == Polynomial([3, 2, 0])
-
-
 # roots: oracle values from the quadratic formula
 
 

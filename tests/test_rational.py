@@ -89,11 +89,22 @@ def test_valency_chain_rule():
         assert walk.valency(n + m) == walk.valency(n) * Orbit(r, walk.point(n)).valency(m)
 
 
+def _reversed(f, d):
+    """w^d f(1/w), the 1/w-chart companion of f."""
+    return Polynomial(tuple(reversed(f.coeffs)) + (0,) * (d - f.degree))
+
+
+def _wronskian_rev(r):
+    """W of the conjugated map q_rev / p_rev, whose vanishing order at w = 0 is R's at infinity."""
+    p_rev, q_rev = _reversed(r.p, r.degree), _reversed(r.q, r.degree)
+    return q_rev.derivative() * p_rev - q_rev * p_rev.derivative()
+
+
 def _valency_from_scratch(r, x):
     """val(R, x) from W built afresh: its exact vanishing order at an exact
     point of an exact map, its floating one otherwise."""
     if x.is_infinity:
-        w, z = r._wronskian_rev, (GaussianRational(0) if r.is_exact else 0j)
+        w, z = _wronskian_rev(r), (GaussianRational(0) if r.is_exact else 0j)
     else:
         w, z = r.wronskian, x.value()
     if r.is_exact and is_exact(z):
@@ -198,5 +209,69 @@ def test_preimage_valency_sum_is_degree():
 def test_multiplier_at_infinity():
     # z + 1/z style map: R = (z^2+1)/z has a parabolic-type fixed infinity
     r = RationalMap(Polynomial([1, 0, 1]), Polynomial([1, 0]))
-    lam = r.local_derivative(INFINITY)
+    lam = r.local_derivative(INFINITY, r.evaluate(INFINITY))
     assert complex(lam) == pytest.approx(1.0)
+
+
+def _four_chart_derivative(r, x):
+    """The derivative at x in charts moving x and R(x) to finite positions,
+    in the four cases of finite or infinite x and R(x)."""
+    rx = r.evaluate(x)
+    if not x.is_infinity:
+        z = x.value()
+        w_val = r.wronskian.evaluate(z)
+        if not rx.is_infinity:
+            qv = r.q.evaluate(z)
+            return w_val / (qv * qv)
+        pv = r.p.evaluate(z)
+        return -w_val / (pv * pv)
+    zero = GaussianRational(0) if r.is_exact else 0j
+    w_val = _wronskian_rev(r).evaluate(zero)
+    if rx.is_infinity:
+        pv = _reversed(r.p, r.degree).evaluate(zero)
+        return w_val / (pv * pv)
+    qv = _reversed(r.q, r.degree).evaluate(zero)
+    return -w_val / (qv * qv)
+
+
+def _four_chart_multiplier(r, points):
+    m = GaussianRational(1) if r.is_exact else complex(1.0)
+    for pt in points:
+        m = m * _four_chart_derivative(r, pt)
+    return m
+
+
+# maps with a cycle through infinity, each exact and as its decimal twin:
+# the non-critical 2-cycle {inf, 7/10 + i/5}, a parabolic fixed infinity and
+# a fixed infinity with multiplier 1/3
+INFINITY_CYCLE_MAPS = [
+    ({"numerator": ["7/10+1/5i", "0", "13/10"], "denominator": ["1", "-7/10-1/5i", "0"]},
+     {"numerator": ["0.7+0.2i", "0.0", "1.3"], "denominator": ["1.0", "-0.7-0.2i", "0.0"]}),
+    ({"numerator": ["1", "0", "1"], "denominator": ["1", "0"]},
+     {"numerator": ["1.0", "0.0", "1.0"], "denominator": ["1.0", "0.0"]}),
+    ({"numerator": ["3", "1", "0", "2"], "denominator": ["1", "5", "0"]},
+     {"numerator": ["3.0", "1.0", "0.0", "2.0"], "denominator": ["1.0", "5.0", "0.0"]}),
+]
+
+
+def _parity_maps():
+    docs = WORKED_MAPS + DECIMAL_TWINS + [doc for pair in INFINITY_CYCLE_MAPS for doc in pair]
+    return [parse_map(doc) for doc in docs] + [
+        _corpus_map(i, twin) for i in range(10) for twin in (False, True)]
+
+
+def test_multipliers_match_the_four_chart_derivative():
+    # the chart factors W_h / s^2 differ from the four-chart derivative by a
+    # sign on each step onto or off infinity; those cancel around a cycle,
+    # and IEEE negation is exact, so the products are equal
+    through_infinity = 0
+    for r in _parity_maps():
+        cycles, _, _ = periodic_cycles(r, 3)
+        for c in cycles:
+            if c.contains_critical:
+                continue
+            assert c.multiplier == _four_chart_multiplier(r, c.points), (r.p, r.q, c.points)
+            through_infinity += any(x.is_infinity for x in c.points)
+    # {inf, 7/10 + i/5} and the fixed infinity of multiplier 1/3, exact and
+    # twin, and the exact parabolic fixed infinity (the twin's is finite)
+    assert through_infinity == 5

@@ -223,6 +223,16 @@ def test_huge_values_are_not_captured_by_a_finite_target():
     assert np.array_equal(times, _whole_grid_capture_times(r, cfg))
 
 
+def test_a_value_that_overflows_in_the_chart_of_z_is_stepped_in_the_1_over_z_chart():
+    # on the same window the numerator z^2 + 1 overflows at once, but
+    # N(z) ~ z/2 stays finite and reaches the capture disc of 1 in about 668 steps
+    r = RationalMap(Polynomial([1, 0, 1]), Polynomial([2, 0]))
+    cfg = RenderConfig(width=40, height=30, window=(1e200, 2e200, -1e200, 1e200), max_iter=700)
+    times = _capture_times(r, cfg)
+    assert (times > 0).all()
+    assert 660 < times.min() and times.max() < 680
+
+
 @pytest.mark.parametrize("block_pixels", [1, 7, 500, 1201, 16385])
 def test_capture_times_do_not_depend_on_the_block_size(monkeypatch, block_pixels):
     # z^2 + 1/4 and z^2 each have a finite target and the infinity target;

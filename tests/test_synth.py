@@ -19,14 +19,16 @@ from ratmap.algebra import (
     normalize,
     render,
 )
-from ratmap.atlas import build_atlas
+from ratmap.atlas import CoreType, CriticalOrbitRecord, StableRegion, build_atlas
 from ratmap.dynamics import (
     DEFAULT_ORBIT_BUDGET,
     INFINITE,
+    PeriodicCycle,
     critical_fate,
     critical_points,
     periodic_cycles,
 )
+from ratmap.errors import RegionBlockedError
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
 from ratmap.restricted import ExposedOrbit, exposed_orbits
@@ -119,6 +121,35 @@ def test_region_extension_attracting():
             Compacts(), Compacts(),
         ])
     )
+
+
+def _attracting_region(records):
+    anchor = PeriodicCycle(period=1, points=(SpherePoint.finite(GaussianRational(1, 2)),),
+                           multiplier=GaussianRational(1, 4), classification="attracting",
+                           contains_critical=False, cycle_id=0)
+    region = StableRegion(0, CoreType("attracting", 1, multiplier=anchor.multiplier), 0,
+                          critical_records=records)
+    return region, [anchor]
+
+
+def test_a_record_without_a_finite_valency_blocks_its_region():
+    resolver = ExposureResolver([], 1e-9)
+    ok = CriticalOrbitRecord(SpherePoint.finite(0), 0, preperiodic=True, asymptotic_valency=2)
+    for aval in (None, INFINITE):
+        lacking = CriticalOrbitRecord(SpherePoint.finite(3), 0, preperiodic=False,
+                                      asymptotic_valency=aval)
+        region, cycles = _attracting_region([ok, lacking])
+        with pytest.raises(RegionBlockedError,
+                           match="^critical record lacks a finite asymptotic valency$") as blocked:
+            region_extension(region, resolver, cycles)
+        assert blocked.value.context == {"point": "3"}
+        # an obstruction on an earlier representative is reported first
+        obstructed = CriticalOrbitRecord(SpherePoint.finite(5), 0, preperiodic=False,
+                                         asymptotic_valency=None, obstruction="fate-unresolved")
+        region, cycles = _attracting_region([ok, obstructed, lacking])
+        with pytest.raises(RegionBlockedError, match="region synthesis blocked") as blocked:
+            region_extension(region, resolver, cycles)
+        assert blocked.value.context == {"point": "5", "reason": "fate-unresolved"}
 
 
 def test_declared_siegel_extension():
