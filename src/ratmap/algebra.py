@@ -14,10 +14,16 @@ matrix factors and itself, and C^k distributed as a k-fold direct sum.
 Only isomorphism-preserving identities are used; stable isomorphisms
 (e.g. absorbing a compact factor) are deliberately not applied, so printed
 formulas stay in the shape the structure theorems give them.
+
+Each atom's canonical rank is its index in _ATOMS.  The text and JSON tag
+of the seven atoms without parameters live in _PLAIN_ATOMS; render() and
+expr_to_json() spell out only the atoms with parameters and the
+combinators, whose operands _children() lists.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -151,47 +157,61 @@ class FinitePower(Expr):
             raise ValueError("finite power needs k >= 1")
 
 
-_ATOM_ORDER = {
-    Scalars: 0,
-    CantorAlg: 1,
-    CircleAlg: 2,
-    TorusAlg2: 3,
-    RealsC0: 4,
-    Matrix: 5,
-    Compacts: 6,
-    CompactsOn: 7,
-    BunceDeddens: 8,
-    MappingTorus: 9,
-    IrrationalRotation: 10,
-    OpaqueSimple: 11,
-    NamedUnknown: 12,
-    Zero: 13,
+# Canonical rank of each atom is its index here: normalize() sorts sums and
+# tensor words by it, so the order is part of every printed formula.
+_ATOMS = (
+    Scalars, CantorAlg, CircleAlg, TorusAlg2, RealsC0, Matrix, Compacts,
+    CompactsOn, BunceDeddens, MappingTorus, IrrationalRotation, OpaqueSimple,
+    NamedUnknown, Zero,
+)
+
+# Text and JSON tag of the atoms without parameters.
+_PLAIN_ATOMS = {
+    Zero: ("0", "zero"),
+    Scalars: ("C", "scalars"),
+    CircleAlg: ("C(T)", "circle"),
+    CantorAlg: ("C(K)", "cantor"),
+    TorusAlg2: ("C(T^2)", "torus2"),
+    RealsC0: ("C_0(R)", "reals_c0"),
+    Compacts: ("K", "compacts"),
 }
+
+
+def _children(e: Expr) -> tuple:
+    """The operands of a combinator; () for an atom."""
+    t = type(e)
+    if t is Tensor:
+        return e.factors
+    if t is DirectSum:
+        return e.summands
+    if t is FinitePower:
+        return (e.base,)
+    return ()
 
 
 def _sort_key(e: Expr):
     t = type(e)
-    if t in _ATOM_ORDER:
-        if t is Matrix:
-            return (0, _ATOM_ORDER[t], e.n, "")
-        if t is CompactsOn:
-            return (0, _ATOM_ORDER[t], e.exposed_size or 0, e.label)
-        if t is BunceDeddens or t is MappingTorus:
-            return (0, _ATOM_ORDER[t], e.d, "")
-        if t is IrrationalRotation:
-            return (0, _ATOM_ORDER[t], e.theta, e.theta_label or "")
-        if t is OpaqueSimple:
-            return (0, _ATOM_ORDER[t], 0, e.tag)
-        if t is NamedUnknown:
-            return (0, _ATOM_ORDER[t], 0, e.label)
-        return (0, _ATOM_ORDER[t], 0, "")
     if t is FinitePower:
         return (1, e.k) + _sort_key(e.base)
-    if t is Tensor:
-        return (2, len(e.factors)) + tuple(_sort_key(f) for f in e.factors)
-    if t is DirectSum:
-        return (3, len(e.summands)) + tuple(_sort_key(s) for s in e.summands)
-    raise TypeError(f"not an expression: {e!r}")
+    if t is Tensor or t is DirectSum:
+        kids = _children(e)
+        return (2 if t is Tensor else 3, len(kids)) + tuple(_sort_key(k) for k in kids)
+    if t not in _ATOMS:
+        raise TypeError(f"not an expression: {e!r}")
+    rank = _ATOMS.index(t)
+    if t is Matrix:
+        return (0, rank, e.n, "")
+    if t is CompactsOn:
+        return (0, rank, e.exposed_size or 0, e.label)
+    if t is BunceDeddens or t is MappingTorus:
+        return (0, rank, e.d, "")
+    if t is IrrationalRotation:
+        return (0, rank, e.theta, e.theta_label or "")
+    if t is OpaqueSimple:
+        return (0, rank, 0, e.tag)
+    if t is NamedUnknown:
+        return (0, rank, 0, e.label)
+    return (0, rank, 0, "")
 
 
 def normalize(e: Expr) -> Expr:
@@ -203,9 +223,7 @@ def normalize(e: Expr) -> Expr:
         return Compacts()
     if t is Matrix:
         return Scalars() if e.n == 1 else e
-    if t in (Zero, Scalars, CircleAlg, CantorAlg, TorusAlg2, RealsC0,
-             Compacts, BunceDeddens, MappingTorus, IrrationalRotation,
-             OpaqueSimple, NamedUnknown):
+    if t in _ATOMS:
         return e
     if t is FinitePower:
         base = normalize(e.base)
@@ -280,47 +298,23 @@ def dimension(e: Expr):
         return e.n * e.n
     if t is CompactsOn:
         return e.exposed_size**2 if e.exposed_size is not None else None
+    if t not in (FinitePower, Tensor, DirectSum):
+        return None
+    dims = [dimension(k) for k in _children(e)]
+    if None in dims:
+        return None
     if t is FinitePower:
-        d = dimension(e.base)
-        return None if d is None else e.k * d
-    if t is Tensor:
-        total = 1
-        for f in e.factors:
-            d = dimension(f)
-            if d is None:
-                return None
-            total *= d
-        return total
-    if t is DirectSum:
-        total = 0
-        for s in e.summands:
-            d = dimension(s)
-            if d is None:
-                return None
-            total += d
-        return total
-    return None
+        return e.k * dims[0]
+    return math.prod(dims) if t is Tensor else sum(dims)
 
 
 def render(e: Expr) -> str:
     """ASCII rendering; tensor is (x), direct sum is (+)."""
     t = type(e)
-    if t is Zero:
-        return "0"
-    if t is Scalars:
-        return "C"
+    if t in _PLAIN_ATOMS:
+        return _PLAIN_ATOMS[t][0]
     if t is Matrix:
         return f"M_{e.n}"
-    if t is CircleAlg:
-        return "C(T)"
-    if t is CantorAlg:
-        return "C(K)"
-    if t is TorusAlg2:
-        return "C(T^2)"
-    if t is RealsC0:
-        return "C_0(R)"
-    if t is Compacts:
-        return "K"
     if t is CompactsOn:
         return f"K_[{e.label}]"
     if t is BunceDeddens:
@@ -363,22 +357,10 @@ def render(e: Expr) -> str:
 
 def expr_to_json(e: Expr):
     t = type(e)
-    if t is Zero:
-        return {"atom": "zero"}
-    if t is Scalars:
-        return {"atom": "scalars"}
+    if t in _PLAIN_ATOMS:
+        return {"atom": _PLAIN_ATOMS[t][1]}
     if t is Matrix:
         return {"atom": "matrix", "n": e.n}
-    if t is CircleAlg:
-        return {"atom": "circle"}
-    if t is CantorAlg:
-        return {"atom": "cantor"}
-    if t is TorusAlg2:
-        return {"atom": "torus2"}
-    if t is RealsC0:
-        return {"atom": "reals_c0"}
-    if t is Compacts:
-        return {"atom": "compacts"}
     if t is CompactsOn:
         return {"atom": "compacts_on", "label": e.label, "exposed_size": e.exposed_size}
     if t is BunceDeddens:
@@ -409,14 +391,8 @@ def collect_labels(e: Expr, out=None):
         out = []
     if isinstance(e, CompactsOn):
         out.append(e.label)
-    elif isinstance(e, Tensor):
-        for f in e.factors:
-            collect_labels(f, out)
-    elif isinstance(e, DirectSum):
-        for s in e.summands:
-            collect_labels(s, out)
-    elif isinstance(e, FinitePower):
-        collect_labels(e.base, out)
+    for k in _children(e):
+        collect_labels(k, out)
     return out
 
 

@@ -50,7 +50,11 @@ class StableRegion:
     core: CoreType
     anchor_cycle_id: int | None  # None for Herman
     critical_records: list = field(default_factory=list)
-    has_noncritical_periodic: bool = False
+
+    @property
+    def has_noncritical_periodic(self) -> bool:
+        """True when the anchor cycle is a non-critical periodic orbit in the region."""
+        return self.core.kind in ("attracting", "siegel")
 
     def representatives(self):
         return [rec for rec in self.critical_records if rec.ro_representative]
@@ -150,7 +154,6 @@ def build_atlas(r: RationalMap, cycles, crit_points, fates, declarations=(), *,
             region_id=len(regions),
             core=core,
             anchor_cycle_id=anchor_cycle_id,
-            has_noncritical_periodic=core.kind in ("attracting", "siegel"),
         )
         regions.append(region)
         if anchor_cycle_id is not None:
@@ -276,9 +279,6 @@ def build_atlas(r: RationalMap, cycles, crit_points, fates, declarations=(), *,
                 rec.ro_class_id = records[j].ro_class_id
         for j in reps:
             rep = records[j]
-            landing_cycle = None
-            if region.anchor_cycle_id is not None:
-                landing_cycle = cycles[region.anchor_cycle_id]
             iota_c.append(IotaClass(
                 class_id=rep.ro_class_id,
                 kind="critical",
@@ -286,17 +286,17 @@ def build_atlas(r: RationalMap, cycles, crit_points, fates, declarations=(), *,
                 region_id=region.region_id,
                 preperiodic=rep.preperiodic,
                 asymptotic_valency=rep.asymptotic_valency,
+                # a preperiodic record lands on the anchor cycle, which
+                # holds a critical point exactly when it is superattracting
                 lands_on_critical_cycle=(
-                    rep.preperiodic and landing_cycle is not None
-                    and landing_cycle.contains_critical
+                    rep.preperiodic and region.core.kind == "superattracting"
                 ),
             ))
         if region.has_noncritical_periodic:
-            anchor = cycles[region.anchor_cycle_id]
             iota_p.append(IotaClass(
                 class_id=class_counter,
                 kind="periodic",
-                representative=min(anchor.points, key=point_sort_key),
+                representative=cycles[region.anchor_cycle_id].points[0],
                 region_id=region.region_id,
                 preperiodic=True,
                 asymptotic_valency=1,

@@ -22,41 +22,44 @@ from .algebra import (
 )
 from .dynamics import INFINITE
 from .errors import RatmapError
-from .rational import DEFAULT_TOLERANCE
 from .sphere import contains_point, point_sort_key, point_str
 from .synth import case_iv_diagram
 
 
+# isotropy kind -> (group, cardinality class of its dual); {n} is the
+# order of the finite part
+_ISOTROPY_TEXT = {
+    "trivial": ("trivial", "single"),
+    "Z": ("Z", "circle"),
+    "finite_cyclic": ("Z_{n}", "finite({n})"),
+    "Z_plus_finite_cyclic": ("Z + Z_{n}", "circle x finite({n})"),
+    "subgroup_of_Q_mod_Z": ("infinite subgroup of Q/Z", "cantor"),
+}
+
+
 @dataclass(frozen=True)
 class IsotropyGroup:
-    kind: str  # "trivial" | "Z" | "finite_cyclic" | "Z_plus_finite_cyclic" | "subgroup_of_Q_mod_Z"
+    kind: str  # a key of _ISOTROPY_TEXT
     order: int | None = None  # finite part, when applicable
 
+    def _text(self, column: int) -> str:
+        if self.kind not in _ISOTROPY_TEXT:
+            raise ValueError(self.kind)
+        return _ISOTROPY_TEXT[self.kind][column].format(n=self.order)
+
     def describe(self) -> str:
-        if self.kind == "trivial":
-            return "trivial"
-        if self.kind == "Z":
-            return "Z"
-        if self.kind == "finite_cyclic":
-            return f"Z_{self.order}"
-        if self.kind == "Z_plus_finite_cyclic":
-            return f"Z + Z_{self.order}"
-        if self.kind == "subgroup_of_Q_mod_Z":
-            return "infinite subgroup of Q/Z"
-        raise ValueError(self.kind)
+        return self._text(0)
 
     def dual_cardinality(self) -> str:
-        if self.kind == "trivial":
-            return "single"
-        if self.kind == "Z":
-            return "circle"
-        if self.kind == "finite_cyclic":
-            return f"finite({self.order})"
-        if self.kind == "Z_plus_finite_cyclic":
-            return f"circle x finite({self.order})"
-        if self.kind == "subgroup_of_Q_mod_Z":
-            return "cantor"
-        raise ValueError(self.kind)
+        return self._text(1)
+
+    def parametrization(self) -> dict:
+        """A catalog entry's parametrization: the family over this group's dual."""
+        return {
+            "kind": "dual_of_isotropy",
+            "group": self.describe(),
+            "cardinality": self.dual_cardinality(),
+        }
 
 
 @dataclass
@@ -147,11 +150,7 @@ def _orbit_entry(orbit, cycles) -> PrimitiveIdealEntry:
     pts = sorted((point_str(p) for p in orbit.points))
     return PrimitiveIdealEntry(
         co_support={"kind": "exposed_orbit", "points": pts},
-        parametrization={
-            "kind": "dual_of_isotropy",
-            "group": group.describe(),
-            "cardinality": group.dual_cardinality(),
-        },
+        parametrization=group.parametrization(),
         quotient=Matrix(orbit.size),
         simple=True,
         label=f"ideals over RO({{{', '.join(pts)}}})",
@@ -159,7 +158,7 @@ def _orbit_entry(orbit, cycles) -> PrimitiveIdealEntry:
 
 
 def primitive_catalog(atlas, decomposition, exposed_scan, cycles,
-                      resolver, tolerance: float = DEFAULT_TOLERANCE) -> PrimitiveCatalog:
+                      resolver) -> PrimitiveCatalog:
     """All primitive ideals of the analyzed map's algebra, by co-support."""
     entries = []
 
@@ -187,7 +186,7 @@ def primitive_catalog(atlas, decomposition, exposed_scan, cycles,
     for cls in sorted(
         atlas.iota_p + atlas.iota_c, key=lambda c: point_sort_key(c.representative)
     ):
-        if contains_point(exposed_points, cls.representative, tolerance):
+        if contains_point(exposed_points, cls.representative, resolver.tolerance):
             continue
         ctx = PointContext(
             periodic=(cls.kind == "periodic"),
@@ -217,11 +216,7 @@ def primitive_catalog(atlas, decomposition, exposed_scan, cycles,
         entries.append(PrimitiveIdealEntry(
             co_support={"kind": "orbit_plus_julia",
                         "point": point_str(cls.representative)},
-            parametrization={
-                "kind": "dual_of_isotropy",
-                "group": group.describe(),
-                "cardinality": group.dual_cardinality(),
-            },
+            parametrization=group.parametrization(),
             quotient=ext,
             simple=False,
             label=f"ideals over RO({point_str(cls.representative)}) u J_R",
@@ -245,16 +240,10 @@ def primitive_catalog(atlas, decomposition, exposed_scan, cycles,
     else:
         verdict = "not_T0"
 
-    simple_quotients = []
-    for e in entries:
-        if not e.simple:
-            continue
-        if isinstance(e.quotient, Matrix):
-            simple_quotients.append(render(e.quotient))
-        elif isinstance(e.quotient, ExtensionSeq):
-            simple_quotients.append(render(e.quotient.total))
-        else:
-            simple_quotients.append(render(e.quotient))
+    simple_quotients = [
+        render(e.quotient.total if isinstance(e.quotient, ExtensionSeq) else e.quotient)
+        for e in entries if e.simple
+    ]
     return PrimitiveCatalog(
         entries=entries,
         t0_verdict=verdict,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import __version__
 from .atlas import build_atlas
@@ -60,11 +60,8 @@ class RenderConfig:
             raise ConfigError("max_iter must be positive")
 
     def to_json(self):
-        return {
-            "width": self.width,
-            "height": self.height,
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {
             "window": list(self.window),
-            "max_iter": self.max_iter,
         }
 
 
@@ -108,11 +105,7 @@ class AnalysisConfig:
         if not isinstance(data, dict):
             raise ConfigError("configuration must be a JSON object")
         cfg = cls()
-        known = {
-            "max_period", "max_seed_period", "ro_depth", "preimage_depth",
-            "orbit_budget", "tolerance", "period_work_cap", "declarations",
-            "render",
-        }
+        known = {f.name for f in fields(cls)}
         for key, value in data.items():
             if key not in known:
                 raise ConfigError(f"unknown configuration key {key!r}")
@@ -144,15 +137,7 @@ class AnalysisConfig:
         return cfg
 
     def to_json(self):
-        return {
-            "max_period": self.max_period,
-            "max_seed_period": self.max_seed_period,
-            "ro_depth": self.ro_depth,
-            "preimage_depth": self.preimage_depth,
-            "orbit_budget": self.orbit_budget,
-            "tolerance": self.tolerance,
-            "period_work_cap": self.period_work_cap,
-            "declarations": self.declarations,
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {
             "render": self.render.to_json() if self.render else None,
         }
 
@@ -215,10 +200,6 @@ def _fate_json(fate):
         "steps_used": fate.steps_used,
         "region_id": None,  # kept in the report schema; no fate names a region
     }
-
-
-def _multiplier_json(m):
-    return scalar_str(m)
 
 
 @dataclass
@@ -326,9 +307,7 @@ def run_analysis(r: RationalMap, config: AnalysisConfig | None = None) -> Report
     for record in decomposition.obstructions:
         warnings.append(record)
 
-    catalog = primitive_catalog(
-        atlas, decomposition, scan, cycles, resolver, r.tolerance
-    )
+    catalog = primitive_catalog(atlas, decomposition, scan, cycles, resolver)
 
     data = {
         "tool": {"name": "ratmap", "version": __version__},
@@ -355,7 +334,7 @@ def run_analysis(r: RationalMap, config: AnalysisConfig | None = None) -> Report
                 "id": c.cycle_id,
                 "period": c.period,
                 "points": [point_str(p) for p in c.points],
-                "multiplier": _multiplier_json(c.multiplier),
+                "multiplier": scalar_str(c.multiplier),
                 "classification": c.classification,
                 "contains_critical": c.contains_critical,
                 "local_degree": c.local_degree,
@@ -393,7 +372,7 @@ def run_analysis(r: RationalMap, config: AnalysisConfig | None = None) -> Report
                         "period": reg.core.period,
                         "local_degree": reg.core.local_degree,
                         "multiplier": (
-                            _multiplier_json(reg.core.multiplier)
+                            scalar_str(reg.core.multiplier)
                             if reg.core.multiplier is not None else None
                         ),
                         "theta": reg.core.theta,

@@ -105,8 +105,7 @@ REPORT_SCHEMA = {
                         "required": ["kind"],
                         "properties": {
                             "kind": {
-                                "enum": ["preperiodic", "converges",
-                                         "rotation_domain", "unresolved"]
+                                "enum": ["preperiodic", "converges", "unresolved"]
                             },
                         },
                     },

@@ -9,6 +9,11 @@ compact operators otherwise.
 Totals of extensions are never given an isomorphism class of their own;
 they stay named unknowns, because the structure theory characterizes them
 only through the extensions.
+
+An attracting or Siegel region holds one non-critical periodic orbit, its
+anchor cycle; _periodic_summand() builds that orbit's C(T) tensor K_q, the
+summand of the region's quotient and the periodic-orbit row of its
+free-orbit diagram.
 """
 
 from __future__ import annotations
@@ -129,6 +134,16 @@ def _record_summand(record, region_kind: str, resolver: ExposureResolver) -> Exp
     )
 
 
+def _periodic_summand(region, resolver: ExposureResolver, cycles) -> Expr:
+    """C(T) tensor K_q for q the least point of the region's anchor cycle."""
+    q = cycles[region.anchor_cycle_id].points[0]
+    return Tensor([CircleAlg(), resolver.compacts_on(q)])
+
+
+def _sum(parts) -> Expr:
+    return DirectSum(parts) if parts else Zero()
+
+
 def region_ideal(region) -> Expr:
     kind = region.core.kind
     if kind == "superattracting":
@@ -149,10 +164,8 @@ def region_extension(region, resolver: ExposureResolver, cycles) -> ExtensionSeq
     """The extension of a stable region's algebra over its free part."""
     kind = region.core.kind
     summands = []
-    if kind in ("attracting", "siegel"):
-        anchor = cycles[region.anchor_cycle_id]
-        q = min(anchor.points, key=point_sort_key)
-        summands.append(Tensor([CircleAlg(), resolver.compacts_on(q)]))
+    if region.has_noncritical_periodic:
+        summands.append(_periodic_summand(region, resolver, cycles))
     for rec in region.representatives():
         if rec.obstruction is not None:
             raise RegionBlockedError(
@@ -160,11 +173,10 @@ def region_extension(region, resolver: ExposureResolver, cycles) -> ExtensionSeq
                 point=str(rec.point), reason=rec.obstruction,
             )
         summands.append(_record_summand(rec, kind, resolver))
-    quotient = DirectSum(summands) if summands else Zero()
     return ExtensionSeq(
         ideal=region_ideal(region),
         total=NamedUnknown(f"C*_r(Omega_{region.region_id})"),
-        quotient=quotient,
+        quotient=_sum(summands),
         label=f"region {region.region_id} ({kind})",
     )
 
@@ -207,8 +219,10 @@ def full_decomposition(atlas, julia_orbits, resolver: ExposureResolver, cycles,
 
     if julia_obstruction is None:
         julia_ext = julia_extension(julia_orbits)
+        corner_julia = julia_ext.total
     else:
         julia_ext = None
+        corner_julia = NamedUnknown("C*_r(J_R)")
 
     fatou_regions = []
     for region in atlas.regions:
@@ -234,25 +248,16 @@ def full_decomposition(atlas, julia_orbits, resolver: ExposureResolver, cycles,
         )
     else:
         # empty Fatou set: the extension collapses
-        total = julia_ext.total if julia_ext is not None else NamedUnknown("C*_r(J_R)")
         julia_fatou = ExtensionSeq(
             ideal=Zero(),
             total=NamedUnknown("C*_r(R)"),
-            quotient=total,
+            quotient=corner_julia,
             label="julia-fatou (empty Fatou set: C*_r(R) = C*_r(J_R))",
             collapsed=False,
         )
 
-    corner_free = (
-        DirectSum([region_ideal(region) for region in atlas.regions])
-        if atlas.regions
-        else Zero()
-    )
-    corner_iota_p = (
-        DirectSum([iota_class_algebra(c, resolver) for c in atlas.iota_p])
-        if atlas.iota_p
-        else Zero()
-    )
+    corner_free = _sum([region_ideal(region) for region in atlas.regions])
+    corner_iota_p = _sum([iota_class_algebra(c, resolver) for c in atlas.iota_p])
     iota_c_parts = []
     for cls in atlas.iota_c:
         try:
@@ -264,10 +269,7 @@ def full_decomposition(atlas, julia_orbits, resolver: ExposureResolver, cycles,
                 **err.context,
             })
             iota_c_parts.append(NamedUnknown(f"C*_r(RO({cls.representative}))"))
-    corner_iota_c = DirectSum(iota_c_parts) if iota_c_parts else Zero()
-    corner_julia = (
-        julia_ext.total if julia_ext is not None else NamedUnknown("C*_r(J_R)")
-    )
+    corner_iota_c = _sum(iota_c_parts)
 
     square = SixSquare(
         grid=[
@@ -317,18 +319,16 @@ def case_iv_diagram(region, resolver: ExposureResolver, cycles,
             a_parts.append(_record_summand(rec, kind, resolver))
         except RegionBlockedError:
             a_parts.append(NamedUnknown(f"C*_r(RO({point_str(rec.point)}))"))
-    a_alg = DirectSum(a_parts) if a_parts else Zero()
+    a_alg = _sum(a_parts)
 
     rows = []
     if kind == "attracting":
         # only here does the free orbit's closure pick up the periodic orbit;
         # in a Siegel region it stays on invariant circles away from the center
-        anchor = cycles[region.anchor_cycle_id]
-        q = min(anchor.points, key=point_sort_key)
         rows.append(ExtensionSeq(
             ideal=Compacts(),
             total=NamedUnknown("C*_r(RO(q))"),
-            quotient=Tensor([CircleAlg(), resolver.compacts_on(q)]),
+            quotient=_periodic_summand(region, resolver, cycles),
             label="periodic-orbit row",
         ))
     rows.append(ExtensionSeq(

@@ -88,15 +88,15 @@ ATOMS = [
 ]
 
 
-def random_expr(rng, depth=3):
+def random_expr(rng, depth=3, atoms=ATOMS):
     if depth == 0 or rng.random() < 0.35:
-        return rng.choice(ATOMS)
+        return rng.choice(atoms)
     kind = rng.randrange(3)
     if kind == 0:
-        return Tensor([random_expr(rng, depth - 1) for _ in range(rng.randint(1, 3))])
+        return Tensor([random_expr(rng, depth - 1, atoms) for _ in range(rng.randint(1, 3))])
     if kind == 1:
-        return DirectSum([random_expr(rng, depth - 1) for _ in range(rng.randint(1, 3))])
-    return FinitePower(random_expr(rng, depth - 1), rng.randint(1, 3))
+        return DirectSum([random_expr(rng, depth - 1, atoms) for _ in range(rng.randint(1, 3))])
+    return FinitePower(random_expr(rng, depth - 1, atoms), rng.randint(1, 3))
 
 
 def shuffle_expr(e, rng):

@@ -74,7 +74,7 @@ def _catalog(r, max_period=4):
     resolver = ExposureResolver(scan.orbits, r.tolerance)
     dec = full_decomposition(atlas, [o for o in scan.orbits if o.in_julia],
                              resolver, cycles)
-    return primitive_catalog(atlas, dec, scan, cycles, resolver, r.tolerance), scan
+    return primitive_catalog(atlas, dec, scan, cycles, resolver), scan
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ def catalog_for(r, max_period=4):
     resolver = ExposureResolver(scan.orbits, r.tolerance)
     julia_orbits = [o for o in scan.orbits if o.in_julia]
     dec = full_decomposition(atlas, julia_orbits, resolver, cycles)
-    return primitive_catalog(atlas, dec, scan, cycles, resolver, r.tolerance)
+    return primitive_catalog(atlas, dec, scan, cycles, resolver)
 
 
 def test_isotropy_case_table():
@@ -52,6 +52,28 @@ def test_isotropy_case_table():
     g = isotropy_of(PointContext(periodic=False, critical=True, preperiodic=True,
                                  lands_on_critical_cycle=False, asymptotic_valency=3))
     assert g == IsotropyGroup("Z_plus_finite_cyclic", 3)
+
+
+@pytest.mark.parametrize("group, text, dual", [
+    (IsotropyGroup("trivial"), "trivial", "single"),
+    (IsotropyGroup("Z"), "Z", "circle"),
+    (IsotropyGroup("finite_cyclic", 3), "Z_3", "finite(3)"),
+    (IsotropyGroup("Z_plus_finite_cyclic", 2), "Z + Z_2", "circle x finite(2)"),
+    (IsotropyGroup("subgroup_of_Q_mod_Z"), "infinite subgroup of Q/Z", "cantor"),
+])
+def test_isotropy_group_text_and_dual(group, text, dual):
+    assert group.describe() == text
+    assert group.dual_cardinality() == dual
+    assert group.parametrization() == {
+        "kind": "dual_of_isotropy", "group": text, "cardinality": dual,
+    }
+
+
+def test_unknown_isotropy_kind_is_rejected():
+    with pytest.raises(ValueError):
+        IsotropyGroup("Q").describe()
+    with pytest.raises(ValueError):
+        IsotropyGroup("Q").dual_cardinality()
 
 
 def test_isotropy_unresolved_context():
