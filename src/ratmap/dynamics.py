@@ -15,9 +15,15 @@ The cycles of period p come from the fixed points of R^p, found by Aberth
 on the orbit recursion in a fixed Möbius chart (never on an expanded
 polynomial), merged where multiple and snapped to exact points where exact
 iteration verifies them.  In each step of the recursion P, Q and their
-derivatives advance as the rows of one array.  Simple fixed points are
-polished in the balanced charts, (w : 1) on |z| <= 1 and (1 : w) beyond,
-by one walk per Newton step whose chart holds one coefficient per point.
+derivatives advance as the rows of one array.  All periods that are
+needed are solved in lock step: their points are the rows of one array by
+descending period, and step k of the recursion advances only the rows of
+period at least k, so each Aberth sweep and each Newton step is one walk
+for all periods.  Each period keeps its own Aberth sum and stop test, and
+at most 200 sweeps; its residual check, clustering and failure are its
+own.  Simple fixed points are polished in the balanced charts, (w : 1) on
+|z| <= 1 and (1 : w) beyond, by one walk per Newton step for all periods,
+whose chart holds one coefficient per point.
 A snap is first walked p steps modulo a prime
 (_screen_rejects): reduction modulo the prime is a ring map, so an exact
 fixed point is one modulo the prime too, and only a snap that passes is
@@ -29,8 +35,8 @@ computed once: a cycle's images come from its chain, and the chart factors
 of its multiplier read them.  Each period is certified by the rational
 fixed-point formula sum 1/(1 - mu) = 1; a failed or uncertified
 period is a coded warning, and the search goes on.  The floating solve of
-each period is memoized on the floating map, so an analysis and a render
-of the same map solve it once; the snaps are made per call.
+each period is memoized on the floating map, a failure too, so an analysis
+and a render of the same map solve it once; the snaps are made per call.
 
 Cycle classification never guesses: super-attraction is decided by
 criticality of the cycle (exactly, when the map is exact), attracting and
@@ -212,31 +218,38 @@ class _FixedPointEquation:
     never through an expanded polynomial.  Each step rescales u, v and both
     derivatives by max(|u|, |v|); a step is homogeneous of degree d in all
     four, so f/f' is unchanged and nothing overflows.  A chart coefficient
-    may be an array, one entry per point.
+    may be an array, one entry per point, and so may the period p, in
+    non-increasing order: recursion step k then advances only the leading
+    rows, whose period is at least k, so each row sees the operations of a
+    walk of its own period.
     """
 
-    def __init__(self, rf: RationalMap, p: int, chart=SOLVE_CHART):
+    def __init__(self, rf: RationalMap, p, chart=SOLVE_CHART):
         self.p = p
         self.chart = chart
         # coef[i] is the row (P_i, Q_i) of P_h(u, v) = sum P_i u^(d-i) v^i
         self.coef = np.array(rf.homogeneous, complex)[:, :, None]
+        # steps[k] is the number of leading rows that step k advances, None for all
+        self.steps = None if np.ndim(p) == 0 else [sum(q > k for q in p) for k in range(max(p))]
 
     def walk(self, w, shared_scale=False):
-        """(m1, m2, u, v, f, f'); one rescaling for the whole array when shared_scale."""
+        """(m1, m2, u, v, f, f'); one rescaling per step for the rows it advances when shared_scale."""
         alpha, beta, gamma, delta = self.chart
         # a row that overflows, or whose P and Q both vanish, gives inf or NaN,
         # which fails the residual check
         with np.errstate(all="ignore"):
             m1, m2 = alpha * w + beta, gamma * w + delta
-            u, v, du, dv = m1, m2, np.full_like(w, alpha), np.full_like(w, gamma)
-            for _ in range(self.p):
+            # ((u, v), (u', v')), whose leading rows each step overwrites
+            state = np.array([[m1, m2], [np.full_like(w, alpha), np.full_like(w, gamma)]])
+            for n in self.steps or [len(w)] * self.p:
+                (u, v), (du, dv) = state[:, :, :n]
                 # x = ((P, Q), (P', Q')) by Horner in u, carrying vi = (v^i, (v^i)').
                 # vi is (2, n), not (2, 1, n): numpy multiplies a (1, 1) by a (1,)
                 # array in a loop that rounds differently, which would make n = 1
                 # walks differ in the last bit from the same points in a longer array
-                x = np.zeros((2, 2) + w.shape, complex)
+                x = np.zeros((2, 2, n), complex)
                 x[0] = self.coef[0]
-                vi = np.zeros((2,) + w.shape, complex)
+                vi = np.zeros((2, n), complex)
                 vi[0] = 1.0
                 for c in self.coef[1:]:
                     _times(vi, v, dv)
@@ -245,26 +258,27 @@ class _FixedPointEquation:
                 s = np.maximum(*np.abs(x[0]))
                 if shared_scale:
                     s = s.max()
-                (u, v), (du, dv) = x / s
+                np.divide(x, s, out=state[:, :, :n])
+            (u, v), (du, dv) = state
             return m1, m2, u, v, u * m2 - v * m1, du * m2 + u * gamma - dv * m1 - v * alpha
 
     def evaluate(self, w):
         return self.walk(w)[4:]
 
-    def residual(self, w):
-        """The chordal distance from M(w) to R^p(M(w))."""
-        m1, m2, u, v, f, _ = self.walk(w)
-        return 2.0 * np.abs(f) / (np.hypot(np.abs(u), np.abs(v)) * np.hypot(np.abs(m1), np.abs(m2)))
+    def measure(self, w):
+        """(residual, uncertainty) from one walk, for _settle.
 
-    def uncertainty(self, w):
-        """|f| plus the rounding error of its final difference, over |f'|.
-
-        About 1/m of the distance to a root of multiplicity m that the
-        iteration has not reached, and no less than rounding allows.
+        The residual is the chordal distance from M(w) to R^p(M(w)).  The
+        uncertainty is |f| plus the rounding error of its final difference,
+        over |f'|: about 1/m of the distance to a root of multiplicity m that
+        the iteration has not reached, and no less than rounding allows.
         """
         m1, m2, u, v, f, df = self.walk(w)
-        with np.errstate(divide="ignore"):
-            return (np.abs(f) + EPSILON * (np.abs(u * m2) + np.abs(v * m1))) / np.abs(df)
+        with np.errstate(all="ignore"):
+            residual = 2.0 * np.abs(f) / (np.hypot(np.abs(u), np.abs(v))
+                                          * np.hypot(np.abs(m1), np.abs(m2)))
+            uncertainty = (np.abs(f) + EPSILON * (np.abs(u * m2) + np.abs(v * m1))) / np.abs(df)
+        return residual, uncertainty
 
     def merge(self, members: np.ndarray) -> complex:
         """One root for a cluster of m approximations of an m-fold root w0.
@@ -294,12 +308,13 @@ def _chart_point(chart, w) -> SpherePoint:
     return SpherePoint(alpha * w + beta, gamma * w + delta)
 
 
-def _polish_in_balanced_charts(rf: RationalMap, p: int, points):
+def _polish_in_balanced_charts(rf: RationalMap, p, points):
     """Newton-polished simple fixed points of R^p, each in its balanced chart.
 
-    One walk per Newton step serves both charts: the equation's chart holds
-    INNER_CHART's coefficients at the points with |z| <= 1 and OUTER_CHART's
-    at the others.
+    p is the period of every point, or one period per point in
+    non-increasing order.  One walk per Newton step serves every point: the
+    equation's chart holds INNER_CHART's coefficients at the points with
+    |z| <= 1 and OUTER_CHART's at the others.
     """
     out = list(points)
     idx = [i for i, x in enumerate(points) if not x.is_infinity]
@@ -310,7 +325,7 @@ def _polish_in_balanced_charts(rf: RationalMap, p: int, points):
     w = np.array(z)
     w[~inner] = 1.0 / w[~inner]
     chart = tuple(np.where(inner, a, b) for a, b in zip(INNER_CHART, OUTER_CHART))
-    eq = _FixedPointEquation(rf, p, chart)
+    eq = _FixedPointEquation(rf, p if np.ndim(p) == 0 else [p[i] for i in idx], chart)
     for i, inside, wi in zip(idx, inner, polish(eq.evaluate, w)):
         out[i] = _chart_point(INNER_CHART if inside else OUTER_CHART, wi)
     return out
@@ -368,36 +383,64 @@ def _exact_fixed_point(r: RationalMap, x: SpherePoint, p: int) -> SpherePoint | 
     return cand if y == cand else None
 
 
-def _floating_fixed_points(rf: RationalMap, p: int):
-    """(points, ambiguity): the floating solve of the fixed points of R^p.
+def _solve_periods(rf: RationalMap, periods):
+    """{p: (points, ambiguity)} over the given periods: the floating fixed points of R^p.
 
-    Aberth runs on the orbit recursion of the floating map rf; the points
-    come in solve order, the simple ones polished.  ambiguity is the
-    MultiplicityAmbiguousError that find_zeros reports, or None.  The solve
-    is memoized per period on rf, a RootFindingFailedError too: a later call
-    raises it again, each time with a fresh traceback, so the memo keeps no
-    solver frames alive.
+    All periods are solved in one lock-step solve on the orbit recursion of
+    the floating map rf: each period is a group of find_zeros, and its rows
+    come by descending period, so each sweep, each Newton step and each
+    polish step is one walk for all periods.  The points of a period come in
+    solve order, the simple ones polished; ambiguity is the
+    MultiplicityAmbiguousError that find_zeros reports, or None.  A period
+    whose solve fails maps to its RootFindingFailedError instead, which is
+    not raised.
     """
-    solved = rf._fixed_point_cache.get(p)
-    if solved is None:
+    periods = sorted(periods, reverse=True)
+    sizes = [rf.degree**p + 1 for p in periods]
+    everything = tuple(range(len(periods)))
+    # one equation per set of periods still running; the set only shrinks
+    equations = {}
+
+    def equation(active):
+        if active not in equations:
+            equations[active] = _FixedPointEquation(
+                rf, [periods[g] for g in active for _ in range(sizes[g])])
+        return equations[active]
+
+    settled = find_zeros(lambda w, active: equation(active).evaluate(w),
+                         equation(everything).measure,
+                         [start_circle(n, CHART_START_RADIUS) for n in sizes],
+                         [{"period": p} for p in periods])
+    solved, points, ambiguities = {}, {}, {}
+    simple = []  # (period, index) of each simple point, by descending period
+    for p, result in zip(periods, settled):
+        if isinstance(result, RootFindingFailedError):
+            solved[p] = result
+            continue
+        clusters, ambiguities[p] = result
         eq = _FixedPointEquation(rf, p)
-        start = start_circle(rf.degree**p + 1, CHART_START_RADIUS)
-        try:
-            clusters, ambiguity = find_zeros(eq.evaluate, eq.residual, eq.uncertainty, start,
-                                             period=p)
-        except RootFindingFailedError as err:
-            solved = err.with_traceback(None)
-        else:
-            simple = [i for i, members in enumerate(clusters) if len(members) == 1]
-            points = [_chart_point(SOLVE_CHART, eq.merge(members)) for members in clusters]
-            polished = _polish_in_balanced_charts(rf, p, [points[i] for i in simple])
-            for i, x in zip(simple, polished):
-                points[i] = x
-            solved = (tuple(points), ambiguity)
-        rf._fixed_point_cache[p] = solved
-    if isinstance(solved, RootFindingFailedError):
-        raise solved.with_traceback(None)
+        points[p] = [_chart_point(SOLVE_CHART, eq.merge(members)) for members in clusters]
+        simple += [(p, i) for i, members in enumerate(clusters) if len(members) == 1]
+    polished = _polish_in_balanced_charts(rf, [p for p, _ in simple],
+                                          [points[p][i] for p, i in simple])
+    for (p, i), x in zip(simple, polished):
+        points[p][i] = x
+    for p, found in points.items():
+        solved[p] = (tuple(found), ambiguities[p])
     return solved
+
+
+def _floating_fixed_points(rf: RationalMap, periods):
+    """Memoize on rf the floating solves of the given periods that it lacks.
+
+    The missing periods are solved together (_solve_periods).  The memo is
+    per period, a RootFindingFailedError too: a later call raises it again,
+    each time with a fresh traceback, so the memo keeps no solver frames
+    alive.  A period already solved is never solved again.
+    """
+    missing = [p for p in periods if p not in rf._fixed_point_cache]
+    if missing:
+        rf._fixed_point_cache.update(_solve_periods(rf, missing))
 
 
 def fixed_points(r: RationalMap, p: int):
@@ -408,7 +451,12 @@ def fixed_points(r: RationalMap, p: int):
     RootFindingFailedError, or MultiplicityAmbiguousError unless every point
     is exact.
     """
-    points, ambiguity = _floating_fixed_points(r.floating(), p)
+    rf = r.floating()
+    _floating_fixed_points(rf, [p])
+    solved = rf._fixed_point_cache[p]
+    if isinstance(solved, RootFindingFailedError):
+        raise solved.with_traceback(None)
+    points, ambiguity = solved
     if r.is_exact:
         points = [_exact_fixed_point(r, x, p) or x for x in points]
     if ambiguity is not None and not all(x.is_exact for x in points):
@@ -474,12 +522,11 @@ def periodic_cycles(r: RationalMap, max_period: int = DEFAULT_MAX_PERIOD,
     formula (a lost cycle point, say) is a cycle-search-uncertified warning.
     """
     cycles = []
-    truncated = []
+    truncated = [p for p in range(1, max_period + 1) if r.degree**p + 1 > work_cap]
     warnings = []
-    for p in range(1, max_period + 1):
-        if r.degree**p + 1 > work_cap:
-            truncated.append(p)
-            continue
+    solvable = [p for p in range(1, max_period + 1) if p not in truncated]
+    _floating_fixed_points(r.floating(), solvable)
+    for p in solvable:
         try:
             points = fixed_points(r, p)
         except (RootFindingFailedError, MultiplicityAmbiguousError) as err:

@@ -97,14 +97,17 @@ def _captured(z: np.ndarray, targets, a_inf: float) -> tuple[np.ndarray, np.ndar
         if target is None:
             continue
         tnorm = np.sqrt(abs(target) ** 2 + 1.0)
+        overflowed = None
         if CAPTURE_RADIUS * tnorm < 1.0:
             # |z - t| >= ||z| - |t|| and sqrt(|z|^2 + 1) <= tnorm + ||z| - |t||,
             # so a capture has ||z| - |t|| < R tnorm^2 / (2 - R tnorm); the
             # factor 2 is margin for rounding
             bound = 2.0 * CAPTURE_RADIUS * tnorm**2 / (2.0 - CAPTURE_RADIUS * tnorm)
             near = np.flatnonzero(np.abs(a - abs(target)) < bound)
-        else:  # the bound grows without limit as R tnorm nears 2: check every finite |z|
-            near = np.flatnonzero(a < np.inf)
+        else:  # the bound grows without limit as R tnorm nears 2: check every finite z
+            near = np.flatnonzero(np.isfinite(z))
+            # a finite z such as 1.5e308+1.5e308j whose |z| itself overflows
+            overflowed = np.isinf(a[near])
             if bad is not None and 2.0 / tnorm < CAPTURE_RADIUS:
                 hit |= bad  # infinity lies inside this target's disc
         an = a[near]
@@ -115,6 +118,9 @@ def _captured(z: np.ndarray, targets, a_inf: float) -> tuple[np.ndarray, np.ndar
         # that no product overflows either
         huge = np.isinf(norm)
         d[huge] = 2.0 * (dist[huge] / an[huge]) / tnorm
+        if overflowed is not None:
+            # where |z| overflows too, |z - t| / |z| is |1 - t/z|
+            d[overflowed] = 2.0 * np.abs(1.0 - target / z[near[overflowed]]) / tnorm
         hit[near[d < CAPTURE_RADIUS]] = True
     return hit, (hit if bad is None else hit | bad)
 

@@ -1,15 +1,19 @@
 """Simultaneous root finding by Aberth-Ehrlich iteration.
 
 One Aberth loop serves two callers.  It takes an evaluator of (f, f') on an
-array and start points, so it never needs the coefficients of f:
+array and groups of start points, one group per function, so it never
+needs the coefficients of f:
 
-* find_roots, for polynomials, passes Horner and a perturbed circle at the
-  Cauchy bound;
+* find_roots, for polynomials, passes Horner and one group, a perturbed
+  circle at the Cauchy bound;
 * the cycle solver in dynamics passes the orbit recursion of R^p through
-  find_zeros.
+  find_zeros, one group per period, all solved in lock step.
 
-At most 200 sweeps run, then a short Newton polish.  The residual check and
-the clustering are shared (_settle).  Multiplicities of a floating
+The groups share each evaluation, but each has its own pairwise sum and
+stop test and runs at most 200 sweeps; a group that stops drops out of the
+later evaluations.  A short Newton polish of all groups follows.  The
+residual check and the clustering are shared (_settle), and are made per
+group; a group that fails does not stop the others.  Multiplicities of a floating
 polynomial are assigned by clustering in the chordal metric.  The
 assignment is ambiguous when re-clustering at ten times the radius changes
 the multiplicity profile; that is an error.  An exact polynomial is split
@@ -58,10 +62,13 @@ def _horner_pair(coeffs: np.ndarray, dcoeffs: np.ndarray, z: np.ndarray):
 
 
 def _horner(coeffs: np.ndarray):
-    """The (p, p') evaluator of a polynomial for _aberth and _newton_polish."""
+    """The (p, p') evaluator of a polynomial for _aberth and _newton_polish.
+
+    It takes _aberth's tuple of active groups too, and ignores it.
+    """
     n = len(coeffs) - 1
     dcoeffs = coeffs[:-1] * np.arange(n, 0, -1)
-    return lambda z: _horner_pair(coeffs, dcoeffs, z)
+    return lambda z, active=None: _horner_pair(coeffs, dcoeffs, z)
 
 
 def start_circle(n: int, radius: float) -> np.ndarray:
@@ -73,31 +80,55 @@ def start_circle(n: int, radius: float) -> np.ndarray:
     return radii * np.exp(1j * angles)
 
 
-def _aberth(evaluate, z: np.ndarray) -> np.ndarray:
-    """Aberth-Ehrlich sweeps from the start points z, one root per point.
+def _pairwise_sums(z: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """sum over j != i of 1 / (z_i - z_j), for each i; buf is an (n, n) scratch matrix."""
+    np.subtract(z[:, None], z[None, :], out=buf)
+    np.fill_diagonal(buf, 1.0)
+    np.divide(1.0, buf, out=buf)
+    np.fill_diagonal(buf, 0.0)
+    return buf.sum(axis=1)
 
-    evaluate(z) gives (f(z), f'(z)) on an array, or any common rescaling of
-    the pair: only the Newton correction f/f' enters.
+
+def _aberth(evaluate, starts) -> list:
+    """Aberth-Ehrlich sweeps from each group of start points, one root per point.
+
+    The groups are independent problems that share their evaluations: each
+    has its own pairwise sum, its own stop test and at most ABERTH_MAX_ITER
+    sweeps, and a group that stops drops out of the later evaluations.
+    evaluate(z, active) gives (f(z), f'(z)), or any common rescaling of the
+    pair per point, where z holds the points of the groups whose indices the
+    tuple active lists, one group after the other; only the Newton
+    correction f/f' enters.  Returns one array of points per group.
     """
+    zs = list(starts)
+    # one pairwise matrix per group, written in place by every sweep
+    buffers = [np.empty((len(z), len(z)), complex) for z in zs]
+    active = tuple(range(len(zs)))
     # a start too far out overflows to inf and NaN; _settle rejects the
     # NaN residuals that follow
     with np.errstate(all="ignore"):
         for _ in range(ABERTH_MAX_ITER):
-            p, d = evaluate(z)
+            if not active:
+                break
+            z = np.concatenate([zs[g] for g in active])
+            p, d = evaluate(z, active)
             d = np.where(d == 0, 1e-300, d)
             newton = p / d
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            inv = 1.0 / diff
-            np.fill_diagonal(inv, 0.0)
-            s = inv.sum(axis=1)
+            s = np.concatenate([_pairwise_sums(zs[g], buffers[g]) for g in active])
             denom = 1.0 - newton * s
             denom = np.where(denom == 0, 1e-300, denom)
             corr = newton / denom
             z = z - corr
-            if np.all(np.abs(corr) <= 1e-14 * (1.0 + np.abs(z))):
-                break
-    return z
+            done = np.abs(corr) <= 1e-14 * (1.0 + np.abs(z))
+            running, start = [], 0
+            for g in active:
+                rows = slice(start, start + len(zs[g]))
+                zs[g] = z[rows]
+                if not done[rows].all():
+                    running.append(g)
+                start = rows.stop
+            active = tuple(running)
+    return zs
 
 
 def _newton_polish(evaluate, z: np.ndarray, steps: int) -> np.ndarray:
@@ -115,51 +146,68 @@ def polish(evaluate, z: np.ndarray) -> np.ndarray:
                      for zi in _newton_polish(evaluate, z, NEWTON_POLISH_STEPS)])
 
 
-def _settle(evaluate, residual, z: np.ndarray, *, uncertainty=None, **context):
-    """Polish approximate roots, check them, and group them into clusters.
+def _settle(evaluate, measure, zs, contexts) -> list:
+    """Polish the approximate roots of each group, check them, and cluster them.
 
-    residual(z) gives a scale-free residual per root; a root above 1e-6, NaN
-    included, is a RootFindingFailedError.  uncertainty(z), when given, is
-    the radius within which each root is still undetermined; two roots whose
-    radii are both far below their distance are resolved simple roots and
-    never share a cluster.  Returns (z, clusters, ambiguity),
+    evaluate is _aberth's; the polish steps all groups at once.
+    measure(z) gives, for the points of all groups one after the other,
+    (residuals, uncertainty): a scale-free residual per root, and either
+    None or the radius within which each root is still undetermined.  A
+    group with a residual above 1e-6, NaN included, gives a
+    RootFindingFailedError with its context.  Two roots whose radii are
+    both far below their distance are resolved simple roots and never share
+    a cluster.  Returns, per group, that error or (z, clusters, ambiguity),
     where ambiguity is the MultiplicityAmbiguousError to raise unless every
     cluster is then resolved exactly, or None.
     """
-    z = _newton_polish(evaluate, z, NEWTON_POLISH_STEPS)
-    residuals = residual(z)
-    # multiple roots legitimately stall above machine precision; the
-    # acceptance bar here only rejects genuine non-convergence, NaN included
-    if not all(res <= 1e-6 for res in residuals):
-        raise RootFindingFailedError(
-            "root finder did not converge", residuals=residuals, **context
-        )
-    radii = None
-    if uncertainty is not None:
-        # a vanishing derivative says nothing beyond "somewhere in the cluster"
-        radii = np.minimum(uncertainty(z), 100.0 * DEFAULT_CLUSTER_RADIUS)
-    clusters = _cluster(z, DEFAULT_CLUSTER_RADIUS, radii)
-    clusters_wide = _cluster(z, 10.0 * DEFAULT_CLUSTER_RADIUS, radii)
-    ambiguity = None
-    if _profile(clusters) != _profile(clusters_wide):
-        ambiguity = MultiplicityAmbiguousError(
-            "two clusterings within a factor 10 disagree",
-            radius=DEFAULT_CLUSTER_RADIUS,
-            profiles=(_profile(clusters), _profile(clusters_wide)),
-        )
-    return z, clusters, ambiguity
+    groups = tuple(range(len(zs)))
+    z = _newton_polish(lambda z: evaluate(z, groups), np.concatenate(zs), NEWTON_POLISH_STEPS)
+    residuals, uncertainty = measure(z)
+    results, start = [], 0
+    for zg, context in zip(zs, contexts):
+        rows = slice(start, start + len(zg))
+        start = rows.stop
+        # multiple roots legitimately stall above machine precision; the
+        # acceptance bar here only rejects genuine non-convergence, NaN included
+        if not all(res <= 1e-6 for res in residuals[rows]):
+            results.append(RootFindingFailedError(
+                "root finder did not converge", residuals=residuals[rows], **context
+            ))
+            continue
+        radii = None
+        if uncertainty is not None:
+            # a vanishing derivative says nothing beyond "somewhere in the cluster"
+            radii = np.minimum(uncertainty[rows], 100.0 * DEFAULT_CLUSTER_RADIUS)
+        clusters = _cluster(z[rows], DEFAULT_CLUSTER_RADIUS, radii)
+        clusters_wide = _cluster(z[rows], 10.0 * DEFAULT_CLUSTER_RADIUS, radii)
+        ambiguity = None
+        if _profile(clusters) != _profile(clusters_wide):
+            ambiguity = MultiplicityAmbiguousError(
+                "two clusterings within a factor 10 disagree",
+                radius=DEFAULT_CLUSTER_RADIUS,
+                profiles=(_profile(clusters), _profile(clusters_wide)),
+            )
+        results.append((z[rows], clusters, ambiguity))
+    return results
 
 
-def find_zeros(evaluate, residual, uncertainty, start: np.ndarray, **context):
-    """Zeros of an analytic f from evaluations of (f, f') only, one per start point.
+def find_zeros(evaluate, measure, starts, contexts) -> list:
+    """Zeros of analytic functions from evaluations of (f, f') only, one per start point.
 
-    Aberth from start, then _settle.  Returns ([members], ambiguity): one
-    array of approximations per cluster, a simple zero being a cluster of one.
+    Group g holds the start points starts[g] of one function; Aberth runs
+    all groups in lock step (_aberth), then _settle.  Returns, per group,
+    ([members], ambiguity), one array of approximations per cluster and a
+    simple zero being a cluster of one, or the group's
+    RootFindingFailedError, which is not raised.
     """
-    z, clusters, ambiguity = _settle(
-        evaluate, residual, _aberth(evaluate, start), uncertainty=uncertainty, **context,
-    )
-    return [z[g] for g in clusters], ambiguity
+    results = []
+    for settled in _settle(evaluate, measure, _aberth(evaluate, starts), contexts):
+        if isinstance(settled, RootFindingFailedError):
+            results.append(settled)
+        else:
+            z, clusters, ambiguity = settled
+            results.append(([z[g] for g in clusters], ambiguity))
+    return results
 
 
 def _linked(points, radius, radii, i, j) -> bool:
@@ -376,10 +424,12 @@ def _find_roots_numeric(p: Polynomial):
                 z = np.array([q / a, c / q])
         else:
             cauchy = 1.0 + float(max(abs(rc[1:] / rc[0])))
-            z = _aberth(horner, start_circle(reduced.degree, cauchy))
-        z, clusters, ambiguity = _settle(
-            horner, lambda zs: [_eval_scaled(rc, zi) for zi in zs], z, degree=p.degree,
-        )
+            [z] = _aberth(horner, [start_circle(reduced.degree, cauchy)])
+        [settled] = _settle(horner, lambda zs: ([_eval_scaled(rc, zi) for zi in zs], None),
+                            [z], [{"degree": p.degree}])
+        if isinstance(settled, RootFindingFailedError):
+            raise settled
+        z, clusters, ambiguity = settled
         if exact:
             # a square-free factor: two approximations in one cluster are two
             # close simple roots, never one multiple root

@@ -17,20 +17,35 @@ import pytest
 import ratmap.dynamics
 from ratmap import cli
 from ratmap.dynamics import (
+    CHART_START_RADIUS,
     DEFAULT_MAX_PERIOD,
+    DEFAULT_PERIOD_WORK_CAP,
+    EPSILON,
     INNER_CHART,
     OUTER_CHART,
     SOLVE_CHART,
     _FixedPointEquation,
     _polish_in_balanced_charts,
+    _solve_periods,
     fixed_points,
     periodic_cycles,
 )
 from ratmap.errors import RootFindingFailedError
-from ratmap.report import parse_map
-from ratmap.roots import polish, start_circle
+from ratmap.report import parse_map, run_analysis
+from ratmap.roots import (
+    ABERTH_MAX_ITER,
+    DEFAULT_CLUSTER_RADIUS,
+    NEWTON_POLISH_STEPS,
+    _aberth,
+    _cluster,
+    _pairwise_sums,
+    _profile,
+    polish,
+    start_circle,
+)
 from ratmap.sphere import INFINITY, SpherePoint, coincide
 
+from .test_pipeline_corpus import _sparse_map
 from .test_report import DECIMAL_TWINS, WORKED_MAPS, _corpus_map
 
 WORKED = [(doc, twin) for docs, twin in ((WORKED_MAPS, False), (DECIMAL_TWINS, True))
@@ -213,21 +228,22 @@ def test_one_polish_walk_matches_a_pass_per_chart(index, twin):
 
 
 def _count_solves(monkeypatch):
-    """The periods of the floating fixed-point solves from here on, one per find_zeros call."""
+    """The periods of each floating fixed-point solve from here on, one tuple per solve."""
     periods = []
 
-    def counted(*args, _find_zeros=ratmap.dynamics.find_zeros, **kwargs):
-        periods.append(kwargs["period"])
-        return _find_zeros(*args, **kwargs)
+    def counted(rf, solved, _solve=ratmap.dynamics._solve_periods):
+        periods.append(tuple(solved))
+        return _solve(rf, solved)
 
-    monkeypatch.setattr(ratmap.dynamics, "find_zeros", counted)
+    monkeypatch.setattr(ratmap.dynamics, "_solve_periods", counted)
     return periods
 
 
-@pytest.mark.parametrize("config, solved", [(None, [1, 2, 3, 4]), ({"max_period": 1}, [1, 2])])
+@pytest.mark.parametrize("config, solved", [(None, [(1, 2, 3, 4)]),
+                                            ({"max_period": 1}, [(1,), (2,)])])
 def test_the_cli_render_reuses_the_solves_of_the_analysis(tmp_path, monkeypatch, config, solved):
-    # the analysis solves periods 1 to max_period and the render periods 1
-    # and 2, both on the same floating map
+    # the analysis solves periods 1 to max_period in one solve and the
+    # render periods 1 and 2, both on the same floating map
     periods = _count_solves(monkeypatch)
     map_file = tmp_path / "map.json"
     map_file.write_text(json.dumps(WORKED_MAPS[0]))
@@ -255,7 +271,7 @@ def test_fixed_points_returns_a_fresh_list_on_every_call(doc, twin, monkeypatch)
     assert floating is not second and not any(x.is_exact for x in floating)
     assert len(floating) == len(second)
     assert all(any(coincide(x, y, 1e-6) for y in second) for x in floating)
-    assert periods == [2]
+    assert periods == [(2,)]
 
 
 def test_a_failed_solve_raises_the_same_error_again(monkeypatch):
@@ -268,6 +284,175 @@ def test_a_failed_solve_raises_the_same_error_again(monkeypatch):
         errors.append(info.value)
         depths.append(len(info.traceback))
     assert errors[0] is errors[1] is errors[2] and errors[0].code == "roots-no-convergence"
-    assert periods == [1]
+    assert periods == [(1,)]
     # each raise of the memoized error starts a fresh traceback
     assert depths[0] == depths[1] == depths[2]
+
+
+def _reference_aberth(evaluate, z):
+    """Aberth for one group alone, with a fresh pairwise matrix every sweep."""
+    with np.errstate(all="ignore"):
+        for _ in range(ABERTH_MAX_ITER):
+            p, d = evaluate(z)
+            d = np.where(d == 0, 1e-300, d)
+            newton = p / d
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, 1.0)
+            inv = 1.0 / diff
+            np.fill_diagonal(inv, 0.0)
+            s = inv.sum(axis=1)
+            denom = 1.0 - newton * s
+            denom = np.where(denom == 0, 1e-300, denom)
+            corr = newton / denom
+            z = z - corr
+            if np.all(np.abs(corr) <= 1e-14 * (1.0 + np.abs(z))):
+                break
+    return z
+
+
+def _reference_newton(evaluate, z, steps):
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            p, d = evaluate(z)
+            safe = np.abs(d) > 1e-300
+            z = z - np.where(safe, p / np.where(safe, d, 1.0), 0.0)
+    return z
+
+
+def _reference_merge(rf, p, members):
+    """The interpolant merge of one cluster, on the reference walk."""
+    m = len(members)
+    center = complex(members.mean())
+    if m == 1:
+        return center
+    a = _reference_walk(rf, p, SOLVE_CHART, members, shared_scale=True)[5]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, m):
+            a[k:] = (a[k:] - a[k - 1:-1]) / (members[k:] - members[:-k])
+        root = complex(members[:-1].mean() - a[m - 2] / ((m - 1) * a[m - 1]))
+    if abs(root - center) <= max(abs(members - center)):
+        return root
+    return center
+
+
+def _reference_solve(rf, p):
+    """The floating solve of period p alone, as bits: (error code, residuals)
+    or (points, ambiguity profiles)."""
+    def evaluate(w):
+        return _reference_walk(rf, p, SOLVE_CHART, w)[4:]
+
+    z = _reference_aberth(evaluate, start_circle(rf.degree**p + 1, CHART_START_RADIUS))
+    z = _reference_newton(evaluate, z, NEWTON_POLISH_STEPS)
+    m1, m2, u, v, f, df = _reference_walk(rf, p, SOLVE_CHART, z)
+    with np.errstate(all="ignore"):
+        residuals = 2.0 * np.abs(f) / (np.hypot(np.abs(u), np.abs(v)) * np.hypot(np.abs(m1), np.abs(m2)))
+        radii = (np.abs(f) + EPSILON * (np.abs(u * m2) + np.abs(v * m1))) / np.abs(df)
+    if not all(res <= 1e-6 for res in residuals):
+        return "roots-no-convergence", residuals.tobytes()
+    radii = np.minimum(radii, 100.0 * DEFAULT_CLUSTER_RADIUS)
+    clusters = _cluster(z, DEFAULT_CLUSTER_RADIUS, radii)
+    wide = _cluster(z, 10.0 * DEFAULT_CLUSTER_RADIUS, radii)
+    alpha, beta, gamma, delta = SOLVE_CHART
+    points = []
+    for group in clusters:
+        w = _reference_merge(rf, p, z[group])
+        points.append(SpherePoint(alpha * w + beta, gamma * w + delta))
+    simple = [i for i, group in enumerate(clusters) if len(group) == 1]
+    for i, x in zip(simple, _reference_polish(rf, p, [points[i] for i in simple])):
+        points[i] = x
+    profiles = None if _profile(clusters) == _profile(wide) else (_profile(clusters), _profile(wide))
+    return [_point_bits(x) for x in points], profiles
+
+
+def _solved_bits(solved):
+    if isinstance(solved, RootFindingFailedError):
+        return solved.code, np.array(solved.residuals).tobytes()
+    points, ambiguity = solved
+    return [_point_bits(x) for x in points], ambiguity and ambiguity.context["profiles"]
+
+
+MIXED_FAILURE_MAPS = [
+    # periods 3 and 4 fail to converge, 1 and 2 solve
+    {"numerator": ["-5e0", "-8e-5", "8e-5", "2e3"], "denominator": ["7e-3"]},
+    # period 4 fails to converge
+    {"numerator": ["1e5", "2e3", "6e3", "5e-5"], "denominator": ["-1e1"]},
+]
+SOLVER_MAPS = (PARITY_MAPS + [(("sparse", i), twin) for i in range(6) for twin in (False, True)]
+               + [(doc, False) for doc in MIXED_FAILURE_MAPS])
+PERIOD_SETS = [(1,), (2,), (1, 2), (1, 2, 3, 4), (3, 4)]
+
+
+def _solver_map(key, twin):
+    return _sparse_map(key[1], twin) if isinstance(key, tuple) else _parity_map(key, twin)
+
+
+@pytest.mark.parametrize("key, twin", SOLVER_MAPS)
+def test_the_lock_step_solve_matches_a_solve_per_period(key, twin):
+    rf = _solver_map(key, twin).floating()
+    reference = {}
+    for periods in PERIOD_SETS:
+        periods = [p for p in periods if rf.degree**p + 1 <= DEFAULT_PERIOD_WORK_CAP]
+        if not periods:
+            continue
+        solved = _solve_periods(rf, periods)
+        assert sorted(solved) == periods
+        for p in periods:
+            if p not in reference:
+                reference[p] = _reference_solve(rf, p)
+            assert _solved_bits(solved[p]) == reference[p]
+
+
+@pytest.mark.parametrize("doc, failed", zip(MIXED_FAILURE_MAPS, [[3, 4], [4]]))
+def test_a_period_that_fails_leaves_the_others_of_its_solve(doc, failed):
+    solved = _solve_periods(parse_map(doc).floating(), [1, 2, 3, 4])
+    assert sorted(p for p, s in solved.items() if isinstance(s, RootFindingFailedError)) == failed
+    assert all(isinstance(solved[p], tuple) for p in {1, 2, 3, 4} - set(failed))
+
+
+def test_a_group_of_one_point_matches_its_lone_solve():
+    # numpy may pick other loops for n = 1, so a group of one row is checked
+    # against its lone solve, in Aberth and in the balanced-chart polish
+    rf = _corpus_map(0, True).floating()
+    starts = [start_circle(rf.degree**2 + 1, 1.0), np.array([0.3 - 0.2j]), np.array([2.0 + 0.5j]),
+              start_circle(rf.degree + 1, 1.0)]
+    periods = [2, 2, 1, 1]
+
+    def evaluate(w, active):
+        return _FixedPointEquation(rf, [periods[g] for g in active for _ in starts[g]]).evaluate(w)
+
+    for got, start, p in zip(_aberth(evaluate, starts), starts, periods):
+        want = _reference_aberth(lambda w, p=p: _reference_walk(rf, p, SOLVE_CHART, w)[4:], start)
+        _assert_bitwise_equal([got], [want])
+    points = [x.to_float() for x in fixed_points(rf, 2)[:1] + fixed_points(rf, 1)[:2]]
+    got = _polish_in_balanced_charts(rf, [2, 1, 1], points)
+    want = _reference_polish(rf, 2, points[:1]) + _reference_polish(rf, 1, points[1:])
+    assert [_point_bits(x) for x in got] == [_point_bits(x) for x in want]
+
+
+@pytest.mark.parametrize("n", [1, 3, 9, 17, 26, 65, 82, 126])
+def test_the_pairwise_sums_in_one_buffer_match_a_fresh_matrix(n):
+    rng = np.random.default_rng(n)
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    diff = z[:, None] - z[None, :]
+    np.fill_diagonal(diff, 1.0)
+    inv = 1.0 / diff
+    np.fill_diagonal(inv, 0.0)
+    buf = np.empty((n, n), complex)
+    for _ in range(2):  # the buffer is reused
+        _assert_bitwise_equal([_pairwise_sums(z, buf)], [inv.sum(axis=1)])
+
+
+@pytest.mark.parametrize("doc, twin", WORKED)
+def test_an_analysis_walks_the_fixed_point_equation_at_most_30_times(doc, twin, monkeypatch):
+    # each Aberth sweep, Newton step and polish step walks all periods at
+    # once; with a solve per period a worked map took 84 to 89 walks
+    calls = []
+    walk = _FixedPointEquation.walk
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return walk(self, *args, **kwargs)
+
+    monkeypatch.setattr(_FixedPointEquation, "walk", counted)
+    run_analysis(parse_map(doc))
+    assert 0 < len(calls) <= 30

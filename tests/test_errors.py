@@ -138,14 +138,15 @@ def test_period_three_of_a_map_whose_expanded_solve_overflowed():
 
 def test_a_failed_period_is_a_coded_warning(monkeypatch):
     # one period whose solve fails costs that period only
-    solve = ratmap.dynamics.find_zeros
+    solve = ratmap.dynamics._solve_periods
 
-    def failing_at_period_two(*args, period, **kwargs):
-        if period == 2:
-            raise RootFindingFailedError("root finder did not converge", residuals=[math.nan])
-        return solve(*args, period=period, **kwargs)
+    def failing_at_period_two(rf, periods):
+        solved = solve(rf, periods)
+        if 2 in solved:
+            solved[2] = RootFindingFailedError("root finder did not converge", residuals=[math.nan])
+        return solved
 
-    monkeypatch.setattr(ratmap.dynamics, "find_zeros", failing_at_period_two)
+    monkeypatch.setattr(ratmap.dynamics, "_solve_periods", failing_at_period_two)
     r = parse_map({"numerator": ["1", "0", "-2"], "denominator": ["1"]})
     cycles, _, warnings = periodic_cycles(r, 3)
     assert sorted({c.period for c in cycles}) == [1, 3]

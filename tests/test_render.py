@@ -126,6 +126,7 @@ def _reference_captured(z, targets):
     zs = np.where(bad, 0.0, z)
     with np.errstate(over="ignore"):
         norm = np.sqrt(np.abs(zs) ** 2 + 1.0)
+        overflowed = np.isinf(np.abs(zs))
     huge = np.isinf(norm)
     hit = np.zeros(z.shape, dtype=bool)
     for target in targets:
@@ -136,6 +137,8 @@ def _reference_captured(z, targets):
         dist = np.abs(zs - target)
         d = 2.0 * dist / (norm * tnorm)
         d[huge] = 2.0 * (dist[huge] / np.abs(zs[huge])) / tnorm
+        # where |z| overflows too, |z - t| / |z| is |1 - t/z|
+        d[overflowed] = 2.0 * np.abs(1.0 - target / zs[overflowed]) / tnorm
         if 2.0 / tnorm < ratmap.render.CAPTURE_RADIUS:
             hit |= bad
         hit |= ~bad & (d < ratmap.render.CAPTURE_RADIUS)
@@ -221,6 +224,16 @@ def test_huge_values_are_not_captured_by_a_finite_target():
     times = _capture_times(r, cfg)
     assert (times != 0).all()
     assert np.array_equal(times, _whole_grid_capture_times(r, cfg))
+
+
+def test_a_finite_value_whose_modulus_overflows_is_captured_by_a_far_target():
+    # |1.5e308 + 1.5e308i| overflows to inf; the disc of 3000 holds infinity,
+    # and the value's chordal distance to 3000 is 2|1 - 3000/z|/tnorm ~ 6.7e-4
+    z = np.array([1.5e308 + 1.5e308j])
+    with np.errstate(all="ignore"):  # as in _capture_times
+        hit, dropped = _captured(z, [3000.0], _infinity_threshold())
+        ref_hit, _ = _reference_captured(z, [3000.0])
+    assert hit.tolist() == dropped.tolist() == ref_hit.tolist() == [True]
 
 
 def test_a_value_that_overflows_in_the_chart_of_z_is_stepped_in_the_1_over_z_chart():
