@@ -658,13 +658,19 @@ def orbit_fate(r: RationalMap, x: SpherePoint, cycles,
     walk = Orbit(r, x)
     members = [(cyc, cpt) for cyc in cycles for cpt in cyc.points]
     table = normalized_pairs([cpt for _, cpt in members])
+    # the screen reads only the point's pair, and an orbit that rests on a
+    # point (infinity, say) repeats it at every step
+    screened = {}
     for n in range(min(budget, 64) + 1):
         try:
             pt = walk.point(n)
         except RatmapError:
             break
+        pair = pt._norm_pair()
+        if pair not in screened:
+            screened[pair] = np.flatnonzero(near_pairs(normalized_pairs([pt]), table, tol)[0])
         # only the screened members can pass the tests below, in the same order
-        for k in np.flatnonzero(near_pairs(normalized_pairs([pt]), table, tol)[0]):
+        for k in screened[pair]:
             cyc, cpt = members[k]
             if n == 0 and coincide(pt, cpt, tol):
                 # identity case: the queried point is a cycle point

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .poly import Polynomial, vanishing_order_exact
 from .roots import find_roots
-from .scalars import GaussianRational, is_exact, mod_prime, scalar_is_zero, to_complex
+from .scalars import GaussianRational, height_bits, is_exact, mod_prime, scalar_is_zero, to_complex
 from .sphere import INFINITY, SpherePoint, coincide
 
 DEFAULT_TOLERANCE = 1e-9
@@ -51,15 +51,10 @@ DEFAULT_TOLERANCE = 1e-9
 EXACT_HEIGHT_CAP_BITS = 512
 
 
-def _bits(fr) -> int:
-    return fr.numerator.bit_length() + fr.denominator.bit_length()
-
-
 def point_height_bits(p: SpherePoint) -> int:
     if p.is_infinity or not p.is_exact:
         return 0
-    z = p.value()
-    return max(_bits(z.re), _bits(z.im))
+    return height_bits(p.value())
 
 
 def _reversed_horner(rows, j: int, t):
@@ -302,10 +297,10 @@ class RationalMap:
         """
         if self.is_exact and x.is_exact and not x.is_infinity:
             # orbits come back to the same exact points, the critical ones above all
-            key = (x.z.re, x.z.im)
-            if key not in self._exact_valencies:
-                self._exact_valencies[key] = 1 + vanishing_order_exact(self.wronskian, x.z)
-            return self._exact_valencies[key]
+            z = x.z
+            if z not in self._exact_valencies:
+                self._exact_valencies[z] = 1 + vanishing_order_exact(self.wronskian, z)
+            return self._exact_valencies[z]
         table = self.critical_table()
         if self.is_exact and x.is_infinity:
             return table[-1][1]

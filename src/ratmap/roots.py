@@ -30,7 +30,6 @@ run in exact arithmetic on the maps where it matters.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -282,10 +281,7 @@ def snap(center: complex) -> GaussianRational | None:
     """
     if not (math.isfinite(center.real) and math.isfinite(center.imag)):
         return None
-    return GaussianRational(
-        Fraction(center.real).limit_denominator(SNAP_DENOMINATOR_BOUND),
-        Fraction(center.imag).limit_denominator(SNAP_DENOMINATOR_BOUND),
-    )
+    return GaussianRational.approximating(center, SNAP_DENOMINATOR_BOUND)
 
 
 def _snap_root(reduced: Polynomial, center: complex) -> GaussianRational | None:
@@ -306,10 +302,7 @@ def _snap_root(reduced: Polynomial, center: complex) -> GaussianRational | None:
     dv_center = complex(reduced.derivative().evaluate(complex(center)))
     if abs(dv_center) > 1e-3 * max(1.0, reduced.coeff_scale()):
         return None  # well-conditioned and not rational: nothing to refine
-    x = GaussianRational(
-        Fraction(center.real).limit_denominator(10**15),
-        Fraction(center.imag).limit_denominator(10**15),
-    )
+    x = GaussianRational.approximating(center, 10**15)
     deriv = reduced.derivative()
     for _ in range(2):
         pv = reduced.evaluate(x)
@@ -320,13 +313,8 @@ def _snap_root(reduced: Polynomial, center: complex) -> GaussianRational | None:
             break
         x = x - pv / dv
         # keep fraction sizes bounded without losing the precision gained
-        x = GaussianRational(
-            x.re.limit_denominator(10**40), x.im.limit_denominator(10**40)
-        )
-    cand = GaussianRational(
-        x.re.limit_denominator(SNAP_DENOMINATOR_BOUND),
-        x.im.limit_denominator(SNAP_DENOMINATOR_BOUND),
-    )
+        x = x.limit_denominator(10**40)
+    cand = x.limit_denominator(SNAP_DENOMINATOR_BOUND)
     if reduced.evaluate(cand).is_zero():
         return cand
     return None
@@ -456,12 +444,12 @@ def _find_roots_numeric(p: Polynomial):
             if cand is None:
                 results.append((center, mult, _eval_scaled(rc, center)))
                 continue
-            if (cand.re, cand.im) in snapped:
+            if cand in snapped:
                 raise MultiplicityAmbiguousError(
                     "approximations of distinct simple roots snap to one point",
                     point=str(cand),
                 )
-            snapped.add((cand.re, cand.im))
+            snapped.add(cand)
             results.append((cand, 1, _eval_scaled(rc, complex(cand))))
 
     total_mult = sum(m for _, m, _ in results)

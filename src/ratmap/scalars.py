@@ -2,8 +2,17 @@
 
 Coefficients and point coordinates are carried in one of two modes:
 
-* exact: a :class:`GaussianRational`, a pair of ``fractions.Fraction``;
+* exact: a :class:`GaussianRational`, the triple of ints (a, b, d) that
+  stands for (a + b i) / d with d > 0 and gcd(a, b, d) = 1;
 * floating: a plain ``complex``.
+
+The triple is canonical: equal values have equal triples, so equality is
+three int comparisons.  Each +, -, * and / is a few int products and at
+most one three-way ``math.gcd`` to put the result back in lowest terms
+(none when both denominators are 1); no ``Fraction`` is built.  Only this
+module reads the triple: the parts are offered as reduced Fractions
+(``re``, ``im``) to cold readers, and the hot readers (``mod_prime``,
+``height_bits``, ``GaussianRational.approximating``) live here.
 
 Arithmetic between two exact values stays exact.  Any operation mixing an
 exact value with a float or complex falls through to ``complex``, so a
@@ -15,84 +24,196 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InputFormatError
 
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> "GaussianRational":
+    """The GaussianRational of a triple already in lowest terms."""
+    z = _new(GaussianRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> "GaussianRational":
+    """The GaussianRational (a + b i) / d for d > 0, by one gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _make(a, b, d)
+
+
+def _from_ratios(p1: int, q1: int, p2: int, q2: int) -> "GaussianRational":
+    """p1/q1 + (p2/q2) i for two ratios in lowest terms with positive denominators.
+
+    Over the common denominator lcm(q1, q2) the triple is already in lowest
+    terms: a prime power that divides it exactly divides q1 or q2 exactly,
+    and so leaves p1 or p2 times a cofactor prime to it.
+    """
+    if q1 == q2:
+        return _make(p1, p2, q1)
+    d = lcm(q1, q2)
+    return _make(p1 * (d // q1), p2 * (d // q2), d)
+
+
+def _limit_ratio(n: int, d: int, bound: int) -> tuple[int, int]:
+    """Fraction(n, d).limit_denominator(bound) as a pair, for d > 0.
+
+    The continued-fraction walk of CPython's Fraction.limit_denominator, in
+    ints: the nearer of the last convergent p1/q1 and the best
+    semiconvergent below the bound, p1/q1 on a tie.
+    """
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    if d <= bound:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while True:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    k = (bound - q0) // q1
+    p, q = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - n/d| <= |p/q - n/d|, cleared of denominators
+    if abs(p1 * d - n * q1) * q <= abs(p * d - n * q) * q1:
+        return p1, q1
+    return p, q
+
 
 class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number (a + b i) / d with exact integer a, b and d."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re = re if isinstance(re, Fraction) else Fraction(re)
+        im = im if isinstance(im, Fraction) else Fraction(im)
+        z = _from_ratios(re.numerator, re.denominator, im.numerator, im.denominator)
+        self._a, self._b, self._d = z._a, z._b, z._d
+
+    @classmethod
+    def approximating(cls, z: complex, max_denominator: int) -> "GaussianRational":
+        """Each part of the finite z as Fraction(part).limit_denominator(max_denominator)."""
+        p1, q1 = _limit_ratio(*z.real.as_integer_ratio(), max_denominator)
+        p2, q2 = _limit_ratio(*z.imag.as_integer_ratio(), max_denominator)
+        return _from_ratios(p1, q1, p2, q2)
+
+    def limit_denominator(self, max_denominator: int) -> "GaussianRational":
+        """Each part limited as Fraction.limit_denominator limits it."""
+        p1, q1 = _limit_ratio(self._a, self._d, max_denominator)
+        p2, q2 = _limit_ratio(self._b, self._d, max_denominator)
+        return _from_ratios(p1, q1, p2, q2)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return complex(self) + other
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if isinstance(other, GaussianRational):
+            d1, d2 = self._d, other._d
+            if d1 == d2:
+                if d1 == 1:
+                    return _make(self._a + other._a, self._b + other._b, 1)
+                return _reduced(self._a + other._a, self._b + other._b, d1)
+            return _reduced(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
+        if isinstance(other, int):
+            # gcd(a + k d, b, d) = gcd(a, b, d) = 1
+            return _make(self._a + other * self._d, self._b, self._d)
+        if isinstance(other, Fraction):
+            return self + _make(other.numerator, 0, other.denominator)
+        return complex(self) + other
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return complex(self) - other
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        if isinstance(other, GaussianRational):
+            d1, d2 = self._d, other._d
+            if d1 == d2:
+                if d1 == 1:
+                    return _make(self._a - other._a, self._b - other._b, 1)
+                return _reduced(self._a - other._a, self._b - other._b, d1)
+            return _reduced(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
+        if isinstance(other, int):
+            return _make(self._a - other * self._d, self._b, self._d)
+        if isinstance(other, Fraction):
+            return self - _make(other.numerator, 0, other.denominator)
+        return complex(self) - other
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return other - complex(self)
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        if isinstance(other, int):
+            return _make(other * self._d - self._a, -self._b, self._d)
+        if isinstance(other, Fraction):
+            return _make(other.numerator, 0, other.denominator) - self
+        return other - complex(self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return complex(self) * other
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        if isinstance(other, GaussianRational):
+            a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+            d = self._d * other._d
+            if d == 1:
+                return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 1)
+            return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d)
+        if isinstance(other, int):
+            if self._d == 1:
+                return _make(self._a * other, self._b * other, 1)
+            return _reduced(self._a * other, self._b * other, self._d)
+        if isinstance(other, Fraction):
+            return self * _make(other.numerator, 0, other.denominator)
+        return complex(self) * other
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, int):
+            other = _make(other, 0, 1)
+        elif isinstance(other, Fraction):
+            other = _make(other.numerator, 0, other.denominator)
+        elif not isinstance(other, GaussianRational):
             return complex(self) / other
-        n = o.re * o.re + o.im * o.im
+        # (a1 + b1 i) d2 (a2 - b2 i) / (d1 (a2^2 + b2^2))
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by exact zero")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        d2 = other._d
+        return _reduced(d2 * (a1 * a2 + b1 * b2), d2 * (b1 * a2 - a1 * b2), self._d * n)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return other / complex(self)
-        return o / self
+        if isinstance(other, int):
+            return _make(other, 0, 1) / self
+        if isinstance(other, Fraction):
+            return _make(other.numerator, 0, other.denominator) / self
+        return other / complex(self)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return complex(self) ** k
-        out = GaussianRational(1)
+        out = _make(1, 0, 1)
         base = self
         while k:
             if k & 1:
@@ -105,31 +226,38 @@ class GaussianRational:
 
     def abs2(self):
         """|z|^2 as an exact Fraction."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return self._a == 0 and self._b == 0
 
     def __bool__(self):
-        return not self.is_zero()
+        return self._a != 0 or self._b != 0
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int true division is correctly rounded, as float(Fraction) is
+        return complex(self._a / self._d, self._b / self._d)
 
     def __abs__(self):
         return abs(complex(self))
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return self._b == 0 and self._d == other.denominator and self._a == other.numerator
         if isinstance(other, (float, complex)):
             return complex(self) == other
         return NotImplemented
 
     def __hash__(self):
-        return hash(complex(self))
+        try:
+            return hash(complex(self))
+        except OverflowError:
+            # beyond float range no float or complex equals the value
+            return hash((self._a, self._b, self._d))
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -146,13 +274,26 @@ MODULAR_I = 1035093963448091331
 
 
 def mod_prime(x: GaussianRational) -> int | None:
-    """The image of x modulo MODULAR_PRIME; None when q divides a denominator."""
+    """The image of x modulo MODULAR_PRIME; None when q divides the denominator.
+
+    The denominator d is the lcm of the parts' reduced denominators, so for
+    the prime q, q | d exactly when q divides one of them.
+    """
     q = MODULAR_PRIME
-    den = x.re.denominator * x.im.denominator
-    if den % q == 0:
+    d = x._d
+    if d % q == 0:
         return None
-    num = x.re.numerator * x.im.denominator + x.im.numerator * x.re.denominator * MODULAR_I
-    return num * pow(den, -1, q) % q
+    return (x._a + x._b * MODULAR_I) * pow(d, -1, q) % q
+
+
+def height_bits(x: GaussianRational) -> int:
+    """max over the two parts of numerator bits + denominator bits, in lowest terms."""
+    a, b, d = x._a, x._b, x._d
+    if d == 1:
+        return max(a.bit_length(), b.bit_length()) + 1
+    g, h = gcd(a, d), gcd(b, d)
+    return max((a // g).bit_length() + (d // g).bit_length(),
+               (b // h).bit_length() + (d // h).bit_length())
 
 
 def is_exact(value) -> bool:
@@ -239,8 +380,12 @@ def parse_scalar(text: str):
     return complex(float(re_part), float(im_part))
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _ratio_str(n: int, d: int) -> str:
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def scalar_str(value) -> str:
@@ -248,12 +393,13 @@ def scalar_str(value) -> str:
     if isinstance(value, (int, Fraction)):
         value = GaussianRational(value)
     if isinstance(value, GaussianRational):
-        if value.im == 0:
-            return _frac_str(value.re)
-        im = _frac_str(abs(value.im)) + "i"
-        if value.re == 0:
-            return ("-" if value.im < 0 else "") + im
-        return _frac_str(value.re) + ("-" if value.im < 0 else "+") + im
+        a, b, d = value._a, value._b, value._d
+        if b == 0:
+            return _ratio_str(a, d)
+        im = _ratio_str(abs(b), d) + "i"
+        if a == 0:
+            return ("-" if b < 0 else "") + im
+        return _ratio_str(a, d) + ("-" if b < 0 else "+") + im
     z = complex(value)
     if z.imag == 0:
         return repr(z.real)

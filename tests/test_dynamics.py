@@ -122,6 +122,27 @@ def test_orbit_fate_identity_case():
     assert f.kind == "preperiodic" and f.step == 0 and f.cycle_id == one.cycle_id
 
 
+@pytest.mark.parametrize("twin", [False, True])
+def test_orbit_fate_screens_each_distinct_prefix_point_once(twin, monkeypatch):
+    # 0 -> 1 -> 2 -> 5 -> 26 -> ... escapes and rests on infinity, which the
+    # 65-step prefix used to screen again at every step
+    r = RationalMap(Polynomial([1, 0, 1]), Polynomial([1]))
+    if twin:
+        r = r.floating()
+    cycles, _, _ = periodic_cycles(r)
+    calls = []
+
+    def counted(a, b, tol, _near=ratmap.dynamics.near_pairs):
+        calls.append(a)
+        return _near(a, b, tol)
+
+    monkeypatch.setattr(ratmap.dynamics, "near_pairs", counted)
+    fate = orbit_fate(r, SpherePoint.finite(0.0 if twin else 0), cycles)
+    prefix = fate.walk.points[:65]
+    assert len(prefix) == 65 and prefix[-1].is_infinity
+    assert len(calls) == len({x._norm_pair() for x in prefix}) == (9 if twin else 13)
+
+
 def _scalar_landing(r, x, cycles):
     """(cycle_id, step) of the first landing on the 64-step prefix, compared
     pair by pair as orbit_fate did before it screened the cycle points."""

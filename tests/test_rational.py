@@ -145,6 +145,16 @@ def test_close_critical_points_of_an_exact_map_stay_apart():
     assert r.valency_at(SpherePoint.finite(a + GaussianRational(Fraction(1, 10**20)))) == 1
 
 
+def test_valency_at_an_exact_point_beyond_float_range():
+    # the height guard floats a point only before stepping from it, so the
+    # orbit of 2^400 under z^3 + z holds the exact point 2^1200 + 2^400
+    r = RationalMap(Polynomial([1, 0, 1, 0]), Polynomial([1]))
+    y = Orbit(r, SpherePoint.finite(2**400)).point(1)
+    assert y.is_exact and y == SpherePoint.finite(2**1200 + 2**400)
+    for _ in range(2):
+        assert r.valency_at(y) == 1
+
+
 def _cross_check_maps():
     docs = [parse_map(doc) for doc in WORKED_MAPS + DECIMAL_TWINS]
     return docs + [_corpus_map(i, twin) for i in range(20) for twin in (False, True)]
