@@ -14,8 +14,9 @@ walk for asymptotic_valency and the other readers.
 The cycles of period p come from the fixed points of R^p, found by Aberth
 on the orbit recursion in a fixed Möbius chart (never on an expanded
 polynomial), merged where multiple and snapped to exact points where exact
-iteration verifies them.  In each step of the recursion P, Q and their
-derivatives advance as the rows of one array.  All periods that are
+iteration verifies them.  In each step of the recursion P, Q, the power
+v^i of Horner's scheme and their derivatives advance as the rows of one
+array.  All periods that are
 needed are solved in lock step: their points are the rows of one array by
 descending period, and step k of the recursion advances only the rows of
 period at least k, so each Aberth sweep and each Newton step is one walk
@@ -233,7 +234,15 @@ class _FixedPointEquation:
         self.steps = None if np.ndim(p) == 0 else [sum(q > k for q in p) for k in range(max(p))]
 
     def walk(self, w, shared_scale=False):
-        """(m1, m2, u, v, f, f'); one rescaling per step for the rows it advances when shared_scale."""
+        """(m1, m2, u, v, f, f'); one rescaling per step for the rows it advances when shared_scale.
+
+        Each step evaluates (P, Q) by Horner in u in one (2, 3, n) array
+        y = ((P, Q, v^i), (P', Q', (v^i)')), whose rows have the multipliers
+        (u, u, v) and derivatives (u', u', v'): a term is one _times
+        product-rule update of all three rows, then (P, Q) += (P_i, Q_i) v^i.
+        Every entry sees the operations, in the same order, of a walk that
+        keeps P, Q, v^i and their derivatives apart, for n = 1 too.
+        """
         alpha, beta, gamma, delta = self.chart
         # a row that overflows, or whose P and Q both vanish, gives inf or NaN,
         # which fails the residual check
@@ -242,19 +251,14 @@ class _FixedPointEquation:
             # ((u, v), (u', v')), whose leading rows each step overwrites
             state = np.array([[m1, m2], [np.full_like(w, alpha), np.full_like(w, gamma)]])
             for n in self.steps or [len(w)] * self.p:
-                (u, v), (du, dv) = state[:, :, :n]
-                # x = ((P, Q), (P', Q')) by Horner in u, carrying vi = (v^i, (v^i)').
-                # vi is (2, n), not (2, 1, n): numpy multiplies a (1, 1) by a (1,)
-                # array in a loop that rounds differently, which would make n = 1
-                # walks differ in the last bit from the same points in a longer array
-                x = np.zeros((2, 2, n), complex)
-                x[0] = self.coef[0]
-                vi = np.zeros((2, n), complex)
-                vi[0] = 1.0
+                m, dm = state[:, [0, 0, 1], :n]
+                y = np.zeros((2, 3, n), complex)
+                y[0, :2] = self.coef[0]
+                y[0, 2] = 1.0
                 for c in self.coef[1:]:
-                    _times(vi, v, dv)
-                    _times(x, u, du)
-                    x += c * vi[:, None]
+                    _times(y, m, dm)
+                    y[:, :2] += c * y[:, 2:]
+                x = y[:, :2]
                 s = np.maximum(*np.abs(x[0]))
                 if shared_scale:
                     s = s.max()

@@ -12,6 +12,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .atlas import build_atlas
@@ -202,12 +203,74 @@ def _fate_json(fate):
     }
 
 
+def _json_scalar(o) -> str:
+    """The JSON text of a str, None, bool, int or float, as json.dumps writes it."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _json_lines(o, indent: str, out: list) -> None:
+    """Append to out the text of o, with its nested lines indented from indent."""
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, value in sorted(o.items()):
+            # json.dumps writes a non-string key as the text of its scalar, quoted
+            out.append(sep)
+            out.append(encode_basestring_ascii(key if isinstance(key, str) else _json_scalar(key)))
+            out.append(": ")
+            _json_lines(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for value in o:
+            out.append(sep)
+            _json_lines(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        out.append(_json_scalar(o))
+
+
 @dataclass
 class Report:
     data: dict
 
     def to_json_bytes(self) -> bytes:
-        return (json.dumps(self.data, indent=2, sort_keys=True, ensure_ascii=True) + "\n").encode()
+        """The bytes of json.dumps(data, indent=2, sort_keys=True, ensure_ascii=True) + "\\n".
+
+        CPython encodes with indent in pure Python, one generator frame per
+        container; this writes the same text directly.
+        """
+        out = []
+        _json_lines(self.data, "", out)
+        out.append("\n")
+        return "".join(out).encode()
 
     def to_text(self) -> str:
         return render_text_report(self.data)

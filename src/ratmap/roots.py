@@ -12,13 +12,14 @@ needs the coefficients of f:
 The groups share each evaluation, but each has its own pairwise sum and
 stop test and runs at most 200 sweeps; a group that stops drops out of the
 later evaluations.  A short Newton polish of all groups follows.  The
-residual check and the clustering are shared (_settle), and are made per
-group; a group that fails does not stop the others.  Multiplicities of a floating
-polynomial are assigned by clustering in the chordal metric.  The
-assignment is ambiguous when re-clustering at ten times the radius changes
-the multiplicity profile; that is an error.  An exact polynomial is split
-into square-free factors first, and every root of a factor is simple, so
-nothing is clustered.
+residual check (_settle) and the clustering (_clusters) are shared, and are
+made per group; a group that fails does not stop the others.  Multiplicities
+of a floating polynomial are assigned by clustering in the chordal metric.
+The assignment is ambiguous when re-clustering at ten times the radius
+changes the multiplicity profile; that is an error.  An exact polynomial is
+split into square-free factors first, and every root of a factor is simple,
+so nothing is clustered.  Clustering tests every pair of a small set and
+screens the pairs of a larger one (_cluster).
 
 For exact polynomials every root is snapped to a small Gaussian rational
 candidate and kept exact when the candidate is verified to be a root; two
@@ -29,6 +30,7 @@ run in exact arithmetic on the maps where it matters.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -36,6 +38,7 @@ import numpy as np
 from .errors import MultiplicityAmbiguousError, RootFindingFailedError
 from .poly import Polynomial, squarefree_decomposition_exact
 from .scalars import GaussianRational
+from .sphere import DIRECT_MAX_POINTS
 
 ABERTH_MAX_ITER = 200
 NEWTON_POLISH_STEPS = 5
@@ -146,18 +149,16 @@ def polish(evaluate, z: np.ndarray) -> np.ndarray:
 
 
 def _settle(evaluate, measure, zs, contexts) -> list:
-    """Polish the approximate roots of each group, check them, and cluster them.
+    """Polish the approximate roots of each group and check them.
 
     evaluate is _aberth's; the polish steps all groups at once.
     measure(z) gives, for the points of all groups one after the other,
     (residuals, uncertainty): a scale-free residual per root, and either
     None or the radius within which each root is still undetermined.  A
     group with a residual above 1e-6, NaN included, gives a
-    RootFindingFailedError with its context.  Two roots whose radii are
-    both far below their distance are resolved simple roots and never share
-    a cluster.  Returns, per group, that error or (z, clusters, ambiguity),
-    where ambiguity is the MultiplicityAmbiguousError to raise unless every
-    cluster is then resolved exactly, or None.
+    RootFindingFailedError with its context.  Returns, per group, that
+    error or (z, radii): the polished roots and, for _clusters, their
+    uncertainty radii capped at 100 DEFAULT_CLUSTER_RADIUS, or None.
     """
     groups = tuple(range(len(zs)))
     z = _newton_polish(lambda z: evaluate(z, groups), np.concatenate(zs), NEWTON_POLISH_STEPS)
@@ -177,26 +178,37 @@ def _settle(evaluate, measure, zs, contexts) -> list:
         if uncertainty is not None:
             # a vanishing derivative says nothing beyond "somewhere in the cluster"
             radii = np.minimum(uncertainty[rows], 100.0 * DEFAULT_CLUSTER_RADIUS)
-        clusters = _cluster(z[rows], DEFAULT_CLUSTER_RADIUS, radii)
-        clusters_wide = _cluster(z[rows], 10.0 * DEFAULT_CLUSTER_RADIUS, radii)
-        ambiguity = None
-        if _profile(clusters) != _profile(clusters_wide):
-            ambiguity = MultiplicityAmbiguousError(
-                "two clusterings within a factor 10 disagree",
-                radius=DEFAULT_CLUSTER_RADIUS,
-                profiles=(_profile(clusters), _profile(clusters_wide)),
-            )
-        results.append((z[rows], clusters, ambiguity))
+        results.append((z[rows], radii))
     return results
+
+
+def _clusters(z: np.ndarray, radii):
+    """(clusters, ambiguity) of settled roots with _settle's radii.
+
+    Two roots whose radii are both far below their distance are resolved
+    simple roots and never share a cluster.  ambiguity is the
+    MultiplicityAmbiguousError to raise unless every cluster is then
+    resolved exactly, or None.
+    """
+    clusters = _cluster(z, DEFAULT_CLUSTER_RADIUS, radii)
+    clusters_wide = _cluster(z, 10.0 * DEFAULT_CLUSTER_RADIUS, radii)
+    ambiguity = None
+    if _profile(clusters) != _profile(clusters_wide):
+        ambiguity = MultiplicityAmbiguousError(
+            "two clusterings within a factor 10 disagree",
+            radius=DEFAULT_CLUSTER_RADIUS,
+            profiles=(_profile(clusters), _profile(clusters_wide)),
+        )
+    return clusters, ambiguity
 
 
 def find_zeros(evaluate, measure, starts, contexts) -> list:
     """Zeros of analytic functions from evaluations of (f, f') only, one per start point.
 
     Group g holds the start points starts[g] of one function; Aberth runs
-    all groups in lock step (_aberth), then _settle.  Returns, per group,
-    ([members], ambiguity), one array of approximations per cluster and a
-    simple zero being a cluster of one, or the group's
+    all groups in lock step (_aberth), then _settle and _clusters.  Returns,
+    per group, ([members], ambiguity), one array of approximations per
+    cluster and a simple zero being a cluster of one, or the group's
     RootFindingFailedError, which is not raised.
     """
     results = []
@@ -204,7 +216,8 @@ def find_zeros(evaluate, measure, starts, contexts) -> list:
         if isinstance(settled, RootFindingFailedError):
             results.append(settled)
         else:
-            z, clusters, ambiguity = settled
+            z, radii = settled
+            clusters, ambiguity = _clusters(z, radii)
             results.append(([z[g] for g in clusters], ambiguity))
     return results
 
@@ -247,9 +260,20 @@ def _cluster(points: np.ndarray, radius: float, radii=None):
 
     Given uncertainty radii, two points whose radii are both below 1e-3 of
     their distance are never linked, and two points within ten times the
-    sum of their radii always are.  Only the pairs _screened_pairs passes
-    are tested.
+    sum of their radii always are.  At most DIRECT_MAX_POINTS points test
+    every pair; more test only the pairs _screened_pairs passes, which
+    gives the same clusters.
     """
+    n = len(points)
+    if n > DIRECT_MAX_POINTS:
+        pairs = _screened_pairs(points, radius, radii).tolist()
+    else:
+        pairs = itertools.combinations(range(n), 2)
+    return _linked_components(points, radius, radii, pairs)
+
+
+def _linked_components(points, radius, radii, pairs):
+    """The clusters of the points when the pairs (i, j) that _linked accepts are joined."""
     n = len(points)
     parent = list(range(n))
 
@@ -259,7 +283,7 @@ def _cluster(points: np.ndarray, radius: float, radii=None):
             i = parent[i]
         return i
 
-    for i, j in _screened_pairs(points, radius, radii).tolist():
+    for i, j in pairs:
         if _linked(points, radius, radii, i, j):
             ri, rj = find(i), find(j)
             if ri != rj:
@@ -417,13 +441,15 @@ def _find_roots_numeric(p: Polynomial):
                             [z], [{"degree": p.degree}])
         if isinstance(settled, RootFindingFailedError):
             raise settled
-        z, clusters, ambiguity = settled
+        z, _ = settled
         if exact:
-            # a square-free factor: two approximations in one cluster are two
-            # close simple roots, never one multiple root
+            # a square-free factor: two close approximations are two close
+            # simple roots, never one multiple root, so nothing is clustered
             clusters = [[i] for i in range(len(z))]
-        elif ambiguity is not None:
-            raise ambiguity
+        else:
+            clusters, ambiguity = _clusters(z, None)
+            if ambiguity is not None:
+                raise ambiguity
 
         snapped = set()
         for group in clusters:

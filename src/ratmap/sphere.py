@@ -10,6 +10,11 @@ Floating canonicalization uses a representation epsilon of 1e-14: a pair
 whose second component is that far below the first is within 1e-14 of
 infinity in the chordal metric, far inside every tolerance this package
 works at, and flipping it to (1 : 0) keeps chart values bounded.
+
+A set of points is deduplicated by coincide, pair by pair (dedup_indices).
+A set of more than DIRECT_MAX_POINTS points first screens its pairs by
+their keys on the unit sphere of R^3 (screen_keys), which never drops a
+pair that coincides; roots._cluster screens at the same size.
 """
 
 from __future__ import annotations
@@ -27,6 +32,10 @@ from .scalars import (
 )
 
 REPRESENTATION_EPS = 1e-14
+# the largest set that dedup_indices and roots._cluster test pair by pair;
+# above it a numpy screen picks the pairs to test, whose fixed cost of about
+# 40-60 us per call the quadratic pairwise loop reaches at about 8 points
+DIRECT_MAX_POINTS = 8
 
 
 class SpherePoint:
@@ -125,12 +134,17 @@ class SpherePoint:
             return self.is_infinity and other.is_infinity
         if self.is_exact and other.is_exact:
             return self.z == other.z
-        return complex(self.z) == complex(other.z)
+        try:
+            return complex(self.z) == complex(other.z)
+        except OverflowError:
+            # an exact value beyond float range equals no finite float
+            return False
 
     def __hash__(self):
         if self.is_infinity:
             return hash("inf-point")
-        return hash(complex(self.z))
+        # a GaussianRational hashes as its complex value while that is in range
+        return hash(self.z)
 
     def __repr__(self):
         return f"SpherePoint({point_str(self)})"
@@ -176,8 +190,24 @@ def dedup_points(points, tol):
 def dedup_indices(points, tol):
     """The indices of the points dedup_points keeps, in order.
 
-    Only the pairs whose screen_keys differ by at most 2 tol + SCREEN_SLACK
-    go through coincide; sorting the keys finds those pairs in n log n.
+    A point is kept when it coincides with no point kept before it.  A set
+    of at most DIRECT_MAX_POINTS points is deduplicated by that rule
+    directly; a larger one goes through _screened_dedup_indices, which
+    keeps the same indices.
+    """
+    if len(points) > DIRECT_MAX_POINTS:
+        return _screened_dedup_indices(points, tol)
+    kept = []
+    for i, p in enumerate(points):
+        if not any(coincide(p, points[j], tol) for j in kept):
+            kept.append(i)
+    return kept
+
+
+def _screened_dedup_indices(points, tol):
+    """dedup_indices by a screen: only the pairs whose screen_keys differ by
+    at most 2 tol + SCREEN_SLACK go through coincide; sorting the keys finds
+    those pairs in n log n.
     """
     keys = screen_keys(points)
     order = np.argsort(keys)

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 import ratmap.dynamics
+import ratmap.roots
+import ratmap.sphere
 from ratmap import cli
 from ratmap.dynamics import (
     CHART_START_RADIUS,
@@ -43,7 +45,7 @@ from ratmap.roots import (
     polish,
     start_circle,
 )
-from ratmap.sphere import INFINITY, SpherePoint, coincide
+from ratmap.sphere import DIRECT_MAX_POINTS, INFINITY, SpherePoint, coincide
 
 from .test_pipeline_corpus import _sparse_map
 from .test_report import DECIMAL_TWINS, WORKED_MAPS, _corpus_map
@@ -440,6 +442,91 @@ def test_the_pairwise_sums_in_one_buffer_match_a_fresh_matrix(n):
     buf = np.empty((n, n), complex)
     for _ in range(2):  # the buffer is reused
         _assert_bitwise_equal([_pairwise_sums(z, buf)], [inv.sum(axis=1)])
+
+
+def _frozen_walk(eq, w, shared_scale=False):
+    """_FixedPointEquation.walk as it was with (P, Q) and v^i in separate arrays,
+    three numpy updates per Horner term."""
+    def times(x, m, dm):
+        tmp = x[0] * dm
+        x *= m
+        x[1] += tmp
+
+    alpha, beta, gamma, delta = eq.chart
+    with np.errstate(all="ignore"):
+        m1, m2 = alpha * w + beta, gamma * w + delta
+        state = np.array([[m1, m2], [np.full_like(w, alpha), np.full_like(w, gamma)]])
+        for n in eq.steps or [len(w)] * eq.p:
+            (u, v), (du, dv) = state[:, :, :n]
+            x = np.zeros((2, 2, n), complex)
+            x[0] = eq.coef[0]
+            vi = np.zeros((2, n), complex)
+            vi[0] = 1.0
+            for c in eq.coef[1:]:
+                times(vi, v, dv)
+                times(x, u, du)
+                x += c * vi[:, None]
+            s = np.maximum(*np.abs(x[0]))
+            if shared_scale:
+                s = s.max()
+            np.divide(x, s, out=state[:, :, :n])
+        (u, v), (du, dv) = state
+        return m1, m2, u, v, u * m2 - v * m1, du * m2 + u * gamma - dv * m1 - v * alpha
+
+
+WALK_MAPS = WORKED + [(index, True) for index in range(10)]
+
+
+@pytest.mark.parametrize("key, twin", WALK_MAPS)
+def test_the_one_array_walk_matches_the_frozen_walk(key, twin):
+    rf = _parity_map(key, twin).floating()
+    overflow = np.array([1e200 + 1e200j])
+    for periods in PERIOD_SETS:
+        periods = sorted((p for p in periods if rf.degree**p + 1 <= DEFAULT_PERIOD_WORK_CAP),
+                         reverse=True)
+        if not periods:
+            continue
+        # the rows of a lock-step solve, by descending period, and a row that overflows
+        w = np.concatenate([start_circle(rf.degree**p + 1, CHART_START_RADIUS) for p in periods]
+                           + [overflow])
+        rows = [p for p in periods for _ in range(rf.degree**p + 1)] + [periods[-1]]
+        eq = _FixedPointEquation(rf, rows)
+        _assert_bitwise_equal(eq.walk(w), _frozen_walk(eq, w))
+        for p in periods:
+            eq = _FixedPointEquation(rf, p)
+            # the merge of a cluster walks its members under one scale
+            for x in (w[:3], w[:1], overflow):
+                _assert_bitwise_equal(eq.walk(x, shared_scale=True), _frozen_walk(eq, x, True))
+            for x in w[::7]:
+                _assert_bitwise_equal(eq.walk(np.array([x])), _frozen_walk(eq, np.array([x])))
+            # the per-point charts of the balanced polish
+            inner = np.abs(w) <= 1.0
+            chart = tuple(np.where(inner, a, b) for a, b in zip(INNER_CHART, OUTER_CHART))
+            eq = _FixedPointEquation(rf, [p] * len(w), chart)
+            _assert_bitwise_equal(eq.walk(w), _frozen_walk(eq, w))
+
+
+@pytest.mark.parametrize("doc, twin", WORKED)
+def test_an_analysis_screens_only_the_sets_above_the_crossover(doc, twin, monkeypatch):
+    # of about 40 dedups and 25 clusterings per worked map, only the dedup of
+    # the exposure seed pool (25 to 30 points) and the clusterings of periods
+    # 3 and 4 (9 and 17 points, at two radii) are above it
+    sizes = {"dedup": [], "cluster": []}
+
+    def counting(module, name, key):
+        screened = getattr(module, name)
+
+        def counted(points, *args):
+            sizes[key].append(len(points))
+            return screened(points, *args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(ratmap.sphere, "_screened_dedup_indices", "dedup")
+    counting(ratmap.roots, "_screened_pairs", "cluster")
+    run_analysis(parse_map(doc))
+    assert (len(sizes["dedup"]), len(sizes["cluster"])) == (1, 4)
+    assert all(n > DIRECT_MAX_POINTS for n in sizes["dedup"] + sizes["cluster"])
 
 
 @pytest.mark.parametrize("doc, twin", WORKED)

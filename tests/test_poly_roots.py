@@ -6,10 +6,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ratmap.roots
 from ratmap.errors import RootFindingFailedError
 from ratmap.poly import Polynomial
-from ratmap.roots import _cluster, _eval_scaled, _linked, find_roots
+from ratmap.roots import (
+    _cluster,
+    _eval_scaled,
+    _linked,
+    _linked_components,
+    _screened_pairs,
+    find_roots,
+)
 from ratmap.scalars import GaussianRational
+from ratmap.sphere import DIRECT_MAX_POINTS
 
 
 def test_degree_and_normalization():
@@ -168,3 +177,42 @@ def test_screened_clusters_match_the_pairwise_loop(seed, with_radii):
     radii = 10.0 ** rng.uniform(-12, -4, size=len(z)) if with_radii else None
     for radius in (1e-6, 1e-5):
         assert _cluster(z, radius, radii) == _cluster_pairwise(z, radius, radii)
+        # the screen itself, which _cluster skips for small clouds
+        screened = _screened_pairs(z, radius, radii).tolist()
+        assert _linked_components(z, radius, radii, screened) == _cluster_pairwise(z, radius, radii)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, DIRECT_MAX_POINTS - 1, DIRECT_MAX_POINTS,
+                               DIRECT_MAX_POINTS + 1])
+@pytest.mark.parametrize("with_radii", [False, True])
+def test_the_direct_and_the_screened_clusters_agree_around_the_crossover(n, with_radii):
+    rng = np.random.default_rng(n)
+    for _ in range(40):
+        z = np.concatenate([_point_cloud(rng) for _ in range(5)])[:n]
+        # NaN rows, which the screen never drops and _linked never links
+        z[rng.random(n) < 0.15] = complex("nan+nanj")
+        radii = 10.0 ** rng.uniform(-12, -4, size=n) if with_radii else None
+        for radius in (1e-6, 1e-5):
+            want = _cluster_pairwise(z, radius, radii)
+            assert _cluster(z, radius, radii) == want
+            screened = _screened_pairs(z, radius, radii).tolist()
+            assert _linked_components(z, radius, radii, screened) == want
+
+
+def test_an_exact_square_free_factor_is_not_clustered(monkeypatch):
+    calls = []
+    cluster = ratmap.roots._cluster
+
+    def counted(points, *args):
+        calls.append(len(points))
+        return cluster(points, *args)
+
+    monkeypatch.setattr(ratmap.roots, "_cluster", counted)
+    # (z - 1)^2 (z^3 - 2) (z + 1/3): factors of degree 1 and 4
+    exact = (Polynomial([1, -1]) * Polynomial([1, -1]) * Polynomial([1, 0, 0, -2])
+             * Polynomial([1, Fraction(1, 3)]))
+    assert sum(m for _, m, _ in find_roots(exact)) == 6
+    assert calls == []
+    # a floating polynomial is clustered at both radii
+    assert sum(m for _, m, _ in find_roots(exact.to_complex())) == 6
+    assert calls == [6, 6]

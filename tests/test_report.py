@@ -19,7 +19,7 @@ from ratmap.dynamics import DEFAULT_ORBIT_BUDGET
 from ratmap.errors import ConfigError, InputFormatError, MapDegreeError, RatmapError
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
-from ratmap.report import AnalysisConfig, RenderConfig, parse_map, run_analysis
+from ratmap.report import AnalysisConfig, RenderConfig, Report, parse_map, run_analysis
 from ratmap.scalars import GaussianRational, parse_scalar
 
 from .test_acceptance import _random_exact_map
@@ -102,6 +102,49 @@ def test_report_round_trip():
     parsed = json.loads(blob)
     re_serialized = (json.dumps(parsed, indent=2, sort_keys=True, ensure_ascii=True) + "\n").encode()
     assert re_serialized == blob
+
+
+def _dumps(data) -> bytes:
+    return (json.dumps(data, indent=2, sort_keys=True, ensure_ascii=True) + "\n").encode()
+
+
+class _Level(int):
+    pass
+
+
+SYNTHETIC_DOCUMENTS = [
+    {},
+    [],
+    "",
+    None,
+    {"strings": ["plain", "caf\u00e9 \u221e \U0001d538 \u2028", "\"\\/\b\f\n\r\t\x00\x1f\x7f",
+                 "\ud800 lone surrogate", "\u00e9" * 3, " leading and trailing "],
+     "empty": [{}, [], (), {"a": []}, [[]], [{}], {"b": {}}, [[], [[]]]],
+     "tuples": (1, (2, (3,)), (), ({"x": ()},)),
+     "floats": [-0.0, 0.0, 1e-05, 1e-07, 1e16, 1e17, 0.1, 1.5, -2.5e-300, 5e-324,
+                1.7976931348623157e308, 123456789.125, math.nan, math.inf, -math.inf],
+     "ints": [0, -1, 2**53 + 1, 2**64, -(2**64) - 1, 3**200, _Level(7)],
+     "constants": [True, False, None, [True], {"t": False}],
+     "nested": {"b": {"a": {"c": [1, {"z": 2, "a": [3, {"": None}]}]}}},
+     "caf\u00e9": 1, "\n": 2, "A": 3, "a": 4, "": 5},
+    {1: "int key", 2: "another", -3: "negative"},
+    {0.5: "float key", -1e16: "big", 2.0: "two"},
+    {True: "a bool key"},
+    {None: "a None key"},
+]
+
+
+@pytest.mark.parametrize("data", SYNTHETIC_DOCUMENTS)
+def test_the_report_emitter_writes_the_bytes_of_json_dumps(data):
+    assert Report(data).to_json_bytes() == _dumps(data)
+
+
+def test_the_report_emitter_rejects_what_json_dumps_rejects():
+    for data in ({"x": {1, 2}}, [object()], {"k": b"bytes"}, {(1, 2): "tuple key"}):
+        with pytest.raises(TypeError):
+            _dumps(data)
+        with pytest.raises(TypeError):
+            Report(data).to_json_bytes()
 
 
 def test_report_content_chebyshev():
@@ -662,6 +705,7 @@ def _pinned_report(source, index, twin, config):
 def test_report_bytes_pinned(source, index, twin, config, json_digest, text_digest,
                              shape_digest):
     report = _pinned_report(source, index, twin, config)
+    assert report.to_json_bytes() == _dumps(report.data)
     assert hashlib.sha256(report.to_json_bytes()).hexdigest() == json_digest
     assert hashlib.sha256(report.to_text().encode()).hexdigest() == text_digest
 

@@ -3,14 +3,18 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ratmap.scalars import GaussianRational
 from ratmap.sphere import (
+    DIRECT_MAX_POINTS,
     INFINITY,
     SpherePoint,
+    _screened_dedup_indices,
     chordal_matrix,
     coincide,
+    dedup_indices,
     dedup_points,
     near_pairs,
     normalized_pairs,
@@ -144,6 +148,74 @@ def test_dedup_screen_matches_the_scalar_rule(name, p, q, same):
     assert near_pairs(normalized_pairs([p]), normalized_pairs([q]), TOL)[0, 0] or not same
     kept = dedup_points([p, q], TOL)
     assert [id(x) for x in kept] == ([id(p)] if same else [id(p), id(q)])
+
+
+@pytest.mark.parametrize("name, p, q, same", SCREEN_CASES, ids=[c[0] for c in SCREEN_CASES])
+def test_the_screened_dedup_matches_the_scalar_rule(name, p, q, same):
+    # a pair is below the size at which dedup_indices screens
+    assert _screened_dedup_indices([p, q], TOL) == ([0] if same else [0, 1])
+
+
+def _partner(p, ratio, angle):
+    """A floating point about ratio * TOL from the finite floating point p in the chordal metric."""
+    z = complex(p.z)
+    step = ratio * TOL * complex(math.cos(angle), math.sin(angle))
+    if abs(z) <= 1.0:
+        return SpherePoint.finite(z + step * (1.0 + abs(z) ** 2) / 2.0)
+    w = 1.0 / z
+    return SpherePoint.finite(1.0 / (w + step * (1.0 + abs(w) ** 2) / 2.0))
+
+
+def _dedup_case(rng, n):
+    """n fresh points: exact ones at |z| up to 1e200, exact and floating
+    infinity, floating ones (which flip to infinity beyond |z| = 1e14), and
+    partners 0.9 TOL and 1.5 TOL from earlier floating points."""
+    points = []
+    while len(points) < n:
+        kind = rng.integers(5)
+        floating = [p for p in points if not p.is_exact and not p.is_infinity]
+        if kind == 0:
+            points.append(SpherePoint.finite(GaussianRational(
+                Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 3))), int(rng.integers(-1, 2)))
+                * 10 ** int(rng.choice([0, 200]))))
+        elif kind == 1:
+            points.append(SpherePoint.infinity(exact=bool(rng.integers(2))))
+        elif kind == 2 or not floating:
+            scale = 10.0 ** rng.choice([-200, -3, 0, 3, 13, 200])
+            points.append(SpherePoint.finite(complex(*rng.normal(size=2)) * scale))
+        elif kind == 3:
+            base = floating[rng.integers(len(floating))]
+            points.append(_partner(base, rng.choice([0.9, 1.5]), rng.uniform(0, 2 * math.pi)))
+        else:
+            base = points[rng.integers(len(points))]
+            points.append(SpherePoint(base.z, base.w))  # an equal copy
+    return points
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, DIRECT_MAX_POINTS - 1, DIRECT_MAX_POINTS,
+                               DIRECT_MAX_POINTS + 1])
+def test_the_direct_and_the_screened_dedup_agree_around_the_crossover(n):
+    rng = np.random.default_rng(n)
+    for _ in range(40):
+        points = _dedup_case(rng, n)
+        kept = {id(x) for x in _scalar_dedup(points, TOL)}
+        want = [i for i, x in enumerate(points) if id(x) in kept]
+        assert dedup_indices(points, TOL) == want
+        assert _screened_dedup_indices(points, TOL) == want
+
+
+def test_an_exact_point_beyond_float_range_hashes_and_compares():
+    huge = GaussianRational(2**1100)
+    p = SpherePoint.finite(huge)
+    assert hash(p) == hash(huge)
+    assert {p, SpherePoint.finite(GaussianRational(2**1100))} == {p}
+    for q in (SpherePoint.finite(1e300), SpherePoint.finite(1.0)):
+        assert p != q and q != p
+    assert p != SpherePoint.finite(GaussianRational(2**1100 + 1))
+    # an exact point in float range hashes as its floating value, as before
+    for value in (GaussianRational(3), GaussianRational(Fraction(1, 3), -2)):
+        exact, floating = SpherePoint.finite(value), SpherePoint.finite(complex(value))
+        assert hash(exact) == hash(complex(value)) == hash(floating) and exact == floating
 
 
 def test_dedup_of_a_mixed_list_matches_the_scalar_rule():
