@@ -5,7 +5,10 @@ plus one per declared Siegel or Herman structure.  Siegel and Herman
 existence is taken by declaration only: telling a Siegel disk from a
 Cremer point, or detecting a Herman ring, is beyond the numerics here,
 and an undeclared irrationally indifferent cycle produces a warning and
-no region.
+no region.  bind_declarations binds the declarations report.read_declaration
+checked to the computed cycles, once per analysis; the atlas and the
+exposed-orbit scan both read that binding, and the Julia side of a cycle
+from its one rule, restricted.DeclaredStructures.in_julia.
 
 The classes making up the critical/periodic bookkeeping are split into
 the part carrying a non-critical periodic orbit (attracting and Siegel
@@ -19,8 +22,10 @@ from dataclasses import dataclass, field
 
 from .errors import AtlasInvariantError, DeclarationError
 from .rational import RationalMap
-from .restricted import ro_witness
+from .restricted import DeclaredStructures, ro_witness
 from .sphere import SpherePoint, point_sort_key
+
+INDIFFERENT_ANCHORS = ("irrationally_indifferent", "indifferent_ambiguous")
 
 
 @dataclass
@@ -81,70 +86,42 @@ class Atlas:
     warnings: list = field(default_factory=list)
 
 
-def _prepare_declarations(r, declarations, cycles):
-    """Validate user declarations against the computed cycles."""
-    out = []
+def bind_declarations(r, declarations, cycles) -> DeclaredStructures:
+    """Bind each Siegel anchor to the computed cycle holding it, which must
+    be irrationally indifferent or ambiguous; a Herman declaration needs
+    degree 3 or more.  The first declaration on a cycle is the one bound."""
+    siegel = {}
     for dec in declarations:
-        kind = dec.get("kind")
-        if kind not in ("siegel", "herman"):
-            raise DeclarationError(f"unknown declaration kind {kind!r}")
-        theta = float(dec["theta"])
-        if not (0.0 < theta < 1.0):
-            raise DeclarationError("theta must lie in (0, 1)", theta=theta)
-        try:
-            period = int(dec.get("period", 1))
-        except (TypeError, ValueError):
-            raise DeclarationError("declaration period must be an integer",
-                                   period=repr(dec.get("period"))) from None
-        if kind == "herman":
-            if period < 1:
-                raise DeclarationError("herman period must be positive", period=period)
+        if dec.kind == "herman":
             if r.degree < 3:
                 raise DeclarationError(
                     "a degree-2 map cannot have a Herman ring; rejected",
                     degree=r.degree,
                 )
-            out.append({"kind": "herman", "theta": theta, "period": period,
-                        "theta_label": dec.get("theta_label")})
             continue
-        anchor = dec.get("anchor_point")
-        if not isinstance(anchor, SpherePoint):
-            raise DeclarationError("siegel declaration needs an anchor point",
-                                   anchor=repr(anchor))
-        cycle = next(
-            (c for c in cycles if c.contains(anchor, r.tolerance)), None
-        )
+        cycle = next((c for c in cycles if c.contains(dec.anchor, r.tolerance)), None)
         if cycle is None:
-            raise DeclarationError(
-                "siegel anchor is not a computed cycle point",
-                anchor=str(anchor),
-            )
-        if cycle.classification not in (
-            "irrationally_indifferent", "indifferent_ambiguous"
-        ):
+            raise DeclarationError("siegel anchor is not a computed cycle point",
+                                   anchor=str(dec.anchor))
+        if cycle.classification not in INDIFFERENT_ANCHORS:
             raise DeclarationError(
                 "siegel anchor cycle is not irrationally indifferent",
-                anchor=str(anchor), classification=cycle.classification,
+                anchor=str(dec.anchor), classification=cycle.classification,
             )
-        out.append({
-            "kind": "siegel", "theta": theta, "period": cycle.period,
-            "anchor_point": anchor, "cycle_id": cycle.cycle_id,
-            "theta_label": dec.get("theta_label"),
-            "rotation_estimate": cycle.rotation_estimate,
-        })
-    return out
+        siegel.setdefault(cycle.cycle_id, dec)
+    return DeclaredStructures(siegel, tuple(d for d in declarations if d.kind == "herman"))
 
 
-def build_atlas(r: RationalMap, cycles, crit_points, fates, declarations=(), *,
+def build_atlas(r: RationalMap, cycles, fates, declared=DeclaredStructures(), *,
                 ro_depth: int = 12) -> Atlas:
     """Assemble stable regions and the critical/periodic class partition.
 
-    fates maps every critical point to its CriticalFate record, as
-    dynamics.critical_fate computes it.
+    fates maps every critical point, in the order of critical_points, to
+    its CriticalFate record, as dynamics.critical_fate computes it.
+    declared holds the declarations bind_declarations bound to the cycles.
     """
     tol = r.tolerance
     warnings = []
-    decs = _prepare_declarations(r, declarations, cycles)
 
     regions = []
     cycle_to_region = {}
@@ -158,9 +135,7 @@ def build_atlas(r: RationalMap, cycles, crit_points, fates, declarations=(), *,
         regions.append(region)
         if anchor_cycle_id is not None:
             cycle_to_region[anchor_cycle_id] = region.region_id
-        return region
 
-    declared_siegel_cycles = {d["cycle_id"] for d in decs if d["kind"] == "siegel"}
     for cyc in cycles:
         if cyc.classification == "superattracting":
             add_region(
@@ -174,11 +149,8 @@ def build_atlas(r: RationalMap, cycles, crit_points, fates, declarations=(), *,
             )
         elif cyc.classification == "rationally_indifferent":
             add_region(CoreType("parabolic", cyc.period), cyc.cycle_id)
-        elif cyc.classification in ("irrationally_indifferent", "indifferent_ambiguous"):
-            dec = next(
-                (d for d in decs if d["kind"] == "siegel" and d["cycle_id"] == cyc.cycle_id),
-                None,
-            )
+        elif cyc.classification in INDIFFERENT_ANCHORS:
+            dec = declared.siegel.get(cyc.cycle_id)
             if dec is None:
                 if cyc.classification == "irrationally_indifferent":
                     warnings.append({
@@ -195,29 +167,27 @@ def build_atlas(r: RationalMap, cycles, crit_points, fates, declarations=(), *,
                     })
             else:
                 # the user's assertion resolves the cycle into a Siegel center
-                estimate = dec.get("rotation_estimate")
+                estimate = cyc.rotation_estimate
                 if estimate is not None:
-                    drift = abs((estimate - dec["theta"] + 0.5) % 1.0 - 0.5)
+                    drift = abs((estimate - dec.theta + 0.5) % 1.0 - 0.5)
                     if drift > 1e-6:
                         warnings.append({
                             "code": "declaration-theta-drift",
                             "message": "declared rotation number differs from the "
                                        "measured multiplier argument; declaration honored",
-                            "declared": dec["theta"],
+                            "declared": dec.theta,
                             "measured": estimate,
                         })
                 add_region(
-                    CoreType("siegel", cyc.period, theta=dec["theta"],
-                             theta_label=dec.get("theta_label")),
+                    CoreType("siegel", cyc.period, theta=dec.theta,
+                             theta_label=dec.theta_label),
                     cyc.cycle_id,
                 )
-    for dec in decs:
-        if dec["kind"] == "herman":
-            add_region(
-                CoreType("herman", dec["period"], theta=dec["theta"],
-                         theta_label=dec.get("theta_label")),
-                None,
-            )
+    for dec in declared.herman:
+        add_region(
+            CoreType("herman", dec.period, theta=dec.theta, theta_label=dec.theta_label),
+            None,
+        )
 
     n_bound = 2 * r.degree - 2
     if len(regions) > n_bound:
@@ -228,25 +198,21 @@ def build_atlas(r: RationalMap, cycles, crit_points, fates, declarations=(), *,
 
     # attach critical records
     unresolved = []
-    for c in crit_points:
-        cf = fates[c.point]
+    for point, cf in fates.items():
         fate = cf.fate
         if fate.kind == "unresolved":
-            unresolved.append((c.point, "orbit fate unresolved within budget"))
+            unresolved.append((point, "orbit fate unresolved within budget"))
             continue
         region_id = cycle_to_region.get(fate.cycle_id)
-        if fate.kind == "preperiodic" and fate.cycle_id is not None:
-            landing = cycles[fate.cycle_id]
-            if landing.classification == "rationally_indifferent":
-                # the parabolic cycle itself lies in the Julia set; a
-                # critical point landing on it is not a Fatou record
-                region_id = None
-        if region_id is None:
-            # lands on or converges to a Julia-side cycle: not a Fatou record
+        if region_id is None or (
+            fate.kind == "preperiodic" and declared.in_julia(cycles[fate.cycle_id])
+        ):
+            # lands on a Julia-side cycle (a parabolic one among them) or
+            # on a cycle with no region: not a Fatou record
             continue
         regions[region_id].critical_records.append(
             CriticalOrbitRecord(
-                point=c.point,
+                point=point,
                 region_id=region_id,
                 preperiodic=(fate.kind == "preperiodic"),
                 asymptotic_valency=cf.asymptotic_valency,

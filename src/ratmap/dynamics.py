@@ -28,7 +28,8 @@ whose chart holds one coefficient per point.
 A snap is first walked p steps modulo a prime
 (_screen_rejects): reduction modulo the prime is a ring map, so an exact
 fixed point is one modulo the prime too, and only a snap that passes is
-iterated in Fraction arithmetic; the screen cannot change a verdict, it
+iterated exactly, in Gaussian rationals (each an integer triple
+(a + bi)/d); the screen cannot change a verdict, it
 only spares the exact walk of most non-fixed snaps.  R maps each solved
 point to the solved point nearest its image, and the chains of p points
 that close are the cycles of period p.  Each solved point's image is
@@ -366,7 +367,7 @@ def _exact_fixed_point(r: RationalMap, x: SpherePoint, p: int) -> SpherePoint | 
     """The snap of x when it is exactly a fixed point of R^p, else None.
 
     The modular screen (_screen_rejects) turns most snaps away before any
-    Fraction arithmetic.  It never rejects a fixed point, and every snap it
+    exact Gaussian-rational arithmetic.  It never rejects a fixed point, and every snap it
     passes is checked by exact iteration, so the verdict is that of the exact
     iteration alone.
     """
@@ -796,3 +797,9 @@ def critical_fate(r: RationalMap, x: SpherePoint, cycles, crit_points,
     except RatmapError as err:
         return CriticalFate(fate, None, err)
     return CriticalFate(fate, aval)
+
+
+def critical_fates(r: RationalMap, cycles, budget: int) -> dict:
+    """The CriticalFate of every critical point, in the order of critical_points."""
+    crit = critical_points(r)
+    return {c.point: critical_fate(r, c.point, cycles, crit, budget) for c in crit}

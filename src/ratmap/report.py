@@ -15,14 +15,14 @@ from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .atlas import build_atlas
+from .atlas import bind_declarations, build_atlas
 from .dynamics import (
     DEFAULT_MAX_PERIOD,
     DEFAULT_ORBIT_BUDGET,
     DEFAULT_PERIOD_WORK_CAP,
     INFINITE,
     critical_divisor_degree,
-    critical_fate,
+    critical_fates,
     critical_points,
     periodic_cycles,
 )
@@ -37,7 +37,7 @@ from .restricted import (
 )
 from .primitive import primitive_catalog
 from .scalars import parse_scalar, scalar_str
-from .sphere import parse_point, point_str
+from .sphere import SpherePoint, parse_point, point_str
 from .synth import ExposureResolver, full_decomposition
 
 
@@ -66,6 +66,49 @@ class RenderConfig:
         }
 
 
+@dataclass(frozen=True)
+class Declaration:
+    kind: str  # "siegel" | "herman"
+    theta: float
+    period: int  # a Siegel region takes its anchor cycle's period
+    anchor: SpherePoint | None  # None for Herman, unless one was given
+    theta_label: object = None
+
+
+def read_declaration(dec) -> Declaration:
+    """The declaration a configuration entry states: a bad theta is a
+    ConfigError, a bad kind, period or anchor a DeclarationError."""
+    if not isinstance(dec, dict):
+        raise ConfigError("a declaration must be a JSON object")
+    try:
+        theta = float(dec.get("theta", -1))
+    except (TypeError, ValueError):
+        raise ConfigError("declaration theta must be a number",
+                          theta=dec.get("theta")) from None
+    if not (0.0 < theta < 1.0):
+        raise ConfigError(
+            "declaration theta must lie in (0, 1); irrationality is "
+            "recorded, not verified", theta=theta,
+        )
+    kind = dec.get("kind")
+    if kind not in ("siegel", "herman"):
+        raise DeclarationError(f"unknown declaration kind {kind!r}")
+    try:
+        period = int(dec.get("period", 1))
+    except (TypeError, ValueError, OverflowError):
+        raise DeclarationError("declaration period must be an integer",
+                               period=repr(dec.get("period"))) from None
+    if kind == "herman" and period < 1:
+        raise DeclarationError("herman period must be positive", period=period)
+    anchor = None
+    if kind == "siegel" or "anchor" in dec:
+        if not isinstance(dec.get("anchor"), str):
+            raise DeclarationError("a declaration anchor must be a point string",
+                                   anchor=repr(dec.get("anchor")))
+        anchor = parse_point(dec["anchor"])
+    return Declaration(kind, theta, period, anchor, dec.get("theta_label"))
+
+
 @dataclass
 class AnalysisConfig:
     max_period: int = DEFAULT_MAX_PERIOD
@@ -78,28 +121,18 @@ class AnalysisConfig:
     declarations: list = field(default_factory=list)
     render: RenderConfig | None = None
 
-    def validate(self):
+    def validate(self) -> list:
+        """Check every field; return the declarations read_declaration reads."""
         for name in ("max_period", "max_seed_period", "ro_depth",
                      "preimage_depth", "orbit_budget", "period_work_cap"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ConfigError("tolerance must be a positive finite number")
-        for dec in self.declarations:
-            if not isinstance(dec, dict):
-                raise ConfigError("a declaration must be a JSON object")
-            try:
-                theta = float(dec.get("theta", -1))
-            except (TypeError, ValueError):
-                raise ConfigError("declaration theta must be a number",
-                                  theta=dec.get("theta")) from None
-            if not (0.0 < theta < 1.0):
-                raise ConfigError(
-                    "declaration theta must lie in (0, 1); irrationality is "
-                    "recorded, not verified", theta=theta,
-                )
+        declarations = [read_declaration(dec) for dec in self.declarations]
         if self.render is not None:
             self.render.validate()
+        return declarations
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisConfig":
@@ -284,20 +317,9 @@ def run_analysis(r: RationalMap, config: AnalysisConfig | None = None) -> Report
     """
     if config is None:
         config = AnalysisConfig()
-    config.validate()
+    declarations = config.validate()
     warnings = []
     notes = []
-
-    declarations = []
-    for dec in config.declarations:
-        d = dict(dec)
-        if "anchor" in d:
-            anchor = d.pop("anchor")
-            if not isinstance(anchor, str):
-                raise DeclarationError("a declaration anchor must be a point string",
-                                       anchor=repr(anchor))
-            d["anchor_point"] = parse_point(anchor)
-        declarations.append(d)
 
     crit = critical_points(r)
     divisor = critical_divisor_degree(crit)
@@ -319,34 +341,35 @@ def run_analysis(r: RationalMap, config: AnalysisConfig | None = None) -> Report
             "periods": truncated_periods,
             "work_cap": config.period_work_cap,
         })
+    declared = bind_declarations(r, declarations, cycles)
 
-    fates = {}
+    fates = critical_fates(r, cycles, config.orbit_budget)
     fate_rows = []
-    for c in crit:
-        cf = fates[c.point] = critical_fate(r, c.point, cycles, crit, config.orbit_budget)
+    for point, cf in fates.items():
         if cf.error is not None:
             warnings.append({
                 "code": cf.error.code,
                 "message": str(cf.error),
-                "point": point_str(c.point),
+                "point": point_str(point),
             })
         fate_rows.append({
-            "point": point_str(c.point),
+            "point": point_str(point),
             "fate": _fate_json(cf.fate),
             "asymptotic_valency": _valency_json(cf.asymptotic_valency),
         })
 
     scan = exposed_orbits(
-        r, cycles,
+        r, cycles, fates,
         max_seed_period=config.max_seed_period,
         preimage_depth=config.preimage_depth,
-        crit=crit, fates=fates, declarations=declarations,
-        budget=config.orbit_budget,
+        declared=declared,
     )
+    # the fates the scan read were walked with this budget
+    scan.truncation["orbit_budget"] = config.orbit_budget
     warnings.extend(scan.warnings)
     notes.extend(scan.notes)
 
-    atlas = build_atlas(r, cycles, crit, fates, declarations, ro_depth=config.ro_depth)
+    atlas = build_atlas(r, cycles, fates, declared, ro_depth=config.ro_depth)
     warnings.extend(atlas.warnings)
 
     resolver = ExposureResolver(scan.orbits, r.tolerance)

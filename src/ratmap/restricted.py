@@ -14,6 +14,11 @@ Forward orbits come from dynamics.Orbit: exact steps until a coordinate
 passes 512 bits, floating after.  All coincidence decisions are exact when
 the inputs are exact.
 
+The scan computes no critical fate: it reads the record the caller computed
+for every critical point, the same records the atlas reads.  A verified
+orbit's Julia side is that of the cycle it holds or lands on, by the one
+rule DeclaredStructures.in_julia, which the atlas reads too.
+
 Candidates are closures of seeds (see _closure), and a cycle with no
 critical member is seeded once.  Nothing is lost: the closure of a
 non-critical x holds R(x), so the closure of any point of such a cycle holds
@@ -35,13 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dynamics import (
-    DEFAULT_ORBIT_BUDGET,
-    Orbit,
-    critical_fate,
-    critical_points,
-    make_cycle,
-)
+from .dynamics import Orbit, critical_points, make_cycle
 from .errors import JuliaMembershipUndeterminedError, RatmapError
 from .rational import RationalMap
 from .roots import DEFAULT_CLUSTER_RADIUS
@@ -142,7 +141,7 @@ def _simple_preimage_count(r: RationalMap, a: SpherePoint) -> int:
     return max(0, r.degree - near)
 
 
-def _closure(r: RationalMap, seed: SpherePoint, crit_pts, tol):
+def _closure(r: RationalMap, seed: SpherePoint, crit_pts):
     """Minimal superset of the seed closed under forward images at
     non-critical members and non-critical preimages of all members.
 
@@ -153,6 +152,7 @@ def _closure(r: RationalMap, seed: SpherePoint, crit_pts, tol):
     seed is ruled out, before any preimage is solved, once that sum over
     the members found so far passes EXPOSED_BOUND.
     """
+    tol = r.tolerance
     pts = []
     queue = []
     simple = 0
@@ -198,9 +198,10 @@ def brute_force_preimage_check(r: RationalMap, pts) -> bool:
     return True
 
 
-def _verify_type1(r: RationalMap, pts, tol) -> bool:
+def _verify_type1(r: RationalMap, pts) -> bool:
     """Exact characterization of type 1: non-critical preimages of the set
     equal the set."""
+    tol = r.tolerance
     collected = []
     for a in pts:
         for pre, mult in r.preimages(a):
@@ -214,7 +215,7 @@ def _verify_type1(r: RationalMap, pts, tol) -> bool:
     )
 
 
-def _verify_critical_invariance(r: RationalMap, pts, depth, tol, fates=None):
+def _verify_critical_invariance(r: RationalMap, pts, depth, fates=None):
     """Bounded invariance check for sets containing a critical point.
 
     For every member a and every m <= depth, walks the backward tree of
@@ -226,6 +227,7 @@ def _verify_critical_invariance(r: RationalMap, pts, depth, tol, fates=None):
     Returns True (no witness found), False (witness found) or None
     (node budget exhausted before the depth was covered).
     """
+    tol = r.tolerance
     nodes = 0
     for a in pts:
         walk = fates[a].fate.walk if a in (fates or {}) else Orbit(r, a)
@@ -265,10 +267,11 @@ def _dedup_by_valency(nodes, tol):
     return [nodes[i] for i in kept]
 
 
-def _find_or_make_cycle(r: RationalMap, pts, cycles, tol, warnings):
+def _find_or_make_cycle(r: RationalMap, pts, cycles, warnings):
     """The cycle inside a forward-closed finite set, as a known cycle when
     one matches, otherwise classified on the spot (warnings collects what
     the classification records)."""
+    tol = r.tolerance
     for cyc in cycles:
         if any(cyc.contains(a, tol) for a in pts):
             return cyc
@@ -281,27 +284,26 @@ def _find_or_make_cycle(r: RationalMap, pts, cycles, tol, warnings):
     return None
 
 
-def _cycle_in_julia(cycle, declarations, tol) -> bool | None:
-    cls = cycle.classification
-    if cls in ("superattracting", "attracting"):
-        return False
-    if cls in ("repelling", "rationally_indifferent"):
-        return True
-    if cls == "irrationally_indifferent":
-        for dec in declarations:
-            if dec.get("kind") == "siegel":
-                anchor = dec.get("anchor_point")
-                if anchor is not None and cycle.contains(anchor, tol):
-                    return False
-        return None
-    return None
+@dataclass(frozen=True)
+class DeclaredStructures:
+    siegel: dict = field(default_factory=dict)  # cycle_id -> its Siegel Declaration
+    herman: tuple = ()  # the Herman Declarations, in the order given
+
+    def in_julia(self, cycle) -> bool | None:
+        """True for a repelling or parabolic cycle, False for a
+        (super)attracting one or one a Siegel declaration is bound to, None
+        for any other."""
+        if cycle.classification in ("repelling", "rationally_indifferent"):
+            return True
+        if cycle.classification in ("superattracting", "attracting"):
+            return False
+        return False if cycle.cycle_id in self.siegel else None
 
 
-def exposed_orbits(r: RationalMap, cycles,
+def exposed_orbits(r: RationalMap, cycles, fates,
                    max_seed_period: int = MAX_SEED_PERIOD_DEFAULT,
                    preimage_depth: int = PREIMAGE_DEPTH_DEFAULT, *,
-                   crit=None, fates=None, declarations=(),
-                   budget=DEFAULT_ORBIT_BUDGET) -> ExposedScan:
+                   declared=DeclaredStructures()) -> ExposedScan:
     """Enumerate the minimal finite restricted-orbit-invariant sets.
 
     Seeds are critical points, cycle points up to max_seed_period, and the
@@ -312,18 +314,14 @@ def exposed_orbits(r: RationalMap, cycles,
     The search scope is part of the result's truncation metadata: absence
     of further exposed sets is only claimed within these bounds.
 
-    fates maps critical points to CriticalFate records, as
-    dynamics.critical_fate computes them.  A critical member of a verified
-    candidate missing from it gets its record computed here, with budget;
-    the caller's mapping is left unchanged.
+    fates maps every critical point to its CriticalFate record, as
+    dynamics.critical_fate computes it; a critical member of a candidate
+    reads the record of the critical point it coincides with.  declared
+    holds the declarations bind_declarations bound to the cycles, and
+    decides each landing cycle's Julia side.
     """
     tol = r.tolerance
-    if crit is None:
-        crit = critical_points(r)
-    crit_pts = [c.point for c in crit]
-    # records are only needed for critical members of verified candidates;
-    # computing the missing ones lazily keeps bulk scans cheap
-    fates = dict(fates or {})
+    crit_pts = [c.point for c in critical_points(r)]
 
     # each seed with the critical-free cycle it lies on, or None
     pool = [(p, None) for p in crit_pts]
@@ -331,9 +329,9 @@ def exposed_orbits(r: RationalMap, cycles,
         if cyc.period <= max_seed_period:
             free = not any(contains_point(crit_pts, a, tol) for a in cyc.points)
             pool.extend((a, cyc if free else None) for a in cyc.points)
-    for c in crit:
-        fate = fates[c.point].fate if c.point in fates else None
-        if fate and fate.kind == "preperiodic" and fate.step <= CRITICAL_ORBIT_SEED_STEPS:
+    for c in crit_pts:
+        fate = fates[c].fate
+        if fate.kind == "preperiodic" and fate.step <= CRITICAL_ORBIT_SEED_STEPS:
             pool.extend((p, None) for p in fate.walk.points[:fate.step])
     pool = [pool[i] for i in dedup_indices([p for p, _ in pool], tol)]
 
@@ -345,7 +343,7 @@ def exposed_orbits(r: RationalMap, cycles,
             if id(cyc) in closed:
                 continue
             closed.add(id(cyc))
-        closure = _closure(r, seed, crit_pts, tol)
+        closure = _closure(r, seed, crit_pts)
         if closure is None:
             continue
         closure_sorted = sorted(closure, key=point_sort_key)
@@ -361,7 +359,8 @@ def exposed_orbits(r: RationalMap, cycles,
     warnings = []
     notes = []
     for pts in candidates:
-        crit_members = [a for a in pts if contains_point(crit_pts, a, tol)]
+        # the critical points in the set, in the set's order (both sort by point_sort_key)
+        crit_members = [c for c in crit_pts if contains_point(pts, c, tol)]
         contains_crit = bool(crit_members)
 
         # structural bounds; a candidate past them is a numerical artifact
@@ -385,34 +384,29 @@ def exposed_orbits(r: RationalMap, cycles,
                 continue
 
         if not contains_crit:
-            if not _verify_type1(r, pts, tol):
+            if not _verify_type1(r, pts):
                 continue
-            cyc = _find_or_make_cycle(r, pts, cycles, tol, warnings)
+            cyc = _find_or_make_cycle(r, pts, cycles, warnings)
             if cyc is None:
                 undecided.append(UndecidedCandidate(tuple(pts), "no cycle found inside the set"))
                 continue
-            in_julia = _cycle_in_julia(cyc, declarations, tol)
             orbits.append(ExposedOrbit(
                 points=tuple(pts),
                 orbit_type=1,
                 contains_critical=False,
-                in_julia=in_julia,
+                in_julia=declared.in_julia(cyc),
                 asymptotic_valency=None,
                 landing_cycle_id=cyc.cycle_id if cyc.cycle_id >= 0 else None,
             ))
             continue
 
-        verdict = _verify_critical_invariance(r, pts, preimage_depth, tol, fates=fates)
+        verdict = _verify_critical_invariance(r, pts, preimage_depth, fates=fates)
         if verdict is False:
             continue
         if verdict is None:
             undecided.append(UndecidedCandidate(tuple(pts), "verification budget exhausted"))
             continue
-        member_fates = []
-        for cm in crit_members:
-            if cm not in fates:
-                fates[cm] = critical_fate(r, cm, cycles, crit, budget)
-            member_fates.append(fates[cm])
+        member_fates = [fates[c] for c in crit_members]
         if any(cf.fate.kind == "unresolved" for cf in member_fates):
             undecided.append(UndecidedCandidate(
                 tuple(pts),
@@ -426,7 +420,7 @@ def exposed_orbits(r: RationalMap, cycles,
             continue
         fate0 = first.fate
         if fate0.kind == "preperiodic":
-            in_julia = _cycle_in_julia(cycles[fate0.cycle_id], declarations, tol)
+            in_julia = declared.in_julia(cycles[fate0.cycle_id])
         else:
             in_julia = False  # converges into a basin, hence the Fatou set
         if orbit_type == 3:
@@ -481,7 +475,6 @@ def exposed_orbits(r: RationalMap, cycles,
             "max_seed_period": max_seed_period,
             "preimage_depth": preimage_depth,
             "critical_orbit_seed_steps": CRITICAL_ORBIT_SEED_STEPS,
-            "orbit_budget": budget,
         },
         warnings=warnings,
         notes=notes,

@@ -249,7 +249,11 @@ class GaussianRational:
         if isinstance(other, Fraction):
             return self._b == 0 and self._d == other.denominator and self._a == other.numerator
         if isinstance(other, (float, complex)):
-            return complex(self) == other
+            try:
+                return complex(self) == other
+            except OverflowError:
+                # beyond float range no float or complex equals the value
+                return False
         return NotImplemented
 
     def __hash__(self):

@@ -132,13 +132,7 @@ class SpherePoint:
             return NotImplemented
         if self.is_infinity or other.is_infinity:
             return self.is_infinity and other.is_infinity
-        if self.is_exact and other.is_exact:
-            return self.z == other.z
-        try:
-            return complex(self.z) == complex(other.z)
-        except OverflowError:
-            # an exact value beyond float range equals no finite float
-            return False
+        return self.z == other.z
 
     def __hash__(self):
         if self.is_infinity:

@@ -22,7 +22,7 @@ from ratmap.algebra import (
     normalize,
     render,
 )
-from ratmap.dynamics import Orbit, critical_divisor_degree, critical_points
+from ratmap.dynamics import Orbit, critical_divisor_degree, critical_fates, critical_points
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
 from ratmap.render import max_iteration_mask
@@ -208,8 +208,8 @@ def test_criterion_5_exposed_bound_suite(corpus):
         max_period = 2 if r.degree <= 3 else 1
         cycles, _, _ = periodic_cycles(r, max_period)
         try:
-            scan = exposed_orbits(r, cycles, max_seed_period=max_period,
-                                  budget=2000)
+            scan = exposed_orbits(r, cycles, critical_fates(r, cycles, 2000),
+                                  max_seed_period=max_period)
         except Exception as err:
             violations.append((idx, "scan error", repr(err)))
             continue

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ratmap.atlas import build_atlas
+from ratmap.atlas import bind_declarations, build_atlas
 from ratmap.dynamics import (
     DEFAULT_ORBIT_BUDGET,
     INFINITE,
@@ -16,15 +16,16 @@ from ratmap.dynamics import (
 from ratmap.errors import DeclarationError
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
+from ratmap.report import read_declaration
 from ratmap.scalars import GaussianRational
-from ratmap.sphere import SpherePoint
 
 
 def run(r, max_period=2, declarations=()):
     crit = critical_points(r)
     cycles, _, _ = periodic_cycles(r, max_period)
     fates = {c.point: critical_fate(r, c.point, cycles, crit, DEFAULT_ORBIT_BUDGET) for c in crit}
-    return crit, cycles, fates, build_atlas(r, cycles, crit, fates, declarations)
+    declared = bind_declarations(r, [read_declaration(d) for d in declarations], cycles)
+    return crit, cycles, fates, build_atlas(r, cycles, fates, declared)
 
 
 def test_zsq_two_superattracting_regions():
@@ -74,7 +75,7 @@ def test_declared_siegel_region():
     theta = (math.sqrt(5) - 1) / 2
     lam = complex(math.cos(2 * math.pi * theta), math.sin(2 * math.pi * theta))
     r = RationalMap(Polynomial([complex(1.0), lam, complex(0.0)]), Polynomial([1.0]))
-    dec = [{"kind": "siegel", "anchor_point": SpherePoint.finite(0.0), "theta": theta}]
+    dec = [{"kind": "siegel", "anchor": "0.0", "theta": theta}]
     _, _, _, atlas = run(r, max_period=1, declarations=dec)
     kinds = sorted(reg.core.kind for reg in atlas.regions)
     assert kinds == ["siegel", "superattracting"]
@@ -107,7 +108,7 @@ def test_siegel_rejected_on_non_indifferent_anchor():
     r = RationalMap(Polynomial([1, 0, 0]), Polynomial([1]))
     with pytest.raises(DeclarationError):
         run(r, declarations=[
-            {"kind": "siegel", "anchor_point": SpherePoint.finite(1), "theta": 0.3}
+            {"kind": "siegel", "anchor": "1", "theta": 0.3}
         ])
 
 
@@ -116,7 +117,7 @@ def test_siegel_theta_drift_warned():
     lam = complex(math.cos(2 * math.pi * theta), math.sin(2 * math.pi * theta))
     r = RationalMap(Polynomial([complex(1.0), lam, complex(0.0)]), Polynomial([1.0]))
     # declare a wrong rotation number: honored, but flagged
-    dec = [{"kind": "siegel", "anchor_point": SpherePoint.finite(0.0), "theta": 0.25}]
+    dec = [{"kind": "siegel", "anchor": "0.0", "theta": 0.25}]
     _, _, _, atlas = run(r, max_period=1, declarations=dec)
     assert any(w["code"] == "declaration-theta-drift" for w in atlas.warnings)
     siegel = next(reg for reg in atlas.regions if reg.core.kind == "siegel")

@@ -9,7 +9,7 @@ and must be rejected by the deeper search, not emitted.
 
 from __future__ import annotations
 
-from ratmap.dynamics import critical_points, periodic_cycles
+from ratmap.dynamics import critical_fates, critical_points, periodic_cycles
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
 from ratmap.restricted import (
@@ -46,7 +46,7 @@ def test_valency_matched_witness_between_criticals():
 def test_deep_verification_rejects_the_fake_orbit():
     r = the_map()
     cycles, _, _ = periodic_cycles(r, 1, work_cap=10)
-    scan = exposed_orbits(r, cycles, budget=500)
+    scan = exposed_orbits(r, cycles, critical_fates(r, cycles, 500))
     emitted = [sorted(str(p) for p in o.points) for o in scan.orbits]
     assert ["0"] not in emitted
     # infinity stays exposed: a polynomial's point at infinity always is

@@ -110,7 +110,7 @@ def test_ambiguous_indifferent_cycle_classified_on_the_spot():
     # the same fixed point, met by the exposed-orbit scan without a known cycle
     r = RationalMap(Polynomial([1.0, 1.0 + 1e-8, 0.0]), Polynomial([1.0]))
     warnings = []
-    cyc = _find_or_make_cycle(r, [SpherePoint.finite(0.0)], [], r.tolerance, warnings)
+    cyc = _find_or_make_cycle(r, [SpherePoint.finite(0.0)], [], warnings)
     assert cyc.classification == "indifferent_ambiguous"
     assert [w["code"] for w in warnings] == ["cycle-classification-ambiguous"]
 

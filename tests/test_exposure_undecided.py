@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
-from ratmap.dynamics import periodic_cycles
+from ratmap.dynamics import critical_fates, periodic_cycles
 from ratmap.restricted import exposed_orbits
 
 
@@ -19,7 +19,7 @@ def test_candidate_with_unresolved_fate_is_reported_not_emitted():
     # the candidate must surface as undecided, never as a verified orbit
     r = rees_family(complex(4, 3))
     cycles, _, _ = periodic_cycles(r, 1)
-    scan = exposed_orbits(r, cycles, budget=3)
+    scan = exposed_orbits(r, cycles, critical_fates(r, cycles, 3))
     assert [[str(p) for p in u.points] for u in scan.undecided] == [["0.0"]]
     assert all(
         [str(p) for p in o.points] != ["0.0"] for o in scan.orbits
@@ -30,7 +30,7 @@ def test_candidate_with_unresolved_fate_is_reported_not_emitted():
 def test_same_candidate_resolves_with_budget_and_gets_typed():
     r = rees_family(complex(4, 3))
     cycles, _, _ = periodic_cycles(r, 1)
-    scan = exposed_orbits(r, cycles, budget=3000)
+    scan = exposed_orbits(r, cycles, critical_fates(r, cycles, 3000))
     table = {tuple(str(p) for p in o.points): o for o in scan.orbits}
     orbit = table[("0.0",)]
     # the critical orbit converges without landing: type 3, and the

@@ -13,6 +13,7 @@ from ratmap.dynamics import (
     DEFAULT_ORBIT_BUDGET,
     Orbit,
     critical_fate,
+    critical_fates,
     critical_points,
     periodic_cycles,
 )
@@ -56,7 +57,7 @@ def test_julia_quotient_matrix_size_bounds():
     for num, den in (([1, 0, -2], [1]), ([1, -4, 4], [1, 0, 0])):
         r = RationalMap(Polynomial(num), Polynomial(den))
         cycles, _, _ = periodic_cycles(r, 4)
-        scan = exposed_orbits(r, cycles)
+        scan = exposed_orbits(r, cycles, critical_fates(r, cycles, DEFAULT_ORBIT_BUDGET))
         for o in scan.orbits:
             if not o.in_julia:
                 continue
@@ -69,8 +70,8 @@ def _catalog(r, max_period=4):
     crit = critical_points(r)
     cycles, _, _ = periodic_cycles(r, max_period)
     fates = {c.point: critical_fate(r, c.point, cycles, crit, DEFAULT_ORBIT_BUDGET) for c in crit}
-    scan = exposed_orbits(r, cycles, crit=crit, fates=fates)
-    atlas = build_atlas(r, cycles, crit, fates)
+    scan = exposed_orbits(r, cycles, fates)
+    atlas = build_atlas(r, cycles, fates)
     resolver = ExposureResolver(scan.orbits, r.tolerance)
     dec = full_decomposition(atlas, [o for o in scan.orbits if o.in_julia],
                              resolver, cycles)
@@ -109,7 +110,7 @@ def test_iota_p_periodic_valency_one():
     crit = critical_points(r)
     cycles, _, _ = periodic_cycles(r, 2)
     fates = {c.point: critical_fate(r, c.point, cycles, crit, DEFAULT_ORBIT_BUDGET) for c in crit}
-    atlas = build_atlas(r, cycles, crit, fates)
+    atlas = build_atlas(r, cycles, fates)
     for cls in atlas.iota_p:
         region = atlas.regions[cls.region_id]
         anchor = cycles[region.anchor_cycle_id]

@@ -3,6 +3,8 @@ declarations, parabolic quotient pictures."""
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
 from ratmap.report import AnalysisConfig, parse_map, run_analysis
 from ratmap.restricted import exposed_orbits
-from ratmap.scalars import GaussianRational
+from ratmap.scalars import GaussianRational, scalar_str
 from ratmap.synth import ExposureResolver, case_iv_diagram, full_decomposition
 
 
@@ -70,6 +72,39 @@ def test_herman_declaration_on_cubic():
     assert sorted(top_atoms) == ["compacts", "irrational_rotation"]
 
 
+# z^3 - 2c z^2 + lam z with lam = (1 + 1e-8) e^{2 pi i theta} and c = sqrt(lam):
+# |lam| sits inside the indifferent band, so the fixed point 0 is
+# indifferent_ambiguous, and {0} is an exposed orbit of type 1
+AMBIGUOUS_THETA = 0.6180339887498949
+
+
+def _ambiguous_siegel_report(declarations):
+    lam = (1 + 1e-8) * cmath.exp(2j * math.pi * AMBIGUOUS_THETA)
+    doc = {"numerator": ["1.0", scalar_str(-2 * cmath.sqrt(lam)), scalar_str(lam), "0.0"],
+           "denominator": ["1.0"]}
+    return run_analysis(parse_map(doc),
+                        AnalysisConfig(max_period=1, declarations=declarations)).data
+
+
+def test_a_declared_ambiguous_anchor_is_fatou_for_the_atlas_and_the_exposed_scan():
+    d = _ambiguous_siegel_report([{"kind": "siegel", "anchor": "0", "theta": AMBIGUOUS_THETA}])
+    siegel = next(reg for reg in d["atlas"]["regions"] if reg["core_type"]["kind"] == "siegel")
+    anchor = d["cycles"][siegel["anchor_cycle"]]
+    assert anchor["points"] == ["0.0"] and anchor["classification"] == "indifferent_ambiguous"
+    zero = next(o for o in d["exposed"]["orbits"] if o["points"] == ["0.0"])
+    assert zero["in_julia"] is False
+    assert all(w["code"] != "julia-membership-undetermined" for w in d["warnings"])
+    assert "text" in d["algebra"]["julia"]
+
+
+def test_an_undeclared_ambiguous_fixed_point_blocks_the_julia_quotient():
+    d = _ambiguous_siegel_report([])
+    zero = next(o for o in d["exposed"]["orbits"] if o["points"] == ["0.0"])
+    assert zero["in_julia"] is None
+    assert any(w["code"] == "julia-membership-undetermined" for w in d["warnings"])
+    assert "obstruction" in d["algebra"]["julia"]
+
+
 def test_parabolic_case_iv_diagram():
     r = RationalMap(
         Polynomial([1, 0, GaussianRational(Fraction(1, 4))]), Polynomial([1])
@@ -77,8 +112,8 @@ def test_parabolic_case_iv_diagram():
     crit = critical_points(r)
     cycles, _, _ = periodic_cycles(r, 2)
     fates = {c.point: critical_fate(r, c.point, cycles, crit, DEFAULT_ORBIT_BUDGET) for c in crit}
-    scan = exposed_orbits(r, cycles, crit=crit, fates=fates)
-    atlas = build_atlas(r, cycles, crit, fates)
+    scan = exposed_orbits(r, cycles, fates)
+    atlas = build_atlas(r, cycles, fates)
     res = ExposureResolver(scan.orbits, r.tolerance)
     dec = full_decomposition(atlas, [o for o in scan.orbits if o.in_julia], res, cycles)
     par = next(reg for reg in atlas.regions if reg.core.kind == "parabolic")

@@ -131,4 +131,4 @@ def test_sparse_quintic_gives_a_report(bounded, twin):
     data = _check_report(bounded, r)
     assert data["exposed"]["union"] == ["inf"]
     # the verdict the quadratic dedup reached, in 51 s exact and 64 s as the twin
-    assert _verify_critical_invariance(r, [INFINITY], PREIMAGE_DEPTH_DEFAULT, r.tolerance)
+    assert _verify_critical_invariance(r, [INFINITY], PREIMAGE_DEPTH_DEFAULT)

@@ -27,8 +27,8 @@ def catalog_for(r, max_period=4):
     crit = critical_points(r)
     cycles, _, _ = periodic_cycles(r, max_period)
     fates = {c.point: critical_fate(r, c.point, cycles, crit, DEFAULT_ORBIT_BUDGET) for c in crit}
-    scan = exposed_orbits(r, cycles, crit=crit, fates=fates)
-    atlas = build_atlas(r, cycles, crit, fates)
+    scan = exposed_orbits(r, cycles, fates)
+    atlas = build_atlas(r, cycles, fates)
     resolver = ExposureResolver(scan.orbits, r.tolerance)
     julia_orbits = [o for o in scan.orbits if o.in_julia]
     dec = full_decomposition(atlas, julia_orbits, resolver, cycles)

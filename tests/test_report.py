@@ -20,7 +20,7 @@ from ratmap.errors import ConfigError, InputFormatError, MapDegreeError, RatmapE
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
 from ratmap.report import AnalysisConfig, RenderConfig, Report, parse_map, run_analysis
-from ratmap.scalars import GaussianRational, parse_scalar
+from ratmap.scalars import GaussianRational, parse_scalar, scalar_str
 
 from .test_acceptance import _random_exact_map
 
@@ -45,6 +45,19 @@ WORKED_MAPS = [
 DECIMAL_TWINS = [_decimal_twin(doc) for doc in WORKED_MAPS]
 # z^2 - 1, whose superattracting 2-cycle {0, -1} is exact
 EXACT_TWO_CYCLE_MAP = {"numerator": ["1", "0", "-1"], "denominator": ["1"]}
+# e^{2 pi i theta} z + z^2 at the golden theta and its Siegel declaration, as
+# demos/demo_siegel_declaration.py writes them
+GOLDEN_THETA = (math.sqrt(5) - 1) / 2
+SIEGEL_MAP = {
+    "numerator": ["1.0", scalar_str(complex(math.cos(2 * math.pi * GOLDEN_THETA),
+                                            math.sin(2 * math.pi * GOLDEN_THETA))), "0.0"],
+    "denominator": ["1.0"],
+}
+SIEGEL_DECLARATION = {"kind": "siegel", "anchor": "0.0", "theta": GOLDEN_THETA,
+                      "theta_label": "(sqrt(5)-1)/2"}
+# z^3 with the Herman declaration of test_more_regions
+CUBIC_MAP = {"numerator": ["1", "0", "0", "0"], "denominator": ["1"]}
+HERMAN_DECLARATION = {"kind": "herman", "theta": 0.30102999566398114, "period": 1}
 
 
 def test_parse_map_examples():
@@ -353,6 +366,9 @@ def test_an_unresolved_walk_keeps_only_its_prefix(twin, monkeypatch):
     # the twin of (z^2 + 10^200) / (10^200 z + 1): W = P'Q - PQ' has the coefficient -inf
     ('{"numerator": ["1.0", "0.0", "1e200"], "denominator": ["1e200", "1.0"]}', None,
      "input-format"),
+    # int() of an infinite period raises OverflowError
+    (None, {"max_period": 1, "declarations": [{"kind": "herman", "theta": 0.3, "period": 1e400}]},
+     "declaration-invalid"),
 ])
 def test_malformed_input_is_a_coded_error(tmp_path, capsys, map_text, config, code):
     map_file = tmp_path / "map.json"
@@ -430,7 +446,9 @@ MP2 = {"max_period": 2}
 # orbit_fate's floating tail went through the orbit's own walk.  At
 # max_period 1 the two-cycle map's critical orbit {0, -1} is on no listed
 # cycle and stays exact past the prefix; those cases were pinned while the
-# tail still stepped it exactly.
+# tail still stepped it exactly.  The "siegel" and "cubic" cases carry a
+# declaration; they were pinned before declarations were checked in one
+# function and bound once per analysis.
 PINNED_REPORTS = [
     ("worked", 0, False, {},
      "370b97c3e0a4673f05eee9f37f175a1596ffe9454a49de4651b9ef0a4876b273",
@@ -576,6 +594,18 @@ PINNED_REPORTS = [
      "80bc581d228fd233220f07961efbc5b7b9c1450269d6499d493857a6ecfdde95",
      "b0509a14b953ee6eb78beac295b108d744820209d2211a66b479a49221f4fbab",
      "217f363db3fa4c7813cb58f51471a0215904c48be7873cc7a338725aeb8b6b56"),
+    ("siegel", 0, True, {},
+     "5d6ad9e41e73c33633a4dd6c8cb46637b702ccca1da2b17ef0bf66a2840f468b",
+     "66f9de3c135b7017338466fba4864499b297b0f2e3a289211a0d18ef9bf89910",
+     "60d627d3c3fed6f37d2e6e655bd15eb0c49cb42501b3287d27ec9b95fbf1fdd5"),
+    ("siegel", 0, True, {"declarations": [SIEGEL_DECLARATION]},
+     "553fe3f03ee46f589a376b4a0a6c73fccb97e824341b389e8d7768ad9a690f83",
+     "a136323c67ca30107987ecec4d4228164d725557a59c159a2ba60ee228544f37",
+     "0ab37bbba0c97743fc28ee8f219eda39eeceaa8e757db0a0467b2785877961b5"),
+    ("cubic", 0, False, {"max_period": 1, "declarations": [HERMAN_DECLARATION]},
+     "c0f508613639cc732228b1735bc950a3b9d049ab865a776779738c28d72ca619",
+     "01516a98053d63435d243c18a77cb6672deb6054ccaa4bfabf350d13ec461331",
+     "fec4a58e1be3934372a78fd5b85c5748c94e1a857247df5ede8a088925dff6ce"),
 ]
 
 # The test id of each case embeds the JSON and text digests it was first
@@ -653,6 +683,12 @@ FIRST_PINNED_DIGESTS = [
      "d0053fdcf3e5a4292852c9120665121f6e09988ec189184c97d4709001b1074c"),
     ("80bc581d228fd233220f07961efbc5b7b9c1450269d6499d493857a6ecfdde95",
      "b0509a14b953ee6eb78beac295b108d744820209d2211a66b479a49221f4fbab"),
+    ("5d6ad9e41e73c33633a4dd6c8cb46637b702ccca1da2b17ef0bf66a2840f468b",
+     "66f9de3c135b7017338466fba4864499b297b0f2e3a289211a0d18ef9bf89910"),
+    ("553fe3f03ee46f589a376b4a0a6c73fccb97e824341b389e8d7768ad9a690f83",
+     "a136323c67ca30107987ecec4d4228164d725557a59c159a2ba60ee228544f37"),
+    ("c0f508613639cc732228b1735bc950a3b9d049ab865a776779738c28d72ca619",
+     "01516a98053d63435d243c18a77cb6672deb6054ccaa4bfabf350d13ec461331"),
 ]
 PINNED_IDS = [
     f"{case[0]}-{case[1]}-{case[2]}-config{i}-{first_json}-{first_text}"
@@ -695,6 +731,10 @@ def _pinned_report(source, index, twin, config):
         r = parse_map((DECIMAL_TWINS if twin else WORKED_MAPS)[index])
     elif source == "two-cycle":
         r = parse_map(_decimal_twin(EXACT_TWO_CYCLE_MAP) if twin else EXACT_TWO_CYCLE_MAP)
+    elif source == "siegel":
+        r = parse_map(SIEGEL_MAP)
+    elif source == "cubic":
+        r = parse_map(CUBIC_MAP)
     else:
         r = _corpus_map(index, twin)
     return run_analysis(r, AnalysisConfig.from_dict(config))

@@ -8,7 +8,14 @@ import pytest
 import ratmap.dynamics
 import ratmap.rational
 import ratmap.restricted
-from ratmap.dynamics import INFINITE, Orbit, critical_points, periodic_cycles
+from ratmap.dynamics import (
+    DEFAULT_ORBIT_BUDGET,
+    INFINITE,
+    Orbit,
+    critical_fates,
+    critical_points,
+    periodic_cycles,
+)
 from ratmap.errors import RatmapError
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
@@ -94,7 +101,7 @@ def test_ro_simpleobs_property():
 def test_exposed_chebyshev():
     r = cheb()
     cycles, _, _ = periodic_cycles(r, 4)
-    scan = exposed_orbits(r, cycles)
+    scan = exposed_orbits(r, cycles, critical_fates(r, cycles, DEFAULT_ORBIT_BUDGET))
     by_size = sorted(
         (sorted(str(p) for p in o.points), o.orbit_type, o.in_julia) for o in scan.orbits
     )
@@ -110,7 +117,7 @@ def test_exposed_chebyshev():
 def test_exposed_rees_shape():
     r = rees_shape()
     cycles, _, _ = periodic_cycles(r, 4)
-    scan = exposed_orbits(r, cycles)
+    scan = exposed_orbits(r, cycles, critical_fates(r, cycles, DEFAULT_ORBIT_BUDGET))
     table = {tuple(sorted(str(p) for p in o.points)): o for o in scan.orbits}
     assert set(table) == {("1", "inf"), ("0",)}
     assert table[("1", "inf")].orbit_type == 1
@@ -125,7 +132,7 @@ def test_exposed_rees_shape():
 def test_exposed_zsq():
     r = zsq()
     cycles, _, _ = periodic_cycles(r, 4)
-    scan = exposed_orbits(r, cycles)
+    scan = exposed_orbits(r, cycles, critical_fates(r, cycles, DEFAULT_ORBIT_BUDGET))
     table = {tuple(sorted(str(p) for p in o.points)): o for o in scan.orbits}
     assert set(table) == {("0",), ("inf",)}
     for o in scan.orbits:
@@ -140,7 +147,7 @@ def test_exposed_zsq():
 def test_partition_examples():
     r = cheb()
     cycles, _, _ = periodic_cycles(r, 4)
-    scan = exposed_orbits(r, cycles)
+    scan = exposed_orbits(r, cycles, critical_fates(r, cycles, DEFAULT_ORBIT_BUDGET))
     in_j, in_f = julia_exposed_partition(scan.orbits)
     assert [sorted(str(p) for p in o.points) for o in in_j] == [["-2", "2"]]
     assert [sorted(str(p) for p in o.points) for o in in_f] == [["inf"]]
@@ -149,7 +156,7 @@ def test_partition_examples():
 def test_exposed_bounds_never_violated():
     for r in (cheb(), rees_shape(), zsq()):
         cycles, _, _ = periodic_cycles(r, 3)
-        scan = exposed_orbits(r, cycles)
+        scan = exposed_orbits(r, cycles, critical_fates(r, cycles, DEFAULT_ORBIT_BUDGET))
         total = 0
         for o in scan.orbits:
             assert o.size <= 4
@@ -181,7 +188,7 @@ def test_no_exposed_set_for_generic_quadratic():
     # z^2 + 1/4 (parabolic); nothing in the plane is exposed, infinity is
     r = RationalMap(Polynomial([1, 0, GaussianRational(Fraction(1, 4))]), Polynomial([1]))
     cycles, _, _ = periodic_cycles(r, 2)
-    scan = exposed_orbits(r, cycles)
+    scan = exposed_orbits(r, cycles, critical_fates(r, cycles, DEFAULT_ORBIT_BUDGET))
     assert [sorted(str(p) for p in o.points) for o in scan.orbits] == [["inf"]]
 
 
@@ -196,7 +203,7 @@ def test_invariance_check_steps_each_member_depth_times(monkeypatch):
 
     monkeypatch.setattr(ratmap.dynamics, "_step_with_height_guard", counted)
     r = cheb()
-    _verify_critical_invariance(r, [SpherePoint.finite(0)], 3, r.tolerance)
+    _verify_critical_invariance(r, [SpherePoint.finite(0)], 3)
     assert len(steps) == 3
 
 
@@ -220,7 +227,7 @@ def test_every_point_of_a_critical_free_cycle_has_one_closure(source, index, twi
     free = [c for c in cycles if not any(contains_point(crit_pts, a, tol) for a in c.points)]
     assert free
     for cyc in free:
-        first, *rest = [_closure(r, a, crit_pts, tol) for a in cyc.points]
+        first, *rest = [_closure(r, a, crit_pts) for a in cyc.points]
         if first is None:
             assert rest == [None] * len(rest)
         else:
@@ -318,16 +325,17 @@ def test_pruned_closures_and_linear_dedup_match_the_old_rules(source, index, twi
     verify = ratmap.restricted._verify_critical_invariance
     closures = []
 
-    def compared_closure(r, seed, crit_pts, tol):
-        got = closure(r, seed, crit_pts, tol)
+    def compared_closure(r, seed, crit_pts):
+        tol = r.tolerance
+        got = closure(r, seed, crit_pts)
         old = _unbudgeted_closure(r, seed, crit_pts, tol)
         assert (got is None) == (old is None) and (got is None or _same_set(got, old, tol))
         closures.append(got)
         return got
 
-    def compared_verify(r, pts, depth, tol, fates=None):
-        got = verify(r, pts, depth, tol, fates=fates)
-        assert got == _quadratic_invariance_check(r, pts, depth, tol, fates=fates)
+    def compared_verify(r, pts, depth, fates=None):
+        got = verify(r, pts, depth, fates=fates)
+        assert got == _quadratic_invariance_check(r, pts, depth, r.tolerance, fates=fates)
         return got
 
     monkeypatch.setattr(ratmap.restricted, "_closure", compared_closure)
@@ -344,10 +352,10 @@ def test_a_seed_that_is_no_critical_value_of_a_quintic_costs_no_solve(monkeypatc
     calls = []
     find_roots = ratmap.rational.find_roots
     monkeypatch.setattr(ratmap.rational, "find_roots", lambda *a: calls.append(a) or find_roots(*a))
-    assert _closure(r, SpherePoint.finite(7), crit_pts, r.tolerance) is None
+    assert _closure(r, SpherePoint.finite(7), crit_pts) is None
     assert calls == []
     # the critical value infinity, of valency 5, keeps its one-point closure
-    assert _closure(r, INFINITY, crit_pts, r.tolerance) == [INFINITY]
+    assert _closure(r, INFINITY, crit_pts) == [INFINITY]
 
 
 @pytest.mark.parametrize("twin", [False, True])

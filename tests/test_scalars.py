@@ -66,3 +66,14 @@ def test_scalar_str_round_trips():
     for text in ["3", "-1/2", "1+2i", "1/2-3/4i", "2i", "0"]:
         v = parse_scalar(text)
         assert parse_scalar(scalar_str(v)) == v
+
+
+def test_an_exact_value_beyond_float_range_equals_no_float():
+    for huge in (GaussianRational(2**1100), GaussianRational(1, -(2**1100)),
+                 GaussianRational(Fraction(2**1100, 3), 1)):
+        for other in (1.0, 1j, 1e308, complex(1e308, -1e308)):
+            assert not huge == other and not other == huge
+            assert huge != other and other != huge
+    # in float range the comparison is that of the rounded value, as before
+    assert GaussianRational(Fraction(1, 2), -3) == complex(0.5, -3.0)
+    assert GaussianRational(Fraction(1, 3)) == 1 / 3

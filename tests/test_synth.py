@@ -19,7 +19,13 @@ from ratmap.algebra import (
     normalize,
     render,
 )
-from ratmap.atlas import CoreType, CriticalOrbitRecord, StableRegion, build_atlas
+from ratmap.atlas import (
+    CoreType,
+    CriticalOrbitRecord,
+    StableRegion,
+    bind_declarations,
+    build_atlas,
+)
 from ratmap.dynamics import (
     DEFAULT_ORBIT_BUDGET,
     INFINITE,
@@ -31,6 +37,7 @@ from ratmap.dynamics import (
 from ratmap.errors import RegionBlockedError
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
+from ratmap.report import read_declaration
 from ratmap.restricted import ExposedOrbit, exposed_orbits
 from ratmap.scalars import GaussianRational
 from ratmap.sphere import SpherePoint
@@ -47,8 +54,9 @@ def pipeline(r, max_period=4, declarations=()):
     crit = critical_points(r)
     cycles, _, _ = periodic_cycles(r, max_period)
     fates = {c.point: critical_fate(r, c.point, cycles, crit, DEFAULT_ORBIT_BUDGET) for c in crit}
-    scan = exposed_orbits(r, cycles, crit=crit, fates=fates, declarations=declarations)
-    atlas = build_atlas(r, cycles, crit, fates, declarations)
+    declared = bind_declarations(r, [read_declaration(d) for d in declarations], cycles)
+    scan = exposed_orbits(r, cycles, fates, declared=declared)
+    atlas = build_atlas(r, cycles, fates, declared)
     resolver = ExposureResolver(scan.orbits, r.tolerance)
     julia_orbits = [o for o in scan.orbits if o.in_julia]
     dec = full_decomposition(atlas, julia_orbits, resolver, cycles)
@@ -156,7 +164,7 @@ def test_declared_siegel_extension():
     theta = (math.sqrt(5) - 1) / 2
     lam = complex(math.cos(2 * math.pi * theta), math.sin(2 * math.pi * theta))
     r = RationalMap(Polynomial([complex(1.0), lam, complex(0.0)]), Polynomial([1.0]))
-    dec_list = [{"kind": "siegel", "anchor_point": SpherePoint.finite(0.0), "theta": theta}]
+    dec_list = [{"kind": "siegel", "anchor": "0.0", "theta": theta}]
     crit, cycles, scan, atlas, resolver, dec = pipeline(r, max_period=1, declarations=dec_list)
     siegel = next(
         rs for rs in dec.fatou_regions
