@@ -292,9 +292,8 @@ def build_atlas(r: RationalMap, cycles, fates, declared=DeclaredStructures(), *,
             "reason": reason,
         })
 
-    has_undeclared_irrational = any(
-        w["code"] == "siegel-cremer-undeclared" for w in warnings
-    )
+    has_undeclared_irrational = any(c.classification == "irrationally_indifferent"
+                                    and c.cycle_id not in declared.siegel for c in cycles)
     if regions:
         julia_is_sphere = False
     elif has_undeclared_irrational or unresolved:

@@ -75,6 +75,13 @@ class Declaration:
     theta_label: object = None
 
 
+def _integer(value) -> int:
+    """int(value), but a ValueError for a number with a fractional part."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
 def read_declaration(dec) -> Declaration:
     """The declaration a configuration entry states: a bad theta is a
     ConfigError, a bad kind, period or anchor a DeclarationError."""
@@ -94,7 +101,7 @@ def read_declaration(dec) -> Declaration:
     if kind not in ("siegel", "herman"):
         raise DeclarationError(f"unknown declaration kind {kind!r}")
     try:
-        period = int(dec.get("period", 1))
+        period = _integer(dec.get("period", 1))
     except (TypeError, ValueError, OverflowError):
         raise DeclarationError("declaration period must be an integer",
                                period=repr(dec.get("period"))) from None
@@ -147,22 +154,21 @@ class AnalysisConfig:
                 if key == "render":
                     if not isinstance(value, dict):
                         raise ConfigError("render must be a JSON object")
+                    for name in value:
+                        if name not in {f.name for f in fields(RenderConfig)}:
+                            raise ConfigError(f"unknown render key {name!r}")
                     window = tuple(float(x) for x in value.get("window", RenderConfig.window))
                     if len(window) != 4:
                         raise ConfigError("render window must be [xmin, xmax, ymin, ymax]",
                                           window=repr(value["window"]))
-                    cfg.render = RenderConfig(
-                        width=int(value.get("width", RenderConfig.width)),
-                        height=int(value.get("height", RenderConfig.height)),
-                        window=window,
-                        max_iter=int(value.get("max_iter", RenderConfig.max_iter)),
-                    )
+                    cfg.render = RenderConfig(window=window, **{
+                        name: _integer(number) for name, number in value.items() if name != "window"})
                 elif key == "declarations":
                     cfg.declarations = list(value)
                 elif key == "tolerance":
                     cfg.tolerance = float(value)
                 else:
-                    setattr(cfg, key, int(value))
+                    setattr(cfg, key, _integer(value))
             except (TypeError, ValueError, OverflowError):
                 # OverflowError: int() of an infinite number
                 raise ConfigError(f"cannot read configuration key {key!r}",

@@ -18,8 +18,8 @@ of a floating polynomial are assigned by clustering in the chordal metric.
 The assignment is ambiguous when re-clustering at ten times the radius
 changes the multiplicity profile; that is an error.  An exact polynomial is
 split into square-free factors first, and every root of a factor is simple,
-so nothing is clustered.  Clustering tests every pair of a small set and
-screens the pairs of a larger one (_cluster).
+so nothing is clustered.  Clustering tests only the pairs that
+sphere.near_partners finds within _link_reach, once for both radii.
 
 For exact polynomials every root is snapped to a small Gaussian rational
 candidate and kept exact when the candidate is verified to be a root; two
@@ -30,7 +30,6 @@ run in exact arithmetic on the maps where it matters.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -38,7 +37,7 @@ import numpy as np
 from .errors import MultiplicityAmbiguousError, RootFindingFailedError
 from .poly import Polynomial, squarefree_decomposition_exact
 from .scalars import GaussianRational
-from .sphere import DIRECT_MAX_POINTS
+from .sphere import near_partners
 
 ABERTH_MAX_ITER = 200
 NEWTON_POLISH_STEPS = 5
@@ -190,8 +189,10 @@ def _clusters(z: np.ndarray, radii):
     MultiplicityAmbiguousError to raise unless every cluster is then
     resolved exactly, or None.
     """
-    clusters = _cluster(z, DEFAULT_CLUSTER_RADIUS, radii)
-    clusters_wide = _cluster(z, 10.0 * DEFAULT_CLUSTER_RADIUS, radii)
+    wide = 10.0 * DEFAULT_CLUSTER_RADIUS
+    partners = near_partners(z, _link_reach(wide, radii))
+    clusters = _cluster(z, DEFAULT_CLUSTER_RADIUS, radii, partners)
+    clusters_wide = _cluster(z, wide, radii, partners)
     ambiguity = None
     if _profile(clusters) != _profile(clusters_wide):
         ambiguity = MultiplicityAmbiguousError(
@@ -234,46 +235,25 @@ def _linked(points, radius, radii, i, j) -> bool:
     return _chordal_c(points[i], points[j]) <= radius or gap <= 10.0 * (radii[i] + radii[j])
 
 
-# relative margin of the pair screen, far above the rounding of either evaluation
-PAIR_SCREEN_SLACK = 1e-9
+def _link_reach(radius: float, radii) -> float:
+    """A chordal distance beyond which _linked never links two points.
 
-
-def _screened_pairs(points: np.ndarray, radius: float, radii):
-    """The pairs (i, j), i < j, in row order, that _linked may accept.
-
-    The arrays repeat _linked's chordal and gap formulas; they differ from
-    its scalar values by rounding only, so a pair above both bounds by the
-    relative margin PAIR_SCREEN_SLACK cannot link.  A NaN is never screened
-    out.
+    A linked pair is within the radius, or its gap is at most
+    10 (r_i + r_j) and its chordal distance at most twice its gap; a NaN
+    radius links by the radius alone.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = np.abs(points[:, None] - points[None, :])
-        norm = np.hypot(np.abs(points), 1.0)
-        far = 2.0 * gap / np.outer(norm, norm) > radius * (1.0 + PAIR_SCREEN_SLACK)
-        if radii is not None:
-            far &= gap > 10.0 * (radii[:, None] + radii[None, :]) * (1.0 + PAIR_SCREEN_SLACK)
-    return np.argwhere(np.triu(~far, 1))
+    return radius if radii is None else float(np.fmax.reduce(40.0 * radii, initial=radius))
 
 
-def _cluster(points: np.ndarray, radius: float, radii=None):
+def _cluster(points: np.ndarray, radius: float, radii, partners):
     """Union-find clustering under the chordal metric.
 
     Given uncertainty radii, two points whose radii are both below 1e-3 of
     their distance are never linked, and two points within ten times the
-    sum of their radii always are.  At most DIRECT_MAX_POINTS points test
-    every pair; more test only the pairs _screened_pairs passes, which
-    gives the same clusters.
+    sum of their radii always are.  Only the pairs of partners, near_partners
+    at _link_reach or beyond, are tested; no other pair can link, and the
+    order of the tests does not change the clusters.
     """
-    n = len(points)
-    if n > DIRECT_MAX_POINTS:
-        pairs = _screened_pairs(points, radius, radii).tolist()
-    else:
-        pairs = itertools.combinations(range(n), 2)
-    return _linked_components(points, radius, radii, pairs)
-
-
-def _linked_components(points, radius, radii, pairs):
-    """The clusters of the points when the pairs (i, j) that _linked accepts are joined."""
     n = len(points)
     parent = list(range(n))
 
@@ -283,11 +263,12 @@ def _linked_components(points, radius, radii, pairs):
             i = parent[i]
         return i
 
-    for i, j in pairs:
-        if _linked(points, radius, radii, i, j):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
+    for j, earlier in enumerate(partners):
+        for i in earlier:
+            if _linked(points, radius, radii, i, j):
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
     groups = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
@@ -401,6 +382,8 @@ def find_roots(p: Polynomial):
     return _find_roots_numeric(p)
 
 
+# overflow and NaN stay silent: _settle rejects the roots they spoil
+@np.errstate(all="ignore")
 def _find_roots_numeric(p: Polynomial):
     """find_roots of a floating p, or of one square-free factor of an exact p."""
     exact = p.is_exact

@@ -11,10 +11,10 @@ whose second component is that far below the first is within 1e-14 of
 infinity in the chordal metric, far inside every tolerance this package
 works at, and flipping it to (1 : 0) keeps chart values bounded.
 
-A set of points is deduplicated by coincide, pair by pair (dedup_indices).
-A set of more than DIRECT_MAX_POINTS points first screens its pairs by
-their keys on the unit sphere of R^3 (screen_keys), which never drops a
-pair that coincides; roots._cluster screens at the same size.
+near_partners decides which pairs of a set of points can lie within a
+chordal reach, for dedup_indices and for roots._cluster.  Above
+DIRECT_MAX_POINTS points it screens them by their keys on the unit sphere
+of R^3 (screen_keys), which never drops a pair within the reach.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .scalars import (
 )
 
 REPRESENTATION_EPS = 1e-14
-# the largest set that dedup_indices and roots._cluster test pair by pair;
-# above it a numpy screen picks the pairs to test, whose fixed cost of about
-# 40-60 us per call the quadratic pairwise loop reaches at about 8 points
+# the largest set whose near_partners are all earlier points; above it a
+# numpy screen picks them, whose fixed cost of about 40-60 us per call the
+# quadratic pairwise loop reaches at about 8 points
 DIRECT_MAX_POINTS = 8
 
 
@@ -184,36 +184,32 @@ def dedup_points(points, tol):
 def dedup_indices(points, tol):
     """The indices of the points dedup_points keeps, in order.
 
-    A point is kept when it coincides with no point kept before it.  A set
-    of at most DIRECT_MAX_POINTS points is deduplicated by that rule
-    directly; a larger one goes through _screened_dedup_indices, which
-    keeps the same indices.
+    A point is kept when it coincides with no point kept before it; only
+    its near_partners at reach 2 tol can.
     """
-    if len(points) > DIRECT_MAX_POINTS:
-        return _screened_dedup_indices(points, tol)
-    kept = []
-    for i, p in enumerate(points):
-        if not any(coincide(p, points[j], tol) for j in kept):
-            kept.append(i)
-    return kept
+    keep = []
+    for p, partners in zip(points, near_partners(points, 2.0 * tol)):
+        keep.append(not any(keep[j] and coincide(p, points[j], tol) for j in partners))
+    return [i for i, kept in enumerate(keep) if kept]
 
 
-def _screened_dedup_indices(points, tol):
-    """dedup_indices by a screen: only the pairs whose screen_keys differ by
-    at most 2 tol + SCREEN_SLACK go through coincide; sorting the keys finds
-    those pairs in n log n.
+def near_partners(points, reach):
+    """For each point (SpherePoints or chart values), the earlier points
+    that may lie within chordal distance reach of it: all of them for at
+    most DIRECT_MAX_POINTS points, else those whose screen_keys differ by
+    at most reach + SCREEN_SLACK, found in n log n.  A NaN value, whose
+    key is NaN, is paired with the NaN values only.
     """
+    n = len(points)
+    if n <= DIRECT_MAX_POINTS:
+        return [range(i) for i in range(n)]
     keys = screen_keys(points)
     order = np.argsort(keys)
     sorted_keys = keys[order]
-    reach = 2.0 * tol + SCREEN_SLACK
-    lo = np.searchsorted(sorted_keys, keys - reach, "left")
-    hi = np.searchsorted(sorted_keys, keys + reach, "right")
-    keep = np.zeros(len(points), dtype=bool)
-    for i, p in enumerate(points):
-        keep[i] = not any(coincide(p, points[j], tol)
-                          for j in order[lo[i]:hi[i]] if j < i and keep[j])
-    return [int(i) for i in np.flatnonzero(keep)]
+    margin = reach + SCREEN_SLACK
+    lo = np.searchsorted(sorted_keys, keys - margin, "left")
+    hi = np.searchsorted(sorted_keys, keys + margin, "right")
+    return [[j for j in order[lo[i]:hi[i]].tolist() if j < i] for i in range(n)]
 
 
 def contains_point(points, p, tol) -> bool:
@@ -223,6 +219,9 @@ def contains_point(points, p, tol) -> bool:
 def normalized_pairs(points) -> np.ndarray:
     """The (n, 2) complex array of the points' pairs (z : w), each row of norm 1.
 
+    A complex array of chart values z gives (z : 1), or (1 : 1/z) outside
+    the unit disc, where |z| may overflow; a NaN value gives a NaN row.
+
     The chordal distance of rows a and b is 2|a0 b1 - a1 b0|.  Two points
     that are equal exactly have identical rows, hence distance exactly 0; any
     other difference from SpherePoint.chordal is rounding, a few units in
@@ -230,7 +229,11 @@ def normalized_pairs(points) -> np.ndarray:
     2 tol + SCREEN_SLACK cannot pass coincide at tol: near_pairs screens
     with that margin, and only what it passes needs coincide.
     """
-    a = np.array([x._norm_pair() for x in points], dtype=complex).reshape(-1, 2)
+    if isinstance(points, np.ndarray):
+        outer = np.abs(points) > 1.0
+        a = np.stack([np.where(outer, 1.0, points), np.where(outer, 1.0 / points, 1.0)], axis=1)
+    else:
+        a = np.array([x._norm_pair() for x in points], dtype=complex).reshape(-1, 2)
     # hypot, unlike the norm's sum of squares, does not overflow past |z| = 1e154
     return a / np.hypot(np.abs(a[:, :1]), np.abs(a[:, 1:]))
 
@@ -242,6 +245,7 @@ SCREEN_SLACK = 1e-14
 SCREEN_AXIS = np.array([0.48, 0.6, 0.64])
 
 
+@np.errstate(all="ignore")  # a NaN or infinite chart value is keyed silently
 def screen_keys(points) -> np.ndarray:
     """Each point's place on the unit sphere of R^3, projected on SCREEN_AXIS.
 

@@ -40,12 +40,13 @@ from ratmap.roots import (
     NEWTON_POLISH_STEPS,
     _aberth,
     _cluster,
+    _link_reach,
     _pairwise_sums,
     _profile,
     polish,
     start_circle,
 )
-from ratmap.sphere import DIRECT_MAX_POINTS, INFINITY, SpherePoint, coincide
+from ratmap.sphere import DIRECT_MAX_POINTS, INFINITY, SpherePoint, coincide, near_partners
 
 from .test_pipeline_corpus import _sparse_map
 from .test_report import DECIMAL_TWINS, WORKED_MAPS, _corpus_map
@@ -352,8 +353,9 @@ def _reference_solve(rf, p):
     if not all(res <= 1e-6 for res in residuals):
         return "roots-no-convergence", residuals.tobytes()
     radii = np.minimum(radii, 100.0 * DEFAULT_CLUSTER_RADIUS)
-    clusters = _cluster(z, DEFAULT_CLUSTER_RADIUS, radii)
-    wide = _cluster(z, 10.0 * DEFAULT_CLUSTER_RADIUS, radii)
+    partners = near_partners(z, _link_reach(10.0 * DEFAULT_CLUSTER_RADIUS, radii))
+    clusters = _cluster(z, DEFAULT_CLUSTER_RADIUS, radii, partners)
+    wide = _cluster(z, 10.0 * DEFAULT_CLUSTER_RADIUS, radii, partners)
     alpha, beta, gamma, delta = SOLVE_CHART
     points = []
     for group in clusters:
@@ -510,23 +512,27 @@ def test_the_one_array_walk_matches_the_frozen_walk(key, twin):
 def test_an_analysis_screens_only_the_sets_above_the_crossover(doc, twin, monkeypatch):
     # of about 40 dedups and 25 clusterings per worked map, only the dedup of
     # the exposure seed pool (25 to 30 points) and the clusterings of periods
-    # 3 and 4 (9 and 17 points, at two radii) are above it
-    sizes = {"dedup": [], "cluster": []}
+    # 3 and 4 (9 and 17 points, both radii from one screen) are above it
+    sizes = {"dedup": [], "cluster": [], "screen": []}
 
     def counting(module, name, key):
-        screened = getattr(module, name)
+        counted_function = getattr(module, name)
 
         def counted(points, *args):
             sizes[key].append(len(points))
-            return screened(points, *args)
+            return counted_function(points, *args)
 
         monkeypatch.setattr(module, name, counted)
 
-    counting(ratmap.sphere, "_screened_dedup_indices", "dedup")
-    counting(ratmap.roots, "_screened_pairs", "cluster")
+    # dedup_indices reads near_partners from sphere, roots its own import
+    counting(ratmap.sphere, "near_partners", "dedup")
+    counting(ratmap.roots, "near_partners", "cluster")
+    counting(ratmap.sphere, "screen_keys", "screen")
     run_analysis(parse_map(doc))
-    assert (len(sizes["dedup"]), len(sizes["cluster"])) == (1, 4)
-    assert all(n > DIRECT_MAX_POINTS for n in sizes["dedup"] + sizes["cluster"])
+    screened = {key: [n for n in sizes[key] if n > DIRECT_MAX_POINTS] for key in ("dedup", "cluster")}
+    assert (len(screened["dedup"]), len(screened["cluster"])) == (1, 2)
+    assert sorted(sizes["screen"]) == sorted(screened["dedup"] + screened["cluster"])
+    assert all(n > DIRECT_MAX_POINTS for n in sizes["screen"])
 
 
 @pytest.mark.parametrize("doc, twin", WORKED)

@@ -7,18 +7,19 @@ import numpy as np
 import pytest
 
 import ratmap.roots
+import ratmap.sphere
 from ratmap.errors import RootFindingFailedError
 from ratmap.poly import Polynomial
 from ratmap.roots import (
+    DEFAULT_CLUSTER_RADIUS,
     _cluster,
     _eval_scaled,
+    _link_reach,
     _linked,
-    _linked_components,
-    _screened_pairs,
     find_roots,
 )
 from ratmap.scalars import GaussianRational
-from ratmap.sphere import DIRECT_MAX_POINTS
+from ratmap.sphere import DIRECT_MAX_POINTS, near_partners
 
 
 def test_degree_and_normalization():
@@ -169,34 +170,62 @@ def _point_cloud(rng):
     return np.array(points)
 
 
+def _clusterings(z, radius, radii, monkeypatch):
+    """_cluster's clusters three ways: from its own partners, from the
+    partners _clusters finds once at the wider radius, and with the screen
+    forced on a set of any size."""
+    def clusters(reach):
+        return _cluster(z, radius, radii, near_partners(z, _link_reach(reach, radii)))
+
+    with monkeypatch.context() as m:
+        m.setattr(ratmap.sphere, "DIRECT_MAX_POINTS", 0)
+        screened = clusters(radius)
+    return [clusters(radius), clusters(10.0 * DEFAULT_CLUSTER_RADIUS), screened]
+
+
 @pytest.mark.parametrize("seed", range(40))
 @pytest.mark.parametrize("with_radii", [False, True])
-def test_screened_clusters_match_the_pairwise_loop(seed, with_radii):
+def test_screened_clusters_match_the_pairwise_loop(seed, with_radii, monkeypatch):
     rng = np.random.default_rng(seed)
     z = _point_cloud(rng)
     radii = 10.0 ** rng.uniform(-12, -4, size=len(z)) if with_radii else None
     for radius in (1e-6, 1e-5):
-        assert _cluster(z, radius, radii) == _cluster_pairwise(z, radius, radii)
-        # the screen itself, which _cluster skips for small clouds
-        screened = _screened_pairs(z, radius, radii).tolist()
-        assert _linked_components(z, radius, radii, screened) == _cluster_pairwise(z, radius, radii)
+        want = _cluster_pairwise(z, radius, radii)
+        assert _clusterings(z, radius, radii, monkeypatch) == [want] * 3
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, DIRECT_MAX_POINTS - 1, DIRECT_MAX_POINTS,
                                DIRECT_MAX_POINTS + 1])
 @pytest.mark.parametrize("with_radii", [False, True])
-def test_the_direct_and_the_screened_clusters_agree_around_the_crossover(n, with_radii):
+def test_the_direct_and_the_screened_clusters_agree_around_the_crossover(n, with_radii,
+                                                                         monkeypatch):
     rng = np.random.default_rng(n)
     for _ in range(40):
         z = np.concatenate([_point_cloud(rng) for _ in range(5)])[:n]
-        # NaN rows, which the screen never drops and _linked never links
+        # NaN and infinite rows, which the screen may pass and _linked never links
         z[rng.random(n) < 0.15] = complex("nan+nanj")
+        infinite = rng.random(n) < 0.1
+        z[infinite] = rng.choice([complex("inf"), complex("-inf"), complex("infj")],
+                                 size=int(infinite.sum()))
         radii = 10.0 ** rng.uniform(-12, -4, size=n) if with_radii else None
+        if with_radii:
+            # a NaN radius links by the chordal radius alone
+            radii[rng.random(n) < 0.15] = np.nan
         for radius in (1e-6, 1e-5):
-            want = _cluster_pairwise(z, radius, radii)
-            assert _cluster(z, radius, radii) == want
-            screened = _screened_pairs(z, radius, radii).tolist()
-            assert _linked_components(z, radius, radii, screened) == want
+            # _linked's arithmetic on an infinite row gives NaN
+            with np.errstate(invalid="ignore"):
+                want = _cluster_pairwise(z, radius, radii)
+                assert _clusterings(z, radius, radii, monkeypatch) == [want] * 3
+
+
+def test_the_link_reach_is_attained_by_a_pair_linked_through_its_radii():
+    # near 0 the chordal distance is twice the gap, and a gap of 10 (r_i + r_j) links
+    radii = np.array([1e-5, 1e-5])
+    z = np.array([0j, 20.0 * 1e-5 * (1.0 - 1e-9)])
+    assert _linked(z, DEFAULT_CLUSTER_RADIUS, radii, 0, 1)
+    chordal = 2.0 * abs(z[1]) / np.hypot(abs(z[1]), 1.0)
+    assert 0.999 * _link_reach(DEFAULT_CLUSTER_RADIUS, radii) < chordal
+    assert chordal <= _link_reach(DEFAULT_CLUSTER_RADIUS, radii)
 
 
 def test_an_exact_square_free_factor_is_not_clustered(monkeypatch):

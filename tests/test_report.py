@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -368,6 +369,14 @@ def test_an_unresolved_walk_keeps_only_its_prefix(twin, monkeypatch):
      "input-format"),
     # int() of an infinite period raises OverflowError
     (None, {"max_period": 1, "declarations": [{"kind": "herman", "theta": 0.3, "period": 1e400}]},
+     "declaration-invalid"),
+    # a misspelt render key and a number with a fractional part were once
+    # ignored and truncated
+    (None, {"render": {"widht": 10}}, "config-invalid"),
+    (None, {"max_period": 2.5}, "config-invalid"),
+    (None, {"render": {"width": 10.7}}, "config-invalid"),
+    ('{"numerator": ["1", "0", "0", "1"], "denominator": ["1"]}',
+     {"max_period": 1, "declarations": [{"kind": "herman", "theta": 0.3, "period": 2.5}]},
      "declaration-invalid"),
 ])
 def test_malformed_input_is_a_coded_error(tmp_path, capsys, map_text, config, code):
@@ -757,3 +766,19 @@ def test_report_shape_pinned(source, index, twin, config, json_digest, text_dige
     report = _pinned_report(source, index, twin, config)
     shape = _shape(json.loads(report.to_json_bytes()))
     assert hashlib.sha256(json.dumps(shape, sort_keys=True).encode()).hexdigest() == shape_digest
+
+
+# (1e154 z + 1) / (1e-154 z^2 + 1): the quadratic solve and the Horner
+# residuals of its root finding overflow; the digests were recorded while
+# numpy still printed those overflows as RuntimeWarnings
+OVERFLOW_MAP = {"numerator": ["1e154", "1"], "denominator": ["1e-154", "0", "1"]}
+
+
+def test_an_overflowing_root_solve_is_silent_and_keeps_its_report():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_analysis(parse_map(OVERFLOW_MAP))
+    assert (hashlib.sha256(report.to_json_bytes()).hexdigest()
+            == "d5b6b585a278cbf1bb5e0abf3a284b9f46d32c84f01116e1415e03c832003a33")
+    assert (hashlib.sha256(report.to_text().encode()).hexdigest()
+            == "3d9518fdeda76acc1a6fabbb4ca505b128f2e2ff1e3912ee33ab96c160c349f8")

@@ -69,3 +69,69 @@ def test_the_check_finds_an_unread_local():
         "    return kept, total, g, h\n"
     )
     assert unread_locals(tree) == [(3, "f", "dropped"), (9, "g", "inner")]
+
+
+def _module_privates(tree):
+    """(line, name) for each module-level function, class or constant whose
+    name has one leading underscore."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend((t.lineno, t.id) for t in targets if isinstance(t, ast.Name))
+    return [(line, name) for line, name in found
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def _loaded_names(tree):
+    """Every name the tree reads: as a name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unloaded_privates(modules):
+    """(module, line, name) for each private module-level name of the
+    modules, a dict of name to syntax tree, that none of them loads."""
+    loaded = set().union(*map(_loaded_names, modules.values()))
+    return sorted((module, line, name) for module, tree in modules.items()
+                  for line, name in _module_privates(tree) if name not in loaded)
+
+
+def test_every_private_module_level_name_is_loaded():
+    modules = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert unloaded_privates(modules) == []
+
+
+def test_the_check_finds_an_unloaded_private():
+    modules = {
+        "a": ast.parse(
+            "_USED = 1\n"
+            "_UNUSED: int = 2\n"
+            "__all__ = []\n"
+            "def _helper():\n"
+            "    return _USED\n"
+            "def _left_over():\n"
+            "    pass\n"
+            "class _Shape:\n"
+            "    pass\n"
+            "def public():\n"
+            "    return _helper()\n"
+        ),
+        "b": ast.parse(
+            "from .a import _Shape\n"
+            "import a\n"
+            "_TABLE = {}\n"
+            "x = a._TABLE_OF_A\n"
+        ),
+    }
+    assert unloaded_privates(modules) == [("a", 2, "_UNUSED"), ("a", 6, "_left_over"),
+                                          ("b", 3, "_TABLE")]

@@ -6,17 +6,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ratmap.sphere
 from ratmap.scalars import GaussianRational
 from ratmap.sphere import (
     DIRECT_MAX_POINTS,
     INFINITY,
     SpherePoint,
-    _screened_dedup_indices,
     chordal_matrix,
     coincide,
     dedup_indices,
     dedup_points,
     near_pairs,
+    near_partners,
     normalized_pairs,
     parse_point,
     screen_keys,
@@ -96,6 +97,32 @@ def test_screen_keys_differ_by_at_most_the_chordal_distance():
     assert screen_keys([]).shape == (0,)
 
 
+def test_chart_values_have_the_keys_of_their_points():
+    # roots._cluster screens chart values; past |z| = 1e14 a floating point
+    # is infinity, within 1e-14 of the value, and |z| overflows at 1.5e308 (1 + i)
+    values = np.array([0, 1e-9j, 1.0, 1.0 + 0.9e-9j, -1.5e7 + 3j, 0.3 - 2.5j, 1e13j,
+                       -1e200, 1.5e308 + 1.5e308j]
+                      + [complex(math.cos(k), math.sin(3 * k)) * 10 ** (k % 7 - 3)
+                         for k in range(20)])
+    # SpherePoint takes |z| and so cannot hold the last value; it is infinity
+    keys = screen_keys([SpherePoint.finite(complex(v)) for v in values[:8]]
+                       + [SpherePoint.infinity(exact=False)]
+                       + [SpherePoint.finite(complex(v)) for v in values[9:]])
+    assert np.all(np.abs(screen_keys(values) - keys) <= 1e-15)
+
+
+def test_near_partners_pair_a_nan_value_with_the_nan_values_only():
+    values = np.array([complex("nan+nanj") if k % 4 == 0 else complex(k, -k) * 1e-3
+                       for k in range(DIRECT_MAX_POINTS + 4)])
+    partners = near_partners(values, 2.0)  # the diameter: every pair is within reach
+    for i, earlier in enumerate(partners):
+        nan = [j for j in range(i) if np.isnan(values[j])]
+        assert sorted(earlier) == (nan if np.isnan(values[i]) else
+                                   [j for j in range(i) if j not in nan])
+    small = near_partners(values[:DIRECT_MAX_POINTS], 0.0)
+    assert [list(earlier) for earlier in small] == [list(range(i)) for i in range(DIRECT_MAX_POINTS)]
+
+
 def test_floating_infinity_is_not_exact():
     p = SpherePoint(1e20 + 0j, 1.0 + 0j)
     assert p.is_infinity
@@ -151,9 +178,10 @@ def test_dedup_screen_matches_the_scalar_rule(name, p, q, same):
 
 
 @pytest.mark.parametrize("name, p, q, same", SCREEN_CASES, ids=[c[0] for c in SCREEN_CASES])
-def test_the_screened_dedup_matches_the_scalar_rule(name, p, q, same):
-    # a pair is below the size at which dedup_indices screens
-    assert _screened_dedup_indices([p, q], TOL) == ([0] if same else [0, 1])
+def test_the_screened_dedup_matches_the_scalar_rule(name, p, q, same, monkeypatch):
+    # a pair is below the size at which near_partners screens
+    monkeypatch.setattr(ratmap.sphere, "DIRECT_MAX_POINTS", 0)
+    assert dedup_indices([p, q], TOL) == ([0] if same else [0, 1])
 
 
 def _partner(p, ratio, angle):
@@ -194,14 +222,17 @@ def _dedup_case(rng, n):
 
 @pytest.mark.parametrize("n", [0, 1, 2, DIRECT_MAX_POINTS - 1, DIRECT_MAX_POINTS,
                                DIRECT_MAX_POINTS + 1])
-def test_the_direct_and_the_screened_dedup_agree_around_the_crossover(n):
+def test_the_direct_and_the_screened_dedup_agree_around_the_crossover(n, monkeypatch):
     rng = np.random.default_rng(n)
     for _ in range(40):
         points = _dedup_case(rng, n)
         kept = {id(x) for x in _scalar_dedup(points, TOL)}
         want = [i for i, x in enumerate(points) if id(x) in kept]
         assert dedup_indices(points, TOL) == want
-        assert _screened_dedup_indices(points, TOL) == want
+        # the screen, on a set of any size
+        with monkeypatch.context() as m:
+            m.setattr(ratmap.sphere, "DIRECT_MAX_POINTS", 0)
+            assert dedup_indices(points, TOL) == want
 
 
 def test_an_exact_point_beyond_float_range_hashes_and_compares():
