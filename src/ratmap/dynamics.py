@@ -205,13 +205,6 @@ CHART_START_RADIUS = 1.0
 EPSILON = float(np.finfo(float).eps)
 
 
-def _times(x, m, dm):
-    """(f, f') <- (f m, f' m + f m') in place, for x = (f, f')."""
-    tmp = x[0] * dm
-    x *= m
-    x[1] += tmp
-
-
 class _FixedPointEquation:
     """f(w) = u m2 - v m1 = 0 for the fixed points of R^p in a chart.
 
@@ -239,7 +232,7 @@ class _FixedPointEquation:
 
         Each step evaluates (P, Q) by Horner in u in one (2, 3, n) array
         y = ((P, Q, v^i), (P', Q', (v^i)')), whose rows have the multipliers
-        (u, u, v) and derivatives (u', u', v'): a term is one _times
+        (u, u, v) and derivatives (u', u', v'): a term is one
         product-rule update of all three rows, then (P, Q) += (P_i, Q_i) v^i.
         Every entry sees the operations, in the same order, of a walk that
         keeps P, Q, v^i and their derivatives apart, for n = 1 too.
@@ -256,10 +249,13 @@ class _FixedPointEquation:
                 y = np.zeros((2, 3, n), complex)
                 y[0, :2] = self.coef[0]
                 y[0, 2] = 1.0
+                x, vi, y0, y1 = y[:, :2], y[:, 2:], y[0], y[1]
+                tmp, term = np.empty((3, n), complex), np.empty((2, 2, n), complex)
                 for c in self.coef[1:]:
-                    _times(y, m, dm)
-                    y[:, :2] += c * y[:, 2:]
-                x = y[:, :2]
+                    np.multiply(y0, dm, out=tmp)
+                    y *= m
+                    y1 += tmp
+                    x += np.multiply(c, vi, out=term)
                 s = np.maximum(*np.abs(x[0]))
                 if shared_scale:
                     s = s.max()
@@ -671,11 +667,11 @@ def orbit_fate(r: RationalMap, x: SpherePoint, cycles,
             pt = walk.point(n)
         except RatmapError:
             break
-        pair = pt._norm_pair()
-        if pair not in screened:
-            screened[pair] = np.flatnonzero(near_pairs(normalized_pairs([pt]), table, tol)[0])
+        key = pt.norm_pair()
+        if key not in screened:
+            screened[key] = np.flatnonzero(near_pairs(normalized_pairs([pt]), table, tol)[0])
         # only the screened members can pass the tests below, in the same order
-        for k in screened[pair]:
+        for k in screened[key]:
             cyc, cpt = members[k]
             if n == 0 and coincide(pt, cpt, tol):
                 # identity case: the queried point is a cycle point

@@ -30,10 +30,12 @@ Each closure is budgeted by simple preimages.  A point a has
 s(a) = d - sum(val(c) for critical c with R(c) = a) simple preimages, and
 the simple preimages of distinct members of a closure E are distinct
 members of E, so sum(s(a) for a in E) <= |E|.  The closure is given up as
-soon as that sum over the members found so far passes 4, before their
-preimages are solved.  The count taken is a lower bound: a critical value
-within DEFAULT_CLUSTER_RADIUS of a counts as over a, and so does one whose
-evaluation failed.
+soon as that sum over the members found so far passes 4.  Forward images
+are taken before any preimage is solved, so a seed whose forward orbit
+passes the budget costs no solve: on a degree-2 map, every point of a
+critical-free cycle of period 3 or more.  The count taken is a lower
+bound: a critical value within DEFAULT_CLUSTER_RADIUS of a counts as over
+a, and so does one whose evaluation failed.
 """
 
 from __future__ import annotations
@@ -149,41 +151,40 @@ def _closure(r: RationalMap, seed: SpherePoint, crit_pts):
     this closure, so a closure that grows past EXPOSED_BOUND rules the seed out.
     The simple preimages of distinct members are distinct members, so the
     members' simple-preimage counts sum to at most the closure's size: the
-    seed is ruled out, before any preimage is solved, once that sum over
-    the members found so far passes EXPOSED_BOUND.
+    seed is ruled out once that sum over the members found so far passes
+    EXPOSED_BOUND.  The set and its None do not depend on the order in which
+    members are processed, so each member's forward images, one evaluation
+    each, are taken as it is added, before any further preimage is solved: a
+    seed whose forward orbit passes the budget costs no solve.
     """
     tol = r.tolerance
     pts = []
-    queue = []
     simple = 0
 
     def ruled_out(p):
+        """Add p and its forward images; True once they rule the seed out."""
         nonlocal simple
-        pts.append(p)
-        queue.append(p)
-        simple += _simple_preimage_count(r, p)
-        return len(pts) > EXPOSED_BOUND or simple > EXPOSED_BOUND
+        while True:
+            pts.append(p)
+            simple += _simple_preimage_count(r, p)
+            if len(pts) > EXPOSED_BOUND or simple > EXPOSED_BOUND:
+                return True
+            if contains_point(crit_pts, p, tol):
+                return False
+            p = r.evaluate(p)
+            if contains_point(pts, p, tol):
+                return False
 
-    if ruled_out(seed):
-        return None
-    while queue:
-        a = queue.pop()
-        if not contains_point(crit_pts, a, tol):
-            try:
-                fa = r.evaluate(a)
-            except RatmapError:
-                return None
-            if not contains_point(pts, fa, tol) and ruled_out(fa):
-                return None
-        try:
-            pres = r.preimages(a)
-        except RatmapError:
+    try:
+        if ruled_out(seed):
             return None
-        for pre, mult in pres:
-            if mult > 1:
-                continue  # critical preimage: not forced into the set
-            if not contains_point(pts, pre, tol) and ruled_out(pre):
-                return None
+        for a in pts:  # pts grows as it is walked
+            for pre, mult in r.preimages(a):
+                # a critical preimage is not forced into the set
+                if mult == 1 and not contains_point(pts, pre, tol) and ruled_out(pre):
+                    return None
+    except RatmapError:
+        return None
     return pts
 
 

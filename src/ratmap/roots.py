@@ -227,8 +227,8 @@ def _linked(points, radius, radii, i, j) -> bool:
     if radii is None:
         return _chordal_c(points[i], points[j]) <= radius
     gap = abs(points[i] - points[j])
-    if max(radii[i], radii[j]) < 1e-3 * gap:
-        return False  # both resolved: distinct simple roots
+    if radii[i] < 1e-3 * gap and radii[j] < 1e-3 * gap:
+        return False  # both resolved (a NaN radius never is): distinct simple roots
     # a root of multiplicity m scatters its approximations over about
     # eps^(1/m), which passes the radius for m >= 3; their uncertainty
     # discs still overlap

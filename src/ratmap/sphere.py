@@ -9,7 +9,10 @@ degree drop, or the representation epsilon below).
 Floating canonicalization uses a representation epsilon of 1e-14: a pair
 whose second component is that far below the first is within 1e-14 of
 infinity in the chordal metric, far inside every tolerance this package
-works at, and flipping it to (1 : 0) keeps chart values bounded.
+works at, and flipping it to (1 : 0) keeps chart values bounded, also for
+a floating z past float range.  A point decides is_infinity and is_exact
+when it is built, and its floating pair and norm (norm_pair, which chordal,
+normalized_pairs and orbit_fate's screen read) when first asked.
 
 near_partners decides which pairs of a set of points can lie within a
 chordal reach, for dedup_indices and for roots._cluster.  Above
@@ -39,15 +42,18 @@ DIRECT_MAX_POINTS = 8
 
 
 class SpherePoint:
-    __slots__ = ("z", "w")
+    __slots__ = ("z", "w", "is_infinity", "is_exact", "_chart")
 
     def __init__(self, z, w):
-        z = as_scalar(z)
-        w = as_scalar(w)
+        # a complex is already what as_scalar would make of it
+        z = z if type(z) is complex else as_scalar(z)
+        w = w if type(w) is complex else as_scalar(w)
+        self._chart = None
         if is_exact(z) and is_exact(w):
             z = z if isinstance(z, GaussianRational) else GaussianRational(z)
             w = w if isinstance(w, GaussianRational) else GaussianRational(w)
-            if w.is_zero():
+            self.is_exact, self.is_infinity = True, w.is_zero()
+            if self.is_infinity:
                 if z.is_zero():
                     raise ValueError("(0 : 0) is not a point of the sphere")
                 self.z, self.w = GaussianRational(1), GaussianRational(0)
@@ -61,7 +67,15 @@ class SpherePoint:
             raise ValueError("non-finite component; points never store NaN or inf")
         if zc == 0 and wc == 0:
             raise ValueError("(0 : 0) is not a point of the sphere")
-        if abs(wc) <= REPRESENTATION_EPS * abs(zc):
+        self.is_exact = False
+        try:
+            self.is_infinity = abs(wc) <= REPRESENTATION_EPS * abs(zc)
+        except OverflowError:
+            # a modulus past float range: quarters keep the ratio, and their
+            # moduli and quotient stay in range
+            zc, wc = zc / 4, wc / 4
+            self.is_infinity = abs(wc) <= REPRESENTATION_EPS * abs(zc)
+        if self.is_infinity:
             # infinity reached through floating data stays floating: it is
             # numerical knowledge, and must not pass exact-equality checks
             self.z, self.w = complex(1.0), complex(0.0)
@@ -70,24 +84,13 @@ class SpherePoint:
 
     @classmethod
     def finite(cls, value):
-        return cls(as_scalar(value), 1)
+        return cls(value, 1)
 
     @classmethod
     def infinity(cls, exact: bool = True):
         if exact:
             return cls(GaussianRational(1), GaussianRational(0))
         return cls(complex(1.0), complex(0.0))
-
-    @property
-    def is_infinity(self) -> bool:
-        w = self.w
-        if isinstance(w, GaussianRational):
-            return w.is_zero()
-        return w == 0
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.z, GaussianRational)
 
     def value(self):
         """Chart value z/w; only defined for finite points."""
@@ -107,25 +110,24 @@ class SpherePoint:
             return SpherePoint.infinity(exact=False)
         return SpherePoint(zc, complex(1.0))
 
-    def _norm_pair(self):
-        if self.is_infinity:
-            return 1.0 + 0.0j, 0.0j
-        try:
-            zc = complex(self.z)
-        except OverflowError:
-            return 1.0 + 0.0j, 0.0j
-        if not (math.isfinite(zc.real) and math.isfinite(zc.imag)):
-            return 1.0 + 0.0j, 0.0j
-        return zc, 1.0 + 0.0j
+    def norm_pair(self):
+        """((z, w), |(z, w)|), computed once: (z : 1) for a finite point whose
+        floating value and norm are in float range, else (1 : 0)."""
+        if self._chart is None:
+            try:
+                zc = complex(self.z)
+                norm = math.hypot(abs(zc), 1.0)
+            except OverflowError:  # beyond float range: chordally indistinguishable from infinity
+                norm = math.inf
+            finite = not self.is_infinity and math.isfinite(norm)
+            self._chart = ((zc, 1.0 + 0.0j), norm) if finite else ((1.0 + 0.0j, 0.0j), 1.0)
+        return self._chart
 
     def chordal(self, other: "SpherePoint") -> float:
         """Chordal metric d(p,q) = 2|z1 w2 - z2 w1| / (|p| |q|), diameter 2."""
-        z1, w1 = self._norm_pair()
-        z2, w2 = other._norm_pair()
-        cross = abs(z1 * w2 - z2 * w1)
-        n1 = math.hypot(abs(z1), abs(w1))
-        n2 = math.hypot(abs(z2), abs(w2))
-        return 2.0 * cross / (n1 * n2)
+        (z1, w1), n1 = self.norm_pair()
+        (z2, w2), n2 = other.norm_pair()
+        return 2.0 * abs(z1 * w2 - z2 * w1) / (n1 * n2)
 
     def __eq__(self, other):
         if not isinstance(other, SpherePoint):
@@ -233,7 +235,7 @@ def normalized_pairs(points) -> np.ndarray:
         outer = np.abs(points) > 1.0
         a = np.stack([np.where(outer, 1.0, points), np.where(outer, 1.0 / points, 1.0)], axis=1)
     else:
-        a = np.array([x._norm_pair() for x in points], dtype=complex).reshape(-1, 2)
+        a = np.array([x.norm_pair()[0] for x in points], dtype=complex).reshape(-1, 2)
     # hypot, unlike the norm's sum of squares, does not overflow past |z| = 1e154
     return a / np.hypot(np.abs(a[:, :1]), np.abs(a[:, 1:]))
 

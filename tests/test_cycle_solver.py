@@ -508,6 +508,49 @@ def test_the_one_array_walk_matches_the_frozen_walk(key, twin):
             _assert_bitwise_equal(eq.walk(w), _frozen_walk(eq, w))
 
 
+def _indexed_walk(eq, w, shared_scale=False):
+    """_FixedPointEquation.walk as it was with one array y = ((P, Q, v^i),
+    (P', Q', (v^i)')) indexed afresh at each Horner term."""
+    def times(x, m, dm):
+        tmp = x[0] * dm
+        x *= m
+        x[1] += tmp
+
+    alpha, beta, gamma, delta = eq.chart
+    with np.errstate(all="ignore"):
+        m1, m2 = alpha * w + beta, gamma * w + delta
+        state = np.array([[m1, m2], [np.full_like(w, alpha), np.full_like(w, gamma)]])
+        for n in eq.steps or [len(w)] * eq.p:
+            m, dm = state[:, [0, 0, 1], :n]
+            y = np.zeros((2, 3, n), complex)
+            y[0, :2] = eq.coef[0]
+            y[0, 2] = 1.0
+            for c in eq.coef[1:]:
+                times(y, m, dm)
+                y[:, :2] += c * y[:, 2:]
+            x = y[:, :2]
+            s = np.maximum(*np.abs(x[0]))
+            if shared_scale:
+                s = s.max()
+            np.divide(x, s, out=state[:, :, :n])
+        (u, v), (du, dv) = state
+        return m1, m2, u, v, u * m2 - v * m1, du * m2 + u * gamma - dv * m1 - v * alpha
+
+
+@pytest.mark.parametrize("key, twin", WORKED[3:] + [(index, True) for index in (3, 4, 6)])
+@pytest.mark.parametrize("n", [1, 2, 17, 158])
+def test_the_buffered_walk_matches_the_indexed_walk(key, twin, n):
+    rf = _parity_map(key, twin).floating()
+    # the start circle, with rows that overflow to inf and NaN for n > 1
+    w = start_circle(n, CHART_START_RADIUS)
+    w[1::16] = 1e200 + 1e200j
+    # non-increasing periods, one per row
+    rows = sorted((1 + k % 3 for k in range(n)), reverse=True)
+    for eq in (_FixedPointEquation(rf, 3), _FixedPointEquation(rf, rows)):
+        for shared in (False, True):
+            _assert_bitwise_equal(eq.walk(w, shared), _indexed_walk(eq, w, shared))
+
+
 @pytest.mark.parametrize("doc, twin", WORKED)
 def test_an_analysis_screens_only_the_sets_above_the_crossover(doc, twin, monkeypatch):
     # of about 40 dedups and 25 clusterings per worked map, only the dedup of

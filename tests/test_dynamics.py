@@ -140,7 +140,7 @@ def test_orbit_fate_screens_each_distinct_prefix_point_once(twin, monkeypatch):
     fate = orbit_fate(r, SpherePoint.finite(0.0 if twin else 0), cycles)
     prefix = fate.walk.points[:65]
     assert len(prefix) == 65 and prefix[-1].is_infinity
-    assert len(calls) == len({x._norm_pair() for x in prefix}) == (9 if twin else 13)
+    assert len(calls) == len({x.norm_pair() for x in prefix}) == (9 if twin else 13)
 
 
 def _scalar_landing(r, x, cycles):

@@ -228,6 +228,19 @@ def test_the_link_reach_is_attained_by_a_pair_linked_through_its_radii():
     assert chordal <= _link_reach(DEFAULT_CLUSTER_RADIUS, radii)
 
 
+def test_a_pair_with_a_nan_radius_links_alike_in_either_order():
+    # a NaN radius is never resolved, so a resolved partner does not veto
+    # the link: the pair links by the chordal radius alone
+    z = np.array([0j, 1e-7 + 0j])
+    radii = np.array([np.nan, 1e-12])
+    swapped_z, swapped_radii = z[::-1].copy(), radii[::-1].copy()
+    assert _linked(z, 1e-6, radii, 0, 1)
+    assert _linked(z, 1e-6, radii, 1, 0)
+    assert _linked(swapped_z, 1e-6, swapped_radii, 0, 1)
+    assert _linked(swapped_z, 1e-6, swapped_radii, 1, 0)
+    assert not _linked(z, 1e-7, radii, 1, 0)
+
+
 def test_an_exact_square_free_factor_is_not_clustered(monkeypatch):
     calls = []
     cluster = ratmap.roots._cluster

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -358,16 +359,30 @@ def test_a_seed_that_is_no_critical_value_of_a_quintic_costs_no_solve(monkeypatc
     assert _closure(r, INFINITY, crit_pts) == [INFINITY]
 
 
+def test_a_period_3_point_of_a_quadratic_costs_no_solve(monkeypatch):
+    # z^2 - 2 has no critical value in the 3-cycle of 2 cos(2 pi / 7), so its
+    # forward orbit alone holds 3 points of 2 simple preimages each
+    r = RationalMap(Polynomial([1, 0, -2]), Polynomial([1]))
+    crit_pts = [c.point for c in critical_points(r)]
+    r.critical_values()
+    calls = []
+    find_roots = ratmap.rational.find_roots
+    monkeypatch.setattr(ratmap.rational, "find_roots", lambda *a: calls.append(a) or find_roots(*a))
+    assert _closure(r, SpherePoint.finite(2.0 * math.cos(2.0 * math.pi / 7.0)), crit_pts) is None
+    assert calls == []
+
+
 @pytest.mark.parametrize("twin", [False, True])
 def test_uncached_preimage_solves_over_ten_corpus_maps(twin, monkeypatch):
-    # 398 in either mode before closures were budgeted by simple preimages
+    # 398 in either mode before closures were budgeted by simple preimages,
+    # 62 before forward images were taken ahead of every preimage solve
     solves = []
     target = RationalMap._target_polynomial
     monkeypatch.setattr(RationalMap, "_target_polynomial",
                         lambda self, y: solves.append(y) or target(self, y))
     for index in range(10):
         run_analysis(_corpus_map(index, twin))
-    assert len(solves) == 62
+    assert len(solves) == 47
 
 
 def test_frontier_dedup_keeps_the_first_node_of_each_point_and_valency():

@@ -104,11 +104,18 @@ def test_chart_values_have_the_keys_of_their_points():
                        -1e200, 1.5e308 + 1.5e308j]
                       + [complex(math.cos(k), math.sin(3 * k)) * 10 ** (k % 7 - 3)
                          for k in range(20)])
-    # SpherePoint takes |z| and so cannot hold the last value; it is infinity
-    keys = screen_keys([SpherePoint.finite(complex(v)) for v in values[:8]]
-                       + [SpherePoint.infinity(exact=False)]
-                       + [SpherePoint.finite(complex(v)) for v in values[9:]])
+    keys = screen_keys([SpherePoint.finite(complex(v)) for v in values])
     assert np.all(np.abs(screen_keys(values) - keys) <= 1e-15)
+
+
+def test_a_floating_pair_past_float_range_keeps_its_ratio():
+    big = 1.5e308 + 1.5e308j  # its modulus overflows
+    for z, w in ((big, 1), (big, 1e290), (-big, 1j)):
+        p = SpherePoint(z, w)
+        assert p.is_infinity and not p.is_exact
+    assert SpherePoint(big, big).value() == 1.0
+    tiny = SpherePoint(1.0, big)
+    assert not tiny.is_infinity and tiny.value() != 0 and abs(tiny.value()) < 1e-308
 
 
 def test_near_partners_pair_a_nan_value_with_the_nan_values_only():
@@ -255,3 +262,63 @@ def test_dedup_of_a_mixed_list_matches_the_scalar_rule():
     points = points + points[::-1]
     assert [id(x) for x in dedup_points(points, TOL)] == \
         [id(x) for x in _scalar_dedup(points, TOL)]
+
+
+def _uncached_is_infinity(p):
+    """SpherePoint.is_infinity as it was, a property read from w."""
+    if isinstance(p.w, GaussianRational):
+        return p.w.is_zero()
+    return p.w == 0
+
+
+def _uncached_pair(p):
+    """The floating pair that chordal read, computed afresh at each call."""
+    if _uncached_is_infinity(p):
+        return 1.0 + 0.0j, 0.0j
+    try:
+        zc = complex(p.z)
+    except OverflowError:
+        return 1.0 + 0.0j, 0.0j
+    if not (math.isfinite(zc.real) and math.isfinite(zc.imag)):
+        return 1.0 + 0.0j, 0.0j
+    return zc, 1.0 + 0.0j
+
+
+def _uncached_chordal(p, q):
+    (z1, w1), (z2, w2) = _uncached_pair(p), _uncached_pair(q)
+    cross = abs(z1 * w2 - z2 * w1)
+    return 2.0 * cross / (math.hypot(abs(z1), abs(w1)) * math.hypot(abs(z2), abs(w2)))
+
+
+def test_cached_chart_data_match_their_definitions_bit_for_bit():
+    points = [
+        SpherePoint(GaussianRational(6), GaussianRational(-4)),  # exact finite
+        SpherePoint(Fraction(1, 3), 2),
+        SpherePoint.finite(GaussianRational(10**400)),  # beyond float range
+        SpherePoint.finite(GaussianRational(3 * 10**200, -10**200)),
+        SpherePoint(GaussianRational(5), GaussianRational(0)),  # exact infinity
+        INFINITY,
+        SpherePoint(0.3 - 2.5j, 1.0 + 2.0j),  # floating finite
+        SpherePoint(np.complex128(-1.5e7 + 3j), 1),
+        SpherePoint(GaussianRational(1, 3), 0.7),
+        SpherePoint(1e-9j, 1.0),
+        SpherePoint(1e20 + 0j, 1.0 + 0j),  # the epsilon flip to infinity
+        SpherePoint(1.0, 1e-15),
+        SpherePoint.finite(GaussianRational(10**400)).to_float(),  # to_float overflow
+        SpherePoint.finite(GaussianRational(-7, 3)).to_float(),
+        SpherePoint.finite(2.5),
+        SpherePoint.finite(-0.0),
+        SpherePoint.finite(Fraction(-1, 7)),
+        SpherePoint.infinity(exact=False),
+        parse_point("inf"),
+        parse_point("-1/2"),
+        parse_point("0.25 - 3i"),
+    ]
+    for p in points:
+        assert p.is_infinity is _uncached_is_infinity(p)
+        assert p.is_exact is isinstance(p.z, GaussianRational)
+        for q in points:
+            assert repr(p.chordal(q)) == repr(_uncached_chordal(p, q))
+    pairs = np.array([_uncached_pair(p) for p in points])
+    want = pairs / np.hypot(np.abs(pairs[:, :1]), np.abs(pairs[:, 1:]))
+    assert normalized_pairs(points).tobytes() == want.tobytes()
