@@ -33,7 +33,7 @@ from .restricted import (
     julia_exposed_partition,
     ro_related,
 )
-from .atlas import Atlas, StableRegion, build_atlas
+from .atlas import Atlas, IsotropyGroup, StableRegion, build_atlas, isotropy_of
 from .algebra import ExtensionSeq, SixSquare, normalize, render
 from .synth import (
     ExposureResolver,
@@ -42,7 +42,7 @@ from .synth import (
     julia_orbit_algebra,
     region_extension,
 )
-from .primitive import IsotropyGroup, PointContext, isotropy_of, primitive_catalog
+from .primitive import primitive_catalog
 from .report import AnalysisConfig, RenderConfig, Report, parse_map, run_analysis
 from .render import render_julia
 
@@ -76,8 +76,10 @@ __all__ = [
     "julia_exposed_partition",
     # atlas
     "Atlas",
+    "IsotropyGroup",
     "StableRegion",
     "build_atlas",
+    "isotropy_of",
     # algebra + synthesis
     "ExtensionSeq",
     "SixSquare",
@@ -89,9 +91,6 @@ __all__ = [
     "region_extension",
     "full_decomposition",
     # primitive ideals
-    "IsotropyGroup",
-    "PointContext",
-    "isotropy_of",
     "primitive_catalog",
     # reporting
     "AnalysisConfig",

@@ -14,13 +14,20 @@ The classes making up the critical/periodic bookkeeping are split into
 the part carrying a non-critical periodic orbit (attracting and Siegel
 anchor cycles) and the rest (critical records), which is exactly the
 partition the six-extension square is built from.
+
+isotropy_of is the one rule that picks a class's isotropy group G_x from
+its representative's record, whose lands_on_critical_cycle the atlas
+decides once; synth builds every class summand C*(G_x) tensor K_x from the
+group's factors, and primitive parametrizes the ideals over x by its dual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import AtlasInvariantError, DeclarationError
+from .algebra import CantorAlg, CircleAlg, FinitePower, Scalars
+from .dynamics import INFINITE
+from .errors import AtlasInvariantError, DeclarationError, RatmapError
 from .rational import RationalMap
 from .restricted import DeclaredStructures, ro_witness
 from .sphere import SpherePoint, point_sort_key
@@ -44,6 +51,7 @@ class CriticalOrbitRecord:
     region_id: int
     preperiodic: bool
     asymptotic_valency: object  # int, INFINITE, or None when undetermined
+    lands_on_critical_cycle: bool = False
     ro_representative: bool = True
     ro_class_id: int | None = None
     obstruction: str | None = None
@@ -67,13 +75,79 @@ class StableRegion:
 
 @dataclass
 class IotaClass:
+    """A bookkeeping class: a region's anchor cycle, represented by its least
+    point, or a restricted-orbit class of critical records, represented by
+    its least record."""
+
     class_id: int
-    kind: str  # "periodic" | "critical"
     representative: SpherePoint
     region_id: int
-    preperiodic: bool | None = None
-    asymptotic_valency: object = None
-    lands_on_critical_cycle: bool | None = None
+    record: CriticalOrbitRecord | None = None  # None for an anchor cycle
+
+    @property
+    def kind(self) -> str:
+        return "periodic" if self.record is None else "critical"
+
+
+# isotropy kind -> (the group, the cardinality class of its dual, the tensor
+# factors of its C*-algebra); n is the order of the finite part
+_ISOTROPY = {
+    "Z": ("Z", "circle", lambda n: [CircleAlg()]),
+    "finite_cyclic": ("Z_{n}", "finite({n})", lambda n: [FinitePower(Scalars(), n)]),
+    "Z_plus_finite_cyclic": ("Z + Z_{n}", "circle x finite({n})",
+                             lambda n: [FinitePower(Scalars(), n), CircleAlg()]),
+    "subgroup_of_Q_mod_Z": ("infinite subgroup of Q/Z", "cantor", lambda n: [CantorAlg()]),
+}
+
+
+@dataclass(frozen=True)
+class IsotropyGroup:
+    kind: str  # a key of _ISOTROPY
+    order: int | None = None  # finite part, when applicable
+
+    def _column(self, column: int):
+        if self.kind not in _ISOTROPY:
+            raise ValueError(self.kind)
+        return _ISOTROPY[self.kind][column]
+
+    def describe(self) -> str:
+        return self._column(0).format(n=self.order)
+
+    def dual_cardinality(self) -> str:
+        return self._column(1).format(n=self.order)
+
+    def factors(self) -> list:
+        """The tensor factors of C*(G), in the order a class summand prints them."""
+        return self._column(2)(self.order)
+
+    def parametrization(self) -> dict:
+        """A catalog entry's parametrization: the family over this group's dual."""
+        return {
+            "kind": "dual_of_isotropy",
+            "group": self.describe(),
+            "cardinality": self.dual_cardinality(),
+        }
+
+
+def isotropy_of(record) -> IsotropyGroup:
+    """The isotropy group of a bookkeeping class or exposed orbit.
+
+    record is None for a point of a cycle with no critical point, whose
+    group is Z.  Otherwise it is the record of a critical point (a
+    CriticalOrbitRecord, or an ExposedOrbit holding the point): an infinite
+    subgroup of Q/Z when the point lands on a critical cycle, else Z + Z_v
+    when it is pre-periodic and Z_v when it is not, for v its asymptotic
+    valency.  RatmapError when that valency is not finite.
+    """
+    if record is None:
+        return IsotropyGroup("Z")
+    if record.lands_on_critical_cycle:
+        return IsotropyGroup("subgroup_of_Q_mod_Z")
+    v = record.asymptotic_valency
+    if v is None or v == INFINITE:
+        raise RatmapError("context unresolved: finite asymptotic valency required")
+    return IsotropyGroup("Z_plus_finite_cyclic" if record.preperiodic else "finite_cyclic",
+                         order=int(v))
 
 
 @dataclass
@@ -216,6 +290,7 @@ def build_atlas(r: RationalMap, cycles, fates, declared=DeclaredStructures(), *,
                 region_id=region_id,
                 preperiodic=(fate.kind == "preperiodic"),
                 asymptotic_valency=cf.asymptotic_valency,
+                lands_on_critical_cycle=fate.lands_on_critical_cycle(cycles),
                 obstruction=None if cf.error is None else str(cf.error),
             )
         )
@@ -243,31 +318,11 @@ def build_atlas(r: RationalMap, cycles, fates, declared=DeclaredStructures(), *,
             else:
                 rec.ro_representative = False
                 rec.ro_class_id = records[j].ro_class_id
-        for j in reps:
-            rep = records[j]
-            iota_c.append(IotaClass(
-                class_id=rep.ro_class_id,
-                kind="critical",
-                representative=rep.point,
-                region_id=region.region_id,
-                preperiodic=rep.preperiodic,
-                asymptotic_valency=rep.asymptotic_valency,
-                # a preperiodic record lands on the anchor cycle, which
-                # holds a critical point exactly when it is superattracting
-                lands_on_critical_cycle=(
-                    rep.preperiodic and region.core.kind == "superattracting"
-                ),
-            ))
+        iota_c.extend(IotaClass(records[j].ro_class_id, records[j].point, region.region_id,
+                                records[j]) for j in reps)
         if region.has_noncritical_periodic:
-            iota_p.append(IotaClass(
-                class_id=class_counter,
-                kind="periodic",
-                representative=cycles[region.anchor_cycle_id].points[0],
-                region_id=region.region_id,
-                preperiodic=True,
-                asymptotic_valency=1,
-                lands_on_critical_cycle=False,
-            ))
+            iota_p.append(IotaClass(class_counter, cycles[region.anchor_cycle_id].points[0],
+                                    region.region_id))
             class_counter += 1
         if region.core.kind in ("attracting", "parabolic") and not region.critical_records:
             warnings.append({

@@ -631,6 +631,10 @@ class OrbitFate:
     # the walk the fate was read from, for callers that read the orbit again
     walk: Orbit = field(kw_only=True, compare=False, repr=False)
 
+    def lands_on_critical_cycle(self, cycles) -> bool:
+        """True when the orbit lands exactly on a cycle holding a critical point."""
+        return self.kind == "preperiodic" and cycles[self.cycle_id].contains_critical
+
 
 def _reverify_landing(r: RationalMap, x: SpherePoint, cyc, n: int, tol: float) -> bool:
     """Floating landings must survive a perturbed re-run (preperiodicity is
@@ -742,7 +746,7 @@ def asymptotic_valency(r: RationalMap, fate: OrbitFate, *, cycles, crit_points):
     if fate.kind == "preperiodic":
         # a failing valency wins; past a non-critical cycle every valency is 1
         product = walk.valency(fate.step)
-        return INFINITE if cycles[fate.cycle_id].contains_critical else product
+        return INFINITE if fate.lands_on_critical_cycle(cycles) else product
 
     if fate.kind == "converges":
         cyc = cycles[fate.cycle_id]

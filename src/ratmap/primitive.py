@@ -4,8 +4,9 @@ Co-supports are prime closed invariant sets: the Julia set, a finite
 restricted orbit, a finite Fatou class together with the Julia set, or
 the closure of a free Fatou orbit.  Ideals over a co-support with an
 isolated periodic or critical point form a family over the dual of that
-point's isotropy group; the duals are kept symbolic (named group plus a
-cardinality class), never enumerated.
+point's isotropy group, which atlas.isotropy_of picks by the same rule
+that gives the point's class summand C*(G_x) tensor K_x; the duals are kept
+symbolic (named group plus a cardinality class), never enumerated.
 """
 
 from __future__ import annotations
@@ -20,77 +21,10 @@ from .algebra import (
     expr_to_json,
     render,
 )
-from .dynamics import INFINITE
+from .atlas import isotropy_of
 from .errors import RatmapError
 from .sphere import contains_point, point_sort_key, point_str
 from .synth import case_iv_diagram
-
-
-# isotropy kind -> (group, cardinality class of its dual); {n} is the
-# order of the finite part
-_ISOTROPY_TEXT = {
-    "trivial": ("trivial", "single"),
-    "Z": ("Z", "circle"),
-    "finite_cyclic": ("Z_{n}", "finite({n})"),
-    "Z_plus_finite_cyclic": ("Z + Z_{n}", "circle x finite({n})"),
-    "subgroup_of_Q_mod_Z": ("infinite subgroup of Q/Z", "cantor"),
-}
-
-
-@dataclass(frozen=True)
-class IsotropyGroup:
-    kind: str  # a key of _ISOTROPY_TEXT
-    order: int | None = None  # finite part, when applicable
-
-    def _text(self, column: int) -> str:
-        if self.kind not in _ISOTROPY_TEXT:
-            raise ValueError(self.kind)
-        return _ISOTROPY_TEXT[self.kind][column].format(n=self.order)
-
-    def describe(self) -> str:
-        return self._text(0)
-
-    def dual_cardinality(self) -> str:
-        return self._text(1)
-
-    def parametrization(self) -> dict:
-        """A catalog entry's parametrization: the family over this group's dual."""
-        return {
-            "kind": "dual_of_isotropy",
-            "group": self.describe(),
-            "cardinality": self.dual_cardinality(),
-        }
-
-
-@dataclass
-class PointContext:
-    """Everything isotropy classification needs to know about a point."""
-
-    periodic: bool
-    critical: bool
-    preperiodic: bool
-    lands_on_critical_cycle: bool | None = None
-    asymptotic_valency: object = None
-
-
-def isotropy_of(ctx: PointContext) -> IsotropyGroup:
-    """Isotropy group of a periodic or critical point, by case analysis."""
-    if not ctx.critical:
-        if not ctx.periodic and not ctx.preperiodic:
-            raise RatmapError("context unresolved: neither periodic nor critical")
-        return IsotropyGroup("Z")
-    if ctx.periodic or ctx.lands_on_critical_cycle:
-        return IsotropyGroup("subgroup_of_Q_mod_Z")
-    if ctx.preperiodic is None:
-        raise RatmapError("context unresolved: pre-periodicity unknown")
-    v = ctx.asymptotic_valency
-    if v is None or v == INFINITE:
-        raise RatmapError(
-            "context unresolved: finite asymptotic valency required",
-        )
-    if ctx.preperiodic:
-        return IsotropyGroup("Z_plus_finite_cyclic", order=int(v))
-    return IsotropyGroup("finite_cyclic", order=int(v))
 
 
 @dataclass
@@ -131,22 +65,9 @@ class PrimitiveCatalog:
         }
 
 
-def _orbit_entry(orbit, cycles) -> PrimitiveIdealEntry:
+def _orbit_entry(orbit) -> PrimitiveIdealEntry:
     """Type-(ii) entry: co-support a finite restricted orbit."""
-    if orbit.contains_critical:
-        landing_critical = None
-        if orbit.landing_cycle_id is not None:
-            landing_critical = cycles[orbit.landing_cycle_id].contains_critical
-        ctx = PointContext(
-            periodic=False,
-            critical=True,
-            preperiodic=(orbit.orbit_type == 2),
-            lands_on_critical_cycle=landing_critical,
-            asymptotic_valency=orbit.asymptotic_valency,
-        )
-    else:
-        ctx = PointContext(periodic=True, critical=False, preperiodic=True)
-    group = isotropy_of(ctx)
+    group = isotropy_of(orbit if orbit.contains_critical else None)
     pts = sorted((point_str(p) for p in orbit.points))
     return PrimitiveIdealEntry(
         co_support={"kind": "exposed_orbit", "points": pts},
@@ -175,51 +96,35 @@ def primitive_catalog(atlas, decomposition, exposed_scan, cycles,
         label="kernel of the Julia quotient map",
     ))
 
-    for orbit in sorted(
-        exposed_scan.orbits, key=lambda o: (o.size,) + point_sort_key(o.points[0])
-    ):
-        entries.append(_orbit_entry(orbit, cycles))
+    entries.extend(_orbit_entry(orbit) for orbit in exposed_scan.orbits)
 
     # type (iii): bookkeeping classes in the Fatou set, outside the exposed set
-    exposed_points = exposed_scan.union
     julia_corner = decomposition.square.corners["julia"]
+    perturbation = ExtensionSeq(
+        ideal=Compacts(),
+        total=NamedUnknown("C*_r(R)/I"),
+        quotient=julia_corner,
+        label="compact perturbation of the Julia quotient",
+    )
     for cls in sorted(
         atlas.iota_p + atlas.iota_c, key=lambda c: point_sort_key(c.representative)
     ):
-        if contains_point(exposed_points, cls.representative, resolver.tolerance):
+        if contains_point(exposed_scan.union, cls.representative, resolver.tolerance):
             continue
-        ctx = PointContext(
-            periodic=(cls.kind == "periodic"),
-            critical=(cls.kind == "critical"),
-            preperiodic=cls.preperiodic,
-            lands_on_critical_cycle=cls.lands_on_critical_cycle,
-            asymptotic_valency=cls.asymptotic_valency,
-        )
+        point = point_str(cls.representative)
         try:
-            group = isotropy_of(ctx)
+            parametrization, quotient, unresolved = (
+                isotropy_of(cls.record).parametrization(), perturbation, "")
         except RatmapError as err:
-            entries.append(PrimitiveIdealEntry(
-                co_support={"kind": "orbit_plus_julia",
-                            "point": point_str(cls.representative)},
-                parametrization={"kind": "unresolved", "reason": str(err)},
-                quotient=NamedUnknown("C*_r(R)/I"),
-                simple=False,
-                label=f"ideals over RO({point_str(cls.representative)}) u J_R (unresolved)",
-            ))
-            continue
-        ext = ExtensionSeq(
-            ideal=Compacts(),
-            total=NamedUnknown("C*_r(R)/I"),
-            quotient=julia_corner,
-            label="compact perturbation of the Julia quotient",
-        )
+            parametrization, quotient, unresolved = (
+                {"kind": "unresolved", "reason": str(err)}, NamedUnknown("C*_r(R)/I"),
+                " (unresolved)")
         entries.append(PrimitiveIdealEntry(
-            co_support={"kind": "orbit_plus_julia",
-                        "point": point_str(cls.representative)},
-            parametrization=group.parametrization(),
-            quotient=ext,
+            co_support={"kind": "orbit_plus_julia", "point": point},
+            parametrization=parametrization,
+            quotient=quotient,
             simple=False,
-            label=f"ideals over RO({point_str(cls.representative)}) u J_R",
+            label=f"ideals over RO({point}) u J_R{unresolved}",
         ))
 
     # type (iv): one family per stable region, over its free orbits

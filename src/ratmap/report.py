@@ -494,9 +494,9 @@ def run_analysis(r: RationalMap, config: AnalysisConfig | None = None) -> Report
             "iota_c": [
                 {"class": c.class_id, "representative": point_str(c.representative),
                  "region": c.region_id,
-                 "preperiodic": c.preperiodic,
-                 "asymptotic_valency": _valency_json(c.asymptotic_valency),
-                 "lands_on_critical_cycle": c.lands_on_critical_cycle}
+                 "preperiodic": c.record.preperiodic,
+                 "asymptotic_valency": _valency_json(c.record.asymptotic_valency),
+                 "lands_on_critical_cycle": c.record.lands_on_critical_cycle}
                 for c in atlas.iota_c
             ],
             "unresolved_critical": [

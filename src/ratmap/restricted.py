@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dynamics import Orbit, critical_points, make_cycle
+from .dynamics import Orbit, make_cycle
 from .errors import JuliaMembershipUndeterminedError, RatmapError
 from .rational import RationalMap
 from .roots import DEFAULT_CLUSTER_RADIUS
@@ -111,11 +111,15 @@ class ExposedOrbit:
     contains_critical: bool
     in_julia: bool | None
     asymptotic_valency: object  # int, INFINITE, or None for type 1
-    landing_cycle_id: int | None = None
+    lands_on_critical_cycle: bool = False
 
     @property
     def size(self) -> int:
         return len(self.points)
+
+    @property
+    def preperiodic(self) -> bool:
+        return self.orbit_type == 2
 
 
 @dataclass
@@ -315,14 +319,17 @@ def exposed_orbits(r: RationalMap, cycles, fates,
     The search scope is part of the result's truncation metadata: absence
     of further exposed sets is only claimed within these bounds.
 
-    fates maps every critical point to its CriticalFate record, as
-    dynamics.critical_fate computes it; a critical member of a candidate
-    reads the record of the critical point it coincides with.  declared
-    holds the declarations bind_declarations bound to the cycles, and
-    decides each landing cycle's Julia side.
+    fates maps every critical point, in the order of critical_points, to
+    its CriticalFate record, as dynamics.critical_fate computes it; its keys
+    are the critical points the scan seeds and tests against, and a critical
+    member of a candidate reads the record of the critical point it
+    coincides with.  declared holds the declarations bind_declarations bound
+    to the cycles, and decides each landing cycle's Julia side.
+
+    The orbits come sorted by size, then by least point.
     """
     tol = r.tolerance
-    crit_pts = [c.point for c in critical_points(r)]
+    crit_pts = list(fates)
 
     # each seed with the critical-free cycle it lies on, or None
     pool = [(p, None) for p in crit_pts]
@@ -397,7 +404,6 @@ def exposed_orbits(r: RationalMap, cycles, fates,
                 contains_critical=False,
                 in_julia=declared.in_julia(cyc),
                 asymptotic_valency=None,
-                landing_cycle_id=cyc.cycle_id if cyc.cycle_id >= 0 else None,
             ))
             continue
 
@@ -436,7 +442,7 @@ def exposed_orbits(r: RationalMap, cycles, fates,
             contains_critical=True,
             in_julia=in_julia,
             asymptotic_valency=first.asymptotic_valency,
-            landing_cycle_id=fate0.cycle_id,
+            lands_on_critical_cycle=fate0.lands_on_critical_cycle(cycles),
         ))
 
     # minimality: an emitted orbit must not strictly contain another

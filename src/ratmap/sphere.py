@@ -41,6 +41,13 @@ REPRESENTATION_EPS = 1e-14
 DIRECT_MAX_POINTS = 8
 
 
+def _exact(value: complex) -> GaussianRational:
+    """The finite floating value, exactly; ValueError for NaN or inf parts."""
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError("non-finite component; points never store NaN or inf")
+    return GaussianRational(value.real, value.imag)
+
+
 class SpherePoint:
     __slots__ = ("z", "w", "is_infinity", "is_exact", "_chart")
 
@@ -60,7 +67,14 @@ class SpherePoint:
             else:
                 self.z, self.w = z / w, GaussianRational(1)
             return
-        zc, wc = complex(z), complex(w)
+        try:
+            zc, wc = complex(z), complex(w)
+        except OverflowError:
+            # an exact component past float range beside a floating one: the
+            # point to_float makes of the pair read exactly, floating infinity
+            # included
+            p = SpherePoint(*(v if is_exact(v) else _exact(v) for v in (z, w))).to_float()
+            zc, wc = (complex(1.0), 0j) if p.is_infinity else (p.z, p.w)
         if not all(
             math.isfinite(v) for v in (zc.real, zc.imag, wc.real, wc.imag)
         ):

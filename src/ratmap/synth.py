@@ -10,10 +10,13 @@ Totals of extensions are never given an isomorphism class of their own;
 they stay named unknowns, because the structure theory characterizes them
 only through the extensions.
 
-An attracting or Siegel region holds one non-critical periodic orbit, its
-anchor cycle; _periodic_summand() builds that orbit's C(T) tensor K_q, the
-summand of the region's quotient and the periodic-orbit row of its
-free-orbit diagram.
+Every class summand -- of a region's quotient, of the iota_p and iota_c
+corners and of a case-(iv) diagram's a-part -- is C*(G_x) tensor K_x,
+built by _class_summand from the isotropy group G_x that atlas.isotropy_of
+picks for the class representative x.  An attracting or Siegel region
+holds one non-critical periodic orbit, its anchor cycle, whose summand
+C(T) tensor K_q (_periodic_summand) is also the periodic-orbit row of the
+region's free-orbit diagram.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass, field
 
 from .algebra import (
     BunceDeddens,
-    CantorAlg,
     CaseIvDiagram,
     CircleAlg,
     Compacts,
@@ -43,10 +45,11 @@ from .algebra import (
     TorusAlg2,
     Zero,
 )
+from .atlas import isotropy_of
 from .dynamics import INFINITE
-from .errors import RegionBlockedError
+from .errors import RatmapError, RegionBlockedError
 from .restricted import ExposedOrbit
-from .sphere import coincide, point_sort_key, point_str
+from .sphere import coincide, point_str
 
 JULIA_IDEAL_ATTRIBUTES = ("separable", "purely_infinite", "nuclear", "simple", "UCT")
 
@@ -73,8 +76,9 @@ def julia_orbit_algebra(orbit: ExposedOrbit) -> Expr:
 def julia_extension(julia_orbits) -> ExtensionSeq:
     """The extension presenting the Julia algebra over its simple ideal.
 
-    With no finite orbits in the Julia set the extension collapses and the
-    Julia algebra itself carries the ideal's properties.
+    julia_orbits come in the order exposed_orbits gives them: by size, then
+    by least point.  With no finite orbits in the Julia set the extension
+    collapses and the Julia algebra itself carries the ideal's properties.
     """
     if not julia_orbits:
         alg = OpaqueSimple("C*_r(J_R)", JULIA_IDEAL_ATTRIBUTES)
@@ -83,8 +87,7 @@ def julia_extension(julia_orbits) -> ExtensionSeq:
             label="julia (no finite invariant sets: collapsed)",
             collapsed=True,
         )
-    ordered = sorted(julia_orbits, key=lambda o: (o.size,) + point_sort_key(o.points[0]))
-    quotient = DirectSum([julia_orbit_algebra(o) for o in ordered])
+    quotient = DirectSum([julia_orbit_algebra(o) for o in julia_orbits])
     return ExtensionSeq(
         ideal=OpaqueSimple("C*_r(J_R \\ E_R)", JULIA_IDEAL_ATTRIBUTES),
         total=NamedUnknown("C*_r(J_R)"),
@@ -112,32 +115,22 @@ class ExposureResolver:
         return CompactsOn(point_str(point), self.orbit_size(point))
 
 
-def _valency_summand(v, preperiodic: bool, kx: CompactsOn, point, missing: str) -> Expr:
-    """C^v tensor C(T) tensor K_x for a preperiodic point, C^v tensor K_x otherwise.
+def _class_summand(point, record, resolver: ExposureResolver,
+                   blocked: str = "critical record lacks a finite asymptotic valency") -> Expr:
+    """C*(G_x) tensor K_x for x the point and G_x = isotropy_of(record).
 
-    Raises RegionBlockedError with the message missing when v is not finite.
+    Raises RegionBlockedError with the message blocked when G_x is undecided.
     """
-    if v is None or v == INFINITE:
-        raise RegionBlockedError(missing, point=str(point))
-    if preperiodic:
-        return Tensor([FinitePower(Scalars(), int(v)), CircleAlg(), kx])
-    return Tensor([FinitePower(Scalars(), int(v)), kx])
-
-
-def _record_summand(record, region_kind: str, resolver: ExposureResolver) -> Expr:
-    kx = resolver.compacts_on(record.point)
-    if record.preperiodic and region_kind == "superattracting":
-        return Tensor([CantorAlg(), kx])
-    return _valency_summand(
-        record.asymptotic_valency, record.preperiodic, kx, record.point,
-        "critical record lacks a finite asymptotic valency",
-    )
+    try:
+        group = isotropy_of(record)
+    except RatmapError:
+        raise RegionBlockedError(blocked, point=str(point)) from None
+    return Tensor(group.factors() + [resolver.compacts_on(point)])
 
 
 def _periodic_summand(region, resolver: ExposureResolver, cycles) -> Expr:
     """C(T) tensor K_q for q the least point of the region's anchor cycle."""
-    q = cycles[region.anchor_cycle_id].points[0]
-    return Tensor([CircleAlg(), resolver.compacts_on(q)])
+    return _class_summand(cycles[region.anchor_cycle_id].points[0], None, resolver)
 
 
 def _sum(parts) -> Expr:
@@ -172,25 +165,12 @@ def region_extension(region, resolver: ExposureResolver, cycles) -> ExtensionSeq
                 "critical record unresolved; region synthesis blocked",
                 point=str(rec.point), reason=rec.obstruction,
             )
-        summands.append(_record_summand(rec, kind, resolver))
+        summands.append(_class_summand(rec.point, rec, resolver))
     return ExtensionSeq(
         ideal=region_ideal(region),
         total=NamedUnknown(f"C*_r(Omega_{region.region_id})"),
         quotient=_sum(summands),
         label=f"region {region.region_id} ({kind})",
-    )
-
-
-def iota_class_algebra(cls, resolver: ExposureResolver) -> Expr:
-    """C*(isotropy) tensor compacts-on-orbit, per bookkeeping class."""
-    kx = resolver.compacts_on(cls.representative)
-    if cls.kind == "periodic":
-        return Tensor([CircleAlg(), kx])
-    if cls.lands_on_critical_cycle:
-        return Tensor([CantorAlg(), kx])
-    return _valency_summand(
-        cls.asymptotic_valency, cls.preperiodic, kx, cls.representative,
-        "bookkeeping class lacks a finite asymptotic valency",
     )
 
 
@@ -257,11 +237,15 @@ def full_decomposition(atlas, julia_orbits, resolver: ExposureResolver, cycles,
         )
 
     corner_free = _sum([region_ideal(region) for region in atlas.regions])
-    corner_iota_p = _sum([iota_class_algebra(c, resolver) for c in atlas.iota_p])
+    corner_iota_p = _sum([_class_summand(c.representative, None, resolver)
+                          for c in atlas.iota_p])
     iota_c_parts = []
     for cls in atlas.iota_c:
         try:
-            iota_c_parts.append(iota_class_algebra(cls, resolver))
+            iota_c_parts.append(_class_summand(
+                cls.representative, cls.record, resolver,
+                "bookkeeping class lacks a finite asymptotic valency",
+            ))
         except RegionBlockedError as err:
             obstructions.append({
                 "code": err.code,
@@ -316,7 +300,7 @@ def case_iv_diagram(region, resolver: ExposureResolver, cycles,
     a_parts = []
     for rec in reps:
         try:
-            a_parts.append(_record_summand(rec, kind, resolver))
+            a_parts.append(_class_summand(rec.point, rec, resolver))
         except RegionBlockedError:
             a_parts.append(NamedUnknown(f"C*_r(RO({point_str(rec.point)}))"))
     a_alg = _sum(a_parts)

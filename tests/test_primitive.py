@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from ratmap.algebra import Matrix, render
-from ratmap.atlas import build_atlas
+from ratmap.algebra import CantorAlg, CircleAlg, FinitePower, Matrix, Scalars, render
+from ratmap.atlas import CriticalOrbitRecord, IsotropyGroup, build_atlas, isotropy_of
 from ratmap.dynamics import (
     DEFAULT_ORBIT_BUDGET,
     INFINITE,
@@ -16,10 +16,11 @@ from ratmap.dynamics import (
 )
 from ratmap.errors import RatmapError
 from ratmap.poly import Polynomial
-from ratmap.primitive import IsotropyGroup, PointContext, isotropy_of, primitive_catalog
+from ratmap.primitive import primitive_catalog
 from ratmap.rational import RationalMap
 from ratmap.restricted import exposed_orbits
 from ratmap.scalars import GaussianRational
+from ratmap.sphere import SpherePoint
 from ratmap.synth import ExposureResolver, full_decomposition
 
 
@@ -35,27 +36,24 @@ def catalog_for(r, max_period=4):
     return primitive_catalog(atlas, dec, scan, cycles, resolver)
 
 
+def _record(preperiodic, aval, lands=False):
+    return CriticalOrbitRecord(SpherePoint.finite(0), 0, preperiodic=preperiodic,
+                               asymptotic_valency=aval, lands_on_critical_cycle=lands)
+
+
 def test_isotropy_case_table():
-    # critical, periodic (superattracting cycle member)
-    g = isotropy_of(PointContext(periodic=True, critical=True, preperiodic=True,
-                                 lands_on_critical_cycle=True,
-                                 asymptotic_valency=INFINITE))
-    assert g.kind == "subgroup_of_Q_mod_Z"
+    # critical, landing on a critical cycle (a superattracting cycle member)
+    assert isotropy_of(_record(True, INFINITE, lands=True)).kind == "subgroup_of_Q_mod_Z"
     # critical, not pre-periodic, valency 2
-    g = isotropy_of(PointContext(periodic=False, critical=True, preperiodic=False,
-                                 lands_on_critical_cycle=False, asymptotic_valency=2))
-    assert g == IsotropyGroup("finite_cyclic", 2)
+    assert isotropy_of(_record(False, 2)) == IsotropyGroup("finite_cyclic", 2)
     # non-critical periodic (Julia type-1 exposed, or an attracting cycle)
-    g = isotropy_of(PointContext(periodic=True, critical=False, preperiodic=True))
-    assert g.kind == "Z"
+    assert isotropy_of(None).kind == "Z"
     # critical pre-periodic landing on a non-critical cycle
-    g = isotropy_of(PointContext(periodic=False, critical=True, preperiodic=True,
-                                 lands_on_critical_cycle=False, asymptotic_valency=3))
-    assert g == IsotropyGroup("Z_plus_finite_cyclic", 3)
+    assert isotropy_of(_record(True, 3)) == IsotropyGroup("Z_plus_finite_cyclic", 3)
 
 
 @pytest.mark.parametrize("group, text, dual", [
-    (IsotropyGroup("trivial"), "trivial", "single"),
+    (IsotropyGroup("finite_cyclic", 5), "Z_5", "finite(5)"),
     (IsotropyGroup("Z"), "Z", "circle"),
     (IsotropyGroup("finite_cyclic", 3), "Z_3", "finite(3)"),
     (IsotropyGroup("Z_plus_finite_cyclic", 2), "Z + Z_2", "circle x finite(2)"),
@@ -69,18 +67,29 @@ def test_isotropy_group_text_and_dual(group, text, dual):
     }
 
 
+def test_isotropy_group_factors_keep_the_summand_order():
+    assert IsotropyGroup("Z").factors() == [CircleAlg()]
+    assert IsotropyGroup("finite_cyclic", 3).factors() == [FinitePower(Scalars(), 3)]
+    assert IsotropyGroup("Z_plus_finite_cyclic", 2).factors() == [
+        FinitePower(Scalars(), 2), CircleAlg(),
+    ]
+    assert IsotropyGroup("subgroup_of_Q_mod_Z").factors() == [CantorAlg()]
+
+
 def test_unknown_isotropy_kind_is_rejected():
     with pytest.raises(ValueError):
         IsotropyGroup("Q").describe()
     with pytest.raises(ValueError):
         IsotropyGroup("Q").dual_cardinality()
+    with pytest.raises(ValueError):
+        IsotropyGroup("Q").factors()
 
 
 def test_isotropy_unresolved_context():
-    with pytest.raises(RatmapError):
-        isotropy_of(PointContext(periodic=False, critical=True, preperiodic=False,
-                                 lands_on_critical_cycle=False,
-                                 asymptotic_valency=None))
+    for aval in (None, INFINITE):
+        with pytest.raises(RatmapError, match="^context unresolved: finite asymptotic "
+                                              "valency required$"):
+            isotropy_of(_record(False, aval))
 
 
 def test_catalog_zsq():
@@ -154,3 +163,23 @@ def test_catalog_attracting_case_iii():
     att = next(e for e in case_iv if e.quotient.region_kind == "attracting")
     assert render(att.quotient.top) == "K"
     assert any(row.label == "periodic-orbit row" for row in att.quotient.rows)
+
+
+def test_an_unresolved_class_gets_an_unresolved_catalog_entry():
+    from ratmap.restricted import ExposedScan
+
+    from .test_synth import _one_record_atlas
+
+    atlas, cycles = _one_record_atlas("attracting", _record(False, None))
+    resolver = ExposureResolver([], 1e-9)
+    dec = full_decomposition(atlas, [], resolver, cycles)
+    cat = primitive_catalog(atlas, dec, ExposedScan([], [], [], {}), cycles, resolver)
+    by_point = {e.co_support.get("point"): e for e in cat.entries
+                if e.co_support["kind"] == "orbit_plus_julia"}
+    assert by_point["0"].parametrization == {
+        "kind": "unresolved", "reason": "context unresolved: finite asymptotic valency required",
+    }
+    assert by_point["0"].label == "ideals over RO(0) u J_R (unresolved)"
+    assert render(by_point["0"].quotient) == "C*_r(R)/I"
+    assert by_point["1/2"].parametrization["group"] == "Z"
+    assert by_point["1/2"].label == "ideals over RO(1/2) u J_R"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -135,3 +136,21 @@ def test_the_check_finds_an_unloaded_private():
     }
     assert unloaded_privates(modules) == [("a", 2, "_UNUSED"), ("a", 6, "_left_over"),
                                           ("b", 3, "_TABLE")]
+
+
+def stale_exports(module):
+    """Each name in the module's __all__ that the module does not define."""
+    return [name for name in module.__all__ if not hasattr(module, name)]
+
+
+def test_every_exported_name_is_an_attribute_of_the_package():
+    import ratmap
+
+    assert stale_exports(ratmap) == []
+
+
+def test_the_check_finds_a_stale_export():
+    module = types.ModuleType("a")
+    exec("from math import pi\n__all__ = ['pi', 'helper', 'tau']\ndef helper():\n    pass\n",
+         module.__dict__)
+    assert stale_exports(module) == ["tau"]

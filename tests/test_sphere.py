@@ -118,6 +118,20 @@ def test_a_floating_pair_past_float_range_keeps_its_ratio():
     assert not tiny.is_infinity and tiny.value() != 0 and abs(tiny.value()) < 1e-308
 
 
+def test_an_exact_component_past_float_range_beside_a_floating_one():
+    # the floating point to_float makes of the exact ratio
+    huge = GaussianRational(10**400)
+    p = SpherePoint(huge, 0.5)
+    assert p.is_infinity and not p.is_exact
+    assert (p.z, p.w) == (complex(1.0), complex(0.0))
+    q = SpherePoint(0.5, huge)
+    assert not q.is_infinity and not q.is_exact and q.value() == 0
+    assert SpherePoint(1e300, huge).value() == complex(1e-100)
+    assert SpherePoint(GaussianRational(2 * 10**308), 1e308).value() == complex(2.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        SpherePoint(huge, float("inf"))
+
+
 def test_near_partners_pair_a_nan_value_with_the_nan_values_only():
     values = np.array([complex("nan+nanj") if k % 4 == 0 else complex(k, -k) * 1e-3
                        for k in range(DIRECT_MAX_POINTS + 4)])

@@ -9,8 +9,11 @@ from ratmap.algebra import (
     CantorAlg,
     CircleAlg,
     Compacts,
+    CompactsOn,
     DirectSum,
+    FinitePower,
     Matrix,
+    NamedUnknown,
     OpaqueSimple,
     Scalars,
     Tensor,
@@ -20,8 +23,10 @@ from ratmap.algebra import (
     render,
 )
 from ratmap.atlas import (
+    Atlas,
     CoreType,
     CriticalOrbitRecord,
+    IotaClass,
     StableRegion,
     bind_declarations,
     build_atlas,
@@ -43,6 +48,7 @@ from ratmap.scalars import GaussianRational
 from ratmap.sphere import SpherePoint
 from ratmap.synth import (
     ExposureResolver,
+    case_iv_diagram,
     full_decomposition,
     julia_extension,
     julia_orbit_algebra,
@@ -131,13 +137,16 @@ def test_region_extension_attracting():
     )
 
 
-def _attracting_region(records):
-    anchor = PeriodicCycle(period=1, points=(SpherePoint.finite(GaussianRational(1, 2)),),
-                           multiplier=GaussianRational(1, 4), classification="attracting",
-                           contains_critical=False, cycle_id=0)
-    region = StableRegion(0, CoreType("attracting", 1, multiplier=anchor.multiplier), 0,
-                          critical_records=records)
-    return region, [anchor]
+def _region(records, kind="attracting"):
+    """A region of the kind (attracting or superattracting) holding the
+    records, anchored at the fixed point 1/2."""
+    anchor = PeriodicCycle(period=1, points=(SpherePoint.finite(Fraction(1, 2)),),
+                           multiplier=GaussianRational(Fraction(int(kind == "attracting"), 4)),
+                           classification=kind, contains_critical=(kind == "superattracting"),
+                           cycle_id=0)
+    core = (CoreType(kind, 1, local_degree=2) if kind == "superattracting"
+            else CoreType(kind, 1, multiplier=anchor.multiplier))
+    return StableRegion(0, core, 0, critical_records=records), [anchor]
 
 
 def test_a_record_without_a_finite_valency_blocks_its_region():
@@ -146,7 +155,7 @@ def test_a_record_without_a_finite_valency_blocks_its_region():
     for aval in (None, INFINITE):
         lacking = CriticalOrbitRecord(SpherePoint.finite(3), 0, preperiodic=False,
                                       asymptotic_valency=aval)
-        region, cycles = _attracting_region([ok, lacking])
+        region, cycles = _region([ok, lacking])
         with pytest.raises(RegionBlockedError,
                            match="^critical record lacks a finite asymptotic valency$") as blocked:
             region_extension(region, resolver, cycles)
@@ -154,10 +163,78 @@ def test_a_record_without_a_finite_valency_blocks_its_region():
         # an obstruction on an earlier representative is reported first
         obstructed = CriticalOrbitRecord(SpherePoint.finite(5), 0, preperiodic=False,
                                          asymptotic_valency=None, obstruction="fate-unresolved")
-        region, cycles = _attracting_region([ok, obstructed, lacking])
+        region, cycles = _region([ok, obstructed, lacking])
         with pytest.raises(RegionBlockedError, match="region synthesis blocked") as blocked:
             region_extension(region, resolver, cycles)
         assert blocked.value.context == {"point": "5", "reason": "fate-unresolved"}
+
+
+def _one_record_atlas(kind, record):
+    """_region(kind) holding the one record, with the atlas's classes."""
+    region, cycles = _region([record], kind)
+    record.ro_class_id = 0
+    iota_p = [IotaClass(1, cycles[0].points[0], 0)] if region.has_noncritical_periodic else []
+    atlas = Atlas([region], iota_p, [IotaClass(0, record.point, 0, record)], [], False)
+    return atlas, cycles
+
+
+def _the_three_summands(atlas, cycles):
+    """The record's summand in its region's quotient, in the iota_c corner
+    and in the case-(iv) a-part, and the decomposition's obstructions."""
+    resolver = ExposureResolver([], 1e-9)
+    dec = full_decomposition(atlas, [], resolver, cycles)
+    region = atlas.regions[0]
+    diagram = case_iv_diagram(region, resolver, cycles, dec.square.corners["julia"])
+    fatou_column = next(row for row in diagram.rows if row.label == "fatou column")
+    extension = dec.fatou_regions[0].extension
+    return (
+        None if extension is None else extension.quotient.summands[-1],
+        dec.square.corners["iota_c"].summands[0],
+        fatou_column.quotient.summands[0],
+        dec.obstructions,
+    )
+
+
+@pytest.mark.parametrize("kind, preperiodic, aval, lands, factors", [
+    ("attracting", False, 2, False, [FinitePower(Scalars(), 2)]),
+    ("attracting", True, 3, False, [FinitePower(Scalars(), 3), CircleAlg()]),
+    ("superattracting", True, INFINITE, True, [CantorAlg()]),
+])
+def test_a_record_has_one_summand_in_its_region_its_corner_and_its_diagram(
+        kind, preperiodic, aval, lands, factors):
+    record = CriticalOrbitRecord(SpherePoint.finite(3), 0, preperiodic=preperiodic,
+                                 asymptotic_valency=aval, lands_on_critical_cycle=lands)
+    *summands, obstructions = _the_three_summands(*_one_record_atlas(kind, record))
+    assert summands == [Tensor(factors + [CompactsOn("3", None)])] * 3
+    assert obstructions == []
+
+
+def test_an_anchor_cycle_has_one_summand_in_its_region_its_corner_and_its_diagram():
+    record = CriticalOrbitRecord(SpherePoint.finite(3), 0, preperiodic=False,
+                                 asymptotic_valency=2)
+    atlas, cycles = _one_record_atlas("attracting", record)
+    resolver = ExposureResolver([], 1e-9)
+    dec = full_decomposition(atlas, [], resolver, cycles)
+    diagram = case_iv_diagram(atlas.regions[0], resolver, cycles, dec.square.corners["julia"])
+    row = next(row for row in diagram.rows if row.label == "periodic-orbit row")
+    want = Tensor([CircleAlg(), CompactsOn("1/2", None)])
+    assert dec.fatou_regions[0].extension.quotient.summands[0] == want
+    assert dec.square.corners["iota_p"] == DirectSum([want])
+    assert row.quotient == want
+
+
+@pytest.mark.parametrize("aval", [None, INFINITE])
+def test_an_unresolved_record_blocks_its_region_and_names_its_corner_and_diagram(aval):
+    record = CriticalOrbitRecord(SpherePoint.finite(3), 0, preperiodic=False,
+                                 asymptotic_valency=aval)
+    region_part, corner_part, diagram_part, obstructions = _the_three_summands(
+        *_one_record_atlas("attracting", record))
+    assert region_part is None
+    assert corner_part == diagram_part == NamedUnknown("C*_r(RO(3))")
+    assert [(o["message"], o.get("region"), o["point"]) for o in obstructions] == [
+        ("critical record lacks a finite asymptotic valency", 0, "3"),
+        ("bookkeeping class lacks a finite asymptotic valency", None, "3"),
+    ]
 
 
 def test_declared_siegel_extension():
