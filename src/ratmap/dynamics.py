@@ -14,17 +14,23 @@ walk for asymptotic_valency and the other readers.
 The cycles of period p come from the fixed points of R^p, found by Aberth
 on the orbit recursion in a fixed Möbius chart (never on an expanded
 polynomial), merged where multiple and snapped to exact points where exact
-iteration verifies them.  In each step of the recursion P, Q, the power
-v^i of Horner's scheme and their derivatives advance as the rows of one
-array.  All periods that are
-needed are solved in lock step: their points are the rows of one array by
-descending period, and step k of the recursion advances only the rows of
-period at least k, so each Aberth sweep and each Newton step is one walk
-for all periods.  Each period keeps its own Aberth sum and stop test, and
-at most 200 sweeps; its residual check, clustering and failure are its
-own.  Simple fixed points are polished in the balanced charts, (w : 1) on
-|z| <= 1 and (1 : w) beyond, by one walk per Newton step for all periods,
-whose chart holds one coefficient per point.
+iteration verifies them.  Aberth starts period p from the chart values of
+the d^p points of R^-p(SEED_POINT), which are distributed like the fixed
+points of R^p, and of infinity (_seeds).  The preimage tree is solved level
+by level, each level in one Aberth call with one group per target
+(roots.preimages).  From the first period whose starts are not all
+finite and distinct on, the periods start on a circle, as all did before;
+after the starts, nothing differs.  In each step of the recursion P, Q, the
+power v^i of Horner's scheme and their derivatives advance as the rows of
+one array.  All periods that are needed are solved in lock step: their
+points are the rows of one array by descending period, and step k of the
+recursion advances only the rows of period at least k, so each Aberth sweep
+and each Newton step is one walk for all periods.  Each period keeps its
+own Aberth sum and stop test, and at most 200 sweeps; its residual check,
+clustering and failure are its own.  Simple fixed points are polished in
+the balanced charts, (w : 1) on |z| <= 1 and (1 : w) beyond, by one walk
+per Newton step for all periods, whose chart holds one coefficient per
+point.
 A snap is first walked p steps modulo a prime
 (_screen_rejects): reduction modulo the prime is a ring map, so an exact
 fixed point is one modulo the prime too, and only a snap that passes is
@@ -63,11 +69,20 @@ from .errors import (
     RootFindingFailedError,
 )
 from .rational import EXACT_HEIGHT_CAP_BITS, CriticalPoint, RationalMap, point_height_bits
-from .roots import DEFAULT_CLUSTER_RADIUS, find_zeros, polish, snap, start_circle
+from .roots import (
+    DEFAULT_CLUSTER_RADIUS,
+    EPSILON,
+    find_zeros,
+    polish,
+    preimages,
+    snap,
+    start_circle,
+)
 from .scalars import MODULAR_PRIME, GaussianRational, mod_prime
 from .sphere import (
     INFINITY,
     SpherePoint,
+    array_chordal,
     chordal_matrix,
     coincide,
     contains_point,
@@ -200,9 +215,11 @@ def make_cycle(r: RationalMap, pts, images, warnings) -> PeriodicCycle:
 SOLVE_CHART = (1.0, 0.3 + 0.2j, -0.37 + 0.11j, 1.0)
 INNER_CHART = (1.0, 0.0, 0.0, 1.0)
 OUTER_CHART = (0.0, 1.0, 1.0, 0.0)
-# radius of the Aberth start circle in SOLVE_CHART
+# a generic point: its iterated preimages R^-p(SEED_POINT) are distributed
+# like the fixed points of R^p (Lyubich 1983), so they seed the solve of period p
+SEED_POINT = 0.3716 + 0.5283j
+# radius of the Aberth start circle in SOLVE_CHART, where seeding falls back
 CHART_START_RADIUS = 1.0
-EPSILON = float(np.finfo(float).eps)
 
 
 class _FixedPointEquation:
@@ -384,6 +401,50 @@ def _exact_fixed_point(r: RationalMap, x: SpherePoint, p: int) -> SpherePoint | 
     return cand if y == cand else None
 
 
+def _seeds(rf: RationalMap, periods) -> list:
+    """Aberth starts for the fixed points of R^p, one array per period of periods.
+
+    The starts of period p are the SOLVE_CHART values of the d^p points of
+    R^-p(SEED_POINT) and of infinity, the extra fixed point of a
+    polynomial.  The tree is solved level by level in the chart: the
+    preimages of M(w) = (alpha w + beta : gamma w + delta) are the roots of
+    y2 P_h(M) - y1 Q_h(M), a polynomial in w of degree d whose roots are all
+    finite, a preimage at infinity being w = -delta / gamma
+    (roots.preimages).  So the starts depend only on the map and p.  From
+    the first period whose starts are not all finite and pairwise more than
+    DEFAULT_CLUSTER_RADIUS apart on the sphere on, the periods start on the
+    circle of radius CHART_START_RADIUS.  That happens where SEED_POINT is
+    exceptional, its tree meets a critical value, or a preimage lies at
+    infinity within rounding.
+    """
+    alpha, beta, gamma, delta = SOLVE_CHART
+    d = rf.degree
+    # row i of the table is (P_i, Q_i) of P_h(u, v) = sum P_i u^(d-i) v^i,
+    # and u^(d-i) v^i at M(w) is the polynomial basis[i] in w
+    basis = []
+    for i in range(d + 1):
+        f = np.ones(1, complex)
+        for factor in [(alpha, beta)] * (d - i) + [(gamma, delta)] * i:
+            f = np.convolve(f, factor)
+        basis.append(f)
+    table = np.array(basis).T @ np.array(rf.homogeneous, complex)
+    w = np.array([(delta * SEED_POINT - beta) / (alpha - gamma * SEED_POINT)])
+    seeds = {}
+    with np.errstate(all="ignore"):
+        for p in range(1, max(periods) + 1):
+            w = preimages(table, np.stack([alpha * w + beta, gamma * w + delta], axis=1))
+            starts = np.append(w, -delta / gamma)
+            pairs = np.stack([alpha * starts + beta, gamma * starts + delta], axis=1)
+            pairs /= np.hypot(np.abs(pairs[:, :1]), np.abs(pairs[:, 1:]))
+            distances = array_chordal(pairs, pairs)
+            np.fill_diagonal(distances, np.inf)
+            if not (np.isfinite(starts).all() and (distances > DEFAULT_CLUSTER_RADIUS).all()):
+                break
+            seeds[p] = starts
+    return [seeds[p] if p in seeds else start_circle(d**p + 1, CHART_START_RADIUS)
+            for p in periods]
+
+
 def _solve_periods(rf: RationalMap, periods):
     """{p: (points, ambiguity)} over the given periods: the floating fixed points of R^p.
 
@@ -410,7 +471,7 @@ def _solve_periods(rf: RationalMap, periods):
 
     settled = find_zeros(lambda w, active: equation(active).evaluate(w),
                          equation(everything).measure,
-                         [start_circle(n, CHART_START_RADIUS) for n in sizes],
+                         _seeds(rf, periods),
                          [{"period": p} for p in periods])
     solved, points, ambiguities = {}, {}, {}
     simple = []  # (period, index) of each simple point, by descending period

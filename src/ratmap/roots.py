@@ -6,12 +6,18 @@ needs the coefficients of f:
 
 * find_roots, for polynomials, passes Horner and one group, a perturbed
   circle at the Cauchy bound;
+* preimages, for one level of a preimage tree, passes one polynomial
+  y2 A - y1 B per target (y1, y2), each a group that starts about the
+  centroid of its roots; the cycle solver seeds itself from these trees;
 * the cycle solver in dynamics passes the orbit recursion of R^p through
   find_zeros, one group per period, all solved in lock step.
 
 The groups share each evaluation, but each has its own pairwise sum and
 stop test and runs at most 200 sweeps; a group that stops drops out of the
-later evaluations.  A short Newton polish of all groups follows.  The
+later evaluations.  Consecutive groups of one size (the targets of a
+preimage level) have their pairwise sums made as one (k, n, n) block,
+each group's sums those of its own matrix.  After Aberth, find_roots and
+find_zeros run a short Newton polish of all groups.  The
 residual check (_settle) and the clustering (_clusters) are shared, and are
 made per group; a group that fails does not stop the others.  Multiplicities
 of a floating polynomial are assigned by clustering in the chordal metric.
@@ -30,6 +36,7 @@ run in exact arithmetic on the maps where it matters.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -43,6 +50,7 @@ ABERTH_MAX_ITER = 200
 NEWTON_POLISH_STEPS = 5
 DEFAULT_CLUSTER_RADIUS = 1e-6
 SNAP_DENOMINATOR_BOUND = 10**6
+EPSILON = float(np.finfo(float).eps)
 
 
 def _chordal_c(a: complex, b: complex) -> float:
@@ -72,6 +80,26 @@ def _horner(coeffs: np.ndarray):
     return lambda z, active=None: _horner_pair(coeffs, dcoeffs, z)
 
 
+def _grouped_horner(coeffs: np.ndarray):
+    """The (p, p') evaluator for _aberth of one polynomial per group.
+
+    Row g of coeffs holds the coefficients of group g's polynomial of
+    degree n, highest first, and the group has its n roots' points.
+    """
+    n = coeffs.shape[1] - 1
+    dcoeffs = coeffs[:, :-1] * np.arange(n, 0, -1)
+    # the coefficients of each point, per tuple of active groups
+    gathered = {}
+
+    def evaluate(z, active):
+        if active not in gathered:
+            rows = np.repeat(active, n)
+            gathered[active] = coeffs[rows].T, dcoeffs[rows].T
+        return _horner_pair(*gathered[active], z)
+
+    return evaluate
+
+
 def start_circle(n: int, radius: float) -> np.ndarray:
     """n Aberth start points on a perturbed circle of the given radius."""
     # deterministic perturbed circle; the 0.41 offset breaks real-coefficient symmetry
@@ -82,12 +110,28 @@ def start_circle(n: int, radius: float) -> np.ndarray:
 
 
 def _pairwise_sums(z: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """sum over j != i of 1 / (z_i - z_j), for each i; buf is an (n, n) scratch matrix."""
-    np.subtract(z[:, None], z[None, :], out=buf)
-    np.fill_diagonal(buf, 1.0)
+    """sum over j != i of 1 / (z_i - z_j), for each i of each row of z.
+
+    z is (n,) or (k, n), k groups of n points, and buf the (n, n) or
+    (k, n, n) scratch matrix; each group's sums are those of its own
+    (n, n) matrix.
+    """
+    n = z.shape[-1]
+    diagonal = buf.reshape(buf.shape[:-2] + (n * n,))[..., :: n + 1]
+    np.subtract(z[..., :, None], z[..., None, :], out=buf)
+    diagonal[...] = 1.0
     np.divide(1.0, buf, out=buf)
-    np.fill_diagonal(buf, 0.0)
-    return buf.sum(axis=1)
+    diagonal[...] = 0.0
+    return buf.sum(axis=-1)
+
+
+def _blocks(zs, active):
+    """(groups, rows, (k, n)) for each run of k consecutive active groups of n points."""
+    start = 0
+    for n, run in itertools.groupby(active, key=lambda g: len(zs[g])):
+        run = tuple(run)
+        yield run, slice(start, start + len(run) * n), (len(run), n)
+        start += len(run) * n
 
 
 def _aberth(evaluate, starts) -> list:
@@ -99,37 +143,73 @@ def _aberth(evaluate, starts) -> list:
     evaluate(z, active) gives (f(z), f'(z)), or any common rescaling of the
     pair per point, where z holds the points of the groups whose indices the
     tuple active lists, one group after the other; only the Newton
-    correction f/f' enters.  Returns one array of points per group.
+    correction f/f' enters.  Consecutive active groups of one size have
+    their pairwise sums and stop tests made as one block.  Returns one array
+    of points per group.
     """
     zs = list(starts)
-    # one pairwise matrix per group, written in place by every sweep
-    buffers = [np.empty((len(z), len(z)), complex) for z in zs]
-    active = tuple(range(len(zs)))
+    # one pairwise matrix per block shape, written in place by every sweep
+    buffers = {}
+    active, running = None, tuple(range(len(zs)))
     # a start too far out overflows to inf and NaN; _settle rejects the
     # NaN residuals that follow
     with np.errstate(all="ignore"):
         for _ in range(ABERTH_MAX_ITER):
-            if not active:
-                break
-            z = np.concatenate([zs[g] for g in active])
+            if running != active:
+                active = running
+                if not active:
+                    break
+                z = np.concatenate([zs[g] for g in active])
+                blocks = list(_blocks(zs, active))
+                for _, _, (k, n) in blocks:
+                    if (k, n) not in buffers:
+                        buffers[k, n] = np.empty((k, n, n), complex)
             p, d = evaluate(z, active)
             d = np.where(d == 0, 1e-300, d)
             newton = p / d
-            s = np.concatenate([_pairwise_sums(zs[g], buffers[g]) for g in active])
+            s = np.concatenate([_pairwise_sums(z[rows].reshape(shape), buffers[shape]).ravel()
+                                for _, rows, shape in blocks])
             denom = 1.0 - newton * s
             denom = np.where(denom == 0, 1e-300, denom)
             corr = newton / denom
             z = z - corr
             done = np.abs(corr) <= 1e-14 * (1.0 + np.abs(z))
-            running, start = [], 0
-            for g in active:
-                rows = slice(start, start + len(zs[g]))
-                zs[g] = z[rows]
-                if not done[rows].all():
-                    running.append(g)
-                start = rows.stop
-            active = tuple(running)
+            running = []
+            for run, rows, shape in blocks:
+                stopped = done[rows].reshape(shape).all(axis=1)
+                for g, zg, stop in zip(run, z[rows].reshape(shape), stopped):
+                    zs[g] = zg
+                    if not stop:
+                        running.append(g)
+            running = tuple(running)
     return zs
+
+
+@np.errstate(all="ignore")  # a vanishing leading coefficient gives NaN roots
+def preimages(table: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The d roots of y2 A - y1 B for each target (y1, y2), target by target.
+
+    table[i] = (A_i, B_i) holds the coefficients of two polynomials A and B
+    of degree d, highest first, so the roots of target (y1, y2) are the
+    points where A / B takes the value y1 / y2.  All the targets'
+    polynomials are solved in one _aberth call, one group per target.  A
+    group f starts at the roots of f_0 (w - c)^d + f(c), where c is the
+    centroid of the roots of f.  About c, the (w - c)^(d - 1) term of f
+    vanishes, so this drops only the terms of degree 1 to d - 2, and for
+    d = 2 the starts are the roots.
+    """
+    d = len(table) - 1
+    a = targets[:, 1:] * table[:, 0] - targets[:, :1] * table[:, 1]
+    a /= np.abs(a).max(axis=1, keepdims=True)
+    c = -a[:, 1] / (d * a[:, 0])
+    fc = a[:, 0]
+    for ak in a.T[1:]:
+        fc = fc * c + ak
+    spread = (-fc / a[:, 0]) ** (1.0 / d)
+    floor = EPSILON * (1.0 + np.abs(c))
+    spread = np.where(np.abs(spread) > floor, spread, floor)
+    starts = c[:, None] + spread[:, None] * np.exp(2j * np.pi * np.arange(d) / d)
+    return np.concatenate(_aberth(_grouped_horner(a), list(starts)))
 
 
 def _newton_polish(evaluate, z: np.ndarray, steps: int) -> np.ndarray:
@@ -142,7 +222,7 @@ def _newton_polish(evaluate, z: np.ndarray, steps: int) -> np.ndarray:
 
 
 def polish(evaluate, z: np.ndarray) -> np.ndarray:
-    """Newton-polished simple roots, with denormal components cleared."""
+    """Newton-polished simple roots, with dust components cleared (_zap_denormals)."""
     return np.array([_zap_denormals(complex(zi))
                      for zi in _newton_polish(evaluate, z, NEWTON_POLISH_STEPS)])
 
@@ -346,9 +426,11 @@ def _eval_scaled(coeffs: np.ndarray, z: complex) -> float:
 
 
 def _zap_denormals(z: complex) -> complex:
-    # components this small are iteration dust, never meaningful values
-    re = 0.0 if abs(z.real) < 1e-250 else z.real
-    im = 0.0 if abs(z.imag) < 1e-250 else z.imag
+    # components this small, or this far below the other one, are iteration
+    # dust, never meaningful values: a real point stays real
+    dust = max(1e-250, 1e-30 * max(abs(z.real), abs(z.imag)))
+    re = 0.0 if abs(z.real) < dust else z.real
+    im = 0.0 if abs(z.imag) < dust else z.imag
     return complex(re, im)
 
 

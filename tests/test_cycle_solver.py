@@ -9,6 +9,7 @@ R^p must hold (Milnor, Dynamics in One Complex Variable, Thm 12.4).
 from __future__ import annotations
 
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -25,14 +26,18 @@ from ratmap.dynamics import (
     EPSILON,
     INNER_CHART,
     OUTER_CHART,
+    SEED_POINT,
     SOLVE_CHART,
     _FixedPointEquation,
     _polish_in_balanced_charts,
+    _seeds,
     _solve_periods,
     fixed_points,
     periodic_cycles,
 )
 from ratmap.errors import RootFindingFailedError
+from ratmap.poly import Polynomial
+from ratmap.rational import RationalMap
 from ratmap.report import parse_map, run_analysis
 from ratmap.roots import (
     ABERTH_MAX_ITER,
@@ -49,7 +54,7 @@ from ratmap.roots import (
 from ratmap.sphere import DIRECT_MAX_POINTS, INFINITY, SpherePoint, coincide, near_partners
 
 from .test_pipeline_corpus import _sparse_map
-from .test_report import DECIMAL_TWINS, WORKED_MAPS, _corpus_map
+from .test_report import DECIMAL_TWINS, OVERFLOW_MAP, WORKED_MAPS, _corpus_map
 
 WORKED = [(doc, twin) for docs, twin in ((WORKED_MAPS, False), (DECIMAL_TWINS, True))
           for doc in docs]
@@ -102,6 +107,15 @@ def test_exact_fixed_points_stay_exact():
     points = [c.points[0] for c in cycles]
     assert all(x.is_exact for x in points)
     assert points == [SpherePoint.finite(-1), SpherePoint.finite(2), INFINITY]
+
+
+@pytest.mark.parametrize("doc", [WORKED_MAPS[0], DECIMAL_TWINS[0]])
+def test_the_cycle_points_of_a_real_julia_set_are_real(doc):
+    # every cycle of z^2 - 2 lies on [-2, 2]; Newton steps leave imaginary
+    # parts such as 1.6e-84 beside 1.97, which the polish clears
+    cycles, _, _ = periodic_cycles(parse_map(doc), 4)
+    points = [complex(x.z) for c in cycles for x in c.points if not x.is_infinity]
+    assert len(points) == 22 and all(z.imag == 0.0 for z in points)
 
 
 @pytest.mark.parametrize("index", [6, 16])
@@ -344,7 +358,9 @@ def _reference_solve(rf, p):
     def evaluate(w):
         return _reference_walk(rf, p, SOLVE_CHART, w)[4:]
 
-    z = _reference_aberth(evaluate, start_circle(rf.degree**p + 1, CHART_START_RADIUS))
+    # the seeds of period p depend only on the map and p
+    [starts] = _seeds(rf, [p])
+    z = _reference_aberth(evaluate, starts)
     z = _reference_newton(evaluate, z, NEWTON_POLISH_STEPS)
     m1, m2, u, v, f, df = _reference_walk(rf, p, SOLVE_CHART, z)
     with np.errstate(all="ignore"):
@@ -406,6 +422,121 @@ def test_the_lock_step_solve_matches_a_solve_per_period(key, twin):
             assert _solved_bits(solved[p]) == reference[p]
 
 
+def _circle_starts(rf, periods):
+    """The Aberth starts of every period on the circle, as before seeding."""
+    return [start_circle(rf.degree**p + 1, CHART_START_RADIUS) for p in periods]
+
+
+def _solve_with_multiplicities(rf, periods, monkeypatch):
+    """{p: [(point, multiplicity)]}, or the error code, from _solve_periods."""
+    sizes = {}
+
+    def recorded(evaluate, measure, starts, contexts, _find_zeros=ratmap.dynamics.find_zeros):
+        results = _find_zeros(evaluate, measure, starts, contexts)
+        for context, result in zip(contexts, results):
+            if not isinstance(result, RootFindingFailedError):
+                sizes[context["period"]] = [len(members) for members in result[0]]
+        return results
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ratmap.dynamics, "find_zeros", recorded)
+        solved = _solve_periods(rf, periods)
+    return {p: s.code if isinstance(s, RootFindingFailedError) else list(zip(s[0], sizes[p]))
+            for p, s in solved.items()}
+
+
+@pytest.mark.parametrize("key, twin", SOLVER_MAPS)
+def test_the_seeded_solve_finds_the_fixed_points_of_a_circle_start_solve(key, twin, monkeypatch):
+    # the oracle is the solve from the start circle that seeding replaced.
+    # A point of multiplicity m is determined to about eps^(1/m) only: on
+    # sparse map 5, whose parabolic 2-cycle is a triple fixed point of R^2,
+    # the two solves put it 2.7e-6 apart
+    rf = _solver_map(key, twin).floating()
+    periods = [p for p in (1, 2, 3, 4) if rf.degree**p + 1 <= DEFAULT_PERIOD_WORK_CAP]
+    seeded = _solve_with_multiplicities(rf, periods, monkeypatch)
+    monkeypatch.setattr(ratmap.dynamics, "_seeds", _circle_starts)
+    oracle = _solve_with_multiplicities(rf, periods, monkeypatch)
+    for p in periods:
+        if isinstance(oracle[p], str):
+            assert seeded[p] == oracle[p]
+            continue
+        assert sorted(m for _, m in seeded[p]) == sorted(m for _, m in oracle[p])
+        unmatched = list(oracle[p])
+        for x, m in seeded[p]:
+            distance, i = min((x.chordal(y), i) for i, (y, n) in enumerate(unmatched) if n == m)
+            assert distance <= (1e-9 if m == 1 else EPSILON ** (1 / m))
+            del unmatched[i]
+
+
+def _map_of(numerator, denominator=(1.0,)):
+    return RationalMap(Polynomial([complex(c) for c in numerator]),
+                       Polynomial([complex(c) for c in denominator]))
+
+
+SEED_POINT_MAPS = {
+    # a preimage of z0 lies near 1e308, at infinity in floating point
+    "overflow": parse_map(OVERFLOW_MAP),
+    "z^2": _map_of([1, 0, 0]),
+    # (z - z0)^2 + z0: z0 is exceptional, R^-p(z0) is z0 alone
+    "exceptional": _map_of([1, -2 * SEED_POINT, SEED_POINT**2 + SEED_POINT]),
+    # z^2 + z0: z0 is the critical value, a double preimage of R^-1(z0)
+    "critical value": _map_of([1, 0, SEED_POINT]),
+}
+
+
+@pytest.mark.parametrize("name", SEED_POINT_MAPS)
+def test_seeding_is_silent_and_gives_distinct_finite_starts(name):
+    rf = SEED_POINT_MAPS[name].floating()
+    periods = [1, 2, 3, 4, 5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            seeds = _seeds(rf, periods)
+    for p, w in zip(periods, seeds):
+        assert len(w) == rf.degree**p + 1
+        assert np.isfinite(w).all()
+        distances = np.abs(w[:, None] - w[None, :])
+        assert distances[~np.eye(len(w), dtype=bool)].min() > 0
+    circles = [np.array_equal(w, start) for w, start in zip(seeds, _circle_starts(rf, periods))]
+    # a tree that meets infinity or a critical value, and the exceptional
+    # point, fall back to the circle; z^2 is seeded at every period
+    assert circles == [name != "z^2"] * len(periods)
+
+
+def test_the_seeds_of_z_squared_are_its_preimage_tree():
+    # the 8 distinct eighth roots of z0, then infinity, in SOLVE_CHART
+    alpha, beta, gamma, delta = SOLVE_CHART
+    [w] = _seeds(SEED_POINT_MAPS["z^2"].floating(), [3])
+    x = (alpha * w + beta) / (gamma * w + delta)
+    assert np.abs(x[:-1] ** 8 - SEED_POINT).max() <= 1e-12
+    assert abs(x[-1]) > 1e12
+
+
+@pytest.mark.parametrize("twin", [False, True])
+def test_the_lock_step_solve_of_the_corpus_takes_70_aberth_sweeps(twin, monkeypatch):
+    # from the start circle the same solves took 454 sweeps; find_zeros
+    # evaluates once per Aberth sweep and NEWTON_POLISH_STEPS times after
+    calls = []
+
+    def counted(evaluate, measure, starts, contexts, _find_zeros=ratmap.dynamics.find_zeros):
+        def counting(w, active):
+            calls.append(len(w))
+            return evaluate(w, active)
+
+        before = len(calls)
+        results = _find_zeros(counting, measure, starts, contexts)
+        del calls[len(calls) - NEWTON_POLISH_STEPS:]
+        assert len(calls) > before
+        return results
+
+    monkeypatch.setattr(ratmap.dynamics, "find_zeros", counted)
+    for index in range(10):
+        rf = _corpus_map(index, twin).floating()
+        _solve_periods(rf, [p for p in range(1, DEFAULT_MAX_PERIOD + 1)
+                            if rf.degree**p + 1 <= DEFAULT_PERIOD_WORK_CAP])
+    assert len(calls) == 70
+
+
 @pytest.mark.parametrize("doc, failed", zip(MIXED_FAILURE_MAPS, [[3, 4], [4]]))
 def test_a_period_that_fails_leaves_the_others_of_its_solve(doc, failed):
     solved = _solve_periods(parse_map(doc).floating(), [1, 2, 3, 4])
@@ -431,6 +562,26 @@ def test_a_group_of_one_point_matches_its_lone_solve():
     got = _polish_in_balanced_charts(rf, [2, 1, 1], points)
     want = _reference_polish(rf, 2, points[:1]) + _reference_polish(rf, 1, points[1:])
     assert [_point_bits(x) for x in got] == [_point_bits(x) for x in want]
+
+
+def test_blocks_of_groups_of_one_size_match_a_solve_per_group():
+    # consecutive groups of one size share a (k, n, n) pairwise block; each
+    # group must still see the sweeps of its own solve, bit for bit
+    rng = np.random.default_rng(5)
+    sizes = [3, 3, 3, 5, 5, 1, 1, 3, 2]
+    coeffs = np.zeros((len(sizes), 6), complex)
+    for g, n in enumerate(sizes):
+        coeffs[g, 5 - n:] = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    dcoeffs = coeffs[:, :-1] * np.arange(5, 0, -1)
+
+    def evaluate(w, active):
+        rows = np.repeat(active, [sizes[g] for g in active])
+        return ratmap.roots._horner_pair(coeffs[rows].T, dcoeffs[rows].T, w)
+
+    starts = [start_circle(n, 2.0 + g) for g, n in enumerate(sizes)]
+    for g, got in enumerate(_aberth(evaluate, starts)):
+        want = _reference_aberth(lambda w, g=g: evaluate(w, (g,)), starts[g])
+        _assert_bitwise_equal([got], [want])
 
 
 @pytest.mark.parametrize("n", [1, 3, 9, 17, 26, 65, 82, 126])

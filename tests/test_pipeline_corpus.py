@@ -112,14 +112,7 @@ def test_corpus_map_gives_a_report(bounded, index, twin):
     _check_report(bounded, _corpus_map(index, twin))
 
 
-# -z^3/(2z^2 - 3) has the parabolic 2-cycle {sqrt 3, -sqrt 3} (multiplier 1),
-# whose multiple fixed points of R^2 and R^4 fail the fixed-point formula
-PARABOLIC = pytest.mark.xfail(
-    strict=True, reason="a parabolic cycle fails the fixed-point formula (cycle-search-uncertified)")
-
-
-@pytest.mark.parametrize("index", [
-    pytest.param(i, marks=PARABOLIC) if i == 5 else i for i in range(CORPUS_SIZE)])
+@pytest.mark.parametrize("index", range(CORPUS_SIZE))
 @pytest.mark.parametrize("twin", [False, True])
 def test_sparse_map_gives_a_report(bounded, index, twin):
     _check_report(bounded, _sparse_map(index, twin))

@@ -460,156 +460,156 @@ MP2 = {"max_period": 2}
 # function and bound once per analysis.
 PINNED_REPORTS = [
     ("worked", 0, False, {},
-     "370b97c3e0a4673f05eee9f37f175a1596ffe9454a49de4651b9ef0a4876b273",
-     "71fddc5dcd6e8789a6d2fe9d8137ddd10ba3971c6a6c1921e2b50b66a7fd6736",
+     "2b51166cfbf0913789c9ab43f6fed5f4c440c25f101c288608c6d55e808ae6fc",
+     "5bcfa6918fc274e12c68b372a67c18e79f863b0ea00527b06bc74362ed06e3b4",
      "16b6ae7ac0a3cc233e0dd1532898203ca60e3eed6e29cbef500c2140dbebdfc6"),
     ("worked", 0, True, {},
-     "cc3397425912749997d5873294bcba66338449500f1dbce25c84277e60565137",
-     "fa6583a2b1209f2da7585a75c188a12fc3c5f857f8e30c30345f27efb44a5ec8",
+     "22c97168a1a4a2e9ebbb411b7da8eb171f01e0bf9c8a088a79abcb3343507742",
+     "66921870a26900b66b107511f9031a9dbbdf66e5d7bf2ebcadac1effce55fda5",
      "21be0ed9583bef42d478a248e5e3eb5f3d4229e0199038f7c0e410b0666e75bd"),
     ("worked", 1, False, {},
-     "e32cde2849a63aa4caa9594c958380d53de7c0cf51e994f5d5b771b4da4e5193",
-     "ed062721ddc5430ffaa0759c80ec1244ac9e3c518b1580b31a66572a1331e4f4",
+     "04c7550631f1b3d9a78fa4a87b9d1063d53971f75f9395e8223d4143bdb65829",
+     "0f3a7bc78b5d10b46f12c84900b8bfdd0a8abdfa1f89b78282c133d98a5de023",
      "8d9a8911f6dcf057f5b16a2a72677f7cf1c19c88743a28682e2a558d09eac153"),
     ("worked", 1, True, {},
-     "752524b6a1fb55b65eefecdb10eb8124a09bde3d09c938fd757d34eb3dfe7b09",
-     "2606ec2559de6a5d0edfb43b1cf0cda88e215ee88d7ce606c897c093e4cc514c",
+     "3d9067c5d029f9832f12011ff42926a0d8da42bb60d233eba3d52264a2bc1be8",
+     "b0027af3635617dc88b90a539c6696eca34f66403e9616701d366588ffd42cb5",
      "b3209e403b0390a62e3247aac7fc938cd690e5c82edd0299ec288191572121bf"),
     ("worked", 2, False, {},
-     "1699783cb8a7a4e4aa948623005838e5c1fc13392ec9bba8cb844bc6ce01813c",
-     "4bb7bd5b890a6ee154162205e1384c250e5afd07c14663f115137f9bcd535a47",
+     "c2f5a0a2b22af7a9969c25ec51cfb347c8c5cab1c2ddc6812b9ebd4341858db0",
+     "5f052ac28eae6bd9e98878dbb8530c0fb390b3fd07035067c9b9e7c953a6458f",
      "efbc2d575690c15e2a97f596d6d23072cf0bbe1ee83280723b1c2c9e41cc436b"),
     ("worked", 2, True, {},
-     "82e4b96fd3d9334e5d1bf0c2eb06d7b56f2d195c5e1b0548a42f53e19464dc8b",
-     "883a3e32daece0796a1fd0a48df12c8812a6489400920e32b4b2560b65eb8663",
+     "a647d481af5937206a72dcea45dfc9222efb24e22bfb9f186e413c0594c493f4",
+     "43cabae2da4b2b8506bc6c9191f4c67f5447c7702302b7c538cd2cab37247c34",
      "9d5055e845a239c09e635e50d0a5f272e340ee7cfc1db1eb7503d42b3c6984bf"),
     ("corpus", 0, False, MP2,
-     "6686bf393236dd9d2ad1a9796656e7f20086b2353b09583cbe0a5ea518582d4d",
-     "fd5a76c0ee1b2aa111e9a4d898e8076e22f0948bccff15dedfec7962347441b0",
+     "981e997d03592c93683c87043024de82fbc449bcb729a6da0befa3763f4c76b4",
+     "0887e086e0e30aae4b32be6f7f9b8831e10859be4734c97c9883f9239fe94697",
      "fccb22a0bc39cf65ad4b045b9c05606eb500c0a7b19eaec947aca23dbde60849"),
     ("corpus", 0, True, MP2,
-     "12bd6bb729d84bda26ad479b8f070624bfed235e20268465db3d0c4727fd5f31",
-     "bc50b3784759a1f8c246708e3378ea08e251ced09acb4d6e8d17d2c8c4aedfb6",
+     "f28fe4a9244ecbee7e3b66758cb9f840d9f54b1c8e945a1a5f123baace4c7496",
+     "2401a7c140ac25a3db3faeef5214f98b2e16918a8f17d3bfe69da391ade35dae",
      "8ed9e349b8d4d6098ce70474907569debd7c5c05eb271d1820ead618a6b93cb0"),
     ("corpus", 1, False, MP2,
-     "35ceea721836234ee50ae29a606032e5db2a2955a83acad8d9ce533978f56077",
-     "7f5836907a5b5d11ecde23c1c1ecb3295d571bc92a081306b30e184021d8a785",
+     "722f6487ef7a1d04397cd628009cb8646050a5e491a7e7afdc4abbf81adf1e2e",
+     "2913279cf9ab399dd751b3de288f7f07dffa6ca5d02773a463a3943535fe0d00",
      "ace478d18e14d172ce2cce5796b79d8b274e0044e8bd5f84fe0cc27b633bdca2"),
     ("corpus", 1, True, MP2,
-     "946c52fbbd03cd2c0bdf240561efe44654eb9899faa9de20083a2994a9b0619d",
-     "79116a6c9a8c87d505f636fcc99e9d99780b4c2422115223a785f56e517ad1d7",
+     "30b3df6a5a5de9f50ac9a7ee73481dd1528ee29a2228c6125539b54359cdf490",
+     "091b93f93fc1ca721c54da40e52d768189fd1f8d71cbb279ab7c3bf730abcfc4",
      "6831c052349cf27fb6130f722993e8e0cc1eb0dfdb2fbc64b624294ba34ab960"),
     ("corpus", 2, False, MP2,
-     "cd33c91609cb15dda0fbde1c49f2e70435f0d229a73dff54cfc342bbcc902065",
-     "7101a970e557c137d1771d7a29348a7c8284edcd9bb12b5e21e42c47187dbe6a",
+     "e9c0c1cad3a0fd2e125d4d6143dc868ff2d214c6a6a538e1fdcaa80f34587e3b",
+     "9cc81a12f878cea59ae2bb1c3b274d366a20b3d48d7b713ec9c7d907bb008348",
      "bc37df28205bf8fe49a4c1171f7be411df89d9e6ea5c4ced3531fb327ded88ab"),
     ("corpus", 2, True, MP2,
-     "575fa13a8ca61c71a10f624a9fabae1eab88d3dd0faa7d8773f4b58405e1d082",
-     "75ff9dc1cf7344fab46e0dfbf844abf7ae3d74714944e4fdf5c2d4ca9dd95962",
+     "d9764394283c229c47cc746c80c766cb88380e0f13e63a2fa2ac2307503d1d6a",
+     "2c071a57aec5b91f78189ffb5fa788cbd20ab93aebbb253287434c29195d417b",
      "2deb8d378dafac2966d6b1f77cd7fab56e7e952517a0ad47bce89af23e45e3de"),
     ("corpus", 3, False, MP2,
-     "e07af42d6de1777baa956ff0359fd58dd745eb0a25ec6ee4774ab8b879c94b55",
-     "29252bb132c062bb2bbbdf14427d46b5e53f8d9229fefe0565ff24f7e8969145",
+     "4cd50f2e675ec49da1853dd6ef445668e675f0dbc6a6af15c11d3c1b3c076396",
+     "1698b4b99e1eaaf09614d0361c31a24147ca8160e5760f37b6d1c838b14026d0",
      "5036c784bf446f8424655d76f3ab3fb87679b824125a1b59006453ff017136f2"),
     ("corpus", 3, True, MP2,
-     "84c41b651bf7ccd12f0a3dcc44973b88e1ae1acbf195cbe74c60a4271ce36a0e",
-     "079267b8fae9cbffdf24ac503346c3cfc5de1b93688fc6beaa240c8937257508",
+     "2f3297276afa7a8a8b9d08f2af77406bf122787a6eec60fe9a6e875aa43228c9",
+     "d75189675dbb09e5f0e786d7721cfcf9bc1cbb6c49dc28aad8023d2e706fdb81",
      "53f6401d8c188699229b17aca62914d0108d8da0083eb6b4b9b880487b6cc275"),
     ("corpus", 4, False, MP2,
-     "46e7e8b7f5a7b852bfa66873c940fdbcfad99053148c85e253158d20af1dc8a7",
-     "45336f7c6a7e7d6eba6611de5d5418be92e8b141446edacf26dbdb60779ae5ab",
+     "63bd00fbfa223c2195b8e92a934fdf58c1af8a1192caad1d40c40b4cab3d5bf7",
+     "9eedfb958ae9e72317f809a024d028e3fa81c8541323e2cb19bf2c7794fed6a6",
      "dd11da633a988002ee1177451575106b1a8155aa61cdd7e83a5d87c77f2ae823"),
     ("corpus", 4, True, MP2,
-     "0105e2790332a7d3a93db8768066e494fd3e7001ead6af9e0032b3862fbe1a74",
-     "11d9540de099ceffd79d1021e53987b32872ed77f2554d95dc14ae1a6185d235",
+     "5cd69f60c73bdf078c5e385b31e6af74673e57bf739db62ef4ba2cdde3a5d849",
+     "9cc007c60c2a008ad9ecd9c24fa95826aceab6bba40ada2fbce36d0324e01956",
      "42cf8dd6d055350900f9047a3174f84876976b04d56835f31405e228bc419b8d"),
     ("corpus", 5, False, MP2,
-     "a07f328ef7840dca7f924e52f4b4cef99eb7ff9a557bb6f1b82042a6083f6ed8",
-     "e49b65305b2633a8f8c435b8572da8a7b77bd61a423771d7f8b6d8a893a74565",
+     "d240d1ec522e77bc1b254d96cf93dedccbb7495de6ddd5519c810c3d417b1a5a",
+     "7283628ff49e1e9ca28ce921eda7bd2da454d84c3694b96d37886a6cf0bb1c79",
      "f1df9e6367c0727a54d520ae7a0cb4c0c4d01d41089957de17ae5a104e6d4cfa"),
     ("corpus", 5, True, MP2,
-     "296dd50b05c540fbf21c16e0a2f90fce552398aac8af2a7c81966f407a6a8205",
-     "e4ca36b41f07d1c1925d8c360607d1d3b15136cf11981d6f3643f22ff83d8f8b",
+     "2e048ad8f2d37a346c378f64b0336fe177c619fdeb1e9079b5e6c08b90f518ae",
+     "263181cdfc594f4e7c678d576f17ff7e06c199a4699b9876a89f5cb6c00a8dca",
      "39b5f55ee0a2e257a3c475572e823759d151a84eafd31962cc61a161b2ea5b75"),
     ("corpus", 6, False, MP2,
-     "18f629a8fc60322373499692023c3b1c4b9088ff1bd49e844ed8d33894eac0ce",
-     "6ed27eb88c9f537c15c07f1803834aaeeb340d687052f9009709ad582dc53877",
+     "338425968c3f25cd2e916b6339be9a526148912b253079e3c4b39337fef8e55e",
+     "af34ed180bb74d1884b02534fa722b6d40fd505f7266b02987214dc8779de2c6",
      "77df56d685ed56660ed4a8712574acbeebec421f59811fc83fc8c15b9a8faa92"),
     ("corpus", 6, True, MP2,
-     "9314f5d4e0b04b8834b8424f8826fb67c315ec87c3f9a3ea07e1f99cf37e3b2b",
-     "468c9267572155b99884ee325db667dffdc415dc935c76d3e78d94bf24f886f3",
+     "02ded219e04941af1fe4bd71acb6366606f613ac2de39f938d842d2db833e1b5",
+     "d06258ba647255d61d171e278bfd93623c7e183aab4bc00af6f75c00ce2dca81",
      "e4e26743b3f971680db10c5b7b9a7ad8a0e362387003c924d246e6e57704136f"),
     ("corpus", 7, False, MP2,
-     "8747432fe82f655a26ec621406e1b013688c99a450229e93c0c8472fb1e5cbb7",
-     "0a6f64c04ca9eeb84759eb63d930e50c8b73821926952d7d42406347572db239",
+     "5d14300b15d7371efce8097571a75c6310ec4b727789dad85d05267f7f49975e",
+     "491816623e87e31b6d3e90b1c2c01992d633a5b4839a43f5b3b5584635aedff4",
      "9d071422dcbe2058377de0410231b64137ba992906373835009a4d4f7b62fbad"),
     ("corpus", 7, True, MP2,
-     "8da847d8296ea63c09ba7b499feeefcb5a6af144224092909e202975bd2890c7",
-     "5b016b41da13e0a8855a1bc33b3ec4778fe46c731852aba928acf8a2472feca3",
+     "db8f9dc1e86c34b06e7605122096684602ef06b63a2572ae23a3052debf92903",
+     "2540bc9d5968bc64844e44dcf1e0edb8cda30fe68752b3cdb5a018820bcb438e",
      "7b423a70d3dd70c8dfcc107ba105ebc7e88f2c0d23bd3d961d75e74258f3b2e9"),
     ("corpus", 8, False, MP2,
-     "e0ccd1df4dd3010378b7a1469b0f2a1e53ec7bb88f42cb3bc5fca869074c70f3",
-     "b7314c859cf894baddb2f05adc05f70e3a98c048ac914f444828027a2996d0f8",
+     "631ba65b4222f54df25aa7486784b7ed6848d7dbaa5cc8f7249c2a8cc14a1ace",
+     "989938acb0947643933a1a990c7c6ad8637b8dc980dc7cfe5b04822aa1996b86",
      "23ac9a0807f36c31b7309e423c0627e49491a3c9e1439252a11e357e71477616"),
     ("corpus", 8, True, MP2,
-     "8197ec150151b2789073af5c535be05d445f7de4a4f8b3dc84e0606b78db902b",
-     "5e21a973ca123fcd4e24961b23f1227da9fc6370f51533c0c80c98157f4fefdf",
+     "9f92cf7d977fb8bbf494370d3bbf3b96410c5c58818a519380d888e6007cd463",
+     "19fb974ef86f1ecd84770706d758f868a1a774e49ee66ccfc0218f94a51a2568",
      "d4a12e9bc34a2e598561cfbb5534087caafa82b3825559cb36e720aab87b43cc"),
     ("corpus", 9, False, MP2,
-     "e942fec4dd38ca5c7065da3b0ecee67a96239f897563cad8cfcf47939f28310a",
-     "9385f1170b26f53f055295c0af2a400b19a3eeb09e892d33509298ab9bd9a847",
+     "e1b96f193a49716ccdeaad627cec143113b8be25cc39a4ac440c1318dcb32510",
+     "d31127e5431c5fb37c771b19c90272604d350b5f4ec52f9448ebc21f71b50c64",
      "e65925aaf433ee6e97d4468973b6f3193f0d701dbf4d2c071f8dd66359d45032"),
     ("corpus", 9, True, MP2,
-     "6b9ea5965c7d307827ec97570cbbb192d5fc1d8da569427a862758fe6dc5d835",
-     "9cf487efc20fba947927341acb27dd8ea66023238b8e9bb5ff5ed702711b639b",
+     "94075871eeceee7f5018d7c8e22a422329e561c5d01e7d22954950a85972266c",
+     "e49087b55c694eeb75c9dd5e24023be80987fbc252026bdc131be681270dfd70",
      "e5fe191eef4a3ca0ec1528c5f5891502870573cb74956f29adef79419f21602f"),
     ("corpus", 8, False, {"max_period": 2, "ro_depth": 80},
-     "ce2c56a2003fd9254c10e085eb2dfde173fe8ac7829959720a17d055f7455794",
-     "03f13167547eeee06cbf03e75d448d771cbca260b983cefe3b04fe2156404703",
+     "28584d03f958766f5682af2880b698ad6076b76412edadc80aa565d39819c224",
+     "ad630dbbdb9775e9744515f2e9b10e02d966191725fba3422dbfb3c837acc2c5",
      "5bbcf914ff8ead6be391ced9374a4fcfeda74b813fd424588427c1d13351901a"),
     ("corpus", 8, True, {"max_period": 2, "ro_depth": 80},
-     "de74df15205bdd278db347d4a287213425d1179add17ceac890c7eded656d9af",
-     "fe9f009a88bb17a94f08c1b58ffa8a6a15fdd9a9f7a4ec58bd75d837a814eab9",
+     "dd15f6951e3dbee8fe48be6bb6d38e573d87fd95d38bef5450fac64a3f2dea89",
+     "4de680d03573003d107e81f21b1d108f3cde6c4c646d9a73d5cdbbb234fb1d7f",
      "69c2499122a06c83694062c71d674609b01136cbbb0c9e88f621f5330625a8fe"),
     ("corpus", 7, False, {"max_period": 2, "orbit_budget": 40},
-     "dbc4cb99b7d46842fc48c1c95cfa7d963d4e724bbdeb3e9e4488e06cdeb3bea1",
-     "fc34a1e2375b9e0f23f9227745de7dc1cdb36f3111afc75197b1a5fc92307272",
+     "aea85240c5e298fa4f6d696c005bbdaeb496ddaac3990d8f65dfa38be730c025",
+     "8a469ee3995640cbacf1418fc31be9b789e0cca64b0d158b5d73d8614a393d9b",
      "7a7f2cc035391253c4cab592b4432eb45a176a95ef949026a5951474730c1716"),
     ("corpus", 7, True, {"max_period": 2, "orbit_budget": 40},
-     "24facbfdead6b3b569863030a0bc3b802805f0f44456ab77d59d8a710949846f",
-     "416510ccf2f53bb14797edbe1f29d5817344490905f3410759840b460634ba68",
+     "973a9f57d6234c37a0a22ddf3aee0d7d2cbcd66a05595238502ab4dc7f74433e",
+     "61ca7711f172b4d018a9fa7eac44018b6a68ec153e383479ebb70d822d83bf6d",
      "d6fe0bcc82663ce53b5b68fc51fbca172915af7c87d4dabee8739dba89db1d87"),
     ("two-cycle", 0, False, {},
-     "663801e50c6744c3a15f4f1a6cf0c3198221c3833062bf0725bf3b1dc2533d4a",
-     "014bbdde034c00631e414f03ed4c9a7d07cdff4091899c5f1e17919ee4ea0587",
+     "8417a545bff87b1ab6dc48cb51c64c3ed9e4623e30e56e76fe280055e1d0b795",
+     "6422b51d9e85d3685a7981446abd99cb3b5a9d4ebd46901eb58ff00035931ef2",
      "d56030e682526290b214eaa49c4e86fa327be7acbd47602899bb15b792e12da0"),
     ("two-cycle", 0, True, {},
-     "cf2d180e05cb2531324d00e960d58dd96b2272b3e14b456208d5639237839018",
-     "776db60377a3ba8f04c4213863051aaff32f507e3962405b7883393cb6205808",
+     "49c43cf323044332d651ea268bdb1b9ed56190f9a61ea43b52f02c23e4db47c9",
+     "80ec549b954e98b4dda5c4c9e3f76f98c056e17fc3512191d0f7d98ad51b9eec",
      "53d42ef8a7aa3e3a82a2a7ae3d12f487610cb6ee4c8b7b2cde3f969f55964a79"),
     ("corpus", 23, False, MP2,
-     "18766952abee64232ba668e2e85623136d24865c24b92bdb25ea57869314a900",
-     "d93ef06ef80b1164f1851cd1a63e314ece93002deab7d9285cf81c0e9f8fccd2",
+     "75f8b99ed30e071f79f3817267b0cef97837327bd652833f02526247654227ab",
+     "0d2ef69f2037ee66aa15c8edf8731ce167f89fdb5a11af99f288410f93128da5",
      "77e930421d7542b6787e62a3549dcad160b83c070760e7f6973501375a1b7377"),
     ("corpus", 23, True, MP2,
-     "1fc68bc787d197a1c2e60a41f4bd9bb345d96322fafc60c3d044bb6c34ca0038",
-     "e6a1bd67cf7fa2b28d8444f853fa6ef1ce5d8e397e2913d057859ca15bf5a193",
+     "63be9ac60a643a4182d63241efdcab873518ef39fc302f0323afb30634083e68",
+     "eb85981f3db9d6c8416329503324647f44c59f8f38a2821c8626446a1b847523",
      "645e888540b0ea30ce7f9194c634428ef31a4c31cc4d47ce1cf74ccbd4399633"),
     ("two-cycle", 0, False, {"max_period": 1},
-     "b5d22a455f55bd71d51e39f9bca683232fc7c03293a9cab9dbaab512ff982957",
-     "d0053fdcf3e5a4292852c9120665121f6e09988ec189184c97d4709001b1074c",
+     "78ea443f0a523229e2fe0af1b659e3f01c76dc21b4c70ffa2ef52c4af52f3d44",
+     "8d11f9ff9b9e179078827b18762150ba6aa331157e96d359fbd28c6683c6f5dd",
      "cdf2805f18a28fd898a4d7342831756d73c0547c60ed210bfdbc9b2da0802f39"),
     ("two-cycle", 0, True, {"max_period": 1},
-     "80bc581d228fd233220f07961efbc5b7b9c1450269d6499d493857a6ecfdde95",
-     "b0509a14b953ee6eb78beac295b108d744820209d2211a66b479a49221f4fbab",
+     "e235a3332923d98ce71533fc7629d9ee5552dba6b04fd2a2bbc9848beab01c7b",
+     "3d206a4da369258b7bb3133f8b6f43ad8fb5bfacf537d4e29e70950fe6953501",
      "217f363db3fa4c7813cb58f51471a0215904c48be7873cc7a338725aeb8b6b56"),
     ("siegel", 0, True, {},
-     "5d6ad9e41e73c33633a4dd6c8cb46637b702ccca1da2b17ef0bf66a2840f468b",
-     "66f9de3c135b7017338466fba4864499b297b0f2e3a289211a0d18ef9bf89910",
+     "79d0008f3c0f51e7d1e1b58904280a71572d0ffee59695d008b8b108aae7ce09",
+     "1e0ce5c793c84f538691da32b54a1235d822cfa61f9ab027009aeaeb06df793b",
      "60d627d3c3fed6f37d2e6e655bd15eb0c49cb42501b3287d27ec9b95fbf1fdd5"),
     ("siegel", 0, True, {"declarations": [SIEGEL_DECLARATION]},
-     "553fe3f03ee46f589a376b4a0a6c73fccb97e824341b389e8d7768ad9a690f83",
-     "a136323c67ca30107987ecec4d4228164d725557a59c159a2ba60ee228544f37",
+     "4381db5392e09ee7358993117bd2ec508993adc57ea3ae970b0b4327bd130c02",
+     "524a74ef9147e818732baf650af655f0727068c1aa647d85555fe5010c6647cf",
      "0ab37bbba0c97743fc28ee8f219eda39eeceaa8e757db0a0467b2785877961b5"),
     ("cubic", 0, False, {"max_period": 1, "declarations": [HERMAN_DECLARATION]},
      "c0f508613639cc732228b1735bc950a3b9d049ab865a776779738c28d72ca619",
