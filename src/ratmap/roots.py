@@ -17,7 +17,9 @@ stop test and runs at most 200 sweeps; a group that stops drops out of the
 later evaluations.  Consecutive groups of one size (the targets of a
 preimage level) have their pairwise sums made as one (k, n, n) block,
 each group's sums those of its own matrix.  After Aberth, find_roots and
-find_zeros run a short Newton polish of all groups.  The
+find_zeros Newton-polish all groups in one walk per step; each point
+stops once its step passes Aberth's stop test (_converged), after at most
+NEWTON_POLISH_STEPS steps.  The
 residual check (_settle) and the clustering (_clusters) are shared, and are
 made per group; a group that fails does not stop the others.  Multiplicities
 of a floating polynomial are assigned by clustering in the chordal metric.
@@ -134,6 +136,15 @@ def _blocks(zs, active):
         start += len(run) * n
 
 
+def _converged(step: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Per point, whether the step that gave z is at most 1e-14 (1 + |z|).
+
+    The stop test of each Aberth group (all its points) and of each point
+    of the Newton polish; a NaN step never passes.
+    """
+    return np.abs(step) <= 1e-14 * (1.0 + np.abs(z))
+
+
 def _aberth(evaluate, starts) -> list:
     """Aberth-Ehrlich sweeps from each group of start points, one root per point.
 
@@ -173,7 +184,7 @@ def _aberth(evaluate, starts) -> list:
             denom = np.where(denom == 0, 1e-300, denom)
             corr = newton / denom
             z = z - corr
-            done = np.abs(corr) <= 1e-14 * (1.0 + np.abs(z))
+            done = _converged(corr, z)
             running = []
             for run, rows, shape in blocks:
                 stopped = done[rows].reshape(shape).all(axis=1)
@@ -212,25 +223,37 @@ def preimages(table: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.concatenate(_aberth(_grouped_horner(a), list(starts)))
 
 
-def _newton_polish(evaluate, z: np.ndarray, steps: int) -> np.ndarray:
-    for _ in range(steps):
-        p, d = evaluate(z)
-        safe = np.abs(d) > 1e-300
-        step = np.where(safe, p / np.where(safe, d, 1.0), 0.0)
-        z = z - step
+def _newton_polish(evaluate, z: np.ndarray) -> np.ndarray:
+    """Newton steps on all points in one walk each, every point until its step
+    passes _converged or its value is not finite, at most NEWTON_POLISH_STEPS.
+
+    A stopped point is still walked but keeps its value, so each point gets
+    the bits of its polish alone; the loop ends when no point moves.
+    """
+    moving = np.ones(z.shape, bool)
+    with np.errstate(all="ignore"):
+        for _ in range(NEWTON_POLISH_STEPS):
+            p, d = evaluate(z)
+            safe = np.abs(d) > 1e-300
+            step = np.where(safe, p / np.where(safe, d, 1.0), 0.0)
+            z = np.where(moving, z - step, z)
+            moving &= ~_converged(step, z) & np.isfinite(z)
+            if not moving.any():
+                break
     return z
 
 
 def polish(evaluate, z: np.ndarray) -> np.ndarray:
-    """Newton-polished simple roots, with dust components cleared (_zap_denormals)."""
-    return np.array([_zap_denormals(complex(zi))
-                     for zi in _newton_polish(evaluate, z, NEWTON_POLISH_STEPS)])
+    """Newton-polished simple roots (_newton_polish), with dust components
+    cleared (_zap_denormals)."""
+    return np.array([_zap_denormals(complex(zi)) for zi in _newton_polish(evaluate, z)])
 
 
 def _settle(evaluate, measure, zs, contexts) -> list:
     """Polish the approximate roots of each group and check them.
 
-    evaluate is _aberth's; the polish steps all groups at once.
+    evaluate is _aberth's; the polish (_newton_polish) steps all groups at
+    once, each point until it converges.
     measure(z) gives, for the points of all groups one after the other,
     (residuals, uncertainty): a scale-free residual per root, and either
     None or the radius within which each root is still undetermined.  A
@@ -240,7 +263,7 @@ def _settle(evaluate, measure, zs, contexts) -> list:
     uncertainty radii capped at 100 DEFAULT_CLUSTER_RADIUS, or None.
     """
     groups = tuple(range(len(zs)))
-    z = _newton_polish(lambda z: evaluate(z, groups), np.concatenate(zs), NEWTON_POLISH_STEPS)
+    z = _newton_polish(lambda z: evaluate(z, groups), np.concatenate(zs))
     residuals, uncertainty = measure(z)
     results, start = [], 0
     for zg, context in zip(zs, contexts):
@@ -427,8 +450,10 @@ def _eval_scaled(coeffs: np.ndarray, z: complex) -> float:
 
 def _zap_denormals(z: complex) -> complex:
     # components this small, or this far below the other one, are iteration
-    # dust, never meaningful values: a real point stays real
-    dust = max(1e-250, 1e-30 * max(abs(z.real), abs(z.imag)))
+    # dust, never meaningful values: a real point stays real.  A polish step
+    # that passes _converged is at most about 1e-14 of |z| and leaves an
+    # error of about its square, so 1e-28 of the larger component is dust
+    dust = max(1e-250, 1e-28 * max(abs(z.real), abs(z.imag)))
     re = 0.0 if abs(z.real) < dust else z.real
     im = 0.0 if abs(z.imag) < dust else z.imag
     return complex(re, im)

@@ -185,10 +185,18 @@ def coincide(p: SpherePoint, q: SpherePoint, tol: float) -> bool:
 
 
 def point_sort_key(p: SpherePoint):
+    """Finite points by real part, then imaginary part; infinity last.
+
+    Real parts that agree to 12 significant digits tie, so a last-place
+    rounding of the real part does not reorder two points that the
+    imaginary part tells apart, such as the conjugates -0.5 +- 0.866i,
+    unless it crosses a 12-digit rounding boundary; the exact real part
+    breaks what is left of a tie.
+    """
     if p.is_infinity:
-        return (1, 0.0, 0.0)
+        return (1, 0.0, 0.0, 0.0)
     z = complex(p.z)
-    return (0, z.real, z.imag)
+    return (0, float(f"{z.real:.12e}"), z.imag, z.real)
 
 
 def dedup_points(points, tol):

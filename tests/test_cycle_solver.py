@@ -118,6 +118,17 @@ def test_the_cycle_points_of_a_real_julia_set_are_real(doc):
     assert len(points) == 22 and all(z.imag == 0.0 for z in points)
 
 
+@pytest.mark.parametrize("doc, twin", WORKED)
+def test_no_cycle_point_or_multiplier_keeps_an_imaginary_residue(doc, twin):
+    # the polish stops once its step passes the stop test, which can leave
+    # an imaginary part about 1e-30 of the real one: worked map 1 printed its
+    # real 4-cycle point as 53.49096121841152-9.698709641697055e-29i
+    cycles, _, _ = periodic_cycles(parse_map(doc), 4)
+    values = [complex(x.z) for c in cycles for x in c.points if not x.is_infinity]
+    values += [complex(c.multiplier) for c in cycles]
+    assert not [z for z in values if 0 < abs(z.imag) < 1e-20 * abs(z.real)]
+
+
 @pytest.mark.parametrize("index", [6, 16])
 @pytest.mark.parametrize("twin", [False, True])
 def test_no_period_two_point_is_dropped(index, twin):
@@ -327,12 +338,17 @@ def _reference_aberth(evaluate, z):
     return z
 
 
-def _reference_newton(evaluate, z, steps):
+def _reference_newton(evaluate, z):
+    """Newton steps on all points, each point until its step is at most
+    1e-14 (1 + |z|) or z is not finite, at most NEWTON_POLISH_STEPS steps."""
+    moving = np.ones(len(z), bool)
     with np.errstate(all="ignore"):
-        for _ in range(steps):
+        for _ in range(NEWTON_POLISH_STEPS):
             p, d = evaluate(z)
             safe = np.abs(d) > 1e-300
-            z = z - np.where(safe, p / np.where(safe, d, 1.0), 0.0)
+            step = np.where(safe, p / np.where(safe, d, 1.0), 0.0)
+            z = np.where(moving, z - step, z)
+            moving &= (np.abs(step) > 1e-14 * (1.0 + np.abs(z))) & np.isfinite(z)
     return z
 
 
@@ -361,7 +377,7 @@ def _reference_solve(rf, p):
     # the seeds of period p depend only on the map and p
     [starts] = _seeds(rf, [p])
     z = _reference_aberth(evaluate, starts)
-    z = _reference_newton(evaluate, z, NEWTON_POLISH_STEPS)
+    z = _reference_newton(evaluate, z)
     m1, m2, u, v, f, df = _reference_walk(rf, p, SOLVE_CHART, z)
     with np.errstate(all="ignore"):
         residuals = 2.0 * np.abs(f) / (np.hypot(np.abs(u), np.abs(v)) * np.hypot(np.abs(m1), np.abs(m2)))
@@ -514,27 +530,142 @@ def test_the_seeds_of_z_squared_are_its_preimage_tree():
 
 @pytest.mark.parametrize("twin", [False, True])
 def test_the_lock_step_solve_of_the_corpus_takes_70_aberth_sweeps(twin, monkeypatch):
-    # from the start circle the same solves took 454 sweeps; find_zeros
-    # evaluates once per Aberth sweep and NEWTON_POLISH_STEPS times after
-    calls = []
+    # from the start circle the same solves took 454 sweeps.  Each polish
+    # walk steps a point only until it converges; at NEWTON_POLISH_STEPS
+    # walks per polish, _settle and the balanced charts took 50 walks each
+    walks = Counter()
+    stage = [None]
 
-    def counted(evaluate, measure, starts, contexts, _find_zeros=ratmap.dynamics.find_zeros):
-        def counting(w, active):
-            calls.append(len(w))
-            return evaluate(w, active)
+    def staged(name, function):
+        def run(*args):
+            stage.append(name)
+            try:
+                return function(*args)
+            finally:
+                stage.pop()
+        return run
 
-        before = len(calls)
-        results = _find_zeros(counting, measure, starts, contexts)
-        del calls[len(calls) - NEWTON_POLISH_STEPS:]
-        assert len(calls) > before
-        return results
+    def counted(name, function):
+        def run(evaluate, *args):
+            def counting(*w):
+                walks[stage[-1], name] += 1
+                return evaluate(*w)
+            return function(counting, *args)
+        return run
 
-    monkeypatch.setattr(ratmap.dynamics, "find_zeros", counted)
+    monkeypatch.setattr(ratmap.dynamics, "find_zeros", staged("solve", ratmap.dynamics.find_zeros))
+    monkeypatch.setattr(ratmap.dynamics, "_polish_in_balanced_charts",
+                        staged("balanced", ratmap.dynamics._polish_in_balanced_charts))
+    monkeypatch.setattr(ratmap.roots, "_aberth", counted("aberth", ratmap.roots._aberth))
+    monkeypatch.setattr(ratmap.roots, "_newton_polish", counted("newton", ratmap.roots._newton_polish))
     for index in range(10):
         rf = _corpus_map(index, twin).floating()
         _solve_periods(rf, [p for p in range(1, DEFAULT_MAX_PERIOD + 1)
                             if rf.degree**p + 1 <= DEFAULT_PERIOD_WORK_CAP])
-    assert len(calls) == 70
+    # the sweeps of the seeds' preimage trees come outside any stage
+    del walks[None, "aberth"]
+    assert walks == {("solve", "aberth"): 70, ("solve", "newton"): 10, ("balanced", "newton"): 10}
+
+
+def _counted_walks(evaluate):
+    """evaluate, and the list to which each of its calls appends its number of points."""
+    walks = []
+
+    def counted(z):
+        walks.append(len(z))
+        return evaluate(z)
+
+    return counted, walks
+
+
+def _near_and_far(roots):
+    # a point 1e-9 off each root, points off any root, one whose step
+    # overflows and a NaN: each stops after its own number of walks
+    return np.concatenate([roots * (1 + 1e-9j), [0.3 - 0.2j, 2.0 + 0.5j, 1e200 + 1e200j,
+                                                 complex("nan")]])
+
+
+@pytest.mark.parametrize("key, twin", WORKED[:3] + [(index, True) for index in (0, 3)])
+def test_points_polished_together_match_each_point_polished_alone(key, twin):
+    # each point stops on its own step, so its bits never depend on the
+    # points that share its walks, for n = 1 too
+    coeffs = np.array([1.0, -0.5 + 0.25j, 0.0, 2.0, -1.0 + 1.0j])
+    horner = ratmap.roots._horner(coeffs)
+    z = _near_and_far(np.roots(coeffs))
+    got = ratmap.roots._newton_polish(horner, z)
+    want = [ratmap.roots._newton_polish(horner, z[i:i + 1]) for i in range(len(z))]
+    _assert_bitwise_equal([got], [np.concatenate(want)])
+    # the balanced-chart walk, one chart and one period per point, from the
+    # chart values of the fixed points of R^2
+    rf = _parity_map(key, twin).floating()
+    x = np.array([complex(x.z) for x in fixed_points(rf, 2) if not x.is_infinity])
+    inner = np.abs(np.append(x, [0.3, 2.0, 1e200, 0.0])) <= 1.0
+    w = _near_and_far(np.array([xi if inside else 1.0 / xi for xi, inside in zip(x, inner)]))
+    periods = sorted((1 + k % 2 for k in range(len(w))), reverse=True)
+    chart = tuple(np.where(inner, a, b) for a, b in zip(INNER_CHART, OUTER_CHART))
+    got = ratmap.roots._newton_polish(_FixedPointEquation(rf, periods, chart).evaluate, w)
+    for i, (p, inside) in enumerate(zip(periods, inner)):
+        alone = _FixedPointEquation(rf, p, INNER_CHART if inside else OUTER_CHART)
+        _assert_bitwise_equal([got[i:i + 1]], [ratmap.roots._newton_polish(alone.evaluate, w[i:i + 1])])
+
+
+def test_a_nan_row_stops_and_keeps_no_finite_row_walking():
+    horner = ratmap.roots._horner(np.array([1.0, 0.0, 0.0, -2.0]))
+    start = np.array([1.26 + 1e-3j])
+    evaluate, alone = _counted_walks(horner)
+    want = ratmap.roots._newton_polish(evaluate, start)
+    evaluate, walks = _counted_walks(horner)
+    got = ratmap.roots._newton_polish(evaluate, np.append(start, complex("nan")))
+    assert 1 < len(alone) < NEWTON_POLISH_STEPS and len(walks) == len(alone)
+    _assert_bitwise_equal([got[:1]], [want])
+    assert np.isnan(got[1])
+
+
+def test_a_point_at_a_double_root_steps_up_to_the_cap():
+    # (z - 1)^2 (z + 2): Newton about halves the distance to the double root per
+    # step, so no step passes the stop test; the simple root stops at once
+    horner = ratmap.roots._horner(np.array([1.0, 0.0, -3.0, 2.0]))
+    evaluate, walks = _counted_walks(horner)
+    got = ratmap.roots._newton_polish(evaluate, np.array([1.0 + 1e-6, -2.0]))
+    assert len(walks) == NEWTON_POLISH_STEPS
+    assert abs(got[0] - 1.0) == pytest.approx(1e-6 / 2**NEWTON_POLISH_STEPS, rel=1e-2)
+    assert got[1] == -2.0
+
+
+def _nudged(x, ulps):
+    """x with its real part moved by ulps units in the last place."""
+    z = complex(x.z)
+    re = z.real
+    for _ in range(abs(ulps)):
+        re = np.nextafter(re, np.inf if ulps > 0 else -np.inf)
+    return SpherePoint.finite(complex(re, z.imag))
+
+
+@pytest.mark.parametrize("upper, lower", [(4, -4), (-4, 4), (4, 0), (0, -4), (4, 4), (-4, -4)])
+def test_a_last_place_rounding_of_real_parts_moves_no_cycle_start_or_order(upper, lower):
+    # the cycles of z^2 through period 4 come in conjugate pairs, such as
+    # -1/2 +- sqrt(3)/2 i, whose real parts agree up to rounding; the points
+    # above the real axis move by upper ulps and those below by lower
+    r = parse_map(DECIMAL_TWINS[2])
+    cycles, _, _ = periodic_cycles(r, 4)
+
+    def listing(nudge):
+        rebuilt = []
+        for c in cycles:
+            points = [nudge(x) for x in c.points]
+            # start the orbit elsewhere, so the start is chosen afresh
+            orbit = points[1:] + points[:1]
+            cycle = ratmap.dynamics.make_cycle(r, orbit, orbit[1:] + orbit[:1], [])
+            rebuilt.append((cycle.sort_key(), cycles.index(c), points.index(cycle.points[0])))
+        return [(c, start) for _, c, start in sorted(rebuilt)]
+
+    def nudge(x):
+        if x.is_infinity or complex(x.z).imag == 0:
+            return x
+        return _nudged(x, upper if complex(x.z).imag > 0 else lower)
+
+    assert listing(nudge) == listing(lambda x: x)
+    assert [start for _, start in listing(lambda x: x)] == [0] * len(cycles)
 
 
 @pytest.mark.parametrize("doc, failed", zip(MIXED_FAILURE_MAPS, [[3, 4], [4]]))

@@ -460,140 +460,140 @@ MP2 = {"max_period": 2}
 # function and bound once per analysis.
 PINNED_REPORTS = [
     ("worked", 0, False, {},
-     "2b51166cfbf0913789c9ab43f6fed5f4c440c25f101c288608c6d55e808ae6fc",
-     "5bcfa6918fc274e12c68b372a67c18e79f863b0ea00527b06bc74362ed06e3b4",
+     "25967cfda40d71817dc85d7524715edc972def667c52c3a645e2f072b8f0940b",
+     "bdecc95435423f9921830fe934a42beec88639333177d4429b59648c2fc5dcf6",
      "16b6ae7ac0a3cc233e0dd1532898203ca60e3eed6e29cbef500c2140dbebdfc6"),
     ("worked", 0, True, {},
-     "22c97168a1a4a2e9ebbb411b7da8eb171f01e0bf9c8a088a79abcb3343507742",
-     "66921870a26900b66b107511f9031a9dbbdf66e5d7bf2ebcadac1effce55fda5",
+     "c9723705ef625e906e754aa5beca16f51df6c86fc7cf7c22facdf25a7c6e2741",
+     "dd15f4da73837edf9e3c244799a8e097da292cbc354e43af1179de1aede76be6",
      "21be0ed9583bef42d478a248e5e3eb5f3d4229e0199038f7c0e410b0666e75bd"),
     ("worked", 1, False, {},
-     "04c7550631f1b3d9a78fa4a87b9d1063d53971f75f9395e8223d4143bdb65829",
-     "0f3a7bc78b5d10b46f12c84900b8bfdd0a8abdfa1f89b78282c133d98a5de023",
+     "c22df483c7c94f3127b107eda9756f77f990d11d9a4e4fe1d5435f6a50e1e258",
+     "a4cb87d0ce2086b73933316568c66b33880a4bb3a021bca28b5b0c34b176c2ae",
      "8d9a8911f6dcf057f5b16a2a72677f7cf1c19c88743a28682e2a558d09eac153"),
     ("worked", 1, True, {},
-     "3d9067c5d029f9832f12011ff42926a0d8da42bb60d233eba3d52264a2bc1be8",
-     "b0027af3635617dc88b90a539c6696eca34f66403e9616701d366588ffd42cb5",
+     "76ef82530aae143c577e5a040e2bca74d2852a6caf994f5ed745e44ebf0ddca6",
+     "abb5e94f847e8e4469c032fadaaff26343c0ce07c19652361efd8adc630e028b",
      "b3209e403b0390a62e3247aac7fc938cd690e5c82edd0299ec288191572121bf"),
     ("worked", 2, False, {},
-     "c2f5a0a2b22af7a9969c25ec51cfb347c8c5cab1c2ddc6812b9ebd4341858db0",
-     "5f052ac28eae6bd9e98878dbb8530c0fb390b3fd07035067c9b9e7c953a6458f",
+     "e2b4073bbbc655628dc084efb1689d650fb11dcb10d4f3ee35c77ac291a9f05d",
+     "32b7ff2db7026ff117a72bc3f25ed09e90b4fb5959518cb490a59cc2c46e5c94",
      "efbc2d575690c15e2a97f596d6d23072cf0bbe1ee83280723b1c2c9e41cc436b"),
     ("worked", 2, True, {},
-     "a647d481af5937206a72dcea45dfc9222efb24e22bfb9f186e413c0594c493f4",
-     "43cabae2da4b2b8506bc6c9191f4c67f5447c7702302b7c538cd2cab37247c34",
+     "453a5ca21a3695324844b651cf13a3957621ef1ece70510858b27beffa649781",
+     "44d1c4c22b874426ef3da0c00ba1bdbb15da89b0a6ca91bf198a9558cb3606f0",
      "9d5055e845a239c09e635e50d0a5f272e340ee7cfc1db1eb7503d42b3c6984bf"),
     ("corpus", 0, False, MP2,
-     "981e997d03592c93683c87043024de82fbc449bcb729a6da0befa3763f4c76b4",
-     "0887e086e0e30aae4b32be6f7f9b8831e10859be4734c97c9883f9239fe94697",
+     "8481832892b9e4619e66f736c7f45a51604973481e5fe3a3bf744f96e99f4d20",
+     "695ad1eeb80607387ada4d75f3621e574e7b479456774a960e8c8eda924c57e6",
      "fccb22a0bc39cf65ad4b045b9c05606eb500c0a7b19eaec947aca23dbde60849"),
     ("corpus", 0, True, MP2,
-     "f28fe4a9244ecbee7e3b66758cb9f840d9f54b1c8e945a1a5f123baace4c7496",
-     "2401a7c140ac25a3db3faeef5214f98b2e16918a8f17d3bfe69da391ade35dae",
+     "1e94a1ab4b6b9db8422c2ff3843cd04263b6d9f0f375f348e14b463db2ce2931",
+     "968cc946c331ff54ab986f56eee2133343bd76345e983a3b518b9075211b338a",
      "8ed9e349b8d4d6098ce70474907569debd7c5c05eb271d1820ead618a6b93cb0"),
     ("corpus", 1, False, MP2,
-     "722f6487ef7a1d04397cd628009cb8646050a5e491a7e7afdc4abbf81adf1e2e",
-     "2913279cf9ab399dd751b3de288f7f07dffa6ca5d02773a463a3943535fe0d00",
+     "34c00d083a5c0d061b71aaf395ae5b5cfd0276cfb7f5ad5112e2fa594fa030f1",
+     "84f796a79bbb915c9202501aa2ddf0c7ce402773fec61e7975c8d6ecd5baa166",
      "ace478d18e14d172ce2cce5796b79d8b274e0044e8bd5f84fe0cc27b633bdca2"),
     ("corpus", 1, True, MP2,
-     "30b3df6a5a5de9f50ac9a7ee73481dd1528ee29a2228c6125539b54359cdf490",
-     "091b93f93fc1ca721c54da40e52d768189fd1f8d71cbb279ab7c3bf730abcfc4",
+     "4ffde1bef9c1149c22bb2d371264279d7524c89b07a0018f0f3a4ec19355ac0a",
+     "2c6f8bdedc05ffd4d0e07996f5f37fc6c730b68df3e944aa81720f05033564cf",
      "6831c052349cf27fb6130f722993e8e0cc1eb0dfdb2fbc64b624294ba34ab960"),
     ("corpus", 2, False, MP2,
-     "e9c0c1cad3a0fd2e125d4d6143dc868ff2d214c6a6a538e1fdcaa80f34587e3b",
-     "9cc81a12f878cea59ae2bb1c3b274d366a20b3d48d7b713ec9c7d907bb008348",
+     "c8686d3b115b862f4aff3c107aa86a0427368b3ccf9f6733137496c2223d52c7",
+     "fc147e865f699d7f83082929ae887889f60df6b10df8c1c62ce8fa56a03e38e2",
      "bc37df28205bf8fe49a4c1171f7be411df89d9e6ea5c4ced3531fb327ded88ab"),
     ("corpus", 2, True, MP2,
-     "d9764394283c229c47cc746c80c766cb88380e0f13e63a2fa2ac2307503d1d6a",
-     "2c071a57aec5b91f78189ffb5fa788cbd20ab93aebbb253287434c29195d417b",
+     "f0ad89292f9ab2e3dae321de71c190c93576fb388030d8f6e6a708e3e7182900",
+     "9b0c409e95b783928c4d289f89fcf5946263cd3dbfabf06eec67a19ea6f35ef1",
      "2deb8d378dafac2966d6b1f77cd7fab56e7e952517a0ad47bce89af23e45e3de"),
     ("corpus", 3, False, MP2,
-     "4cd50f2e675ec49da1853dd6ef445668e675f0dbc6a6af15c11d3c1b3c076396",
-     "1698b4b99e1eaaf09614d0361c31a24147ca8160e5760f37b6d1c838b14026d0",
+     "d487e2cdc4cfe3e2bdc19454ce8b39e496d8529c9091895cb125fc71d24fbd01",
+     "a4e8bd2d6397890f437585e4b30434946a969cbb59e2c2bdbc35b1e1765b3504",
      "5036c784bf446f8424655d76f3ab3fb87679b824125a1b59006453ff017136f2"),
     ("corpus", 3, True, MP2,
-     "2f3297276afa7a8a8b9d08f2af77406bf122787a6eec60fe9a6e875aa43228c9",
-     "d75189675dbb09e5f0e786d7721cfcf9bc1cbb6c49dc28aad8023d2e706fdb81",
+     "6cfbca688c7583645a6ca910de7fe32bb5518b266dff358ac7f523002e15a1a3",
+     "425e0d9918822a0a8926c61eca6de49c2988e00e1103c0581855fa0dc49945e0",
      "53f6401d8c188699229b17aca62914d0108d8da0083eb6b4b9b880487b6cc275"),
     ("corpus", 4, False, MP2,
-     "63bd00fbfa223c2195b8e92a934fdf58c1af8a1192caad1d40c40b4cab3d5bf7",
-     "9eedfb958ae9e72317f809a024d028e3fa81c8541323e2cb19bf2c7794fed6a6",
+     "6ff29c98407a292470a03e84faeb700ed83dc8333d37b06add3816e2a84d8065",
+     "60d29d7b7abbf97689cacc642f4b86de980e244cb673070a8e2f8a6a0fd26f2d",
      "dd11da633a988002ee1177451575106b1a8155aa61cdd7e83a5d87c77f2ae823"),
     ("corpus", 4, True, MP2,
-     "5cd69f60c73bdf078c5e385b31e6af74673e57bf739db62ef4ba2cdde3a5d849",
-     "9cc007c60c2a008ad9ecd9c24fa95826aceab6bba40ada2fbce36d0324e01956",
-     "42cf8dd6d055350900f9047a3174f84876976b04d56835f31405e228bc419b8d"),
+     "d506d90218d83ace007e0eed0b31ed474ad79a0b1ab882d2195c004e010d8ae0",
+     "48e096583b3960c413637fa16a17b0042a889ccf1cbf362cb556b5a9af3e37d8",
+     "dc904222483f9a3bac1f57ca0c5e4735ff4f97e75be4f223b8a1556ceaa835ce"),
     ("corpus", 5, False, MP2,
-     "d240d1ec522e77bc1b254d96cf93dedccbb7495de6ddd5519c810c3d417b1a5a",
-     "7283628ff49e1e9ca28ce921eda7bd2da454d84c3694b96d37886a6cf0bb1c79",
+     "88961b7c02e87a81153f31711720272b2e5b853394c9dac5bb356fd5004502e4",
+     "5699672e98a8cc2171e2aa3a9ac50d77e1d750e9647478e2a17187159038d291",
      "f1df9e6367c0727a54d520ae7a0cb4c0c4d01d41089957de17ae5a104e6d4cfa"),
     ("corpus", 5, True, MP2,
-     "2e048ad8f2d37a346c378f64b0336fe177c619fdeb1e9079b5e6c08b90f518ae",
-     "263181cdfc594f4e7c678d576f17ff7e06c199a4699b9876a89f5cb6c00a8dca",
+     "f2b4f4b7797559628be11c4c56e5cb49a11ddd577dab98b23cef672bf3031cb4",
+     "1bdc755288fe37db013a2b0e116b6daa646855ea56bb2eb86a7ac29cb0b01f1b",
      "39b5f55ee0a2e257a3c475572e823759d151a84eafd31962cc61a161b2ea5b75"),
     ("corpus", 6, False, MP2,
-     "338425968c3f25cd2e916b6339be9a526148912b253079e3c4b39337fef8e55e",
-     "af34ed180bb74d1884b02534fa722b6d40fd505f7266b02987214dc8779de2c6",
+     "34cbcefe124b121a99f0336e72fdac05a85c99926099ec5d80d6963287997e6d",
+     "7dc03b6b84c6689bf460f28fbaa8891aaccfd30f2b35f3f1d6263b99f4eed674",
      "77df56d685ed56660ed4a8712574acbeebec421f59811fc83fc8c15b9a8faa92"),
     ("corpus", 6, True, MP2,
-     "02ded219e04941af1fe4bd71acb6366606f613ac2de39f938d842d2db833e1b5",
-     "d06258ba647255d61d171e278bfd93623c7e183aab4bc00af6f75c00ce2dca81",
+     "73faaea3a8754dbc51b38e09caa04790cd2fcd8139fd2ace141bfe9ae9fee416",
+     "802fa4b03be41d1ff32b5cad6cf327992b50c2249f9d40d77c32bed037f21707",
      "e4e26743b3f971680db10c5b7b9a7ad8a0e362387003c924d246e6e57704136f"),
     ("corpus", 7, False, MP2,
-     "5d14300b15d7371efce8097571a75c6310ec4b727789dad85d05267f7f49975e",
-     "491816623e87e31b6d3e90b1c2c01992d633a5b4839a43f5b3b5584635aedff4",
+     "753dbfee471048577e2920d1068b955ffab0b816c4267380dc21b888a6f20701",
+     "05e2a8bde3bf2bd9b3fec8479326619e80e86b996a96860420e7a2338f1da4bb",
      "9d071422dcbe2058377de0410231b64137ba992906373835009a4d4f7b62fbad"),
     ("corpus", 7, True, MP2,
-     "db8f9dc1e86c34b06e7605122096684602ef06b63a2572ae23a3052debf92903",
-     "2540bc9d5968bc64844e44dcf1e0edb8cda30fe68752b3cdb5a018820bcb438e",
-     "7b423a70d3dd70c8dfcc107ba105ebc7e88f2c0d23bd3d961d75e74258f3b2e9"),
+     "5c9eeb72f62c7b0d55f5c1c182b35f93495167b7c2f3f88dc838f7482ce15f9f",
+     "60c4405244f7acfa48b02318bcf94684a460dcc460a5f9e8b2deb414ef95c57c",
+     "383e2854cbc511cbeb11c5f56bba5330bde395846e8c0589eda2da4e57beefa8"),
     ("corpus", 8, False, MP2,
-     "631ba65b4222f54df25aa7486784b7ed6848d7dbaa5cc8f7249c2a8cc14a1ace",
-     "989938acb0947643933a1a990c7c6ad8637b8dc980dc7cfe5b04822aa1996b86",
+     "2d7008e1cac6222d95e23a180c11cc7ab2eb45a1ae129bf32ed5bf9cfc99f504",
+     "3f91ba8aefa19fb383e1ca4392240a2f8e3e5962ed67e688cea357fdc3c3e1b5",
      "23ac9a0807f36c31b7309e423c0627e49491a3c9e1439252a11e357e71477616"),
     ("corpus", 8, True, MP2,
-     "9f92cf7d977fb8bbf494370d3bbf3b96410c5c58818a519380d888e6007cd463",
-     "19fb974ef86f1ecd84770706d758f868a1a774e49ee66ccfc0218f94a51a2568",
+     "83a68bbfd79f0a10126a4e100cf2b3cd0a646f39ca6ef98b50ecb455b3db3f44",
+     "701192f19c18af6ee57c4969c331f3f3038e588e20e84f77f3f73379fc13b053",
      "d4a12e9bc34a2e598561cfbb5534087caafa82b3825559cb36e720aab87b43cc"),
     ("corpus", 9, False, MP2,
-     "e1b96f193a49716ccdeaad627cec143113b8be25cc39a4ac440c1318dcb32510",
-     "d31127e5431c5fb37c771b19c90272604d350b5f4ec52f9448ebc21f71b50c64",
+     "9b46bd9750f5ea36bf169aba2e091148e54be56d361976e3c565b9299a53ac03",
+     "fff734138fe685f19495fed6adb5c9c3335920799d68e274427f060d8a70ad7a",
      "e65925aaf433ee6e97d4468973b6f3193f0d701dbf4d2c071f8dd66359d45032"),
     ("corpus", 9, True, MP2,
-     "94075871eeceee7f5018d7c8e22a422329e561c5d01e7d22954950a85972266c",
-     "e49087b55c694eeb75c9dd5e24023be80987fbc252026bdc131be681270dfd70",
+     "04990f240b0f5fee8ff0455a0ff4270b3c7e5ed397cb173475ccd79d4c8316ec",
+     "f9dacfa957e1ef9cd40c532a2045041d61ef108c81ae0dd20ed3a819c2e82623",
      "e5fe191eef4a3ca0ec1528c5f5891502870573cb74956f29adef79419f21602f"),
     ("corpus", 8, False, {"max_period": 2, "ro_depth": 80},
-     "28584d03f958766f5682af2880b698ad6076b76412edadc80aa565d39819c224",
-     "ad630dbbdb9775e9744515f2e9b10e02d966191725fba3422dbfb3c837acc2c5",
+     "cc01746946748a013aa9192fb328b06f355d3585c816797d874a2154e10e2cdb",
+     "72fed2808453c6427b56f8c7d993201e036391d7679a568ce812f4002f17f0a5",
      "5bbcf914ff8ead6be391ced9374a4fcfeda74b813fd424588427c1d13351901a"),
     ("corpus", 8, True, {"max_period": 2, "ro_depth": 80},
-     "dd15f6951e3dbee8fe48be6bb6d38e573d87fd95d38bef5450fac64a3f2dea89",
-     "4de680d03573003d107e81f21b1d108f3cde6c4c646d9a73d5cdbbb234fb1d7f",
+     "42c41f34eb0d05aa9a88d7b24b672761412ee066387d1eb138febbf1519791e6",
+     "a7808f8783f010c362bc6f0531690aab7d33f8d32d90d946ce712ec2afc43600",
      "69c2499122a06c83694062c71d674609b01136cbbb0c9e88f621f5330625a8fe"),
     ("corpus", 7, False, {"max_period": 2, "orbit_budget": 40},
-     "aea85240c5e298fa4f6d696c005bbdaeb496ddaac3990d8f65dfa38be730c025",
-     "8a469ee3995640cbacf1418fc31be9b789e0cca64b0d158b5d73d8614a393d9b",
+     "5787eae3988f069d49a5c946a18306ddf707d3c7ebe6e7926d781719a236a40e",
+     "c4496bd88713dc6cceac626351de921fed53fe8bb72a2e978506f2d98fc5820e",
      "7a7f2cc035391253c4cab592b4432eb45a176a95ef949026a5951474730c1716"),
     ("corpus", 7, True, {"max_period": 2, "orbit_budget": 40},
-     "973a9f57d6234c37a0a22ddf3aee0d7d2cbcd66a05595238502ab4dc7f74433e",
-     "61ca7711f172b4d018a9fa7eac44018b6a68ec153e383479ebb70d822d83bf6d",
+     "573db1ef3fe8d4535ae98047a2d757d031382fde4955717572802ebd38cbe19f",
+     "fd5b23ff857978167613ee72440667fa30bc101f00000971d75f162ded0c76c1",
      "d6fe0bcc82663ce53b5b68fc51fbca172915af7c87d4dabee8739dba89db1d87"),
     ("two-cycle", 0, False, {},
-     "8417a545bff87b1ab6dc48cb51c64c3ed9e4623e30e56e76fe280055e1d0b795",
-     "6422b51d9e85d3685a7981446abd99cb3b5a9d4ebd46901eb58ff00035931ef2",
+     "776939bb6044a17ebeeb3060b8c21adcbf7be1e16d5b1c69ba5ee822a971af4d",
+     "fcf5b46c26943ec47bcb7931e3323372293ad5e35e2d234e7375aa067e14a6be",
      "d56030e682526290b214eaa49c4e86fa327be7acbd47602899bb15b792e12da0"),
     ("two-cycle", 0, True, {},
-     "49c43cf323044332d651ea268bdb1b9ed56190f9a61ea43b52f02c23e4db47c9",
-     "80ec549b954e98b4dda5c4c9e3f76f98c056e17fc3512191d0f7d98ad51b9eec",
+     "66c93efe50a2091c5d4c0f3dfc6f22dac357ad2852c82366655ca106d36b700b",
+     "84938e522ba37d1f987a255e813a649edf28ae7ac061fd7960c7901881689f9f",
      "53d42ef8a7aa3e3a82a2a7ae3d12f487610cb6ee4c8b7b2cde3f969f55964a79"),
     ("corpus", 23, False, MP2,
-     "75f8b99ed30e071f79f3817267b0cef97837327bd652833f02526247654227ab",
-     "0d2ef69f2037ee66aa15c8edf8731ce167f89fdb5a11af99f288410f93128da5",
+     "e9618da11ade1e7e4eb552f2a4cd1912639e622b76ab90dbc10c299de4122e4a",
+     "200f74328b92df34490cb6c337f29f6316db918e0438bced38902a1d97317e30",
      "77e930421d7542b6787e62a3549dcad160b83c070760e7f6973501375a1b7377"),
     ("corpus", 23, True, MP2,
-     "63be9ac60a643a4182d63241efdcab873518ef39fc302f0323afb30634083e68",
-     "eb85981f3db9d6c8416329503324647f44c59f8f38a2821c8626446a1b847523",
+     "71a769d2c71514b44787ff53bc07f2c3378049163829b718fd820fc0d53fd47d",
+     "058534f3ea3008795ab14217c173297b7d95d7e57824e8476d583502e8ba37e1",
      "645e888540b0ea30ce7f9194c634428ef31a4c31cc4d47ce1cf74ccbd4399633"),
     ("two-cycle", 0, False, {"max_period": 1},
      "78ea443f0a523229e2fe0af1b659e3f01c76dc21b4c70ffa2ef52c4af52f3d44",
@@ -604,12 +604,12 @@ PINNED_REPORTS = [
      "3d206a4da369258b7bb3133f8b6f43ad8fb5bfacf537d4e29e70950fe6953501",
      "217f363db3fa4c7813cb58f51471a0215904c48be7873cc7a338725aeb8b6b56"),
     ("siegel", 0, True, {},
-     "79d0008f3c0f51e7d1e1b58904280a71572d0ffee59695d008b8b108aae7ce09",
-     "1e0ce5c793c84f538691da32b54a1235d822cfa61f9ab027009aeaeb06df793b",
+     "4a8a858dd652d1342f008bb87aa5cd8d7ed40079061893b7a8e6d02128189c2c",
+     "26b1cef60174dc05d3a1d68311e92f5a3e8a04eccc542a26178d7b5f6abbf541",
      "60d627d3c3fed6f37d2e6e655bd15eb0c49cb42501b3287d27ec9b95fbf1fdd5"),
     ("siegel", 0, True, {"declarations": [SIEGEL_DECLARATION]},
-     "4381db5392e09ee7358993117bd2ec508993adc57ea3ae970b0b4327bd130c02",
-     "524a74ef9147e818732baf650af655f0727068c1aa647d85555fe5010c6647cf",
+     "a55ddb536571081e71010fc28f4b90e51499bb73a0e68c40ed995e90c01ae373",
+     "6710aeff7bc7c0ba20fae6fbd951fb23e2b474560ac66799596abe7e6c0bb1aa",
      "0ab37bbba0c97743fc28ee8f219eda39eeceaa8e757db0a0467b2785877961b5"),
     ("cubic", 0, False, {"max_period": 1, "declarations": [HERMAN_DECLARATION]},
      "c0f508613639cc732228b1735bc950a3b9d049ab865a776779738c28d72ca619",
