@@ -36,11 +36,16 @@ A snap is first walked p steps modulo a prime
 fixed point is one modulo the prime too, and only a snap that passes is
 iterated exactly, in Gaussian rationals (each an integer triple
 (a + bi)/d); the screen cannot change a verdict, it
-only spares the exact walk of most non-fixed snaps.  R maps each solved
-point to the solved point nearest its image, and the chains of p points
-that close are the cycles of period p.  Each solved point's image is
-computed once: a cycle's images come from its chain, and the chart factors
-of its multiplier read them.  Each period is certified by the rational
+only spares the exact walk of most non-fixed snaps.  Each solved point is
+built as a SpherePoint once: a simple point goes to the polish as its chart
+value.  R maps each solved point to the solved point nearest its image,
+and the chains of p points that close are the cycles of period p.  The
+images of all solved points of all periods are computed in one array pass
+(RationalMap.image_rows), infinity and exact points excepted, and matched
+from one distance block per period; no image is built as a point.  A
+cycle's chart factors take each point's successor as its image, and the
+valencies of all cycle points come from one lookup in the critical table
+(RationalMap.valencies).  Each period is certified by the rational
 fixed-point formula sum 1/(1 - mu) = 1; a failed or uncertified
 period is a coded warning, and the search goes on.  The floating solve of
 each period is memoized on the floating map, a failure too, so an analysis
@@ -83,9 +88,9 @@ from .sphere import (
     INFINITY,
     SpherePoint,
     array_chordal,
-    chordal_matrix,
     coincide,
     contains_point,
+    floating_value,
     near_pairs,
     normalized_pairs,
     point_sort_key,
@@ -169,19 +174,19 @@ def _classify(multiplier, contains_critical: bool):
     return "repelling", None, None
 
 
-def make_cycle(r: RationalMap, pts, images, warnings) -> PeriodicCycle:
-    """The classified cycle through pts, listed in orbit order; images[k] is R(pts[k]).
+def make_cycle(r: RationalMap, pts, vals, warnings) -> PeriodicCycle:
+    """The classified cycle through pts, listed in orbit order; vals[k] is val(R, pts[k]).
 
-    The cycle starts at its least point; cycle_id is left at -1.  An
-    ambiguous multiplier classifies the cycle as indifferent_ambiguous and
-    appends a coded record to warnings.
+    R maps each point to the next and the last to the first, which is what
+    the chart factors of the multiplier read.  The cycle starts at its least
+    point; cycle_id is left at -1.  An ambiguous multiplier classifies the
+    cycle as indifferent_ambiguous and appends a coded record to warnings.
     """
-    vals = [r.valency_at(pt) for pt in pts]
     contains_crit = any(v >= 2 for v in vals)
     if contains_crit:
         multiplier = GaussianRational(0) if r.is_exact else complex(0.0)
     else:
-        multiplier = r.cycle_multiplier(pts, images)
+        multiplier = r.cycle_multiplier(pts)
     try:
         classification, order, theta = _classify(multiplier, contains_crit)
     except ClassificationAmbiguousError as err:
@@ -308,9 +313,10 @@ class _FixedPointEquation:
         centroid, the fallback, keeps about eps^(1/m) of noise.
         """
         m = len(members)
-        center = complex(members.mean())
         if m == 1:
-            return center
+            # the bits of the mean of one finite member, a signed zero turned +0
+            return complex(members[0]) + 0.0
+        center = complex(members.mean())
         a = self.walk(members, shared_scale=True)[5]
         with np.errstate(divide="ignore", invalid="ignore"):
             for k in range(1, m):
@@ -326,27 +332,25 @@ def _chart_point(chart, w) -> SpherePoint:
     return SpherePoint(alpha * w + beta, gamma * w + delta)
 
 
-def _polish_in_balanced_charts(rf: RationalMap, p, points):
-    """Newton-polished simple fixed points of R^p, each in its balanced chart.
+def _polish_in_balanced_charts(rf: RationalMap, p, values):
+    """Newton-polished simple fixed points of R^p from their finite chart values z.
 
     p is the period of every point, or one period per point in
-    non-increasing order.  One walk per Newton step serves every point: the
-    equation's chart holds INNER_CHART's coefficients at the points with
-    |z| <= 1 and OUTER_CHART's at the others.
+    non-increasing order.  Each point is polished in its balanced chart,
+    (w : 1) with w = z on |z| <= 1 and (1 : w) with w = 1/z beyond, and one
+    walk per Newton step serves every point: the equation's chart holds
+    INNER_CHART's coefficients at the inner points and OUTER_CHART's at the
+    others.
     """
-    out = list(points)
-    idx = [i for i, x in enumerate(points) if not x.is_infinity]
-    if not idx:
-        return out
-    z = [complex(points[i].z) for i in idx]
-    inner = np.array([abs(zi) <= 1.0 for zi in z])
-    w = np.array(z)
+    if not values:
+        return []
+    inner = np.array([abs(z) <= 1.0 for z in values])
+    w = np.array(values, complex)
     w[~inner] = 1.0 / w[~inner]
     chart = tuple(np.where(inner, a, b) for a, b in zip(INNER_CHART, OUTER_CHART))
-    eq = _FixedPointEquation(rf, p if np.ndim(p) == 0 else [p[i] for i in idx], chart)
-    for i, inside, wi in zip(idx, inner, polish(eq.evaluate, w)):
-        out[i] = _chart_point(INNER_CHART if inside else OUTER_CHART, wi)
-    return out
+    eq = _FixedPointEquation(rf, p, chart)
+    return [_chart_point(INNER_CHART if inside else OUTER_CHART, wi)
+            for inside, wi in zip(inner, polish(eq.evaluate, w))]
 
 
 def _screen_rejects(r: RationalMap, value, p: int) -> bool:
@@ -473,19 +477,27 @@ def _solve_periods(rf: RationalMap, periods):
                          equation(everything).measure,
                          _seeds(rf, periods),
                          [{"period": p} for p in periods])
+    alpha, beta, gamma, delta = SOLVE_CHART
     solved, points, ambiguities = {}, {}, {}
-    simple = []  # (period, index) of each simple point, by descending period
+    simple = []  # (period, index, chart value) of each finite simple point, by descending period
     for p, result in zip(periods, settled):
         if isinstance(result, RootFindingFailedError):
             solved[p] = result
             continue
         clusters, ambiguities[p] = result
         eq = _FixedPointEquation(rf, p)
-        points[p] = [_chart_point(SOLVE_CHART, eq.merge(members)) for members in clusters]
-        simple += [(p, i) for i, members in enumerate(clusters) if len(members) == 1]
-    polished = _polish_in_balanced_charts(rf, [p for p, _ in simple],
-                                          [points[p][i] for p, i in simple])
-    for (p, i), x in zip(simple, polished):
+        points[p] = []
+        for members in clusters:
+            w = eq.merge(members)
+            pair = alpha * w + beta, gamma * w + delta
+            z = floating_value(*pair) if len(members) == 1 else None
+            if z is None:
+                points[p].append(SpherePoint(*pair))
+            else:
+                simple.append((p, len(points[p]), z))
+                points[p].append(None)  # its polished point comes below
+    polished = _polish_in_balanced_charts(rf, [p for p, _, _ in simple], [z for _, _, z in simple])
+    for (p, i, _), x in zip(simple, polished):
         points[p][i] = x
     for p, found in points.items():
         solved[p] = (tuple(found), ambiguities[p])
@@ -526,32 +538,29 @@ def fixed_points(r: RationalMap, p: int):
     return sorted(points, key=point_sort_key)
 
 
-def _closed_chains(r: RationalMap, points, p: int):
-    """(chain, images) for the chains of p solved points that close under R,
-    from their least points; images[k] is R(chain[k]).
+def _successors(image_rows: np.ndarray, point_rows: np.ndarray) -> list:
+    """For each image row, the index of the nearest point row within
+    DEFAULT_CLUSTER_RADIUS (the solver's residual bar), or None; a NaN image
+    row has none.  The rows are those of normalized_pairs."""
+    distances = array_chordal(image_rows, point_rows)
+    nearest = distances.argmin(axis=1)
+    within = distances[np.arange(len(nearest)), nearest] <= DEFAULT_CLUSTER_RADIUS
+    return [k if ok else None for k, ok in zip(nearest.tolist(), within.tolist())]
 
-    A point is followed by the solved point nearest its image within
-    DEFAULT_CLUSTER_RADIUS (the solver's residual bar), or by none.  A chain
+
+def _closed_chains(succ, p: int):
+    """The chains of p indices that close under succ, each from its least index.
+
+    succ[i] is the solved point that follows point i, or None.  A chain
     that closes sooner belongs to a smaller period.
     """
-    images = {}
-    for i, x in enumerate(points):
-        try:
-            images[i] = r.evaluate(x)
-        except RatmapError:
-            pass
-    succ = [None] * len(points)
-    for i, row in zip(images, chordal_matrix(list(images.values()), points)):
-        if row.min() <= DEFAULT_CLUSTER_RADIUS:
-            succ[i] = int(row.argmin())
     chains = []
-    for i in range(len(points)):
+    for i in range(len(succ)):
         chain = [i]
         while len(chain) <= p and chain[-1] is not None:
             chain.append(succ[chain[-1]])
         if chain[p:] == [i] and i not in chain[1:p] and i == min(chain):
-            chains.append((tuple(points[k] for k in chain[:p]),
-                           tuple(images[k] for k in chain[:p])))
+            chains.append(chain[:p])
     return chains
 
 
@@ -588,19 +597,34 @@ def periodic_cycles(r: RationalMap, max_period: int = DEFAULT_MAX_PERIOD,
     warnings = []
     solvable = [p for p in range(1, max_period + 1) if p not in truncated]
     _floating_fixed_points(r.floating(), solvable)
+    found, failed = {}, {}
     for p in solvable:
         try:
-            points = fixed_points(r, p)
+            found[p] = fixed_points(r, p)
         except (RootFindingFailedError, MultiplicityAmbiguousError) as err:
+            failed[p] = err
+    # R at every solved point in one pass, R's successor of each from one
+    # block per period, and the valencies of every cycle point in one lookup
+    solved = [x for points in found.values() for x in points]
+    image_rows, point_rows = r.image_rows(solved), normalized_pairs(solved)
+    chains, start = {}, 0
+    for p, points in found.items():
+        block = slice(start, start + len(points))
+        succ = _successors(image_rows[block], point_rows[block])
+        chains[p] = [tuple(points[k] for k in chain) for chain in _closed_chains(succ, p)]
+        start += len(points)
+    vals = iter(r.valencies([x for period in chains.values() for pts in period for x in pts]))
+    for p in solvable:
+        if p in failed:
             warnings.append({
                 "code": "cycle-search-failed",
-                "message": f"fixed points of period {p} not found: {err}",
+                "message": f"fixed points of period {p} not found: {failed[p]}",
                 "period": p,
-                "error": err.code,
+                "error": failed[p].code,
             })
             continue
-        cycles.extend(make_cycle(r, pts, images, warnings)
-                      for pts, images in _closed_chains(r, points, p))
+        cycles.extend(make_cycle(r, pts, [next(vals) for _ in pts], warnings)
+                      for pts in chains[p])
         residual = _certificate_residual(cycles, p)
         if residual is not None and residual > 1e-8:
             warnings.append({

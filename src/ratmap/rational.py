@@ -16,14 +16,18 @@ it is infinity, W_h(z : 1) = W(z) for W = P'Q - PQ', and
 W_h(1 : 0) = Q_1 P_0 - Q_0 P_1 is stored as one value.  That is the
 derivative in the charts z and 1/z, negated on a step onto or off
 infinity; such steps come in pairs around a cycle, so the factors multiply
-to the multiplier.
+to the multiplier.  Around a cycle each point's image is taken to be the
+next cycle point, so each factor ends in the chart where the next begins.
+image_rows evaluates R at many points in one array pass, in evaluate's
+balanced chart and with its rule for a vanishing pair.
 
 Valency is read from one critical table, built once per map from the
 roots of the derivative numerator W = P'Q - PQ': 1 + multiplicity at each
 root and 1 + (2d - 2 - deg W) at infinity.  An exact point of an exact map
 keeps its exact valency, 1 + the vanishing order of W there; any other
 point takes the valency of the nearest table entry when it coincides with
-it at the map's tolerance, or 1.  Preimage multiplicities come from the
+it at the map's tolerance, or 1; valencies finds the nearest entries of
+many points from one distance matrix.  Preimage multiplicities come from the
 roots of P - yQ, so the identity sum(val(R,x) for x in R^-1(y)) = d is a
 cross-check between two polynomials, not a definition.
 """
@@ -32,6 +36,8 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DegenerateMapError,
@@ -43,7 +49,7 @@ from .errors import (
 from .poly import Polynomial, vanishing_order_exact
 from .roots import find_roots
 from .scalars import GaussianRational, height_bits, is_exact, mod_prime, scalar_is_zero, to_complex
-from .sphere import INFINITY, SpherePoint, coincide
+from .sphere import INFINITY, SpherePoint, chordal_matrix, coincide, normalized_pairs
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -188,6 +194,43 @@ class RationalMap:
             )
         return SpherePoint(u, v)
 
+    def image_rows(self, points) -> np.ndarray:
+        """The normalized_pairs rows of R(x) for the points x, NaN where R has none.
+
+        The floating finite points are evaluated in one array pass, in the
+        operations of evaluate up to rounding: (u, v) by Horner in z on
+        |z| <= 1 and in t = 1/z beyond, and no image where
+        max(|u|, |v|) <= tolerance * scale.  Infinity and the exact points of
+        an exact map take evaluate, a RatmapError giving no image.
+        """
+        rows = np.full((len(points), 2), np.nan, complex)
+        floating = np.array([not (x.is_infinity or (x.is_exact and self.is_exact))
+                             for x in points], bool)
+        images = {}
+        for i in np.flatnonzero(~floating).tolist():
+            try:
+                images[i] = self.evaluate(points[i])
+            except RatmapError:
+                pass
+        if images:
+            rows[list(images)] = normalized_pairs(list(images.values()))
+        if floating.any():
+            z = np.array([complex(x.z) for x, f in zip(points, floating) if f])
+            table = np.array(self.floating().homogeneous, complex)
+            inner = (np.abs(z) <= 1.0)[:, None]
+            # an overflow, or a NaN from inf / inf, leaves a row with no image
+            with np.errstate(all="ignore"):
+                t = np.where(inner, z[:, None], 1.0 / z[:, None])
+                # (P_h, Q_h)(z, 1) by Horner from row 0 inside, (P_h, Q_h)(1, t) from row d outside
+                uv = np.where(inner, table[0], table[-1])
+                for head, tail in zip(table[1:], table[-2::-1]):
+                    uv = uv * t + np.where(inner, head, tail)
+                u, v = np.abs(uv).T
+                uv /= np.hypot(u, v)[:, None]
+                uv[np.maximum(u, v) <= self.tolerance * self._coeff_scale()] = np.nan
+            rows[floating] = uv
+        return rows
+
     # -- preimages -----------------------------------------------------------
 
     def _target_polynomial(self, y: SpherePoint) -> Polynomial:
@@ -295,17 +338,39 @@ class RationalMap:
         with it at the tolerance, and 1 otherwise: a point near a critical
         point but not on it is not critical.
         """
+        val = self._exact_valency(x)
+        if val is None:
+            nearest = min(self.critical_table(), key=lambda entry: x.chordal(entry[0]))
+            val = self._table_valency(x, nearest)
+        return val
+
+    def valencies(self, points) -> list:
+        """[valency_at(x) for x in points], the nearest table entries from one chordal_matrix."""
+        vals = [self._exact_valency(x) for x in points]
+        rest = [i for i, val in enumerate(vals) if val is None]
+        if rest:
+            table = self.critical_table()
+            distances = chordal_matrix([points[i] for i in rest], [c for c, _ in table])
+            for i, k in zip(rest, distances.argmin(axis=1).tolist()):
+                vals[i] = self._table_valency(points[i], table[k])
+        return vals
+
+    def _exact_valency(self, x: SpherePoint):
+        """valency_at(x) where exactness decides it, else None."""
         if self.is_exact and x.is_exact and not x.is_infinity:
             # orbits come back to the same exact points, the critical ones above all
             z = x.z
             if z not in self._exact_valencies:
                 self._exact_valencies[z] = 1 + vanishing_order_exact(self.wronskian, z)
             return self._exact_valencies[z]
-        table = self.critical_table()
         if self.is_exact and x.is_infinity:
-            return table[-1][1]
-        nearest, val = min(table, key=lambda entry: x.chordal(entry[0]))
-        return val if coincide(x, nearest, self.tolerance) else 1
+            return self.critical_table()[-1][1]
+        return None
+
+    def _table_valency(self, x: SpherePoint, nearest) -> int:
+        """The valency of the table entry nearest x when x coincides with it, else 1."""
+        point, val = nearest
+        return val if coincide(x, point, self.tolerance) else 1
 
     # -- derivative in charts ----------------------------------------------------
 
@@ -322,10 +387,15 @@ class RationalMap:
             s = (self.p if image.is_infinity else self.q).evaluate(z)
         return w / (s * s)
 
-    def cycle_multiplier(self, points, images):
-        """Multiplier of the cycle through the given orbit points; images[k] is R(points[k])."""
+    def cycle_multiplier(self, points):
+        """Multiplier of the cycle through points, listed in orbit order.
+
+        The image of each point is taken to be the next one, the last point's
+        the first, so each chart factor ends in the chart where the next
+        begins.
+        """
         m = GaussianRational(1) if self.is_exact else complex(1.0)
-        for pt, image in zip(points, images):
+        for pt, image in zip(points, (*points[1:], points[0])):
             m = m * self.local_derivative(pt, image)
         return m
 

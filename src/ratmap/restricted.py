@@ -284,8 +284,8 @@ def _find_or_make_cycle(r: RationalMap, pts, cycles, warnings):
     for n in range(1, len(pts) + 2):
         for i in range(n):
             if coincide(walk.point(n), walk.points[i], tol):
-                return make_cycle(r, tuple(walk.points[i:n]),
-                                  tuple(walk.points[i + 1:n + 1]), warnings)
+                orbit = tuple(walk.points[i:n])
+                return make_cycle(r, orbit, r.valencies(orbit), warnings)
     return None
 
 

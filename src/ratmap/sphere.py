@@ -10,9 +10,11 @@ Floating canonicalization uses a representation epsilon of 1e-14: a pair
 whose second component is that far below the first is within 1e-14 of
 infinity in the chordal metric, far inside every tolerance this package
 works at, and flipping it to (1 : 0) keeps chart values bounded, also for
-a floating z past float range.  A point decides is_infinity and is_exact
-when it is built, and its floating pair and norm (norm_pair, which chordal,
-normalized_pairs and orbit_fate's screen read) when first asked.
+a floating z past float range.  floating_value is that rule on a pair,
+for a caller that needs the chart value before it builds the point.  A
+point decides is_infinity and is_exact when it is built, and its floating
+pair and norm (norm_pair, which chordal, normalized_pairs and orbit_fate's
+screen read) when first asked.
 
 near_partners decides which pairs of a set of points can lie within a
 chordal reach, for dedup_indices and for roots._cluster.  Above
@@ -48,6 +50,27 @@ def _exact(value: complex) -> GaussianRational:
     return GaussianRational(value.real, value.imag)
 
 
+def floating_value(z: complex, w: complex) -> complex | None:
+    """The chart value z / w of the floating pair (z : w), None for infinity.
+
+    This is the canonicalization of a floating SpherePoint: the pair is
+    infinity when |w| <= REPRESENTATION_EPS |z|.  ValueError for a NaN or
+    infinite component and for (0 : 0).
+    """
+    if not all(math.isfinite(v) for v in (z.real, z.imag, w.real, w.imag)):
+        raise ValueError("non-finite component; points never store NaN or inf")
+    if z == 0 and w == 0:
+        raise ValueError("(0 : 0) is not a point of the sphere")
+    try:
+        at_infinity = abs(w) <= REPRESENTATION_EPS * abs(z)
+    except OverflowError:
+        # a modulus past float range: quarters keep the ratio, and their
+        # moduli and quotient stay in range
+        z, w = z / 4, w / 4
+        at_infinity = abs(w) <= REPRESENTATION_EPS * abs(z)
+    return None if at_infinity else z / w
+
+
 class SpherePoint:
     __slots__ = ("z", "w", "is_infinity", "is_exact", "_chart")
 
@@ -75,26 +98,15 @@ class SpherePoint:
             # included
             p = SpherePoint(*(v if is_exact(v) else _exact(v) for v in (z, w))).to_float()
             zc, wc = (complex(1.0), 0j) if p.is_infinity else (p.z, p.w)
-        if not all(
-            math.isfinite(v) for v in (zc.real, zc.imag, wc.real, wc.imag)
-        ):
-            raise ValueError("non-finite component; points never store NaN or inf")
-        if zc == 0 and wc == 0:
-            raise ValueError("(0 : 0) is not a point of the sphere")
+        value = floating_value(zc, wc)
         self.is_exact = False
-        try:
-            self.is_infinity = abs(wc) <= REPRESENTATION_EPS * abs(zc)
-        except OverflowError:
-            # a modulus past float range: quarters keep the ratio, and their
-            # moduli and quotient stay in range
-            zc, wc = zc / 4, wc / 4
-            self.is_infinity = abs(wc) <= REPRESENTATION_EPS * abs(zc)
+        self.is_infinity = value is None
         if self.is_infinity:
             # infinity reached through floating data stays floating: it is
             # numerical knowledge, and must not pass exact-equality checks
             self.z, self.w = complex(1.0), complex(0.0)
         else:
-            self.z, self.w = zc / wc, complex(1.0)
+            self.z, self.w = value, complex(1.0)
 
     @classmethod
     def finite(cls, value):

@@ -32,10 +32,11 @@ from ratmap.dynamics import (
     _polish_in_balanced_charts,
     _seeds,
     _solve_periods,
+    _successors,
     fixed_points,
     periodic_cycles,
 )
-from ratmap.errors import RootFindingFailedError
+from ratmap.errors import IndeterminateEvaluationError, RatmapError, RootFindingFailedError
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
 from ratmap.report import parse_map, run_analysis
@@ -51,10 +52,19 @@ from ratmap.roots import (
     polish,
     start_circle,
 )
-from ratmap.sphere import DIRECT_MAX_POINTS, INFINITY, SpherePoint, coincide, near_partners
+from ratmap.scalars import GaussianRational
+from ratmap.sphere import (
+    DIRECT_MAX_POINTS,
+    INFINITY,
+    SpherePoint,
+    chordal_matrix,
+    coincide,
+    near_partners,
+    normalized_pairs,
+)
 
 from .test_pipeline_corpus import _sparse_map
-from .test_report import DECIMAL_TWINS, OVERFLOW_MAP, WORKED_MAPS, _corpus_map
+from .test_report import DECIMAL_TWINS, OVERFLOW_MAP, WORKED_MAPS, _corpus_map, _decimal_twin
 
 WORKED = [(doc, twin) for docs, twin in ((WORKED_MAPS, False), (DECIMAL_TWINS, True))
           for doc in docs]
@@ -251,7 +261,10 @@ def test_one_polish_walk_matches_a_pass_per_chart(index, twin):
     for p in (1, 2):
         points = [x.to_float() for x in fixed_points(r, p)] + on_circle + [INFINITY]
         want = _reference_polish(rf, p, points)
-        got = _polish_in_balanced_charts(rf, p, points)
+        # the polish takes the finite points' chart values; infinity stays as it is
+        polished = iter(_polish_in_balanced_charts(
+            rf, p, [complex(x.z) for x in points if not x.is_infinity]))
+        got = [x if x.is_infinity else next(polished) for x in points]
         assert [_point_bits(x) for x in got] == [_point_bits(x) for x in want]
 
 
@@ -655,7 +668,7 @@ def test_a_last_place_rounding_of_real_parts_moves_no_cycle_start_or_order(upper
             points = [nudge(x) for x in c.points]
             # start the orbit elsewhere, so the start is chosen afresh
             orbit = points[1:] + points[:1]
-            cycle = ratmap.dynamics.make_cycle(r, orbit, orbit[1:] + orbit[:1], [])
+            cycle = ratmap.dynamics.make_cycle(r, orbit, r.valencies(orbit), [])
             rebuilt.append((cycle.sort_key(), cycles.index(c), points.index(cycle.points[0])))
         return [(c, start) for _, c, start in sorted(rebuilt)]
 
@@ -690,7 +703,7 @@ def test_a_group_of_one_point_matches_its_lone_solve():
         want = _reference_aberth(lambda w, p=p: _reference_walk(rf, p, SOLVE_CHART, w)[4:], start)
         _assert_bitwise_equal([got], [want])
     points = [x.to_float() for x in fixed_points(rf, 2)[:1] + fixed_points(rf, 1)[:2]]
-    got = _polish_in_balanced_charts(rf, [2, 1, 1], points)
+    got = _polish_in_balanced_charts(rf, [2, 1, 1], [complex(x.z) for x in points])
     want = _reference_polish(rf, 2, points[:1]) + _reference_polish(rf, 1, points[1:])
     assert [_point_bits(x) for x in got] == [_point_bits(x) for x in want]
 
@@ -874,3 +887,147 @@ def test_an_analysis_walks_the_fixed_point_equation_at_most_30_times(doc, twin, 
     monkeypatch.setattr(_FixedPointEquation, "walk", counted)
     run_analysis(parse_map(doc))
     assert 0 < len(calls) <= 30
+
+
+@pytest.mark.parametrize("value", [0.3 - 0.2j, -1.7320508075688772 + 0j, complex(-0.0, 0.0),
+                                   complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324 - 1e308j,
+                                   complex(-5e-324, -0.0), 1e-300 + 3e200j])
+def test_the_merge_of_one_member_has_the_bits_of_its_mean(value):
+    # a cluster's members are finite; the mean of one turns a signed zero into +0
+    members = np.array([value])
+    merged = _FixedPointEquation(_corpus_map(0, True), 1).merge(members)
+    assert type(merged) is complex
+    assert np.array([merged]).tobytes() == np.array([complex(members.mean())]).tobytes()
+
+
+# maps with a parabolic fixed point: z^3 + z and z - z^3 at 0, (z^2 + 1)/z at infinity
+PARABOLIC_MAPS = [{"numerator": ["1", "0", "1", "0"], "denominator": ["1"]},
+                  {"numerator": ["-1", "0", "1", "0"], "denominator": ["1"]},
+                  {"numerator": ["1", "0", "1"], "denominator": ["1", "0"]}]
+# OVERFLOW_MAP with exact coefficients
+EXACT_OVERFLOW_MAP = {"numerator": [str(10**154), "1"],
+                      "denominator": [f"1/{10**154}", "0", "1"]}
+
+
+def _successor_map(source, index, twin):
+    if source == "corpus":
+        return _corpus_map(index, twin)
+    if source == "sparse":
+        return _sparse_map(index, twin)
+    if source == "overflow":
+        return parse_map(OVERFLOW_MAP if twin else EXACT_OVERFLOW_MAP)
+    doc = PARABOLIC_MAPS[index]
+    return parse_map(_decimal_twin(doc) if twin else doc)
+
+
+SUCCESSOR_MAPS = [(source, index, twin) for twin in (False, True)
+                  for source, count in (("corpus", 10), ("sparse", 20), ("parabolic", 3),
+                                        ("overflow", 1))
+                  for index in range(count)]
+
+
+def _scalar_successors(r, points):
+    """The successor rule on scalar images: r.evaluate, then chordal_matrix."""
+    images = {}
+    for i, x in enumerate(points):
+        try:
+            images[i] = r.evaluate(x)
+        except RatmapError:
+            pass
+    succ = [None] * len(points)
+    for i, row in zip(images, chordal_matrix(list(images.values()), points)):
+        if row.min() <= DEFAULT_CLUSTER_RADIUS:
+            succ[i] = int(row.argmin())
+    return succ
+
+
+@pytest.mark.parametrize("source, index, twin", SUCCESSOR_MAPS)
+def test_the_array_successors_and_valencies_match_the_scalar_rule(source, index, twin):
+    r = _successor_map(source, index, twin)
+    solved = {}
+    for p in range(1, DEFAULT_MAX_PERIOD + 1):
+        if r.degree**p + 1 <= DEFAULT_PERIOD_WORK_CAP:
+            try:
+                solved[p] = fixed_points(r, p)
+            except RatmapError:
+                pass
+    everything = [x for points in solved.values() for x in points]
+    # R at every solved point of every period in one pass, as periodic_cycles takes it
+    image_rows, start = r.image_rows(everything), 0
+    for points in solved.values():
+        rows = normalized_pairs(points)
+        want = _scalar_successors(r, points)
+        assert _successors(image_rows[start:start + len(points)], rows) == want
+        start += len(points)
+        # a block of one point: numpy may pick other loops for n = 1
+        for i, x in enumerate(points):
+            assert _successors(r.image_rows([x]), rows) == want[i:i + 1]
+            assert r.valencies([x]) == [r.valency_at(x)]
+    assert r.valencies(everything) == [r.valency_at(x) for x in everything]
+
+
+def test_a_nan_or_indeterminate_image_row_has_no_successor():
+    # (z - 1)(z + 2) / ((z - 1 - 1e-12) z): both components of R(1) vanish below the tolerance
+    r = RationalMap(Polynomial([1.0, 1.0, -2.0]), Polynomial([1.0, -(1.0 + 1e-12), 0.0]),
+                    verified_coprime=True)
+    x = SpherePoint.finite(0.5)
+    points = [SpherePoint.finite(1.0), x, r.evaluate(x)]
+    with pytest.raises(IndeterminateEvaluationError):
+        r.evaluate(points[0])
+    rows = r.image_rows(points)
+    assert np.isnan(rows[0]).all() and np.isfinite(rows[1:]).all()
+    point_rows = normalized_pairs(points)
+    assert _successors(rows, point_rows) == [None, 2, None]
+    assert _successors(rows[:1], point_rows) == [None]
+    nan_rows = np.full((2, 2), complex("nan"))
+    assert _successors(nan_rows, point_rows) == [None, None]
+    assert _successors(nan_rows[:1], point_rows[:1]) == [None]
+
+
+@pytest.mark.parametrize("twin", [False, True])
+def test_a_two_cycle_through_a_pole_and_infinity(twin):
+    # (z + 1)/(z^2 + 2z) maps the pole 0 to infinity and infinity back to 0:
+    # one chart factor steps onto infinity and the next off it
+    doc = {"numerator": ["1", "1"], "denominator": ["1", "2", "0"]}
+    r = parse_map(_decimal_twin(doc) if twin else doc)
+    cycles, _, warnings = periodic_cycles(r, 2)
+    [cycle] = [c for c in cycles if c.contains(INFINITY, r.tolerance)]
+    assert warnings == []
+    assert cycle.period == 2 and cycle.classification == "repelling"
+    assert cycle.points == (SpherePoint.finite(0), INFINITY)
+    assert all(x.is_exact != twin for x in cycle.points)
+    if twin:
+        assert type(cycle.multiplier) is complex
+        assert repr(cycle.multiplier) == "(2-0j)"
+    else:
+        assert cycle.multiplier == GaussianRational(2)
+
+
+def test_periodic_cycles_evaluates_r_only_at_infinity_and_builds_each_point_once(monkeypatch):
+    # over the corpus twins 0-9 the scalar path took 955 evaluations, one
+    # per solved point, and built three points per simple solved point
+    maps = [_corpus_map(index, True) for index in range(10)]
+    for r in maps:
+        r.critical_table()  # its roots are points too, built once per map
+    counts = Counter()
+    evaluate, init = RationalMap.evaluate, SpherePoint.__init__
+
+    def counted_evaluate(self, x):
+        counts["evaluate"] += 1
+        counts["at infinity"] += x.is_infinity
+        return evaluate(self, x)
+
+    def counted_init(self, z, w):
+        counts["points"] += 1
+        init(self, z, w)
+
+    monkeypatch.setattr(RationalMap, "evaluate", counted_evaluate)
+    monkeypatch.setattr(SpherePoint, "__init__", counted_init)
+    for r in maps:
+        periodic_cycles(r)
+    solved = sum(len(s[0]) for r in maps for s in r._fixed_point_cache.values())
+    assert solved == 955
+    # infinity is a solved point of each period of each map
+    assert counts["evaluate"] == counts["at infinity"] == 30
+    # each evaluation builds its image
+    assert counts["points"] == solved + counts["evaluate"]
