@@ -1,9 +1,12 @@
 """Critical points, periodic cycles, orbit fates, asymptotic valency.
 
 The critical points are the entries of the map's critical table of valency
-2 or more.  Every valency used here (criticality of a cycle, cumulative
-valency along an orbit, asymptotic valency) is a lookup in that table
-through RationalMap.valency_at, so each is decided once per map.
+2 or more.  Every valency used here is a lookup in that table, so each is
+decided once per map: a point's through RationalMap.valency_at, those of
+all cycle points at once through RationalMap.valencies (criticality of a
+cycle), and the cumulative valency along an orbit, asymptotic valency
+included, through Orbit.valency alone.  Cycles are classified only in
+periodic_cycles, the one caller of make_cycle.
 
 Forward orbits are stepped only by Orbit, under one height guard: an exact
 orbit steps exactly until a coordinate passes EXACT_HEIGHT_CAP_BITS (512)
@@ -841,22 +844,21 @@ def asymptotic_valency(r: RationalMap, fate: OrbitFate, *, cycles, crit_points):
             default=2.0,
         )
         stop_dist = min(collar / 2, 1e-6)
-        product = 1
+        k = fate.steps_used
         for step in range(fate.steps_used):
             current = walk.points[step]
-            if contains_point(crit_pts, current, tol):
-                # an exact hit has chordal distance 0.0 too
-                if any(current.chordal(p) == 0.0 for p in crit_pts):
-                    product *= r.valency_at(current)
-                else:
-                    raise AsymptoticValencyUndeterminedError(
-                        "orbit approaches a critical point within tolerance "
-                        "without an exact hit",
-                        step=step,
-                    )
+            # an exact hit has chordal distance 0.0 too
+            if contains_point(crit_pts, current, tol) and not any(
+                    current.chordal(p) == 0.0 for p in crit_pts):
+                raise AsymptoticValencyUndeterminedError(
+                    "orbit approaches a critical point within tolerance "
+                    "without an exact hit",
+                    step=step,
+                )
             if min(walk.point(step + 1).chordal(pt) for pt in cyc.points) < stop_dist:
+                k = step + 1
                 break
-        return product
+        return walk.valency(k)
 
     raise AsymptoticValencyUndeterminedError(
         "orbit fate unresolved with critical points still reachable",

@@ -23,7 +23,7 @@ from .algebra import (
 )
 from .atlas import isotropy_of
 from .errors import RatmapError
-from .sphere import contains_point, point_sort_key, point_str
+from .sphere import point_sort_key, point_str
 from .synth import case_iv_diagram
 
 
@@ -109,7 +109,7 @@ def primitive_catalog(atlas, decomposition, exposed_scan, cycles,
     for cls in sorted(
         atlas.iota_p + atlas.iota_c, key=lambda c: point_sort_key(c.representative)
     ):
-        if contains_point(exposed_scan.union, cls.representative, resolver.tolerance):
+        if resolver.orbit_size(cls.representative) is not None:
             continue
         point = point_str(cls.representative)
         try:

@@ -5,11 +5,21 @@ point with equal local valencies.  The relation is semi-decidable: a
 search to a given depth either produces a witness or reports that none
 was found within the depth.
 
-A finite set is emitted as an exposed orbit only after verification:
-sets without critical points must satisfy the exact preimage identity
-characterizing type 1; sets with critical points are checked for
-invariance by a bounded backward search with valency matching, pruned by
-the fact that cumulative valency never decreases along a backward path.
+A finite set is emitted as an exposed orbit only after verification.  A
+completed closure E (see _closure) with no critical member is of type 1,
+R^-1(E) minus the critical points = E, as the closure itself checked: it
+added every simple preimage of every member, and checked that every member
+came back as a simple preimage of its image, a member.  That last check is
+void when the points are exact, whose preimage multiplicities are exact.  A
+floating solve merges roots within DEFAULT_CLUSTER_RADIUS, so a member
+whose sibling preimage lies that near comes back double, the sibling is
+never added, and the closure is given up.  Its cycle is a known one: a
+critical-free closure holds a cycle point its seed was taken from, or,
+seeded from a point of a critical orbit's prefix, the point where that
+orbit lands on a known cycle (in exact arithmetic); a set that holds no
+point of a known cycle is undecided.  Sets with critical points are checked
+for invariance by a bounded backward search with valency matching, pruned
+by the fact that cumulative valency never decreases along a backward path.
 Forward orbits come from dynamics.Orbit: exact steps until a coordinate
 passes 512 bits, floating after.  All coincidence decisions are exact when
 the inputs are exact.
@@ -42,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dynamics import Orbit, make_cycle
+from .dynamics import Orbit
 from .errors import JuliaMembershipUndeterminedError, RatmapError
 from .rational import RationalMap
 from .roots import DEFAULT_CLUSTER_RADIUS
@@ -159,7 +169,9 @@ def _closure(r: RationalMap, seed: SpherePoint, crit_pts):
     EXPOSED_BOUND.  The set and its None do not depend on the order in which
     members are processed, so each member's forward images, one evaluation
     each, are taken as it is added, before any further preimage is solved: a
-    seed whose forward orbit passes the budget costs no solve.
+    seed whose forward orbit passes the budget costs no solve.  A closure in
+    which a non-critical member is not among the simple preimages solved is
+    given up too: a floating solve merged it with a sibling, which is missing.
     """
     tol = r.tolerance
     pts = []
@@ -179,15 +191,24 @@ def _closure(r: RationalMap, seed: SpherePoint, crit_pts):
             if contains_point(pts, p, tol):
                 return False
 
+    simple_pres = []
     try:
         if ruled_out(seed):
             return None
         for a in pts:  # pts grows as it is walked
             for pre, mult in r.preimages(a):
-                # a critical preimage is not forced into the set
-                if mult == 1 and not contains_point(pts, pre, tol) and ruled_out(pre):
+                if mult != 1:
+                    continue  # a critical preimage is not forced into the set
+                simple_pres.append(pre)
+                if not contains_point(pts, pre, tol) and ruled_out(pre):
                     return None
     except RatmapError:
+        return None
+    # a non-critical member is a simple preimage of its image, a member; one
+    # that came back merged with a sibling (floating roots within
+    # DEFAULT_CLUSTER_RADIUS) hid that sibling from the closure
+    if not all(contains_point(crit_pts, b, tol) or contains_point(simple_pres, b, tol)
+               for b in pts):
         return None
     return pts
 
@@ -201,23 +222,6 @@ def brute_force_preimage_check(r: RationalMap, pts) -> bool:
             if mult == 1 and not contains_point(pts, pre, tol):
                 return False
     return True
-
-
-def _verify_type1(r: RationalMap, pts) -> bool:
-    """Exact characterization of type 1: non-critical preimages of the set
-    equal the set."""
-    tol = r.tolerance
-    collected = []
-    for a in pts:
-        for pre, mult in r.preimages(a):
-            if mult == 1:
-                if not contains_point(pts, pre, tol):
-                    return False
-                if not contains_point(collected, pre, tol):
-                    collected.append(pre)
-    return len(collected) == len(pts) and all(
-        contains_point(collected, a, tol) for a in pts
-    )
 
 
 def _verify_critical_invariance(r: RationalMap, pts, depth, fates=None):
@@ -272,23 +276,6 @@ def _dedup_by_valency(nodes, tol):
     return [nodes[i] for i in kept]
 
 
-def _find_or_make_cycle(r: RationalMap, pts, cycles, warnings):
-    """The cycle inside a forward-closed finite set, as a known cycle when
-    one matches, otherwise classified on the spot (warnings collects what
-    the classification records)."""
-    tol = r.tolerance
-    for cyc in cycles:
-        if any(cyc.contains(a, tol) for a in pts):
-            return cyc
-    walk = Orbit(r, pts[0])
-    for n in range(1, len(pts) + 2):
-        for i in range(n):
-            if coincide(walk.point(n), walk.points[i], tol):
-                orbit = tuple(walk.points[i:n])
-                return make_cycle(r, orbit, r.valencies(orbit), warnings)
-    return None
-
-
 @dataclass(frozen=True)
 class DeclaredStructures:
     siegel: dict = field(default_factory=dict)  # cycle_id -> its Siegel Declaration
@@ -316,6 +303,9 @@ def exposed_orbits(r: RationalMap, cycles, fates,
     A cycle none of whose points is critical (by the contains_point test
     _closure uses) gives one seed: each of its points has the same closure,
     since each closure holds the whole cycle.
+    A critical-free closure is of type 1 as it stands, and its cycle is the
+    first known cycle holding one of its members: every seed is a point of
+    a known cycle or on the way to one (see the module docstring).
     The search scope is part of the result's truncation metadata: absence
     of further exposed sets is only claimed within these bounds.
 
@@ -392,9 +382,8 @@ def exposed_orbits(r: RationalMap, cycles, fates,
                 continue
 
         if not contains_crit:
-            if not _verify_type1(r, pts):
-                continue
-            cyc = _find_or_make_cycle(r, pts, cycles, warnings)
+            # a type-1 set (see the module docstring); its cycle is a known one
+            cyc = next((c for c in cycles if any(c.contains(a, tol) for a in pts)), None)
             if cyc is None:
                 undecided.append(UndecidedCandidate(tuple(pts), "no cycle found inside the set"))
                 continue

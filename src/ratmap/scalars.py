@@ -337,6 +337,8 @@ def _parse_number(text):
         nums, dens = text.split("/")
         if "." in nums or "e" in nums.lower() or "." in dens or "e" in dens.lower():
             raise InputFormatError(f"mixed decimal/fraction notation in {text!r}")
+        if int(dens) == 0:
+            raise InputFormatError(f"zero denominator in {text!r}")
         return Fraction(int(nums), int(dens)), True
     if "." in text or "e" in text.lower():
         return float(text), False

@@ -11,15 +11,19 @@ from ratmap.dynamics import (
     _reverify_landing,
     asymptotic_valency,
     critical_divisor_degree,
+    critical_fates,
     critical_points,
     orbit_fate,
     periodic_cycles,
 )
+from ratmap.errors import AsymptoticValencyUndeterminedError
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
+from ratmap.report import parse_map, run_analysis
 from ratmap.scalars import GaussianRational
 from ratmap.sphere import INFINITY, SpherePoint, coincide
 
+from .test_report import _decimal_twin
 from .test_sphere import SCREEN_CASES
 
 
@@ -228,6 +232,40 @@ def test_asymptotic_valency_examples():
     critc = critical_points(rc)
     f3 = orbit_fate(rc, SpherePoint.finite(3), cyclesc)
     assert asymptotic_valency(rc, f3, cycles=cyclesc, crit_points=critc) == 1
+
+
+# z^3 - 3z + 1: the critical point 1 maps onto the critical point -1, and both
+# orbits go on to the superattracting fixed point at infinity
+CUBIC_THROUGH_CRITICAL = {"numerator": ["1", "0", "-3", "1"], "denominator": ["1"]}
+
+
+def _converging_fates(doc):
+    r = parse_map(doc)
+    cycles, _, _ = periodic_cycles(r, 1)
+    return {str(c): cf for c, cf in critical_fates(r, cycles, DEFAULT_ORBIT_BUDGET).items()}
+
+
+@pytest.mark.parametrize("doc", [CUBIC_THROUGH_CRITICAL, _decimal_twin(CUBIC_THROUGH_CRITICAL)])
+def test_converging_orbit_through_a_critical_point_multiplies_its_valency(doc):
+    fates = _converging_fates(doc)
+    got = {p: (cf.fate.kind, cf.asymptotic_valency, cf.error) for p, cf in fates.items()
+           if cf.fate.kind == "converges"}
+    one, minus_one = ("1", "-1") if doc is CUBIC_THROUGH_CRITICAL else ("1.0", "-1.0")
+    assert got == {one: ("converges", 4, None), minus_one: ("converges", 2, None)}
+
+
+def test_converging_orbit_near_a_critical_point_is_undetermined():
+    # z^3 - 3z + 1 + 1e-12: R(1) = -1 + 1e-12 lies within tolerance of the
+    # critical point -1 without being it
+    doc = _decimal_twin(CUBIC_THROUGH_CRITICAL)
+    doc["numerator"][-1] = "1.000000000001"
+    cf = _converging_fates(doc)["1.0"]
+    assert cf.fate.kind == "converges" and cf.asymptotic_valency is None
+    assert isinstance(cf.error, AsymptoticValencyUndeterminedError)
+    assert cf.error.code == "asymptotic-valency-undetermined"
+    warnings = run_analysis(parse_map(doc)).data["warnings"]
+    assert {"code": "asymptotic-valency-undetermined", "point": "1.0",
+            "message": str(cf.error)} in warnings
 
 
 def test_attracting_multiplier_value():

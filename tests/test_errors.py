@@ -20,7 +20,6 @@ from ratmap.errors import (
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
 from ratmap.report import AnalysisConfig, parse_map, run_analysis
-from ratmap.restricted import _find_or_make_cycle
 from ratmap.roots import _snap_root, find_roots, snap
 from ratmap.scalars import GaussianRational
 from ratmap.sphere import INFINITY, SpherePoint
@@ -104,15 +103,6 @@ def test_ambiguous_indifferent_classification_is_recorded():
     fixed_zero = next(c for c in cycles if abs(complex(c.points[0].z)) < 1e-6)
     assert fixed_zero.classification == "indifferent_ambiguous"
     assert any(w["code"] == "cycle-classification-ambiguous" for w in warnings)
-
-
-def test_ambiguous_indifferent_cycle_classified_on_the_spot():
-    # the same fixed point, met by the exposed-orbit scan without a known cycle
-    r = RationalMap(Polynomial([1.0, 1.0 + 1e-8, 0.0]), Polynomial([1.0]))
-    warnings = []
-    cyc = _find_or_make_cycle(r, [SpherePoint.finite(0.0)], [], warnings)
-    assert cyc.classification == "indifferent_ambiguous"
-    assert [w["code"] for w in warnings] == ["cycle-classification-ambiguous"]
 
 
 def test_non_finite_roots_are_a_root_finding_failure():

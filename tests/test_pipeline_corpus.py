@@ -1,6 +1,6 @@
 """The whole pipeline on the maps a user would try next, under a time bound.
 
-run_analysis runs at the default config on the first 20 maps of the
+run_analysis runs at the default config on the first 40 maps of the
 acceptance stream (seed 20240811), on the first 20 maps of the sparse
 stream (seed 7) and on named maps, each also as its decimal twin.  Each map
 must give a schema-valid report within 4 s, and only a coded RatmapError
@@ -26,7 +26,8 @@ from ratmap.sphere import INFINITY
 
 from .test_report import _corpus_map, _decimal_twin, _floating_twin
 
-CORPUS_SIZE = 20
+CORPUS_SIZE = 40
+SPARSE_SIZE = 20
 SPARSE_SEED = 7
 BOUND_S = 4.0
 # (z^5 - 2z^2 + 1)/(-3z^3): the backward tree that verifies {inf} holds 3125
@@ -98,6 +99,66 @@ REPORT_DIGESTS = {
     ("corpus", 19, False): (
         "63e54322474a2e06d422caec46c7c402c17b0ab3b542cef34a2fa8cce489f232",
         "7f290fffd9281ff6c35cb94564a74c0bb5cf7a8043fed0c7a055cc375af2acee"),
+    ("corpus", 20, False): (
+        "3a0e7ca20ba27efd79683205906877a9a40216860688276a13fe96a969c3ed8c",
+        "2d99ba15ad46a6c060d2aed9b58dd220aae1aa87553fb871ba28ba4fe2d1ae44"),
+    ("corpus", 21, False): (
+        "e56e24642d8040097d5d1af9124df05654dba84e85a52e8d1eda7e1f55da2d1f",
+        "1cba1f674899d582fb7012d100e7cc2a8237a903882aad6e5039d639e04b09d9"),
+    ("corpus", 22, False): (
+        "7763687043319bad9eb99c5ced318731e8d8de1933b3f8b7b6a8761770d1e98a",
+        "e69f2be986974b8c69ca3c80231135be7ba1ae7cf4200d359ea25067d0e78789"),
+    ("corpus", 23, False): (
+        "f8cf84c69b335bf7774de3bea3653672644b5a179eed6c3b29d9ff5f80a16730",
+        "c48b0ae0731ef071aa4b24c66e850c120a1395d13dfd880e608154b4d5d4b2a5"),
+    ("corpus", 24, False): (
+        "8e081c2f1cb50bed6522591d5cb1e54df4bef2cae3b50500ac7385a00afef6b8",
+        "a73f49b8ab3e7cf201acc793c2238109cdbbd3fc1d4f051cdacb41d4e8495765"),
+    ("corpus", 25, False): (
+        "e6f05bb65962c9b426ba31189bd3837fbff76c1b3ea58571a086491198504908",
+        "0bfe09f09aa5f6fdeb6afd9f90d9b0552480f5ac0711d91e3f1cab29eb87a8af"),
+    ("corpus", 26, False): (
+        "c0f71c482657a5bf576a5f8fd396f1fbf054ce9049ea8ed0dc218b65e9fa64e0",
+        "70f142e9d5ab467e7a8438d09ac51a2ea8e8d732e753ed8a03a2d4aa3c1d1345"),
+    ("corpus", 27, False): (
+        "f4e5ceae9c64f810cf4ac96b002839769b8c8bd5b5a127c793be6e793258906a",
+        "bd4bb0b0314ed20c9ced1db5d19e9cd61d40329f774e8b48ba2119a0e5af00d3"),
+    ("corpus", 28, False): (
+        "547764fdadd09d0b2fc892139a6e70c1fd973605c4949e73a24261b8b8de2f33",
+        "c3e42b3cd23635aaf5bf1c24f746dc7a49447dba22410dc79edd7bf04e026da1"),
+    ("corpus", 29, False): (
+        "87a753e9869f34959c89aa53ff3f53976095449694d7e80cb91d2a61060b94ec",
+        "68774ab3791a6e64f9d3741c5ef1ff9368e5d9491cf6406a424e93b973a4385c"),
+    ("corpus", 30, False): (
+        "e0b36585856d62ab45af63a8136213b268c029c82667cae8bd68ac4c286d8c79",
+        "6463b3ddcb2144153b082be413e14cd601d01870cbe06cbae74206e348510623"),
+    ("corpus", 31, False): (
+        "699cf6b0e6bbfa91579c58a2fea528c297bf755b7fb8bc14bec81ce1a2eb3699",
+        "106e978f0734ae34cf59b6320610b806ca990c7bde3042f4d83bfd954c33dda1"),
+    ("corpus", 32, False): (
+        "8e376ca41fc9748eb3ef7f2720084b4db67a5cd042613229bf187685768a9a7a",
+        "47a9797b859fad4adc94b07d749600536ffcbf4636319966c442963b437b1c4c"),
+    ("corpus", 33, False): (
+        "50c59fb1ce72ea2ccb365e5ca062394bc74f90bf7c6b28413a01dbbba1f0953e",
+        "fa4d043d0e81f1c192226f6ab4a4301d8380d3183e18164272a7b248482c0920"),
+    ("corpus", 34, False): (
+        "ad43fc445d833b2df1350131afbb55000d0043751d9ef56a572df80284dbb1fd",
+        "22db1a4a1eda87362626fdaac780cc5d280a3202f3ed7ecf3f11d5728a0d5628"),
+    ("corpus", 35, False): (
+        "b72773c4df37a626ccf1cd325b00ec41d55959b1303028a93d295b5784bf4088",
+        "e2d0f98380810629a0cd17da015388ec5cc1e426c50ccca1d73c2b16d7b673a6"),
+    ("corpus", 36, False): (
+        "d827a027e8683dcb0d2932026cdf8a4ddd8743c135d55c0060d0c3b41f3a3bd8",
+        "37eaa250b467bdc96062a7c4c56644098b53bd179d4f9dd7a05c6ee06b2cb7c8"),
+    ("corpus", 37, False): (
+        "cdfe398bfb4ec461b56a4b4bdd46ab4d87646a584fbc58425e7bcbcbd902c2bb",
+        "b052b1520941979e91525f66bb81d2f23e2ee2953a92cb6a9e638fa693780a32"),
+    ("corpus", 38, False): (
+        "b515ae6ded9d14f15b5b4fc54a0404c636c9a49a21cd563dc12686e66e276ad9",
+        "c4924537b73ac2ed71850e0177eda1ac4c2e363febcf017dd9ef51081454c68a"),
+    ("corpus", 39, False): (
+        "e5a28ab41c5667ff23b0378181335f1f9fa3c43b45bfa4ea4d78b6c19bc9feb9",
+        "52b017997ef5ff4a729036c52c0f07dbc871ea524832220969824d9b087d8c10"),
     ("corpus", 0, True): (
         "77c0a44e86d630531f1cc9693e837b6acf79ab658f5463b27298c72e81e0d272",
         "be2cc7673937df9fd824a67431af3aa8c001685b0f7f50c1aec0fad23eee5750"),
@@ -158,6 +219,66 @@ REPORT_DIGESTS = {
     ("corpus", 19, True): (
         "f279deca20984892704ca48bde721cba0b6ea239030038f908a3abbfa46e4749",
         "6b08c3db5d09655f2bda9019db76e5dc9e084ae6960aa8ff87ea08933b08359d"),
+    ("corpus", 20, True): (
+        "0900dae78e58943fa38c3c5fbcff0631f7783a6e608c9bd2e07d92e0e76977e3",
+        "6d5d72995b94c19e4e504c5b073cf57ada2a8f6180d04e51467e9d177a2f1d71"),
+    ("corpus", 21, True): (
+        "ed64c97e5641f785ae405a8c16932a49ebba8dc4861297ce7fc5e096df13ee2c",
+        "631475fc53c53347115df70bbe876bd17ebe80f30201dc35465270800ab88b63"),
+    ("corpus", 22, True): (
+        "52d4eefdea458344195e4fc325be7735b23b768601b1ff9a20dc73de67037450",
+        "e16f2983dc12bf2c699f66f7425ca1410e3bfcb2deef1851f37d3d909eff7717"),
+    ("corpus", 23, True): (
+        "ed2f98cf27f33661b8063695eeca91546fa5ddc6919c3d38ca730382ce7c589d",
+        "5d79067ff7c7ea5fa58bd9eb9ec34abb83e49b904de5f547c1ae74243d656de8"),
+    ("corpus", 24, True): (
+        "4b1808e22d64800df2140edb53fd541eb63c1d5d6c2249ee3bb0f5f2d973cea6",
+        "4ede05ed4ba5c46e2105d1a07fedfcfb4f58c3634e9d06925edd9d368b18471c"),
+    ("corpus", 25, True): (
+        "dafe2bdfb3a907f2f27498d21fa62638274e8b2d4b79b76f50dacecbe82ed8ca",
+        "145ebfe07b61bccdeae83d44b800675c69b03fc24f1429916c937a3aaf8826f6"),
+    ("corpus", 26, True): (
+        "ed9d25aca3d6c0dff364767429975a795a36a3878da5d41a53f260e75da50259",
+        "571251e47c78761491e7333789939379d3d14e1ef40b1c654237b52493b914f6"),
+    ("corpus", 27, True): (
+        "f9a066abe44bcaf8be45688182c58d1b151e5b0cb43a11b5c752c1c8574c1a77",
+        "f0db1f8414ba21f729b4d07ebd21dd8ece3636e5da2ec60933d3c249edd044fa"),
+    ("corpus", 28, True): (
+        "fb26e09fdf4af0b14bc813e141d30372e5edad144a45419249a05a2b82d623e9",
+        "e094888b5bce0008f587502402318d523ac8f4818be9412497b0c0ec61da8d64"),
+    ("corpus", 29, True): (
+        "cea4bd79bde12a76829a86ed4c307e492ffc9dcbad8fb7dc440aeaf89f3bc586",
+        "063089ae372594135c1a6e4cd481e4f4933bc5e4361575624f5d98cc0b05321c"),
+    ("corpus", 30, True): (
+        "b4f87968438bc2b11eb045d82c88859c8eec844ef657a461929f62e4e3600335",
+        "d95ed91f32633ba91ca55ab780ce346800a12e84164d81a1a7b96234fc4da7b1"),
+    ("corpus", 31, True): (
+        "51ceb947e1d57066048e0c25c237fe09d1d75c7231aaedf22a61c83d245cf371",
+        "cd261af3521f3a7c94292d042d7f518185ea39d750779dc7f50da58caa714ceb"),
+    ("corpus", 32, True): (
+        "7a61c2f9a67ebbe4c0dcda0dee3b48b7f739c87ab29638f846044a21860e780c",
+        "7001d18f46cf168accacd61d7dedc64fc8bf89fcd20fb51b5a9b0cebb22aa5ba"),
+    ("corpus", 33, True): (
+        "92efb02c49de2450cef8383141e9620b1fec10c376ccd3a58af3e04851fb95d7",
+        "4f6c62f357471996b0084066f8bc7dfd1eb76d04a92b6e44b397dd3890a3a12b"),
+    ("corpus", 34, True): (
+        "38c45e9d02a9163b72022680f5c586ed91682e8fa393dd4a2e4a137acccfcfb4",
+        "2570e6298f898728b6b1ad3d4a5951cac2dc19ea8ab42f2bd88ffe6d550ff8b4"),
+    ("corpus", 35, True): (
+        "34aabb53979085aad620dd827c2ea56b18ea60fcd4f26bbb9ca2f1432d463ea9",
+        "d1ba2d7b2d886bb287dc53dd7cd534fe2123436d7d42dc82324c0ccf051b15e2"),
+    ("corpus", 36, True): (
+        "73c1e38e5d54b42d0d7ca7225226e1f2a354ce5d5a755513b78af23c81131926",
+        "880f8e22b4f24c8068bc65f967dd77bdaa8503d3e127995895a08d22dbeb6638"),
+    ("corpus", 37, True): (
+        "d0e8b8d82e20d26b66e2f59de39454ee07585daff9b706914c2036960b5ef0a3",
+        "b1225ebd331688f12504b1738b61797868b4c170336ac05c995f9765ebbe104c"),
+    ("corpus", 38, True): (
+        "fe8cec6498662e0596e2ef0a069a804ccf9efd31c3dd05582b9a4ca9ee7ac3c6",
+        "28bc493bb432bdc2cbabcfa2e0957db8a1b5aaae3a899f04e216795a892deb78"),
+    ("corpus", 39, True): (
+        "ff8cc3e428a2f6077748299b8142c4c93c76bbd482018c5ed44545b6f56793e4",
+        "2c5c6d9ed2cb5c99ccf6c70d89d28134686d66ab48356a97722a762ac91a2d0e"),
     ("sparse", 0, False): (
         "ade83da0892bb413cab6333d15d6ea9383b0b5b142d73840be97c6b54a1383aa",
         "9fe94c7ad67fbe26dc190668ce2548ad0f69c6d26a47d846b0193bf405cd4c9f"),
@@ -369,7 +490,7 @@ def test_corpus_map_gives_a_report(bounded, index, twin):
     _check_report(bounded, _corpus_map(index, twin), ("corpus", index, twin))
 
 
-@pytest.mark.parametrize("index", range(CORPUS_SIZE))
+@pytest.mark.parametrize("index", range(SPARSE_SIZE))
 @pytest.mark.parametrize("twin", [False, True])
 def test_sparse_map_gives_a_report(bounded, index, twin):
     _check_report(bounded, _sparse_map(index, twin), ("sparse", index, twin))

@@ -82,6 +82,15 @@ def test_parse_map_modes():
     assert not mixed.is_exact
 
 
+@pytest.mark.parametrize("text", ["1/0", "0/0", "2/0i", "1/00"])
+def test_a_zero_denominator_is_an_input_format_error(text):
+    with pytest.raises(InputFormatError):
+        parse_map({"numerator": ["1", "0", text], "denominator": ["1"]})
+    with pytest.raises(InputFormatError):
+        AnalysisConfig.from_dict({"declarations": [{"kind": "siegel", "theta": 0.3,
+                                                    "anchor": text}]})
+
+
 def test_parse_map_auto_reduce_notice():
     doc = {"numerator": ["1", "-1", "0", "0"], "denominator": ["1", "-1"]}
     r = parse_map(doc)
@@ -378,6 +387,10 @@ def test_an_unresolved_walk_keeps_only_its_prefix(twin, monkeypatch):
     ('{"numerator": ["1", "0", "0", "1"], "denominator": ["1"]}',
      {"max_period": 1, "declarations": [{"kind": "herman", "theta": 0.3, "period": 2.5}]},
      "declaration-invalid"),
+    # a zero denominator once raised ZeroDivisionError out of parse_scalar
+    ('{"numerator": ["1", "0", "1/0"], "denominator": ["1"]}', None, "input-format"),
+    (None, {"max_period": 1, "declarations": [{"kind": "siegel", "theta": 0.3, "anchor": "1/0"}]},
+     "input-format"),
 ])
 def test_malformed_input_is_a_coded_error(tmp_path, capsys, map_text, config, code):
     map_file = tmp_path / "map.json"

@@ -34,7 +34,8 @@ from ratmap.restricted import (
 from ratmap.scalars import GaussianRational
 from ratmap.sphere import INFINITY, SpherePoint, coincide, contains_point
 
-from .test_report import DECIMAL_TWINS, WORKED_MAPS, _corpus_map
+from .test_pipeline_corpus import _sparse_map
+from .test_report import DECIMAL_TWINS, WORKED_MAPS, _corpus_map, _decimal_twin
 
 
 def cheb():
@@ -193,6 +194,45 @@ def test_no_exposed_set_for_generic_quadratic():
     assert [sorted(str(p) for p in o.points) for o in scan.orbits] == [["inf"]]
 
 
+# z^2 + eps - eps^2 at eps = 1e-8: its attracting fixed point eps lies 1e-8
+# from the critical point 0, outside the tolerance, and the preimages +-eps of
+# eps merge into one double root, as the solved fixed point is floating in
+# either mode
+NEAR_SUPERATTRACTING = [
+    {"numerator": ["1", "0", "99999999/10000000000000000"], "denominator": ["1"]},
+    {"numerator": ["1", "0", "0.0000000099999999"], "denominator": ["1"]},
+]
+
+
+@pytest.mark.parametrize("doc", NEAR_SUPERATTRACTING)
+def test_a_member_whose_sibling_preimage_merged_into_it_gives_no_type_1_set(doc):
+    # {eps} would pass for a type-1 set, but -eps is a non-critical preimage
+    # outside it
+    r = parse_map(doc)
+    cycles, _, _ = periodic_cycles(r)
+    fates = critical_fates(r, cycles, DEFAULT_ORBIT_BUDGET)
+    eps = cycles[0].points[0]
+    assert eps.chordal(SpherePoint.finite(1e-8)) < 1e-20
+    assert [(str(pre), mult) for pre, mult in r.preimages(eps)] == [("0.0", 2)]
+    assert _closure(r, eps, list(fates)) is None
+    scan = exposed_orbits(r, cycles, fates)
+    assert [o.points for o in scan.orbits] == [(INFINITY,)]
+    assert scan.undecided == []
+
+
+def test_a_type_1_set_holding_no_known_cycle_is_undecided():
+    # the critical orbit 0 -> -2 -> 2 seeds {-2, 2}, a type-1 set, but no
+    # cycle is passed in, so its cycle and Julia side are not known
+    r = cheb()
+    cycles, _, _ = periodic_cycles(r, 4)
+    fates = critical_fates(r, cycles, DEFAULT_ORBIT_BUDGET)
+    finite = {c: f for c, f in fates.items() if not c.is_infinity}
+    scan = exposed_orbits(r, [], finite)
+    assert scan.orbits == []
+    assert [(sorted(str(p) for p in u.points), u.reason) for u in scan.undecided] == [
+        (["-2", "2"], "no cycle found inside the set")]
+
+
 def test_invariance_check_steps_each_member_depth_times(monkeypatch):
     # targets R^m(a) for m = 0..depth need depth forward steps, not depth + 1
     steps = []
@@ -248,6 +288,61 @@ def test_closure_runs_once_per_critical_free_cycle(doc, calls, monkeypatch):
     monkeypatch.setattr(ratmap.restricted, "_closure", counted)
     run_analysis(parse_map(doc))
     assert count[0] == calls
+
+
+def _type1_identity(r, pts) -> bool:
+    """Reference check of type 1: the non-critical preimages of the set are the set."""
+    tol = r.tolerance
+    collected = []
+    for a in pts:
+        for pre, mult in r.preimages(a):
+            if mult == 1:
+                if not contains_point(pts, pre, tol):
+                    return False
+                if not contains_point(collected, pre, tol):
+                    collected.append(pre)
+    return len(collected) == len(pts) and all(contains_point(collected, a, tol) for a in pts)
+
+
+# T_3(z) = 4z^3 - 3z, whose fixed points 1 and -1 are each a type-1 set
+CHEBYSHEV_CUBIC = {"numerator": ["4", "0", "-3", "0"], "denominator": ["1"]}
+# the maps whose scan completes a critical-free closure
+HAS_FREE_CLOSURES = {("worked", 0), ("worked", 1), ("chebyshev3", 0)}
+
+
+@pytest.mark.parametrize("twin", [False, True])
+@pytest.mark.parametrize("source, index", [("worked", i) for i in range(3)]
+                         + [("chebyshev3", 0)] + [("corpus", i) for i in range(10)]
+                         + [("sparse", i) for i in range(20)])
+def test_a_critical_free_closure_is_type_1_and_holds_a_known_cycle(source, index, twin,
+                                                                   monkeypatch):
+    # exposed_orbits takes such a closure as type 1 without a check, and reads
+    # its cycle off the known cycles
+    if source == "worked":
+        r = parse_map((DECIMAL_TWINS if twin else WORKED_MAPS)[index])
+    elif source == "chebyshev3":
+        r = parse_map(_decimal_twin(CHEBYSHEV_CUBIC) if twin else CHEBYSHEV_CUBIC)
+    elif source == "corpus":
+        r = _corpus_map(index, twin)
+    else:
+        r = _sparse_map(index, twin)
+    tol = r.tolerance
+    cycles, _, _ = periodic_cycles(r)
+    closure = ratmap.restricted._closure
+    free = []
+
+    def recorded(r, seed, crit_pts):
+        pts = closure(r, seed, crit_pts)
+        if pts is not None and not any(contains_point(pts, c, tol) for c in crit_pts):
+            free.append(pts)
+        return pts
+
+    monkeypatch.setattr(ratmap.restricted, "_closure", recorded)
+    exposed_orbits(r, cycles, critical_fates(r, cycles, DEFAULT_ORBIT_BUDGET))
+    assert bool(free) == ((source, index) in HAS_FREE_CLOSURES)
+    for pts in free:
+        assert _type1_identity(r, pts)
+        assert any(cyc.contains(a, tol) for cyc in cycles for a in pts)
 
 
 def _unbudgeted_closure(r, seed, crit_pts, tol, max_size=4):

@@ -62,6 +62,12 @@ def test_parse_rejects_garbage():
         parse_scalar("0.5/2")
 
 
+@pytest.mark.parametrize("text", ["1/0", "0/0", "2/0i", "1/00", "1+3/0i", "-0/0"])
+def test_parse_rejects_a_zero_denominator(text):
+    with pytest.raises(InputFormatError, match="zero denominator"):
+        parse_scalar(text)
+
+
 def test_scalar_str_round_trips():
     for text in ["3", "-1/2", "1+2i", "1/2-3/4i", "2i", "0"]:
         v = parse_scalar(text)
