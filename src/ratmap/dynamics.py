@@ -5,14 +5,19 @@ The critical points are the entries of the map's critical table of valency
 decided once per map: a point's through RationalMap.valency_at, those of
 all cycle points at once through RationalMap.valencies (criticality of a
 cycle), and the cumulative valency along an orbit, asymptotic valency
-included, through Orbit.valency alone.  Cycles are classified only in
-periodic_cycles, the one caller of make_cycle.
+included, through Orbit.valency alone, which looks up each block of newly
+walked points in one RationalMap.valencies call.  Cycles are classified
+only in periodic_cycles, the one caller of make_cycle.
 
 Forward orbits are stepped only by Orbit, under one height guard: an exact
 orbit steps exactly until a coordinate passes EXACT_HEIGHT_CAP_BITS (512)
 bits, then in floating point.  Each orbit is walked once: orbit_fate's
 floating tail extends the walk of its exact prefix, and the fate keeps that
-walk for asymptotic_valency and the other readers.
+walk for asymptotic_valency and the other readers.  On the prefix,
+orbit_fate screens each distinct point once against the cycle points: the
+point's own norm_pair against the columns of one normalized_pairs table
+(sphere.near_rows), with a margin above twice the tolerance, so no cycle
+point within the tolerance is dropped and only those it passes are tested.
 
 The cycles of period p come from the fixed points of R^p, found by Aberth
 on the orbit recursion in a fixed Möbius chart (never on an expanded
@@ -94,7 +99,7 @@ from .sphere import (
     coincide,
     contains_point,
     floating_value,
-    near_pairs,
+    near_rows,
     normalized_pairs,
     point_sort_key,
 )
@@ -693,14 +698,24 @@ class Orbit:
             self.error = None  # it came from a step past n
 
     def valency(self, n: int) -> int:
-        """val(R^n, x): the product of local valencies at R^0(x)..R^(n-1)(x)."""
+        """val(R^n, x): the product of local valencies at R^0(x)..R^(n-1)(x).
+
+        The products not yet memoized are extended over the points they
+        need by one RationalMap.valencies call.
+        """
         vals = self._valencies
-        while len(vals) <= n:
-            vals.append(vals[-1] * self.r.valency_at(self.point(len(vals) - 1)))
+        if len(vals) <= n:
+            self.point(n - 1)
+            for val in self.r.valencies(self.points[len(vals) - 1:n]):
+                vals.append(vals[-1] * val)
         return vals[n]
 
     def with_valencies(self, depth: int):
         """[(R^j(x), val(R^j, x))] for j = 0..depth, cut short at a failure."""
+        try:
+            self.valency(depth)  # the whole depth in one block where the walk gets there
+        except RatmapError:
+            pass
         out = []
         for j in range(depth + 1):
             try:
@@ -761,7 +776,7 @@ def orbit_fate(r: RationalMap, x: SpherePoint, cycles,
             break
         key = pt.norm_pair()
         if key not in screened:
-            screened[key] = np.flatnonzero(near_pairs(normalized_pairs([pt]), table, tol)[0])
+            screened[key] = near_rows(key, table, tol)
         # only the screened members can pass the tests below, in the same order
         for k in screened[key]:
             cyc, cpt = members[k]

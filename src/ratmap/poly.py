@@ -22,6 +22,14 @@ def _normalize_coeff(c):
     return complex(c)
 
 
+def horner(coeffs, x):
+    """sum(coeffs[i] x^(n-i)) for the coefficients highest degree first, by Horner."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * x + c
+    return acc
+
+
 class Polynomial:
     __slots__ = ("coeffs",)
 
@@ -115,11 +123,7 @@ class Polynomial:
         """Horner evaluation; exact when both the poly and x are exact."""
         if self.is_zero:
             return GaussianRational(0) if is_exact(x) else complex(0)
-        x = as_scalar(x)
-        acc = self.coeffs[0]
-        for c in self.coeffs[1:]:
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, as_scalar(x))
 
     def derivative(self) -> "Polynomial":
         n = self.degree

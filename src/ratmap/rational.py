@@ -18,6 +18,9 @@ derivative in the charts z and 1/z, negated on a step onto or off
 infinity; such steps come in pairs around a cycle, so the factors multiply
 to the multiplier.  Around a cycle each point's image is taken to be the
 next cycle point, so each factor ends in the chart where the next begins.
+At a floating point W, P and Q are evaluated by Horner over the complex
+images of their coefficients, built once per map: the operations that
+Horner mixing exact coefficients with a floating point performs.
 image_rows evaluates R at many points in one array pass, in evaluate's
 balanced chart and with its rule for a vanishing pair.
 
@@ -46,7 +49,7 @@ from .errors import (
     MapDegreeError,
     RatmapError,
 )
-from .poly import Polynomial, vanishing_order_exact
+from .poly import Polynomial, horner, vanishing_order_exact
 from .roots import find_roots
 from .scalars import GaussianRational, height_bits, is_exact, mod_prime, scalar_is_zero, to_complex
 from .sphere import INFINITY, SpherePoint, chordal_matrix, coincide, normalized_pairs
@@ -124,6 +127,7 @@ class RationalMap:
             if not any(None in row for row in reduced):
                 self.coeffs_mod_prime = reduced
         self._floating = None
+        self._floating_horner = None
         self._scale = None
         # memoization only: entries are write-once per key and recomputation
         # is harmless, so concurrent readers stay safe
@@ -171,13 +175,12 @@ class RationalMap:
             if not (self.is_exact and x.is_exact):
                 u, v = complex(u), complex(v)
             return SpherePoint(u, v)
-        z = x.value()
-        if is_exact(z) and self.is_exact:
-            u = self.p.evaluate(z)
-            v = self.q.evaluate(z)
+        if x.is_exact and self.is_exact:
+            u = self.p.evaluate(x.z)
+            v = self.q.evaluate(x.z)
             # coprimality rules out a common homogeneous zero in exact mode
             return SpherePoint(u, v)
-        zc = to_complex(z)
+        zc = complex(x.z)
         if abs(zc) <= 1.0:
             u = self.floating().p.evaluate(zc)
             v = self.floating().q.evaluate(zc)
@@ -382,10 +385,25 @@ class RationalMap:
             w = self._wronskian_at_infinity
             s = self.homogeneous[0][0 if image.is_infinity else 1]
         else:
-            z = x.value()
-            w = self.wronskian.evaluate(z)
-            s = (self.p if image.is_infinity else self.q).evaluate(z)
+            w, p, q = ((self.wronskian.coeffs, self.p.coeffs, self.q.coeffs) if x.is_exact
+                       else self._horner_coeffs())
+            w = horner(w, x.z)
+            s = horner(p if image.is_infinity else q, x.z)
         return w / (s * s)
+
+    def _horner_coeffs(self):
+        """The coefficients of W, P and Q for Horner at a floating point; built once.
+
+        Each is the complex image of the coefficient, the operand that the
+        mixed arithmetic of an exact coefficient and a complex value takes,
+        but a constant is kept as it is: Horner returns it unchanged, so an
+        exact constant keeps s * s exact.
+        """
+        if self._floating_horner is None:
+            self._floating_horner = tuple(
+                f.coeffs if len(f.coeffs) == 1 else tuple(complex(c) for c in f.coeffs)
+                for f in (self.wronskian, self.p, self.q))
+        return self._floating_horner
 
     def cycle_multiplier(self, points):
         """Multiplier of the cycle through points, listed in orbit order.

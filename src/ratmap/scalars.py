@@ -301,11 +301,17 @@ def height_bits(x: GaussianRational) -> int:
 
 
 def is_exact(value) -> bool:
+    # a complex is told apart before isinstance reaches Fraction, an ABC
+    # whose instance check is slow
+    if type(value) is complex:
+        return False
     return isinstance(value, (GaussianRational, int, Fraction))
 
 
 def as_scalar(value):
     """Normalize to a GaussianRational (exact inputs) or complex (floats)."""
+    if type(value) is complex:
+        return value
     if isinstance(value, GaussianRational):
         return value
     if isinstance(value, (int, Fraction)):

@@ -12,18 +12,24 @@ infinity in the chordal metric, far inside every tolerance this package
 works at, and flipping it to (1 : 0) keeps chart values bounded, also for
 a floating z past float range.  floating_value is that rule on a pair,
 for a caller that needs the chart value before it builds the point.  A
+pair of two builtin complex values goes straight to floating_value; any
+other input is first normalized by as_scalar, and a pair that is not
+exact then becomes two complex values and takes the same branch.  A
 point decides is_infinity and is_exact when it is built, and its floating
-pair and norm (norm_pair, which chordal, normalized_pairs and orbit_fate's
-screen read) when first asked.
+pair and norm (norm_pair, which chordal, normalized_pairs and near_rows
+read) when first asked.
 
 near_partners decides which pairs of a set of points can lie within a
 chordal reach, for dedup_indices and for roots._cluster.  Above
 DIRECT_MAX_POINTS points it screens them by their keys on the unit sphere
 of R^3 (screen_keys), which never drops a pair within the reach.
+near_rows screens one point, from its own norm_pair, against the rows of a
+normalized_pairs table, for orbit_fate.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -57,7 +63,7 @@ def floating_value(z: complex, w: complex) -> complex | None:
     infinity when |w| <= REPRESENTATION_EPS |z|.  ValueError for a NaN or
     infinite component and for (0 : 0).
     """
-    if not all(math.isfinite(v) for v in (z.real, z.imag, w.real, w.imag)):
+    if not (cmath.isfinite(z) and cmath.isfinite(w)):
         raise ValueError("non-finite component; points never store NaN or inf")
     if z == 0 and w == 0:
         raise ValueError("(0 : 0) is not a point of the sphere")
@@ -75,30 +81,27 @@ class SpherePoint:
     __slots__ = ("z", "w", "is_infinity", "is_exact", "_chart")
 
     def __init__(self, z, w):
-        # a complex is already what as_scalar would make of it
-        z = z if type(z) is complex else as_scalar(z)
-        w = w if type(w) is complex else as_scalar(w)
         self._chart = None
-        if is_exact(z) and is_exact(w):
-            z = z if isinstance(z, GaussianRational) else GaussianRational(z)
-            w = w if isinstance(w, GaussianRational) else GaussianRational(w)
-            self.is_exact, self.is_infinity = True, w.is_zero()
-            if self.is_infinity:
-                if z.is_zero():
-                    raise ValueError("(0 : 0) is not a point of the sphere")
-                self.z, self.w = GaussianRational(1), GaussianRational(0)
-            else:
-                self.z, self.w = z / w, GaussianRational(1)
-            return
-        try:
-            zc, wc = complex(z), complex(w)
-        except OverflowError:
-            # an exact component past float range beside a floating one: the
-            # point to_float makes of the pair read exactly, floating infinity
-            # included
-            p = SpherePoint(*(v if is_exact(v) else _exact(v) for v in (z, w))).to_float()
-            zc, wc = (complex(1.0), 0j) if p.is_infinity else (p.z, p.w)
-        value = floating_value(zc, wc)
+        if type(z) is not complex or type(w) is not complex:
+            z, w = as_scalar(z), as_scalar(w)
+            if isinstance(z, GaussianRational) and isinstance(w, GaussianRational):
+                self.is_exact, self.is_infinity = True, w.is_zero()
+                if self.is_infinity:
+                    if z.is_zero():
+                        raise ValueError("(0 : 0) is not a point of the sphere")
+                    self.z, self.w = GaussianRational(1), GaussianRational(0)
+                else:
+                    self.z, self.w = z / w, GaussianRational(1)
+                return
+            try:
+                z, w = complex(z), complex(w)
+            except OverflowError:
+                # an exact component past float range beside a floating one:
+                # the point to_float makes of the pair read exactly, floating
+                # infinity included
+                p = SpherePoint(*(v if is_exact(v) else _exact(v) for v in (z, w))).to_float()
+                z, w = (complex(1.0), 0j) if p.is_infinity else (p.z, p.w)
+        value = floating_value(z, w)
         self.is_exact = False
         self.is_infinity = value is None
         if self.is_infinity:
@@ -262,8 +265,8 @@ def normalized_pairs(points) -> np.ndarray:
     that are equal exactly have identical rows, hence distance exactly 0; any
     other difference from SpherePoint.chordal is rounding, a few units in
     the last place of 2.  So a pair whose array distance is above
-    2 tol + SCREEN_SLACK cannot pass coincide at tol: near_pairs screens
-    with that margin, and only what it passes needs coincide.
+    2 tol + SCREEN_SLACK cannot pass coincide at tol: a screen with that
+    margin (near_rows) leaves only what needs coincide.
     """
     if isinstance(points, np.ndarray):
         outer = np.abs(points) > 1.0
@@ -302,9 +305,19 @@ def array_chordal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 2.0 * np.abs(np.outer(a[:, 0], b[:, 1]) - np.outer(a[:, 1], b[:, 0]))
 
 
-def near_pairs(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """True where rows of a and b may coincide at tol (the screen margin)."""
-    return array_chordal(a, b) <= 2.0 * tol + SCREEN_SLACK
+def near_rows(pair, rows: np.ndarray, tol: float) -> np.ndarray:
+    """The indices of the rows of a normalized_pairs array that may coincide
+    at tol with the point whose norm_pair() is pair.
+
+    The chordal distance 2|z b1 - w b0| / |(z, w)| is computed from the
+    point's own pair, without normalizing it; it differs from that of the
+    normalized rows by rounding far below SCREEN_SLACK.  So the screen at
+    2 tol + 2 SCREEN_SLACK passes every row that the margin of
+    normalized_pairs, 2 tol + SCREEN_SLACK, passes, hence every row that
+    coincides with the point at tol.
+    """
+    (z, w), norm = pair
+    return np.flatnonzero(np.abs(z * rows[:, 1] - w * rows[:, 0]) <= (tol + SCREEN_SLACK) * norm)
 
 
 def chordal_matrix(ps, qs) -> np.ndarray:

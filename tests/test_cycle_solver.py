@@ -63,7 +63,7 @@ from ratmap.sphere import (
     normalized_pairs,
 )
 
-from .test_pipeline_corpus import _sparse_map
+from .test_pipeline_corpus import PARABOLIC_MAPS, POLE_CYCLE_MAP, _sparse_map
 from .test_report import DECIMAL_TWINS, OVERFLOW_MAP, WORKED_MAPS, _corpus_map, _decimal_twin
 
 WORKED = [(doc, twin) for docs, twin in ((WORKED_MAPS, False), (DECIMAL_TWINS, True))
@@ -900,10 +900,6 @@ def test_the_merge_of_one_member_has_the_bits_of_its_mean(value):
     assert np.array([merged]).tobytes() == np.array([complex(members.mean())]).tobytes()
 
 
-# maps with a parabolic fixed point: z^3 + z and z - z^3 at 0, (z^2 + 1)/z at infinity
-PARABOLIC_MAPS = [{"numerator": ["1", "0", "1", "0"], "denominator": ["1"]},
-                  {"numerator": ["-1", "0", "1", "0"], "denominator": ["1"]},
-                  {"numerator": ["1", "0", "1"], "denominator": ["1", "0"]}]
 # OVERFLOW_MAP with exact coefficients
 EXACT_OVERFLOW_MAP = {"numerator": [str(10**154), "1"],
                       "denominator": [f"1/{10**154}", "0", "1"]}
@@ -988,8 +984,7 @@ def test_a_nan_or_indeterminate_image_row_has_no_successor():
 def test_a_two_cycle_through_a_pole_and_infinity(twin):
     # (z + 1)/(z^2 + 2z) maps the pole 0 to infinity and infinity back to 0:
     # one chart factor steps onto infinity and the next off it
-    doc = {"numerator": ["1", "1"], "denominator": ["1", "2", "0"]}
-    r = parse_map(_decimal_twin(doc) if twin else doc)
+    r = parse_map(_decimal_twin(POLE_CYCLE_MAP) if twin else POLE_CYCLE_MAP)
     cycles, _, warnings = periodic_cycles(r, 2)
     [cycle] = [c for c in cycles if c.contains(INFINITY, r.tolerance)]
     assert warnings == []

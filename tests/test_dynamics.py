@@ -16,14 +16,14 @@ from ratmap.dynamics import (
     orbit_fate,
     periodic_cycles,
 )
-from ratmap.errors import AsymptoticValencyUndeterminedError
+from ratmap.errors import AsymptoticValencyUndeterminedError, IndeterminateEvaluationError
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
 from ratmap.report import parse_map, run_analysis
 from ratmap.scalars import GaussianRational
 from ratmap.sphere import INFINITY, SpherePoint, coincide
 
-from .test_report import _decimal_twin
+from .test_report import _corpus_map, _decimal_twin
 from .test_sphere import SCREEN_CASES
 
 
@@ -136,11 +136,11 @@ def test_orbit_fate_screens_each_distinct_prefix_point_once(twin, monkeypatch):
     cycles, _, _ = periodic_cycles(r)
     calls = []
 
-    def counted(a, b, tol, _near=ratmap.dynamics.near_pairs):
-        calls.append(a)
-        return _near(a, b, tol)
+    def counted(pair, rows, tol, _near=ratmap.dynamics.near_rows):
+        calls.append(pair)
+        return _near(pair, rows, tol)
 
-    monkeypatch.setattr(ratmap.dynamics, "near_pairs", counted)
+    monkeypatch.setattr(ratmap.dynamics, "near_rows", counted)
     fate = orbit_fate(r, SpherePoint.finite(0.0 if twin else 0), cycles)
     prefix = fate.walk.points[:65]
     assert len(prefix) == 65 and prefix[-1].is_infinity
@@ -276,3 +276,40 @@ def test_attracting_multiplier_value():
     assert len(att) == 1
     z = complex(att[0].points[0].z)
     assert complex(att[0].multiplier) == pytest.approx(2 * z)
+
+
+def test_orbit_valencies_are_running_products_of_valency_at_one_block_per_call(monkeypatch):
+    docs = [CUBIC_THROUGH_CRITICAL, _decimal_twin(CUBIC_THROUGH_CRITICAL)]
+    maps = [parse_map(doc) for doc in docs] + [zsq(), rees_shape()]
+    maps += [_corpus_map(index, twin) for index in range(6) for twin in (False, True)]
+    blocks = []
+
+    def counted(self, points, _valencies=RationalMap.valencies):
+        blocks.append(len(points))
+        return _valencies(self, points)
+
+    monkeypatch.setattr(RationalMap, "valencies", counted)
+    for r, x in [(r, c.point) for r in maps for c in critical_points(r)]:
+        walk = Orbit(r, x)
+        blocks.clear()
+        assert walk.valency(0) == 1 and blocks == []
+        walk.valency(40)
+        assert blocks == [40]
+        pairs = walk.with_valencies(60)
+        assert blocks == [40, 20]
+        product = 1
+        for j, (point, val) in enumerate(pairs):
+            assert point is walk.points[j] and val == walk.valency(j) == product
+            product *= r.valency_at(point)
+        assert len(pairs) == 61 and blocks == [40, 20]
+
+
+def test_a_failing_walk_has_the_valencies_up_to_the_failure():
+    # (z - 1)(z + 2) / ((z - 1 - 1e-12) z): both components of R(1) vanish below the tolerance
+    r = RationalMap(Polynomial([1.0, 1.0, -2.0]), Polynomial([1.0, -(1.0 + 1e-12), 0.0]),
+                    verified_coprime=True)
+    x = SpherePoint.finite(1.0)
+    walk = Orbit(r, x)
+    assert walk.with_valencies(5) == [(x, 1)]
+    with pytest.raises(IndeterminateEvaluationError):
+        walk.valency(3)

@@ -2,11 +2,12 @@
 
 run_analysis runs at the default config on the first 40 maps of the
 acceptance stream (seed 20240811), on the first 20 maps of the sparse
-stream (seed 7) and on named maps, each also as its decimal twin.  Each map
-must give a schema-valid report within 4 s, and only a coded RatmapError
-may escape.  The sha256 digests of each report's to_json_bytes() and
-to_text() are pinned, so a change of any report byte at the default config
-fails here.
+stream (seed 7) and on named maps, each also as its decimal twin; corpus
+maps 10-22 and 24-39 and the worked maps also run at max_period 2.  Each
+map must give a schema-valid report within 4 s, and only a coded
+RatmapError may escape.  The sha256 digests of each report's
+to_json_bytes() and to_text() are pinned, so a change of any of these
+report bytes fails here.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ import pytest
 from ratmap.errors import RatmapError
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
-from ratmap.report import parse_map, run_analysis
+from ratmap.report import AnalysisConfig, parse_map, run_analysis
 from ratmap.restricted import PREIMAGE_DEPTH_DEFAULT, _verify_critical_invariance
 from ratmap.sphere import INFINITY
 
-from .test_report import _corpus_map, _decimal_twin, _floating_twin
+from .test_report import DECIMAL_TWINS, WORKED_MAPS, _corpus_map, _decimal_twin, _floating_twin
 
 CORPUS_SIZE = 40
 SPARSE_SIZE = 20
@@ -35,6 +36,17 @@ BOUND_S = 4.0
 # takes about a minute
 SPARSE_QUINTIC = {"numerator": ["1", "0", "0", "-2", "0", "1"],
                   "denominator": ["-3", "0", "0", "0"]}
+# maps with a parabolic fixed point: z^3 + z and z - z^3 at 0, (z^2 + 1)/z at infinity
+PARABOLIC_MAPS = [{"numerator": ["1", "0", "1", "0"], "denominator": ["1"]},
+                  {"numerator": ["-1", "0", "1", "0"], "denominator": ["1"]},
+                  {"numerator": ["1", "0", "1"], "denominator": ["1", "0"]}]
+# (z + 1)/(z^2 + 2z) maps the pole 0 to infinity and infinity back to 0
+POLE_CYCLE_MAP = {"numerator": ["1", "1"], "denominator": ["1", "2", "0"]}
+NAMED_MAPS = PARABOLIC_MAPS + [POLE_CYCLE_MAP]
+MP2 = AnalysisConfig(max_period=2)
+# the corpus maps pinned here at max_period 2 too; test_report.py pins maps
+# 0-9 and 23 there
+MP2_CORPUS = [index for index in range(10, CORPUS_SIZE) if index != 23]
 
 
 # (source, index, twin) -> sha256 of to_json_bytes() and of to_text()
@@ -405,6 +417,222 @@ REPORT_DIGESTS = {
     ("quintic", 0, True): (
         "20d5cd6e165b887ffec1aa4dcb0f31fd2287e716166b81e22d223cfc87f3aed3",
         "632a7ada489cdf7c58376363a1c326651fe76862ac23493c41771ecce6024c5f"),
+    ('corpus-mp2', 10, False): (
+        "ab6aacc201306e1cad696be61362980ed8d922b5e7ec39c9b61413aec66c6667",
+        "0e7f2b1d0ed70202dcc489a1b19d01326536e458ff80d7aa06298dab1c0947ec"),
+    ('corpus-mp2', 11, False): (
+        "4e1794eea08fdb43ac87aed3c981a03f422ef2e52d09ab3afbd22767146902d2",
+        "983926b9229f77000c268bc469400269c314eca96cc90b25ac44ba771aab9313"),
+    ('corpus-mp2', 12, False): (
+        "e75b3a45c0e8e5372ab8e53b212f73229d8dbe292a371b77e49c2194d3a7c6ff",
+        "ae50598df73a2d4be792081ef029a7e7df32a313b71924061c3bc8f7d726d1fb"),
+    ('corpus-mp2', 13, False): (
+        "66df889dcd1fd5e33426e879233ddb5cde02b2ce045a6f4c7133daf8ef57de7d",
+        "2b777fcaa3272957c8f5d670ab8ed63e8d29479e86dff2f3f14d9fd5f7675dd9"),
+    ('corpus-mp2', 14, False): (
+        "37c2d76d03ef4ff3796157782dc19beef841d80e11168e75b52dfce699a1d50d",
+        "40670ab9b24ae7a27b3d30486f3301eb9f2a94040fdbcf01855fb33378ab2978"),
+    ('corpus-mp2', 15, False): (
+        "5caaf8345b37b8b402ca93582d66633667b1193f1cd2a67000c949c3ce07cbe8",
+        "abe7a09ffc31b5d9780ca53defa4847602f92f9982367c66dd9e873607f46ad5"),
+    ('corpus-mp2', 16, False): (
+        "78f83dc33cf3a308d824cbdad4b5a984e3e70c193e9c4db789ac637e2aeb590a",
+        "c6218fbf945b6f6b29f582d66ed72202c727ebfce316bd71e8fbd73c54a27772"),
+    ('corpus-mp2', 17, False): (
+        "9e8570e76144b411a08b5e9013e6de84bc0ac7e6f28caa47aa9798207b270b50",
+        "39fafd106748634831abaac70abee00f3942fe44fe452583f77ae9281119972a"),
+    ('corpus-mp2', 18, False): (
+        "36f9ea6068a5c35f4cd27d90da84545262d67dfd8094e06fa4ef817f45bc1abb",
+        "20663222bf67030bdb2859f8ba935028367b7af7c164de141295cbb0cbcaccff"),
+    ('corpus-mp2', 19, False): (
+        "b1f4f075ab05ff46c6998a0e4728e343c8c74c9acbb6dd1b0aadcda675c1e3a0",
+        "a1e81bc77213b6e9ba43c538bfa7317e16103544cb62bd16337bad28ff69348a"),
+    ('corpus-mp2', 20, False): (
+        "efadc6c7ae2bab5b2d9f53ed5666207c301c0e84b6369f9c99e3e3a0bef9fa2d",
+        "ec7704ac70e6d1abee082b16063f000eab21caf776d65553b3861fc435731e54"),
+    ('corpus-mp2', 21, False): (
+        "fdb345d761bc0261c811a29118d82bf1427330fb62f803980dde2417a340b5f5",
+        "fd5ab9890b0b422b8c38c65526a905e4fe6ba12078592c364daebf5f3b438895"),
+    ('corpus-mp2', 22, False): (
+        "d92300c5168b4308e3a3a697f9e5dbd79574e82026edd641a74d55d3dd1b156b",
+        "c137aaa0af279762e7f47998821888b7a1dd7195b11a2a38b66186f2a2cd83ef"),
+    ('corpus-mp2', 24, False): (
+        "fd3800fd608e7797ac79f447e597a53c431ec2a35f2d355a4fae8ae51d0a7862",
+        "d1b082682664ebe129d07972929990869dd7d445d634749bd5294beaf05a984e"),
+    ('corpus-mp2', 25, False): (
+        "65f44147587ce952e75b7170537b40a3b7c5202d11a43434003b4213ebcfe9f8",
+        "92417d235d2f71ccc7028ff49ae094867143b34251f168b87f17a81179963103"),
+    ('corpus-mp2', 26, False): (
+        "43abb4554e83c65059a521bb2c1b4d7c7338ca63a10c9c5fb4bde63a2d1b2ac1",
+        "4b88f3508afef04ef89a0fffe588ef7a69ab4ee2aa36de108a2088c650d4b15b"),
+    ('corpus-mp2', 27, False): (
+        "f7c548442dc2737d30bf5e94740d50babc092574b3853bf283535ea5893263f4",
+        "7feadc0a47f1cf91860e997eeb2087659d01d0627a63108554a58651760c7cde"),
+    ('corpus-mp2', 28, False): (
+        "e19f8e6140fb9ed39890e66da051f78120beb62a3f39a57fe58cfd8862693ddf",
+        "dce1474d806bd918cdff3fc95f85aabe110b86655025cf9b0e632386e694e0fe"),
+    ('corpus-mp2', 29, False): (
+        "e6693587d6efb559bda3e94cf6a6140cfc9fcb8795e9698c389c11da0535d598",
+        "708af2b85a990efd2990578986fe004051525938067af624181329bac3f078ca"),
+    ('corpus-mp2', 30, False): (
+        "2f91c8ccc010b40dd4f0152e340054b8dac6bebd979248bad16843cef847329b",
+        "2fc324b00f363e17c2574df0d107414ed2b131d3677dbad3321b2323a3d0ef9b"),
+    ('corpus-mp2', 31, False): (
+        "595328115dc1893a44451377620412d35622e35ca55d596621cfbef04845860b",
+        "923f8f7d3639096caff16ee0ec54dce3fad95c79d22dd08a285cb835a4a8dc1a"),
+    ('corpus-mp2', 32, False): (
+        "15a31351614dd368df304e92662e2280c5ad17fa26a4684afeae26ee6444c2c8",
+        "f6c42fe8df00d2cb49e79af83b005d3d96cb8e6c7d09196639ed880a5bc573da"),
+    ('corpus-mp2', 33, False): (
+        "f1a49a17f3e6be0232add76c3775276fc07ece146dad2bb7e7fa024c7b03e22c",
+        "3cd5cea33a3db8d006404fab80c99f377756691c2b7e225db1a6df67a850dc00"),
+    ('corpus-mp2', 34, False): (
+        "0d6ba74a5ea96385c19d67288143ffa52c0a090ed695fdd18719fcb5d4b7f72f",
+        "31334df62cc97d02f576ea9c26a4f920c78bdfea3a735537c1a38b7d55f7b4d3"),
+    ('corpus-mp2', 35, False): (
+        "9cdb1bff1bef6d790e4b56fc7bcac7995328b2af222c271de62982f271552623",
+        "a8e80b79cf5534287c2e96443160920073e781fbab10ee98067af91671699f52"),
+    ('corpus-mp2', 36, False): (
+        "681b7371e9718f7e2038d7acd3f7f04e0379318f18b58d730fbde0a89bb00093",
+        "558198253a9d3951b94f50ee482ffd6170e174c937fed48fd970ba07e8f9b0f7"),
+    ('corpus-mp2', 37, False): (
+        "4dd3ac6eeaeb3e8d0489a75b138075d998b2ddf50f9dcf0374a17965922e6743",
+        "7fd7062a2d06a7c6c66b91ddfb41b5784447e6ae2405508c1db048a3b2c068dc"),
+    ('corpus-mp2', 38, False): (
+        "abfd03a23e23baa9525766ce6fa12527a89e6c6b96ed0d34899ff94b9ae68107",
+        "b3da074bee15986ecfe78e220179abfbdce8de2f5f6b13dec5be9d3ea2c49b18"),
+    ('corpus-mp2', 39, False): (
+        "0b5efe3697df21973a74beb0d2eabcab584d68da8b1ba945e3c86db05b00253f",
+        "218594c2505a7253d83a37296283c04db6cfa9d840d134631839a13eb0145f85"),
+    ('corpus-mp2', 10, True): (
+        "cf47aa4ca4f5a542f9c375a976b7abbe417a7b1fa1e596299ab2773a7895dd3d",
+        "743f8615c0995cf23d400247a8c7a3d0a85f6e22eb03c8b4e61179d3baae70fc"),
+    ('corpus-mp2', 11, True): (
+        "b73745f16e5bdaa09d4ee73649ed19e277b17e0b29af790119a583554388340f",
+        "c7d42250512a670724e866e617bf0ad279328eb8a51a497d52423307b06f3ae0"),
+    ('corpus-mp2', 12, True): (
+        "ee8881b96b8feede54ba66dcac80bb937047323bc8e06e83c347cd42e79068b9",
+        "016ecf757121383907b4ac1a0302bc93c925f416875a495b41fce8acb00aad64"),
+    ('corpus-mp2', 13, True): (
+        "98946a2e417f2647586ed2001af6f0298c19e241a65419e25cc6fe67c8d889c6",
+        "9ebca3d59092771767f0dbe0f4bf354c262e07d66ff57feef57a95343baff870"),
+    ('corpus-mp2', 14, True): (
+        "d6ed373c8f92568f5b155672b636d1568a922739461f0d333a6563ec21c897fc",
+        "0ac66da2cafb8ff8c203e3c23149a3ef683bad08b4f8e212969cd986309c1264"),
+    ('corpus-mp2', 15, True): (
+        "ebb21763e14a5bd67cb07137213a41f2d0849ec3ba283c51e5e62fb587f3bdfc",
+        "006dfd880ef75d1579540a73b2fb53356f90e4268edaf4f2d070456bcadb6d73"),
+    ('corpus-mp2', 16, True): (
+        "a16aef45daed55d75b8042ce5e045b8be6e7b726ea2e3cbc56e9374c337a9c6e",
+        "d1d24fc74340c03426c60623ff786711c97bbec2e173b232f23b405d4ed46c2b"),
+    ('corpus-mp2', 17, True): (
+        "fbf3f7b76b563823b7e7d5915dceec00716c18f776254a6d4d77c5dee59748c4",
+        "3f3f8f2a33867f30e05e7b25fb79952fcb8f63e9bda3d0aa479fefefb6a93953"),
+    ('corpus-mp2', 18, True): (
+        "7fd4101bcf34fe8dce8c2d65e1e1b693234b614d0f71010641c610ed9590159e",
+        "80b5a833227a3825ff83a03d70142cf58a22469fa2ba08eea9e394a83ffab6d0"),
+    ('corpus-mp2', 19, True): (
+        "2a2cfdb0a85576c048da66fb4414d30da0e2d53ece93a277fed4f494b7552c30",
+        "58534efe5705c6a761e905749bced718a43553a1c83d820b1783b0bacb21e781"),
+    ('corpus-mp2', 20, True): (
+        "5389e8a73d047340822af7695321ed51999ec46ca74ddbe446c86dcacbefd525",
+        "4e413b7c36be540864e53119c19fcc27d43be8aea5ada60cfda3280a1a76c693"),
+    ('corpus-mp2', 21, True): (
+        "fdffdfd9d0557c19d712f997ae1c66c0fd2190879132fcf02deab1c9c94bac94",
+        "6676dc60363588f38cbda5c9d5bcd61fde954181bd41d9c0f367154cda40b457"),
+    ('corpus-mp2', 22, True): (
+        "53a5a6e0f20e58390728dfdf8622e8a9d963cd42f1856a57ab2237a7d6dda937",
+        "dce29b817e878cdb9e004ccfe73be532c5354b8534afd25cd970da242f4c5f20"),
+    ('corpus-mp2', 24, True): (
+        "036e9c8336b0a402aaaa5548f9317070b3fa49e97c1f309dbc893a0eed40ae11",
+        "2da650bb434a68f8ab028fc4feb68ca4828fa3988a52d25fbdccd1f71b67b6eb"),
+    ('corpus-mp2', 25, True): (
+        "9d5e654f6897af4ad17e7d8d233c604cb31de06282cf0efcd6f7ad385b7625c5",
+        "2abcc6ebca39d7bf150c4456eccff3364adac4240d9123c88e56070eea558568"),
+    ('corpus-mp2', 26, True): (
+        "cebbfadc1513a2bbfe942512fd3db0e546d53732ffee35c87978bd8811a23304",
+        "d2128892a40b5a10205fa6fadbe19f9a8e6500db443a316ebe9d6043dc99d1f6"),
+    ('corpus-mp2', 27, True): (
+        "909db4edc3fbd5b62f847699bdea8ace2ffacae12b60ed2483262e6776573ac7",
+        "90134f6232a6fd0ce1dc9052800d298d607dc57235c78c3631e3b429bb699a90"),
+    ('corpus-mp2', 28, True): (
+        "dde1d07038025557ea5522655a60a262a08ca908fa7f164b28d7010c81a8b30a",
+        "67a2f3df1bd661a7b33a6ff48ff2ffcee694d7f519e4b8847cae976ddb975019"),
+    ('corpus-mp2', 29, True): (
+        "497982a9d78ece71683b87d7f62538cb20a4cda36cc3caa765d69b7d46f9b69d",
+        "5a360cd0228b081830d3f9fd82a70f5138c86eea147938935a8291d6f92db20b"),
+    ('corpus-mp2', 30, True): (
+        "de05730d8a264262e06d932590aa7ee38ae3b35aede55884b126a4063be65ce9",
+        "5de9d515a5e429ea292066ab47700a2ee3889689c54503c949bcf2392d463202"),
+    ('corpus-mp2', 31, True): (
+        "4e7dfc12eed1a815d0e743800f012322976f95260937b6339a509fce375af67b",
+        "a2add6249c9eba987841a4703fe7670f0b0e3f544fa2227a7f53636ff71bcaa5"),
+    ('corpus-mp2', 32, True): (
+        "db537c2d516733b0e8b12ac28ef4463da22ca6477289d5ef129f5854282d249f",
+        "f2e9567db33f39eed3a7e822b693d672ad7277ff3ec19d89882fdf20f8413839"),
+    ('corpus-mp2', 33, True): (
+        "ee2c3cc0429c6c12c443bd525ca2a818be9f5b0c0d1f789265f35d1d5574fcb3",
+        "b02b6ab2d5f9b6db403f82bf3ab3ef73cc61ed954d166eb10f5cd223df5432d8"),
+    ('corpus-mp2', 34, True): (
+        "6bb34a70348e803a9b8d79e49af7a5d4144ea2a1e129ace48b710aef7e69306d",
+        "15545a81ab8a95fdbabf4195163b2d831aa6e93dc4c5ca5257bfd0004a3670cc"),
+    ('corpus-mp2', 35, True): (
+        "9efbee98109597cf07eab368da4acbd99f465995051bdc5c787c2d0c0e225e39",
+        "40d851b0074522363afda599cae0a260937c383c1cce40d668f9d6d720380abd"),
+    ('corpus-mp2', 36, True): (
+        "5506e59538d8270905042a773b740e71e1dae73e9c344e38c1fef6ead535a1d2",
+        "1a9278128adf90018c25df78f039665981338bff6a3d4d9f597b0a38dc99f129"),
+    ('corpus-mp2', 37, True): (
+        "132f9d088d26c23281dff419cecaaddeba030d00d99970780d741446b1d81f46",
+        "af13cc084c71855c9ec6bd688fd761c407ed1a79cddaffa8a113b41c3506e838"),
+    ('corpus-mp2', 38, True): (
+        "2db2aeae3fa636fa9df23b59e243be01376a3bb1d57b8f56e626267e143b825d",
+        "4957aef65ff061ff45b8b0cf66b58950709695464a651a70c7688daa1638a07b"),
+    ('corpus-mp2', 39, True): (
+        "332413017c76622a1d313ba576409efa19324b452e3ac5d8dc486a9500765578",
+        "fe5456937829efa29ff8515698afda02c117aec66d3fb49e72c02e7ffb709d94"),
+    ('worked-mp2', 0, False): (
+        "ee5c8839ea6e10a294c3cd308c29c4d26c04317fc43ed659febaa5a2e205a089",
+        "2a6d42ca1a86e28f9c27334e2ccdb84d751e4ff11745ce6e90324824880a9e79"),
+    ('worked-mp2', 1, False): (
+        "fb098e5dda74b2f69e90de747c0aba07f13bce426e5d88ed639a104b1a25cdf8",
+        "b5c927c06f810e229e963bf4b54de88bf2e15979b395ed467a9c97fe852007cc"),
+    ('worked-mp2', 2, False): (
+        "cd24f76181d8169deade242c8de55db356e9d5640ab8473fd98852dd60b38ab4",
+        "4e1ca2540976f2402e6519fdf47c9119e49252d2eb5fed9f46527067f204af71"),
+    ('worked-mp2', 0, True): (
+        "62a2852ec540520a8fb31ddb724af2d4995d9ae527f00dd173a0786dfd17ba92",
+        "ec288fe57285107830450a8f5fe7e262a927063151d791d1299d2de6e5c2d973"),
+    ('worked-mp2', 1, True): (
+        "ea5ae17a6f187350cf8cfcacb69ae3ea3076b827cba13b902af07e75ffc9ca26",
+        "c7ee4200901a25129629c11b4c24fbf89290450aa4e9ce41abb38c61d34d9839"),
+    ('worked-mp2', 2, True): (
+        "a3f3bae73c9b4c893d5bdecd9b23914caed80869fa27cbdebfcd7668a219c991",
+        "cfe54fc0230000c627612c9852b9865f62f0885a73469298807667566158f2bd"),
+    ('named', 0, False): (
+        "d359903b2f17b9b4d5c7f4780fd38c8974f1cbb75eeac02f6616c1976e1b5de2",
+        "bb5b646fd7431e0676f83161b6dcb47a0af42f4bdf813ba72e04c12f03eb85dc"),
+    ('named', 1, False): (
+        "ba695487011cb094180b3399f1648fb0d67a04c814afac33806df9d92c7b27ef",
+        "e41deb62a9d3fb8a21f088d9ef6eb6d0941663da3fc27ba4aa8f5bc4cdfc2eb9"),
+    ('named', 2, False): (
+        "39efb5848a1805c84fe7e89d81f9ca85de6c26cfa84e7457e040edfe84d795ed",
+        "060413c318c3ecb715744b899d411f60c7bce5785625ea9b05c20867c84196ae"),
+    ('named', 3, False): (
+        "ae059f95559e51fa13bc15cc9b9ceb1d0e18c643999a87890ac367f22e626c93",
+        "676af30f87f4eee48415fc398579399a024209d52e38e7191caf6e9a1d0fbb7d"),
+    ('named', 0, True): (
+        "caa9614edbd54b3141ee4f0ca0029e403b571b0aa9f212fe759f4bfa708bf987",
+        "4b50622e0b910750087b1de4d0b5136f47cc74d58ff3f0bbac42b51440b918b2"),
+    ('named', 1, True): (
+        "14b0f295008834e33f55bc5587f8cbf253256febb6e046a6e51bc647fb35f541",
+        "53168db184c46df2ce47a90b46df6bd6bf7a6e46721fcdd51b5cea6aeb743a38"),
+    ('named', 2, True): (
+        "17a73e2734290f2433adbd5a0ffddad866b02f473cc13cf768dd8ffa6921f7ec",
+        "0222a4a49619f87f62b759414efa699d414ba5913a04ef4dee173849153c77a1"),
+    ('named', 3, True): (
+        "3ba6e418103a0a9b89604b79338a5637bd448a56092eeea0598582997858117e",
+        "29661947420c127bd03825e54b74fdb39144860c188826ad469c9ecd1051e473"),
 }
 
 
@@ -420,11 +648,11 @@ def _on_alarm(signum, frame):
 def bounded():
     previous = signal.signal(signal.SIGALRM, _on_alarm)
 
-    def run(r):
+    def run(r, config):
         # re-fires every 50 ms in case a handler inside the program swallows it
         signal.setitimer(signal.ITIMER_REAL, BOUND_S, 0.05)
         try:
-            return run_analysis(r)
+            return run_analysis(r, config)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
 
@@ -462,12 +690,12 @@ def _sparse_map(index: int, twin: bool) -> RationalMap:
     return _floating_twin(r) if twin else r
 
 
-def _check_report(bounded, r, key):
+def _check_report(bounded, r, key, config=None):
     jsonschema = pytest.importorskip("jsonschema")
     from ratmap.schema import REPORT_SCHEMA
 
     try:
-        report = bounded(r)
+        report = bounded(r, config)
     except BoundExceeded:
         pytest.fail(f"no report within {BOUND_S} s")
     except RatmapError as err:
@@ -487,7 +715,25 @@ def _check_report(bounded, r, key):
 @pytest.mark.parametrize("index", range(CORPUS_SIZE))
 @pytest.mark.parametrize("twin", [False, True])
 def test_corpus_map_gives_a_report(bounded, index, twin):
-    _check_report(bounded, _corpus_map(index, twin), ("corpus", index, twin))
+    r = _corpus_map(index, twin)
+    _check_report(bounded, r, ("corpus", index, twin))
+    if index in MP2_CORPUS:
+        # on the same map, whose memoized solves and preimages the second report reads
+        _check_report(bounded, r, ("corpus-mp2", index, twin), MP2)
+
+
+@pytest.mark.parametrize("index", range(len(WORKED_MAPS)))
+@pytest.mark.parametrize("twin", [False, True])
+def test_worked_map_at_max_period_2_gives_a_report(bounded, index, twin):
+    doc = (DECIMAL_TWINS if twin else WORKED_MAPS)[index]
+    _check_report(bounded, parse_map(doc), ("worked-mp2", index, twin), MP2)
+
+
+@pytest.mark.parametrize("index", range(len(NAMED_MAPS)))
+@pytest.mark.parametrize("twin", [False, True])
+def test_named_map_gives_a_report(bounded, index, twin):
+    doc = NAMED_MAPS[index]
+    _check_report(bounded, parse_map(_decimal_twin(doc) if twin else doc), ("named", index, twin))
 
 
 @pytest.mark.parametrize("index", range(SPARSE_SIZE))

@@ -285,3 +285,58 @@ def test_multipliers_match_the_four_chart_derivative():
     # {inf, 7/10 + i/5} and the fixed infinity of multiplier 1/3, exact and
     # twin, and the exact parabolic fixed infinity (the twin's is finite)
     assert through_infinity == 5
+
+
+def _mixed_local_derivative(r, x, image):
+    """local_derivative at a finite point as it was: W, P and Q by
+    Polynomial.evaluate at the chart value, which mixes exact coefficients
+    with a floating point.  Infinity keeps its branch."""
+    if x.is_infinity:
+        return r.local_derivative(x, image)
+    z = x.value()
+    w = r.wronskian.evaluate(z)
+    s = (r.p if image.is_infinity else r.q).evaluate(z)
+    return w / (s * s)
+
+
+def _complex_bits(value):
+    if isinstance(value, GaussianRational):  # a cycle of exact points only
+        return value
+    assert type(value) is complex
+    return repr(value.real), repr(value.imag)
+
+
+# a constant denominator and a constant numerator 5/3, whose floating square
+# is not the float of 25/9, so an exact constant must keep s * s exact; and
+# (z + 1)/(z^2 + 2z), whose pole 0 maps to infinity
+CONSTANT_SIDE_MAPS = [{"numerator": ["1", "0", "1/3"], "denominator": ["5/3"]},
+                      {"numerator": ["5/3"], "denominator": ["1", "1/7", "0"]},
+                      {"numerator": ["1", "1"], "denominator": ["1", "2", "0"]}]
+
+
+def test_floating_points_of_an_exact_map_have_the_mixed_chart_factors_bit_for_bit():
+    maps = [r for r in _parity_maps() if r.is_exact] + [parse_map(d) for d in CONSTANT_SIDE_MAPS]
+    rng = random.Random(5)
+    cycles_seen = 0
+    for r in maps:
+        # n = 1: a floating point and its image, a pole's image infinity among them
+        poles = [x for x, _ in r.preimages(INFINITY) if not x.is_infinity]
+        points = [SpherePoint.finite(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)))
+                  for _ in range(8)] + [x.to_float() for x in poles]
+        for x in points:
+            image = r.evaluate(x)
+            assert not x.is_exact
+            assert (_complex_bits(r.local_derivative(x, image))
+                    == _complex_bits(_mixed_local_derivative(r, x, image)))
+        # at cycle length: the chart product around each cycle, its points floating
+        cycles, _, _ = periodic_cycles(r, 3)
+        for c in cycles:
+            if c.contains_critical:
+                continue
+            pts = [x.to_float() for x in c.points]
+            want = GaussianRational(1)
+            for x, image in zip(pts, pts[1:] + pts[:1]):
+                want = want * _mixed_local_derivative(r, x, image)
+            assert _complex_bits(r.cycle_multiplier(pts)) == _complex_bits(want)
+            cycles_seen += 1
+    assert cycles_seen > 100

@@ -5,19 +5,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ratmap.sphere
 from ratmap.scalars import GaussianRational
 from ratmap.sphere import (
     DIRECT_MAX_POINTS,
     INFINITY,
+    REPRESENTATION_EPS,
+    SCREEN_SLACK,
     SpherePoint,
+    array_chordal,
     chordal_matrix,
     coincide,
     dedup_indices,
     dedup_points,
-    near_pairs,
     near_partners,
+    near_rows,
     normalized_pairs,
     parse_point,
     screen_keys,
@@ -193,7 +198,7 @@ def _scalar_dedup(points, tol):
 def test_dedup_screen_matches_the_scalar_rule(name, p, q, same):
     assert coincide(p, q, TOL) == same
     # the screen passes every pair that coincides
-    assert near_pairs(normalized_pairs([p]), normalized_pairs([q]), TOL)[0, 0] or not same
+    assert near_rows(p.norm_pair(), normalized_pairs([q]), TOL).tolist() == [0] or not same
     kept = dedup_points([p, q], TOL)
     assert [id(x) for x in kept] == ([id(p)] if same else [id(p), id(q)])
 
@@ -336,3 +341,114 @@ def test_cached_chart_data_match_their_definitions_bit_for_bit():
     pairs = np.array([_uncached_pair(p) for p in points])
     want = pairs / np.hypot(np.abs(pairs[:, :1]), np.abs(pairs[:, 1:]))
     assert normalized_pairs(points).tobytes() == want.tobytes()
+
+
+def _reference_floating_value(z, w):
+    """floating_value as it was, testing each part with math.isfinite."""
+    if not all(math.isfinite(v) for v in (z.real, z.imag, w.real, w.imag)):
+        raise ValueError("non-finite component; points never store NaN or inf")
+    if z == 0 and w == 0:
+        raise ValueError("(0 : 0) is not a point of the sphere")
+    try:
+        at_infinity = abs(w) <= REPRESENTATION_EPS * abs(z)
+    except OverflowError:
+        z, w = z / 4, w / 4
+        at_infinity = abs(w) <= REPRESENTATION_EPS * abs(z)
+    return None if at_infinity else z / w
+
+
+def _bits(p):
+    return (p.is_exact, p.is_infinity, np.array([p.z, p.w], complex).tobytes())
+
+
+BIG = 1.5e308 + 1.5e308j  # its modulus overflows
+FLOATING_PAIRS = [
+    (0j, 1 + 0j), (complex(-0.0, 0.0), 1 + 0j), (complex(0.0, -0.0), 1 + 0j),
+    (complex(-0.0, -0.0), complex(-1.0, 0.0)), (1 + 0j, complex(-0.0, 0.0)),
+    (1 + 0j, complex(0.0, -0.0)), (complex(2.5, -0.0), complex(-0.0, 1.0)),
+    (0.3 - 2.5j, 1 + 2j), (1e14 + 0j, 1 + 0j), (1e14 + 0j, 1.0000001 + 0j),
+    (1 + 0j, 1e-14 + 0j), (1 + 0j, 1.0000001e-14j), (1e20 + 0j, 1 + 0j),
+    (BIG, 1 + 0j), (BIG, 1e290 + 0j), (-BIG, 1j), (BIG, BIG), (1 + 0j, BIG),
+    (5e-324 + 0j, 1 + 0j), (1 + 0j, 5e-324 + 0j),
+]
+NOT_POINTS = [
+    (0j, 0j), (complex(-0.0, 0.0), complex(0.0, -0.0)),
+    (complex("nan"), 1 + 0j), (1 + 0j, complex(0.0, float("nan"))),
+    (complex(float("inf"), 0.0), 1 + 0j), (1 + 0j, complex(0.0, -float("inf"))),
+    (complex("nan"), complex("nan")),
+]
+
+
+@pytest.mark.parametrize("z, w", FLOATING_PAIRS)
+def test_a_complex_pair_is_the_point_of_the_generic_path_bit_for_bit(z, w):
+    # np.complex128 is a complex subclass, so it goes through as_scalar
+    fast, generic = SpherePoint(z, w), SpherePoint(np.complex128(z), np.complex128(w))
+    assert _bits(fast) == _bits(generic)
+    value = _reference_floating_value(z, w)
+    pair = (1 + 0j, 0j) if value is None else (value, 1 + 0j)
+    assert _bits(fast) == (False, value is None, np.array(pair).tobytes())
+
+
+@pytest.mark.parametrize("z, w", NOT_POINTS)
+def test_a_complex_pair_that_is_no_point_raises_on_either_path(z, w):
+    for pair in ((z, w), (np.complex128(z), np.complex128(w)), (z, np.complex128(w))):
+        with pytest.raises(ValueError):
+            SpherePoint(*pair)
+    with pytest.raises(ValueError):
+        _reference_floating_value(z, w)
+
+
+def test_only_a_pair_of_builtin_complex_skips_as_scalar(monkeypatch):
+    seen = []
+
+    def counted(value, _as_scalar=ratmap.sphere.as_scalar):
+        seen.append(type(value))
+        return _as_scalar(value)
+
+    monkeypatch.setattr(ratmap.sphere, "as_scalar", counted)
+    SpherePoint(0.5 + 1j, 1 + 0j)
+    assert seen == []
+    for z, w in ((np.complex128(0.5 + 1j), 1 + 0j), (0.5 + 1j, 1.0),
+                 (0.5 + 1j, GaussianRational(2)), (Fraction(1, 2), 1)):
+        seen.clear()
+        SpherePoint(z, w)
+        assert seen == [type(z), type(w)]
+
+
+def _reference_near_pairs(pair_rows, rows, tol):
+    """The orbit screen as it was: the point's normalized row against the rows."""
+    return array_chordal(pair_rows, rows)[0] <= 2.0 * tol + SCREEN_SLACK
+
+
+parts = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
+scales = st.sampled_from([1e-300, 1e-9, 1e-3, 1.0, 1e3, 1e13, 1e200])
+sphere_points = st.one_of(
+    st.builds(lambda a, b, k: SpherePoint.finite(complex(a, b) * k), parts, parts, scales),
+    st.builds(lambda a, b: SpherePoint.finite(GaussianRational(a, b)),
+              st.fractions(-5, 5, max_denominator=9), st.fractions(-5, 5, max_denominator=9)),
+    st.builds(lambda n: SpherePoint.finite(GaussianRational(3 * 10**n, -(10**n))),
+              st.integers(150, 400)),
+    st.builds(lambda exact: SpherePoint.infinity(exact=exact), st.booleans()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sphere_points, st.lists(st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 2 * math.pi)),
+                               max_size=6),
+       st.lists(sphere_points, max_size=4), st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+def test_the_orbit_screen_passes_every_row_the_array_screen_passes(p, offsets, others, tol):
+    # rows about 0 to 4 tol from p in the chordal metric, where the margin
+    # decides, and arbitrary others
+    rows = list(others)
+    (z, w), _ = p.norm_pair()
+    if w:  # a finite floating value
+        rows += [_partner(SpherePoint.finite(z), ratio * tol / TOL, angle)
+                 for ratio, angle in offsets]
+    rows.append(p)
+    table = normalized_pairs(rows)
+    want = np.flatnonzero(_reference_near_pairs(normalized_pairs([p]), table, tol))
+    got = near_rows(p.norm_pair(), table, tol)
+    assert set(want.tolist()) <= set(got.tolist())
+    assert len(rows) - 1 in got.tolist()
+    # and nothing beyond the margin by more than rounding
+    assert np.all(array_chordal(normalized_pairs([p]), table)[0, got] <= 2.0 * tol + 3 * SCREEN_SLACK)
