@@ -653,12 +653,26 @@ def _step_with_height_guard(r: RationalMap, x: SpherePoint) -> SpherePoint:
     return r.evaluate(x)
 
 
+def _same_bits(a: SpherePoint, b: SpherePoint) -> bool:
+    """Whether two points are stored alike: exactness, infinity and every bit
+    of a floating value, the sign of a zero part included (it prints)."""
+    if a is b:
+        return True
+    if a.is_exact or b.is_exact:
+        return a.is_exact and b.is_exact and a == b
+    return (a.is_infinity == b.is_infinity and a.z == b.z
+            and math.copysign(1.0, a.z.real) == math.copysign(1.0, b.z.real)
+            and math.copysign(1.0, a.z.imag) == math.copysign(1.0, b.z.imag))
+
+
 class Orbit:
     """The forward orbit of x, walked once and extended on demand.
 
     points[j] is R^j(x).  The RatmapError of a failed step ends the walk and
     is kept in error; asking for a point past it raises it again, so each
-    caller applies its own rule.  Cumulative valencies are memoized.
+    caller applies its own rule.  Cumulative valencies are memoized.  A step
+    from a point that the step before mapped to itself bit for bit appends
+    that point again without evaluating R.
     """
 
     def __init__(self, r: RationalMap, x: SpherePoint):
@@ -686,8 +700,14 @@ class Orbit:
             self._step(self.points[-1].to_float())
 
     def _step(self, x: SpherePoint):
+        pts = self.points
+        # R is a function: a point that a step mapped to itself bit for bit
+        # maps to itself again
+        if len(pts) > 1 and _same_bits(x, pts[-1]) and _same_bits(pts[-1], pts[-2]):
+            pts.append(pts[-1])
+            return
         try:
-            self.points.append(_step_with_height_guard(self.r, x))
+            pts.append(_step_with_height_guard(self.r, x))
         except RatmapError as err:
             self.error = err
 

@@ -32,7 +32,10 @@ point takes the valency of the nearest table entry when it coincides with
 it at the map's tolerance, or 1; valencies finds the nearest entries of
 many points from one distance matrix.  Preimage multiplicities come from the
 roots of P - yQ, so the identity sum(val(R,x) for x in R^-1(y)) = d is a
-cross-check between two polynomials, not a definition.
+cross-check between two polynomials, not a definition.  preimages_many
+solves the polynomials of many targets in one roots.find_roots_many call,
+whose roots have the bits of lone solves, and memoizes each target's
+preimages or the RatmapError of its solve; preimages reads that memo.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .errors import (
     RatmapError,
 )
 from .poly import Polynomial, horner, vanishing_order_exact
-from .roots import find_roots
+from .roots import find_roots, find_roots_many
 from .scalars import GaussianRational, height_bits, is_exact, mod_prime, scalar_is_zero, to_complex
 from .sphere import INFINITY, SpherePoint, chordal_matrix, coincide, normalized_pairs
 
@@ -265,29 +268,49 @@ class RationalMap:
         return Polynomial(a.coeffs[k:])
 
     def preimages(self, y: SpherePoint):
-        """Multiset R^-1(y) as (point, multiplicity); multiplicities sum to d."""
-        key = y
-        cached = self._preimage_cache.get(key)
-        if cached is not None:
-            return cached
-        a = self._target_polynomial(y)
-        if a.is_zero:
-            raise DegenerateMapError("target polynomial vanished identically")
-        inf_mult = self.degree - a.degree
-        out = []
-        if a.degree >= 1:
-            for root, mult, _ in find_roots(a):
-                out.append((SpherePoint.finite(root), mult))
-        if inf_mult > 0:
-            out.append((INFINITY if a.is_exact else SpherePoint.infinity(exact=False), inf_mult))
-        total = sum(m for _, m in out)
-        if total != self.degree:
-            raise DegenerateMapError(
-                "preimage multiplicities do not sum to the degree",
-                found=total, degree=self.degree,
-            )
-        self._preimage_cache[key] = out
+        """Multiset R^-1(y) as (point, multiplicity); multiplicities sum to d.
+
+        Read from the memo that preimages_many fills; a failed solve raises
+        its RatmapError again.
+        """
+        if y not in self._preimage_cache:
+            self.preimages_many([y])
+        out = self._preimage_cache[y]
+        if isinstance(out, RatmapError):
+            raise out.with_traceback(None)
         return out
+
+    def preimages_many(self, targets):
+        """Fill the preimage memo for every target not yet in it.
+
+        The target polynomials are solved in one find_roots_many call, so a
+        floating one gets the roots of its lone solve.  A target whose
+        polynomial vanishes or whose solve fails is memoized with its
+        RatmapError.  The multiplicities of the roots of a target polynomial
+        of degree k sum to k, and infinity takes the other d - k.
+        """
+        fresh = [y for y in dict.fromkeys(targets) if y not in self._preimage_cache]
+        if not fresh:
+            return
+        polys = {}
+        for y in fresh:
+            a = self._target_polynomial(y)
+            if a.is_zero:
+                self._preimage_cache[y] = DegenerateMapError("target polynomial vanished identically")
+            else:
+                polys[y] = a
+        solving = [y for y, a in polys.items() if a.degree >= 1]
+        solved = dict(zip(solving, find_roots_many([polys[y] for y in solving])))
+        for y, a in polys.items():
+            roots = solved.get(y, [])
+            if isinstance(roots, RatmapError):
+                self._preimage_cache[y] = roots
+                continue
+            out = [(SpherePoint.finite(root), mult) for root, mult, _ in roots]
+            if a.degree < self.degree:
+                point = INFINITY if a.is_exact else SpherePoint.infinity(exact=False)
+                out.append((point, self.degree - a.degree))
+            self._preimage_cache[y] = out
 
     # -- valency ---------------------------------------------------------------
 

@@ -6,7 +6,7 @@ search to a given depth either produces a witness or reports that none
 was found within the depth.
 
 A finite set is emitted as an exposed orbit only after verification.  A
-completed closure E (see _closure) with no critical member is of type 1,
+completed closure E (see _closure_walk) with no critical member is of type 1,
 R^-1(E) minus the critical points = E, as the closure itself checked: it
 added every simple preimage of every member, and checked that every member
 came back as a simple preimage of its image, a member.  That last check is
@@ -29,7 +29,7 @@ for every critical point, the same records the atlas reads.  A verified
 orbit's Julia side is that of the cycle it holds or lands on, by the one
 rule DeclaredStructures.in_julia, which the atlas reads too.
 
-Candidates are closures of seeds (see _closure), and a cycle with no
+Candidates are closures of seeds (see _closure_walk), and a cycle with no
 critical member is seeded once.  Nothing is lost: the closure of a
 non-critical x holds R(x), so the closure of any point of such a cycle holds
 the whole cycle; being the least set that holds its seed and is closed under
@@ -46,6 +46,14 @@ passes the budget costs no solve: on a degree-2 map, every point of a
 critical-free cycle of period 3 or more.  The count taken is a lower
 bound: a critical value within DEFAULT_CLUSTER_RADIUS of a counts as over
 a, and so does one whose evaluation failed.
+
+The preimages are solved in batches (RationalMap.preimages_many, one
+find_roots_many call each), which give every root the bits of its lone
+solve.  All seeds' closures advance together in rounds (_closures): each
+round solves the next member of every live closure at once, and each
+closure asks for the members it would solve alone, in the same order.
+The invariance check solves each level of a backward tree at once, then
+walks it node by node as before.
 """
 
 from __future__ import annotations
@@ -157,10 +165,12 @@ def _simple_preimage_count(r: RationalMap, a: SpherePoint) -> int:
     return max(0, r.degree - near)
 
 
-def _closure(r: RationalMap, seed: SpherePoint, crit_pts):
-    """Minimal superset of the seed closed under forward images at
-    non-critical members and non-critical preimages of all members.
+def _closure_walk(r: RationalMap, seed: SpherePoint, crit_pts):
+    """The closure of the seed, as a generator that yields each member before
+    it reads the member's preimages; it returns the closure or None.
 
+    The closure is the minimal superset of the seed closed under forward
+    images at non-critical members and non-critical preimages of all members.
     Any finite restricted-orbit-invariant set containing the seed contains
     this closure, so a closure that grows past EXPOSED_BOUND rules the seed out.
     The simple preimages of distinct members are distinct members, so the
@@ -169,7 +179,7 @@ def _closure(r: RationalMap, seed: SpherePoint, crit_pts):
     EXPOSED_BOUND.  The set and its None do not depend on the order in which
     members are processed, so each member's forward images, one evaluation
     each, are taken as it is added, before any further preimage is solved: a
-    seed whose forward orbit passes the budget costs no solve.  A closure in
+    seed whose forward orbit passes the budget yields nothing.  A closure in
     which a non-critical member is not among the simple preimages solved is
     given up too: a floating solve merged it with a sibling, which is missing.
     """
@@ -196,6 +206,7 @@ def _closure(r: RationalMap, seed: SpherePoint, crit_pts):
         if ruled_out(seed):
             return None
         for a in pts:  # pts grows as it is walked
+            yield a
             for pre, mult in r.preimages(a):
                 if mult != 1:
                     continue  # a critical preimage is not forced into the set
@@ -211,6 +222,34 @@ def _closure(r: RationalMap, seed: SpherePoint, crit_pts):
                for b in pts):
         return None
     return pts
+
+
+def _closures(r: RationalMap, seeds, crit_pts) -> list:
+    """The closure of each seed (see _closure_walk), or None, in rounds.
+
+    Every walk first takes its seed's forward images.  Each round then
+    solves, in one preimages_many call, the members that the live walks
+    yield next, and steps each of those walks on to its next member.  Each
+    walk yields the members it would solve alone, in the same order.
+    """
+    walks = [_closure_walk(r, seed, crit_pts) for seed in seeds]
+    closures = [None] * len(walks)
+    asked = {}  # index of a live walk -> the member whose preimages it reads next
+
+    def advance(i):
+        try:
+            asked[i] = next(walks[i])
+        except StopIteration as stop:
+            closures[i] = stop.value
+
+    for i in range(len(walks)):
+        advance(i)
+    while asked:
+        r.preimages_many(list(asked.values()))
+        for i in list(asked):
+            del asked[i]
+            advance(i)
+    return closures
 
 
 def brute_force_preimage_check(r: RationalMap, pts) -> bool:
@@ -243,6 +282,7 @@ def _verify_critical_invariance(r: RationalMap, pts, depth, fates=None):
         for t, v in walk.with_valencies(depth):
             frontier = [(t, 1)]
             for _ in range(depth):
+                r.preimages_many([y for y, _ in frontier])
                 new = []
                 for y, cum in frontier:
                     try:
@@ -301,7 +341,7 @@ def exposed_orbits(r: RationalMap, cycles, fates,
     Seeds are critical points, cycle points up to max_seed_period, and the
     forward orbits (up to 8 steps) of critical points that land on cycles.
     A cycle none of whose points is critical (by the contains_point test
-    _closure uses) gives one seed: each of its points has the same closure,
+    _closure_walk uses) gives one seed: each of its points has the same closure,
     since each closure holds the whole cycle.
     A critical-free closure is of type 1 as it stands, and its cycle is the
     first known cycle holding one of its members: every seed is a point of
@@ -333,7 +373,7 @@ def exposed_orbits(r: RationalMap, cycles, fates,
             pool.extend((p, None) for p in fate.walk.points[:fate.step])
     pool = [pool[i] for i in dedup_indices([p for p, _ in pool], tol)]
 
-    candidates = []
+    seeds = []
     closed = set()  # ids of the critical-free cycles already seeded
     for seed, cyc in pool:
         if cyc is not None:
@@ -341,7 +381,9 @@ def exposed_orbits(r: RationalMap, cycles, fates,
             if id(cyc) in closed:
                 continue
             closed.add(id(cyc))
-        closure = _closure(r, seed, crit_pts)
+        seeds.append(seed)
+    candidates = []
+    for closure in _closures(r, seeds, crit_pts):
         if closure is None:
             continue
         closure_sorted = sorted(closure, key=point_sort_key)

@@ -1,11 +1,14 @@
 """Simultaneous root finding by Aberth-Ehrlich iteration.
 
-One Aberth loop serves two callers.  It takes an evaluator of (f, f') on an
-array and groups of start points, one group per function, so it never
+One Aberth loop serves three callers.  It takes an evaluator of (f, f') on
+an array and groups of start points, one group per function, so it never
 needs the coefficients of f:
 
-* find_roots, for polynomials, passes Horner and one group, a perturbed
-  circle at the Cauchy bound;
+* find_roots_many, for many polynomials at once (the preimage sets that
+  RationalMap.preimages_many asks for), passes one polynomial per group,
+  each from a perturbed circle at its Cauchy bound, the polynomials of
+  one degree through one grouped Horner; find_roots is its case of one
+  polynomial, and every root has the same bits alone or in a batch;
 * preimages, for one level of a preimage tree, passes one polynomial
   y2 A - y1 B per target (y1, y2), each a group that starts about the
   centroid of its roots; the cycle solver seeds itself from these trees;
@@ -16,12 +19,13 @@ The groups share each evaluation, but each has its own pairwise sum and
 stop test and runs at most 200 sweeps; a group that stops drops out of the
 later evaluations.  Consecutive groups of one size (the targets of a
 preimage level) have their pairwise sums made as one (k, n, n) block,
-each group's sums those of its own matrix.  After Aberth, find_roots and
-find_zeros Newton-polish all groups in one walk per step; each point
+each group's sums those of its own matrix.  After Aberth, find_roots_many
+and find_zeros Newton-polish all groups in one walk per step; each point
 stops once its step passes Aberth's stop test (_converged), after at most
-NEWTON_POLISH_STEPS steps.  The
-residual check (_settle) and the clustering (_clusters) are shared, and are
-made per group; a group that fails does not stop the others.  Multiplicities
+NEWTON_POLISH_STEPS steps.  No operation on a point reads another group,
+so a group's bits do not depend on its batch.  The residual check
+(_settle) and the clustering (_clusters) are shared, and are made per
+group; a group that fails does not stop the others.  Multiplicities
 of a floating polynomial are assigned by clustering in the chordal metric.
 The assignment is ambiguous when re-clustering at ten times the radius
 changes the multiplicity profile; that is an error.  An exact polynomial is
@@ -43,7 +47,7 @@ import math
 
 import numpy as np
 
-from .errors import MultiplicityAmbiguousError, RootFindingFailedError
+from .errors import MultiplicityAmbiguousError, RatmapError, RootFindingFailedError
 from .poly import Polynomial, squarefree_decomposition_exact
 from .scalars import GaussianRational
 from .sphere import near_partners
@@ -468,67 +472,130 @@ def find_roots(p: Polynomial):
 
     Exact polynomials are split into square-free factors first, so their
     multiplicities are exact algebra and no two roots of a factor merge.
+    This is find_roots_many of p alone.
     """
-    if p.degree < 1:
-        raise ValueError("find_roots needs degree >= 1")
-    if p.is_exact:
-        _, factors = squarefree_decomposition_exact(p)
-        results = []
-        for factor, mult in factors:
-            for root, m, res in _find_roots_numeric(factor):
-                results.append((root, m * mult, res))
-        total = sum(m for _, m, _ in results)
+    [roots] = find_roots_many([p])
+    if isinstance(roots, RatmapError):
+        raise roots.with_traceback(None)
+    return roots
+
+
+def find_roots_many(polys) -> list:
+    """find_roots of each polynomial, or the RatmapError it raises, which is not raised.
+
+    The floating polynomials and the square-free factors of the exact ones
+    are solved together (_roots_numeric), and each root has the bits of the
+    lone solve.  A ValueError for a polynomial of degree < 1 is raised.
+    """
+    jobs = []  # (index of the polynomial, a polynomial to solve, its multiplicity)
+    for i, p in enumerate(polys):
+        if p.degree < 1:
+            raise ValueError("find_roots needs degree >= 1")
+        if p.is_exact:
+            _, factors = squarefree_decomposition_exact(p)
+            jobs.extend((i, factor, mult) for factor, mult in factors)
+        else:
+            jobs.append((i, p, 1))
+    results = [[] for _ in polys]
+    for (i, _, mult), solved in zip(jobs, _roots_numeric([f for _, f, _ in jobs])):
+        if isinstance(results[i], RatmapError):
+            continue  # its first failing factor decides
+        if isinstance(solved, RatmapError):
+            results[i] = solved
+        else:
+            results[i].extend((root, m * mult, res) for root, m, res in solved)
+    for i, p in enumerate(polys):
+        roots = results[i]
+        if not p.is_exact or isinstance(roots, RatmapError):
+            continue
+        total = sum(m for _, m, _ in roots)
         if total != p.degree:
-            raise RootFindingFailedError(
+            results[i] = RootFindingFailedError(
                 "multiplicities do not sum to the degree",
                 found=total,
                 degree=p.degree,
             )
-        results.sort(key=lambda t: (complex(t[0]).real, complex(t[0]).imag))
-        return results
-    return _find_roots_numeric(p)
+        else:
+            roots.sort(key=lambda t: (complex(t[0]).real, complex(t[0]).imag))
+    return results
+
+
+def _closed_form(rc: np.ndarray) -> np.ndarray:
+    """The roots of a polynomial of degree 1 or 2, coefficients rc highest first."""
+    if len(rc) == 2:
+        return np.array([-rc[1] / rc[0]])
+    a, b, c = rc
+    disc = np.sqrt(b * b - 4 * a * c + 0j)
+    q = -(b + disc) / 2 if abs(b + disc) >= abs(b - disc) else -(b - disc) / 2
+    if abs(q) == 0:
+        return np.array([0j, 0j])
+    return np.array([q / a, c / q])
 
 
 # overflow and NaN stay silent: _settle rejects the roots they spoil
 @np.errstate(all="ignore")
-def _find_roots_numeric(p: Polynomial):
-    """find_roots of a floating p, or of one square-free factor of an exact p."""
+def _roots_numeric(polys) -> list:
+    """The roots of each floating polynomial, or of one square-free factor of
+    an exact one, as find_roots lists them, or the RatmapError, not raised.
+
+    Exact zeros at the origin are deflated first.  The rest of each
+    polynomial is solved in a group of its own: the polynomials of one
+    degree n share one _grouped_horner, one _aberth call from their
+    Cauchy circles (the closed forms for n <= 2) and one _settle, whose
+    operations on each point do not depend on the other groups.  Then each
+    group is clustered (_clusters), a floating one only, and each multiple
+    root merged on its own.
+    """
+    reduced, zero_mults = [], []
+    for p in polys:
+        work = list(p.coeffs)
+        zero_mults.append(0)
+        while len(work) > 1 and (
+            work[-1].is_zero() if isinstance(work[-1], GaussianRational) else work[-1] == 0
+        ):
+            zero_mults[-1] += 1
+            work.pop()
+        reduced.append(Polynomial(work))
+    scaled = {}  # index -> the coefficients of its reduced polynomial, largest modulus 1
+    by_degree = {}
+    for i, f in enumerate(reduced):
+        if f.degree >= 1:
+            rc = f.to_complex_array()
+            scaled[i] = rc / max(abs(rc))
+            by_degree.setdefault(f.degree, []).append(i)
+    settled = {}
+    for n, members in by_degree.items():
+        coeffs = np.array([scaled[i] for i in members])
+        evaluate = _grouped_horner(coeffs)
+        if n <= 2:
+            zs = [_closed_form(rc) for rc in coeffs]
+        else:
+            zs = _aberth(evaluate, [start_circle(n, 1.0 + float(max(abs(rc[1:] / rc[0]))))
+                                    for rc in coeffs])
+
+        def measure(z, coeffs=coeffs, n=n):
+            return [_eval_scaled(rc, zi) for rc, zg in zip(coeffs, z.reshape(-1, n))
+                    for zi in zg], None
+
+        contexts = [{"degree": polys[i].degree} for i in members]
+        settled.update(zip(members, _settle(evaluate, measure, zs, contexts)))
+    results = []
+    for i, p in enumerate(polys):
+        try:
+            results.append(_finish_roots(p, reduced[i], zero_mults[i], scaled.get(i),
+                                         settled.get(i)))
+        except RatmapError as err:
+            results.append(err)
+    return results
+
+
+def _finish_roots(p, reduced, zero_mult, rc, settled):
+    """find_roots' list for p from _settle's result for its reduced polynomial."""
     exact = p.is_exact
-
-    # deflate exact zeros at the origin first
-    zero_mult = 0
-    work = list(p.coeffs)
-    while len(work) > 1 and (
-        work[-1].is_zero() if isinstance(work[-1], GaussianRational) else work[-1] == 0
-    ):
-        zero_mult += 1
-        work.pop()
-    reduced = Polynomial(work)
-
     results = []
     if zero_mult:
-        zero_root = GaussianRational(0) if exact else complex(0)
-        results.append((zero_root, zero_mult, 0.0))
-
-    if reduced.degree >= 1:
-        rc = reduced.to_complex_array()
-        rc = rc / max(abs(rc))
-        horner = _horner(rc)
-        if reduced.degree == 1:
-            z = np.array([-rc[1] / rc[0]])
-        elif reduced.degree == 2:
-            a, b, c = rc
-            disc = np.sqrt(b * b - 4 * a * c + 0j)
-            q = -(b + disc) / 2 if abs(b + disc) >= abs(b - disc) else -(b - disc) / 2
-            if abs(q) == 0:
-                z = np.array([0j, 0j])
-            else:
-                z = np.array([q / a, c / q])
-        else:
-            cauchy = 1.0 + float(max(abs(rc[1:] / rc[0])))
-            [z] = _aberth(horner, [start_circle(reduced.degree, cauchy)])
-        [settled] = _settle(horner, lambda zs: ([_eval_scaled(rc, zi) for zi in zs], None),
-                            [z], [{"degree": p.degree}])
+        results.append((GaussianRational(0) if exact else complex(0), zero_mult, 0.0))
+    if settled is not None:
         if isinstance(settled, RootFindingFailedError):
             raise settled
         z, _ = settled
@@ -567,13 +634,5 @@ def _find_roots_numeric(p: Polynomial):
                 )
             snapped.add(cand)
             results.append((cand, 1, _eval_scaled(rc, complex(cand))))
-
-    total_mult = sum(m for _, m, _ in results)
-    if total_mult != p.degree:
-        raise RootFindingFailedError(
-            "multiplicities do not sum to the degree",
-            found=total_mult,
-            degree=p.degree,
-        )
     results.sort(key=lambda t: (complex(t[0]).real, complex(t[0]).imag))
     return results

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import ratmap.dynamics
@@ -212,6 +214,47 @@ def test_the_fate_tail_takes_no_exact_step_past_the_prefix(monkeypatch):
     # the walk keeps its exact prefix; a reader past it walks exactly again
     assert len(fate.walk.points) == 65 and fate.walk.points[-1] == SpherePoint.finite(0)
     assert fate.walk.point(65).is_exact and fate.walk.point(65) == SpherePoint.finite(-1)
+
+
+@pytest.mark.parametrize("start", [GaussianRational(0), 0.25 + 0j, GaussianRational(3)])
+def test_a_walk_that_rests_on_a_point_evaluates_it_once(start, monkeypatch):
+    # z^2: 0 rests on 0 at once, 0.25 underflows to 0.0 after a few squarings,
+    # and 3 rests on infinity; a step from a resting point repeats it
+    steps = []
+
+    def counted(r, x, _step=ratmap.dynamics._step_with_height_guard):
+        steps.append(x)
+        return _step(r, x)
+
+    monkeypatch.setattr(ratmap.dynamics, "_step_with_height_guard", counted)
+    walk = Orbit(zsq(), SpherePoint.finite(start))
+    walk.point(40)
+    rest = next(j for j in range(40) if walk.points[j] == walk.points[j + 1])
+    assert len(steps) == rest + 1
+    assert all(p is walk.points[rest + 1] for p in walk.points[rest + 1:])
+    reference = Orbit(zsq(), SpherePoint.finite(start))
+    for _ in range(40):
+        reference.points.append(ratmap.dynamics._step_with_height_guard(reference.r,
+                                                                         reference.points[-1]))
+    assert [repr(p) for p in walk.points] == [repr(p) for p in reference.points]
+
+
+def test_points_stored_alike_are_told_apart_by_every_bit():
+    same_bits = ratmap.dynamics._same_bits
+    finite = SpherePoint.finite
+    assert same_bits(finite(1.5 - 2j), finite(1.5 - 2j))
+    assert same_bits(finite(GaussianRational(3, -1)), finite(GaussianRational(3, -1)))
+    # a zero part of either sign, as a division stores it
+    real_sign = SpherePoint(complex(-0.0, -0.0), complex(1.0, 0.0))
+    imag_sign = SpherePoint(complex(-0.0, 0.0), complex(-1.0, 0.0))
+    assert (math.copysign(1.0, real_sign.z.real), math.copysign(1.0, real_sign.z.imag)) == (-1, 1)
+    assert (math.copysign(1.0, imag_sign.z.real), math.copysign(1.0, imag_sign.z.imag)) == (1, -1)
+    assert str(real_sign) == "-0.0" and str(finite(0j)) == "0.0"
+    assert not same_bits(finite(0j), real_sign)
+    assert not same_bits(finite(0j), imag_sign)
+    assert not same_bits(finite(2.0 + 0j), finite(GaussianRational(2)))
+    assert not same_bits(INFINITY, SpherePoint.infinity(exact=False))
+    assert not same_bits(finite(1.0 + 0j), SpherePoint.infinity(exact=False))
 
 
 def test_asymptotic_valency_examples():

@@ -8,7 +8,7 @@ import pytest
 
 import ratmap.roots
 import ratmap.sphere
-from ratmap.errors import RootFindingFailedError
+from ratmap.errors import MultiplicityAmbiguousError, RatmapError, RootFindingFailedError
 from ratmap.poly import Polynomial
 from ratmap.roots import (
     DEFAULT_CLUSTER_RADIUS,
@@ -17,6 +17,7 @@ from ratmap.roots import (
     _link_reach,
     _linked,
     find_roots,
+    find_roots_many,
 )
 from ratmap.scalars import GaussianRational
 from ratmap.sphere import DIRECT_MAX_POINTS, near_partners
@@ -258,3 +259,91 @@ def test_an_exact_square_free_factor_is_not_clustered(monkeypatch):
     # a floating polynomial is clustered at both radii
     assert sum(m for _, m, _ in find_roots(exact.to_complex())) == 6
     assert calls == [6, 6]
+
+
+def _bits(x):
+    """A float or complex value, bit for bit, the sign of a zero included."""
+    c = complex(x)
+    return c.real.hex(), c.imag.hex()
+
+
+def _fingerprint(result):
+    """find_roots' list, or the RatmapError it raised, bit for bit."""
+    if isinstance(result, RatmapError):
+        residuals = tuple(_bits(res) for res in getattr(result, "residuals", ()))
+        return type(result).__name__, str(result), repr(result.context), residuals
+    return [(type(root).__name__, str(root), _bits(root), mult, _bits(res))
+            for root, mult, res in result]
+
+
+def _lone(p):
+    try:
+        return find_roots(p)
+    except RatmapError as err:
+        return err
+
+
+def _from_roots(*roots):
+    p = Polynomial([1.0])
+    for root in roots:
+        p = p * Polynomial([1.0, -complex(root)])
+    return p
+
+
+def _parity_polynomials():
+    rng = random.Random(20240811)
+    polys = []
+    for n in range(1, 7):
+        for _ in range(6):
+            polys.append(Polynomial([complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                                     for _ in range(n + 1)]))
+            polys.append(Polynomial([Fraction(rng.randint(1, 4))]
+                                    + [Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                                       for _ in range(n)]))
+    polys += [
+        _from_roots(1.0, 1.0, -2.0, 3.0),  # a merged double root
+        _from_roots(1.0, 1.0, 1.0, -0.5),  # a merged triple root
+        Polynomial([1e-300, 0.0, 0.0, 1.0]),  # its start circle overflows: _settle fails
+        _from_roots(1.0, 1.0 + 3e-6, -2.0),  # MultiplicityAmbiguousError
+        Polynomial([1.0, 2.0, 3.0, 0.0, 0.0]),  # exact zeros at the origin
+        Polynomial([2.0, 1.0, 0.0, 0.0]),  # deflated to degree 1
+        Polynomial([Fraction(1), Fraction(-1), Fraction(0)]),
+        Polynomial([1.0, 0.0, 0.0, 0.0, -1.0]),
+    ]
+    return polys
+
+
+def test_a_batch_gives_every_polynomial_the_bits_of_its_lone_solve():
+    polys = _parity_polynomials()
+    lone = [_fingerprint(_lone(p)) for p in polys]
+    kinds = {type(r).__name__ for r in map(_lone, polys) if isinstance(r, RatmapError)}
+    assert kinds == {"RootFindingFailedError", "MultiplicityAmbiguousError"}
+    # every degree with many groups, in two orders
+    assert [_fingerprint(r) for r in find_roots_many(polys)] == lone
+    assert [_fingerprint(r) for r in find_roots_many(polys[::-1])] == lone[::-1]
+    # one group per degree in a batch of many
+    first = {}
+    for i, p in enumerate(polys):
+        first.setdefault((p.degree, p.is_exact), i)
+    picked = sorted(first.values())
+    assert [_fingerprint(r) for r in find_roots_many([polys[i] for i in picked])] == [
+        lone[i] for i in picked]
+    # n = 1: degree-1 polynomials alone and many together
+    linear = [p for p in polys if p.degree == 1]
+    for p in linear:
+        assert _fingerprint(find_roots_many([p])[0]) == _fingerprint(_lone(p))
+    assert [_fingerprint(r) for r in find_roots_many(linear)] == [
+        _fingerprint(_lone(p)) for p in linear]
+
+
+def test_a_failed_or_ambiguous_solve_stays_with_its_own_polynomial():
+    ambiguous = _from_roots(1.0, 1.0 + 3e-6, -2.0)
+    failing = Polynomial([1e-300, 0.0, 0.0, 1.0])
+    good = [_from_roots(2.0, -1.0j, 0.5), _from_roots(1.0, 1.0, -2.0, 3.0)]
+    got = find_roots_many([good[0], ambiguous, failing, good[1]])
+    assert isinstance(got[1], MultiplicityAmbiguousError)
+    assert isinstance(got[2], RootFindingFailedError)
+    assert [_fingerprint(got[i]) for i in (0, 3)] == [_fingerprint(find_roots(p)) for p in good]
+    assert [m for _, m, _ in got[3]] == [1, 2, 1]
+    with pytest.raises(MultiplicityAmbiguousError):
+        find_roots(ambiguous)

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import ratmap.dynamics
-import ratmap.rational
 import ratmap.restricted
+import ratmap.roots
 from ratmap.dynamics import (
     DEFAULT_ORBIT_BUDGET,
     INFINITE,
@@ -23,7 +24,7 @@ from ratmap.rational import RationalMap
 from ratmap.report import parse_map, run_analysis
 from ratmap.restricted import (
     VERIFY_NODE_CAP,
-    _closure,
+    _closures,
     _dedup_by_valency,
     _verify_critical_invariance,
     brute_force_preimage_check,
@@ -34,7 +35,7 @@ from ratmap.restricted import (
 from ratmap.scalars import GaussianRational
 from ratmap.sphere import INFINITY, SpherePoint, coincide, contains_point
 
-from .test_pipeline_corpus import _sparse_map
+from .test_pipeline_corpus import SPARSE_QUINTIC, _sparse_map
 from .test_report import DECIMAL_TWINS, WORKED_MAPS, _corpus_map, _decimal_twin
 
 
@@ -214,7 +215,7 @@ def test_a_member_whose_sibling_preimage_merged_into_it_gives_no_type_1_set(doc)
     eps = cycles[0].points[0]
     assert eps.chordal(SpherePoint.finite(1e-8)) < 1e-20
     assert [(str(pre), mult) for pre, mult in r.preimages(eps)] == [("0.0", 2)]
-    assert _closure(r, eps, list(fates)) is None
+    assert _closures(r, [eps], list(fates)) == [None]
     scan = exposed_orbits(r, cycles, fates)
     assert [o.points for o in scan.orbits] == [(INFINITY,)]
     assert scan.undecided == []
@@ -268,7 +269,7 @@ def test_every_point_of_a_critical_free_cycle_has_one_closure(source, index, twi
     free = [c for c in cycles if not any(contains_point(crit_pts, a, tol) for a in c.points)]
     assert free
     for cyc in free:
-        first, *rest = [_closure(r, a, crit_pts) for a in cyc.points]
+        first, *rest = _closures(r, list(cyc.points), crit_pts)
         if first is None:
             assert rest == [None] * len(rest)
         else:
@@ -280,12 +281,12 @@ def test_closure_runs_once_per_critical_free_cycle(doc, calls, monkeypatch):
     # with one closure per seed point the counts were 25, 26 and 23
     count = [0]
 
-    def counted(*args, **kwargs):
-        count[0] += 1
-        return closure(*args, **kwargs)
+    def counted(r, seeds, crit_pts):
+        count[0] += len(seeds)
+        return closures(r, seeds, crit_pts)
 
-    closure = ratmap.restricted._closure
-    monkeypatch.setattr(ratmap.restricted, "_closure", counted)
+    closures = ratmap.restricted._closures
+    monkeypatch.setattr(ratmap.restricted, "_closures", counted)
     run_analysis(parse_map(doc))
     assert count[0] == calls
 
@@ -328,16 +329,16 @@ def test_a_critical_free_closure_is_type_1_and_holds_a_known_cycle(source, index
         r = _sparse_map(index, twin)
     tol = r.tolerance
     cycles, _, _ = periodic_cycles(r)
-    closure = ratmap.restricted._closure
+    closures = ratmap.restricted._closures
     free = []
 
-    def recorded(r, seed, crit_pts):
-        pts = closure(r, seed, crit_pts)
-        if pts is not None and not any(contains_point(pts, c, tol) for c in crit_pts):
-            free.append(pts)
-        return pts
+    def recorded(r, seeds, crit_pts):
+        got = closures(r, seeds, crit_pts)
+        free.extend(pts for pts in got if pts is not None
+                    and not any(contains_point(pts, c, tol) for c in crit_pts))
+        return got
 
-    monkeypatch.setattr(ratmap.restricted, "_closure", recorded)
+    monkeypatch.setattr(ratmap.restricted, "_closures", recorded)
     exposed_orbits(r, cycles, critical_fates(r, cycles, DEFAULT_ORBIT_BUDGET))
     assert bool(free) == ((source, index) in HAS_FREE_CLOSURES)
     for pts in free:
@@ -346,7 +347,7 @@ def test_a_critical_free_closure_is_type_1_and_holds_a_known_cycle(source, index
 
 
 def _unbudgeted_closure(r, seed, crit_pts, tol, max_size=4):
-    """_closure as it was before the simple-preimage budget."""
+    """The closure of _closure_walk as it was before the simple-preimage budget."""
     pts = [seed]
     queue = [seed]
     while queue:
@@ -417,16 +418,17 @@ def test_pruned_closures_and_linear_dedup_match_the_old_rules(source, index, twi
         r = parse_map((DECIMAL_TWINS if twin else WORKED_MAPS)[index])
     else:
         r = _corpus_map(index, twin)
-    closure = ratmap.restricted._closure
+    closures = ratmap.restricted._closures
     verify = ratmap.restricted._verify_critical_invariance
-    closures = []
+    compared = []
 
-    def compared_closure(r, seed, crit_pts):
+    def compared_closures(r, seeds, crit_pts):
         tol = r.tolerance
-        got = closure(r, seed, crit_pts)
-        old = _unbudgeted_closure(r, seed, crit_pts, tol)
-        assert (got is None) == (old is None) and (got is None or _same_set(got, old, tol))
-        closures.append(got)
+        got = closures(r, seeds, crit_pts)
+        for seed, pts in zip(seeds, got, strict=True):
+            old = _unbudgeted_closure(r, seed, crit_pts, tol)
+            assert (pts is None) == (old is None) and (pts is None or _same_set(pts, old, tol))
+            compared.append(pts)
         return got
 
     def compared_verify(r, pts, depth, fates=None):
@@ -434,10 +436,10 @@ def test_pruned_closures_and_linear_dedup_match_the_old_rules(source, index, twi
         assert got == _quadratic_invariance_check(r, pts, depth, r.tolerance, fates=fates)
         return got
 
-    monkeypatch.setattr(ratmap.restricted, "_closure", compared_closure)
+    monkeypatch.setattr(ratmap.restricted, "_closures", compared_closures)
     monkeypatch.setattr(ratmap.restricted, "_verify_critical_invariance", compared_verify)
     run_analysis(r)
-    assert closures
+    assert compared
 
 
 def test_a_seed_that_is_no_critical_value_of_a_quintic_costs_no_solve(monkeypatch):
@@ -446,12 +448,12 @@ def test_a_seed_that_is_no_critical_value_of_a_quintic_costs_no_solve(monkeypatc
     crit_pts = [c.point for c in critical_points(r)]
     r.critical_values()
     calls = []
-    find_roots = ratmap.rational.find_roots
-    monkeypatch.setattr(ratmap.rational, "find_roots", lambda *a: calls.append(a) or find_roots(*a))
-    assert _closure(r, SpherePoint.finite(7), crit_pts) is None
+    solve = ratmap.roots._roots_numeric
+    monkeypatch.setattr(ratmap.roots, "_roots_numeric", lambda *a: calls.append(a) or solve(*a))
+    assert _closures(r, [SpherePoint.finite(7)], crit_pts) == [None]
     assert calls == []
     # the critical value infinity, of valency 5, keeps its one-point closure
-    assert _closure(r, INFINITY, crit_pts) == [INFINITY]
+    assert _closures(r, [INFINITY], crit_pts) == [[INFINITY]]
 
 
 def test_a_period_3_point_of_a_quadratic_costs_no_solve(monkeypatch):
@@ -461,9 +463,10 @@ def test_a_period_3_point_of_a_quadratic_costs_no_solve(monkeypatch):
     crit_pts = [c.point for c in critical_points(r)]
     r.critical_values()
     calls = []
-    find_roots = ratmap.rational.find_roots
-    monkeypatch.setattr(ratmap.rational, "find_roots", lambda *a: calls.append(a) or find_roots(*a))
-    assert _closure(r, SpherePoint.finite(2.0 * math.cos(2.0 * math.pi / 7.0)), crit_pts) is None
+    solve = ratmap.roots._roots_numeric
+    monkeypatch.setattr(ratmap.roots, "_roots_numeric", lambda *a: calls.append(a) or solve(*a))
+    assert _closures(r, [SpherePoint.finite(2.0 * math.cos(2.0 * math.pi / 7.0))],
+                     crit_pts) == [None]
     assert calls == []
 
 
@@ -478,6 +481,66 @@ def test_uncached_preimage_solves_over_ten_corpus_maps(twin, monkeypatch):
     for index in range(10):
         run_analysis(_corpus_map(index, twin))
     assert len(solves) == 47
+
+
+def _count_batches(monkeypatch, stage_name):
+    """Per stage, the _aberth calls and their groups, and the preimages_many calls."""
+    counts = Counter()
+    stage = [None]
+    aberth = ratmap.roots._aberth
+    preimages_many = RationalMap.preimages_many
+
+    def counted_aberth(evaluate, starts):
+        counts[stage[-1], "aberth"] += 1
+        counts[stage[-1], "groups"] += len(starts)
+        return aberth(evaluate, starts)
+
+    def counted_preimages_many(self, targets):
+        counts[stage[-1], "batches"] += 1
+        return preimages_many(self, targets)
+
+    def staged(function):
+        def run(*args, **kwargs):
+            stage.append(stage_name)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                stage.pop()
+        return run
+
+    monkeypatch.setattr(ratmap.roots, "_aberth", counted_aberth)
+    monkeypatch.setattr(RationalMap, "preimages_many", counted_preimages_many)
+    monkeypatch.setattr(ratmap.restricted, stage_name,
+                        staged(getattr(ratmap.restricted, stage_name)))
+    return counts
+
+
+@pytest.mark.parametrize("twin", [False, True])
+def test_the_invariance_check_of_the_sparse_quintic_makes_one_aberth_call_per_level(
+        twin, monkeypatch):
+    # its 781 degree-5 preimage solves were 781 lone _aberth calls
+    counts = _count_batches(monkeypatch, "_verify_critical_invariance")
+    run_analysis(parse_map(_decimal_twin(SPARSE_QUINTIC) if twin else SPARSE_QUINTIC))
+    stage = "_verify_critical_invariance"
+    assert counts[stage, "groups"] == 781
+    assert counts[stage, "aberth"] == 5
+    assert counts[stage, "aberth"] <= counts[stage, "batches"]
+
+
+@pytest.mark.parametrize("twin", [False, True])
+def test_the_closures_of_ten_corpus_maps_make_at_most_one_aberth_call_per_round(
+        twin, monkeypatch):
+    # their 17 preimage solves of degree 3 or more were 17 lone _aberth calls
+    counts = _count_batches(monkeypatch, "_closures")
+    per_map = []
+    for index in range(10):
+        before = counts.copy()
+        run_analysis(_corpus_map(index, twin))
+        per_map.append((counts["_closures", "aberth"] - before["_closures", "aberth"],
+                        counts["_closures", "batches"] - before["_closures", "batches"]))
+    assert all(calls <= rounds for calls, rounds in per_map)
+    assert counts["_closures", "groups"] == 17
+    assert counts["_closures", "aberth"] == 3
 
 
 def test_frontier_dedup_keeps_the_first_node_of_each_point_and_valency():
