@@ -16,24 +16,32 @@ threshold on |z|, found once per image by bisection over the float64
 values; it is decided from |z| alone, since every non-finite value fails
 |z| < threshold too.  For a finite target t every capture has
 ||z| - |t|| below a bound that depends on t only, so the chordal test runs
-only on the values within it.
+only on the values within it; a target whose screen passes no value costs
+no chordal arithmetic at all.
 
 The grid is iterated in fixed blocks of BLOCK_PIXELS pixels, small enough
 for the cache, one block after the other.  Within a block only the pixels
 still in flight are advanced: each step evaluates the map by in-place
 Horner from the leading coefficient, tests the captures and drops the
 captured pixels, so its cost follows the active set, not the grid; a step
-that captures and drops nothing gathers nothing.  A denominator that is
-the constant 1 is not evaluated or divided by: that changes at most the
-sign of a zero part, which no capture reads.  Every pixel sees the same
-floating-point operations in the same order whatever the block size, so
-the capture times do not depend on it.  On a map without an infinity
-target, a finite value whose Horner overflows in the chart of z is stepped
-again through the 1/z-chart pair, as RationalMap.evaluate steps it, so an
-orbit that is huge but finite is not lost.  The targets are the cycles of
-period <= 2 of the floating map, whose solves an analysis of the same map
-has memoized already.  A map with no such cycle has nothing to capture, so
-its image is all black and no pixel is iterated.  The output is
+that captures and drops nothing gathers nothing.  Each step does only the
+arithmetic that can change a capture time.  Horner skips its exact
+no-ops, the product by a leading 1 and the sum with a zero coefficient,
+and a denominator that is the constant 1 is not evaluated or divided by.
+On finite values each of these changes at most the sign of a zero part.
+That sign changes no magnitude in a later sum, product or division, and
+no test against a zero denominator, so no capture reads it, and the
+capture times and the image are byte for byte those of the plain loop.
+Every pixel sees the same floating-point operations in the same order
+whatever the block size, so the capture times do not depend on it.  On a
+map without an infinity target, a finite value whose Horner overflows in
+the chart of z is stepped again through the 1/z-chart pair, as
+RationalMap.evaluate steps it, so an orbit that is huge but finite is not
+lost.  The targets are the cycles of period <= 2 of the floating map,
+whose solves an analysis of the same map has memoized already.  A map
+with no such cycle has nothing to capture, so its image is all black and
+no pixel is iterated.  An image in which no pixel is captured is written
+as its zero bytes directly, with no color table.  The output is
 deterministic for a fixed configuration.
 
 Output format: binary PPM (P6), 8-bit RGB, header "P6\\n<w> <h>\\n255\\n"
@@ -110,6 +118,8 @@ def _captured(z: np.ndarray, targets, a_inf: float) -> tuple[np.ndarray, np.ndar
             overflowed = np.isinf(a[near])
             if bad is not None and 2.0 / tnorm < CAPTURE_RADIUS:
                 hit |= bad  # infinity lies inside this target's disc
+        if near.size == 0:
+            continue
         an = a[near]
         dist = np.abs(z[near] - target)
         norm = np.sqrt(an**2 + 1.0)
@@ -162,13 +172,25 @@ def _capture_times(r: RationalMap, render_cfg) -> np.ndarray:
 def _horner(coeffs, z: np.ndarray) -> np.ndarray:
     """The polynomial with coefficients coeffs, highest degree first, at z.
 
-    Horner runs in place from the leading coefficient: for finite z that
-    differs from 0*z + c0 at most in the sign of a zero part.
+    Horner runs in place from the leading coefficient, without its exact
+    no-ops: a leading 1 starts from a copy of z instead of 1*z, and a zero
+    coefficient is not added.  For finite z each of these, like starting
+    from c0 rather than 0*z + c0, changes at most the sign of a zero part,
+    which changes no magnitude in a later sum, product or division, and so
+    no capture.
     """
-    acc = np.full_like(z, coeffs[0])
-    for c in coeffs[1:]:
+    if len(coeffs) == 1:
+        return np.full_like(z, coeffs[0])
+    if coeffs[0] == 1:
+        acc = z.copy()
+    else:
+        acc = np.full_like(z, coeffs[0])
         acc *= z
-        acc += c
+    for i, c in enumerate(coeffs[1:]):
+        if i:
+            acc *= z
+        if c != 0:
+            acc += c
     return acc
 
 
@@ -216,9 +238,10 @@ def render_julia(r: RationalMap, render_cfg) -> bytes:
     """Render the capture-time picture as PPM bytes."""
     times = _capture_times(r, render_cfg)
     h, w = times.shape
-    rgb = _color(times, render_cfg.max_iter)
     header = f"P6\n{w} {h}\n255\n".encode()
-    return header + rgb.tobytes()
+    if times.max() < 0:  # nothing captured: every pixel is black
+        return header + bytes(3 * w * h)
+    return header + _color(times, render_cfg.max_iter).tobytes()
 
 
 def _color(times: np.ndarray, max_iter: int) -> np.ndarray:

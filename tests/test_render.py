@@ -15,6 +15,7 @@ from ratmap.render import (
     _capture_times,
     _captured,
     _color,
+    _horner,
     _infinity_threshold,
     max_iteration_mask,
     render_julia,
@@ -65,7 +66,8 @@ def test_unit_circle_locus_small():
 
 # sha256 of the PPM bytes at 120x90 over [-2, 2] x [-1.5, 1.5] with 60
 # iterations, recorded from a renderer that advanced the whole grid every
-# step: advancing only the pixels in flight must not change a byte
+# step (the Newton map of z^3 - 1: from one that ran dense Horner on the
+# pixels in flight): neither change may move a byte
 PINNED_DIGESTS = [
     ([1, 0, -2], [1], "90db15206943e3384dd1a032f788421a233c670eaa1af8a7921f627216bbad14"),
     ([1, -4, 4], [1, 0, 0], "2f936ac02e497af412f2416785b5b3448c1f55952976411b3e5bfcd8a6897e62"),
@@ -73,6 +75,8 @@ PINNED_DIGESTS = [
     # no infinity target: pixels blown up at the pole are dropped
     ([1, 0, 1], [2, 0], "e8cdef2292b1dc35d42f52d8ac3f59bf19bc1ac6d58e52287fc4845bcc6e6be5"),
     ([1, 0, -1], [1], "ec662d195aeb445a24191618d832512b880ce5c2871d9fda02827b52be8ac25c"),
+    # (2z^3 + 1)/(3z^2): sparse, neither side monic, no infinity target
+    ([2, 0, 0, 1], [3, 0, 0], "301eb4ddacfdf06e1cf1f42b76763117133044352228868a9b47444f60e26c1a"),
 ]
 
 
@@ -90,6 +94,16 @@ def test_map_without_capture_target_is_all_black():
     assert (_capture_times(r, cfg) == -1).all()
     header = b"P6\n40 30\n255\n"
     assert render_julia(r, cfg) == header + bytes(40 * 30 * 3)
+
+
+def test_map_whose_targets_capture_nothing_is_all_black():
+    # z^2 has the targets 0 and infinity, which one step from near the
+    # unit circle reaches from no pixel
+    r = RationalMap(Polynomial([1, 0, 0]), Polynomial([1]))
+    cfg = RenderConfig(width=12, height=9, window=(0.999, 1.001, -0.001, 0.001), max_iter=1)
+    times = _capture_times(r, cfg)
+    assert (times == -1).all()
+    assert render_julia(r, cfg) == b"P6\n12 9\n255\n" + _color(times, 1).tobytes()
 
 
 def test_pole_pixel_captured_by_a_far_target():
@@ -191,6 +205,8 @@ PARITY_MAPS = [(num, den) for num, den, _ in PINNED_DIGESTS] + [
     # the leading coefficient differs from 0*z + c0 in the sign of a zero
     (["1.0-0.0i", "0.0", "-1.0-0.0i"], ["1.0-0.0i"]),
     (["1.0-0.0i", "0.0", "0.0"], ["-1.0-0.0i"]),
+    # the decimal twin of the Newton map of z^3 - 1
+    (["2.0", "0.0", "0.0", "1.0-0.0i"], ["3.0", "0.0", "-0.0"]),
 ]
 PARITY_CONFIGS = [
     # 77 357 pixels: the last block is partial
@@ -213,6 +229,35 @@ def test_pole_map_matches_the_whole_grid_loop():
     for cfg in [RenderConfig(width=3, height=3, window=(-1.0, 1.0, -1.0, 3.0), max_iter=30),
                 *PARITY_CONFIGS]:
         assert np.array_equal(_capture_times(r, cfg), _whole_grid_capture_times(r, cfg))
+
+
+def _dense_horner(coeffs, z):
+    """Reference: Horner from the leading coefficient with every product and sum."""
+    acc = np.full_like(z, coeffs[0])
+    for c in coeffs[1:]:
+        acc = acc * z + c
+    return acc
+
+
+# complex(x, y) keeps the sign of a zero part, which 1 - 0.0j would lose
+ONE_M0 = complex(1.0, -0.0)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1], [-1], [2.5], [ONE_M0],
+    [1, 0, 0], [ONE_M0, 0, -2], [1, -4, 4], [ONE_M0, 0.0, complex(-1.0, -0.0)],
+    [2, 0, 0, 1], [3, 0, -0.0], [-1, 0.5, 0], [-1 + 2j, 0.5, 0, 1e-300],
+    [0.25, complex(-0.0, -0.0), complex(0.0, -0.0), 3j],
+    [1, complex(-0.0, 0.0), 0, complex(-0.0, -0.0), 2],
+])
+def test_horner_without_no_ops_matches_the_dense_horner(coeffs):
+    coeffs = np.array(coeffs, dtype=complex)
+    parts = [0.0, -0.0, 1.0, -1.0, 0.5, 1e154, -1.3e154, 1e-300, -5e-324, 2.0**-1074 * 3]
+    z = np.array([complex(x, y) for x in parts for y in parts])
+    with np.errstate(all="ignore"):  # as in _capture_times
+        got, want = _horner(coeffs, z), _dense_horner(coeffs, z)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.abs(got).view(np.int64), np.abs(want).view(np.int64))
 
 
 def test_huge_values_are_not_captured_by_a_finite_target():
