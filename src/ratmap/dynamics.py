@@ -39,12 +39,15 @@ clustering and failure are its own.  Simple fixed points are polished in
 the balanced charts, (w : 1) on |z| <= 1 and (1 : w) beyond, by one walk
 per Newton step for all periods, whose chart holds one coefficient per
 point.
-A snap is first walked p steps modulo a prime
-(_screen_rejects): reduction modulo the prime is a ring map, so an exact
-fixed point is one modulo the prime too, and only a snap that passes is
-iterated exactly, in Gaussian rationals (each an integer triple
-(a + bi)/d); the screen cannot change a verdict, it
-only spares the exact walk of most non-fixed snaps.  Each solved point is
+On an exact map the candidates of all periods are decided
+together (_exact_fixed_points): every finite candidate is snapped in one
+int64 array pass (roots.snap_many), and every snap is walked p steps modulo
+a prime in one int64 array walk (_screen_passes), as a homogeneous pair.
+Reduction modulo the prime is a ring map, so an exact fixed point is one
+modulo the prime too, and only a snap that passes is built and iterated
+exactly, in Gaussian rationals (each an integer triple (a + bi)/d); the
+screen cannot change a verdict, it only spares the exact walk of most
+non-fixed snaps.  Each solved point is
 built as a SpherePoint once: a simple point goes to the polish as its chart
 value.  R maps each solved point to the solved point nearest its image,
 and the chains of p points that close are the cycles of period p.  The
@@ -70,14 +73,15 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import (
     AsymptoticValencyUndeterminedError,
     ClassificationAmbiguousError,
-    MultiplicityAmbiguousError,
     RatmapError,
     RootFindingFailedError,
 )
@@ -88,10 +92,10 @@ from .roots import (
     find_zeros,
     polish,
     preimages,
-    snap,
+    snap_many,
     start_circle,
 )
-from .scalars import MODULAR_PRIME, GaussianRational, mod_prime
+from .scalars import MODULAR_PRIME, GaussianRational, mod_prime_pairs
 from .sphere import (
     INFINITY,
     SpherePoint,
@@ -235,6 +239,14 @@ SEED_POINT = 0.3716 + 0.5283j
 CHART_START_RADIUS = 1.0
 
 
+def _step_rows(periods) -> list:
+    """For periods in non-increasing order, the number of leading rows whose
+    period passes k, for each step k < max(periods): the rows that step k of
+    a walk of R^p advances."""
+    descending = [-p for p in periods]
+    return [bisect_left(descending, -k) for k in range(periods[0])] if periods else []
+
+
 class _FixedPointEquation:
     """f(w) = u m2 - v m1 = 0 for the fixed points of R^p in a chart.
 
@@ -255,7 +267,7 @@ class _FixedPointEquation:
         # coef[i] is the row (P_i, Q_i) of P_h(u, v) = sum P_i u^(d-i) v^i
         self.coef = np.array(rf.homogeneous, complex)[:, :, None]
         # steps[k] is the number of leading rows that step k advances, None for all
-        self.steps = None if np.ndim(p) == 0 else [sum(q > k for q in p) for k in range(max(p))]
+        self.steps = None if np.ndim(p) == 0 else _step_rows(p)
 
     def walk(self, w, shared_scale=False):
         """(m1, m2, u, v, f, f'); one rescaling per step for the rows it advances when shared_scale.
@@ -361,56 +373,80 @@ def _polish_in_balanced_charts(rf: RationalMap, p, values):
             for inside, wi in zip(inner, polish(eq.evaluate, w))]
 
 
-def _screen_rejects(r: RationalMap, value, p: int) -> bool:
-    """True when R^p(c) != c shows modulo MODULAR_PRIME, for c = value (infinity for None).
+def _screen_passes(r: RationalMap, periods, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Whether R^p(c) = c may hold for each row, c = (c1 : c2) modulo MODULAR_PRIME.
 
-    The homogeneous pair (u : v) = R^p_h(c1 : c2) is walked modulo the prime
-    q.  Reduction mod q is a ring map on the Gaussian rationals whose
-    denominators are prime to q, and an exact fixed point has
-    u c2 - v c1 = 0, hence 0 mod q: a fixed point is never rejected.  The
-    screen declines (False) when q divides a denominator of c or of a
-    coefficient; a pair that vanishes mod q gives 0 and passes too.
+    periods gives each row's p in non-increasing order, and (c1, c2) are the
+    rows' residue pairs (scalars.mod_prime_pairs; infinity is (1 : 0)).  The
+    homogeneous pair (u : v) = R^p_h(c1 : c2) is walked modulo the prime q in
+    int64 arrays, step k advancing the leading rows whose period passes k
+    (_step_rows), and a row is rejected when u c2 - v c1 != 0.  Reduction mod
+    q is a ring map on the Gaussian rationals whose denominators are prime to
+    q, and an exact fixed point has u c2 - v c1 = 0, hence 0 mod q: a fixed
+    point is never rejected.  When q divides a coefficient denominator
+    (coeffs_mod_prime is None) every row passes.
     """
-    coeffs = r.coeffs_mod_prime
-    c1, c2 = (1, 0) if value is None else (mod_prime(value), 1)
-    if coeffs is None or c1 is None:
-        return False
+    if r.coeffs_mod_prime is None:
+        return np.ones(len(periods), bool)
     q = MODULAR_PRIME
-    (p0, q0), *rows = coeffs
-    u, v = c1, c2
-    for _ in range(p):
-        pu, qu, vi = p0, q0, 1
-        for a, b in rows:
-            vi = vi * v % q
-            pu = (pu * u + a * vi) % q
-            qu = (qu * u + b * vi) % q
-        u, v = pu, qu
-    return (u * c2 - v * c1) % q != 0
+    # coef[i] is the row (P_i, Q_i) of P_h(u, v) = sum P_i u^(d-i) v^i, as a column
+    coef = np.array(r.coeffs_mod_prime, np.int64)[:, :, None]
+    u, v = np.array(c1, np.int64), np.array(c2, np.int64)
+    for n in _step_rows(periods):
+        un, vn = u[:n], v[:n]
+        pair, vi = coef[0].repeat(n, axis=1), np.ones(n, np.int64)  # (P, Q) by Horner in u
+        for c in coef[1:]:
+            vi = vi * vn % q
+            pair = (pair * un + c * vi) % q
+        u[:n], v[:n] = pair
+    return (u * c2 - v * c1) % q == 0
 
 
-def _exact_fixed_point(r: RationalMap, x: SpherePoint, p: int) -> SpherePoint | None:
-    """The snap of x when it is exactly a fixed point of R^p, else None.
+def _exact_fixed_points(r: RationalMap, found: dict) -> dict:
+    """found with each candidate replaced by its snap where that is exactly a fixed point of R^p.
 
-    The modular screen (_screen_rejects) turns most snaps away before any
-    exact Gaussian-rational arithmetic.  It never rejects a fixed point, and every snap it
-    passes is checked by exact iteration, so the verdict is that of the exact
-    iteration alone.
+    found maps each period p to the floating candidates for the fixed points
+    of R^p; a candidate within DEFAULT_CLUSTER_RADIUS of infinity stands for
+    infinity.  All candidates of all periods are decided together, rows by
+    descending period: every finite one is snapped in one array pass
+    (roots.snap_many), every snap is screened modulo the prime in one walk
+    (_screen_passes), and only the snaps that pass are built as Gaussian
+    rationals and iterated exactly, stopping where a point passes
+    EXACT_HEIGHT_CAP_BITS (a verified fixed point would come back to its
+    own height).  The screen never rejects a fixed point, so every verdict
+    is that of the exact iteration alone.
     """
-    if x.chordal(INFINITY) <= DEFAULT_CLUSTER_RADIUS:
-        value = None  # the candidate is infinity
-    else:
-        value = snap(complex(x.z))
-        if value is None:
-            return None
-    if _screen_rejects(r, value, p):
-        return None
-    cand = INFINITY if value is None else SpherePoint.finite(value)
-    y = cand
-    for _ in range(p):
-        if point_height_bits(y) > EXACT_HEIGHT_CAP_BITS:
-            return None  # a verified fixed point would come back to cand's height
-        y = r.evaluate(y)
-    return cand if y == cand else None
+    periods = sorted(found, reverse=True)
+    points = [x for p in periods for x in found[p]]
+    row_periods = [p for p in periods for _ in found[p]]
+    values = np.array([0j if x.is_infinity else x.z for x in points], complex)
+    at_infinity = np.array([x.is_infinity for x in points], bool)
+    # only a value beyond about 2e6 can be that near infinity
+    for i in np.flatnonzero(np.abs(values) > 1e6).tolist():
+        at_infinity[i] = points[i].chordal(INFINITY) <= DEFAULT_CLUSTER_RADIUS
+    ratios = snap_many(np.where(at_infinity, 0j, values))
+    c1, c2 = mod_prime_pairs(*ratios)
+    c1[at_infinity], c2[at_infinity] = 1, 0
+    exact = list(points)
+    for i in np.flatnonzero(_screen_passes(r, row_periods, c1, c2)).tolist():
+        if at_infinity[i]:
+            cand = INFINITY
+        else:
+            p1, q1, p2, q2 = (int(a[i]) for a in ratios)
+            cand = SpherePoint.finite(GaussianRational(Fraction(p1, q1), Fraction(p2, q2)))
+        y = cand
+        for _ in range(row_periods[i]):
+            if point_height_bits(y) > EXACT_HEIGHT_CAP_BITS:
+                break
+            y = r.evaluate(y)
+        else:
+            if y == cand:
+                exact[i] = cand
+    out, start = {}, 0
+    for p in periods:
+        out[p] = exact[start:start + len(found[p])]
+        start += len(found[p])
+    return out
 
 
 def _seeds(rf: RationalMap, periods) -> list:
@@ -525,25 +561,43 @@ def _floating_fixed_points(rf: RationalMap, periods):
         rf._fixed_point_cache.update(_solve_periods(rf, missing))
 
 
+def _fixed_points(r: RationalMap, periods) -> dict:
+    """{p: the d^p + 1 fixed points of R^p, sorted by point, or the error} over periods.
+
+    The floating solves are those of r.floating(), each done once per
+    period.  On an exact map the candidates of all periods are decided
+    together (_exact_fixed_points), and a point is exact when its snap is
+    verified exactly.  A period maps to its RootFindingFailedError, or to
+    its MultiplicityAmbiguousError unless every point is exact.
+    """
+    rf = r.floating()
+    _floating_fixed_points(rf, periods)
+    solved = {p: rf._fixed_point_cache[p] for p in periods}
+    found = {p: s[0] for p, s in solved.items() if not isinstance(s, RootFindingFailedError)}
+    if r.is_exact:
+        found = _exact_fixed_points(r, found)
+    out = {}
+    for p, s in solved.items():
+        if p not in found:
+            out[p] = s.with_traceback(None)  # it is memoized with the solve
+        elif s[1] is not None and not all(x.is_exact for x in found[p]):
+            out[p] = s[1].with_traceback(None)
+        else:
+            out[p] = sorted(found[p], key=point_sort_key)
+    return out
+
+
 def fixed_points(r: RationalMap, p: int):
     """The d^p + 1 fixed points of R^p, multiple ones merged, sorted by point.
 
-    The floating solve is that of r.floating(), done once per period.  On an
-    exact map a point is exact when its snap is verified exactly.  Raises
-    RootFindingFailedError, or MultiplicityAmbiguousError unless every point
-    is exact.
+    On an exact map a point is exact when its snap is verified exactly.
+    Raises RootFindingFailedError, or MultiplicityAmbiguousError unless
+    every point is exact.
     """
-    rf = r.floating()
-    _floating_fixed_points(rf, [p])
-    solved = rf._fixed_point_cache[p]
-    if isinstance(solved, RootFindingFailedError):
-        raise solved.with_traceback(None)
-    points, ambiguity = solved
-    if r.is_exact:
-        points = [_exact_fixed_point(r, x, p) or x for x in points]
-    if ambiguity is not None and not all(x.is_exact for x in points):
-        raise ambiguity.with_traceback(None)  # it is memoized with the solve
-    return sorted(points, key=point_sort_key)
+    out = _fixed_points(r, [p])[p]
+    if isinstance(out, RatmapError):
+        raise out
+    return out
 
 
 def _successors(image_rows: np.ndarray, point_rows: np.ndarray) -> list:
@@ -604,13 +658,12 @@ def periodic_cycles(r: RationalMap, max_period: int = DEFAULT_MAX_PERIOD,
     truncated = [p for p in range(1, max_period + 1) if r.degree**p + 1 > work_cap]
     warnings = []
     solvable = [p for p in range(1, max_period + 1) if p not in truncated]
-    _floating_fixed_points(r.floating(), solvable)
     found, failed = {}, {}
-    for p in solvable:
-        try:
-            found[p] = fixed_points(r, p)
-        except (RootFindingFailedError, MultiplicityAmbiguousError) as err:
-            failed[p] = err
+    for p, out in _fixed_points(r, solvable).items():
+        if isinstance(out, RatmapError):
+            failed[p] = out
+        else:
+            found[p] = out
     # R at every solved point in one pass, R's successor of each from one
     # block per period, and the valencies of every cycle point in one lookup
     solved = [x for points in found.values() for x in points]

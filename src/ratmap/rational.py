@@ -122,8 +122,8 @@ class RationalMap:
         self.wronskian = p.derivative() * q - p * q.derivative()
         (p0, q0), (p1, q1) = self.homogeneous[:2]
         self._wronskian_at_infinity = q1 * p0 - q0 * p1
-        # the rows modulo MODULAR_PRIME; None for a floating map or when
-        # MODULAR_PRIME divides a denominator
+        # the rows modulo MODULAR_PRIME (dynamics' fixed-point screen); None
+        # for a floating map or when MODULAR_PRIME divides a denominator
         self.coeffs_mod_prime = None
         if self.is_exact:
             reduced = [(mod_prime(a), mod_prime(b)) for a, b in self.homogeneous]
@@ -257,9 +257,7 @@ class RationalMap:
             return self.p - self.q * yv
         fl = self.floating()
         yc = to_complex(yv)
-        a = Polynomial(
-            [complex(c) for c in fl.p.coeffs]
-        ) - Polynomial([complex(c) for c in fl.q.coeffs]) * yc
+        a = fl.p - fl.q * yc
         n = len(a.coeffs)
         scales = [abs(pk) + abs(yc) * abs(qk) for pk, qk in fl.homogeneous[-n:]]
         k = 0

@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import MultiplicityAmbiguousError, RatmapError, RootFindingFailedError
 from .poly import Polynomial, squarefree_decomposition_exact
-from .scalars import GaussianRational
+from .scalars import GaussianRational, limit_ratios
 from .sphere import near_partners
 
 ABERTH_MAX_ITER = 200
@@ -394,6 +394,18 @@ def snap(center: complex) -> GaussianRational | None:
     if not (math.isfinite(center.real) and math.isfinite(center.imag)):
         return None
     return GaussianRational.approximating(center, SNAP_DENOMINATOR_BOUND)
+
+
+def snap_many(centers: np.ndarray) -> tuple:
+    """The snaps of finite centers as the ratio arrays (p1, q1, p2, q2).
+
+    Row i is snap(centers[i]) = p1/q1 + (p2/q2) i, each part in lowest terms
+    with a positive denominator; all parts are limited in one array pass
+    (scalars.limit_ratios).
+    """
+    n, d = limit_ratios(np.concatenate([centers.real, centers.imag]), SNAP_DENOMINATOR_BOUND)
+    m = len(centers)
+    return n[:m], d[:m], n[m:], d[m:]
 
 
 def _snap_root(reduced: Polynomial, center: complex) -> GaussianRational | None:

@@ -12,7 +12,8 @@ most one three-way ``math.gcd`` to put the result back in lowest terms
 (none when both denominators are 1); no ``Fraction`` is built.  Only this
 module reads the triple: the parts are offered as reduced Fractions
 (``re``, ``im``) to cold readers, and the hot readers (``mod_prime``,
-``height_bits``, ``GaussianRational.approximating``) live here.
+``height_bits``, ``GaussianRational.approximating``) live here, beside
+``limit_ratios``, the walk of ``limit_denominator`` on a float array at once.
 
 Arithmetic between two exact values stays exact.  Any operation mixing an
 exact value with a float or complex falls through to ``complex``, so a
@@ -25,6 +26,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+
+import numpy as np
 
 from .errors import InputFormatError
 
@@ -91,6 +94,75 @@ def _limit_ratio(n: int, d: int, bound: int) -> tuple[int, int]:
     if abs(p1 * d - n * q1) * q <= abs(p * d - n * q) * q1:
         return p1, q1
     return p, q
+
+
+def limit_ratios(x: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """_limit_ratio(*v.as_integer_ratio(), bound) for each finite float v of x, as arrays (n, d).
+
+    The walk of _limit_ratio runs on all parts at once in int64.  A part
+    below 0.49 / bound in size is 0/1, the one fraction within 1/(2 bound)
+    of it.  Each other part n/d (d a power of two) whose integers could pass
+    int64 in the walk, that is d > 2^61 or |v| >= min(2^53, 2^60 / (bound + 1)),
+    goes to _limit_ratio, and so does every part when bound >= 2^31.  The
+    last convergent p1/q1 and the semiconvergent p/q both lie within d of
+    n/d once cleared of denominators, so their distances |p1 d - n q1| and
+    |p d - n q| are exact in wrapped int64 arithmetic; the choice between
+    them is made in floats, and in Python ints where the two products are
+    within 2^-40 of a tie.  n and d are int64 arrays, or object arrays of
+    Python ints when a result passes int64.
+    """
+    x = np.asarray(x, dtype=float)
+    n, d = np.zeros(len(x), np.int64), np.ones(len(x), np.int64)
+    mant, e = np.frexp(x)
+    mant, e = (mant * 2.0**53).astype(np.int64), e.astype(np.int64)  # v = mant / 2^(53 - e)
+    # mant's trailing zero bits, at most 53 - e; 2^k is the reduced denominator
+    shift = np.minimum(np.frexp((mant & -mant).astype(float))[1] - 1, 53 - e)
+    k = 53 - e - shift
+    size = np.abs(x)
+    wide = size >= 0.49 / bound
+    kernel = wide & (size < min(2.0**53, 2.0**60 / (bound + 1))) & (k <= 61) & (bound < 2**31)
+    scalar = np.flatnonzero(wide & ~kernel)
+    rows = np.flatnonzero(kernel)
+    n[rows] = mant[rows] >> shift[rows]
+    d[rows] = np.left_shift(1, k[rows])
+    rows = rows[d[rows] > bound]
+    if rows.size:
+        a, den = np.divmod(n[rows], d[rows])
+        num = d[rows]
+        # convergents[k] = (p, q) of the k-th convergent, from (1, 0) and
+        # (a0, 1).  A row walks on after its q passes bound, with its quotient
+        # clipped and its products wrapped, until every row has passed.
+        convergents = [np.stack([np.ones_like(a), np.zeros_like(a)]),
+                       np.stack([a, np.ones_like(a)])]
+        passed = np.zeros(len(rows), bool)
+        with np.errstate(divide="ignore"):  # a finished fraction divides by 0, giving a = 0
+            while np.count_nonzero(passed) < len(rows):
+                a = num // den
+                num, den = den, num - a * den
+                convergents.append(convergents[-2] + np.minimum(a, bound + 1) * convergents[-1])
+                passed |= convergents[-1][1] > bound
+        convergents = np.stack(convergents)
+        # the first convergent whose q passes bound is step; p1/q1 is the one before
+        step, cols = np.argmax(convergents[:, 1] > bound, axis=0), np.arange(len(rows))
+        (p0, q0), (p1, q1) = convergents[step - 2, :, cols].T, convergents[step - 1, :, cols].T
+        j = (bound - q0) // q1
+        p, q = p0 + j * p1, q0 + j * q1
+        nn, dd = n[rows], d[rows]
+        near_err = np.abs(p1 * dd - nn * q1).astype(float) * q
+        semi_err = np.abs(p * dd - nn * q).astype(float) * q1
+        convergent = near_err <= semi_err
+        for i in np.flatnonzero(np.abs(near_err - semi_err) <= 2.0**-40 * semi_err).tolist():
+            ni, di, a1, b1, a2, b2 = (int(v[i]) for v in (nn, dd, p1, q1, p, q))
+            convergent[i] = abs(a1 * di - ni * b1) * b2 <= abs(a2 * di - ni * b2) * b1
+        n[rows] = np.where(convergent, p1, p)
+        d[rows] = np.where(convergent, q1, q)
+    if scalar.size:
+        pairs = [_limit_ratio(*v.as_integer_ratio(), bound) for v in x[scalar].tolist()]
+        if any(not -2**63 <= v < 2**63 for pair in pairs for v in pair):
+            n, d = n.astype(object), d.astype(object)
+        n[scalar] = [pn for pn, _ in pairs]
+        d[scalar] = [pd for _, pd in pairs]
+    return n, d
 
 
 class GaussianRational:
@@ -270,11 +342,13 @@ class GaussianRational:
         return scalar_str(self)
 
 
-# A prime q = 1 (mod 4) and a square root of -1 modulo q.  a + bi -> a + b*MODULAR_I
-# (mod q) is a ring map on the Gaussian rationals whose denominators are prime
-# to q, so an exact identity between such numbers holds modulo q as well.
-MODULAR_PRIME = 2**61 + 21
-MODULAR_I = 1035093963448091331
+# A prime q = 1 (mod 4) below 2^30 and a square root of -1 modulo q.  a + bi ->
+# a + b*MODULAR_I (mod q) is a ring map on the Gaussian rationals whose
+# denominators are prime to q, so an exact identity between such numbers holds
+# modulo q as well.  Residues are below 2^30, so a product of two residues plus
+# another such product stays below 2^61: arrays of residues walk in int64.
+MODULAR_PRIME = 2**30 - 35
+MODULAR_I = 933053945
 
 
 def mod_prime(x: GaussianRational) -> int | None:
@@ -288,6 +362,19 @@ def mod_prime(x: GaussianRational) -> int | None:
     if d % q == 0:
         return None
     return (x._a + x._b * MODULAR_I) * pow(d, -1, q) % q
+
+
+def mod_prime_pairs(p1, q1, p2, q2) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (c1 : c2) modulo MODULAR_PRIME of the points p1/q1 + (p2/q2) i.
+
+    The arguments are arrays of ints (int64 or Python ints), and the pair is
+    the homogeneous (p1 q2 + p2 q1 i : q1 q2) reduced, as two int64 arrays:
+    no inverse is taken, so a denominator divisible by q needs no exception.
+    """
+    q = MODULAR_PRIME
+    p1, q1, p2, q2 = (np.asarray(v) % q for v in (p1, q1, p2, q2))
+    p1, q1, p2, q2 = (v.astype(np.int64) for v in (p1, q1, p2, q2))
+    return (p1 * q2 % q + MODULAR_I * (p2 * q1 % q)) % q, q1 * q2 % q
 
 
 def height_bits(x: GaussianRational) -> int:

@@ -150,12 +150,13 @@ def test_a_failed_period_is_a_coded_warning(monkeypatch):
 def test_a_lost_cycle_fails_the_fixed_point_formula(monkeypatch):
     # z^2 - 2 has fixed points 2, -1 and inf with multipliers 4, -2 and 0;
     # without -1 the sum of 1/(1 - mu) is -1/3 + 1, off by 1/3
-    solve = ratmap.dynamics.fixed_points
+    solve = ratmap.dynamics._fixed_points
 
-    def losing_minus_one(r, p):
-        return [x for x in solve(r, p) if x != SpherePoint.finite(-1)]
+    def losing_minus_one(r, periods):
+        return {p: [x for x in found if x != SpherePoint.finite(-1)]
+                for p, found in solve(r, periods).items()}
 
-    monkeypatch.setattr(ratmap.dynamics, "fixed_points", losing_minus_one)
+    monkeypatch.setattr(ratmap.dynamics, "_fixed_points", losing_minus_one)
     r = parse_map({"numerator": ["1", "0", "-2"], "denominator": ["1"]})
     _, _, warnings = periodic_cycles(r, 1)
     assert [(w["code"], w["period"]) for w in warnings] == [("cycle-search-uncertified", 1)]
@@ -166,13 +167,14 @@ def test_a_lost_point_of_a_cycle_drops_the_cycle(monkeypatch):
     # z^2 - 2 has one 2-cycle, (-1 +- sqrt 5)/2; without one of its points the
     # other has no successor, so the cycle is dropped and period 2 fails the
     # fixed-point formula (1 - 1/15 - 1/3 over the three fixed points)
-    solve = ratmap.dynamics.fixed_points
+    solve = ratmap.dynamics._fixed_points
     lost = SpherePoint.finite((math.sqrt(5) - 1) / 2)
 
-    def losing_one_point(r, p):
-        return [x for x in solve(r, p) if x.chordal(lost) > 1e-6]
+    def losing_one_point(r, periods):
+        return {p: [x for x in found if x.chordal(lost) > 1e-6]
+                for p, found in solve(r, periods).items()}
 
-    monkeypatch.setattr(ratmap.dynamics, "fixed_points", losing_one_point)
+    monkeypatch.setattr(ratmap.dynamics, "_fixed_points", losing_one_point)
     r = parse_map({"numerator": ["1", "0", "-2"], "denominator": ["1"]})
     cycles, _, warnings = periodic_cycles(r, 2)
     assert [c.period for c in cycles] == [1, 1, 1]

@@ -6,7 +6,8 @@ pair.  The library now carries the integer triple (a + b i) / d in lowest
 terms.  On random operands, every operation, predicate and conversion must
 agree with == (and the hash, complex value and display text exactly), and
 the integer ``limit_denominator`` walk must agree with
-``Fraction.limit_denominator``.
+``Fraction.limit_denominator``, both the scalar walk and the int64 array walk
+of ``limit_ratios`` (through ``roots.snap_many``).
 """
 
 from __future__ import annotations
@@ -16,13 +17,17 @@ import random
 import struct
 from fractions import Fraction
 
+import numpy as np
+
+import ratmap.scalars
 from ratmap.rational import point_height_bits
-from ratmap.roots import SNAP_DENOMINATOR_BOUND, snap
+from ratmap.roots import SNAP_DENOMINATOR_BOUND, snap, snap_many
 from ratmap.scalars import (
     MODULAR_I,
     MODULAR_PRIME,
     GaussianRational,
     height_bits,
+    limit_ratios,
     mod_prime,
     scalar_str,
 )
@@ -333,3 +338,58 @@ def test_limit_denominator_matches_fraction_on_exact_values():
         got = GaussianRational.approximating(complex(re, im), 10**15)
         assert (got.re, got.im) == (Fraction(re).limit_denominator(10**15),
                                     Fraction(im).limit_denominator(10**15))
+
+
+def _golden_floats() -> list[float]:
+    """The golden ratio, its reciprocal and their float neighbours: their
+    continued fractions are all ones, the longest walk below the bound."""
+    out = []
+    for x in ((1 + 5**0.5) / 2, (5**0.5 - 1) / 2):
+        for y in (x, -x):
+            out += [y, math.nextafter(y, math.inf), math.nextafter(y, -math.inf)]
+    return out
+
+
+def _limited(x: float, bound: int = SNAP_DENOMINATOR_BOUND) -> tuple[int, int]:
+    f = Fraction(x).limit_denominator(bound)
+    return f.numerator, f.denominator
+
+
+def test_the_batch_snap_matches_fraction_limit_denominator_row_for_row():
+    xs = _snap_floats(random.Random(17)) + _golden_floats()
+    centers = np.array([complex(re, im) for re, im in zip(xs, xs[1:] + xs[:1])])
+    p1, q1, p2, q2 = (a.tolist() for a in snap_many(centers))
+    for re, im, row in zip(xs, xs[1:] + xs[:1], zip(p1, q1, p2, q2)):
+        assert row == _limited(re) + _limited(im)
+    for n in (0, 1):  # the empty batch and a batch of one
+        rows = [a.tolist() for a in snap_many(centers[:n])]
+        assert rows == [[_limited(v)[i] for v in x] for x, i in
+                        ((xs[:n], 0), (xs[:n], 1), (xs[1:n + 1], 0), (xs[1:n + 1], 1))]
+
+
+def test_limit_ratios_matches_fraction_at_other_bounds():
+    xs = _snap_floats(random.Random(19))[:1500] + _golden_floats()
+    for bound in (1, 7, 10**9, 2**31 - 1, 2**31, 10**15):
+        n, d = limit_ratios(np.array(xs), bound)
+        assert list(zip(n.tolist(), d.tolist())) == [_limited(x, bound) for x in xs]
+
+
+def test_parts_past_the_int64_guard_take_the_scalar_walk(monkeypatch):
+    bound = SNAP_DENOMINATOR_BOUND
+    top = 2.0**60 / (bound + 1)
+    # inside: below the size guard, and a reduced denominator of 2^61;
+    # outside: at the size guard, and a reduced denominator of 2^62
+    inside = [math.nextafter(top, 0.0), -math.nextafter(top, 0.0), (2**41 + 1) * 2.0**-61]
+    outside = [top, -top, (2**42 + 1) * 2.0**-62]
+    calls = []
+    scalar = ratmap.scalars._limit_ratio
+    monkeypatch.setattr(ratmap.scalars, "_limit_ratio",
+                        lambda n, d, b: calls.append((n, d)) or scalar(n, d, b))
+    for xs, walked in ((inside, 0), (outside, 3)):
+        calls.clear()
+        n, d = limit_ratios(np.array(xs), bound)
+        assert list(zip(n.tolist(), d.tolist())) == [_limited(x) for x in xs]
+        assert len(calls) == walked
+    # a numerator past int64 comes back as a Python int
+    n, d = limit_ratios(np.array([1.7e308, 0.5]), bound)
+    assert (n.tolist(), d.tolist()) == ([int(1.7e308), 1], [1, 2])
