@@ -1,19 +1,24 @@
 """Critical points, periodic cycles, orbit fates, asymptotic valency.
 
 The critical points are the entries of the map's critical table of valency
-2 or more.  Every valency used here is a lookup in that table, so each is
-decided once per map: a point's through RationalMap.valency_at, those of
-all cycle points at once through RationalMap.valencies (criticality of a
-cycle), and the cumulative valency along an orbit, asymptotic valency
-included, through Orbit.valency alone, which looks up each block of newly
-walked points in one RationalMap.valencies call.  Cycles are classified
-only in periodic_cycles, the one caller of make_cycle.
+2 or more.  Every valency used here is a lookup in that table through
+RationalMap.valencies, so each is decided once per map: those of all cycle
+points at once (criticality of a cycle), and the cumulative valency along
+an orbit, asymptotic valency included, through Orbit.valency alone, which
+looks up each block of newly walked points in one call.  Cycles are
+classified only in periodic_cycles, the one caller of make_cycle.
 
-Forward orbits are stepped only by Orbit, under one height guard: an exact
-orbit steps exactly until a coordinate passes EXACT_HEIGHT_CAP_BITS (512)
-bits, then in floating point.  Each orbit is walked once: orbit_fate's
-floating tail extends the walk of its exact prefix, and the fate keeps that
-walk for asymptotic_valency and the other readers.  On the prefix,
+Orbit steps the forward orbits of the analysis under one height guard: an
+exact orbit steps exactly until a coordinate passes EXACT_HEIGHT_CAP_BITS
+(512) bits, then in floating point.  Those walks are orbit_fate's and its
+perturbed re-run, the exact check of each fixed-point candidate that passes
+the modular screen, and restricted's RO witnesses and invariance search.
+The one other forward stepping, restricted._closure_walk's, takes single
+evaluate steps inside a closure, which is given up past 4 points; the
+render iterates its pixel grid in floating arrays of its own.  Each
+orbit is walked once: orbit_fate's floating tail extends the walk of its
+exact prefix, and the fate keeps that walk for asymptotic_valency and the
+other readers.  On the prefix,
 orbit_fate screens each distinct point once against the cycle points: the
 point's own norm_pair against the columns of one normalized_pairs table
 (sphere.near_rows), with a margin above twice the tolerance, so no cycle
@@ -42,12 +47,12 @@ point.
 On an exact map the candidates of all periods are decided
 together (_exact_fixed_points): every finite candidate is snapped in one
 int64 array pass (roots.snap_many), and every snap is walked p steps modulo
-a prime in one int64 array walk (_screen_passes), as a homogeneous pair.
-Reduction modulo the prime is a ring map, so an exact fixed point is one
-modulo the prime too, and only a snap that passes is built and iterated
-exactly, in Gaussian rationals (each an integer triple (a + bi)/d); the
-screen cannot change a verdict, it only spares the exact walk of most
-non-fixed snaps.  Each solved point is
+a prime in one int64 array walk (_screen_passes), as a homogeneous pair of
+Gaussian integers under the map's rows times the lcm of their denominators.
+Reduction modulo the prime is a ring map on the Gaussian integers, so an
+exact fixed point is one modulo the prime too, and only a snap that passes
+is built and walked exactly by Orbit; the screen cannot change a verdict,
+it only spares the exact walk of most non-fixed snaps.  Each solved point is
 built as a SpherePoint once: a simple point goes to the polish as its chart
 value.  R maps each solved point to the solved point nearest its image,
 and the chains of p points that close are the cycles of period p.  The
@@ -66,7 +71,10 @@ Cycle classification never guesses: super-attraction is decided by
 criticality of the cycle (exactly, when the map is exact), attracting and
 repelling come from |multiplier| against a band of width 1e-6 around 1,
 and a floating multiplier inside the band is recorded as ambiguous rather
-than forced into a class.
+than forced into a class.  An exact multiplier of modulus 1 is rationally
+indifferent exactly when it is 1, -1, i or -i, the roots of unity of Q(i);
+a floating one within 1e-12 of modulus 1 is when one of the first
+ROOT_OF_UNITY_CAP powers of its direction is within 1e-9 of 1.
 """
 
 from __future__ import annotations
@@ -75,7 +83,6 @@ import cmath
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -95,7 +102,7 @@ from .roots import (
     snap_many,
     start_circle,
 )
-from .scalars import MODULAR_PRIME, GaussianRational, mod_prime_pairs
+from .scalars import MODULAR_PRIME, GaussianRational, mod_prime_pairs, mod_prime_rows
 from .sphere import (
     INFINITY,
     SpherePoint,
@@ -116,6 +123,10 @@ DEFAULT_MAX_PERIOD = 4
 DEFAULT_PERIOD_WORK_CAP = 200
 
 INFINITE = float("inf")
+
+# the roots of unity of Q(i), which holds no other, and their orders
+EXACT_ROOT_OF_UNITY_ORDERS = {GaussianRational(1): 1, GaussianRational(-1): 2,
+                              GaussianRational(0, 1): 4, GaussianRational(0, -1): 4}
 
 
 def critical_points(r: RationalMap):
@@ -162,11 +173,8 @@ def _classify(multiplier, contains_critical: bool):
             return "attracting", None, None
         if a2 > 1:
             return "repelling", None, None
-        lam = GaussianRational(1)
-        for k in range(1, ROOT_OF_UNITY_CAP + 1):
-            lam = lam * multiplier
-            if lam == GaussianRational(1):
-                return "rationally_indifferent", k, None
+        if multiplier in EXACT_ROOT_OF_UNITY_ORDERS:
+            return "rationally_indifferent", EXACT_ROOT_OF_UNITY_ORDERS[multiplier], None
         theta = cmath.phase(complex(multiplier)) / (2 * math.pi) % 1.0
         return "irrationally_indifferent", None, theta
     mod = abs(complex(multiplier))
@@ -378,19 +386,18 @@ def _screen_passes(r: RationalMap, periods, c1: np.ndarray, c2: np.ndarray) -> n
 
     periods gives each row's p in non-increasing order, and (c1, c2) are the
     rows' residue pairs (scalars.mod_prime_pairs; infinity is (1 : 0)).  The
-    homogeneous pair (u : v) = R^p_h(c1 : c2) is walked modulo the prime q in
-    int64 arrays, step k advancing the leading rows whose period passes k
+    map's rows are taken times the lcm D of their denominators, so D R_h and
+    the pairs are over the Gaussian integers (scalars.mod_prime_rows).  The
+    homogeneous pair (u : v) = (D R_h)^p(c1 : c2) is walked modulo the prime q
+    in int64 arrays, step k advancing the leading rows whose period passes k
     (_step_rows), and a row is rejected when u c2 - v c1 != 0.  Reduction mod
-    q is a ring map on the Gaussian rationals whose denominators are prime to
-    q, and an exact fixed point has u c2 - v c1 = 0, hence 0 mod q: a fixed
-    point is never rejected.  When q divides a coefficient denominator
-    (coeffs_mod_prime is None) every row passes.
+    q is a ring map on the Gaussian integers, and an exact fixed point has
+    u c2 - v c1 = 0 there, hence 0 mod q: a fixed point is never rejected,
+    whatever D is.  A D prime to q is a unit, which changes no verdict.
     """
-    if r.coeffs_mod_prime is None:
-        return np.ones(len(periods), bool)
     q = MODULAR_PRIME
-    # coef[i] is the row (P_i, Q_i) of P_h(u, v) = sum P_i u^(d-i) v^i, as a column
-    coef = np.array(r.coeffs_mod_prime, np.int64)[:, :, None]
+    # coef[i] is the row (P_i, Q_i) of D P_h(u, v) = sum D P_i u^(d-i) v^i, as a column
+    coef = np.array(mod_prime_rows(r.homogeneous), np.int64)[:, :, None]
     u, v = np.array(c1, np.int64), np.array(c2, np.int64)
     for n in _step_rows(periods):
         un, vn = u[:n], v[:n]
@@ -411,10 +418,11 @@ def _exact_fixed_points(r: RationalMap, found: dict) -> dict:
     descending period: every finite one is snapped in one array pass
     (roots.snap_many), every snap is screened modulo the prime in one walk
     (_screen_passes), and only the snaps that pass are built as Gaussian
-    rationals and iterated exactly, stopping where a point passes
-    EXACT_HEIGHT_CAP_BITS (a verified fixed point would come back to its
-    own height).  The screen never rejects a fixed point, so every verdict
-    is that of the exact iteration alone.
+    rationals and walked p steps by Orbit.  A snap is verified when R^p of
+    it is exact and equal to it: past EXACT_HEIGHT_CAP_BITS the walk goes
+    on in floating point, where a verified fixed point, which comes back to
+    its own height, never goes.  The screen never rejects a fixed point, so
+    every verdict is that of the exact walk alone.
     """
     periods = sorted(found, reverse=True)
     points = [x for p in periods for x in found[p]]
@@ -432,16 +440,14 @@ def _exact_fixed_points(r: RationalMap, found: dict) -> dict:
         if at_infinity[i]:
             cand = INFINITY
         else:
-            p1, q1, p2, q2 = (int(a[i]) for a in ratios)
-            cand = SpherePoint.finite(GaussianRational(Fraction(p1, q1), Fraction(p2, q2)))
-        y = cand
-        for _ in range(row_periods[i]):
-            if point_height_bits(y) > EXACT_HEIGHT_CAP_BITS:
-                break
-            y = r.evaluate(y)
-        else:
-            if y == cand:
-                exact[i] = cand
+            cand = SpherePoint.finite(GaussianRational.from_ratios(*(int(a[i]) for a in ratios)))
+        try:
+            y = Orbit(r, cand).point(row_periods[i])
+        except RatmapError:  # only a floating step can fail
+            continue
+        # a floating point can compare equal to an exact one
+        if y.is_exact and y == cand:
+            exact[i] = cand
     out, start = {}, 0
     for p in periods:
         out[p] = exact[start:start + len(found[p])]
@@ -548,30 +554,23 @@ def _solve_periods(rf: RationalMap, periods):
     return solved
 
 
-def _floating_fixed_points(rf: RationalMap, periods):
-    """Memoize on rf the floating solves of the given periods that it lacks.
-
-    The missing periods are solved together (_solve_periods).  The memo is
-    per period, a RootFindingFailedError too: a later call raises it again,
-    each time with a fresh traceback, so the memo keeps no solver frames
-    alive.  A period already solved is never solved again.
-    """
-    missing = [p for p in periods if p not in rf._fixed_point_cache]
-    if missing:
-        rf._fixed_point_cache.update(_solve_periods(rf, missing))
-
-
 def _fixed_points(r: RationalMap, periods) -> dict:
     """{p: the d^p + 1 fixed points of R^p, sorted by point, or the error} over periods.
 
-    The floating solves are those of r.floating(), each done once per
-    period.  On an exact map the candidates of all periods are decided
-    together (_exact_fixed_points), and a point is exact when its snap is
-    verified exactly.  A period maps to its RootFindingFailedError, or to
-    its MultiplicityAmbiguousError unless every point is exact.
+    The floating solves are those of r.floating(), memoized on it per
+    period, a RootFindingFailedError too: the periods it lacks are solved
+    together (_solve_periods), and a period already solved is never solved
+    again.  A memoized error is returned with a fresh traceback, so the memo
+    keeps no solver frames alive.  On an exact map the candidates of all
+    periods are decided together (_exact_fixed_points), and a point is exact
+    when its snap is verified exactly.  A period maps to its
+    RootFindingFailedError, or to its MultiplicityAmbiguousError unless
+    every point is exact.
     """
     rf = r.floating()
-    _floating_fixed_points(rf, periods)
+    missing = [p for p in periods if p not in rf._fixed_point_cache]
+    if missing:
+        rf._fixed_point_cache.update(_solve_periods(rf, missing))
     solved = {p: rf._fixed_point_cache[p] for p in periods}
     found = {p: s[0] for p, s in solved.items() if not isinstance(s, RootFindingFailedError)}
     if r.is_exact:

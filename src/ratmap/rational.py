@@ -30,9 +30,10 @@ root and 1 + (2d - 2 - deg W) at infinity.  An exact point of an exact map
 keeps its exact valency, 1 + the vanishing order of W there; any other
 point takes the valency of the nearest table entry when it coincides with
 it at the map's tolerance, or 1; valencies finds the nearest entries of
-many points from one distance matrix.  Preimage multiplicities come from the
-roots of P - yQ, so the identity sum(val(R,x) for x in R^-1(y)) = d is a
-cross-check between two polynomials, not a definition.  preimages_many
+many points from one distance matrix, and valency_at is its one-point
+case.  Preimage multiplicities come from the roots of P - yQ, so the
+identity sum(val(R,x) for x in R^-1(y)) = d is a cross-check between two
+polynomials, not a definition.  preimages_many
 solves the polynomials of many targets in one roots.find_roots_many call,
 whose roots have the bits of lone solves, and memoizes each target's
 preimages or the RatmapError of its solve; preimages reads that memo.
@@ -54,7 +55,7 @@ from .errors import (
 )
 from .poly import Polynomial, horner, vanishing_order_exact
 from .roots import find_roots, find_roots_many
-from .scalars import GaussianRational, height_bits, is_exact, mod_prime, scalar_is_zero, to_complex
+from .scalars import GaussianRational, height_bits, is_exact, scalar_is_zero, to_complex
 from .sphere import INFINITY, SpherePoint, chordal_matrix, coincide, normalized_pairs
 
 DEFAULT_TOLERANCE = 1e-9
@@ -122,20 +123,13 @@ class RationalMap:
         self.wronskian = p.derivative() * q - p * q.derivative()
         (p0, q0), (p1, q1) = self.homogeneous[:2]
         self._wronskian_at_infinity = q1 * p0 - q0 * p1
-        # the rows modulo MODULAR_PRIME (dynamics' fixed-point screen); None
-        # for a floating map or when MODULAR_PRIME divides a denominator
-        self.coeffs_mod_prime = None
-        if self.is_exact:
-            reduced = [(mod_prime(a), mod_prime(b)) for a, b in self.homogeneous]
-            if not any(None in row for row in reduced):
-                self.coeffs_mod_prime = reduced
         self._floating = None
         self._floating_horner = None
         self._scale = None
         # memoization only: entries are write-once per key and recomputation
         # is harmless, so concurrent readers stay safe
         self._preimage_cache = {}
-        # period -> the floating fixed-point solve of R^p (dynamics._floating_fixed_points)
+        # period -> the floating fixed-point solve of R^p (dynamics._fixed_points)
         self._fixed_point_cache = {}
         self._critical_table = None
         self._critical_values = None
@@ -354,22 +348,18 @@ class RationalMap:
         return self._critical_values
 
     def valency_at(self, x: SpherePoint) -> int:
-        """Local degree val(R, x), read from the critical table.
+        """Local degree val(R, x): valencies' one-point case."""
+        return self.valencies([x])[0]
+
+    def valencies(self, points) -> list:
+        """[val(R, x) for x in points], read from the critical table.
 
         For an exact map, an exact finite point has 1 + the exact vanishing
         order of W there and infinity the table's exact entry.  Any other
-        point has the valency of the nearest table entry when it coincides
-        with it at the tolerance, and 1 otherwise: a point near a critical
-        point but not on it is not critical.
+        point has the valency of the nearest table entry, all found from one
+        chordal_matrix, when it coincides with it at the tolerance, and 1
+        otherwise: a point near a critical point but not on it is not critical.
         """
-        val = self._exact_valency(x)
-        if val is None:
-            nearest = min(self.critical_table(), key=lambda entry: x.chordal(entry[0]))
-            val = self._table_valency(x, nearest)
-        return val
-
-    def valencies(self, points) -> list:
-        """[valency_at(x) for x in points], the nearest table entries from one chordal_matrix."""
         vals = [self._exact_valency(x) for x in points]
         rest = [i for i, val in enumerate(vals) if val is None]
         if rest:
@@ -380,7 +370,7 @@ class RationalMap:
         return vals
 
     def _exact_valency(self, x: SpherePoint):
-        """valency_at(x) where exactness decides it, else None."""
+        """val(R, x) where exactness decides it, else None."""
         if self.is_exact and x.is_exact and not x.is_infinity:
             # orbits come back to the same exact points, the critical ones above all
             z = x.z

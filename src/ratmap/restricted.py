@@ -340,9 +340,9 @@ def exposed_orbits(r: RationalMap, cycles, fates,
 
     Seeds are critical points, cycle points up to max_seed_period, and the
     forward orbits (up to 8 steps) of critical points that land on cycles.
-    A cycle none of whose points is critical (by the contains_point test
-    _closure_walk uses) gives one seed: each of its points has the same closure,
-    since each closure holds the whole cycle.
+    A cycle none of whose points is critical (not contains_critical, the
+    valency rule of make_cycle) gives one seed: each of its points has the
+    same closure, since each closure holds the whole cycle.
     A critical-free closure is of type 1 as it stands, and its cycle is the
     first known cycle holding one of its members: every seed is a point of
     a known cycle or on the way to one (see the module docstring).
@@ -365,8 +365,7 @@ def exposed_orbits(r: RationalMap, cycles, fates,
     pool = [(p, None) for p in crit_pts]
     for cyc in cycles:
         if cyc.period <= max_seed_period:
-            free = not any(contains_point(crit_pts, a, tol) for a in cyc.points)
-            pool.extend((a, cyc if free else None) for a in cyc.points)
+            pool.extend((a, None if cyc.contains_critical else cyc) for a in cyc.points)
     for c in crit_pts:
         fate = fates[c].fate
         if fate.kind == "preperiodic" and fate.step <= CRITICAL_ORBIT_SEED_STEPS:

@@ -11,8 +11,9 @@ three int comparisons.  Each +, -, * and / is a few int products and at
 most one three-way ``math.gcd`` to put the result back in lowest terms
 (none when both denominators are 1); no ``Fraction`` is built.  Only this
 module reads the triple: the parts are offered as reduced Fractions
-(``re``, ``im``) to cold readers, and the hot readers (``mod_prime``,
-``height_bits``, ``GaussianRational.approximating``) live here, beside
+(``re``, ``im``) to cold readers, and the readers of the integers
+(``mod_prime_rows``, ``height_bits``, ``GaussianRational.approximating``
+and ``from_ratios``) live here, beside
 ``limit_ratios``, the walk of ``limit_denominator`` on a float array at once.
 
 Arithmetic between two exact values stays exact.  Any operation mixing an
@@ -51,19 +52,6 @@ def _reduced(a: int, b: int, d: int) -> "GaussianRational":
         b //= g
         d //= g
     return _make(a, b, d)
-
-
-def _from_ratios(p1: int, q1: int, p2: int, q2: int) -> "GaussianRational":
-    """p1/q1 + (p2/q2) i for two ratios in lowest terms with positive denominators.
-
-    Over the common denominator lcm(q1, q2) the triple is already in lowest
-    terms: a prime power that divides it exactly divides q1 or q2 exactly,
-    and so leaves p1 or p2 times a cofactor prime to it.
-    """
-    if q1 == q2:
-        return _make(p1, p2, q1)
-    d = lcm(q1, q2)
-    return _make(p1 * (d // q1), p2 * (d // q2), d)
 
 
 def _limit_ratio(n: int, d: int, bound: int) -> tuple[int, int]:
@@ -176,21 +164,34 @@ class GaussianRational:
             return
         re = re if isinstance(re, Fraction) else Fraction(re)
         im = im if isinstance(im, Fraction) else Fraction(im)
-        z = _from_ratios(re.numerator, re.denominator, im.numerator, im.denominator)
+        z = self.from_ratios(re.numerator, re.denominator, im.numerator, im.denominator)
         self._a, self._b, self._d = z._a, z._b, z._d
+
+    @classmethod
+    def from_ratios(cls, p1: int, q1: int, p2: int, q2: int) -> "GaussianRational":
+        """p1/q1 + (p2/q2) i for two ratios in lowest terms with positive denominators.
+
+        Over the common denominator lcm(q1, q2) the triple is already in lowest
+        terms: a prime power that divides it exactly divides q1 or q2 exactly,
+        and so leaves p1 or p2 times a cofactor prime to it.
+        """
+        if q1 == q2:
+            return _make(p1, p2, q1)
+        d = lcm(q1, q2)
+        return _make(p1 * (d // q1), p2 * (d // q2), d)
 
     @classmethod
     def approximating(cls, z: complex, max_denominator: int) -> "GaussianRational":
         """Each part of the finite z as Fraction(part).limit_denominator(max_denominator)."""
         p1, q1 = _limit_ratio(*z.real.as_integer_ratio(), max_denominator)
         p2, q2 = _limit_ratio(*z.imag.as_integer_ratio(), max_denominator)
-        return _from_ratios(p1, q1, p2, q2)
+        return cls.from_ratios(p1, q1, p2, q2)
 
     def limit_denominator(self, max_denominator: int) -> "GaussianRational":
         """Each part limited as Fraction.limit_denominator limits it."""
         p1, q1 = _limit_ratio(self._a, self._d, max_denominator)
         p2, q2 = _limit_ratio(self._b, self._d, max_denominator)
-        return _from_ratios(p1, q1, p2, q2)
+        return self.from_ratios(p1, q1, p2, q2)
 
     @property
     def re(self) -> Fraction:
@@ -343,25 +344,24 @@ class GaussianRational:
 
 
 # A prime q = 1 (mod 4) below 2^30 and a square root of -1 modulo q.  a + bi ->
-# a + b*MODULAR_I (mod q) is a ring map on the Gaussian rationals whose
-# denominators are prime to q, so an exact identity between such numbers holds
-# modulo q as well.  Residues are below 2^30, so a product of two residues plus
-# another such product stays below 2^61: arrays of residues walk in int64.
+# a + b*MODULAR_I (mod q) is a ring map on the Gaussian integers, so an exact
+# identity between Gaussian integers holds modulo q as well.  Residues are
+# below 2^30, so a product of two residues plus another such product stays
+# below 2^61: arrays of residues walk in int64.
 MODULAR_PRIME = 2**30 - 35
 MODULAR_I = 933053945
 
 
-def mod_prime(x: GaussianRational) -> int | None:
-    """The image of x modulo MODULAR_PRIME; None when q divides the denominator.
+def mod_prime_rows(rows) -> list:
+    """The rows of Gaussian rationals times D, the lcm of all their
+    denominators, modulo MODULAR_PRIME, as rows of ints.
 
-    The denominator d is the lcm of the parts' reduced denominators, so for
-    the prime q, q | d exactly when q divides one of them.
+    Each D x is a Gaussian integer a + b i, which reduces to a + b MODULAR_I
+    with no inverse: a ring map on Z[i], whatever D is.
     """
     q = MODULAR_PRIME
-    d = x._d
-    if d % q == 0:
-        return None
-    return (x._a + x._b * MODULAR_I) * pow(d, -1, q) % q
+    d = lcm(*(x._d for row in rows for x in row))
+    return [[(x._a + x._b * MODULAR_I) * (d // x._d) % q for x in row] for row in rows]
 
 
 def mod_prime_pairs(p1, q1, p2, q2) -> tuple[np.ndarray, np.ndarray]:

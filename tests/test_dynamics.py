@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +12,7 @@ from ratmap.dynamics import (
     INFINITE,
     Orbit,
     PeriodicCycle,
+    _classify,
     _reverify_landing,
     asymptotic_valency,
     critical_divisor_degree,
@@ -96,6 +99,36 @@ def test_fixed_point_count_with_multiplicity():
     # solutions of the homogeneous fixed-point form are 0, 1, inf
     cycles, _, _ = periodic_cycles(zsq(), 1)
     assert sum(c.period for c in cycles) == 3
+
+
+def _classify_by_powers(multiplier: GaussianRational):
+    """The exact unit-modulus verdict from up to 64 exact powers of the multiplier."""
+    power = GaussianRational(1)
+    for k in range(1, 65):
+        power = power * multiplier
+        if power == GaussianRational(1):
+            return "rationally_indifferent", k, None
+    return "irrationally_indifferent", None, cmath.phase(complex(multiplier)) / (2 * math.pi) % 1.0
+
+
+@pytest.mark.parametrize("multiplier, order", [
+    (GaussianRational(1), 1), (GaussianRational(-1), 2),
+    (GaussianRational(0, 1), 4), (GaussianRational(0, -1), 4),
+])
+def test_the_roots_of_unity_of_q_i_are_rationally_indifferent(multiplier, order):
+    assert _classify(multiplier, False) == ("rationally_indifferent", order, None)
+    assert _classify(multiplier, False) == _classify_by_powers(multiplier)
+
+
+@pytest.mark.parametrize("re, im", [(3, 4), (-3, 4), (4, -3), (5, 12), (-8, -15), (20, 21)])
+def test_other_exact_unit_multipliers_are_irrationally_indifferent(re, im):
+    norm = math.isqrt(re * re + im * im)
+    multiplier = GaussianRational(Fraction(re, norm), Fraction(im, norm))
+    assert multiplier.abs2() == 1
+    assert _classify(multiplier, False) == _classify_by_powers(multiplier)
+    assert _classify(multiplier, False)[:2] == ("irrationally_indifferent", None)
+    if (re, im) == (3, 4):
+        assert math.isclose(_classify(multiplier, False)[2], math.atan2(4, 3) / (2 * math.pi))
 
 
 def test_orbit_fate_examples():
@@ -205,9 +238,9 @@ def test_the_fate_tail_takes_no_exact_step_past_the_prefix(monkeypatch):
         steps.append(x.is_exact)
         return _step(r, x)
 
-    monkeypatch.setattr(ratmap.dynamics, "_step_with_height_guard", counted)
     r = RationalMap(Polynomial([1, 0, -1]), Polynomial([1]))
     cycles, _, _ = periodic_cycles(r, 1)
+    monkeypatch.setattr(ratmap.dynamics, "_step_with_height_guard", counted)
     fate = orbit_fate(r, SpherePoint.finite(0), cycles)
     assert (fate.kind, fate.steps_used) == ("unresolved", DEFAULT_ORBIT_BUDGET)
     assert steps == [True] * 64 + [False] * (DEFAULT_ORBIT_BUDGET - 64)
@@ -340,11 +373,13 @@ def test_orbit_valencies_are_running_products_of_valency_at_one_block_per_call(m
         assert blocks == [40]
         pairs = walk.with_valencies(60)
         assert blocks == [40, 20]
-        product = 1
         for j, (point, val) in enumerate(pairs):
-            assert point is walk.points[j] and val == walk.valency(j) == product
-            product *= r.valency_at(point)
+            assert point is walk.points[j] and val == walk.valency(j)
         assert len(pairs) == 61 and blocks == [40, 20]
+        product = 1
+        for point, val in pairs:
+            assert val == product
+            product *= r.valency_at(point)
 
 
 def test_a_failing_walk_has_the_valencies_up_to_the_failure():

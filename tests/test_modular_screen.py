@@ -1,10 +1,11 @@
 """The modular screen of exact fixed-point candidates never changes a verdict.
 
 dynamics._screen_passes walks R^p modulo MODULAR_PRIME on the homogeneous
-pairs of many candidates at once, in int64 arrays.  A candidate it rejects
-must not be a fixed point of R^p in exact arithmetic, so every exact cycle
-point passes it; where a coefficient denominator is divisible by the prime
-it declines, and the exact check alone decides.
+pairs of many candidates at once, in int64 arrays, under the map's rows
+times the lcm of their denominators, so it runs on every exact map.  A
+candidate it rejects must not be a fixed point of R^p in exact arithmetic,
+so every exact cycle point passes it, also where the prime divides a
+coefficient denominator.
 """
 
 from __future__ import annotations
@@ -21,37 +22,42 @@ from ratmap.dynamics import (
     DEFAULT_MAX_PERIOD,
     DEFAULT_PERIOD_WORK_CAP,
     _exact_fixed_points,
-    _floating_fixed_points,
+    _fixed_points,
     _FixedPointEquation,
     _screen_passes,
     _step_rows,
     periodic_cycles,
 )
-from ratmap.errors import MapDegreeError, RootFindingFailedError
+from ratmap.errors import MapDegreeError
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
 from ratmap.report import parse_map
-from ratmap.scalars import MODULAR_I, MODULAR_PRIME, GaussianRational, mod_prime, mod_prime_pairs
+from ratmap.scalars import MODULAR_I, MODULAR_PRIME, GaussianRational, mod_prime_pairs, mod_prime_rows
 from ratmap.sphere import INFINITY, SpherePoint
 
 from .test_report import EXACT_TWO_CYCLE_MAP, WORKED_MAPS, _corpus_map
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 gaussian = st.builds(GaussianRational, small, small)
+big = st.integers(-2**80, 2**80)
+gaussian_integer = st.builds(GaussianRational, big, big)
 
 
 def _point(value) -> SpherePoint:
     return INFINITY if value is None else SpherePoint.finite(value)
 
 
+def _pair(value):
+    """The residue pair of one candidate, value (None for infinity), as arrays of one entry."""
+    if value is None:
+        return np.array([1]), np.array([0])
+    return mod_prime_pairs([value.re.numerator], [value.re.denominator],
+                           [value.im.numerator], [value.im.denominator])
+
+
 def _rejects(r: RationalMap, value, p: int) -> bool:
     """The array screen's verdict on one candidate, value (None for infinity), at period p."""
-    if value is None:
-        c1, c2 = np.array([1]), np.array([0])
-    else:
-        c1, c2 = mod_prime_pairs([value.re.numerator], [value.re.denominator],
-                                 [value.im.numerator], [value.im.denominator])
-    return not _screen_passes(r, [p], c1, c2)[0]
+    return not _screen_passes(r, [p], *_pair(value))[0]
 
 
 def _decided(r: RationalMap, value, periods) -> list:
@@ -68,12 +74,16 @@ def test_the_prime_is_one_mod_four_with_a_square_root_of_minus_one():
     assert all(pow(a, q - 1, q) == 1 for a in (2, 3, 5, 7, 11, 13))
 
 
-@given(gaussian, gaussian)
+def _reduced(x: GaussianRational) -> int:
+    return mod_prime_rows([[x]])[0][0]
+
+
+@given(gaussian_integer, gaussian_integer)
 def test_reduction_is_a_ring_map(x, y):
     q = MODULAR_PRIME
-    assert mod_prime(x + y) == (mod_prime(x) + mod_prime(y)) % q
-    assert mod_prime(x * y) == mod_prime(x) * mod_prime(y) % q
-    assert mod_prime(GaussianRational(0, 1)) == MODULAR_I
+    assert _reduced(x + y) == (_reduced(x) + _reduced(y)) % q
+    assert _reduced(x * y) == _reduced(x) * _reduced(y) % q
+    assert _reduced(GaussianRational(0, 1)) == MODULAR_I
 
 
 @st.composite
@@ -113,8 +123,9 @@ def test_a_rejected_candidate_is_never_a_fixed_point(case):
 def test_the_screen_passes_every_exact_cycle_point(source, index, monkeypatch):
     r = parse_map(WORKED_MAPS[index]) if source == "worked" else _corpus_map(index, False)
     with monkeypatch.context() as m:
-        # the cycles as exact iteration alone finds them: the screen declines
-        m.setattr(r, "coeffs_mod_prime", None)
+        # the cycles as exact iteration alone finds them: the screen passes every row
+        m.setattr(ratmap.dynamics, "_screen_passes",
+                  lambda r, periods, c1, c2: np.ones(len(periods), bool))
         cycles, _, _ = periodic_cycles(r, DEFAULT_MAX_PERIOD)
     points = [(None if x.is_infinity else x.value(), c.period)
               for c in cycles for x in c.points if x.is_exact]
@@ -140,23 +151,26 @@ def test_the_screen_rejects_what_exact_iteration_rejects():
     assert not _rejects(r, None, 1)
 
 
-def test_the_screen_declines_a_candidate_denominator_divisible_by_the_prime():
+def test_a_candidate_denominator_divisible_by_the_prime_is_infinity_modulo_the_prime():
     # such a candidate is infinity modulo q, which z^2 - 2 fixes: it passes
     r = parse_map(WORKED_MAPS[0])
     for value in (GaussianRational(Fraction(1, MODULAR_PRIME)),
                   GaussianRational(1, Fraction(3, 2 * MODULAR_PRIME))):
-        assert mod_prime(value) is None
+        c1, c2 = _pair(value)
+        assert c1[0] != 0 and c2[0] == 0
         assert not _rejects(r, value, 1)
         assert r.evaluate(SpherePoint.finite(value)) != SpherePoint.finite(value)
 
 
-def test_the_screen_declines_a_coefficient_denominator_divisible_by_the_prime():
-    # z^2 + (i/q) z fixes 0, 1 - i/q and infinity: nothing is rejected modulo
-    # q, and exact iteration alone keeps 0 and infinity and turns 5 away
+def test_the_screen_runs_where_the_prime_divides_a_coefficient_denominator():
+    # z^2 + (i/q) z fixes 0, 1 - i/q and infinity.  Times q its rows are
+    # (q, 0), (i, 0), (0, q), so modulo q it is (i u v : 0): the screen turns
+    # 5 away and passes 0 and infinity, and exact iteration keeps those two
     r = RationalMap(Polynomial([1, GaussianRational(0, Fraction(1, MODULAR_PRIME)), 0]),
                     Polynomial([1]))
-    assert r.coeffs_mod_prime is None
-    assert not _rejects(r, GaussianRational(5), 1)
+    assert _rejects(r, GaussianRational(5), 1)
+    assert not any(_rejects(r, GaussianRational(0), p) for p in (1, 2))
+    assert not any(_rejects(r, None, p) for p in (3, 1))
     assert [x.is_exact for x in _decided(r, GaussianRational(5), [1])] == [False]
     assert _decided(r, GaussianRational(0), [1, 2]) == [_point(GaussianRational(0))] * 2
     assert _decided(r, None, [3, 1]) == [INFINITY] * 2
@@ -176,20 +190,19 @@ def test_the_screen_and_the_solve_advance_the_same_rows():
 def test_the_screen_passes_exactly_the_candidates_that_verify(monkeypatch):
     """Worked maps and corpus maps 0-39, exact at the default config: 3543
     candidates, of which the screen passes 148, and each of those verifies."""
-    passed = []
-    screen = ratmap.dynamics._screen_passes
+    passed, decisions = [], []
+    screen, decide = ratmap.dynamics._screen_passes, ratmap.dynamics._exact_fixed_points
     monkeypatch.setattr(ratmap.dynamics, "_screen_passes",
                         lambda *args: passed.append(screen(*args)) or passed[-1])
+    monkeypatch.setattr(ratmap.dynamics, "_exact_fixed_points",
+                        lambda *args: decisions.append(decide(*args)) or decisions[-1])
     candidates = verified = 0
     for r in [parse_map(doc) for doc in WORKED_MAPS] + [_corpus_map(i, False) for i in range(40)]:
         periods = [p for p in range(1, DEFAULT_MAX_PERIOD + 1)
                    if r.degree**p + 1 <= DEFAULT_PERIOD_WORK_CAP]
-        rf = r.floating()
-        _floating_fixed_points(rf, periods)
-        found = {p: rf._fixed_point_cache[p][0] for p in periods
-                 if not isinstance(rf._fixed_point_cache[p], RootFindingFailedError)}
-        decided = _exact_fixed_points(r, found)
-        exact = [x.is_exact for p in sorted(found, reverse=True) for x in decided[p]]
+        _fixed_points(r, periods)
+        decided = decisions[-1]
+        exact = [x.is_exact for p in sorted(decided, reverse=True) for x in decided[p]]
         assert passed[-1].tolist() == exact
         candidates += len(exact)
         verified += sum(exact)

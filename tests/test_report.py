@@ -252,14 +252,20 @@ def test_each_critical_orbit_is_walked_once(monkeypatch):
     # (2 steps per run on corpus map 2).  Map 2 converges past the prefix, so
     # here the tail is stepped by the counted stepper too.
     # Points are told apart by (map, object): a module constant such as
-    # INFINITY is shared by every map and by its cycles.
+    # INFINITY is shared by every map and by its cycles.  The cycle search's
+    # exact check of each fixed-point candidate walks its own orbit, from
+    # INFINITY too, the critical point of a polynomial; it verifies cycles and
+    # reads no critical orbit, so its steps are not counted.
     stepped = Counter()
     parent = {}
     alive = []  # keeps every point seen alive, so ids stay unique
     crit = set()
+    checking = []  # non-empty inside the fixed-point candidates' check
 
     def counted_step(r, x):
         out = step(r, x)
+        if checking:
+            return out
         stepped[id(r), id(x)] += 1
         parent[id(r), id(out)] = (id(r), id(x))
         alive.extend((r, x, out))
@@ -275,6 +281,15 @@ def test_each_critical_orbit_is_walked_once(monkeypatch):
                              counted_step)
     find_critical = _patch_everywhere(monkeypatch, ratmap.dynamics, "critical_points",
                                       recorded_critical)
+
+    def flagged_check(*args):
+        checking.append(True)
+        try:
+            return check(*args)
+        finally:
+            checking.pop()
+
+    check = _patch_everywhere(monkeypatch, ratmap.dynamics, "_exact_fixed_points", flagged_check)
 
     for doc in WORKED_MAPS + DECIMAL_TWINS:
         run_analysis(parse_map(doc))

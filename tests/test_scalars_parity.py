@@ -1,10 +1,11 @@
 """Parity of the exact scalar kernel with a frozen reference copy.
 
 The reference class below carried a Gaussian rational as a pair of
-``fractions.Fraction``; ``ref_mod_prime`` and ``ref_height_bits`` read that
-pair.  The library now carries the integer triple (a + b i) / d in lowest
-terms.  On random operands, every operation, predicate and conversion must
-agree with == (and the hash, complex value and display text exactly), and
+``fractions.Fraction``; ``ref_height_bits`` reads that pair, and
+``ref_mod_prime_rows`` reduces rows of such pairs modulo the prime.  The
+library now carries the integer triple (a + b i) / d in lowest terms.  On
+random operands, every operation, predicate and conversion must agree with
+== (and the hash, complex value and display text exactly), and
 the integer ``limit_denominator`` walk must agree with
 ``Fraction.limit_denominator``, both the scalar walk and the int64 array walk
 of ``limit_ratios`` (through ``roots.snap_many``).
@@ -28,7 +29,7 @@ from ratmap.scalars import (
     GaussianRational,
     height_bits,
     limit_ratios,
-    mod_prime,
+    mod_prime_rows,
     scalar_str,
 )
 from ratmap.sphere import SpherePoint
@@ -145,13 +146,11 @@ class RefGaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-def ref_mod_prime(x: RefGaussianRational) -> int | None:
-    q = MODULAR_PRIME
-    den = x.re.denominator * x.im.denominator
-    if den % q == 0:
-        return None
-    num = x.re.numerator * x.im.denominator + x.im.numerator * x.re.denominator * MODULAR_I
-    return num * pow(den, -1, q) % q
+def ref_mod_prime_rows(rows) -> list:
+    """Each (re, im) pair of Fractions in rows times D, the lcm of all their
+    denominators, reduced as D re + D im MODULAR_I modulo MODULAR_PRIME."""
+    d = math.lcm(*(part.denominator for row in rows for pair in row for part in pair))
+    return [[int(re * d + im * d * MODULAR_I) % MODULAR_PRIME for re, im in row] for row in rows]
 
 
 def _ref_bits(fr) -> int:
@@ -192,7 +191,7 @@ def _part(rng: random.Random) -> Fraction:
     if kind == 5:
         return Fraction(sign * (rng.getrandbits(560) | 1 << 559), rng.getrandbits(530) | 1 << 529)
     if kind == 6:
-        # the modular image is undefined
+        # a denominator divisible by the prime
         return Fraction(sign * rng.randint(1, 9), MODULAR_PRIME * rng.randint(1, 3))
     return Fraction(rng.randint(-2**20, 2**20), 2 ** rng.randint(0, 30))
 
@@ -268,7 +267,6 @@ def _check_unary(x: GaussianRational, r: RefGaussianRational):
         assert hash(x) == hash(GaussianRational(r.re, r.im))
     assert scalar_str(x) == ref_scalar_str(r) == str(x)
     assert repr(x) == repr(r)
-    assert mod_prime(x) == ref_mod_prime(r)
     assert height_bits(x) == ref_height_bits(r)
     assert point_height_bits(SpherePoint.finite(x)) == ref_height_bits(r)
 
@@ -284,6 +282,14 @@ def test_the_integer_triple_matches_the_fraction_pair_reference():
             assert _outcome(lambda: op(x, y)) == _outcome(lambda: op(rx, ry))
             for other in rng.sample(_partners(rng), 3):
                 assert _outcome(lambda: op(x, other)) == _outcome(lambda: op(rx, other))
+
+
+def test_the_row_reduction_matches_the_fraction_reference():
+    rng = random.Random(20261020)
+    for _ in range(500):
+        rows = [[_operand(rng), _operand(rng)] for _ in range(rng.randint(1, 6))]
+        exact = [[GaussianRational(*pair) for pair in row] for row in rows]
+        assert mod_prime_rows(exact) == ref_mod_prime_rows(rows)
 
 
 def test_the_constructor_takes_ints_fractions_and_floats():

@@ -154,3 +154,37 @@ def test_the_check_finds_a_stale_export():
     exec("from math import pi\n__all__ = ['pi', 'helper', 'tau']\ndef helper():\n    pass\n",
          module.__dict__)
     assert stale_exports(module) == ["tau"]
+
+
+def scalar_internals(tree):
+    """(line, name) for each import of fractions and each read of a
+    GaussianRational triple attribute (_a, _b, _d) in the tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names
+                         if alias.name.partition(".")[0] == "fractions")
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            found.append((node.lineno, node.module))
+        elif isinstance(node, ast.Attribute) and node.attr in ("_a", "_b", "_d"):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "scalars.py"],
+                         ids=[p.name for p in SOURCES if p.name != "scalars.py"])
+def test_only_scalars_imports_fractions_or_reads_the_triple(path):
+    assert scalar_internals(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_check_finds_fractions_and_the_triple():
+    tree = ast.parse(
+        "import fractions as fr\n"
+        "from fractions import Fraction\n"
+        "from .scalars import GaussianRational\n"
+        "def f(x):\n"
+        "    return x._a + x._d, x.re, x._base\n"
+        "x._b = 1\n"
+    )
+    assert scalar_internals(tree) == [(1, "fractions"), (2, "fractions"), (5, "_a"),
+                                      (5, "_d"), (6, "_b")]
