@@ -18,11 +18,26 @@ evaluate steps inside a closure, which is given up past 4 points; the
 render iterates its pixel grid in floating arrays of its own.  Each
 orbit is walked once: orbit_fate's floating tail extends the walk of its
 exact prefix, and the fate keeps that walk for asymptotic_valency and the
-other readers.  On the prefix,
-orbit_fate screens each distinct point once against the cycle points: the
-point's own norm_pair against the columns of one normalized_pairs table
-(sphere.near_rows), with a margin above twice the tolerance, so no cycle
-point within the tolerance is dropped and only those it passes are tested.
+other readers.
+
+Each PeriodicCycle is its own capture model; tol is the map's tolerance,
+and each distance is a module constant.  lands: R^n(x) lands on
+a cycle point when n = 0 and the two coincide, or when both are exact,
+exactly when they are equal; else, unless the cycle holds a critical point
+(where convergence underflows to an exact hit), when they lie within
+tol * LANDING_RATIO and x is infinity or R^n(x + REVERIFY_OFFSET) lies
+within tol * REVERIFY_RATIO of the cycle.  orbit_fate asks it on the first
+64 steps, for each distinct point only about the cycle points that its
+norm_pair passes in the table of the cycles' normalized_pairs rows
+(sphere.near_rows), whose margin drops none within the tolerance.
+captured: a (super)attracting cycle captures the floating tail at its
+3 * period-th point in a row within CAPTURE_DISTANCE; a parabolic one,
+once the tail has run its whole budget, when at least 8 distances sampled
+every budget // 256 steps fall from the quarter to the half to the last,
+which is below PARABOLIC_COLLAR.  stop_distance: asymptotic_valency reads
+a converging orbit up to its first point within min(collar / 2,
+STOP_DISTANCE) of the cycle, the collar being the distance to the nearest
+critical point off it (2 when there is none).
 
 The cycles of period p come from the fixed points of R^p, found by Aberth
 on the orbit recursion in a fixed Möbius chart (never on an expanded
@@ -83,6 +98,7 @@ import cmath
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -124,6 +140,14 @@ DEFAULT_PERIOD_WORK_CAP = 200
 
 INFINITE = float("inf")
 
+# the capture model's distances, chordal or relative to the map's tolerance
+LANDING_RATIO = 1e-3  # a floating landing lies within tol * LANDING_RATIO
+REVERIFY_OFFSET = complex(1e-12, 1e-12)  # moves the start of a landing's re-run
+REVERIFY_RATIO = 1e4  # the re-run lands within tol * REVERIFY_RATIO
+CAPTURE_DISTANCE = 1e-8  # a (super)attracting cycle's hits in the tail
+PARABOLIC_COLLAR = 1e-2  # where a parabolic cycle's sampled trend must end
+STOP_DISTANCE = 1e-6  # asymptotic_valency's farthest stop
+
 # the roots of unity of Q(i), which holds no other, and their orders
 EXACT_ROOT_OF_UNITY_ORDERS = {GaussianRational(1): 1, GaussianRational(-1): 2,
                               GaussianRational(0, 1): 4, GaussianRational(0, -1): 4}
@@ -156,6 +180,55 @@ class PeriodicCycle:
 
     def contains(self, x: SpherePoint, tol: float) -> bool:
         return contains_point(self.points, x, tol)
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """The normalized_pairs rows of its points, for orbit_fate's screen."""
+        return normalized_pairs(self.points)
+
+    def distance(self, z: SpherePoint) -> float:
+        return min(z.chordal(pt) for pt in self.points)
+
+    def lands(self, walk: Orbit, n: int, cpt: SpherePoint) -> bool:
+        """Whether the orbit walk lands at step n on cpt, a point of the cycle."""
+        r, pt = walk.r, walk.point(n)
+        if n == 0 and coincide(pt, cpt, r.tolerance):
+            return True  # identity case: the queried point is a cycle point
+        if pt.is_exact and cpt.is_exact:
+            return pt == cpt
+        # floating leg: landings on critical cycles are not decidable
+        # (convergence underflows to an exact hit); report convergence
+        return (not self.contains_critical and pt.chordal(cpt) <= r.tolerance * LANDING_RATIO
+                and _reverify_landing(r, walk.points[0], self, n, r.tolerance))
+
+    def captured(self, walk: Orbit, first: int, n: int, ended: bool = False) -> bool:
+        """Whether the orbit walk, whose tail starts at point first, is captured
+        at its tail point n, or, when ended, once the tail has run to n."""
+        if self.classification in ("superattracting", "attracting"):
+            # the newest point first: most tail points are not hits
+            run = 3 * self.period
+            if ended or n - run + 1 < first or self.distance(walk.points[n]) >= CAPTURE_DISTANCE:
+                return False
+            return all(self.distance(walk.points[j]) < CAPTURE_DISTANCE
+                       for j in range(n - run + 1, n))
+        if not ended or self.classification != "rationally_indifferent":
+            return False
+        # parabolic attraction is slow; accept a decreasing trend into a small
+        # collar, sampled after the tail steps s with s % every == 0
+        every = max(1, n // 256)
+        sampled = range(first - 1, n)[(1 - first) % every::every]
+        if len(sampled) < 8:
+            return False
+        q1, q2, q3 = (self.distance(walk.points[sampled[i] + 1])
+                      for i in (len(sampled) // 4, len(sampled) // 2, -1))
+        return q3 < PARABOLIC_COLLAR and q3 < q2 < q1
+
+    def stop_distance(self, crit_pts, tol: float) -> float:
+        """min(collar / 2, STOP_DISTANCE), the collar being the distance to the
+        nearest critical point off the cycle, or the sphere's diameter 2."""
+        off_cycle = [p for p in crit_pts if not self.contains(p, tol)]
+        collar = min((self.distance(p) for p in off_cycle), default=2.0)
+        return min(collar / 2, STOP_DISTANCE)
 
     @property
     def has_basin(self) -> bool:
@@ -417,12 +490,13 @@ def _exact_fixed_points(r: RationalMap, found: dict) -> dict:
     infinity.  All candidates of all periods are decided together, rows by
     descending period: every finite one is snapped in one array pass
     (roots.snap_many), every snap is screened modulo the prime in one walk
-    (_screen_passes), and only the snaps that pass are built as Gaussian
-    rationals and walked p steps by Orbit.  A snap is verified when R^p of
-    it is exact and equal to it: past EXACT_HEIGHT_CAP_BITS the walk goes
-    on in floating point, where a verified fixed point, which comes back to
-    its own height, never goes.  The screen never rejects a fixed point, so
-    every verdict is that of the exact walk alone.
+    (_screen_passes), and each distinct snap that passes is built as a
+    Gaussian rational and walked by one Orbit, read at each of its periods
+    p.  A snap is verified when R^p of it is exact and equal to it: past
+    EXACT_HEIGHT_CAP_BITS the walk goes on in floating point, where a
+    verified fixed point, which comes back to its own height, never goes.
+    The screen never rejects a fixed point, so every verdict is that of the
+    exact walk alone.
     """
     periods = sorted(found, reverse=True)
     points = [x for p in periods for x in found[p]]
@@ -435,14 +509,14 @@ def _exact_fixed_points(r: RationalMap, found: dict) -> dict:
     ratios = snap_many(np.where(at_infinity, 0j, values))
     c1, c2 = mod_prime_pairs(*ratios)
     c1[at_infinity], c2[at_infinity] = 1, 0
-    exact = list(points)
+    exact, walks = list(points), {}
     for i in np.flatnonzero(_screen_passes(r, row_periods, c1, c2)).tolist():
         if at_infinity[i]:
             cand = INFINITY
         else:
             cand = SpherePoint.finite(GaussianRational.from_ratios(*(int(a[i]) for a in ratios)))
         try:
-            y = Orbit(r, cand).point(row_periods[i])
+            y = walks.setdefault(cand, Orbit(r, cand)).point(row_periods[i])
         except RatmapError:  # only a floating step can fail
             continue
         # a floating point can compare equal to an exact one
@@ -817,93 +891,61 @@ def _reverify_landing(r: RationalMap, x: SpherePoint, cyc, n: int, tol: float) -
     x = x.to_float()  # an exact point beyond float range becomes infinity
     if x.is_infinity:
         return True
-    rerun = Orbit(r, SpherePoint.finite(complex(x.z) + complex(1e-12, 1e-12)))
+    rerun = Orbit(r, SpherePoint.finite(complex(x.z) + REVERIFY_OFFSET))
     try:
-        return any(rerun.point(n).chordal(pt) <= 1e4 * tol for pt in cyc.points)
+        return any(rerun.point(n).chordal(pt) <= REVERIFY_RATIO * tol for pt in cyc.points)
     except RatmapError:
         return False
 
 
 def orbit_fate(r: RationalMap, x: SpherePoint, cycles,
                budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitFate:
-    """Fate of the forward orbit of x against the known cycles.
+    """Fate of the forward orbit of x against the known cycles, as their
+    capture models decide it.
 
-    Exact landings are searched on a short prefix (they are exact-arithmetic
-    facts for exact inputs, tolerance plus re-verification otherwise), after
-    which the same walk goes on in floating point, from the prefix's last
-    point, to detect convergence.  An unresolved fate keeps only the prefix
-    of its walk.
+    Landings are searched on a short prefix, after which the same walk goes
+    on in floating point, from the prefix's last point, to detect capture.
+    An unresolved fate keeps only the prefix of its walk.
     """
-    tol = r.tolerance
     walk = Orbit(r, x)
     members = [(cyc, cpt) for cyc in cycles for cpt in cyc.points]
-    table = normalized_pairs([cpt for _, cpt in members])
+    table = np.concatenate([c.pairs for c in cycles]) if cycles else np.empty((0, 2))
     # the screen reads only the point's pair, and an orbit that rests on a
     # point (infinity, say) repeats it at every step
     screened = {}
     for n in range(min(budget, 64) + 1):
         try:
-            pt = walk.point(n)
+            key = walk.point(n).norm_pair()
         except RatmapError:
             break
-        key = pt.norm_pair()
         if key not in screened:
-            screened[key] = near_rows(key, table, tol)
-        # only the screened members can pass the tests below, in the same order
+            screened[key] = near_rows(key, table, r.tolerance)
+        # only the screened members can land, tested in the same order
         for k in screened[key]:
             cyc, cpt = members[k]
-            if n == 0 and coincide(pt, cpt, tol):
-                # identity case: the queried point is a cycle point
-                return OrbitFate("preperiodic", cyc.cycle_id, 0, 0, walk=walk)
-            if pt.is_exact and cpt.is_exact:
-                if pt == cpt:
-                    return OrbitFate("preperiodic", cyc.cycle_id, n, n, walk=walk)
-                continue
-            # floating leg: landings on critical cycles are not decidable
-            # (convergence underflows to an exact hit); report convergence
-            if cyc.contains_critical:
-                continue
-            if pt.chordal(cpt) <= tol * 1e-3:
-                if _reverify_landing(r, x, cyc, n, tol):
-                    return OrbitFate("preperiodic", cyc.cycle_id, n, n, walk=walk)
+            if cyc.lands(walk, n, cpt):
+                return OrbitFate("preperiodic", cyc.cycle_id, n, n, walk=walk)
 
     # the tail steps in floating point from the prefix's last point: an
     # unresolved orbit may run the whole budget
     prefix = len(walk.points)
     targets = [c for c in cycles if c.has_basin]
-    hits = {c.cycle_id: 0 for c in targets}
-    dist_history = {c.cycle_id: [] for c in targets}
-    sample_every = max(1, budget // 256)
     end = budget if targets else prefix - 1
     if end >= prefix:
         walk.step_floating()
     for step in range(prefix - 1, end):
         try:
-            z = walk.point(step + 1)
+            walk.point(step + 1)
         except RatmapError:
             end = step
             break
         for cyc in targets:
-            d = min(z.chordal(pt) for pt in cyc.points)
-            if cyc.classification in ("superattracting", "attracting"):
-                if d < 1e-8:
-                    hits[cyc.cycle_id] += 1
-                    if hits[cyc.cycle_id] >= 3 * cyc.period:
-                        return OrbitFate("converges", cyc.cycle_id, steps_used=step + 1, walk=walk)
-                else:
-                    hits[cyc.cycle_id] = 0
-            elif step % sample_every == 0:
-                dist_history[cyc.cycle_id].append(d)
+            if cyc.captured(walk, prefix, step + 1):
+                return OrbitFate("converges", cyc.cycle_id, steps_used=step + 1, walk=walk)
     else:
-        # parabolic attraction is slow; accept a decreasing trend into a small collar
         for cyc in targets:
-            if cyc.classification != "rationally_indifferent":
-                continue
-            h = dist_history[cyc.cycle_id]
-            if len(h) >= 8:
-                q1, q2, q3 = h[len(h) // 4], h[len(h) // 2], h[-1]
-                if q3 < 1e-2 and q3 < q2 < q1:
-                    return OrbitFate("converges", cyc.cycle_id, steps_used=budget, walk=walk)
+            if cyc.captured(walk, prefix, budget, ended=True):
+                return OrbitFate("converges", cyc.cycle_id, steps_used=budget, walk=walk)
     walk.truncate(prefix)  # no reader looks past the prefix of an unresolved walk
     return OrbitFate("unresolved", steps_used=end, walk=walk)
 
@@ -912,7 +954,8 @@ def asymptotic_valency(r: RationalMap, fate: OrbitFate, *, cycles, crit_points):
     """lim val(R^k, x) for the x whose fate this is, read along fate.walk.
 
     Finite unless the orbit lands exactly on a cycle containing a critical
-    point, in which case it is INFINITE.
+    point, in which case it is INFINITE.  A converging orbit is read up to
+    its first step within its cycle's stop_distance.
     """
     tol = r.tolerance
     crit_pts = [c.point for c in crit_points]
@@ -925,24 +968,19 @@ def asymptotic_valency(r: RationalMap, fate: OrbitFate, *, cycles, crit_points):
 
     if fate.kind == "converges":
         cyc = cycles[fate.cycle_id]
-        off_cycle = [p for p in crit_pts if not cyc.contains(p, tol)]
-        collar = min(
-            (min(p.chordal(cp) for cp in cyc.points) for p in off_cycle),
-            default=2.0,
-        )
-        stop_dist = min(collar / 2, 1e-6)
+        stop = cyc.stop_distance(crit_pts, tol)
         k = fate.steps_used
         for step in range(fate.steps_used):
             current = walk.points[step]
             # an exact hit has chordal distance 0.0 too
             if contains_point(crit_pts, current, tol) and not any(
-                    current.chordal(p) == 0.0 for p in crit_pts):
+                    current.chordal(p) == 0 for p in crit_pts):
                 raise AsymptoticValencyUndeterminedError(
                     "orbit approaches a critical point within tolerance "
                     "without an exact hit",
                     step=step,
                 )
-            if min(walk.point(step + 1).chordal(pt) for pt in cyc.points) < stop_dist:
+            if cyc.distance(walk.point(step + 1)) < stop:
                 k = step + 1
                 break
         return walk.valency(k)

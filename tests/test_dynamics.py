@@ -8,8 +8,14 @@ import pytest
 
 import ratmap.dynamics
 from ratmap.dynamics import (
+    CAPTURE_DISTANCE,
     DEFAULT_ORBIT_BUDGET,
     INFINITE,
+    LANDING_RATIO,
+    PARABOLIC_COLLAR,
+    REVERIFY_OFFSET,
+    REVERIFY_RATIO,
+    STOP_DISTANCE,
     Orbit,
     PeriodicCycle,
     _classify,
@@ -247,6 +253,164 @@ def test_the_fate_tail_takes_no_exact_step_past_the_prefix(monkeypatch):
     # the walk keeps its exact prefix; a reader past it walks exactly again
     assert len(fate.walk.points) == 65 and fate.walk.points[-1] == SpherePoint.finite(0)
     assert fate.walk.point(65).is_exact and fate.walk.point(65) == SpherePoint.finite(-1)
+
+
+# The capture model of PeriodicCycle on fake cycles of z^2, at the default tolerance 1e-9.
+# Each case is checked to lie on the intended side of the constant it tests.
+
+
+def _fake_cycle(points, classification="repelling", critical=False, cycle_id=0):
+    pts = tuple(SpherePoint.finite(z) for z in points)
+    return PeriodicCycle(len(pts), pts, GaussianRational(2), classification, critical,
+                         cycle_id=cycle_id)
+
+
+def _walk(r, points):
+    """An Orbit whose points are the given ones, not R's: the model only reads them."""
+    walk = Orbit(r, SpherePoint.finite(points[0]))
+    walk.points = [SpherePoint.finite(z) for z in points]
+    return walk
+
+
+@pytest.mark.parametrize("ratio, lands", [(0.5, True), (2.0, False)])
+def test_a_floating_point_lands_within_the_landing_ratio_of_the_tolerance(ratio, lands):
+    r = zsq().floating()
+    tol = r.tolerance
+    walk = Orbit(r, SpherePoint.finite(2.0 + 0j))  # 2 -> 4 -> 16
+    pt = walk.point(1)
+    # chordal distance from 4 to 4 + delta i is about 2 delta / 17
+    cpt = SpherePoint.finite(4.0 + ratio * tol * LANDING_RATIO * 8.5j)
+    assert (pt.chordal(cpt) <= tol * LANDING_RATIO) == lands
+    assert _fake_cycle([cpt.z]).lands(walk, 1, cpt) == lands
+    # on a cycle that holds a critical point, no floating landing is taken
+    assert not _fake_cycle([cpt.z], critical=True).lands(walk, 1, cpt)
+
+
+@pytest.mark.parametrize("n, lands", [(20, True), (26, False)])
+def test_a_floating_landing_stands_when_its_rerun_lands_within_the_reverify_ratio(n, lands):
+    # on the unit circle z^2 doubles the perturbed start's distance at every step
+    r = zsq().floating()
+    x = SpherePoint.finite(cmath.exp(0.3j))
+    walk = Orbit(r, x)
+    cpt = walk.point(n)
+    rerun = Orbit(r, SpherePoint.finite(complex(x.z) + REVERIFY_OFFSET)).point(n)
+    assert (rerun.chordal(cpt) <= REVERIFY_RATIO * r.tolerance) == lands
+    assert _fake_cycle([cpt.z]).lands(walk, n, cpt) == lands
+
+
+def test_exact_points_land_only_on_an_equal_point_and_any_point_at_step_zero():
+    r = zsq()
+    near = SpherePoint.finite(GaussianRational(1 + Fraction(1, 10**30)))
+    walk = Orbit(r, SpherePoint.finite(1))
+    cycle = _fake_cycle([near.z])
+    assert not cycle.lands(walk, 1, near)
+    assert cycle.lands(walk, 1, SpherePoint.finite(1))
+    # at step 0 a floating point lands on a point it coincides with at the tolerance
+    start = Orbit(r.floating(), SpherePoint.finite(1.0 + 0j))
+    for ratio, lands in [(0.9, True), (1.5, False)]:
+        cpt = SpherePoint.finite(1.0 + ratio * r.tolerance * 1j)
+        assert _fake_cycle([cpt.z]).lands(start, 0, cpt) == lands
+
+
+def _counted_run(distances, first, period):
+    """The first tail point n at which a run of 3 period points within
+    CAPTURE_DISTANCE ends, counted step by step as orbit_fate once did."""
+    hits = 0
+    for n in range(first, len(distances)):
+        hits = hits + 1 if distances[n] < CAPTURE_DISTANCE else 0
+        if hits >= 3 * period:
+            return n
+    return None
+
+
+# (pattern of hits h and misses m from point 1 on, the tail's first point, the
+# capture point) as functions of the run length k = 3 period
+RUNS = {
+    "a-whole-run": (lambda k: "h" * k, 1, lambda k: k),
+    "a-run-broken-short-then-restarted": (lambda k: "m" + "h" * (k - 1) + "m" + "h" * k, 1,
+                                          lambda k: 2 * k + 1),
+    "hits-before-the-tail-do-not-count": (lambda k: "h" * (k + 5), 4, lambda k: k + 3),
+    "alternating": (lambda k: "mh" * k, 1, lambda k: None),
+    "misses": (lambda k: "m" * k, 1, lambda k: None),
+}
+
+
+@pytest.mark.parametrize("period", [1, 2])
+@pytest.mark.parametrize("name", RUNS)
+def test_an_attracting_cycle_captures_at_the_end_of_a_run_within_the_capture_distance(
+        name, period):
+    # a hit lies about 0.8 CAPTURE_DISTANCE from the cycle point 0, and a miss about 1.2
+    pattern, first, capture_at = RUNS[name]
+    k = 3 * period
+    cycle = _fake_cycle([0j, 10.0 + 0j][:period], "attracting")
+    offset = {"h": 0.4 * CAPTURE_DISTANCE, "m": 0.6 * CAPTURE_DISTANCE}
+    walk = _walk(zsq().floating(), [0.5 + 0j] + [offset[c] + 0j for c in pattern(k)])
+    distances = [cycle.distance(p) for p in walk.points]
+    assert [d < CAPTURE_DISTANCE for d in distances[1:]] == [c == "h" for c in pattern(k)]
+    got = [n for n in range(first, len(walk.points)) if cycle.captured(walk, first, n)]
+    assert got[:1] == ([] if capture_at(k) is None else [capture_at(k)])
+    assert _counted_run(distances, first, period) == capture_at(k)
+    assert not cycle.captured(walk, first, len(walk.points) - 1, ended=True)
+
+
+def _sampled_trend(distances, first, budget):
+    """The parabolic trend read as orbit_fate once read it: each sampled
+    distance appended step by step, the quartiles read at the end."""
+    every = max(1, budget // 256)
+    h = [distances[step + 1] for step in range(first - 1, budget) if step % every == 0]
+    if len(h) < 8:
+        return False
+    q1, q2, q3 = h[len(h) // 4], h[len(h) // 2], h[-1]
+    return q3 < PARABOLIC_COLLAR and q3 < q2 < q1
+
+
+@pytest.mark.parametrize("scale, decreasing, captured", [
+    (0.4, True, True),  # falls to about 0.8 PARABOLIC_COLLAR
+    (0.6, True, False),  # falls to about 1.2 PARABOLIC_COLLAR
+    (0.4, False, False),  # rises
+])
+@pytest.mark.parametrize("first, budget", [(65, 1000), (65, 10_000), (1, 9), (2, 9), (3, 9)])
+def test_a_parabolic_cycle_captures_a_tail_whose_sampled_trend_ends_in_its_collar(
+        scale, decreasing, captured, first, budget):
+    # distances of about 2 scale PARABOLIC_COLLAR s from the cycle point 0, s from 2 to 1 or back
+    cycle = _fake_cycle([0j], "rationally_indifferent")
+    sizes = [1 + ((budget - j) if decreasing else j) / budget for j in range(budget + 1)]
+    walk = _walk(zsq().floating(), [scale * PARABOLIC_COLLAR * s + 0j for s in sizes])
+    distances = [cycle.distance(p) for p in walk.points]
+    # the trend is read only once the tail has run to its end
+    assert not any(cycle.captured(walk, first, n) for n in range(first, budget + 1))
+    expected = _sampled_trend(distances, first, budget)
+    assert cycle.captured(walk, first, budget, ended=True) == expected
+    # from the first point 3, a budget of 9 leaves 7 samples, one short of a trend
+    assert expected == (captured and (first, budget) != (3, 9))
+
+
+@pytest.mark.parametrize("offset, stop", [(0.4 * STOP_DISTANCE, 0.4 * STOP_DISTANCE),
+                                          (4 * STOP_DISTANCE, STOP_DISTANCE)])
+def test_the_stop_distance_is_half_the_collar_up_to_the_stop_distance(offset, stop):
+    # a critical point at offset lies about 2 offset from the cycle point 0,
+    # and the critical point 5 lies on the cycle
+    cycle = _fake_cycle([0j, 5.0 + 0j], "attracting")
+    crit = [SpherePoint.finite(offset + 0j), SpherePoint.finite(5.0 + 0j)]
+    tol = zsq().tolerance
+    assert cycle.stop_distance(crit, tol) == pytest.approx(stop, rel=1e-6)
+    # a cycle with no critical point off it has the whole sphere, of diameter 2, as its collar
+    assert cycle.stop_distance(crit[1:], tol) == STOP_DISTANCE
+
+
+def test_each_exact_fixed_point_candidate_is_walked_once_for_all_its_periods(monkeypatch):
+    # z^2 - 2 at max_period 4: the exact fixed points -1, 2 and infinity are
+    # candidates of every period; one walk of each serves all four, and it
+    # steps a fixed point once
+    steps = []
+
+    def counted(r, x, _step=ratmap.dynamics._step_with_height_guard):
+        steps.append(str(x))
+        return _step(r, x)
+
+    monkeypatch.setattr(ratmap.dynamics, "_step_with_height_guard", counted)
+    periodic_cycles(cheb(), 4)
+    assert sorted(steps) == ["-1", "2", "inf"]
 
 
 @pytest.mark.parametrize("start", [GaussianRational(0), 0.25 + 0j, GaussianRational(3)])

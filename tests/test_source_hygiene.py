@@ -188,3 +188,38 @@ def test_the_check_finds_fractions_and_the_triple():
     )
     assert scalar_internals(tree) == [(1, "fractions"), (2, "fractions"), (5, "_a"),
                                       (5, "_d"), (6, "_b")]
+
+
+def float_literals(tree, names):
+    """(line, function, value) for each float or complex literal in the
+    functions of the tree named in names, nested code included."""
+    found = []
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and func.name in names:
+            found.extend((node.lineno, func.name, node.value) for node in ast.walk(func)
+                         if isinstance(node, ast.Constant)
+                         and isinstance(node.value, (float, complex)))
+    return sorted(found)
+
+
+def test_the_orbit_decisions_read_every_distance_from_the_capture_model():
+    # orbit_fate and asymptotic_valency leave each landing, capture and stop
+    # distance to PeriodicCycle's capture model, whose constants are the module's
+    path = next(p for p in SOURCES if p.name == "dynamics.py")
+    tree = ast.parse(path.read_text(), str(path))
+    names = {"orbit_fate", "asymptotic_valency"}
+    assert names <= {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}
+    assert float_literals(tree, names) == []
+
+
+def test_the_check_finds_a_float_literal():
+    tree = ast.parse(
+        "def orbit_fate(x):\n"
+        "    def near(y):\n"
+        "        return y < -1e-8\n"
+        "    return near(x) or x == 2 or x.imag == 3j\n"
+        "def other(x):\n"
+        "    return x < 0.5\n"
+    )
+    assert float_literals(tree, {"orbit_fate"}) == [(3, "orbit_fate", 1e-8),
+                                                    (4, "orbit_fate", 3j)]
