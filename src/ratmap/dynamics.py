@@ -8,17 +8,16 @@ an orbit, asymptotic valency included, through Orbit.valency alone, which
 looks up each block of newly walked points in one call.  Cycles are
 classified only in periodic_cycles, the one caller of make_cycle.
 
-Orbit steps the forward orbits of the analysis under one height guard: an
+Orbit steps every forward orbit of the analysis under one height guard: an
 exact orbit steps exactly until a coordinate passes EXACT_HEIGHT_CAP_BITS
 (512) bits, then in floating point.  Those walks are orbit_fate's and its
 perturbed re-run, the exact check of each fixed-point candidate that passes
-the modular screen, and restricted's RO witnesses and invariance search.
-The one other forward stepping, restricted._closure_walk's, takes single
-evaluate steps inside a closure, which is given up past 4 points; the
-render iterates its pixel grid in floating arrays of its own.  Each
-orbit is walked once: orbit_fate's floating tail extends the walk of its
-exact prefix, and the fate keeps that walk for asymptotic_valency and the
-other readers.
+the modular screen, and restricted's RO witnesses and invariance search;
+restricted's closures read their forward images off the cycles' points and
+the critical fates' walks.  Only the render steps otherwise: it iterates its
+pixel grid in floating arrays of its own.  Each orbit is walked once:
+orbit_fate's floating tail extends the walk of its exact prefix, and the
+fate keeps that walk for asymptotic_valency and the other readers.
 
 Each PeriodicCycle is its own capture model; tol is the map's tolerance,
 and each distance is a module constant.  lands: R^n(x) lands on
@@ -98,7 +97,6 @@ import cmath
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -180,11 +178,6 @@ class PeriodicCycle:
 
     def contains(self, x: SpherePoint, tol: float) -> bool:
         return contains_point(self.points, x, tol)
-
-    @cached_property
-    def pairs(self) -> np.ndarray:
-        """The normalized_pairs rows of its points, for orbit_fate's screen."""
-        return normalized_pairs(self.points)
 
     def distance(self, z: SpherePoint) -> float:
         return min(z.chordal(pt) for pt in self.points)
@@ -909,7 +902,7 @@ def orbit_fate(r: RationalMap, x: SpherePoint, cycles,
     """
     walk = Orbit(r, x)
     members = [(cyc, cpt) for cyc in cycles for cpt in cyc.points]
-    table = np.concatenate([c.pairs for c in cycles]) if cycles else np.empty((0, 2))
+    table = normalized_pairs([cpt for _, cpt in members])
     # the screen reads only the point's pair, and an orbit that rests on a
     # point (infinity, say) repeats it at every step
     screened = {}

@@ -83,16 +83,13 @@ def primitive_catalog(atlas, decomposition, exposed_scan, cycles,
     """All primitive ideals of the analyzed map's algebra, by co-support."""
     entries = []
 
-    julia_exposed = [o for o in exposed_scan.orbits if o.in_julia]
-    julia_simple = not julia_exposed
-    julia_quotient = decomposition.julia if decomposition.julia is not None else (
-        NamedUnknown("C*_r(J_R)")
-    )
+    # simple when the Julia extension collapsed: no orbit in J_R, none undetermined
+    julia = decomposition.julia
     entries.append(PrimitiveIdealEntry(
         co_support={"kind": "julia"},
         parametrization={"kind": "point"},
-        quotient=julia_quotient,
-        simple=julia_simple,
+        quotient=julia if julia is not None else NamedUnknown("C*_r(J_R)"),
+        simple=julia is not None and julia.collapsed,
         label="kernel of the Julia quotient map",
     ))
 

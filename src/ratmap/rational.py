@@ -55,7 +55,7 @@ from .errors import (
 )
 from .poly import Polynomial, horner, vanishing_order_exact
 from .roots import find_roots, find_roots_many
-from .scalars import GaussianRational, height_bits, is_exact, scalar_is_zero, to_complex
+from .scalars import GaussianRational, height_bits, is_exact, scalar_is_zero
 from .sphere import INFINITY, SpherePoint, chordal_matrix, coincide, normalized_pairs
 
 DEFAULT_TOLERANCE = 1e-9
@@ -250,7 +250,7 @@ class RationalMap:
         if is_exact(yv) and self.is_exact:
             return self.p - self.q * yv
         fl = self.floating()
-        yc = to_complex(yv)
+        yc = complex(yv)
         a = fl.p - fl.q * yc
         n = len(a.coeffs)
         scales = [abs(pk) + abs(yc) * abs(qk) for pk, qk in fl.homogeneous[-n:]]

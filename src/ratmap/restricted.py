@@ -40,12 +40,13 @@ Each closure is budgeted by simple preimages.  A point a has
 s(a) = d - sum(val(c) for critical c with R(c) = a) simple preimages, and
 the simple preimages of distinct members of a closure E are distinct
 members of E, so sum(s(a) for a in E) <= |E|.  The closure is given up as
-soon as that sum over the members found so far passes 4.  Forward images
-are taken before any preimage is solved, so a seed whose forward orbit
-passes the budget costs no solve: on a degree-2 map, every point of a
-critical-free cycle of period 3 or more.  The count taken is a lower
-bound: a critical value within DEFAULT_CLUSTER_RADIUS of a counts as over
-a, and so does one whose evaluation failed.
+soon as that sum over the members found so far passes 4.  A seed's
+forward orbit, read off its cycle or its critical point's walk, is taken
+before any preimage is solved, so a seed whose forward orbit passes the
+budget costs no solve: on a degree-2 map, every point of a critical-free
+cycle of period 3 or more.  The count taken is a lower bound: a critical
+value within DEFAULT_CLUSTER_RADIUS of a counts as over a, and so does
+one whose evaluation failed.
 
 The preimages are solved in batches (RationalMap.preimages_many, one
 find_roots_many call each), which give every root the bits of its lone
@@ -59,6 +60,7 @@ walks it node by node as before.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 from .dynamics import Orbit
 from .errors import JuliaMembershipUndeterminedError, RatmapError
@@ -165,9 +167,10 @@ def _simple_preimage_count(r: RationalMap, a: SpherePoint) -> int:
     return max(0, r.degree - near)
 
 
-def _closure_walk(r: RationalMap, seed: SpherePoint, crit_pts):
-    """The closure of the seed, as a generator that yields each member before
-    it reads the member's preimages; it returns the closure or None.
+def _closure_walk(r: RationalMap, orbit, crit_pts):
+    """The closure of the seed that starts orbit, its forward orbit, as a
+    generator that yields each member before it reads the member's
+    preimages; it returns the closure or None.
 
     The closure is the minimal superset of the seed closed under forward
     images at non-critical members and non-critical preimages of all members.
@@ -177,9 +180,11 @@ def _closure_walk(r: RationalMap, seed: SpherePoint, crit_pts):
     members' simple-preimage counts sum to at most the closure's size: the
     seed is ruled out once that sum over the members found so far passes
     EXPOSED_BOUND.  The set and its None do not depend on the order in which
-    members are processed, so each member's forward images, one evaluation
-    each, are taken as it is added, before any further preimage is solved: a
-    seed whose forward orbit passes the budget yields nothing.  A closure in
+    members are processed, so orbit is read to its first member or critical
+    point before any preimage is solved: a seed whose forward orbit passes
+    the budget yields nothing.  orbit may end where its next point is a
+    member, a cycle at its last point and a critical seed at the seed, and a
+    simple preimage's image is the member it was solved from.  A closure in
     which a non-critical member is not among the simple preimages solved is
     given up too: a floating solve merged it with a sibling, which is missing.
     """
@@ -187,23 +192,24 @@ def _closure_walk(r: RationalMap, seed: SpherePoint, crit_pts):
     pts = []
     simple = 0
 
-    def ruled_out(p):
-        """Add p and its forward images; True once they rule the seed out."""
+    def ruled_out(points):
+        """Add the points up to the first member or critical point; True
+        once they rule the seed out."""
         nonlocal simple
-        while True:
+        for p in points:
+            if contains_point(pts, p, tol):
+                return False
             pts.append(p)
             simple += _simple_preimage_count(r, p)
             if len(pts) > EXPOSED_BOUND or simple > EXPOSED_BOUND:
                 return True
             if contains_point(crit_pts, p, tol):
                 return False
-            p = r.evaluate(p)
-            if contains_point(pts, p, tol):
-                return False
+        return False
 
     simple_pres = []
     try:
-        if ruled_out(seed):
+        if ruled_out(orbit):
             return None
         for a in pts:  # pts grows as it is walked
             yield a
@@ -211,7 +217,7 @@ def _closure_walk(r: RationalMap, seed: SpherePoint, crit_pts):
                 if mult != 1:
                     continue  # a critical preimage is not forced into the set
                 simple_pres.append(pre)
-                if not contains_point(pts, pre, tol) and ruled_out(pre):
+                if ruled_out((pre,)):
                     return None
     except RatmapError:
         return None
@@ -224,15 +230,16 @@ def _closure_walk(r: RationalMap, seed: SpherePoint, crit_pts):
     return pts
 
 
-def _closures(r: RationalMap, seeds, crit_pts) -> list:
-    """The closure of each seed (see _closure_walk), or None, in rounds.
+def _closures(r: RationalMap, orbits, crit_pts) -> list:
+    """The closure of the seed of each forward orbit (see _closure_walk), or
+    None, in rounds.
 
-    Every walk first takes its seed's forward images.  Each round then
+    Every walk first reads its seed's forward orbit.  Each round then
     solves, in one preimages_many call, the members that the live walks
     yield next, and steps each of those walks on to its next member.  Each
     walk yields the members it would solve alone, in the same order.
     """
-    walks = [_closure_walk(r, seed, crit_pts) for seed in seeds]
+    walks = [_closure_walk(r, orbit, crit_pts) for orbit in orbits]
     closures = [None] * len(walks)
     asked = {}  # index of a live walk -> the member whose preimages it reads next
 
@@ -361,26 +368,30 @@ def exposed_orbits(r: RationalMap, cycles, fates,
     tol = r.tolerance
     crit_pts = list(fates)
 
-    # each seed with the critical-free cycle it lies on, or None
-    pool = [(p, None) for p in crit_pts]
+    # each seed with its forward orbit and the critical-free cycle it lies on,
+    # or None; a cycle lists its points in orbit order (make_cycle)
+    pool = [(p, (p,), None) for p in crit_pts]
     for cyc in cycles:
         if cyc.period <= max_seed_period:
-            pool.extend((a, None if cyc.contains_critical else cyc) for a in cyc.points)
+            pts = cyc.points
+            pool.extend((a, pts[i:] + pts[:i], None if cyc.contains_critical else cyc)
+                        for i, a in enumerate(pts))
     for c in crit_pts:
         fate = fates[c].fate
         if fate.kind == "preperiodic" and fate.step <= CRITICAL_ORBIT_SEED_STEPS:
-            pool.extend((p, None) for p in fate.walk.points[:fate.step])
-    pool = [pool[i] for i in dedup_indices([p for p, _ in pool], tol)]
+            pool.extend((p, map(fate.walk.point, count(k)), None)
+                        for k, p in enumerate(fate.walk.points[:fate.step]))
+    pool = [pool[i] for i in dedup_indices([p for p, _, _ in pool], tol)]
 
     seeds = []
     closed = set()  # ids of the critical-free cycles already seeded
-    for seed, cyc in pool:
+    for _, orbit, cyc in pool:
         if cyc is not None:
             # every point of a critical-free cycle has the same closure
             if id(cyc) in closed:
                 continue
             closed.add(id(cyc))
-        seeds.append(seed)
+        seeds.append(orbit)
     candidates = []
     for closure in _closures(r, seeds, crit_pts):
         if closure is None:
@@ -495,12 +506,12 @@ def exposed_orbits(r: RationalMap, cycles, fates,
         })
         # keep smallest orbits until the global bound holds
         kept = []
-        count = 0
+        size = 0
         for o in minimal:
-            if count + o.size > EXPOSED_BOUND:
+            if size + o.size > EXPOSED_BOUND:
                 break
             kept.append(o)
-            count += o.size
+            size += o.size
         minimal = kept
         union = dedup_points([p for o in minimal for p in o.points], tol)
 

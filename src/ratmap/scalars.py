@@ -410,10 +410,6 @@ def as_scalar(value):
     raise InputFormatError(f"cannot interpret {value!r} as a complex scalar")
 
 
-def to_complex(value) -> complex:
-    return complex(value)
-
-
 def scalar_is_zero(value, tol=0.0, scale=1.0) -> bool:
     if isinstance(value, GaussianRational):
         return value.is_zero()

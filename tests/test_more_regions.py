@@ -103,6 +103,10 @@ def test_an_undeclared_ambiguous_fixed_point_blocks_the_julia_quotient():
     assert zero["in_julia"] is None
     assert any(w["code"] == "julia-membership-undetermined" for w in d["warnings"])
     assert "obstruction" in d["algebra"]["julia"]
+    # the catalog reads the blocked quotient as not known to be simple
+    julia = d["primitive_ideals"]["entries"][0]
+    assert julia["co_support"] == {"kind": "julia"} and julia["simple"] is False
+    assert "C*_r(J_R)" not in d["primitive_ideals"]["simple_quotients"]
 
 
 def test_parabolic_case_iv_diagram():

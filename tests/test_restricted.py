@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import count, tee
 
 import pytest
 
@@ -33,10 +35,15 @@ from ratmap.restricted import (
     ro_related,
 )
 from ratmap.scalars import GaussianRational
-from ratmap.sphere import INFINITY, SpherePoint, coincide, contains_point
+from ratmap.sphere import INFINITY, SpherePoint, coincide, contains_point, point_sort_key
 
 from .test_pipeline_corpus import SPARSE_QUINTIC, _sparse_map
 from .test_report import DECIMAL_TWINS, WORKED_MAPS, _corpus_map, _decimal_twin
+
+
+def _forward(r, x):
+    """The forward orbit of x, seed first, walked as far as it is read."""
+    return map(Orbit(r, x).point, count())
 
 
 def cheb():
@@ -215,10 +222,58 @@ def test_a_member_whose_sibling_preimage_merged_into_it_gives_no_type_1_set(doc)
     eps = cycles[0].points[0]
     assert eps.chordal(SpherePoint.finite(1e-8)) < 1e-20
     assert [(str(pre), mult) for pre, mult in r.preimages(eps)] == [("0.0", 2)]
-    assert _closures(r, [eps], list(fates)) == [None]
+    assert _closures(r, [_forward(r, eps)], list(fates)) == [None]
     scan = exposed_orbits(r, cycles, fates)
     assert [o.points for o in scan.orbits] == [(INFINITY,)]
     assert scan.undecided == []
+
+
+def _scan_of_closures(r, closures, monkeypatch):
+    """exposed_orbits of r over its cycles up to period 2, with closures as the seeds' closures."""
+    cycles, _, _ = periodic_cycles(r, 2)
+    fates = critical_fates(r, cycles, DEFAULT_ORBIT_BUDGET)
+    monkeypatch.setattr(ratmap.restricted, "_closures", lambda r, orbits, crit_pts: closures)
+    return exposed_orbits(r, cycles, fates)
+
+
+def _bound_violations(scan):
+    return [(w["message"], w.get("points")) for w in scan.warnings
+            if w["code"] == "exposed-bound-violation"]
+
+
+def test_a_candidate_with_a_critical_point_past_three_points_is_discarded(monkeypatch):
+    # the critical points of (z - 2)^2 / z^2 are 0 and 2
+    r = rees_shape()
+    pts = [SpherePoint.finite(GaussianRational(x)) for x in (0, 2, 5, 7)]
+    scan = _scan_of_closures(r, [pts], monkeypatch)
+    assert _bound_violations(scan) == [
+        ("candidate set exceeds the size bound; discarded", ["0", "2", "5", "7"])]
+    assert scan.orbits == [] and scan.undecided == []
+
+
+@pytest.mark.parametrize("values", [(1, 3, 5), (0, 5)])
+def test_a_polynomial_candidate_past_the_finite_plane_bound_is_discarded(values, monkeypatch):
+    # z^2 - 2: three finite points, or two with the critical point 0
+    r = cheb()
+    pts = [SpherePoint.finite(GaussianRational(x)) for x in values]
+    scan = _scan_of_closures(r, [pts], monkeypatch)
+    assert _bound_violations(scan) == [
+        ("polynomial finite-plane bound violated; discarded", [str(x) for x in values])]
+    assert scan.orbits == [] and scan.undecided == []
+
+
+def test_minimal_orbits_past_four_points_are_truncated_to_the_smallest(monkeypatch):
+    # the three fixed points and the 2-cycle of (z - 2)^2 / z^2, each a type-1 set
+    r = rees_shape()
+    cycles, _, _ = periodic_cycles(r, 2)
+    closures = [sorted(cyc.points, key=point_sort_key) for cyc in cycles]
+    assert [len(c) for c in closures] == [1, 1, 1, 2]
+    scan = _scan_of_closures(r, closures[::-1], monkeypatch)
+    assert _bound_violations(scan) == [
+        ("total exposed points exceed 4; output truncated to smallest orbits", None)]
+    assert [o.points for o in scan.orbits] == [tuple(c) for c in closures[:3]]
+    assert all(o.orbit_type == 1 and o.in_julia is True for o in scan.orbits)
+    assert scan.union == [c[0] for c in closures[:3]]
 
 
 def test_a_type_1_set_holding_no_known_cycle_is_undecided():
@@ -269,7 +324,9 @@ def test_every_point_of_a_critical_free_cycle_has_one_closure(source, index, twi
     free = [c for c in cycles if not any(contains_point(crit_pts, a, tol) for a in c.points)]
     assert free
     for cyc in free:
-        first, *rest = _closures(r, list(cyc.points), crit_pts)
+        pts = cyc.points
+        first, *rest = _closures(r, [pts[i:] + pts[:i] for i in range(len(pts))],
+                                 crit_pts)
         if first is None:
             assert rest == [None] * len(rest)
         else:
@@ -424,8 +481,9 @@ def test_pruned_closures_and_linear_dedup_match_the_old_rules(source, index, twi
 
     def compared_closures(r, seeds, crit_pts):
         tol = r.tolerance
-        got = closures(r, seeds, crit_pts)
-        for seed, pts in zip(seeds, got, strict=True):
+        orbits = [tee(orbit) for orbit in seeds]
+        got = closures(r, [orbit for orbit, _ in orbits], crit_pts)
+        for seed, pts in zip([next(copy) for _, copy in orbits], got, strict=True):
             old = _unbudgeted_closure(r, seed, crit_pts, tol)
             assert (pts is None) == (old is None) and (pts is None or _same_set(pts, old, tol))
             compared.append(pts)
@@ -450,10 +508,10 @@ def test_a_seed_that_is_no_critical_value_of_a_quintic_costs_no_solve(monkeypatc
     calls = []
     solve = ratmap.roots._roots_numeric
     monkeypatch.setattr(ratmap.roots, "_roots_numeric", lambda *a: calls.append(a) or solve(*a))
-    assert _closures(r, [SpherePoint.finite(7)], crit_pts) == [None]
+    assert _closures(r, [_forward(r, SpherePoint.finite(7))], crit_pts) == [None]
     assert calls == []
     # the critical value infinity, of valency 5, keeps its one-point closure
-    assert _closures(r, [INFINITY], crit_pts) == [[INFINITY]]
+    assert _closures(r, [_forward(r, INFINITY)], crit_pts) == [[INFINITY]]
 
 
 def test_a_period_3_point_of_a_quadratic_costs_no_solve(monkeypatch):
@@ -465,7 +523,7 @@ def test_a_period_3_point_of_a_quadratic_costs_no_solve(monkeypatch):
     calls = []
     solve = ratmap.roots._roots_numeric
     monkeypatch.setattr(ratmap.roots, "_roots_numeric", lambda *a: calls.append(a) or solve(*a))
-    assert _closures(r, [SpherePoint.finite(2.0 * math.cos(2.0 * math.pi / 7.0))],
+    assert _closures(r, [_forward(r, SpherePoint.finite(2.0 * math.cos(2.0 * math.pi / 7.0)))],
                      crit_pts) == [None]
     assert calls == []
 
@@ -481,6 +539,37 @@ def test_uncached_preimage_solves_over_ten_corpus_maps(twin, monkeypatch):
     for index in range(10):
         run_analysis(_corpus_map(index, twin))
     assert len(solves) == 47
+
+
+def _evaluate_callers(monkeypatch):
+    """Per module, the RationalMap.evaluate calls made from its code."""
+    callers = Counter()
+    evaluate = RationalMap.evaluate
+
+    def counted(self, x):
+        callers[sys._getframe(1).f_globals["__name__"]] += 1
+        return evaluate(self, x)
+
+    monkeypatch.setattr(RationalMap, "evaluate", counted)
+    return callers
+
+
+@pytest.mark.parametrize("source, total", [("worked", 98), ("corpus", 533), ("twins", 527)])
+def test_the_closures_read_every_forward_image_off_a_cycle_or_a_fate_walk(source, total,
+                                                                        monkeypatch):
+    # 204, 681 and 675 calls when each closure stepped its own points, 108,
+    # 148 and 148 of them from restricted; the walk of the critical orbit of
+    # z^2 - 2 and of its twin takes one step more, R(2) = 2, for the prefix
+    # seed -2
+    callers = _evaluate_callers(monkeypatch)
+    if source == "worked":
+        for doc in WORKED_MAPS + DECIMAL_TWINS:
+            run_analysis(parse_map(doc))
+    else:
+        for index in range(10):
+            run_analysis(_corpus_map(index, source == "twins"))
+    assert callers["ratmap.restricted"] == 0
+    assert sum(callers.values()) == total
 
 
 def _count_batches(monkeypatch, stage_name):

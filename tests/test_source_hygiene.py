@@ -223,3 +223,30 @@ def test_the_check_finds_a_float_literal():
     )
     assert float_literals(tree, {"orbit_fate"}) == [(3, "orbit_fate", 1e-8),
                                                     (4, "orbit_fate", 3j)]
+
+
+def evaluate_reads(tree):
+    """The line of each read of an attribute named evaluate in the tree: a
+    call of it, or the method taken to be called later."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "evaluate")
+
+
+ORBIT_READERS = ("restricted", "atlas", "synth", "primitive", "report", "render", "cli")
+
+
+@pytest.mark.parametrize("name", ORBIT_READERS)
+def test_the_layers_past_dynamics_step_no_orbit(name):
+    # they read every forward image off a dynamics.Orbit walk or a cycle's points
+    path = next(p for p in SOURCES if p.stem == name)
+    assert evaluate_reads(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_check_finds_an_evaluate_call():
+    tree = ast.parse(
+        "def f(r, x):\n"
+        "    y = r.evaluate(x)\n"
+        "    step = r.evaluate\n"
+        "    return r.p.evaluate(y), step(y), r.evaluated(x), evaluate(x)\n"
+    )
+    assert evaluate_reads(tree) == [2, 3, 4]
