@@ -44,10 +44,14 @@ polynomial), merged where multiple and snapped to exact points where exact
 iteration verifies them.  Aberth starts period p from the chart values of
 the d^p points of R^-p(SEED_POINT), which are distributed like the fixed
 points of R^p, and of infinity (_seeds).  The preimage tree is solved level
-by level, each level in one Aberth call with one group per target
-(roots.preimages).  From the first period whose starts are not all
-finite and distinct on, the periods start on a circle, as all did before;
-after the starts, nothing differs.  In each step of the recursion P, Q, the
+by level, each level in one batched eigenvalue call on the companion
+matrices of its targets' polynomials (roots.preimages).  From the first
+degenerate level on, the periods start on a circle, as all did before: a
+level is degenerate when a target lies within DEFAULT_CLUSTER_RADIUS of a
+critical value of R, where its preimages are multiple, or when its starts
+are not all finite and pairwise more than DISTINCT_STARTS (1e-12) apart.
+The seeds only start Aberth: its stop test, residual bar, clustering, merge
+and polish decide every root.  In each step of the recursion P, Q, the
 power v^i of Horner's scheme and their derivatives advance as the rows of
 one array.  All periods that are needed are solved in lock step: their
 points are the rows of one array by descending period, and step k of the
@@ -110,6 +114,7 @@ from .rational import EXACT_HEIGHT_CAP_BITS, CriticalPoint, RationalMap, point_h
 from .roots import (
     DEFAULT_CLUSTER_RADIUS,
     EPSILON,
+    companion_roots,
     find_zeros,
     polish,
     preimages,
@@ -311,6 +316,10 @@ OUTER_CHART = (0.0, 1.0, 1.0, 0.0)
 SEED_POINT = 0.3716 + 0.5283j
 # radius of the Aberth start circle in SOLVE_CHART, where seeding falls back
 CHART_START_RADIUS = 1.0
+# the chordal distance beyond which two seeds are distinct starts
+DISTINCT_STARTS = 1e-12
+# how many member spreads from a cluster's centroid its merged root may lie
+MERGE_REACH = 10.0
 
 
 def _step_rows(periods) -> list:
@@ -403,8 +412,10 @@ class _FixedPointEquation:
         Near w0, f' ~ c (w - w0)^(m-1), and so is the interpolant of f'
         through the members (under one scale); w0 is the zero of its
         (m-2)-th derivative.  In Newton's divided differences a_k that is the
-        mean of the first m-1 members minus a_(m-2) / ((m-1) a_(m-1)).  The
-        centroid, the fallback, keeps about eps^(1/m) of noise.
+        mean of the first m-1 members minus a_(m-2) / ((m-1) a_(m-1)).  It is
+        taken when it lies within MERGE_REACH member spreads of the centroid;
+        the centroid, the fallback, keeps about eps^(1/m) of noise, so an
+        accurate interpolant may lie just beyond one spread.
         """
         m = len(members)
         if m == 1:
@@ -416,7 +427,7 @@ class _FixedPointEquation:
             for k in range(1, m):
                 a[k:] = (a[k:] - a[k - 1:-1]) / (members[k:] - members[:-k])
             root = complex(members[:-1].mean() - a[m - 2] / ((m - 1) * a[m - 1]))
-        if abs(root - center) <= max(abs(members - center)):  # False for NaN
+        if abs(root - center) <= MERGE_REACH * max(abs(members - center)):  # False for NaN
             return root
         return center
 
@@ -522,6 +533,26 @@ def _exact_fixed_points(r: RationalMap, found: dict) -> dict:
     return out
 
 
+def _critical_value_rows(table: np.ndarray) -> np.ndarray:
+    """The normalized_pairs rows of R's critical values, from the chart table of _seeds.
+
+    The critical points of R in the chart are the roots of A'B - AB' for the
+    columns A and B of table (its terms of degree 2d - 1 cancel), and their
+    images are (A, B) there.  A NaN row, from a vanishing leading
+    coefficient (companion_roots) or an image that overflows, is near no
+    target.
+    """
+    a, b = table.T
+    d = len(a) - 1
+    da, db = a[:-1] * np.arange(d, 0, -1), b[:-1] * np.arange(d, 0, -1)
+    [c] = companion_roots((np.convolve(da, b) - np.convolve(a, db))[None, 1:])
+    # (A, B) at every critical point by one Horner walk
+    pairs = np.repeat(table[:1], len(c), axis=0)
+    for row in table[1:]:
+        pairs = pairs * c[:, None] + row
+    return pairs / np.hypot(np.abs(pairs[:, :1]), np.abs(pairs[:, 1:]))
+
+
 def _seeds(rf: RationalMap, periods) -> list:
     """Aberth starts for the fixed points of R^p, one array per period of periods.
 
@@ -530,13 +561,17 @@ def _seeds(rf: RationalMap, periods) -> list:
     polynomial.  The tree is solved level by level in the chart: the
     preimages of M(w) = (alpha w + beta : gamma w + delta) are the roots of
     y2 P_h(M) - y1 Q_h(M), a polynomial in w of degree d whose roots are all
-    finite, a preimage at infinity being w = -delta / gamma
-    (roots.preimages).  So the starts depend only on the map and p.  From
-    the first period whose starts are not all finite and pairwise more than
-    DEFAULT_CLUSTER_RADIUS apart on the sphere on, the periods start on the
-    circle of radius CHART_START_RADIUS.  That happens where SEED_POINT is
+    finite, a preimage at infinity being w = -delta / gamma, and each level
+    is one batched eigenvalue solve (roots.preimages).  So the starts depend
+    only on the map and p.  From the first level that is degenerate on, the
+    periods start on the circle of radius CHART_START_RADIUS: a level is
+    degenerate when one of its targets lies within DEFAULT_CLUSTER_RADIUS of
+    a critical value of R (_critical_value_rows), where its preimages are
+    multiple, or when its starts are not all finite and pairwise more than
+    DISTINCT_STARTS apart on the sphere.  That happens where SEED_POINT is
     exceptional, its tree meets a critical value, or a preimage lies at
-    infinity within rounding.
+    infinity within rounding.  Close simple preimages are normal where R^p
+    expands strongly, and Aberth separates them.
     """
     alpha, beta, gamma, delta = SOLVE_CHART
     d = rf.degree
@@ -549,19 +584,23 @@ def _seeds(rf: RationalMap, periods) -> list:
             f = np.convolve(f, factor)
         basis.append(f)
     table = np.array(basis).T @ np.array(rf.homogeneous, complex)
-    w = np.array([(delta * SEED_POINT - beta) / (alpha - gamma * SEED_POINT)])
+    # the targets of level p: SEED_POINT, then the normalized pairs of level p - 1
+    rows = np.array([[SEED_POINT, 1.0]]) / math.hypot(abs(SEED_POINT), 1.0)
     seeds = {}
     with np.errstate(all="ignore"):
+        critical_values = _critical_value_rows(table)
         for p in range(1, max(periods) + 1):
-            w = preimages(table, np.stack([alpha * w + beta, gamma * w + delta], axis=1))
-            starts = np.append(w, -delta / gamma)
+            if (array_chordal(rows, critical_values) <= DEFAULT_CLUSTER_RADIUS).any():
+                break
+            starts = np.append(preimages(table, rows), -delta / gamma)
             pairs = np.stack([alpha * starts + beta, gamma * starts + delta], axis=1)
             pairs /= np.hypot(np.abs(pairs[:, :1]), np.abs(pairs[:, 1:]))
             distances = array_chordal(pairs, pairs)
             np.fill_diagonal(distances, np.inf)
-            if not (np.isfinite(starts).all() and (distances > DEFAULT_CLUSTER_RADIUS).all()):
+            if not (np.isfinite(starts).all() and (distances > DISTINCT_STARTS).all()):
                 break
             seeds[p] = starts
+            rows = pairs[:-1]
     return [seeds[p] if p in seeds else start_circle(d**p + 1, CHART_START_RADIUS)
             for p in periods]
 

@@ -1,6 +1,6 @@
 """Simultaneous root finding by Aberth-Ehrlich iteration.
 
-One Aberth loop serves three callers.  It takes an evaluator of (f, f') on
+One Aberth loop serves two callers.  It takes an evaluator of (f, f') on
 an array and groups of start points, one group per function, so it never
 needs the coefficients of f:
 
@@ -9,16 +9,13 @@ needs the coefficients of f:
   each from a perturbed circle at its Cauchy bound, the polynomials of
   one degree through one grouped Horner; find_roots is its case of one
   polynomial, and every root has the same bits alone or in a batch;
-* preimages, for one level of a preimage tree, passes one polynomial
-  y2 A - y1 B per target (y1, y2), each a group that starts about the
-  centroid of its roots; the cycle solver seeds itself from these trees;
 * the cycle solver in dynamics passes the orbit recursion of R^p through
   find_zeros, one group per period, all solved in lock step.
 
 The groups share each evaluation, but each has its own pairwise sum and
 stop test and runs at most 200 sweeps; a group that stops drops out of the
-later evaluations.  Consecutive groups of one size (the targets of a
-preimage level) have their pairwise sums made as one (k, n, n) block,
+later evaluations.  Consecutive groups of one size (the polynomials of
+one degree) have their pairwise sums made as one (k, n, n) block,
 each group's sums those of its own matrix.  After Aberth, find_roots_many
 and find_zeros Newton-polish all groups in one walk per step; each point
 stops once its step passes Aberth's stop test (_converged), after at most
@@ -32,6 +29,11 @@ changes the multiplicity profile; that is an error.  An exact polynomial is
 split into square-free factors first, and every root of a factor is simple,
 so nothing is clustered.  Clustering tests only the pairs that
 sphere.near_partners finds within _link_reach, once for both radii.
+
+The cycle solver's starts come from preimage trees, whose levels need only
+be near their roots and distinct: preimages solves a level, one polynomial
+y2 A - y1 B per target (y1, y2), as the eigenvalues of their companion
+matrices (companion_roots), all in one batched LAPACK call.
 
 For exact polynomials every root is snapped to a small Gaussian rational
 candidate and kept exact when the candidate is verified to be a root; two
@@ -200,31 +202,48 @@ def _aberth(evaluate, starts) -> list:
     return zs
 
 
-@np.errstate(all="ignore")  # a vanishing leading coefficient gives NaN roots
+def companion_roots(rows: np.ndarray) -> np.ndarray:
+    """The n roots of each row's polynomial of degree n, coefficients highest first.
+
+    Row k's roots are the eigenvalues of its companion matrix, and all rows
+    are solved in one batched np.linalg.eigvals call: LAPACK balances each
+    matrix, and the roots are those of a nearby polynomial (Edelman and
+    Murakami, Math. Comp. 64, 1995).  Each matrix is solved alone, so a
+    row's roots do not depend on its batch.  A row whose companion matrix
+    is not finite (its leading coefficient vanishes, say) has NaN roots,
+    where eigvals would raise, and so has every row when LAPACK does not
+    converge.
+    """
+    with np.errstate(all="ignore"):
+        top = -rows[:, 1:] / rows[:, :1]
+    ok = np.isfinite(top).all(axis=1)
+    k, n = top.shape
+    companion = np.zeros((int(ok.sum()), n, n), complex)
+    companion[:, 0] = top[ok]
+    companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    roots = np.full((k, n), np.nan, complex)
+    if len(companion):
+        try:
+            roots[ok] = np.linalg.eigvals(companion)
+        except np.linalg.LinAlgError:
+            pass
+    return roots
+
+
 def preimages(table: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """The d roots of y2 A - y1 B for each target (y1, y2), target by target.
 
     table[i] = (A_i, B_i) holds the coefficients of two polynomials A and B
     of degree d, highest first, so the roots of target (y1, y2) are the
-    points where A / B takes the value y1 / y2.  All the targets'
-    polynomials are solved in one _aberth call, one group per target.  A
-    group f starts at the roots of f_0 (w - c)^d + f(c), where c is the
-    centroid of the roots of f.  About c, the (w - c)^(d - 1) term of f
-    vanishes, so this drops only the terms of degree 1 to d - 2, and for
-    d = 2 the starts are the roots.
+    points where A / B takes the value y1 / y2.  Each target's polynomial is
+    scaled to largest modulus 1, and all are solved together
+    (companion_roots); a target whose leading coefficient vanishes gives
+    NaN roots.
     """
-    d = len(table) - 1
-    a = targets[:, 1:] * table[:, 0] - targets[:, :1] * table[:, 1]
-    a /= np.abs(a).max(axis=1, keepdims=True)
-    c = -a[:, 1] / (d * a[:, 0])
-    fc = a[:, 0]
-    for ak in a.T[1:]:
-        fc = fc * c + ak
-    spread = (-fc / a[:, 0]) ** (1.0 / d)
-    floor = EPSILON * (1.0 + np.abs(c))
-    spread = np.where(np.abs(spread) > floor, spread, floor)
-    starts = c[:, None] + spread[:, None] * np.exp(2j * np.pi * np.arange(d) / d)
-    return np.concatenate(_aberth(_grouped_horner(a), list(starts)))
+    with np.errstate(all="ignore"):
+        a = targets[:, 1:] * table[:, 0] - targets[:, :1] * table[:, 1]
+        a /= np.abs(a).max(axis=1, keepdims=True)
+    return companion_roots(a).ravel()
 
 
 def _newton_polish(evaluate, z: np.ndarray) -> np.ndarray:

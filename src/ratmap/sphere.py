@@ -206,12 +206,16 @@ def point_sort_key(p: SpherePoint):
     rounding of the real part does not reorder two points that the
     imaginary part tells apart, such as the conjugates -0.5 +- 0.866i,
     unless it crosses a 12-digit rounding boundary; the exact real part
-    breaks what is left of a tie.
+    breaks what is left of a tie.  A real part of at most 1e-12 max(1, |z|)
+    is rounding dust and counts as 0, so the sign of the dust does not
+    order points on the imaginary axis, such as +-2i, or a point at the
+    origin within rounding.
     """
     if p.is_infinity:
         return (1, 0.0, 0.0, 0.0)
     z = complex(p.z)
-    return (0, float(f"{z.real:.12e}"), z.imag, z.real)
+    re = 0.0 if abs(z.real) <= 1e-12 * max(1.0, abs(z)) else z.real
+    return (0, float(f"{re:.12e}"), z.imag, re)
 
 
 def dedup_points(points, tol):

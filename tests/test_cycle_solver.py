@@ -25,6 +25,7 @@ from ratmap.dynamics import (
     DEFAULT_PERIOD_WORK_CAP,
     EPSILON,
     INNER_CHART,
+    MERGE_REACH,
     OUTER_CHART,
     SEED_POINT,
     SOLVE_CHART,
@@ -366,7 +367,8 @@ def _reference_newton(evaluate, z):
 
 
 def _reference_merge(rf, p, members):
-    """The interpolant merge of one cluster, on the reference walk."""
+    """The interpolant merge of one cluster, on the reference walk, taken within
+    MERGE_REACH member spreads of the centroid."""
     m = len(members)
     center = complex(members.mean())
     if m == 1:
@@ -376,7 +378,7 @@ def _reference_merge(rf, p, members):
         for k in range(1, m):
             a[k:] = (a[k:] - a[k - 1:-1]) / (members[k:] - members[:-k])
         root = complex(members[:-1].mean() - a[m - 2] / ((m - 1) * a[m - 1]))
-    if abs(root - center) <= max(abs(members - center)):
+    if abs(root - center) <= MERGE_REACH * max(abs(members - center)):
         return root
     return center
 
@@ -539,6 +541,74 @@ def test_the_seeds_of_z_squared_are_its_preimage_tree():
     x = (alpha * w + beta) / (gamma * w + delta)
     assert np.abs(x[:-1] ** 8 - SEED_POINT).max() <= 1e-12
     assert abs(x[-1]) > 1e12
+
+
+def test_a_target_at_the_image_of_chart_infinity_falls_back_silently(monkeypatch):
+    # at the target (A_0, B_0), the image of w = infinity, y2 A - y1 B loses
+    # its leading coefficient: its roots are NaN, where eigvals would raise.
+    # Under a chart with real alpha and gamma, A_0 and B_0 of a real map are
+    # real, so the leading coefficient B_0 A_0 - A_0 B_0 is exactly 0
+    def level(table, targets):
+        return ratmap.roots.preimages(table, np.vstack([targets[:-1], table[:1]]))
+
+    rf = SEED_POINT_MAPS["z^2"].floating()
+    monkeypatch.setattr(ratmap.dynamics, "SOLVE_CHART", (1.0, 0.3 + 0.2j, -0.37, 1.0))
+    monkeypatch.setattr(ratmap.dynamics, "preimages", level)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            seeds = _seeds(rf, [1, 2])
+    assert all(np.array_equal(w, start) for w, start in zip(seeds, _circle_starts(rf, [1, 2])))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("k", [1, 7])
+def test_a_level_solved_in_one_batch_has_the_bits_of_each_target_solved_alone(d, k):
+    rng = np.random.default_rng(d * 10 + k)
+    table = rng.standard_normal((d + 1, 2)) + 1j * rng.standard_normal((d + 1, 2))
+    targets = rng.standard_normal((k, 2)) + 1j * rng.standard_normal((k, 2))
+    if k > 1:
+        # the image of w = infinity, whose roots are NaN, among the others; a
+        # real (A_0, B_0) makes the leading coefficient B_0 A_0 - A_0 B_0 exactly 0
+        table[0] = table[0].real
+        targets[k // 2] = table[0]
+    got = ratmap.roots.preimages(table, targets)
+    alone = [ratmap.roots.preimages(table, targets[i:i + 1]) for i in range(k)]
+    _assert_bitwise_equal([got], [np.concatenate(alone)])
+    assert np.isnan(got).any() == (k > 1)
+    # each lone root set is the spectrum of its own companion matrix
+    for y, roots in zip(targets, alone):
+        a = y[1] * table[:, 0] - y[0] * table[:, 1]
+        a = a / np.abs(a).max()
+        if a[0] == 0:
+            assert np.isnan(roots).all()
+            continue
+        companion = np.diag(np.ones(d - 1, complex), -1)
+        companion[0] = -a[1:] / a[0]
+        _assert_bitwise_equal([roots], [np.linalg.eigvals(companion)])
+
+
+@pytest.mark.parametrize("index", [9, 26])
+@pytest.mark.parametrize("twin", [False, True])
+def test_period_4_of_a_quintic_solves_from_its_preimage_seeds_at_cap_700(index, twin,
+                                                                      monkeypatch):
+    # 626 points, which the preimage tree seeds although 10 and 13 pairs of
+    # them lie within DEFAULT_CLUSTER_RADIUS of each other; from the start
+    # circle Aberth needs 468 and 335 sweeps, beyond ABERTH_MAX_ITER
+    r = _corpus_map(index, twin)
+    cycles, truncated, warnings = periodic_cycles(r, 4, work_cap=700)
+    # certified by the fixed-point formula, with all fixed points of R^4
+    assert truncated == [] and warnings == []
+    assert sum(c.period for c in cycles if 4 % c.period == 0) == 626
+    sweeps = []
+    aberth = ratmap.roots._aberth
+
+    def counted(evaluate, starts):
+        return aberth(lambda *w: sweeps.append(1) or evaluate(*w), starts)
+
+    monkeypatch.setattr(ratmap.roots, "_aberth", counted)
+    _solve_periods(r.floating(), [4])
+    assert len(sweeps) == 5
 
 
 @pytest.mark.parametrize("twin", [False, True])

@@ -52,587 +52,587 @@ MP2_CORPUS = [index for index in range(10, CORPUS_SIZE) if index != 23]
 # (source, index, twin) -> sha256 of to_json_bytes() and of to_text()
 REPORT_DIGESTS = {
     ("corpus", 0, False): (
-        "b38dae8d1ca80fccbb0ca8439a6dffe982695a76ffc61b3e48d99cb6d842d115",
-        "6f2239b9247c8c8c251cb7fdeba1c0438aabe5dde6f874d3077cd8206b01bac9"),
+        "377f89004ab130d97c3153f287c394f67abbf0436c35f039abc343977d84df78",
+        "211291fceef2574189a82274ba564bdf25c4f8efcf581628ed92fdf2fdcb5a74"),
     ("corpus", 1, False): (
-        "52be2a03457af280b96603d1f238c62f3b5013964168e313bc4e02c7d9d4e61d",
-        "5a5af857c7d21459ac03d79b8ca4e7e8abec5c97ac2b765c34d2169704bb8615"),
+        "c1deee6bb73a832c2dc7508482029990461f73e2338f77d424b10c55466a5244",
+        "2d2c230140b4aa73333894160dcb1e2d539c3f649111556d55faef6332511b11"),
     ("corpus", 2, False): (
-        "210b3a3f0c65032fee009978a6a22dda913b0c65722b21b21acaf4c09652b9d8",
-        "b874d293dc2d7087e9d8b2be4129bc4d0511dddf045ef808d4903d7a2c93ed95"),
+        "e4e448c805ac69f4cf8e37395841203831da1d65b28462c05d1a8f508598df6b",
+        "f166798d5876f5ea2edeb2703e8f94a3c1ef08ea58653516a174c1279f8c1c40"),
     ("corpus", 3, False): (
-        "50467d044a36cb906f5cc7c9aa85ba93a4ac7fb7effccc63667ee97b5df2f368",
-        "308bce9dc6119943007cb6c10e4d5a377bf50c0e8e08e6d0948a5b3b78f4f1ed"),
+        "6bb11bc51060b269accb4cac63f8c390e9bfecbf5e0d449f116be66cd3f83a15",
+        "722bc982379991f120bbdcefbbb6c8f67bc6a4554221d5f76ecf4509bec63169"),
     ("corpus", 4, False): (
-        "271ccac2a22e8d62c0b727fec15b5f52b18bbdb6f6b9504f3abdd311780ad53a",
-        "29e49ae5d896ead370aecdaee0b3354a0efecf5b57245cc0a6c2e42b9dd7b6a9"),
+        "a060b253f6cf7b6216092889561d14c40cf64a7c4d8857136f1d1fb29a3cfa72",
+        "b7265ee97f8d13b475046b5642014017dd1be97d1cdfef2125af07f8706618ba"),
     ("corpus", 5, False): (
-        "8e822f7e88cd5c4fae97193fa22eca4cc71c792d0a0d174aaad093ead9c77e1c",
-        "db7c3a3904f4957bd3856832eacf92404f177f9176ecca3dc4495ff2685ff9df"),
+        "e9f040b4c7d4c829940c9e76885b5f6c6239cf7dc678e341606e025a3c3becda",
+        "c52babc326fabfd9a78a2fd18f99a6b5297d7de62a5d724f994d41892d6d37bb"),
     ("corpus", 6, False): (
-        "e03635f7794e883ea59eaa0bd330a0c2336de3724b83d39fcb2778bd4475dda7",
-        "81c8bafd5b842914f64d5a36650ab7f3b1c5661ff1a475cbbfdf5b75fbf9af11"),
+        "42d7b186bbd8106ef3205b0f9fee8dda186a7cc81597c11ea049b39c71db094a",
+        "b37a74e0245a671c554d7d0170e7c0a918fce4d0340c8423e400b5229bdf72f7"),
     ("corpus", 7, False): (
-        "4f73de477cf1a5c74c7a0c0751dcfc12edd6ee4692119c65bcc01913d95c287b",
-        "fdf13c8396b072e6f2efa41d1dfaf8d4fa3217ee42a2bf57effb8881e8100789"),
+        "67e778b1115d523476124200012da891647d6a5d319b8b393c860f90f56ed3ad",
+        "9b468203920f2811431831ba3eba5e425516679d40576c8561e06aa277dfa421"),
     ("corpus", 8, False): (
-        "ae4e640ba07d44ef610b71b7756a7cfb72030576fc4750c47c5ce3eeea11ca48",
-        "076d4bdd32505ad0f4734a01dd2dbea770d5d7d648613e296bc17e378215e84a"),
+        "98b1b362a73b3b256573b63ace38320ec018a3ae40a721fcecb750cbcb0889fe",
+        "3550edc29fdfcc01bc55d2a9869d1895cb827a7b1824e660011cefe53fc19c1a"),
     ("corpus", 9, False): (
-        "ebd817d896cc674d157f7a3e68467870038f66143bf8d9ad145b101149d68d6d",
-        "30757ff3c07b739648612a59229e92521ac84b55b14189f12122f9f478ecbf58"),
+        "e6aea953f9f066db8c694b4384f9274acbf7ef6c8081018c7220af7eec568e54",
+        "d5491713e2a560704ebde08e54a408181777628f178e44a71375f1d83ee1f0f9"),
     ("corpus", 10, False): (
-        "1f616946300ca4d55fcd0400679404fc8bc26051f19494714019112681386a5a",
-        "5d41a2ab177d09b6bda6e204608b882fb7ffe96e0b75a4a7cfd3e704770c1017"),
+        "20f949d6e1f0a9c2322dce4de9d7cc15bc0270e247787ed10a00ea4ce1ebcd84",
+        "c15000df9a5a73fe516a72bfc7942a39f5b8616d596f494ab35c5cd22361c185"),
     ("corpus", 11, False): (
-        "8f3e6ec91d321696869c9541373dca35e9f6a8706140a96abdcf40428d992000",
-        "8ded7e0bec460780e59eb5420fed6782da063707269f64a1bdd7b6a12c6c056c"),
+        "31adbf1fc65653e2bd1614e76f74d017016b4a6166c55892373570c553d1ea9f",
+        "78e82a15e2133a580eaa9ce81ac34f9604c9fc43f1149dc36f1e672a2339a361"),
     ("corpus", 12, False): (
-        "d6b50c64e51a28b2a5035161a92ef6ff30d38d105ed9d5a03e16b4adf9eef7bf",
-        "cc9dd4f24102b354d889e9a85fb31e40e9a5b53f4188c21b55fff889c565cdaa"),
+        "ace36800286c60688aa6400fc83a991220db778c304d91051f223bfb7e0876f9",
+        "64e6aae94d04946df9a34063ee41d335724dc6f946c7095684005cafeef000ce"),
     ("corpus", 13, False): (
-        "afa8945783ae74b4c72447d862265e6644a5f80ec6a708fdbef881eee0e80170",
-        "cf68c83e0f3c00900a81b16038be82f72beee54ad89a85595e18b84029fc200d"),
+        "f108f725d808ffa4ba77f1cdbd0056167b3337f74ed00ba8c6fd99ae74a864cc",
+        "c544291913d86664f9fe414dec09fc136b5b03e6d67017895523665d0c1c6adc"),
     ("corpus", 14, False): (
-        "1a27ecc0aad46193f37274cf32fcb2dc4ea8cf81ebe8fec0a6b187d67ca532cf",
-        "6156b5c0b23665b7c38a6e4aebb68300b99f5dc8ddded90924bdbece7c210882"),
+        "08399d824eb32b7f1c1bc729952b6a332de5cc14eba7b16a1eb6527a4541e0a1",
+        "5225b24274883ed572b68b5c97fb742287bf3459aacb797ed3fb7dcdebdc27ea"),
     ("corpus", 15, False): (
-        "a784ecbbf312124d7fa1f042503f0b4c7de11ef0620114ff6aa7698b35bafccf",
-        "2b881e1d71251c94c857db8a78f119ce9f9b6e2b5d6dc0b1ed424f76eaaa4f60"),
+        "e46d55d511d521be4f2392e05c1af8cc7daee7244807bbfd1b075587d3cf092f",
+        "f026bc77f0998a304a6ad575bbdd70a56f981756cee937c1c42bdfd99a3c30f5"),
     ("corpus", 16, False): (
-        "579a164e3a0f005f4f23e089e131e32953fc8841cf3be00fd37abb5904e1b53b",
-        "168a73bba99e4f70995227113f1aa1bccedc42a7ec0f85f230199fc0bd787abd"),
+        "4d89d49835b5b61d9349387df6c37169bc6dd6edd6915caa3e6e6999a5f3b687",
+        "bae67b43c574ed8dfde1f536113a922f9cb3c492aec8492e4a4774e1533993d3"),
     ("corpus", 17, False): (
-        "0e1ebac6dc9d5bdcf7d49eec7e87a911a507b9f74462f96a92d545d329f7b18e",
-        "3c68f9993253d4151d11a769734338f69419ae2d359045633f3e62bc52062e44"),
+        "15621507dc4c208117ceca908fccfe72fb48a1223280d800f2e260fcdc542c00",
+        "d7faa7a590a9661b21646bc21cbf275b5128888590ccbb672f49a4698491f465"),
     ("corpus", 18, False): (
-        "302041a0e7b81f7ddbeb36b0b5cc877455a3db0dbf36392134feb8c3df5af0d0",
-        "40e5f06c990340ddb2ed16196086f78d622a55bcdeefb22bebea6c8e6fb795d2"),
+        "3c06c02aa02dc1acd82010cb8c1c99a4845c0c365ea12f0c004f2a9509b625aa",
+        "57023381438328cb7f1a017ec66d401098c13362a93ce55b20608e7e18901ff7"),
     ("corpus", 19, False): (
-        "63e54322474a2e06d422caec46c7c402c17b0ab3b542cef34a2fa8cce489f232",
-        "7f290fffd9281ff6c35cb94564a74c0bb5cf7a8043fed0c7a055cc375af2acee"),
+        "861c04337087acb92c7f81602f6e6dddf156852a2f3b9e801f2ffbf13d07f4a9",
+        "72801cc79b3780fff31f2d891d0fcb5d783e5a33cf84af14d17fb9095c058219"),
     ("corpus", 20, False): (
-        "3a0e7ca20ba27efd79683205906877a9a40216860688276a13fe96a969c3ed8c",
-        "2d99ba15ad46a6c060d2aed9b58dd220aae1aa87553fb871ba28ba4fe2d1ae44"),
+        "8772a040720c77e5cf3f63b35ccb3b556557620168c9d089cb1dd596a69f49c6",
+        "4fb9704434b1105c1f8df1a4ba7abb75001c85fb8dcc24456d0fc31b7dcb0d6f"),
     ("corpus", 21, False): (
-        "e56e24642d8040097d5d1af9124df05654dba84e85a52e8d1eda7e1f55da2d1f",
-        "1cba1f674899d582fb7012d100e7cc2a8237a903882aad6e5039d639e04b09d9"),
+        "5994f269d71ba68a2df9ae61c98f9746fb2a211508160006bc56430e2281e840",
+        "ad1374e298a69368e8796f007b4857c9122edbd1a8714b75280d47974ae02695"),
     ("corpus", 22, False): (
-        "7763687043319bad9eb99c5ced318731e8d8de1933b3f8b7b6a8761770d1e98a",
-        "e69f2be986974b8c69ca3c80231135be7ba1ae7cf4200d359ea25067d0e78789"),
+        "672c3c0f5ca5061e845909598e367ac7e11b4febf745e34bf245674cc70077ff",
+        "5237091987bf5a4dd2be09d70870296189d61c5f7a3677e89579468dd847f829"),
     ("corpus", 23, False): (
-        "f8cf84c69b335bf7774de3bea3653672644b5a179eed6c3b29d9ff5f80a16730",
-        "c48b0ae0731ef071aa4b24c66e850c120a1395d13dfd880e608154b4d5d4b2a5"),
+        "f348f0179a8d02d0d924e4a89a536bd64bb22077056017d3bd034c557e96a499",
+        "06b9c53f6d2136dbfa09c241e5e7162dfa6137ac726619b2c211902e9d0624c4"),
     ("corpus", 24, False): (
-        "8e081c2f1cb50bed6522591d5cb1e54df4bef2cae3b50500ac7385a00afef6b8",
-        "a73f49b8ab3e7cf201acc793c2238109cdbbd3fc1d4f051cdacb41d4e8495765"),
+        "d78966040bc47b1ec4adb4635bd9f3e705a598a6890d34c46465fcc93b375bba",
+        "986387576e0690c143b3a1020847c5825c759d90b863258dddafd980ffb74846"),
     ("corpus", 25, False): (
-        "e6f05bb65962c9b426ba31189bd3837fbff76c1b3ea58571a086491198504908",
-        "0bfe09f09aa5f6fdeb6afd9f90d9b0552480f5ac0711d91e3f1cab29eb87a8af"),
+        "07774afd2d69e24697910899499e7239f0ea259d260dcc7cbf097d28f81d8889",
+        "ef64d23a16789f42c145fce0dd4c16c28ced015bb736dd5ee715e64b168e3baa"),
     ("corpus", 26, False): (
-        "c0f71c482657a5bf576a5f8fd396f1fbf054ce9049ea8ed0dc218b65e9fa64e0",
-        "70f142e9d5ab467e7a8438d09ac51a2ea8e8d732e753ed8a03a2d4aa3c1d1345"),
+        "078380cbfb554f8d97b455c9476dd8a9778bc43730945e7548686c3d3480a11a",
+        "ca1a657f97bc0f4bbde2f475cc747603097e8e052f4fa2a8424cf1834e0b66b1"),
     ("corpus", 27, False): (
-        "f4e5ceae9c64f810cf4ac96b002839769b8c8bd5b5a127c793be6e793258906a",
-        "bd4bb0b0314ed20c9ced1db5d19e9cd61d40329f774e8b48ba2119a0e5af00d3"),
+        "93a9d353587eed656d4b843fd7c1008d4df21434960d2e41bb772d2384a5dae1",
+        "bb9a82d47f24862ec55b328ee3730c60bc8b6239dbe323510c01748d937ba9d1"),
     ("corpus", 28, False): (
-        "547764fdadd09d0b2fc892139a6e70c1fd973605c4949e73a24261b8b8de2f33",
-        "c3e42b3cd23635aaf5bf1c24f746dc7a49447dba22410dc79edd7bf04e026da1"),
+        "0572fc092bdcbe2848b111b00d81cdabb7ce231dedd197ab126e277fa2553830",
+        "ebacb14870d4ea7df27ce00fc0b9d4930b97a3d24149e6a3dc796acdf92801ea"),
     ("corpus", 29, False): (
-        "87a753e9869f34959c89aa53ff3f53976095449694d7e80cb91d2a61060b94ec",
-        "68774ab3791a6e64f9d3741c5ef1ff9368e5d9491cf6406a424e93b973a4385c"),
+        "a2b4958feed080e520e3718bc11ee37d15763319e470e9a63596e671e8185fb1",
+        "76dc7fe35f372ffdf61eed812bf0fe74d598dda320796a4967e3822c81cb0ab9"),
     ("corpus", 30, False): (
-        "e0b36585856d62ab45af63a8136213b268c029c82667cae8bd68ac4c286d8c79",
-        "6463b3ddcb2144153b082be413e14cd601d01870cbe06cbae74206e348510623"),
+        "3b289350a4cc3886d8e69ebf4bd254642750800547da81b7a2f498e41363c48b",
+        "16ad3e0737758345b899c4f0d6216e8e3a1189423fe140642800b37993317898"),
     ("corpus", 31, False): (
-        "699cf6b0e6bbfa91579c58a2fea528c297bf755b7fb8bc14bec81ce1a2eb3699",
-        "106e978f0734ae34cf59b6320610b806ca990c7bde3042f4d83bfd954c33dda1"),
+        "d6ed54884fa090cde9a86cb8474c8a687fbd93bd2d09d2b1d65685c6453a63f1",
+        "b866fd9da653253147afb5d94a67c4ffd5be9d25fc6d66348ef38cea6e5bcaa0"),
     ("corpus", 32, False): (
-        "8e376ca41fc9748eb3ef7f2720084b4db67a5cd042613229bf187685768a9a7a",
-        "47a9797b859fad4adc94b07d749600536ffcbf4636319966c442963b437b1c4c"),
+        "377e6b2bead9f7fb8588dd2e963bfdd83b8a53a5a7c7b73b5aa91a38253ac951",
+        "241116cee7aa90cacb422c0026ff3126cbed0b54fe22e46a573cc6a24c12b526"),
     ("corpus", 33, False): (
-        "50c59fb1ce72ea2ccb365e5ca062394bc74f90bf7c6b28413a01dbbba1f0953e",
-        "fa4d043d0e81f1c192226f6ab4a4301d8380d3183e18164272a7b248482c0920"),
+        "3430d1024014952540cefe8c6ec798f3fd04bde8161564d1fe205cfbd246a9d9",
+        "80f373c36b3c406cb5449421232260669b8724dc592b65d3a951d3bb53548a0a"),
     ("corpus", 34, False): (
-        "ad43fc445d833b2df1350131afbb55000d0043751d9ef56a572df80284dbb1fd",
-        "22db1a4a1eda87362626fdaac780cc5d280a3202f3ed7ecf3f11d5728a0d5628"),
+        "b475c00d70f1b244e2da9ea55d67d59cfe083a896298f067fb03674a86acafb2",
+        "31eea4558164186e2c3d906af2ff2168da140312282a8600c8e8c4e8114f1e31"),
     ("corpus", 35, False): (
-        "b72773c4df37a626ccf1cd325b00ec41d55959b1303028a93d295b5784bf4088",
-        "e2d0f98380810629a0cd17da015388ec5cc1e426c50ccca1d73c2b16d7b673a6"),
+        "2781033d2e71e54e991f672527f010a1768368dbc0f07a5a8123a4e311298b62",
+        "4b48dedb560e8156ef760bd8b9ad144d767d864e5d4acebfc7ab387eff19d110"),
     ("corpus", 36, False): (
-        "d827a027e8683dcb0d2932026cdf8a4ddd8743c135d55c0060d0c3b41f3a3bd8",
-        "37eaa250b467bdc96062a7c4c56644098b53bd179d4f9dd7a05c6ee06b2cb7c8"),
+        "129afce53ad26fcd48fce5c9dcb9af6e7a8c31127f0b18c14dcaae0a4e40d0d1",
+        "e731cc18ca4ecc22833952e21d4e21eed1646d11e5584eb71e041e50dd562cf2"),
     ("corpus", 37, False): (
-        "cdfe398bfb4ec461b56a4b4bdd46ab4d87646a584fbc58425e7bcbcbd902c2bb",
-        "b052b1520941979e91525f66bb81d2f23e2ee2953a92cb6a9e638fa693780a32"),
+        "34939c0044f5fd523da09ce501c18f2f1b7a828a890429f5a7637df9c4d64fe8",
+        "5351b146a1a8dbe9c783838881190ec3460aab7c592fc68d5e4d97e693b24e98"),
     ("corpus", 38, False): (
-        "b515ae6ded9d14f15b5b4fc54a0404c636c9a49a21cd563dc12686e66e276ad9",
-        "c4924537b73ac2ed71850e0177eda1ac4c2e363febcf017dd9ef51081454c68a"),
+        "2a5c7308c2eb6fb6f275976db2d4f4fc33879a6ec1b69e7c0f513294cb0307c2",
+        "d7b5fdf1027059f8b08523081e81a0a20ed703edbb04bcefab521512a4b29c17"),
     ("corpus", 39, False): (
-        "e5a28ab41c5667ff23b0378181335f1f9fa3c43b45bfa4ea4d78b6c19bc9feb9",
-        "52b017997ef5ff4a729036c52c0f07dbc871ea524832220969824d9b087d8c10"),
+        "dfebfa6ced696c1d4217f8edde0888a071eecb26f223eed704c7c053f4e04d6b",
+        "1e2e2ece9a0733fa763ebfc9f59bb7eece3ab1766c22253477e2f37a758dd40e"),
     ("corpus", 0, True): (
-        "77c0a44e86d630531f1cc9693e837b6acf79ab658f5463b27298c72e81e0d272",
-        "be2cc7673937df9fd824a67431af3aa8c001685b0f7f50c1aec0fad23eee5750"),
+        "adbdd7db5b07adf708d511c9acaa66754b090643fecc488e230c36eb0ad65126",
+        "5c9aa2d7421b0bb7cf341a9dfc2259461c4f13542c4ca567f6116a623b081b9d"),
     ("corpus", 1, True): (
-        "0935eb5bf4dc2cecc857f7e9d1b97a65781020a4ec73e27e165d5c97d2b4f114",
-        "63ca9c33d34d1354214ee8bce0380772bccd5bf511d327a996ce9f4986f8e7d9"),
+        "ef9cd158676fb08bc8d15caa93aa9b1b00bb2b51d95d5902a028829d413444c6",
+        "210df904fabf11e219e306a21b90ef4393252927b0ae59a14ead3648fbb48901"),
     ("corpus", 2, True): (
-        "bc203fc3f4803cc223419d5daaead894b0602275966c4de2395002c274016a8a",
-        "ff6c12ebb1de4bec7340af401bb373e66f69f3ca020f21b78efe966cd4ad0635"),
+        "efaad1a25b42e7005be630f2b4ade556acf556f920f5baa705273fc8f07d31cf",
+        "c6f05014020d45efd0b87ee91f8e2ca145b11da3744bfc27eb6f6800e395f74a"),
     ("corpus", 3, True): (
-        "860e5e918fe72ce73945d1480aefb2f55ccbba507d87bbbbeb42e6adde630b52",
-        "99c8b2430b115b1ca5a1f6cff3294d5115c5c34077db8fe38cdc0e87648188bb"),
+        "e80a21007ec74bbfc4bb2c2384aea692138c5ff3db444023a05d2c5283a54238",
+        "731dd30716e292c32f66b76cb8487ccbc1e372300b0c73cf39aa88df45222fe1"),
     ("corpus", 4, True): (
-        "c295decfebcb3d1426e2a42ca392e9b70f822f77682175b7f31b41348c7d04ff",
-        "aabe949cfe1e3a411b54c277b9a1d42dae979984af5f637f2b8e2af67a6df335"),
+        "0c25cd906d73df4a12b280ede2171f548e8d849fc3bb9053be02c6c61dcee61a",
+        "d7d902c5442bf296135114dc9212b3cd64e9a3f298046da5d8bb28ed3a64f9db"),
     ("corpus", 5, True): (
-        "e0886864e83d653bffe30cc1a46a798e784aef44016461dc4e173ebd842b6af6",
-        "e3d0fe348537e2047fcbf806f49d87459edb7f40dc33ecceef8a8782b3ed87c0"),
+        "4b43f509d39857052ff42166a4919bbad06eeadd645c8089e5873bdc654bd48d",
+        "c70b2b508ca082691ff262765893ff646c55c51bfdff4eaf74033ab678074e78"),
     ("corpus", 6, True): (
-        "75845b2558844d13285e9d686d821ef0f55dda7f6611567133ace5b379037789",
-        "07fd9deff28e32678750c8ee582caf127a8a84ea36dea1049561fc9124f3a57e"),
+        "cc52bb231c78920e13bb093b77649229889716f98afa81fb6e982681bc54f7b4",
+        "52ea80bbd0514706fa65b5e85993bee758fefa82450b6420477a3ac5631bc340"),
     ("corpus", 7, True): (
-        "d9d087b9fe2aae71fb380d1e44b6eff1d19233916acb68736cd47223c89cc4b0",
-        "7d271cb4706098ba99ea6be00b226ac7c924397223574d9e72fd3d998ed97cbe"),
+        "02c6c38af983c78fcbf475b98aee0fc31b9d5c55c6e3a135d99a3b1c0fde04ff",
+        "4cb1de0e942b27be56e91c042ecae83e4cb363d202e835795e32fcc86f7b0b76"),
     ("corpus", 8, True): (
-        "fe16ff6783b24335935adc889c0f9364f020ee2642daa137b95ce42f3b8b7afe",
-        "761bdf337978f2ffc2ec5e5d6249499fb3329c7fd90ae278326f51eb08643dab"),
+        "c1789016de4056fbd2d8ab5d807cb14478410394a26c180b916aba1afc5bb80b",
+        "c8e6ddf736f2b5a91a0d9d6528c2d01595c57dc99b9fe6bfe11b82e77b745c56"),
     ("corpus", 9, True): (
-        "fdbc7cffbfea3a350e5421be5be165d80f36761933bdc40b7dd7812e3d6b4431",
-        "327bea64db38818555f71d9bba361747029edd336e18b0b903d71e47bbbb9b68"),
+        "e862a3f7e03f34aa25ace16f98ba20cbcd0d6a83bda841199a69b984ab011962",
+        "b51cd4be934e85d259205911bff831d345d513bfc1b53277c2c10d4280d01a35"),
     ("corpus", 10, True): (
-        "9935ccb0ad6f9ff8287001558b23a08858f64a876ce11d8e78412668cdb69b35",
-        "bdc615c7b676ad227cc2dd3c893093e6e026150378c6c2d4f4d65f32e5870155"),
+        "9f4aecbbf9110645efb5b498f002a0bb992aa917c89d0a4a35605efb0f70ca86",
+        "c6a35add176fd2504c61864a9c017993f97a6674c8f31f44a8db4204e06ed35a"),
     ("corpus", 11, True): (
-        "a76e5220434966eadda314bd51cd8099189b5b14621b3dcfc37d9598230e0e5a",
-        "3446cfadab3e487ee85e71ca08c94679ef7a58535fdf86bfdba9dd0de08055dc"),
+        "106dbf400a6bc8dcca39c89387ced4cc3d2e61de6830228ff1a2c5f9fa8f90f8",
+        "d93e3a5753142c132335d7bc05c807fbd349f0bbf58055b9e830b748b1c9091c"),
     ("corpus", 12, True): (
-        "08a1fe0a554334ff8a3ae8cfa7e45bdfc1258258c161fbfb8a12f4fdd286e1ef",
-        "a2e34d1935cb55e9b0f603d57565e8a47f30f8df54f1647a645b6967e4de528f"),
+        "f06d1bd6c0b09146e2d5cf108e5806b1c71111973971b1d273b25ccb142b63ff",
+        "3cbf378fae2721f7c4761eb4cee8ee1da9f740aa4b351f40f0dd4925fc375454"),
     ("corpus", 13, True): (
-        "416586ca134dd748d2894346be848768cf5d0ea29b4f7a2a35937da05b21adeb",
-        "5bd3b5c37b315bbffb8b6fd278efcbf42f0d32e836eb7c006f53013773e81bad"),
+        "95b80d42aaceb2fa5b96d9ef4ddd9a6b5a443bcf90ff9b5a7f3536057caa1fda",
+        "5603af6d20337cc97737c97fa6449efa85bc7a92a228920b0f50d2fc5a509760"),
     ("corpus", 14, True): (
-        "880c4ed1586b0c64ba0f9ab7a0261c602adb431100969f874a968d53e1f8948d",
-        "4b8fe57ba5ff19ceb3a2f01500be8d68c347dc24d352ea4d1e7fdfaebd55d8e2"),
+        "bddb5939b8d547d0128edcbf0a9243227ed9164c3996b5433852e4a93ec5700e",
+        "75f9760204864236cf373c48bdf0db00e46df488369e2ab6f513367321ff05ef"),
     ("corpus", 15, True): (
-        "ca70ddfd285f9610deddf36f310dfd8f4d4360c7370b3be81d2288fe7dcd2bf8",
-        "525af24f268eaafc583cd70b4e2ad5d38109fbfc39096221c73f6c9514030bc4"),
+        "1b01bf071d3687ad5d5f29dc0a503390cff86114d8b8c7634f7835acfe919e87",
+        "3206f1d85f5d27a2d6981789bde09cb04ff5955b890944fa548510c836aeb9aa"),
     ("corpus", 16, True): (
-        "76589bad2eda2eb879c5105b3fe4ce6fc7982c9fb07fc4fc0fad0998e66f2cd6",
-        "6e1627b200752680d2d07e20b6f2669c9caaff0019a8ee60e295977db77138c3"),
+        "6bdd1f1b7dc2d102aea4b1e00cf559fb6d4a3ccab4dae08cd72f965cead70100",
+        "63c4100c8afc6cefa582694f004985d865c4766b2ab2529c481fad05357e5bf3"),
     ("corpus", 17, True): (
-        "643765e5bef3ac8dec37aa796441f9443cb010bef5a1590a35b352373169f243",
-        "61cfffbf16624f729c150a58791df753bc047ae76c4c58d0f98f677d88f706d6"),
+        "34829e62e4ca74861b3bb4dd4fbea705f2218af7cced2ab5215519235cebd694",
+        "809e733a8b5a32b8fd800551b797ebbb06a112088023a19d3a392c7441e33874"),
     ("corpus", 18, True): (
-        "374963bc81934b205c7479a5f41e308ae18d80133e13d144e2a4771d3945c82c",
-        "d7b97c4b4397dab85a5c91adeb8c9e9ad63c89db5cb6ab97fec2186064715daa"),
+        "c2589171498a2d8a1644255d78f356b75d7fbb777f105d507924fc7c555fcaf8",
+        "6e0f4f2723062b5d816922ad37943c13794fa43f724054a1d9f7cd9fe6bc6ca0"),
     ("corpus", 19, True): (
-        "f279deca20984892704ca48bde721cba0b6ea239030038f908a3abbfa46e4749",
-        "6b08c3db5d09655f2bda9019db76e5dc9e084ae6960aa8ff87ea08933b08359d"),
+        "e0e15ca0edde2247fe2a8d6375534c61d87ef25dd5adab70bd024420d1c2af2c",
+        "6b4230e24c7c94c352208761b4ad445fe52dbd3caaec7f131e229018ef930b62"),
     ("corpus", 20, True): (
-        "0900dae78e58943fa38c3c5fbcff0631f7783a6e608c9bd2e07d92e0e76977e3",
-        "6d5d72995b94c19e4e504c5b073cf57ada2a8f6180d04e51467e9d177a2f1d71"),
+        "12cb943d462a042d10b8723f823baa650b17dcd525b3539e7f93b1f11ac2aa0a",
+        "04f4330ba32d7afef2dd3e3f98db3ca7e7a4e893e19d4da9caa2d31ff3e0eefb"),
     ("corpus", 21, True): (
-        "ed64c97e5641f785ae405a8c16932a49ebba8dc4861297ce7fc5e096df13ee2c",
-        "631475fc53c53347115df70bbe876bd17ebe80f30201dc35465270800ab88b63"),
+        "933bd83166359b30616c09c8631f441c0efb7aa2a49f114fddb4b7ae73b071a6",
+        "98802e6e90738c6a51ee15a11cc4bb1882cc3fe05024c97b370b3dd7c46de65d"),
     ("corpus", 22, True): (
-        "52d4eefdea458344195e4fc325be7735b23b768601b1ff9a20dc73de67037450",
-        "e16f2983dc12bf2c699f66f7425ca1410e3bfcb2deef1851f37d3d909eff7717"),
+        "0ab98746d92f980469d116dd6976f95fb30fd62f23a48128f3ab38ffc15ee28f",
+        "704c82eb3e3eec9f3955b9fe05e2fc7c6f20ef3583aa2e9b0ceb550116f1bc00"),
     ("corpus", 23, True): (
-        "ed2f98cf27f33661b8063695eeca91546fa5ddc6919c3d38ca730382ce7c589d",
-        "5d79067ff7c7ea5fa58bd9eb9ec34abb83e49b904de5f547c1ae74243d656de8"),
+        "d4b2e1c583c3465255e991aeef2f5cdcef586e076ee771504dd2b33e2e0342d3",
+        "8de18e609551070d74c0070181876bb9497510bc4bbcbfa7dc2e2d3a75cd632c"),
     ("corpus", 24, True): (
-        "4b1808e22d64800df2140edb53fd541eb63c1d5d6c2249ee3bb0f5f2d973cea6",
-        "4ede05ed4ba5c46e2105d1a07fedfcfb4f58c3634e9d06925edd9d368b18471c"),
+        "52b40e5c72ee6f63ddd63737339c67ff8559944e2b7fe5fb7608d63a7982f50c",
+        "ca8836333275d05b2daaf9cda2b00d01a5d5664150ea67f5415b6262d8bf4823"),
     ("corpus", 25, True): (
-        "dafe2bdfb3a907f2f27498d21fa62638274e8b2d4b79b76f50dacecbe82ed8ca",
-        "145ebfe07b61bccdeae83d44b800675c69b03fc24f1429916c937a3aaf8826f6"),
+        "7d1a9fe2e2c8fd006bb659b4295773172527edc3873a6ed7b38107f01d6eee91",
+        "e3d4a6ebb5441d6d9ef8d6e87bec5dfeda25c24ca89684a82211de5372936e86"),
     ("corpus", 26, True): (
-        "ed9d25aca3d6c0dff364767429975a795a36a3878da5d41a53f260e75da50259",
-        "571251e47c78761491e7333789939379d3d14e1ef40b1c654237b52493b914f6"),
+        "e8dbfe1d25cc083a78baf0ea76190c3c8e80c26e1824932bf58e8288b36979ac",
+        "48ea3e8d1561b6cf4fcefa7bdc450cecc15a878999dda20c63ac186be289e122"),
     ("corpus", 27, True): (
-        "f9a066abe44bcaf8be45688182c58d1b151e5b0cb43a11b5c752c1c8574c1a77",
-        "f0db1f8414ba21f729b4d07ebd21dd8ece3636e5da2ec60933d3c249edd044fa"),
+        "3d0bcdb46b6a16dc23a1baae096831b33c3c65939b4307be7f4b87e75c9c8044",
+        "02d184799f861f1d3af5c66eb0d4bdb767d4694ec9cef6311c8fed751b7189fc"),
     ("corpus", 28, True): (
-        "fb26e09fdf4af0b14bc813e141d30372e5edad144a45419249a05a2b82d623e9",
-        "e094888b5bce0008f587502402318d523ac8f4818be9412497b0c0ec61da8d64"),
+        "e0f7e9fda5cd836d8b7dc42a9874a32a34139402e768a6d7d9a847a56b5b2934",
+        "0aece7bfe6649c92552237169ac686de31713598da74e4f8875b11013c112f3d"),
     ("corpus", 29, True): (
-        "cea4bd79bde12a76829a86ed4c307e492ffc9dcbad8fb7dc440aeaf89f3bc586",
-        "063089ae372594135c1a6e4cd481e4f4933bc5e4361575624f5d98cc0b05321c"),
+        "c4e390fb00d8a134c9e7cf28139ae5d1f8f913343f48ca327d3772086a28963d",
+        "d53c407370724c08750b0483e7fc1a2fd11b94d9a32b20c3b9c6e6fa7d35215e"),
     ("corpus", 30, True): (
-        "b4f87968438bc2b11eb045d82c88859c8eec844ef657a461929f62e4e3600335",
-        "d95ed91f32633ba91ca55ab780ce346800a12e84164d81a1a7b96234fc4da7b1"),
+        "23214223463c9416259bf4c610d0164f4e0be080e5cf8523e3a53ee0235b66c4",
+        "48620dd07b5e969b93f58bd3319ba5b70f9172d1c9a024e25dd060ed4639b1ed"),
     ("corpus", 31, True): (
-        "51ceb947e1d57066048e0c25c237fe09d1d75c7231aaedf22a61c83d245cf371",
-        "cd261af3521f3a7c94292d042d7f518185ea39d750779dc7f50da58caa714ceb"),
+        "9cb995094ceecce2318b28c9fad3cbc70325478daee944445624e943d8574235",
+        "a671150cfca44e2619b793477f4f1091a0a2fbfa79bdd23c7e32d420cee4f21e"),
     ("corpus", 32, True): (
-        "7a61c2f9a67ebbe4c0dcda0dee3b48b7f739c87ab29638f846044a21860e780c",
-        "7001d18f46cf168accacd61d7dedc64fc8bf89fcd20fb51b5a9b0cebb22aa5ba"),
+        "bd95fd1833bd8c9994fe1560662e0eef5e315fa1eb6e9c6f2593d2884fdcb1fb",
+        "8ce30b28db110952ece822a4ef8c540af17c0a4e325ce939a74f0fedf404a52e"),
     ("corpus", 33, True): (
-        "92efb02c49de2450cef8383141e9620b1fec10c376ccd3a58af3e04851fb95d7",
-        "4f6c62f357471996b0084066f8bc7dfd1eb76d04a92b6e44b397dd3890a3a12b"),
+        "6a3d6ef742e7c87c335eab07240c159389878947de62a90be4c3bb77e9e8f5cc",
+        "762689672933bb2e495e17dbf3096d554e9e9f755cc7080fcee1b30502a64ea4"),
     ("corpus", 34, True): (
-        "38c45e9d02a9163b72022680f5c586ed91682e8fa393dd4a2e4a137acccfcfb4",
-        "2570e6298f898728b6b1ad3d4a5951cac2dc19ea8ab42f2bd88ffe6d550ff8b4"),
+        "1ecc20730631b6d303d329567b47938ba66e1dd6829058628ffa78b42f3b67cf",
+        "cf03bc4fd4e8326deb2f925edce103d3e271048ba0018a2a1a04124264fc8c2f"),
     ("corpus", 35, True): (
-        "34aabb53979085aad620dd827c2ea56b18ea60fcd4f26bbb9ca2f1432d463ea9",
-        "d1ba2d7b2d886bb287dc53dd7cd534fe2123436d7d42dc82324c0ccf051b15e2"),
+        "93f80f1770a0fabe529230320205238afe5c75ea1d67797d48181bc5794ce04e",
+        "a77fbb4c1ccda8b2f42eeb521eed5e53e80f5e88434e9d6ab68005e338761482"),
     ("corpus", 36, True): (
-        "73c1e38e5d54b42d0d7ca7225226e1f2a354ce5d5a755513b78af23c81131926",
-        "880f8e22b4f24c8068bc65f967dd77bdaa8503d3e127995895a08d22dbeb6638"),
+        "a127bb1ca39218985cd0cefe7b1596720f0588ea02cec4a67d649b230742c3dc",
+        "51639b53303ce3ec7bc4fce337cf5aa5b25bd27910e2f147e9cbe2845bf43d15"),
     ("corpus", 37, True): (
-        "d0e8b8d82e20d26b66e2f59de39454ee07585daff9b706914c2036960b5ef0a3",
-        "b1225ebd331688f12504b1738b61797868b4c170336ac05c995f9765ebbe104c"),
+        "b85250b65bff82b46b3f458ba881d8979c512bd9e8cd1962a5e8491ee04b8aef",
+        "9ca2c81468e77e947ce5babeed336b20aa8a921238644e09dbbd0e330768bb19"),
     ("corpus", 38, True): (
-        "fe8cec6498662e0596e2ef0a069a804ccf9efd31c3dd05582b9a4ca9ee7ac3c6",
-        "28bc493bb432bdc2cbabcfa2e0957db8a1b5aaae3a899f04e216795a892deb78"),
+        "34af0738ecc72c3fd0933dde678964b0c85b469eb991cdffb8476f4693a72c48",
+        "20d1c19d63b9f8d36c5a2da9b4dbff271c85f7dd58b09cff4319fb740eeabac7"),
     ("corpus", 39, True): (
-        "ff8cc3e428a2f6077748299b8142c4c93c76bbd482018c5ed44545b6f56793e4",
-        "2c5c6d9ed2cb5c99ccf6c70d89d28134686d66ab48356a97722a762ac91a2d0e"),
+        "b1b8ce24bd9e0b1f17c32dadf5d8ebb2d8e00b60e9b65caeeaea9d28bc893f07",
+        "a163d211e37385d7726702338fea72bee24acac8526da5c070f9a554749e8a3a"),
     ("sparse", 0, False): (
-        "ade83da0892bb413cab6333d15d6ea9383b0b5b142d73840be97c6b54a1383aa",
-        "9fe94c7ad67fbe26dc190668ce2548ad0f69c6d26a47d846b0193bf405cd4c9f"),
+        "3dd48cfb8fb3940558fa151854d1f6ce2630e2d819a40dfb627174754992a9dc",
+        "a6cc89b685acd5ce4939c18ae2a00bd13c72c5e36c2cfbcf4487038c1b4f4b4f"),
     ("sparse", 1, False): (
-        "85b44916b7b90cc91f625d0dc33645aafb1b6f6b27cc65f52a417e9d5aa81ee9",
-        "92de2d01bd7d27ca9b152fc0d0df6d76c42dc73c35b883c5f06549b80ba17f5f"),
+        "83e2057f02deb432cf2f3b47a1fcbc373d3b66f5c3609e278706094c45051895",
+        "359ece755ba900806a772485c3a388000d4062faa44fd83ac9250a4a5fb1914f"),
     ("sparse", 2, False): (
-        "a6a2701507b95cd0ef5607c1e9943b43f9723ce588998f87bff8d824b1d4dc47",
-        "5771a196fa3303589380ceffb03561bc284b2d1ef200e317980961beaa2a473e"),
+        "49d1a89af2956a774732af601e8363ed64d8403a512080696c9d4b0ae87cc6b6",
+        "1b2c37b5e641d43ceff25fb951e976962ce859fcb39129206dc465b90a869c98"),
     ("sparse", 3, False): (
-        "840e6dfcd53b1cb00be5fceb07a816e12c05942c28c7e4faafa85493683f3484",
-        "1a39dba9f16fcc65fb43994afa4d7f9ab079cfc1d6b5b2be1e8ae6508f90b7a5"),
+        "20ae75cf928ffd576e3a6141666fb00b8384842f807a3aaa9ea685b9d3b0fff9",
+        "be6be41838da82dbc11355933d1bee15938382798173df4436f3df142d2d8aea"),
     ("sparse", 4, False): (
-        "bf76e68c0e615dee60896e6f392325b0ffdba282de436ec41e1bec134f3f0977",
-        "73dda74762a72aeb77919f99d184b8755893e31ec73be8e1295bc0e7f4a54578"),
+        "43a18c1988b479bd83e978fbf808476fa05d78af56ec6a17a16717f6c9f02793",
+        "be3b38ee211ceb53848fa91f2bac8c116c1b099fb049197377bbae6f0799e321"),
     ("sparse", 5, False): (
-        "5e093c2469068e3c06b4a339203008b46c4ca8e3610fc425dc023909eda28701",
-        "87e36873fcfe0a9474fa8af414d9441c5272dd337a2f405fac69f729e6c710d5"),
+        "20b372f90695fe334d4368f3c5b60487647da74dc70aeac5bf82e851a8104cc6",
+        "ac11e9757304657959c68d4980e53e93df9f374abf5c8c5e7ed2876ead766a9c"),
     ("sparse", 6, False): (
-        "03b40a5f49d4189c05b22d31d5f9eef29f549530fec116aff32de18acbdb3e99",
-        "bde1ab6f11ff5a31ed18a007a9b7c5f9aa6cb0820a35517b99a7e3534845c5a0"),
+        "8aada8b193a48d5ff4de5bafe7a8867ec467dedf4c32246550b641e9fa95ac4e",
+        "b2aa416e71d05ac1315c6d2bb10e064a14cab2dce2a9e24ab0b9a5f5ef358501"),
     ("sparse", 7, False): (
-        "dea85724ecda2e2f3fa6d4d73104d6f2bb51d2927b2807b7ed875e445d56a221",
-        "c8ce0688482b9986e88df74995e9a67d9be3b21a97ab1b942e5fff9ea59e4c4c"),
+        "a61da872833b949b5716566bec227be92b5fa9f309b275914ed5048c406c00de",
+        "eea73720993ea828206a05e0bc04ea0b5efecc242f27506b20b891211cc1fa17"),
     ("sparse", 8, False): (
-        "eaeb86a9858adb9a2b2f81d9cc39faa61750b8c4934b5948073b020f67ad8453",
-        "b2bb4d9960a95a8da2f0c362ef360a96aee231bcccaa75cb160b7ce28d56c1c2"),
+        "1598945d87264bb9d82301d90bda41031b02710b0dcea7b1f939c15d0ae7d8dd",
+        "8f697231dec4897816275aff9085aba195595cade81e82e24769a5a2ae9f330d"),
     ("sparse", 9, False): (
-        "9c8c83fb399f09cc41813bf4bbe47ee2c63d6637296aa6281e262fd555a47370",
-        "4d259a338382066ca18b6a621660d95b9715f513dc93b85417544570641e42fc"),
+        "04c7ee3d5ea514d148f2c361cff07d120a6ae3a53b436bd6449fc785c58f7e4b",
+        "252cc535f88a0afe670bf90cc77d14b405858fbe0f99d28842c523ced036801d"),
     ("sparse", 10, False): (
-        "15126d695343103d42b81e4d3876e44be05d132fedd0995d9c4faa614ba8e5a1",
-        "fe661df87d72d7784d9c2e4540a88e67cadab91bef3cba007988de8b9753fbd2"),
+        "f304bc768b5ffe05c1c0ede15236053d38db76f58997502a1d02d2677ece6795",
+        "41a588501891ac3d0dba12864a010852d1663a320a9c90f4187d6af71ec34b05"),
     ("sparse", 11, False): (
-        "d4af2524be666bbbac614d2555a4e0f1a5d67daf0d8377bbe7553de2da4b7e4b",
-        "441f739a9d804785118cc9c098a6d7b462d88eebbbf9a73f610936608539412f"),
+        "71690dd4b7ff9b696e3c73810e4ba02b022d559f051364da68eb0bd1dce4a1f8",
+        "6ea755b2ecf9b101f9fdf9450d70a152cf8bff4052c7c77fa16bc0e0a5bd8ae4"),
     ("sparse", 12, False): (
-        "39d7e9f0943419407a1b2a6002c20922b5ffb3893621c57500b6aa45fcd03f85",
-        "2858e7cf8e832d6c3cece215b1d06fdc19efdf03ee74e3ed364356cc079bf114"),
+        "41f0fff93e7faf0ed7c14a257d90c64cb8ce5b80e1ce7822a8ac450187e68d65",
+        "27a1b6859393e3c556293cdeabc69486720888a8982205db7700e6c874f99680"),
     ("sparse", 13, False): (
-        "96d7999e2f056d0e2553d0605f7ce96bf48412692cdf64a8089e16cb8add3194",
-        "9e89ee44eca6b9b501495181ee6f4ce020115e26ccf9388489431d67993d3c09"),
+        "eeae0aa201417457cbc90e1f0c79f375d525e1543d51759ba98254b63ae433ff",
+        "331f159f406ec3203f4906f66c15897cc95b568b814bbb935562f56d72f7032b"),
     ("sparse", 14, False): (
-        "2202fc7dd361a1bc8b6dee55d42b3919ba095da79e989b3c5ee3141d2c1fee09",
-        "2ca482ac2866f87817550470882590e7201bac69acb852971032e5179c729030"),
+        "8b73874f1d47c8ccce92e214c37abdcf6ef7dc7765b37f0d0a9e709e0ab0ea03",
+        "65dc2d79e8707ef7ede6f1da0988e23cd94870b86c1c98c4b07858170e3d878f"),
     ("sparse", 15, False): (
-        "65bf062f060b0ff4a42aa0020c94553e928ec653f5bba494989dcff443e1cc5d",
-        "ead21fbe548f65cda9e034ecf8c0af97b37ecbec6de1e9f1e7d2e7e435ddf85a"),
+        "587f0f63b7eefe2dd6030eb6b66daffeb8040274c1864d414874fb8be2e89ee8",
+        "dc585be861572ecda96e9220526f9a5f661d5f1c192fd1e332190a9eb7604084"),
     ("sparse", 16, False): (
-        "59dc2fee1e308c295e037de351c65675930b0ff9e0294c944980e5acb588467f",
-        "a34063ebc1e8bb95fba77ccfc04c17c468860bef52c5c2caa32f1b16ef38693b"),
+        "5bd9671b35d2f1a5d5dc4fb1814c7b8a45de065679dc099da9296134bf156884",
+        "b36782ba385ec7b9d5aac329441b56795aef043386c166245a400620145df634"),
     ("sparse", 17, False): (
-        "964e92c57df44d51e670d6dbe832a75d3eff41a2706317e1322c84935029b4bb",
-        "7414e706ae62b2c3f52a68bada301a5b26f1ecc069651c415c746a8b325c4ef2"),
+        "9a023f9ba03329c65ba95a45d5ba30b9bfd06f985c61e000c6562f6862cfd4bf",
+        "b5750899f9cf2f2adcf87db469a7ecbba570d5cc96ad43394733d4a28d091c2c"),
     ("sparse", 18, False): (
-        "ec989cea8320a96ecf20dbc767d87814d22818e1af11a1c568ccd737820c38dc",
-        "b497970c1c75012b5924ac6ab506f241e5e0d3eb194dacd15cc315926db9dd08"),
+        "b3ba85b58443267f74eef7e263eb52a78182a6c56cc79b14db1432ab39293ee6",
+        "ebc749356748c74a85b77fdc1be72b2f745ab8ae5b518586e2aab0dca77dba79"),
     ("sparse", 19, False): (
-        "c4a28c3bd6610ed8b1994318e42382f29d352a8c64cc3f83951367073fedc819",
-        "a739160b330d854003c4f424c11273344040777bfd9f476e86f95dc00d0e1b33"),
+        "c999e397663ce2b71f16e7bad19806fef936af05dda0c2b595521dd3947c01d2",
+        "e44df10857448d4800117a719a78f5387560473c92fffa749c9bc8b53692321d"),
     ("sparse", 0, True): (
-        "e9189349c4012c30dba50afdcae3ca5d0af9f902aa5b817b434f4b8a52c23c83",
-        "55919479e90c8a11840bb24017cd780587d4ae9d956d1a12f401b68b10710ad0"),
+        "71c6a47425ca079babe270b6291d530b2456b6eb6ca797c99f936d4df4b7f690",
+        "e2fe336f4963bf1fd140bbcb3010f7d038c291ecf842037f270863bcf753c458"),
     ("sparse", 1, True): (
-        "621e526138703ba7026d8bd47a4883e4e9e95d7304458d7fdbdeac89df4f9f3a",
-        "3051c2bd43d7af3b825cf7349aac6438cfca1c1109400f3a7790bbc0d8d3d441"),
+        "39d124ef42df69ad671d008582d71e23e518adf244cce094849bca59d58449a7",
+        "cb4eddf036785f23f01e5d8c000c28d4a8ab5c69abcbd51965a0c432671c3371"),
     ("sparse", 2, True): (
-        "8b468cdef032d420f7af7e12c66779659107aaeb507b8d784fc98a1c36e6f82b",
-        "7fd6b8c41d1da306be6ca78f99c8334321bcf54db9053bf6fbf135f8238776d1"),
+        "28bfb22677d9ab11d96e326c3a3391b5b1ae0937ffb6bb822e42b15442457eac",
+        "2d8e69febfca5c03fe7720a7a0be606c029b682f36b134455f0a815463d9eccf"),
     ("sparse", 3, True): (
-        "62738b848b95cf346fc7cd33573d7b4b4007bbab50efe4c1e909e0dfb13a08fd",
-        "9580af8b6cc324fe4de861762b2abfafa4ec23f689271346175c3bab3afd3626"),
+        "e549c5f114fee07ad3738a4397a094d3cf30892e02647bb97f028c987be197b2",
+        "7cfd0e163511855d98ec241a6d1ae344306c23af1e9642141391679f0e179dc9"),
     ("sparse", 4, True): (
-        "357ff828dc9909157340b01bee405aa91b0a82233dae1984b7845a4440ad84a8",
-        "fc26477b1894c65c697720f5623d0b4d44170087ba3a412841e22f9aa6a014bc"),
+        "599734759e7dbabc9c3925688709e04bbaecd1129d929de30edb5204242f1fea",
+        "15858b16b3cf717c3d6e08cd1cfe2a3238e8348033b3ba48938e99d2979710d8"),
     ("sparse", 5, True): (
-        "ef559206a425db8db816de663ab0f276c70158a493910334f30ef145076b7642",
-        "b2d3873fff843b344703f4b061e78ed8986f3b8e592554578114b5f35c736baf"),
+        "5d5f2ce5664e943a85b30fa80acd0c6267a4e3093b3971d5cf5235ab2f3f40d1",
+        "1b222c7e26f46a2802a0bfe496abf0a4b2b00ef0f306133c25ab36d1c4e70cf0"),
     ("sparse", 6, True): (
-        "f99d7c650e8bb58010f3c4dbefdeece78828d8da8583727e4938c7a6955d8994",
-        "c98e42791039affd79b1fefd02b6aa0cf4f9dc008432f12ea1d85d216da0f5d4"),
+        "e6ced314af9503d106c0017c72db3508d7956bf6049dfb7b62826dd7f8705db9",
+        "385cd14c886a28b972a111fa726c722e61264be6150110ba84c7956b0068e38d"),
     ("sparse", 7, True): (
-        "b6513f61bda818fa579d7b8541c4249d6915eb44e09e89046f9af93d026fea05",
-        "f8c3a211282ce18fa2a39db13be20a026e9dd310e531e892058d4e4376dfb508"),
+        "04824dec50a7f2b3c97753fb8b3450e0ce5196db0f6b0c091a16f8765024a021",
+        "eb2836e49fd08ad0d84cd588c974d9e97ef299ec8cea08002ba5da18477bde4e"),
     ("sparse", 8, True): (
-        "46abdbf732e19e35a748bd9c93cb53a7cef75ee80460f87148c11e0f2e21d675",
-        "03492bf16db3cd337b6bce76787eb5594600fab5209d4eaabd20198c689e3af9"),
+        "80fc81beaab4bd420683edc04e2559b3e181ac39cabd5e52b77a0df2ca79e2e3",
+        "e78d952359b897c592ab1a3ede8dd479c005b6100048cde405d988cb599c7db0"),
     ("sparse", 9, True): (
-        "87b1ec7244664826b315a439f5ca6784b624ec96ba11359498de1ce3edb100a8",
-        "ca8217d84cc33cc63c47a627d66e7293d0d79e6ae8aec161bdb72579ca794049"),
+        "6850a5fe8cc906b7bb59c86e16a5b80871ff8bc044b2e9173ea4865e6f1b4533",
+        "ac4bcceba5bcd7b3ec52c13d0810cf97f91dda0e6802eabddd6a66ad3d3b64cc"),
     ("sparse", 10, True): (
-        "7067eb0010acced47d9d26a2548fafba23e3d5095fdfd1b80de3778c9e9fdccf",
-        "db811f69ef6c8d556d166d695135ac71d2e44d2252a77237d9946c823171aab5"),
+        "1823b0586ff91a09e320f70f76c9dc78d65785fedd9b4c1ad987247bd0d00f77",
+        "23b32f4511066b3f4d5b0645f5d25c472ac0390e4dc1a4ac235971bdf88beadd"),
     ("sparse", 11, True): (
-        "0c40fc389a793ff28f20164425e4c6847d2433b159780d94b6cf548bb5a5f22a",
-        "2fd0b8af4a99072d29b02035826370067c7c3c5cf7d1a391e20a87da6a7c987b"),
+        "6d278c9e74f9b5c0b29ae862eaada7cc1a96c52abcb2a75676214e52969fc135",
+        "01454fd3261ecad123eb4f3dd7516aa256076b064ed11dd9c1f1a307658174af"),
     ("sparse", 12, True): (
-        "2ea6153d55b53d1cf25560b792a0f5175b336bdbe49e6de9f16e138fd60b8ba9",
-        "303cc6154d69dcdc976ce5ce9001ba0f33a668e5448ad7066fd732bac83a491f"),
+        "c29c0e9c8750edfc511966f3c75e38f10193e635a2c9f1f29625d9452f5054da",
+        "c2e08c682ccf04e17039bed6d2c850eaa6268ff7857005df9fbf0a6a40950cb3"),
     ("sparse", 13, True): (
-        "116e16419ea7d4c43b85cd43c495991cfeae0cb39eb666243d8189b3bf0aa33f",
-        "b8feeaf662ccad2f6676f166771a3e4952fe0b7b32a03bc78be00d2825efdb50"),
+        "abc2e023ef6266199f4d7b21b24f372655ee98d7ad64a52e55ef9fbb85f57356",
+        "0c697873f23b28ee8f3f5d3316c502928b389605c2430725714ef9a6ac0d06af"),
     ("sparse", 14, True): (
-        "69c99464d9e5a3f2b5d0ab591a88e7ef5c13187e9fa9963fa3df1b01aed68ee9",
-        "bdc82cb3f75ea9c222e9cf0f62f5feaa0bb6c12de5601c6a742e06458f7e34e6"),
+        "f9f2bad3850a6da829eb8892c3a7a7cdf6e9913f72daba5c33bddf641f095b0d",
+        "3d18845ae89a816387baf7bec90a36dad3a9d5f76f5bbec45c064e4f751083c1"),
     ("sparse", 15, True): (
-        "6498434caf2aa6e3674753eb1af298044b2b38458b4213a3ab5e8665140abf27",
-        "aa86156b5293f1543d4b0fd540934a5f64f5cc403c6b3f2ef3afba60a90fb7b4"),
+        "14c7e426d67299d41bb0b0f4adaf8ddb59233ce3400c97c2d3f31bfacc0f96f8",
+        "4a820a6250c5f19beb0a0fd72c68c621fb2f3c558654c01dc601b5decff25ea5"),
     ("sparse", 16, True): (
-        "42197f0fbb4d25b40fc5557d014ec4c246719e95910be28b26ea2b98c5a9751e",
-        "003d8eeacfb6a9e56f1db8c8178e9cf3d2df8dd687091ef7ddea60de0964f0dd"),
+        "2eac073a418fb303a922ff4d54317ab76ec0d98412106583b169154b0aea17c8",
+        "db0e1e33f2728433870919d9eb2ef75e2a5c48265f16f41d84d2f3a9aff7b886"),
     ("sparse", 17, True): (
-        "80638d7651a7f9024b07c39b36263b01e8d861ba941a6d8148399d5f2654fdee",
-        "5fb8e954f7424f65608ba34820fab48cca01cea8019ddce6af259bcc8711acb9"),
+        "aab517ee9f219ccf8cc8acb74da67ca551deae7b19bd76807942b07035829ca8",
+        "0a730123f1a15c74456af581869b2c1203e787ee910e9961bc9e295b9d5d21d3"),
     ("sparse", 18, True): (
-        "900ee43b567d6302995bbd5a780ae53b48db413454048b2824c71336fdfc4496",
-        "35181c00037eabeb1abca618e738dd555cb8d525a14058f1f165195762126870"),
+        "852d7860f3d433071688e2afab9d45a76b72e8c0969ade5bc27fc30daad4b95c",
+        "ac1065ac378ad5e1a463bc27a8ae6e3cee4d7d4c3b776dda2b43b48ba9ba343d"),
     ("sparse", 19, True): (
-        "8e86e5c4e93ca7ae6df0f71bfaefa5514f6257a056463b74e9ee15a359718eff",
-        "750f054b68e096501d0282cd715fed856d3c3bd67e3562f5dfbccf43a463b7e5"),
+        "a908156810a7abdc8a02beba7c71af4044c8fdae6b9993ddb84d90e840517761",
+        "85377a0ae2860b2ddb37ace72c712f8229eca0a2afe5cb0778f9b27a5429dace"),
     ("quintic", 0, False): (
-        "c0d57b6c0a58442008ea790a907ebb34d8f821a2c393c905d80f440510ac51b4",
-        "0c26dc9ca88f5f87de1528889ca575c475e342c37a82382c648599220f3dc3f4"),
+        "0eaa13aa47801821cb3ea0a7820605089adedfc231762d0280be0feea915f450",
+        "ea677ebdc651f79c55d1bb171cb0b606e64b1507fd09d9d0f133a5b9185be2f7"),
     ("quintic", 0, True): (
-        "20d5cd6e165b887ffec1aa4dcb0f31fd2287e716166b81e22d223cfc87f3aed3",
-        "632a7ada489cdf7c58376363a1c326651fe76862ac23493c41771ecce6024c5f"),
+        "bdb3772d905ead7ac40266c274fb060bc4c1b9200799a5e8b5042e2395eec7ae",
+        "11063948eb0e562147f1f391c36954c19bf70416f4102a3c97a61817744079e2"),
     ('corpus-mp2', 10, False): (
-        "ab6aacc201306e1cad696be61362980ed8d922b5e7ec39c9b61413aec66c6667",
-        "0e7f2b1d0ed70202dcc489a1b19d01326536e458ff80d7aa06298dab1c0947ec"),
+        "6a5f594665366a253a23a5ed9b09bef288c81b082d3e8063724b0912eea748bc",
+        "57a740e879c933423815d310eaf8bbac850d6d95ac3ccdcd20b648bac88b68c4"),
     ('corpus-mp2', 11, False): (
-        "4e1794eea08fdb43ac87aed3c981a03f422ef2e52d09ab3afbd22767146902d2",
-        "983926b9229f77000c268bc469400269c314eca96cc90b25ac44ba771aab9313"),
+        "5f5780d23c666583642cecac52bcd214e2ece945f626f38c46f7e110ee26f2f9",
+        "32931f7d84632c84bcce8d8635e6ccb7ae2a844fae39ada10579c86f0c913f47"),
     ('corpus-mp2', 12, False): (
-        "e75b3a45c0e8e5372ab8e53b212f73229d8dbe292a371b77e49c2194d3a7c6ff",
-        "ae50598df73a2d4be792081ef029a7e7df32a313b71924061c3bc8f7d726d1fb"),
+        "8e56ff2f66c4b642b3e4730173a2197e814caf912e9685f764fb59f6495868ab",
+        "790f566d1cb44da2164deae5bcdc472b2b37deb9edcfd5924a8ed6788979ae0e"),
     ('corpus-mp2', 13, False): (
-        "66df889dcd1fd5e33426e879233ddb5cde02b2ce045a6f4c7133daf8ef57de7d",
-        "2b777fcaa3272957c8f5d670ab8ed63e8d29479e86dff2f3f14d9fd5f7675dd9"),
+        "8a58b123ff1d7427e210e642e43539fa5474620d08e86b1b78f3e64d37588344",
+        "8931c21c5973a74900e9863ad85479f8125e2319f8b988b9d60f4129570c31cd"),
     ('corpus-mp2', 14, False): (
-        "37c2d76d03ef4ff3796157782dc19beef841d80e11168e75b52dfce699a1d50d",
-        "40670ab9b24ae7a27b3d30486f3301eb9f2a94040fdbcf01855fb33378ab2978"),
+        "148dc6c78270cf7dd58e4ddf51e11edc41525bf234981a742a524e9535d9636b",
+        "399edf247f4430bee0b609d9378e51ec7ffc6ed861d6ad51ad28c2a70e25cb3e"),
     ('corpus-mp2', 15, False): (
-        "5caaf8345b37b8b402ca93582d66633667b1193f1cd2a67000c949c3ce07cbe8",
-        "abe7a09ffc31b5d9780ca53defa4847602f92f9982367c66dd9e873607f46ad5"),
+        "0d23fd6f078a60cd89dc5b7e94a2c15d0f9f0ef5db7672ba68099bc821e50343",
+        "ecf05111ce3021bac781b9083d9c9982c1355c2dff1aa9144e85560fd73dd193"),
     ('corpus-mp2', 16, False): (
-        "78f83dc33cf3a308d824cbdad4b5a984e3e70c193e9c4db789ac637e2aeb590a",
-        "c6218fbf945b6f6b29f582d66ed72202c727ebfce316bd71e8fbd73c54a27772"),
+        "343af7e1b502fd3888122b8af77256efcef9455ba8e67ac12b39368f954f3ff8",
+        "e0a315949b99358dd015f79fa68fde57c7ab64193bbd07d1a7fffdc96cfc831f"),
     ('corpus-mp2', 17, False): (
-        "9e8570e76144b411a08b5e9013e6de84bc0ac7e6f28caa47aa9798207b270b50",
-        "39fafd106748634831abaac70abee00f3942fe44fe452583f77ae9281119972a"),
+        "d3c0fbcbbb2dbfb20f346205fb11f71d02ead9b1294b2c29b67d84872d0dbebf",
+        "5f07c287662fddd52da275f1b5c5d1a1ef72d01c8bf86ee219393ac21df41934"),
     ('corpus-mp2', 18, False): (
-        "36f9ea6068a5c35f4cd27d90da84545262d67dfd8094e06fa4ef817f45bc1abb",
-        "20663222bf67030bdb2859f8ba935028367b7af7c164de141295cbb0cbcaccff"),
+        "511e58a55d71a64cf0540afe19e96b803b0eb95687843df1bd64a6bc53ca9dd3",
+        "e3f8c36696ac1d53a9362a8f41271239776c80061ac3799332aa9d455bdc7ccb"),
     ('corpus-mp2', 19, False): (
-        "b1f4f075ab05ff46c6998a0e4728e343c8c74c9acbb6dd1b0aadcda675c1e3a0",
-        "a1e81bc77213b6e9ba43c538bfa7317e16103544cb62bd16337bad28ff69348a"),
+        "c0f0608d65e38ac152cabfd832478e0f85351b32a8a7c3a0bfc45a8987951fe4",
+        "a0952d698930bc91a07be0ed83c9d0612594e1e67d5f8cc2b581799ce3a04d69"),
     ('corpus-mp2', 20, False): (
-        "efadc6c7ae2bab5b2d9f53ed5666207c301c0e84b6369f9c99e3e3a0bef9fa2d",
-        "ec7704ac70e6d1abee082b16063f000eab21caf776d65553b3861fc435731e54"),
+        "d5b4fdd034a43250d3996f5fdf2f1f1184cf8f9b89599bf117fe84bf85b865c6",
+        "b4e1fc30676034796515e85911ccad844e0ca614a84d9add6e250be5669ce3e6"),
     ('corpus-mp2', 21, False): (
-        "fdb345d761bc0261c811a29118d82bf1427330fb62f803980dde2417a340b5f5",
-        "fd5ab9890b0b422b8c38c65526a905e4fe6ba12078592c364daebf5f3b438895"),
+        "390a09da318643d7365d07ad7911b4d9d6da70bdc9bd58b2dc74ae8a738f24cc",
+        "90c1be3583e4a16e0a94c1fbf03b3b50947a98699edfa674757f750e1e8e69c3"),
     ('corpus-mp2', 22, False): (
-        "d92300c5168b4308e3a3a697f9e5dbd79574e82026edd641a74d55d3dd1b156b",
-        "c137aaa0af279762e7f47998821888b7a1dd7195b11a2a38b66186f2a2cd83ef"),
+        "fa54c94f8cd415211272968156d4509b087caea54af9dbbebf20a755b90c4245",
+        "0606cc81ad4cde506204fdb6adca696af63c139a531f793daaa43a7a62b04951"),
     ('corpus-mp2', 24, False): (
-        "fd3800fd608e7797ac79f447e597a53c431ec2a35f2d355a4fae8ae51d0a7862",
-        "d1b082682664ebe129d07972929990869dd7d445d634749bd5294beaf05a984e"),
+        "ae5d8a3dda186eb29d4707183e1f8960e6d23e203585153263ee5308d3dda3de",
+        "514053d2773a5a37e443794b5e56892d45a9b8347948d25ecfdc3e1f7af16c61"),
     ('corpus-mp2', 25, False): (
-        "65f44147587ce952e75b7170537b40a3b7c5202d11a43434003b4213ebcfe9f8",
-        "92417d235d2f71ccc7028ff49ae094867143b34251f168b87f17a81179963103"),
+        "bb5af74c0b057afe7d20da4af0b2b2198bdb563f14924f56d484c111ad06787e",
+        "339790dedf34085bf2069488e7ac41aa3ba9282b233145044c5b406cefd4a121"),
     ('corpus-mp2', 26, False): (
-        "43abb4554e83c65059a521bb2c1b4d7c7338ca63a10c9c5fb4bde63a2d1b2ac1",
-        "4b88f3508afef04ef89a0fffe588ef7a69ab4ee2aa36de108a2088c650d4b15b"),
+        "5571660db3d7968cbee9922628bfe8afe23b5549a1e13317991b8a91bb3eec0b",
+        "9f06e8dc2c8dafee622debc858abd14557d776428a982dcf3adc281012a0f828"),
     ('corpus-mp2', 27, False): (
         "f7c548442dc2737d30bf5e94740d50babc092574b3853bf283535ea5893263f4",
         "7feadc0a47f1cf91860e997eeb2087659d01d0627a63108554a58651760c7cde"),
     ('corpus-mp2', 28, False): (
-        "e19f8e6140fb9ed39890e66da051f78120beb62a3f39a57fe58cfd8862693ddf",
-        "dce1474d806bd918cdff3fc95f85aabe110b86655025cf9b0e632386e694e0fe"),
+        "8f37bc1b352a7c4fd58f2da6a42ad120b99182ee396bdcd90f73496266194650",
+        "4d0c60e817026049dcd8daf1d7b0adfe7a9269bfa296bde8106072867786de91"),
     ('corpus-mp2', 29, False): (
-        "e6693587d6efb559bda3e94cf6a6140cfc9fcb8795e9698c389c11da0535d598",
-        "708af2b85a990efd2990578986fe004051525938067af624181329bac3f078ca"),
+        "0bb8727fcd7d803f741b08cfb570c7a9c26838ed32e56d67dc6c5320dac50671",
+        "e020735fb7fc963ad0f68356643e7015154b1885ddeae72cdccb6dd9918d9e16"),
     ('corpus-mp2', 30, False): (
-        "2f91c8ccc010b40dd4f0152e340054b8dac6bebd979248bad16843cef847329b",
-        "2fc324b00f363e17c2574df0d107414ed2b131d3677dbad3321b2323a3d0ef9b"),
+        "2f1d62ff10c8fe27a0c9687d4bb1c923775c5a9552feb390b66543c91bc455cd",
+        "1e248dc1e78d88e18b087c0e478b33855e236ad6f4edb3ab9f0fca017ed6e6c5"),
     ('corpus-mp2', 31, False): (
-        "595328115dc1893a44451377620412d35622e35ca55d596621cfbef04845860b",
-        "923f8f7d3639096caff16ee0ec54dce3fad95c79d22dd08a285cb835a4a8dc1a"),
+        "ba71dbe8065784cae98ad6c4387ce8c966fd61a8b372693b12401a067c5de6e7",
+        "6fe9afbcb4dba35e5b4aadd168092f759ffee5989a7916ebb01fd83bb8468caa"),
     ('corpus-mp2', 32, False): (
-        "15a31351614dd368df304e92662e2280c5ad17fa26a4684afeae26ee6444c2c8",
-        "f6c42fe8df00d2cb49e79af83b005d3d96cb8e6c7d09196639ed880a5bc573da"),
+        "2775853ab7f66402c0941ea402096f38607839f2e0cefb1fca08addde6f5fcfd",
+        "35136ddba05fb7ab23188fff4fa0701efca18dea24241a65c680a80d66a1bb6e"),
     ('corpus-mp2', 33, False): (
-        "f1a49a17f3e6be0232add76c3775276fc07ece146dad2bb7e7fa024c7b03e22c",
-        "3cd5cea33a3db8d006404fab80c99f377756691c2b7e225db1a6df67a850dc00"),
+        "49ea577d24bc808c1802b9bd83312f4d7fa65a7130d972fa8dd1019f576118bd",
+        "150294a5212da9b50a8768bca7bae81d44441d1c8386fabc8f8977dd8144ae61"),
     ('corpus-mp2', 34, False): (
-        "0d6ba74a5ea96385c19d67288143ffa52c0a090ed695fdd18719fcb5d4b7f72f",
-        "31334df62cc97d02f576ea9c26a4f920c78bdfea3a735537c1a38b7d55f7b4d3"),
+        "dcf7e10461211fe351b94a15eb05b99433bac281ed0e686f554467741be239da",
+        "56a9746db23c30906624bddcd21b06e01a5136c355c362c7ddd7516f0b178fc9"),
     ('corpus-mp2', 35, False): (
-        "9cdb1bff1bef6d790e4b56fc7bcac7995328b2af222c271de62982f271552623",
-        "a8e80b79cf5534287c2e96443160920073e781fbab10ee98067af91671699f52"),
+        "6872de2b221a82a596dec2aaea20467d73e8de1e1b934df9f1c12bd1ef73a16f",
+        "c84a523374dfe5566ccb6846d66be64d07e9e5c9d4c698d49ed5a13d4acee320"),
     ('corpus-mp2', 36, False): (
-        "681b7371e9718f7e2038d7acd3f7f04e0379318f18b58d730fbde0a89bb00093",
-        "558198253a9d3951b94f50ee482ffd6170e174c937fed48fd970ba07e8f9b0f7"),
+        "5af03f4a28c9b7183b1fab5822c7c8e8191c11f7f07dfba80b77bf6b8279f681",
+        "3399408d0da33725580ccef11d374cfdd1994ac2cad609409835d5faed88473c"),
     ('corpus-mp2', 37, False): (
-        "4dd3ac6eeaeb3e8d0489a75b138075d998b2ddf50f9dcf0374a17965922e6743",
-        "7fd7062a2d06a7c6c66b91ddfb41b5784447e6ae2405508c1db048a3b2c068dc"),
+        "984591c3c878138d27b98d0778fec3189bdd14e05c9c4aeb47aadcad6039ecc4",
+        "d01ef8e546f1811c28fed0964fb9a442349a782190932db0ef5017be197a2fca"),
     ('corpus-mp2', 38, False): (
         "abfd03a23e23baa9525766ce6fa12527a89e6c6b96ed0d34899ff94b9ae68107",
         "b3da074bee15986ecfe78e220179abfbdce8de2f5f6b13dec5be9d3ea2c49b18"),
     ('corpus-mp2', 39, False): (
-        "0b5efe3697df21973a74beb0d2eabcab584d68da8b1ba945e3c86db05b00253f",
-        "218594c2505a7253d83a37296283c04db6cfa9d840d134631839a13eb0145f85"),
+        "9cdd278de609dc450f21556a2c34b47b53d28b475704843bbf489b8234177206",
+        "886bc3c36025993118500a95c1bb1487e71e9173d31cc87f962188d2844df9d9"),
     ('corpus-mp2', 10, True): (
-        "cf47aa4ca4f5a542f9c375a976b7abbe417a7b1fa1e596299ab2773a7895dd3d",
-        "743f8615c0995cf23d400247a8c7a3d0a85f6e22eb03c8b4e61179d3baae70fc"),
+        "63cfb65a8c06cf2a4cd442ae94bc36a83dcd70aca0caa6dbc06078281900e7a4",
+        "fb168f7338c3e49f69d396a0e8c6e9a3a8d0b849397df07135a7c99c3019f010"),
     ('corpus-mp2', 11, True): (
-        "b73745f16e5bdaa09d4ee73649ed19e277b17e0b29af790119a583554388340f",
-        "c7d42250512a670724e866e617bf0ad279328eb8a51a497d52423307b06f3ae0"),
+        "9be58c09834d59d5ff957d10b5453f74df6e9c3bde6329ef0506df641ba164d9",
+        "86e6feb99404570f9626461363c42eb4c1723eaffdbc0d484eb2f483a11a9e5c"),
     ('corpus-mp2', 12, True): (
-        "ee8881b96b8feede54ba66dcac80bb937047323bc8e06e83c347cd42e79068b9",
-        "016ecf757121383907b4ac1a0302bc93c925f416875a495b41fce8acb00aad64"),
+        "b48cb0df6feca759a8b8962d723a0629040b3cb2e39e472db355e931a42a6103",
+        "9d93f8fc5b2fd2a007bfce6fa18b9f0cabc2e0cc6c5d5a7714adf1f017fb1cc3"),
     ('corpus-mp2', 13, True): (
-        "98946a2e417f2647586ed2001af6f0298c19e241a65419e25cc6fe67c8d889c6",
-        "9ebca3d59092771767f0dbe0f4bf354c262e07d66ff57feef57a95343baff870"),
+        "6b638d28c7565a13b0333f29afa25f16e261e487f4af4f9ebbb8df1bb0ae0b7f",
+        "031e49db4aaab54ecb174ee7216252d497dda4598b71202549fbf77b338bd8cb"),
     ('corpus-mp2', 14, True): (
-        "d6ed373c8f92568f5b155672b636d1568a922739461f0d333a6563ec21c897fc",
-        "0ac66da2cafb8ff8c203e3c23149a3ef683bad08b4f8e212969cd986309c1264"),
+        "e2e362550bb665d89680915cd5ce13a6cb02d896ab88b8162433c5dc4d47a19a",
+        "709a8b497bf2e009c84edea7ec84a742946a7e316eda18b8b7028543f675f86c"),
     ('corpus-mp2', 15, True): (
-        "ebb21763e14a5bd67cb07137213a41f2d0849ec3ba283c51e5e62fb587f3bdfc",
-        "006dfd880ef75d1579540a73b2fb53356f90e4268edaf4f2d070456bcadb6d73"),
+        "ddd3757dbd842015b7f8c484003acc0a785a18c53fcda8bc55a187c91762b4df",
+        "692b719f8c1c587639fbb770810525783152b7f704fe56df9e0c4801cb3a1f6c"),
     ('corpus-mp2', 16, True): (
-        "a16aef45daed55d75b8042ce5e045b8be6e7b726ea2e3cbc56e9374c337a9c6e",
-        "d1d24fc74340c03426c60623ff786711c97bbec2e173b232f23b405d4ed46c2b"),
+        "99b96cb710381b45de8279fde9ffdea040a2026b27f0cb1820520c1f5847c010",
+        "e9fff26b8e6982955e8e51335f1f088b0cc9b465c95295b3b0ae8411b22f8793"),
     ('corpus-mp2', 17, True): (
-        "fbf3f7b76b563823b7e7d5915dceec00716c18f776254a6d4d77c5dee59748c4",
-        "3f3f8f2a33867f30e05e7b25fb79952fcb8f63e9bda3d0aa479fefefb6a93953"),
+        "ed705c46079cff19cd02b3831668a48eb22443a998cb5a4812bafb71449aaa44",
+        "dee0ce8504c54d74d3edcef9eb2a05716c3f46ef3ea806c5bf91043cd1df9b6e"),
     ('corpus-mp2', 18, True): (
-        "7fd4101bcf34fe8dce8c2d65e1e1b693234b614d0f71010641c610ed9590159e",
-        "80b5a833227a3825ff83a03d70142cf58a22469fa2ba08eea9e394a83ffab6d0"),
+        "4c7efab8d289f4cff5b97f73dbe805386bf9b63bd79a9df828cfcf8fadafdaed",
+        "7b52da407e0ed6b1b5cf6583d94ded62a1d7057365cc2f11ec1a4c3b2cc6ad27"),
     ('corpus-mp2', 19, True): (
-        "2a2cfdb0a85576c048da66fb4414d30da0e2d53ece93a277fed4f494b7552c30",
-        "58534efe5705c6a761e905749bced718a43553a1c83d820b1783b0bacb21e781"),
+        "b18f11f26d13f87a7f9d6cf88de37111dfb78f046429a7b53b8fc94cb0d93550",
+        "f29c906018e979dc868aa804fb9168047127096ed1f04943b09ce99e1b49d2b4"),
     ('corpus-mp2', 20, True): (
-        "5389e8a73d047340822af7695321ed51999ec46ca74ddbe446c86dcacbefd525",
-        "4e413b7c36be540864e53119c19fcc27d43be8aea5ada60cfda3280a1a76c693"),
+        "38873a9b299371e6cb60368799e84e3f261741e3c2b7fb0531e7978e930b54a8",
+        "762ac682c13a5ed240f2d0f979dbc041de8433357f9f3c8492699b637035ae5e"),
     ('corpus-mp2', 21, True): (
-        "fdffdfd9d0557c19d712f997ae1c66c0fd2190879132fcf02deab1c9c94bac94",
-        "6676dc60363588f38cbda5c9d5bcd61fde954181bd41d9c0f367154cda40b457"),
+        "830341e75420d4ac09d8e534e89b549d8efbcbd90bc07b1773b9750a14f74eb5",
+        "12352f716c6b97b75b6eb9561cc325a57986dd90a8ca7ce826f903ed60a72e10"),
     ('corpus-mp2', 22, True): (
-        "53a5a6e0f20e58390728dfdf8622e8a9d963cd42f1856a57ab2237a7d6dda937",
-        "dce29b817e878cdb9e004ccfe73be532c5354b8534afd25cd970da242f4c5f20"),
+        "856d571721542b8e218a9845dd427e79f5ea4c129f03feaf484c7d18b2151782",
+        "51640ec99d32a82c9faf51d228ae892d53edd0280ef3b268ed3a4fe9a2e6cec3"),
     ('corpus-mp2', 24, True): (
-        "036e9c8336b0a402aaaa5548f9317070b3fa49e97c1f309dbc893a0eed40ae11",
-        "2da650bb434a68f8ab028fc4feb68ca4828fa3988a52d25fbdccd1f71b67b6eb"),
+        "c11128e4eb8baa775342b8311b1717ea71fb899abf0d6716e7dc55b121b61f6f",
+        "ab46061e5691b9f805a9eebfd85812b0c6c2fc2f6e265989f3d644b5d6495ea9"),
     ('corpus-mp2', 25, True): (
-        "9d5e654f6897af4ad17e7d8d233c604cb31de06282cf0efcd6f7ad385b7625c5",
-        "2abcc6ebca39d7bf150c4456eccff3364adac4240d9123c88e56070eea558568"),
+        "84713e04c77cd1b2d298e46bb7a4fcd5426b4eb1d89516973a4ea5f8de741d42",
+        "8514de0acb75c3465b5cec591b3c88881803695956dc90db7e86ab9d9882ddd7"),
     ('corpus-mp2', 26, True): (
-        "cebbfadc1513a2bbfe942512fd3db0e546d53732ffee35c87978bd8811a23304",
-        "d2128892a40b5a10205fa6fadbe19f9a8e6500db443a316ebe9d6043dc99d1f6"),
+        "7ad3bd1c71a143148ea422a8d10f782451a6f42f480e7439e91103086500850e",
+        "024929367625e186c4cb33efdd67e5583ab8725c0970967100dacae8841733e3"),
     ('corpus-mp2', 27, True): (
         "909db4edc3fbd5b62f847699bdea8ace2ffacae12b60ed2483262e6776573ac7",
         "90134f6232a6fd0ce1dc9052800d298d607dc57235c78c3631e3b429bb699a90"),
     ('corpus-mp2', 28, True): (
-        "dde1d07038025557ea5522655a60a262a08ca908fa7f164b28d7010c81a8b30a",
-        "67a2f3df1bd661a7b33a6ff48ff2ffcee694d7f519e4b8847cae976ddb975019"),
+        "de22359c29be56e67de504b3dd946cc518d6ea51441890160246c5de3368d8bd",
+        "585cc740bc3364f8cfb366f8ad09f5913576aa14eb3f83ad3894bf14ca9a143f"),
     ('corpus-mp2', 29, True): (
-        "497982a9d78ece71683b87d7f62538cb20a4cda36cc3caa765d69b7d46f9b69d",
-        "5a360cd0228b081830d3f9fd82a70f5138c86eea147938935a8291d6f92db20b"),
+        "6ec15c5a4a3c05cd734979d988bf66281f2a0bec8012c9c2f25b606166de4639",
+        "5321bc8676b924fe1a1f9546e0594080347b0fef7c75d4d09fde4a898cb22bae"),
     ('corpus-mp2', 30, True): (
-        "de05730d8a264262e06d932590aa7ee38ae3b35aede55884b126a4063be65ce9",
-        "5de9d515a5e429ea292066ab47700a2ee3889689c54503c949bcf2392d463202"),
+        "d14841120e32a98ae9e0fbd98d03ba8f846c9e3a469e395441c6b6cd612ee308",
+        "e67cc2199d583dcedbc8f00de25103dc7f6c6b84700e0f8f86e10e92ab250ea7"),
     ('corpus-mp2', 31, True): (
-        "4e7dfc12eed1a815d0e743800f012322976f95260937b6339a509fce375af67b",
-        "a2add6249c9eba987841a4703fe7670f0b0e3f544fa2227a7f53636ff71bcaa5"),
+        "652ddb8c0b5f25d4bc38e73f0b89983011c75b966a3e28ec27c05ff8f9a5e8fc",
+        "db4ffeb043d726650d4889b26c27f248437680c82d21e4c47303e5d1e3f667a5"),
     ('corpus-mp2', 32, True): (
-        "db537c2d516733b0e8b12ac28ef4463da22ca6477289d5ef129f5854282d249f",
-        "f2e9567db33f39eed3a7e822b693d672ad7277ff3ec19d89882fdf20f8413839"),
+        "b4a97a32d563635815f4f46828363d76ce65cf42499610272519b1e7fdb6c1b1",
+        "2af5bb5e7d4d45ed8ab3417de19d42ffc977230a4fb75d85de0d1a46c9d56025"),
     ('corpus-mp2', 33, True): (
-        "ee2c3cc0429c6c12c443bd525ca2a818be9f5b0c0d1f789265f35d1d5574fcb3",
-        "b02b6ab2d5f9b6db403f82bf3ab3ef73cc61ed954d166eb10f5cd223df5432d8"),
+        "a1c4b6404245fcaa912c1eb4c5e8e9edc54ba0cd4da4086a46f7ee7d2b0e35d5",
+        "9fa58c94c63323354e23f560baf8f1cdee791613a98be2456b44ca402abf82d2"),
     ('corpus-mp2', 34, True): (
-        "6bb34a70348e803a9b8d79e49af7a5d4144ea2a1e129ace48b710aef7e69306d",
-        "15545a81ab8a95fdbabf4195163b2d831aa6e93dc4c5ca5257bfd0004a3670cc"),
+        "dd7b6cc9ebb2e7597f6c5a2a65e459953dbc7dc09209f921990ca9199a29b285",
+        "3b27e66d013b69e1287120465c66ca42e4c39f5cbcb305247b94cb02687a390c"),
     ('corpus-mp2', 35, True): (
-        "9efbee98109597cf07eab368da4acbd99f465995051bdc5c787c2d0c0e225e39",
-        "40d851b0074522363afda599cae0a260937c383c1cce40d668f9d6d720380abd"),
+        "d80954ba85cbd01666e12f91749fc3cb3bee7497063420768f0bbcfbfd91fd70",
+        "0d986a74307e0dd6de8c9950690e0a33d09c4e8431586fe15d243fa414bda52c"),
     ('corpus-mp2', 36, True): (
-        "5506e59538d8270905042a773b740e71e1dae73e9c344e38c1fef6ead535a1d2",
-        "1a9278128adf90018c25df78f039665981338bff6a3d4d9f597b0a38dc99f129"),
+        "e36b738fcc015804cb6f2b8922441a32b9cb9ea065112953c33c9abd151d6830",
+        "1753c63f9227a39167195b9c547eacc0e68f7604b0849ad6ff6380d84c2eb595"),
     ('corpus-mp2', 37, True): (
-        "132f9d088d26c23281dff419cecaaddeba030d00d99970780d741446b1d81f46",
-        "af13cc084c71855c9ec6bd688fd761c407ed1a79cddaffa8a113b41c3506e838"),
+        "d0d47d864780768cc842992a94af2926efe69010dd340c5d24be63ef427b4b44",
+        "86b826afe4ef29b54b756b098323562552638e460245b17872d217373c668b64"),
     ('corpus-mp2', 38, True): (
         "2db2aeae3fa636fa9df23b59e243be01376a3bb1d57b8f56e626267e143b825d",
         "4957aef65ff061ff45b8b0cf66b58950709695464a651a70c7688daa1638a07b"),
     ('corpus-mp2', 39, True): (
-        "332413017c76622a1d313ba576409efa19324b452e3ac5d8dc486a9500765578",
-        "fe5456937829efa29ff8515698afda02c117aec66d3fb49e72c02e7ffb709d94"),
+        "ca2c8645631eb25e25811ffa410599857a4ee03961fd4d5255ed7a75c4f3f671",
+        "b617c4dec4aedec26cd340abb8927ac02fbb41d7c7f9d617944f06612c83330d"),
     ('worked-mp2', 0, False): (
-        "ee5c8839ea6e10a294c3cd308c29c4d26c04317fc43ed659febaa5a2e205a089",
-        "2a6d42ca1a86e28f9c27334e2ccdb84d751e4ff11745ce6e90324824880a9e79"),
+        "773e573ac34f974b7194544ef4e377b43afe0b267e961fef75c58057ecdf3053",
+        "5263a3c13ca5687761d652518a5718a8fe6ffc9293e7ebeb652d15525deaf7be"),
     ('worked-mp2', 1, False): (
         "fb098e5dda74b2f69e90de747c0aba07f13bce426e5d88ed639a104b1a25cdf8",
         "b5c927c06f810e229e963bf4b54de88bf2e15979b395ed467a9c97fe852007cc"),
     ('worked-mp2', 2, False): (
-        "cd24f76181d8169deade242c8de55db356e9d5640ab8473fd98852dd60b38ab4",
-        "4e1ca2540976f2402e6519fdf47c9119e49252d2eb5fed9f46527067f204af71"),
+        "a00213b3625bf85d419c547a60ef77010b8fb7086d9338b379546fe283204586",
+        "1eb065dd5a0a635cb2671cb672f88c7cc14074e43620fe5feca19f132f17e515"),
     ('worked-mp2', 0, True): (
-        "62a2852ec540520a8fb31ddb724af2d4995d9ae527f00dd173a0786dfd17ba92",
-        "ec288fe57285107830450a8f5fe7e262a927063151d791d1299d2de6e5c2d973"),
+        "a5674f12a41f39a79269e37d541a6a8a0c828d4c288b149bd656a56e6aaf9c4e",
+        "2cda7e98f8c3f40e1f590a4247421856a0b177801a0bae543571702ace1d987f"),
     ('worked-mp2', 1, True): (
         "ea5ae17a6f187350cf8cfcacb69ae3ea3076b827cba13b902af07e75ffc9ca26",
         "c7ee4200901a25129629c11b4c24fbf89290450aa4e9ce41abb38c61d34d9839"),
     ('worked-mp2', 2, True): (
-        "a3f3bae73c9b4c893d5bdecd9b23914caed80869fa27cbdebfcd7668a219c991",
-        "cfe54fc0230000c627612c9852b9865f62f0885a73469298807667566158f2bd"),
+        "652a76d466f798ad6949f591b2390cade8373ae2a55c419204491a714c812a16",
+        "be6c718143a2fe14d61c6c1d165ee5f43bfcd1b7be6a4c643b06f9e0f90aa28d"),
     ('named', 0, False): (
-        "d359903b2f17b9b4d5c7f4780fd38c8974f1cbb75eeac02f6616c1976e1b5de2",
-        "bb5b646fd7431e0676f83161b6dcb47a0af42f4bdf813ba72e04c12f03eb85dc"),
+        "40e752925889dd5e76a0ee1b91e14a43e9e6c181f6c4722927fca69d3128af2f",
+        "e615c89e6fdf8b9730bbced0b8ed22ef7ab4350a97cdaf4d9076257e84ebb144"),
     ('named', 1, False): (
-        "ba695487011cb094180b3399f1648fb0d67a04c814afac33806df9d92c7b27ef",
-        "e41deb62a9d3fb8a21f088d9ef6eb6d0941663da3fc27ba4aa8f5bc4cdfc2eb9"),
+        "e4105332a183ff711716b1194852b6c18b7d120438c35d6c58a462c5ee3cf77e",
+        "4c3c6dcc2d2c5a87b1d9c78a6f4fd62251f29d7b95ba0f9c60cfd8a1586921eb"),
     ('named', 2, False): (
         "39efb5848a1805c84fe7e89d81f9ca85de6c26cfa84e7457e040edfe84d795ed",
         "060413c318c3ecb715744b899d411f60c7bce5785625ea9b05c20867c84196ae"),
     ('named', 3, False): (
-        "ae059f95559e51fa13bc15cc9b9ceb1d0e18c643999a87890ac367f22e626c93",
-        "676af30f87f4eee48415fc398579399a024209d52e38e7191caf6e9a1d0fbb7d"),
+        "be03ace0deef20896a7c68b3a95000ebbe2d8a99fa72c22163191eeb903ebfd6",
+        "3379811f41986f633669c9f699348aae08d0bf97f304733874c357f4cbe0adb2"),
     ('named', 0, True): (
-        "caa9614edbd54b3141ee4f0ca0029e403b571b0aa9f212fe759f4bfa708bf987",
-        "4b50622e0b910750087b1de4d0b5136f47cc74d58ff3f0bbac42b51440b918b2"),
+        "e356f310d026f84c6c93052ed2d9a5229887918187fb18f4f381f33413371f9b",
+        "c6c871a01bd1a256e94261a3fe709af6503f3c0d3c7d956cb2f640bf995aa3a0"),
     ('named', 1, True): (
-        "14b0f295008834e33f55bc5587f8cbf253256febb6e046a6e51bc647fb35f541",
-        "53168db184c46df2ce47a90b46df6bd6bf7a6e46721fcdd51b5cea6aeb743a38"),
+        "2158ffb7eb6b4e12d716a96cfdccd50b2c691753ce58e122b6387f570e57ab8c",
+        "b037d4facbe0d2278a1c490cc766c70a0656107297d3d5896db35581e6f09a0e"),
     ('named', 2, True): (
-        "17a73e2734290f2433adbd5a0ffddad866b02f473cc13cf768dd8ffa6921f7ec",
-        "0222a4a49619f87f62b759414efa699d414ba5913a04ef4dee173849153c77a1"),
+        "8f912255979ce75ba9ef88a3184276071a3e481d4aa29839f8b9f797e590a65a",
+        "6cfe67f46e22f6b4887426845adb3906a9500192df7d6ea5f5d062b8dfaa819f"),
     ('named', 3, True): (
-        "3ba6e418103a0a9b89604b79338a5637bd448a56092eeea0598582997858117e",
-        "29661947420c127bd03825e54b74fdb39144860c188826ad469c9ecd1051e473"),
+        "8cecf54d78c505b551290b9a6de55805bfb147ceffbdeb55c1a9b4b254649694",
+        "e45685455d47dbe5c074e85baeed2f93682a0469b4d7f559576fe575172b71aa"),
 }
 
 

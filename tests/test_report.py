@@ -5,7 +5,6 @@ import json
 import math
 import os
 import random
-import re
 import subprocess
 import sys
 import warnings
@@ -17,12 +16,13 @@ import pytest
 import ratmap.dynamics
 from ratmap import cli
 from ratmap.dynamics import DEFAULT_ORBIT_BUDGET
-from ratmap.errors import ConfigError, InputFormatError, MapDegreeError, RatmapError
+from ratmap.errors import ConfigError, InputFormatError, MapDegreeError
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
 from ratmap.report import AnalysisConfig, RenderConfig, Report, parse_map, run_analysis
-from ratmap.scalars import GaussianRational, parse_scalar, scalar_str
+from ratmap.scalars import scalar_str
 
+from .report_comparator import shape as report_shape
 from .test_acceptance import _random_exact_map
 
 # the CLI child process finds the package in the source tree without an install
@@ -470,9 +470,9 @@ def _corpus_map(index: int, twin: bool) -> RationalMap:
 
 MP2 = {"max_period": 2}
 # sha256 of to_json_bytes(), of to_text() and of the report's shape (see
-# _shape).  Corpus map 8 has two records in one region landing at steps 49
-# and 50, so ro_depth 80 walks past the 64-step prefix; orbit_budget 40 makes
-# the prefix shorter than 64.  The shape digests were recorded while cycles
+# report_comparator.shape).  Corpus map 8 has two records in one region
+# landing at steps 49 and 50, so ro_depth 80 walks past the 64-step prefix;
+# orbit_budget 40 makes the prefix shorter than 64.  The shape digests were recorded while cycles
 # were still solved from the expanded polynomial of R^p: a cycle solver may
 # move floating digits, but no exact value, count, classification or fate.
 # Only corpus map 6 and its twin were recorded again, when the repelling
@@ -488,140 +488,140 @@ MP2 = {"max_period": 2}
 # function and bound once per analysis.
 PINNED_REPORTS = [
     ("worked", 0, False, {},
-     "25967cfda40d71817dc85d7524715edc972def667c52c3a645e2f072b8f0940b",
-     "bdecc95435423f9921830fe934a42beec88639333177d4429b59648c2fc5dcf6",
+     "7db9fad1a08dc1c35635a81a01a1187eea94ba95c2b71965a447c458c4553a54",
+     "abd77a1b25d0a08489e02142686599bcf515975104cf6d2e8c5c6ab2038f81fd",
      "16b6ae7ac0a3cc233e0dd1532898203ca60e3eed6e29cbef500c2140dbebdfc6"),
     ("worked", 0, True, {},
-     "c9723705ef625e906e754aa5beca16f51df6c86fc7cf7c22facdf25a7c6e2741",
-     "dd15f4da73837edf9e3c244799a8e097da292cbc354e43af1179de1aede76be6",
+     "9f9a72b2932ef87c8d5438ced563f520572cc22b2f63e75a7db6f4a60e49f655",
+     "45d1d4217a2e782d6e106eea95b8178049feae025db86e46c58993ecf54bafaf",
      "21be0ed9583bef42d478a248e5e3eb5f3d4229e0199038f7c0e410b0666e75bd"),
     ("worked", 1, False, {},
-     "c22df483c7c94f3127b107eda9756f77f990d11d9a4e4fe1d5435f6a50e1e258",
-     "a4cb87d0ce2086b73933316568c66b33880a4bb3a021bca28b5b0c34b176c2ae",
+     "6bb77dd0431c8d57862805378feac71a6e56777feaf88bb39c77d5bf990f4070",
+     "52abab5a2acd6d2bcdeee3171aa511b6d381e0343c2d1a158ccb2aabe05c157f",
      "8d9a8911f6dcf057f5b16a2a72677f7cf1c19c88743a28682e2a558d09eac153"),
     ("worked", 1, True, {},
-     "76ef82530aae143c577e5a040e2bca74d2852a6caf994f5ed745e44ebf0ddca6",
-     "abb5e94f847e8e4469c032fadaaff26343c0ce07c19652361efd8adc630e028b",
+     "22a00375ad46d5b8fa720426e56f5fe1a661da34946f61ce59fee2a4ca5f10aa",
+     "20e35bb0720185ed2922c5979d9b7ca569a6f1d3f829ef8612b7b197d75a44a0",
      "b3209e403b0390a62e3247aac7fc938cd690e5c82edd0299ec288191572121bf"),
     ("worked", 2, False, {},
-     "e2b4073bbbc655628dc084efb1689d650fb11dcb10d4f3ee35c77ac291a9f05d",
-     "32b7ff2db7026ff117a72bc3f25ed09e90b4fb5959518cb490a59cc2c46e5c94",
+     "f7025636c831291ebd4380f251041eade31a57b7e5e513032b3321fc1a410852",
+     "5fc55145a516b811038ad02bdcb296231e88fd0bb8a6635fd8f2ebe6c4eb776f",
      "efbc2d575690c15e2a97f596d6d23072cf0bbe1ee83280723b1c2c9e41cc436b"),
     ("worked", 2, True, {},
-     "453a5ca21a3695324844b651cf13a3957621ef1ece70510858b27beffa649781",
-     "44d1c4c22b874426ef3da0c00ba1bdbb15da89b0a6ca91bf198a9558cb3606f0",
+     "1bc606b439cd91799832754147837bfef04a8105b5a8093aab33c53f88761c30",
+     "4edb2bc99803cbadd145165c6245def382702167c5f8e18992c33428afcd76b7",
      "9d5055e845a239c09e635e50d0a5f272e340ee7cfc1db1eb7503d42b3c6984bf"),
     ("corpus", 0, False, MP2,
-     "8481832892b9e4619e66f736c7f45a51604973481e5fe3a3bf744f96e99f4d20",
-     "695ad1eeb80607387ada4d75f3621e574e7b479456774a960e8c8eda924c57e6",
+     "bd31c8e571ad0e07c3cd210de8ac2bccaa09a82b89c95997302807f443cd33e7",
+     "7cb5006c0be687a6afeaf4ee30cde93867d8c4ccaea05efd00d73f563d1c5bad",
      "fccb22a0bc39cf65ad4b045b9c05606eb500c0a7b19eaec947aca23dbde60849"),
     ("corpus", 0, True, MP2,
-     "1e94a1ab4b6b9db8422c2ff3843cd04263b6d9f0f375f348e14b463db2ce2931",
-     "968cc946c331ff54ab986f56eee2133343bd76345e983a3b518b9075211b338a",
+     "c7ffb7ec3027db703413305734168f22491ffa43fb554c891751ed13da379f75",
+     "028c80db5d156bee1eadf4559e50438d315b1b156a47314516a3413b644e9707",
      "8ed9e349b8d4d6098ce70474907569debd7c5c05eb271d1820ead618a6b93cb0"),
     ("corpus", 1, False, MP2,
-     "34c00d083a5c0d061b71aaf395ae5b5cfd0276cfb7f5ad5112e2fa594fa030f1",
-     "84f796a79bbb915c9202501aa2ddf0c7ce402773fec61e7975c8d6ecd5baa166",
+     "77653e2fd09d055c1f6cfb34d53b30f0a37d1e960c45ad2171dafe5fd8a2307c",
+     "2a9325e7cb8f22e3e4f53f51d668308eb9f34fa708e19cfba29dc3232113ceab",
      "ace478d18e14d172ce2cce5796b79d8b274e0044e8bd5f84fe0cc27b633bdca2"),
     ("corpus", 1, True, MP2,
-     "4ffde1bef9c1149c22bb2d371264279d7524c89b07a0018f0f3a4ec19355ac0a",
-     "2c6f8bdedc05ffd4d0e07996f5f37fc6c730b68df3e944aa81720f05033564cf",
+     "60ab9daafe13374a1afa6f31e4bacc43a662620e1dd34cc33d36af6299f42a4b",
+     "df70afabe30810e05ad8accb7f93a58aabf365c99e7635878160d281696179c3",
      "6831c052349cf27fb6130f722993e8e0cc1eb0dfdb2fbc64b624294ba34ab960"),
     ("corpus", 2, False, MP2,
-     "c8686d3b115b862f4aff3c107aa86a0427368b3ccf9f6733137496c2223d52c7",
-     "fc147e865f699d7f83082929ae887889f60df6b10df8c1c62ce8fa56a03e38e2",
+     "2041665ab4d7701d0b762525d4e0ef0285be89c130e2df75a21f4e153b77f534",
+     "bb926cd7aa127f0a12a8c19f9ec324c3bb1c1568bbce3c708b9bba20ba5e2204",
      "bc37df28205bf8fe49a4c1171f7be411df89d9e6ea5c4ced3531fb327ded88ab"),
     ("corpus", 2, True, MP2,
-     "f0ad89292f9ab2e3dae321de71c190c93576fb388030d8f6e6a708e3e7182900",
-     "9b0c409e95b783928c4d289f89fcf5946263cd3dbfabf06eec67a19ea6f35ef1",
+     "89fa6034b9f29b1e25517997d6c9fced6d245d8a59916d0bb0bde0f1f79567a2",
+     "90f2a9709115d112a8573d140eb4c8c5c1742f8812d03fb7034285458f961ac2",
      "2deb8d378dafac2966d6b1f77cd7fab56e7e952517a0ad47bce89af23e45e3de"),
     ("corpus", 3, False, MP2,
-     "d487e2cdc4cfe3e2bdc19454ce8b39e496d8529c9091895cb125fc71d24fbd01",
-     "a4e8bd2d6397890f437585e4b30434946a969cbb59e2c2bdbc35b1e1765b3504",
+     "b5a5c6713dd60f17b3d67064032b62592fc27331b137301fe6fedcf855fbcb11",
+     "b78082ef5baf1408b9e172b6b8f6adf06c1a3b12a768bac8886621a0362a328c",
      "5036c784bf446f8424655d76f3ab3fb87679b824125a1b59006453ff017136f2"),
     ("corpus", 3, True, MP2,
-     "6cfbca688c7583645a6ca910de7fe32bb5518b266dff358ac7f523002e15a1a3",
-     "425e0d9918822a0a8926c61eca6de49c2988e00e1103c0581855fa0dc49945e0",
+     "aba3187374d772e9c8e1e14c3f3f7f8eaf238f6013e8510fad871c01ddf32ee7",
+     "ed262f1ec895e5084758e21ea07d0de088eb8e3eb2b47db9b48c2aea9bf1f6e3",
      "53f6401d8c188699229b17aca62914d0108d8da0083eb6b4b9b880487b6cc275"),
     ("corpus", 4, False, MP2,
-     "6ff29c98407a292470a03e84faeb700ed83dc8333d37b06add3816e2a84d8065",
-     "60d29d7b7abbf97689cacc642f4b86de980e244cb673070a8e2f8a6a0fd26f2d",
+     "8874a3efaea2bd4b43b645bb87473bcd6258dec0d647ecaeedbcf61b4df3167c",
+     "af6e142812deb13d57c3bf9fb6d65eeac97e552e56a602b857a9ddf85c993642",
      "dd11da633a988002ee1177451575106b1a8155aa61cdd7e83a5d87c77f2ae823"),
     ("corpus", 4, True, MP2,
-     "d506d90218d83ace007e0eed0b31ed474ad79a0b1ab882d2195c004e010d8ae0",
-     "48e096583b3960c413637fa16a17b0042a889ccf1cbf362cb556b5a9af3e37d8",
+     "e9c13f271e13a7125ab16da0e0ca3ef3d6eefa960878f0ca4fe088b9b143f2ae",
+     "d1d6095b81199fb4f0db6d2b5c3af34166b0ea7dd13eb79d6bdf5f685b010307",
      "dc904222483f9a3bac1f57ca0c5e4735ff4f97e75be4f223b8a1556ceaa835ce"),
     ("corpus", 5, False, MP2,
-     "88961b7c02e87a81153f31711720272b2e5b853394c9dac5bb356fd5004502e4",
-     "5699672e98a8cc2171e2aa3a9ac50d77e1d750e9647478e2a17187159038d291",
+     "20611ee6c430356d0b495a9da05113805ea6265fa9c8c9bdff8ef60b9a98986a",
+     "0689e6b2afd2d3a941646e215833ea29af3993af0c658f4f393918f09e2cb445",
      "f1df9e6367c0727a54d520ae7a0cb4c0c4d01d41089957de17ae5a104e6d4cfa"),
     ("corpus", 5, True, MP2,
-     "f2b4f4b7797559628be11c4c56e5cb49a11ddd577dab98b23cef672bf3031cb4",
-     "1bdc755288fe37db013a2b0e116b6daa646855ea56bb2eb86a7ac29cb0b01f1b",
+     "c105f855466ea49dc0f6a6d50883e62e1a279c3d6991a3eec2e8c8faf3af8851",
+     "dc8d1121371cb7403f4f3fc85f89fe41d26b32b344bb62c05eb775bec8c31fb0",
      "39b5f55ee0a2e257a3c475572e823759d151a84eafd31962cc61a161b2ea5b75"),
     ("corpus", 6, False, MP2,
-     "34cbcefe124b121a99f0336e72fdac05a85c99926099ec5d80d6963287997e6d",
-     "7dc03b6b84c6689bf460f28fbaa8891aaccfd30f2b35f3f1d6263b99f4eed674",
+     "2b541bb5dc555d8eaa399bb660c1308272a50ffa6c1155e36669f59aa772ef40",
+     "16ac7b07487844531319574f93c2e035a7ee876516262fabaeb2157e674ae409",
      "77df56d685ed56660ed4a8712574acbeebec421f59811fc83fc8c15b9a8faa92"),
     ("corpus", 6, True, MP2,
-     "73faaea3a8754dbc51b38e09caa04790cd2fcd8139fd2ace141bfe9ae9fee416",
-     "802fa4b03be41d1ff32b5cad6cf327992b50c2249f9d40d77c32bed037f21707",
+     "406d545dc575efebc4304ccd76dfe126cf5285dde937f81df97e65902860399a",
+     "3831cc5935148edfc2db9f88d1ca57a975c9df6641ff30eca3334d83124385c5",
      "e4e26743b3f971680db10c5b7b9a7ad8a0e362387003c924d246e6e57704136f"),
     ("corpus", 7, False, MP2,
-     "753dbfee471048577e2920d1068b955ffab0b816c4267380dc21b888a6f20701",
-     "05e2a8bde3bf2bd9b3fec8479326619e80e86b996a96860420e7a2338f1da4bb",
+     "08e2dd412804a15421a2de55794e0e5acc50dd8510d3b24f03bc99800febe6df",
+     "697949f125e43b351068dc21937f4392577a94db1f5a08bbb771b29f8ed867a6",
      "9d071422dcbe2058377de0410231b64137ba992906373835009a4d4f7b62fbad"),
     ("corpus", 7, True, MP2,
-     "5c9eeb72f62c7b0d55f5c1c182b35f93495167b7c2f3f88dc838f7482ce15f9f",
-     "60c4405244f7acfa48b02318bcf94684a460dcc460a5f9e8b2deb414ef95c57c",
+     "05d2f53a6e58c56d397a449e47868c52feea4714b255542c171ea5e090bdf468",
+     "a639a311e19f838169333fadc7b6bcace480576e7887cea2ddb5e856608d52fe",
      "383e2854cbc511cbeb11c5f56bba5330bde395846e8c0589eda2da4e57beefa8"),
     ("corpus", 8, False, MP2,
-     "2d7008e1cac6222d95e23a180c11cc7ab2eb45a1ae129bf32ed5bf9cfc99f504",
-     "3f91ba8aefa19fb383e1ca4392240a2f8e3e5962ed67e688cea357fdc3c3e1b5",
+     "9641c6fbf58945aa780ba37aa5fd170da90e4025fabe55d4395fb183b4a98203",
+     "96aca805d45ec9f8c4ce0dc518f461f55d73cdc090cf9d4882dc86f569ee51cb",
      "23ac9a0807f36c31b7309e423c0627e49491a3c9e1439252a11e357e71477616"),
     ("corpus", 8, True, MP2,
-     "83a68bbfd79f0a10126a4e100cf2b3cd0a646f39ca6ef98b50ecb455b3db3f44",
-     "701192f19c18af6ee57c4969c331f3f3038e588e20e84f77f3f73379fc13b053",
+     "6f2f5994e0ec27ade04ffe76e0363cbb8f93ee9ecadd187572d48ca6942a20c3",
+     "676d1c7fd35354d4c08c93c76153d755dd7bcbe656323d8229f5740e701f4025",
      "d4a12e9bc34a2e598561cfbb5534087caafa82b3825559cb36e720aab87b43cc"),
     ("corpus", 9, False, MP2,
-     "9b46bd9750f5ea36bf169aba2e091148e54be56d361976e3c565b9299a53ac03",
-     "fff734138fe685f19495fed6adb5c9c3335920799d68e274427f060d8a70ad7a",
+     "b2bbf262985fc7138785930cb0a2cfc9b3caef68669de49cd58662812a175401",
+     "e5c8e226bb071bf6c7262717a9e416e728e56de2b63fbc156cf1e29b5bac0d44",
      "e65925aaf433ee6e97d4468973b6f3193f0d701dbf4d2c071f8dd66359d45032"),
     ("corpus", 9, True, MP2,
-     "04990f240b0f5fee8ff0455a0ff4270b3c7e5ed397cb173475ccd79d4c8316ec",
-     "f9dacfa957e1ef9cd40c532a2045041d61ef108c81ae0dd20ed3a819c2e82623",
+     "ba4c7c1cb4702b88efd42d2a1c7147f0d46fed81928958278e457efad361972d",
+     "b74a6e2a47ffeeb04e31bafd8806775652240751f84b2dc641bfc258e8dc8506",
      "e5fe191eef4a3ca0ec1528c5f5891502870573cb74956f29adef79419f21602f"),
     ("corpus", 8, False, {"max_period": 2, "ro_depth": 80},
-     "cc01746946748a013aa9192fb328b06f355d3585c816797d874a2154e10e2cdb",
-     "72fed2808453c6427b56f8c7d993201e036391d7679a568ce812f4002f17f0a5",
+     "855ed1b394a079884171f8853477260dd7a1176376e15cdd9e479011fe56406c",
+     "1406c65643d8c0f4b56e422fe674f915d8be4a1e34bc4a8db36275c0f0018913",
      "5bbcf914ff8ead6be391ced9374a4fcfeda74b813fd424588427c1d13351901a"),
     ("corpus", 8, True, {"max_period": 2, "ro_depth": 80},
-     "42c41f34eb0d05aa9a88d7b24b672761412ee066387d1eb138febbf1519791e6",
-     "a7808f8783f010c362bc6f0531690aab7d33f8d32d90d946ce712ec2afc43600",
+     "6f3e035cdcfab05423a767df91613b9f54d5d70358ee22b14bf1df3bbcf1ff0a",
+     "1db8e0fc2a3e5659a3b9fe00cbd7b0dac4d9b1923cc891313d963c72bf9181aa",
      "69c2499122a06c83694062c71d674609b01136cbbb0c9e88f621f5330625a8fe"),
     ("corpus", 7, False, {"max_period": 2, "orbit_budget": 40},
-     "5787eae3988f069d49a5c946a18306ddf707d3c7ebe6e7926d781719a236a40e",
-     "c4496bd88713dc6cceac626351de921fed53fe8bb72a2e978506f2d98fc5820e",
+     "c3a1c9da6394b6ea74c2c7a87251407695842f47b4094e2d98a686ebad96d0ed",
+     "a7ad8d778a2ec4b720bb489d9b157f7748c821d8cc19f0101e26f3d9b9d0f0f4",
      "7a7f2cc035391253c4cab592b4432eb45a176a95ef949026a5951474730c1716"),
     ("corpus", 7, True, {"max_period": 2, "orbit_budget": 40},
-     "573db1ef3fe8d4535ae98047a2d757d031382fde4955717572802ebd38cbe19f",
-     "fd5b23ff857978167613ee72440667fa30bc101f00000971d75f162ded0c76c1",
+     "85c5ec2dc5f35e821586e9a2a1ffaedf670edc1a237058a6a20a8f69db168323",
+     "8c7f87fa3b1f0ca41543e768aa1345091bc5fba00bc76bd3290c556ee2ba8aac",
      "d6fe0bcc82663ce53b5b68fc51fbca172915af7c87d4dabee8739dba89db1d87"),
     ("two-cycle", 0, False, {},
-     "776939bb6044a17ebeeb3060b8c21adcbf7be1e16d5b1c69ba5ee822a971af4d",
-     "fcf5b46c26943ec47bcb7931e3323372293ad5e35e2d234e7375aa067e14a6be",
+     "8c7441ee34e38a1cb061eadb03bae1f210b89262b345fc9b7bc38ce0e9d42486",
+     "2c5f290f8036950401faf17ccb0b7f3235acdae43a9d57e9d34d81cf6f82459e",
      "d56030e682526290b214eaa49c4e86fa327be7acbd47602899bb15b792e12da0"),
     ("two-cycle", 0, True, {},
-     "66c93efe50a2091c5d4c0f3dfc6f22dac357ad2852c82366655ca106d36b700b",
-     "84938e522ba37d1f987a255e813a649edf28ae7ac061fd7960c7901881689f9f",
+     "3b0731a6d80ad280392724343331754b6e88b2ccfe41c90ef2d49d14d5f97eea",
+     "02ca78bc92969bd6a46f0db24dade8ea3d6408bc58ac6e86e82a034134c25cc6",
      "53d42ef8a7aa3e3a82a2a7ae3d12f487610cb6ee4c8b7b2cde3f969f55964a79"),
     ("corpus", 23, False, MP2,
-     "e9618da11ade1e7e4eb552f2a4cd1912639e622b76ab90dbc10c299de4122e4a",
-     "200f74328b92df34490cb6c337f29f6316db918e0438bced38902a1d97317e30",
+     "6e95ab88fcb3db54c8f899c4b831a9afa8f2299cd4497f431eab7686b8cd8320",
+     "fe43fc5c23d9d885df709d95ed6c25bbbe13ca29a86145b37e7f48986e09bda8",
      "77e930421d7542b6787e62a3549dcad160b83c070760e7f6973501375a1b7377"),
     ("corpus", 23, True, MP2,
-     "71a769d2c71514b44787ff53bc07f2c3378049163829b718fd820fc0d53fd47d",
-     "058534f3ea3008795ab14217c173297b7d95d7e57824e8476d583502e8ba37e1",
+     "ab7cf77021c5df1e7424132f8facb68b5f8240e87dfb9ff81023f28646ece0c0",
+     "70a8c7e4af18591e7533e937c940c613a3c8e14749aee6c6a20d219336ff0ca1",
      "645e888540b0ea30ce7f9194c634428ef31a4c31cc4d47ce1cf74ccbd4399633"),
     ("two-cycle", 0, False, {"max_period": 1},
      "78ea443f0a523229e2fe0af1b659e3f01c76dc21b4c70ffa2ef52c4af52f3d44",
@@ -632,12 +632,12 @@ PINNED_REPORTS = [
      "3d206a4da369258b7bb3133f8b6f43ad8fb5bfacf537d4e29e70950fe6953501",
      "217f363db3fa4c7813cb58f51471a0215904c48be7873cc7a338725aeb8b6b56"),
     ("siegel", 0, True, {},
-     "4a8a858dd652d1342f008bb87aa5cd8d7ed40079061893b7a8e6d02128189c2c",
-     "26b1cef60174dc05d3a1d68311e92f5a3e8a04eccc542a26178d7b5f6abbf541",
+     "3ba58e470e9fe00a70afb85eea8b11a295334eeaa340811a28f01ec4ab7e3123",
+     "51445c53143ebb69327522f17504e6dbb8d651f9090d653228d2452a3f88ce79",
      "60d627d3c3fed6f37d2e6e655bd15eb0c49cb42501b3287d27ec9b95fbf1fdd5"),
     ("siegel", 0, True, {"declarations": [SIEGEL_DECLARATION]},
-     "a55ddb536571081e71010fc28f4b90e51499bb73a0e68c40ed995e90c01ae373",
-     "6710aeff7bc7c0ba20fae6fbd951fb23e2b474560ac66799596abe7e6c0bb1aa",
+     "02452ceb448be31038189e0067390c7c3ea5c249b5c3f2370c7a791f13f19499",
+     "f0c29f376d945f365201fe742e8eeaa16f40588f32e3f58a8e75e5383e7538d5",
      "0ab37bbba0c97743fc28ee8f219eda39eeceaa8e757db0a0467b2785877961b5"),
     ("cubic", 0, False, {"max_period": 1, "declarations": [HERMAN_DECLARATION]},
      "c0f508613639cc732228b1735bc950a3b9d049ab865a776779738c28d72ca619",
@@ -733,36 +733,6 @@ PINNED_IDS = [
 ]
 
 
-# a floating scalar written inside a longer string, such as the label
-# "K_[0.03+0.75i]" or "RO({-2.0, 2.0})"; exact ones such as "-1/8+3/8i" have
-# no decimal point or exponent
-_DECIMAL = r"(?:\d+\.\d*(?:e[-+]?\d+)?|\.\d+(?:e[-+]?\d+)?|\d+e[-+]?\d+)"
-_FLOATING_LITERAL = re.compile(rf"[-+]?{_DECIMAL}(?:[-+]{_DECIMAL}i)?i?")
-
-
-def _shape(node):
-    """The report JSON with every floating value replaced by "F".
-
-    Floating values are the non-integer JSON numbers, the strings that
-    parse_scalar reads as floating scalars, and floating scalars written
-    inside other strings; exact strings such as "1/2" or "inf" and all
-    integers are kept.
-    """
-    if isinstance(node, dict):
-        return {k: _shape(v) for k, v in node.items()}
-    if isinstance(node, list):
-        return [_shape(v) for v in node]
-    if isinstance(node, float):
-        return "F"
-    if isinstance(node, str):
-        try:
-            value = parse_scalar(node)
-        except RatmapError:
-            return _FLOATING_LITERAL.sub("F", node)
-        return "F" if isinstance(value, complex) else node
-    return node
-
-
 def _pinned_report(source, index, twin, config):
     if source == "worked":
         r = parse_map((DECIMAL_TWINS if twin else WORKED_MAPS)[index])
@@ -792,7 +762,7 @@ def test_report_bytes_pinned(source, index, twin, config, json_digest, text_dige
 def test_report_shape_pinned(source, index, twin, config, json_digest, text_digest,
                              shape_digest):
     report = _pinned_report(source, index, twin, config)
-    shape = _shape(json.loads(report.to_json_bytes()))
+    shape = report_shape(json.loads(report.to_json_bytes()))
     assert hashlib.sha256(json.dumps(shape, sort_keys=True).encode()).hexdigest() == shape_digest
 
 
