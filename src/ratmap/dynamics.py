@@ -50,6 +50,9 @@ degenerate level on, the periods start on a circle, as all did before: a
 level is degenerate when a target lies within DEFAULT_CLUSTER_RADIUS of a
 critical value of R, where its preimages are multiple, or when its starts
 are not all finite and pairwise more than DISTINCT_STARTS (1e-12) apart.
+Both tests measure only the pairs that the sphere's key screen passes
+(sphere.rows_apart, one sphere.near_row_pairs call for the targets of all
+levels), and the chart basis of a degree is built once.
 The seeds only start Aberth: its stop test, residual bar, clustering, merge
 and polish decide every root.  In each step of the recursion P, Q, the
 power v^i of Horner's scheme and their derivatives advance as the rows of
@@ -76,10 +79,11 @@ value.  R maps each solved point to the solved point nearest its image,
 and the chains of p points that close are the cycles of period p.  The
 images of all solved points of all periods are computed in one array pass
 (RationalMap.image_rows), infinity and exact points excepted, and matched
-from one distance block per period; no image is built as a point.  A
-cycle's chart factors take each point's successor as its image, and the
-valencies of all cycle points come from one lookup in the critical table
-(RationalMap.valencies).  Each period is certified by the rational
+to the points of their period in one key screen (sphere.near_row_pairs)
+that measures only the pairs it passes; no image is built as a point, and
+no n x n distance matrix is.  A cycle's chart factors take each point's
+successor as its image, and the valencies of all cycle points come from
+one lookup in the critical table (RationalMap.valencies).  Each period is certified by the rational
 fixed-point formula sum 1/(1 - mu) = 1; a failed or uncertified
 period is a coded warning, and the search goes on.  The floating solve of
 each period is memoized on the floating map, a failure too, so an analysis
@@ -98,6 +102,7 @@ ROOT_OF_UNITY_CAP powers of its direction is within 1e-9 of 1.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -125,13 +130,14 @@ from .scalars import MODULAR_PRIME, GaussianRational, mod_prime_pairs, mod_prime
 from .sphere import (
     INFINITY,
     SpherePoint,
-    array_chordal,
     coincide,
     contains_point,
     floating_value,
+    near_row_pairs,
     near_rows,
     normalized_pairs,
     point_sort_key,
+    rows_apart,
 )
 
 INDIFFERENT_BAND = 1e-6
@@ -553,6 +559,23 @@ def _critical_value_rows(table: np.ndarray) -> np.ndarray:
     return pairs / np.hypot(np.abs(pairs[:, :1]), np.abs(pairs[:, 1:]))
 
 
+@functools.cache
+def _chart_basis(chart, d: int) -> np.ndarray:
+    """The read-only (d + 1) x (d + 1) array whose column i holds the
+    coefficients of u^(d-i) v^i at (u : v) = (alpha w + beta : gamma w + delta),
+    for chart = (alpha, beta, gamma, delta), in descending powers of w."""
+    alpha, beta, gamma, delta = chart
+    basis = []
+    for i in range(d + 1):
+        f = np.ones(1, complex)
+        for factor in [(alpha, beta)] * (d - i) + [(gamma, delta)] * i:
+            f = np.convolve(f, factor)
+        basis.append(f)
+    basis = np.array(basis).T
+    basis.flags.writeable = False
+    return basis
+
+
 def _seeds(rf: RationalMap, periods) -> list:
     """Aberth starts for the fixed points of R^p, one array per period of periods.
 
@@ -571,37 +594,36 @@ def _seeds(rf: RationalMap, periods) -> list:
     DISTINCT_STARTS apart on the sphere.  That happens where SEED_POINT is
     exceptional, its tree meets a critical value, or a preimage lies at
     infinity within rounding.  Close simple preimages are normal where R^p
-    expands strongly, and Aberth separates them.
+    expands strongly, and Aberth separates them.  Each level's starts are
+    tested as they come (sphere.rows_apart); the targets of all levels are
+    then screened against the critical values at once, and the levels from
+    the first that meets one are dropped, so every decision is that of a
+    test per level.
     """
     alpha, beta, gamma, delta = SOLVE_CHART
     d = rf.degree
-    # row i of the table is (P_i, Q_i) of P_h(u, v) = sum P_i u^(d-i) v^i,
-    # and u^(d-i) v^i at M(w) is the polynomial basis[i] in w
-    basis = []
-    for i in range(d + 1):
-        f = np.ones(1, complex)
-        for factor in [(alpha, beta)] * (d - i) + [(gamma, delta)] * i:
-            f = np.convolve(f, factor)
-        basis.append(f)
-    table = np.array(basis).T @ np.array(rf.homogeneous, complex)
+    # row i of the homogeneous table is (P_i, Q_i) of P_h(u, v) = sum P_i u^(d-i) v^i
+    table = _chart_basis(SOLVE_CHART, d) @ np.array(rf.homogeneous, complex)
     # the targets of level p: SEED_POINT, then the normalized pairs of level p - 1
-    rows = np.array([[SEED_POINT, 1.0]]) / math.hypot(abs(SEED_POINT), 1.0)
-    seeds = {}
+    targets = [np.array([[SEED_POINT, 1.0]]) / math.hypot(abs(SEED_POINT), 1.0)]
+    seeds = []
     with np.errstate(all="ignore"):
-        critical_values = _critical_value_rows(table)
-        for p in range(1, max(periods) + 1):
-            if (array_chordal(rows, critical_values) <= DEFAULT_CLUSTER_RADIUS).any():
-                break
-            starts = np.append(preimages(table, rows), -delta / gamma)
+        while len(seeds) < max(periods):
+            starts = np.append(preimages(table, targets[-1]), -delta / gamma)
             pairs = np.stack([alpha * starts + beta, gamma * starts + delta], axis=1)
             pairs /= np.hypot(np.abs(pairs[:, :1]), np.abs(pairs[:, 1:]))
-            distances = array_chordal(pairs, pairs)
-            np.fill_diagonal(distances, np.inf)
-            if not (np.isfinite(starts).all() and (distances > DISTINCT_STARTS).all()):
+            # a start that is not finite has a NaN row
+            if not rows_apart(pairs, DISTINCT_STARTS):
                 break
-            seeds[p] = starts
-            rows = pairs[:-1]
-    return [seeds[p] if p in seeds else start_circle(d**p + 1, CHART_START_RADIUS)
+            seeds.append(starts)
+            targets.append(pairs[:-1])
+        # one screen of all targets: the first level whose targets meet a
+        # critical value falls back, and so do the levels past it
+        i, _, distances = near_row_pairs(np.concatenate(targets), _critical_value_rows(table),
+                                         DEFAULT_CLUSTER_RADIUS)
+    level = np.repeat(np.arange(len(targets)), [len(rows) for rows in targets])
+    del seeds[min(level[i[distances <= DEFAULT_CLUSTER_RADIUS]], default=len(seeds)):]
+    return [seeds[p - 1] if p <= len(seeds) else start_circle(d**p + 1, CHART_START_RADIUS)
             for p in periods]
 
 
@@ -705,14 +727,29 @@ def fixed_points(r: RationalMap, p: int):
     return out
 
 
-def _successors(image_rows: np.ndarray, point_rows: np.ndarray) -> list:
+def _successors(image_rows: np.ndarray, point_rows: np.ndarray, sizes=None) -> list:
     """For each image row, the index of the nearest point row within
-    DEFAULT_CLUSTER_RADIUS (the solver's residual bar), or None; a NaN image
-    row has none.  The rows are those of normalized_pairs."""
-    distances = array_chordal(image_rows, point_rows)
-    nearest = distances.argmin(axis=1)
-    within = distances[np.arange(len(nearest)), nearest] <= DEFAULT_CLUSTER_RADIUS
-    return [k if ok else None for k, ok in zip(nearest.tolist(), within.tolist())]
+    DEFAULT_CLUSTER_RADIUS (the solver's residual bar), or None; of points
+    at one distance the lowest index is taken, and a NaN image row has none.
+    The rows are those of normalized_pairs, and only the pairs that
+    near_row_pairs screens in are measured.  Given sizes, both arrays are
+    consecutive blocks of those sizes, one per period, and each row's
+    successor is sought in its own block and indexed within it.
+    """
+    i, j, distances = near_row_pairs(image_rows, point_rows, DEFAULT_CLUSTER_RADIUS)
+    within = distances <= DEFAULT_CLUSTER_RADIUS
+    if sizes is not None:
+        block = np.repeat(np.arange(len(sizes)), sizes)
+        within &= block[i] == block[j]
+        j = j - (np.cumsum(sizes) - sizes)[block[j]]
+    i, j, distances = i[within], j[within], distances[within]
+    succ = [None] * len(image_rows)
+    # by row, then distance, then index: each row's first pair is its successor
+    order = np.lexsort((j, distances, i))
+    for k, m in zip(i[order].tolist(), j[order].tolist()):
+        if succ[k] is None:
+            succ[k] = m
+    return succ
 
 
 def _closed_chains(succ, p: int):
@@ -769,16 +806,15 @@ def periodic_cycles(r: RationalMap, max_period: int = DEFAULT_MAX_PERIOD,
             failed[p] = out
         else:
             found[p] = out
-    # R at every solved point in one pass, R's successor of each from one
-    # block per period, and the valencies of every cycle point in one lookup
+    # R at every solved point in one pass, R's successor of each in its
+    # period from one screen, and the valencies of every cycle point in one lookup
     solved = [x for points in found.values() for x in points]
-    image_rows, point_rows = r.image_rows(solved), normalized_pairs(solved)
-    chains, start = {}, 0
+    succ = iter(_successors(r.image_rows(solved), normalized_pairs(solved),
+                            [len(points) for points in found.values()]))
+    chains = {}
     for p, points in found.items():
-        block = slice(start, start + len(points))
-        succ = _successors(image_rows[block], point_rows[block])
-        chains[p] = [tuple(points[k] for k in chain) for chain in _closed_chains(succ, p)]
-        start += len(points)
+        block = [next(succ) for _ in points]
+        chains[p] = [tuple(points[k] for k in chain) for chain in _closed_chains(block, p)]
     vals = iter(r.valencies([x for period in chains.values() for pts in period for x in pts]))
     for p in solvable:
         if p in failed:

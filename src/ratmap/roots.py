@@ -313,10 +313,13 @@ def _clusters(z: np.ndarray, radii):
     Two roots whose radii are both far below their distance are resolved
     simple roots and never share a cluster.  ambiguity is the
     MultiplicityAmbiguousError to raise unless every cluster is then
-    resolved exactly, or None.
+    resolved exactly, or None.  Where near_partners pairs no roots, every
+    root is its own cluster at both radii.
     """
     wide = 10.0 * DEFAULT_CLUSTER_RADIUS
     partners = near_partners(z, _link_reach(wide, radii))
+    if not any(partners):
+        return [[i] for i in range(len(z))], None
     clusters = _cluster(z, DEFAULT_CLUSTER_RADIUS, radii, partners)
     clusters_wide = _cluster(z, wide, radii, partners)
     ambiguity = None

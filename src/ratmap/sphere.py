@@ -23,6 +23,12 @@ near_partners decides which pairs of a set of points can lie within a
 chordal reach, for dedup_indices and for roots._cluster.  Above
 DIRECT_MAX_POINTS points it screens them by their keys on the unit sphere
 of R^3 (screen_keys), which never drops a pair within the reach.
+near_row_pairs is that screen on the rows of two normalized_pairs arrays,
+for every size: it sorts the keys of one, takes each row of the other its
+searchsorted window, and measures only the pairs in the windows, so no
+n x m matrix is built.  rows_apart decides on it whether the rows of one
+array are pairwise more than a reach apart.  dynamics pairs its solved
+points, its seeds and their critical values through them alone.
 near_rows screens one point, from its own norm_pair, against the rows of a
 normalized_pairs table, for orbit_fate.
 """
@@ -283,30 +289,79 @@ def normalized_pairs(points) -> np.ndarray:
 
 # far above the rounding of either chordal evaluation (a few units in the last place of 2)
 SCREEN_SLACK = 1e-14
-# a unit vector off every coordinate plane, so that points sharing a
-# coordinate (conjugates, points of one modulus) do not share a key
-SCREEN_AXIS = np.array([0.48, 0.6, 0.64])
+# the key of a row is X . (0.48, 0.6, 0.64), a unit vector off every
+# coordinate plane, so that points sharing a coordinate (conjugates, points
+# of one modulus) do not share a key.  In the real coordinates
+# r = (Re a0, Im a0, Re a1, Im a1) of the row it is r S r^T, S being this matrix
+SCREEN_FORM = np.array([[0.64, 0.0, 0.48, -0.6],
+                        [0.0, 0.64, 0.6, 0.48],
+                        [0.48, 0.6, -0.64, 0.0],
+                        [-0.6, 0.48, 0.0, -0.64]])
 
 
-@np.errstate(all="ignore")  # a NaN or infinite chart value is keyed silently
+@np.errstate(all="ignore")  # a NaN, infinite or zero chart value is keyed silently
 def screen_keys(points) -> np.ndarray:
-    """Each point's place on the unit sphere of R^3, projected on SCREEN_AXIS.
+    """Each point's place on the unit sphere of R^3, projected on an axis:
+    the row_keys of its normalized_pairs row."""
+    return row_keys(normalized_pairs(points))
 
-    A row (a0, a1) of normalized_pairs lies over the point
+
+def row_keys(a: np.ndarray) -> np.ndarray:
+    """The screen key of each row of a normalized_pairs array; NaN for a NaN row.
+
+    A row (a0, a1) lies over the point
     X = (2 Re a0 conj(a1), 2 Im a0 conj(a1), |a0|^2 - |a1|^2) of the unit
     sphere, and |X - Y| is the chordal distance 2|a0 b1 - a1 b0|.  So the
-    keys of two points differ by at most their chordal distance, up to
-    rounding far below SCREEN_SLACK, and equal points have equal keys.
+    keys of two rows differ by at most their chordal distance, up to
+    rounding far below SCREEN_SLACK.
     """
-    a = normalized_pairs(points)
-    h = a[:, 0] * np.conj(a[:, 1])
-    height = np.abs(a[:, 0]) ** 2 - np.abs(a[:, 1]) ** 2
-    return np.stack([2.0 * h.real, 2.0 * h.imag, height], axis=1) @ SCREEN_AXIS
+    r = np.ascontiguousarray(a).view(float).reshape(-1, 4)
+    return ((r @ SCREEN_FORM) * r).sum(axis=1)
 
 
 def array_chordal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The chordal distances between the rows of two normalized_pairs arrays."""
     return 2.0 * np.abs(np.outer(a[:, 0], b[:, 1]) - np.outer(a[:, 1], b[:, 0]))
+
+
+def near_row_pairs(a: np.ndarray, b: np.ndarray, reach: float):
+    """(i, j, distances): the pairs of a row a[i] and a row b[j] of two
+    normalized_pairs arrays whose row_keys differ by at most
+    reach + SCREEN_SLACK, found in (n + m) log m, and the chordal distance
+    of each pair by the formula of array_chordal.
+
+    So every pair within chordal distance reach is among them, and no n x m
+    matrix is built.  A NaN row, whose key is NaN, is paired with the NaN
+    rows only, at distance NaN.
+    """
+    keys = row_keys(b)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    query = row_keys(a)
+    margin = reach + SCREEN_SLACK
+    lo = np.searchsorted(sorted_keys, query - margin, "left")
+    counts = np.searchsorted(sorted_keys, query + margin, "right") - lo
+    i = np.repeat(np.arange(len(a)), counts)
+    # row i's window order[lo[i]:lo[i] + counts[i]], all windows in one gather
+    j = order[np.arange(len(i)) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    ai, bj = a[i], b[j]
+    return i, j, 2.0 * np.abs(ai[:, 0] * bj[:, 1] - ai[:, 1] * bj[:, 0])
+
+
+def rows_apart(a: np.ndarray, reach: float) -> bool:
+    """Whether the rows of a normalized_pairs array are pairwise more than
+    chordal distance reach apart; False when a row is NaN.
+
+    Sorted row_keys whose neighbours all lie more than reach + SCREEN_SLACK
+    apart decide it alone; otherwise the pairs of near_row_pairs decide.
+    """
+    keys = np.sort(row_keys(a))
+    if np.isnan(keys).any():
+        return False
+    if (keys[1:] - keys[:-1] > reach + SCREEN_SLACK).all():
+        return True
+    i, j, distances = near_row_pairs(a, a, reach)
+    return bool((distances[i != j] > reach).all())
 
 
 def near_rows(pair, rows: np.ndarray, tol: float) -> np.ndarray:

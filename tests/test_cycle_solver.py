@@ -23,6 +23,7 @@ from ratmap.dynamics import (
     CHART_START_RADIUS,
     DEFAULT_MAX_PERIOD,
     DEFAULT_PERIOD_WORK_CAP,
+    DISTINCT_STARTS,
     EPSILON,
     INNER_CHART,
     MERGE_REACH,
@@ -40,7 +41,7 @@ from ratmap.dynamics import (
 from ratmap.errors import IndeterminateEvaluationError, RatmapError, RootFindingFailedError
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
-from ratmap.report import parse_map, run_analysis
+from ratmap.report import AnalysisConfig, parse_map, run_analysis
 from ratmap.roots import (
     ABERTH_MAX_ITER,
     DEFAULT_CLUSTER_RADIUS,
@@ -58,10 +59,13 @@ from ratmap.sphere import (
     DIRECT_MAX_POINTS,
     INFINITY,
     SpherePoint,
+    array_chordal,
     chordal_matrix,
     coincide,
     near_partners,
+    near_row_pairs,
     normalized_pairs,
+    rows_apart,
 )
 
 from .test_pipeline_corpus import PARABOLIC_MAPS, POLE_CYCLE_MAP, _sparse_map
@@ -1096,3 +1100,159 @@ def test_periodic_cycles_evaluates_r_only_at_infinity_and_builds_each_point_once
     assert counts["evaluate"] == counts["at infinity"] == 30
     # each evaluation builds its image
     assert counts["points"] == solved + counts["evaluate"]
+
+
+# the n x n rules the screened pairing replaced, kept as references
+def _reference_successors(image_rows, point_rows, sizes=None):
+    if sizes is not None:  # one block per period
+        out, start = [], 0
+        for n in sizes:
+            out += _reference_successors(image_rows[start:start + n], point_rows[start:start + n])
+            start += n
+        return out
+    distances = array_chordal(image_rows, point_rows)
+    nearest = distances.argmin(axis=1)
+    within = distances[np.arange(len(nearest)), nearest] <= DEFAULT_CLUSTER_RADIUS
+    return [k if ok else None for k, ok in zip(nearest.tolist(), within.tolist())]
+
+
+def _reference_apart(rows, reach):
+    distances = array_chordal(rows, rows)
+    np.fill_diagonal(distances, np.inf)
+    return bool(np.isfinite(rows).all() and (distances > reach).all())
+
+
+def _reference_pairs(a, b, reach):
+    """Every pair, as near_row_pairs returns the screened ones."""
+    i, j = (x.ravel() for x in np.indices((len(a), len(b))))
+    return i, j, array_chordal(a, b).ravel()
+
+
+INFINITE_ROW = np.array([1.0 + 0j, 0j])
+NAN_ROW = np.full(2, complex("nan"))
+
+
+def _row(s):
+    """The row (1 : s), at chordal distance exactly 2|s| from (1 : 0) for a real s."""
+    return np.array([1.0 + 0j, complex(s)])
+
+
+def _random_rows(n, seed):
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-4, 4, n)
+    return normalized_pairs(z)
+
+
+def _distinct_cases(n):
+    """Row sets of n rows: random rows, then with (1 : 0), a pair exactly and
+    one twice DISTINCT_STARTS apart, an exact duplicate and a NaN row planted."""
+    base = _random_rows(n, n)
+    plants = [{0: INFINITE_ROW}, {n // 2: NAN_ROW}]
+    if n >= 2:
+        plants += [{0: INFINITE_ROW, n - 1: _row(DISTINCT_STARTS / 2)},
+                   {0: INFINITE_ROW, n - 1: _row(DISTINCT_STARTS)},
+                   {n - 1: base[0]}]
+    cases = [base]
+    for plant in plants:
+        rows = base.copy()
+        for k, row in plant.items():
+            rows[k] = row
+        cases.append(rows)
+    return cases
+
+
+def _successor_case(n, seed):
+    """(image_rows, point_rows): n random points, and images that are points
+    moved by about 10 DEFAULT_CLUSTER_RADIUS, with planted an image at
+    (1 : 0) between two points at equal distance, one at (0 : 1) exactly
+    DEFAULT_CLUSTER_RADIUS from a point, one at an exactly duplicated point,
+    and NaN images."""
+    rng = np.random.default_rng(seed)
+    points = _random_rows(n, seed)
+    moved = points[rng.permutation(n)] + 5 * DEFAULT_CLUSTER_RADIUS * (
+        rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
+    images = moved / np.hypot(np.abs(moved[:, :1]), np.abs(moved[:, 1:]))
+    if n >= 9:
+        points[1], points[2], images[0] = _row(3e-7), _row(-3e-7), INFINITE_ROW
+        # (s : 1) lies exactly 2|s| from (0 : 1)
+        points[3], images[1] = _row(DEFAULT_CLUSTER_RADIUS / 2)[::-1], INFINITE_ROW[::-1]
+        points[5], images[2] = points[4], points[4]
+        images[6:8] = NAN_ROW
+    images[-1] = NAN_ROW
+    return images, points
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 126, 1297])
+def test_the_screened_pairing_matches_the_n_by_n_reference(n):
+    for rows in _distinct_cases(n):
+        for reach in (DISTINCT_STARTS, DEFAULT_CLUSTER_RADIUS):
+            assert rows_apart(rows, reach) == _reference_apart(rows, reach)
+            # every pair within reach is screened in, measured with the bits of the matrix
+            i, j, distances = near_row_pairs(rows, rows, reach)
+            _assert_bitwise_equal([distances], [array_chordal(rows, rows)[i, j]])
+            ri, rj, rd = _reference_pairs(rows, rows, reach)
+            assert set(zip(ri[rd <= reach].tolist(), rj[rd <= reach].tolist())) <= set(
+                zip(i.tolist(), j.tolist()))
+    if n >= 2:
+        # (1 : 0) and a row exactly DISTINCT_STARTS from it are not apart
+        exact = _distinct_cases(n)[3]
+        assert array_chordal(exact[:1], exact[-1:])[0, 0] == DISTINCT_STARTS
+        assert not rows_apart(exact, DISTINCT_STARTS)
+    for seed in range(3):
+        images, points = _successor_case(n, seed)
+        got = _successors(images, points)
+        assert got == _reference_successors(images, points)
+        assert got[-1] is None
+        if n >= 9:
+            assert got[:3] == [1, 3, 4] and got[6:8] == [None, None]
+            assert array_chordal(images[1:2], points[3:4])[0, 0] == DEFAULT_CLUSTER_RADIUS
+        # blocks of the sizes of periods 1-3 of a quintic, and what is left
+        sizes = [k for k in (6, 26, 126) if k < n]
+        sizes.append(n - sum(sizes))
+        assert _successors(images, points, sizes) == _reference_successors(images, points, sizes)
+
+
+def test_the_critical_value_screen_matches_the_matrix_test():
+    # the seeds of each map fall back at the same level with every pair measured
+    for name in SEED_POINT_MAPS:
+        rf = SEED_POINT_MAPS[name].floating()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ratmap.dynamics, "near_row_pairs", _reference_pairs)
+            want = _seeds(rf, [1, 2, 3, 4, 5])
+        _assert_bitwise_equal(_seeds(rf, [1, 2, 3, 4, 5]), want)
+
+
+@pytest.mark.parametrize("index", range(10))
+@pytest.mark.parametrize("twin", [False, True])
+def test_the_screened_cycle_search_gives_the_reports_of_the_matrices_at_cap_700(index, twin,
+                                                                               monkeypatch):
+    config = AnalysisConfig(period_work_cap=700)
+    got = run_analysis(_corpus_map(index, twin), config).to_json_bytes()
+    monkeypatch.setattr(ratmap.dynamics, "_successors", _reference_successors)
+    monkeypatch.setattr(ratmap.dynamics, "rows_apart", _reference_apart)
+    monkeypatch.setattr(ratmap.dynamics, "near_row_pairs", _reference_pairs)
+    assert run_analysis(_corpus_map(index, twin), config).to_json_bytes() == got
+
+
+def test_the_clusters_of_roots_with_no_screened_pair_are_those_of_both_passes(monkeypatch):
+    # _clusters returns singletons without clustering where near_partners
+    # pairs no roots: the large period groups of the corpus twins
+    calls = []
+    clusters = ratmap.roots._clusters
+
+    def recorded(z, radii):
+        calls.append((z, radii))
+        return clusters(z, radii)
+
+    monkeypatch.setattr(ratmap.roots, "_clusters", recorded)
+    for index in range(10):
+        run_analysis(_corpus_map(index, True))
+    wide = 10.0 * DEFAULT_CLUSTER_RADIUS
+    lone = 0
+    for z, radii in calls:
+        partners = near_partners(z, _link_reach(wide, radii))
+        lone += not any(partners)
+        got, ambiguity = clusters(z, radii)
+        assert got == _cluster(z, DEFAULT_CLUSTER_RADIUS, radii, partners)
+        assert (ambiguity is None) == (_profile(got) == _profile(_cluster(z, wide, radii, partners)))
+    assert lone > 0

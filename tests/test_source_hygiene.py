@@ -250,3 +250,39 @@ def test_the_check_finds_an_evaluate_call():
         "    return r.p.evaluate(y), step(y), r.evaluated(x), evaluate(x)\n"
     )
     assert evaluate_reads(tree) == [2, 3, 4]
+
+
+MATRIX_BUILDERS = {"array_chordal", "chordal_matrix"}
+
+
+def chordal_matrix_reads(tree):
+    """The line of each read or import of a name or attribute in
+    MATRIX_BUILDERS, the sphere's n x m matrices of chordal distances."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+        else:
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+        if names & MATRIX_BUILDERS:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_dynamics_builds_no_chordal_matrix():
+    # the seeds' distinct-starts and critical-value tests and the successors
+    # measure only the pairs that the sphere's key screen passes
+    path = next(p for p in SOURCES if p.stem == "dynamics")
+    assert chordal_matrix_reads(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_check_finds_an_array_chordal_call():
+    tree = ast.parse(
+        "from .sphere import array_chordal, near_rows\n"
+        "def f(a, b):\n"
+        "    d = array_chordal(a, b)\n"
+        "    return sphere.array_chordal(a, b), d, array_chordal_rows(a)\n"
+        "def g(ps):\n"
+        "    return chordal_matrix(ps, ps), sphere.chordal_matrix\n"
+    )
+    assert chordal_matrix_reads(tree) == [1, 3, 4, 6, 6]
