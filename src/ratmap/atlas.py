@@ -29,7 +29,7 @@ from .algebra import CantorAlg, CircleAlg, FinitePower, Scalars
 from .dynamics import INFINITE
 from .errors import AtlasInvariantError, DeclarationError, RatmapError
 from .rational import RationalMap
-from .restricted import DeclaredStructures, ro_witness
+from .restricted import RO_DEPTH_DEFAULT, DeclaredStructures, ro_witness
 from .sphere import SpherePoint, point_sort_key
 
 INDIFFERENT_ANCHORS = ("irrationally_indifferent", "indifferent_ambiguous")
@@ -187,7 +187,7 @@ def bind_declarations(r, declarations, cycles) -> DeclaredStructures:
 
 
 def build_atlas(r: RationalMap, cycles, fates, declared=DeclaredStructures(), *,
-                ro_depth: int = 12) -> Atlas:
+                ro_depth: int = RO_DEPTH_DEFAULT) -> Atlas:
     """Assemble stable regions and the critical/periodic class partition.
 
     fates maps every critical point, in the order of critical_points, to

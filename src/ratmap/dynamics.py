@@ -79,9 +79,9 @@ value.  R maps each solved point to the solved point nearest its image,
 and the chains of p points that close are the cycles of period p.  The
 images of all solved points of all periods are computed in one array pass
 (RationalMap.image_rows), infinity and exact points excepted, and matched
-to the points of their period in one key screen (sphere.near_row_pairs)
-that measures only the pairs it passes; no image is built as a point, and
-no n x n distance matrix is.  A cycle's chart factors take each point's
+to the points of their period by the sphere's nearest-match rule
+(sphere.nearest_rows), whose key screen measures only the pairs it passes;
+no image is built as a point, and no n x n distance matrix is.  A cycle's chart factors take each point's
 successor as its image, and the valencies of all cycle points come from
 one lookup in the critical table (RationalMap.valencies).  Each period is certified by the rational
 fixed-point formula sum 1/(1 - mu) = 1; a failed or uncertified
@@ -135,6 +135,7 @@ from .sphere import (
     floating_value,
     near_row_pairs,
     near_rows,
+    nearest_rows,
     normalized_pairs,
     point_sort_key,
     rows_apart,
@@ -727,31 +728,6 @@ def fixed_points(r: RationalMap, p: int):
     return out
 
 
-def _successors(image_rows: np.ndarray, point_rows: np.ndarray, sizes=None) -> list:
-    """For each image row, the index of the nearest point row within
-    DEFAULT_CLUSTER_RADIUS (the solver's residual bar), or None; of points
-    at one distance the lowest index is taken, and a NaN image row has none.
-    The rows are those of normalized_pairs, and only the pairs that
-    near_row_pairs screens in are measured.  Given sizes, both arrays are
-    consecutive blocks of those sizes, one per period, and each row's
-    successor is sought in its own block and indexed within it.
-    """
-    i, j, distances = near_row_pairs(image_rows, point_rows, DEFAULT_CLUSTER_RADIUS)
-    within = distances <= DEFAULT_CLUSTER_RADIUS
-    if sizes is not None:
-        block = np.repeat(np.arange(len(sizes)), sizes)
-        within &= block[i] == block[j]
-        j = j - (np.cumsum(sizes) - sizes)[block[j]]
-    i, j, distances = i[within], j[within], distances[within]
-    succ = [None] * len(image_rows)
-    # by row, then distance, then index: each row's first pair is its successor
-    order = np.lexsort((j, distances, i))
-    for k, m in zip(i[order].tolist(), j[order].tolist()):
-        if succ[k] is None:
-            succ[k] = m
-    return succ
-
-
 def _closed_chains(succ, p: int):
     """The chains of p indices that close under succ, each from its least index.
 
@@ -809,8 +785,8 @@ def periodic_cycles(r: RationalMap, max_period: int = DEFAULT_MAX_PERIOD,
     # R at every solved point in one pass, R's successor of each in its
     # period from one screen, and the valencies of every cycle point in one lookup
     solved = [x for points in found.values() for x in points]
-    succ = iter(_successors(r.image_rows(solved), normalized_pairs(solved),
-                            [len(points) for points in found.values()]))
+    succ = iter(nearest_rows(r.image_rows(solved), normalized_pairs(solved),
+                             DEFAULT_CLUSTER_RADIUS, [len(points) for points in found.values()]))
     chains = {}
     for p, points in found.items():
         block = [next(succ) for _ in points]

@@ -30,9 +30,10 @@ root and 1 + (2d - 2 - deg W) at infinity.  An exact point of an exact map
 keeps its exact valency, 1 + the vanishing order of W there; any other
 point takes the valency of the nearest table entry when it coincides with
 it at the map's tolerance, or 1; valencies finds the nearest entries of
-many points from one distance matrix, and valency_at is its one-point
-case.  Preimage multiplicities come from the roots of P - yQ, so the
-identity sum(val(R,x) for x in R^-1(y)) = d is a cross-check between two
+many points in one key screen, by the sphere's nearest-match rule
+(sphere.nearest_rows), and valency_at is its one-point case.  Preimage
+multiplicities come from the roots of P - yQ, so the identity
+sum(val(R,x) for x in R^-1(y)) = d is a cross-check between two
 polynomials, not a definition.  preimages_many
 solves the polynomials of many targets in one roots.find_roots_many call,
 whose roots have the bits of lone solves, and memoizes each target's
@@ -56,7 +57,7 @@ from .errors import (
 from .poly import Polynomial, horner, vanishing_order_exact
 from .roots import find_roots, find_roots_many
 from .scalars import GaussianRational, height_bits, is_exact, scalar_is_zero
-from .sphere import INFINITY, SpherePoint, chordal_matrix, coincide, normalized_pairs
+from .sphere import INFINITY, SCREEN_SLACK, SpherePoint, coincide, nearest_rows, normalized_pairs
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -356,17 +357,21 @@ class RationalMap:
 
         For an exact map, an exact finite point has 1 + the exact vanishing
         order of W there and infinity the table's exact entry.  Any other
-        point has the valency of the nearest table entry, all found from one
-        chordal_matrix, when it coincides with it at the tolerance, and 1
-        otherwise: a point near a critical point but not on it is not critical.
+        point has the valency of the nearest table entry within
+        tolerance + SCREEN_SLACK (sphere.nearest_rows), when it coincides
+        with it at the tolerance, and 1 otherwise: a point near a critical
+        point but not on it is not critical.
         """
         vals = [self._exact_valency(x) for x in points]
         rest = [i for i, val in enumerate(vals) if val is None]
         if rest:
             table = self.critical_table()
-            distances = chordal_matrix([points[i] for i in rest], [c for c, _ in table])
-            for i, k in zip(rest, distances.argmin(axis=1).tolist()):
-                vals[i] = self._table_valency(points[i], table[k])
+            nearest = nearest_rows(normalized_pairs([points[i] for i in rest]),
+                                   normalized_pairs([c for c, _ in table]),
+                                   self.tolerance + SCREEN_SLACK)
+            for i, k in zip(rest, nearest):
+                coincides = k is not None and coincide(points[i], table[k][0], self.tolerance)
+                vals[i] = table[k][1] if coincides else 1
         return vals
 
     def _exact_valency(self, x: SpherePoint):
@@ -380,11 +385,6 @@ class RationalMap:
         if self.is_exact and x.is_infinity:
             return self.critical_table()[-1][1]
         return None
-
-    def _table_valency(self, x: SpherePoint, nearest) -> int:
-        """The valency of the table entry nearest x when x coincides with it, else 1."""
-        point, val = nearest
-        return val if coincide(x, point, self.tolerance) else 1
 
     # -- derivative in charts ----------------------------------------------------
 

@@ -26,7 +26,13 @@ from .dynamics import (
     critical_points,
     periodic_cycles,
 )
-from .errors import ConfigError, DeclarationError, InputFormatError, MapDegreeError
+from .errors import (
+    ConfigError,
+    DeclarationError,
+    InputFormatError,
+    JuliaMembershipUndeterminedError,
+    MapDegreeError,
+)
 from .poly import Polynomial
 from .rational import DEFAULT_TOLERANCE, RationalMap
 from .restricted import (
@@ -34,6 +40,7 @@ from .restricted import (
     PREIMAGE_DEPTH_DEFAULT,
     RO_DEPTH_DEFAULT,
     exposed_orbits,
+    julia_exposed_partition,
 )
 from .primitive import primitive_catalog
 from .scalars import parse_scalar, scalar_str
@@ -381,17 +388,11 @@ def run_analysis(r: RationalMap, config: AnalysisConfig | None = None) -> Report
     resolver = ExposureResolver(scan.orbits, r.tolerance)
     julia_obstruction = None
     julia_orbits = []
-    undetermined = [o for o in scan.orbits if o.in_julia is None]
-    if undetermined:
-        julia_obstruction = {
-            "code": "julia-membership-undetermined",
-            "message": "exposed orbit with undetermined Julia membership blocks "
-                       "the Julia quotient",
-            "orbits": [[point_str(p) for p in o.points] for o in undetermined],
-        }
+    try:
+        julia_orbits, _ = julia_exposed_partition(scan.orbits)
+    except JuliaMembershipUndeterminedError as err:
+        julia_obstruction = {"code": err.code, "message": str(err), **err.context}
         warnings.append(julia_obstruction)
-    else:
-        julia_orbits = [o for o in scan.orbits if o.in_julia]
 
     decomposition = full_decomposition(
         atlas, julia_orbits, resolver, cycles, julia_obstruction

@@ -530,13 +530,14 @@ def exposed_orbits(r: RationalMap, cycles, fates,
 
 
 def julia_exposed_partition(orbits):
-    """Split exposed orbits by Julia membership; undetermined blocks."""
-    for o in orbits:
-        if o.in_julia is None:
-            raise JuliaMembershipUndeterminedError(
-                "exposed orbit with undetermined Julia membership",
-                points=[str(p) for p in o.points],
-            )
+    """Split exposed orbits by Julia membership; undetermined blocks, and
+    the error lists the points of every undetermined orbit."""
+    undetermined = [o for o in orbits if o.in_julia is None]
+    if undetermined:
+        raise JuliaMembershipUndeterminedError(
+            "exposed orbit with undetermined Julia membership blocks the Julia quotient",
+            orbits=[[str(p) for p in o.points] for o in undetermined],
+        )
     return (
         [o for o in orbits if o.in_julia],
         [o for o in orbits if not o.in_julia],

@@ -19,16 +19,17 @@ point decides is_infinity and is_exact when it is built, and its floating
 pair and norm (norm_pair, which chordal, normalized_pairs and near_rows
 read) when first asked.
 
-near_partners decides which pairs of a set of points can lie within a
-chordal reach, for dedup_indices and for roots._cluster.  Above
-DIRECT_MAX_POINTS points it screens them by their keys on the unit sphere
-of R^3 (screen_keys), which never drops a pair within the reach.
-near_row_pairs is that screen on the rows of two normalized_pairs arrays,
-for every size: it sorts the keys of one, takes each row of the other its
-searchsorted window, and measures only the pairs in the windows, so no
-n x m matrix is built.  rows_apart decides on it whether the rows of one
-array are pairwise more than a reach apart.  dynamics pairs its solved
-points, its seeds and their critical values through them alone.
+near_row_pairs is the one key screen: it keys the rows of two
+normalized_pairs arrays on an axis through the unit sphere of R^3
+(row_keys), sorts the keys of one and takes each row of the other its
+searchsorted window, so it never drops a pair within the reach and builds
+no n x m matrix.  near_partners pairs a set of points on it, for
+dedup_indices and roots._cluster (every pair up to DIRECT_MAX_POINTS
+points); dynamics' seeds screen their starts (rows_apart) and their
+critical values on it; and nearest_rows, the one nearest-match rule (the
+nearest row within a reach, the lowest index on a tie), matches solved
+points' images in dynamics and points to the critical table in
+RationalMap.valencies.
 near_rows screens one point, from its own norm_pair, against the rows of a
 normalized_pairs table, for orbit_fate.
 """
@@ -245,20 +246,21 @@ def dedup_indices(points, tol):
 def near_partners(points, reach):
     """For each point (SpherePoints or chart values), the earlier points
     that may lie within chordal distance reach of it: all of them for at
-    most DIRECT_MAX_POINTS points, else those whose screen_keys differ by
-    at most reach + SCREEN_SLACK, found in n log n.  A NaN value, whose
-    key is NaN, is paired with the NaN values only.
+    most DIRECT_MAX_POINTS points, else those that near_row_pairs pairs
+    with it on their normalized_pairs rows, found in n log n.  A NaN value,
+    whose row is NaN, is paired with the NaN values only.
     """
     n = len(points)
     if n <= DIRECT_MAX_POINTS:
         return [range(i) for i in range(n)]
-    keys = screen_keys(points)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    margin = reach + SCREEN_SLACK
-    lo = np.searchsorted(sorted_keys, keys - margin, "left")
-    hi = np.searchsorted(sorted_keys, keys + margin, "right")
-    return [[j for j in order[lo[i]:hi[i]].tolist() if j < i] for i in range(n)]
+    with np.errstate(all="ignore"):  # a NaN, infinite or zero chart value is paired silently
+        rows = normalized_pairs(points)
+    i, j, _ = near_row_pairs(rows, rows, reach)
+    earlier = j < i
+    partners = [[] for _ in range(n)]
+    for k, m in zip(i[earlier].tolist(), j[earlier].tolist()):
+        partners[k].append(m)
+    return partners
 
 
 def contains_point(points, p, tol) -> bool:
@@ -297,13 +299,6 @@ SCREEN_FORM = np.array([[0.64, 0.0, 0.48, -0.6],
                         [0.0, 0.64, 0.6, 0.48],
                         [0.48, 0.6, -0.64, 0.0],
                         [-0.6, 0.48, 0.0, -0.64]])
-
-
-@np.errstate(all="ignore")  # a NaN, infinite or zero chart value is keyed silently
-def screen_keys(points) -> np.ndarray:
-    """Each point's place on the unit sphere of R^3, projected on an axis:
-    the row_keys of its normalized_pairs row."""
-    return row_keys(normalized_pairs(points))
 
 
 def row_keys(a: np.ndarray) -> np.ndarray:
@@ -364,6 +359,30 @@ def rows_apart(a: np.ndarray, reach: float) -> bool:
     return bool((distances[i != j] > reach).all())
 
 
+def nearest_rows(a: np.ndarray, b: np.ndarray, reach: float, sizes=None) -> list:
+    """For each row of a, the index of the nearest row of b within chordal
+    distance reach, or None; of rows at one distance the lowest index is
+    taken, and a NaN row has none.  Both are normalized_pairs arrays, and
+    only the pairs that near_row_pairs screens in are measured.  Given
+    sizes, both arrays are consecutive blocks of those sizes, and each
+    row's nearest is sought in its own block and indexed within it.
+    """
+    i, j, distances = near_row_pairs(a, b, reach)
+    within = distances <= reach
+    if sizes is not None:
+        block = np.repeat(np.arange(len(sizes)), sizes)
+        within &= block[i] == block[j]
+        j = j - (np.cumsum(sizes) - sizes)[block[j]]
+    i, j, distances = i[within], j[within], distances[within]
+    nearest = [None] * len(a)
+    # by row, then distance, then index: each row's first pair is its nearest
+    order = np.lexsort((j, distances, i))
+    for k, m in zip(i[order].tolist(), j[order].tolist()):
+        if nearest[k] is None:
+            nearest[k] = m
+    return nearest
+
+
 def near_rows(pair, rows: np.ndarray, tol: float) -> np.ndarray:
     """The indices of the rows of a normalized_pairs array that may coincide
     at tol with the point whose norm_pair() is pair.
@@ -378,7 +397,3 @@ def near_rows(pair, rows: np.ndarray, tol: float) -> np.ndarray:
     (z, w), norm = pair
     return np.flatnonzero(np.abs(z * rows[:, 1] - w * rows[:, 0]) <= (tol + SCREEN_SLACK) * norm)
 
-
-def chordal_matrix(ps, qs) -> np.ndarray:
-    """The array of chordal distances d(ps[i], qs[j])."""
-    return array_chordal(normalized_pairs(ps), normalized_pairs(qs))

@@ -34,7 +34,6 @@ from ratmap.dynamics import (
     _polish_in_balanced_charts,
     _seeds,
     _solve_periods,
-    _successors,
     fixed_points,
     periodic_cycles,
 )
@@ -60,10 +59,10 @@ from ratmap.sphere import (
     INFINITY,
     SpherePoint,
     array_chordal,
-    chordal_matrix,
     coincide,
     near_partners,
     near_row_pairs,
+    nearest_rows,
     normalized_pairs,
     rows_apart,
 )
@@ -926,20 +925,32 @@ def test_an_analysis_screens_only_the_sets_above_the_crossover(doc, twin, monkey
     # the exposure seed pool (25 to 30 points) and the clusterings of periods
     # 3 and 4 (9 and 17 points, both radii from one screen) are above it
     sizes = {"dedup": [], "cluster": [], "screen": []}
+    inside = []
 
     def counting(module, name, key):
         counted_function = getattr(module, name)
 
         def counted(points, *args):
             sizes[key].append(len(points))
-            return counted_function(points, *args)
+            inside.append(key)
+            try:
+                return counted_function(points, *args)
+            finally:
+                inside.pop()
 
         monkeypatch.setattr(module, name, counted)
+
+    screen = ratmap.sphere.near_row_pairs
+
+    def counted_screen(a, b, reach):
+        if inside:  # a screen that near_partners runs, not dynamics' or valencies'
+            sizes["screen"].append(len(a))
+        return screen(a, b, reach)
 
     # dedup_indices reads near_partners from sphere, roots its own import
     counting(ratmap.sphere, "near_partners", "dedup")
     counting(ratmap.roots, "near_partners", "cluster")
-    counting(ratmap.sphere, "screen_keys", "screen")
+    monkeypatch.setattr(ratmap.sphere, "near_row_pairs", counted_screen)
     run_analysis(parse_map(doc))
     screened = {key: [n for n in sizes[key] if n > DIRECT_MAX_POINTS] for key in ("dedup", "cluster")}
     assert (len(screened["dedup"]), len(screened["cluster"])) == (1, 2)
@@ -997,7 +1008,7 @@ SUCCESSOR_MAPS = [(source, index, twin) for twin in (False, True)
 
 
 def _scalar_successors(r, points):
-    """The successor rule on scalar images: r.evaluate, then chordal_matrix."""
+    """The successor rule on scalar images: r.evaluate, then the n x n array_chordal."""
     images = {}
     for i, x in enumerate(points):
         try:
@@ -1005,7 +1016,8 @@ def _scalar_successors(r, points):
         except RatmapError:
             pass
     succ = [None] * len(points)
-    for i, row in zip(images, chordal_matrix(list(images.values()), points)):
+    distances = array_chordal(normalized_pairs(list(images.values())), normalized_pairs(points))
+    for i, row in zip(images, distances):
         if row.min() <= DEFAULT_CLUSTER_RADIUS:
             succ[i] = int(row.argmin())
     return succ
@@ -1027,11 +1039,12 @@ def test_the_array_successors_and_valencies_match_the_scalar_rule(source, index,
     for points in solved.values():
         rows = normalized_pairs(points)
         want = _scalar_successors(r, points)
-        assert _successors(image_rows[start:start + len(points)], rows) == want
+        got = nearest_rows(image_rows[start:start + len(points)], rows, DEFAULT_CLUSTER_RADIUS)
+        assert got == want
         start += len(points)
         # a block of one point: numpy may pick other loops for n = 1
         for i, x in enumerate(points):
-            assert _successors(r.image_rows([x]), rows) == want[i:i + 1]
+            assert nearest_rows(r.image_rows([x]), rows, DEFAULT_CLUSTER_RADIUS) == want[i:i + 1]
             assert r.valencies([x]) == [r.valency_at(x)]
     assert r.valencies(everything) == [r.valency_at(x) for x in everything]
 
@@ -1047,11 +1060,12 @@ def test_a_nan_or_indeterminate_image_row_has_no_successor():
     rows = r.image_rows(points)
     assert np.isnan(rows[0]).all() and np.isfinite(rows[1:]).all()
     point_rows = normalized_pairs(points)
-    assert _successors(rows, point_rows) == [None, 2, None]
-    assert _successors(rows[:1], point_rows) == [None]
+    reach = DEFAULT_CLUSTER_RADIUS
+    assert nearest_rows(rows, point_rows, reach) == [None, 2, None]
+    assert nearest_rows(rows[:1], point_rows, reach) == [None]
     nan_rows = np.full((2, 2), complex("nan"))
-    assert _successors(nan_rows, point_rows) == [None, None]
-    assert _successors(nan_rows[:1], point_rows[:1]) == [None]
+    assert nearest_rows(nan_rows, point_rows, reach) == [None, None]
+    assert nearest_rows(nan_rows[:1], point_rows[:1], reach) == [None]
 
 
 @pytest.mark.parametrize("twin", [False, True])
@@ -1103,16 +1117,16 @@ def test_periodic_cycles_evaluates_r_only_at_infinity_and_builds_each_point_once
 
 
 # the n x n rules the screened pairing replaced, kept as references
-def _reference_successors(image_rows, point_rows, sizes=None):
+def _reference_nearest(a, b, reach, sizes=None):
     if sizes is not None:  # one block per period
         out, start = [], 0
         for n in sizes:
-            out += _reference_successors(image_rows[start:start + n], point_rows[start:start + n])
+            out += _reference_nearest(a[start:start + n], b[start:start + n], reach)
             start += n
         return out
-    distances = array_chordal(image_rows, point_rows)
+    distances = array_chordal(a, b)
     nearest = distances.argmin(axis=1)
-    within = distances[np.arange(len(nearest)), nearest] <= DEFAULT_CLUSTER_RADIUS
+    within = distances[np.arange(len(nearest)), nearest] <= reach
     return [k if ok else None for k, ok in zip(nearest.tolist(), within.tolist())]
 
 
@@ -1200,8 +1214,8 @@ def test_the_screened_pairing_matches_the_n_by_n_reference(n):
         assert not rows_apart(exact, DISTINCT_STARTS)
     for seed in range(3):
         images, points = _successor_case(n, seed)
-        got = _successors(images, points)
-        assert got == _reference_successors(images, points)
+        got = nearest_rows(images, points, DEFAULT_CLUSTER_RADIUS)
+        assert got == _reference_nearest(images, points, DEFAULT_CLUSTER_RADIUS)
         assert got[-1] is None
         if n >= 9:
             assert got[:3] == [1, 3, 4] and got[6:8] == [None, None]
@@ -1209,7 +1223,8 @@ def test_the_screened_pairing_matches_the_n_by_n_reference(n):
         # blocks of the sizes of periods 1-3 of a quintic, and what is left
         sizes = [k for k in (6, 26, 126) if k < n]
         sizes.append(n - sum(sizes))
-        assert _successors(images, points, sizes) == _reference_successors(images, points, sizes)
+        assert (nearest_rows(images, points, DEFAULT_CLUSTER_RADIUS, sizes)
+                == _reference_nearest(images, points, DEFAULT_CLUSTER_RADIUS, sizes))
 
 
 def test_the_critical_value_screen_matches_the_matrix_test():
@@ -1228,7 +1243,7 @@ def test_the_screened_cycle_search_gives_the_reports_of_the_matrices_at_cap_700(
                                                                                monkeypatch):
     config = AnalysisConfig(period_work_cap=700)
     got = run_analysis(_corpus_map(index, twin), config).to_json_bytes()
-    monkeypatch.setattr(ratmap.dynamics, "_successors", _reference_successors)
+    monkeypatch.setattr(ratmap.dynamics, "nearest_rows", _reference_nearest)
     monkeypatch.setattr(ratmap.dynamics, "rows_apart", _reference_apart)
     monkeypatch.setattr(ratmap.dynamics, "near_row_pairs", _reference_pairs)
     assert run_analysis(_corpus_map(index, twin), config).to_json_bytes() == got

@@ -82,12 +82,11 @@ def _ambiguous_siegel_report(declarations):
     lam = (1 + 1e-8) * cmath.exp(2j * math.pi * AMBIGUOUS_THETA)
     doc = {"numerator": ["1.0", scalar_str(-2 * cmath.sqrt(lam)), scalar_str(lam), "0.0"],
            "denominator": ["1.0"]}
-    return run_analysis(parse_map(doc),
-                        AnalysisConfig(max_period=1, declarations=declarations)).data
+    return run_analysis(parse_map(doc), AnalysisConfig(max_period=1, declarations=declarations))
 
 
 def test_a_declared_ambiguous_anchor_is_fatou_for_the_atlas_and_the_exposed_scan():
-    d = _ambiguous_siegel_report([{"kind": "siegel", "anchor": "0", "theta": AMBIGUOUS_THETA}])
+    d = _ambiguous_siegel_report([{"kind": "siegel", "anchor": "0", "theta": AMBIGUOUS_THETA}]).data
     siegel = next(reg for reg in d["atlas"]["regions"] if reg["core_type"]["kind"] == "siegel")
     anchor = d["cycles"][siegel["anchor_cycle"]]
     assert anchor["points"] == ["0.0"] and anchor["classification"] == "indifferent_ambiguous"
@@ -98,11 +97,15 @@ def test_a_declared_ambiguous_anchor_is_fatou_for_the_atlas_and_the_exposed_scan
 
 
 def test_an_undeclared_ambiguous_fixed_point_blocks_the_julia_quotient():
-    d = _ambiguous_siegel_report([])
+    report = _ambiguous_siegel_report([])
+    d = report.data
     zero = next(o for o in d["exposed"]["orbits"] if o["points"] == ["0.0"])
     assert zero["in_julia"] is None
-    assert any(w["code"] == "julia-membership-undetermined" for w in d["warnings"])
-    assert "obstruction" in d["algebra"]["julia"]
+    message = "exposed orbit with undetermined Julia membership blocks the Julia quotient"
+    record = {"code": "julia-membership-undetermined", "message": message, "orbits": [["0.0"]]}
+    assert [w for w in d["warnings"] if w["code"] == record["code"]] == [record]
+    assert d["algebra"]["julia"] == {"obstruction": record}
+    assert f"  julia: blocked ({message})" in report.to_text().splitlines()
     # the catalog reads the blocked quotient as not known to be simple
     julia = d["primitive_ideals"]["entries"][0]
     assert julia["co_support"] == {"kind": "julia"} and julia["simple"] is False

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,10 +10,10 @@ from ratmap.dynamics import DEFAULT_MAX_PERIOD, Orbit, critical_points, periodic
 from ratmap.errors import MapDegreeError
 from ratmap.poly import Polynomial, vanishing_order_exact
 from ratmap.rational import RationalMap
-from ratmap.report import parse_map
+from ratmap.report import parse_map, run_analysis
 from ratmap.roots import DEFAULT_CLUSTER_RADIUS
 from ratmap.scalars import GaussianRational, is_exact
-from ratmap.sphere import INFINITY, SpherePoint, coincide
+from ratmap.sphere import INFINITY, SpherePoint, array_chordal, coincide, normalized_pairs
 
 from .test_report import DECIMAL_TWINS, WORKED_MAPS, _corpus_map
 
@@ -153,6 +154,79 @@ def test_valency_at_an_exact_point_beyond_float_range():
     assert y.is_exact and y == SpherePoint.finite(2**1200 + 2**400)
     for _ in range(2):
         assert r.valency_at(y) == 1
+
+
+def _reference_valencies(r, points):
+    """The rule valencies replaced, kept as the reference: the nearest table
+    entry by argmin over the n x m matrix of chordal distances, whose
+    valency a point takes when it coincides with it."""
+    vals = [r._exact_valency(x) for x in points]
+    rest = [i for i, val in enumerate(vals) if val is None]
+    if rest:
+        table = r.critical_table()
+        distances = array_chordal(normalized_pairs([points[i] for i in rest]),
+                                  normalized_pairs([c for c, _ in table]))
+        for i, k in zip(rest, distances.argmin(axis=1).tolist()):
+            c, val = table[k]
+            vals[i] = val if coincide(points[i], c, r.tolerance) else 1
+    return vals
+
+
+def test_the_valencies_of_an_analysis_match_the_matrix_rule(monkeypatch):
+    # every valency query of the analyses of the worked maps and corpus maps
+    # 0-9, exact and decimal twin
+    queries = []
+    valencies = RationalMap.valencies
+
+    def recorded(self, points):
+        got = valencies(self, points)
+        queries.append((self, list(points), got))
+        return got
+
+    monkeypatch.setattr(RationalMap, "valencies", recorded)
+    maps = [parse_map(doc) for doc in WORKED_MAPS + DECIMAL_TWINS]
+    for r in maps + [_corpus_map(i, twin) for i in range(10) for twin in (False, True)]:
+        run_analysis(r)
+    looked_up = 0
+    for r, points, got in queries:
+        assert got == _reference_valencies(r, points)
+        looked_up += sum(r._exact_valency(x) is None for x in points)
+    assert looked_up > 100
+
+
+def test_the_valency_lookup_matches_the_matrix_rule_at_its_edges():
+    # P' = (z - 1)(z + 1)^2: valency 2 at 1, 3 at -1 and 4 at infinity;
+    # 0 is equidistant from 1 and -1, at chordal distance sqrt 2
+    coeffs = [Fraction(1, 4), Fraction(1, 3), Fraction(-1, 2), -1, 0]
+    near_one = SpherePoint.finite(1.0 + 1e-10j)
+    points = [SpherePoint.finite(0.0), near_one, SpherePoint.finite(-1.0 + 3e-10),
+              SpherePoint.finite(0.5 - 0.5j), SpherePoint.finite(1e13j),
+              SpherePoint.infinity(exact=False), INFINITY, SpherePoint.finite(GaussianRational(1)),
+              # past |z| = 1e154, where |z|^2 overflows, and past float range
+              SpherePoint.finite(GaussianRational(10**160)),
+              SpherePoint.finite(GaussianRational(3 * 10**200)),
+              SpherePoint.finite(GaussianRational(10**400))]
+    # near_one exactly tol from the entry at 1, and just closer than tol
+    at_tol = near_one.chordal(SpherePoint.finite(1))
+    tolerances = [1e-9, at_tol, math.nextafter(at_tol, 0.0), 1.5, 2.0, 2.5]
+    for exact in (True, False):
+        for tol in tolerances:
+            p = Polynomial([GaussianRational(c) if exact else float(c) for c in coeffs])
+            r = RationalMap(p, Polynomial([GaussianRational(1) if exact else 1.0]),
+                            tolerance=tol, verified_coprime=True)
+            assert r.valencies(points) == _reference_valencies(r, points)
+    r = RationalMap(Polynomial([GaussianRational(c) for c in coeffs]),
+                    Polynomial([GaussianRational(1)]))
+    table = r.critical_table()
+    assert sorted(val for _, val in table) == [2, 3, 4]
+    assert r.valencies(points[:2] + points[5:6]) == [1, 2, 4]
+    first = next(k for k, (c, _) in enumerate(table) if c.chordal(points[0]) < 1.5)
+    for tol, val in ((at_tol, 2), (math.nextafter(at_tol, 0.0), 1)):
+        r.tolerance = tol
+        assert r.valencies([near_one]) == [val]
+    r.tolerance = 2.0
+    # of two entries at one distance the lower index wins
+    assert r.valencies(points[:1]) == [table[first][1]]
 
 
 def _cross_check_maps():

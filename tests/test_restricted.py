@@ -183,15 +183,16 @@ def test_partition_blocks_on_undetermined_membership():
     from ratmap.errors import JuliaMembershipUndeterminedError
     from ratmap.restricted import ExposedOrbit
 
-    orbit = ExposedOrbit(
-        points=(SpherePoint.finite(0),),
-        orbit_type=2,
-        contains_critical=True,
-        in_julia=None,
-        asymptotic_valency=2,
-    )
-    with pytest.raises(JuliaMembershipUndeterminedError):
-        julia_exposed_partition([orbit])
+    def orbit(points, in_julia):
+        return ExposedOrbit(points=tuple(SpherePoint.finite(p) for p in points), orbit_type=2,
+                            contains_critical=True, in_julia=in_julia, asymptotic_valency=2)
+
+    with pytest.raises(JuliaMembershipUndeterminedError) as err:
+        julia_exposed_partition([orbit([0], None), orbit([2], True), orbit([1, -1], None)])
+    # the error names every undetermined orbit, as the report's obstruction does
+    assert str(err.value) == ("exposed orbit with undetermined Julia membership blocks "
+                              "the Julia quotient")
+    assert err.value.context == {"orbits": [["0"], ["1", "-1"]]}
 
 
 def test_no_exposed_set_for_generic_quadratic():
@@ -274,6 +275,11 @@ def test_minimal_orbits_past_four_points_are_truncated_to_the_smallest(monkeypat
     assert [o.points for o in scan.orbits] == [tuple(c) for c in closures[:3]]
     assert all(o.orbit_type == 1 and o.in_julia is True for o in scan.orbits)
     assert scan.union == [c[0] for c in closures[:3]]
+    # an orbit holding a smaller one is not minimal
+    pair = sorted(closures[0] + closures[1], key=point_sort_key)
+    scan = _scan_of_closures(r, [pair, closures[0]], monkeypatch)
+    assert [o.points for o in scan.orbits] == [tuple(closures[0])]
+    assert _bound_violations(scan) == []
 
 
 def test_a_type_1_set_holding_no_known_cycle_is_undecided():

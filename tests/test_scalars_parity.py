@@ -356,6 +356,18 @@ def _golden_floats() -> list[float]:
     return out
 
 
+def _midpoints(rng: random.Random, n: int) -> list[float]:
+    """Midpoints of two fractions with denominators up to 39: at a bound of
+    10 or 30 some are near ties between a convergent and a semiconvergent,
+    which limit_ratios settles in Python ints."""
+    out = []
+    for _ in range(n):
+        b, d = rng.randint(1, 39), rng.randint(1, 39)
+        halves = Fraction(rng.randint(-3 * b, 3 * b), b) + Fraction(rng.randint(-3 * d, 3 * d), d)
+        out.append(float(halves / 2))
+    return out
+
+
 def _limited(x: float, bound: int = SNAP_DENOMINATOR_BOUND) -> tuple[int, int]:
     f = Fraction(x).limit_denominator(bound)
     return f.numerator, f.denominator
@@ -374,8 +386,9 @@ def test_the_batch_snap_matches_fraction_limit_denominator_row_for_row():
 
 
 def test_limit_ratios_matches_fraction_at_other_bounds():
-    xs = _snap_floats(random.Random(19))[:1500] + _golden_floats()
-    for bound in (1, 7, 10**9, 2**31 - 1, 2**31, 10**15):
+    xs = (_snap_floats(random.Random(19))[:1500] + _golden_floats()
+          + _midpoints(random.Random(23), 3000))
+    for bound in (1, 7, 10, 30, 10**9, 2**31 - 1, 2**31, 10**15):
         n, d = limit_ratios(np.array(xs), bound)
         assert list(zip(n.tolist(), d.tolist())) == [_limited(x, bound) for x in xs]
 

@@ -269,10 +269,13 @@ def chordal_matrix_reads(tree):
     return sorted(lines)
 
 
-def test_dynamics_builds_no_chordal_matrix():
-    # the seeds' distinct-starts and critical-value tests and the successors
-    # measure only the pairs that the sphere's key screen passes
-    path = next(p for p in SOURCES if p.stem == "dynamics")
+OUTSIDE_SPHERE = [p for p in SOURCES if p.stem != "sphere"]
+
+
+@pytest.mark.parametrize("path", OUTSIDE_SPHERE, ids=[p.name for p in OUTSIDE_SPHERE])
+def test_only_the_sphere_builds_a_chordal_matrix(path):
+    # the seeds' distinct-starts and critical-value tests, the successors and
+    # the valency lookups measure only the pairs that the sphere's key screen passes
     assert chordal_matrix_reads(ast.parse(path.read_text(), str(path))) == []
 
 
@@ -286,3 +289,53 @@ def test_the_check_finds_an_array_chordal_call():
         "    return chordal_matrix(ps, ps), sphere.chordal_matrix\n"
     )
     assert chordal_matrix_reads(tree) == [1, 3, 4, 6, 6]
+
+
+WINDOW_SEARCHES = {"searchsorted", "lexsort"}
+
+
+def window_searches(tree):
+    """(line, function, name) for each read or import of a name or attribute
+    in WINDOW_SEARCHES, the sort-and-window steps of a key screen and of a
+    nearest match, with the innermost function it is read in ("" at module
+    level)."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom):
+                names = {alias.name for alias in child.names}
+            else:
+                names = {getattr(child, "id", None), getattr(child, "attr", None)}
+            found.extend((child.lineno, func, name) for name in names & WINDOW_SEARCHES)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else func)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_the_sphere_holds_the_one_key_screen_and_the_one_nearest_match(path):
+    tree = ast.parse(path.read_text(), str(path))
+    reads = {(func, name) for _, func, name in window_searches(tree)}
+    if path.stem == "sphere":
+        assert reads == {("near_row_pairs", "searchsorted"), ("nearest_rows", "lexsort")}
+    else:
+        assert reads == set()
+
+
+def test_the_check_finds_a_window_search():
+    tree = ast.parse(
+        "from numpy import lexsort, sort\n"
+        "def near_row_pairs(keys, q):\n"
+        "    return np.searchsorted(keys, q)\n"
+        "def f(keys, q):\n"
+        "    def g():\n"
+        "        return searchsorted(keys, q)\n"
+        "    return g, np.lexsort((keys,)), keys.searchsorted, np.argsort(keys)\n"
+        "order = np.lexsort((q,))\n"
+    )
+    assert window_searches(tree) == [(1, "", "lexsort"), (3, "near_row_pairs", "searchsorted"),
+                                     (6, "g", "searchsorted"), (7, "f", "lexsort"),
+                                     (7, "f", "searchsorted"), (8, "", "lexsort")]

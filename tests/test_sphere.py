@@ -17,7 +17,6 @@ from ratmap.sphere import (
     SCREEN_SLACK,
     SpherePoint,
     array_chordal,
-    chordal_matrix,
     coincide,
     dedup_indices,
     dedup_points,
@@ -25,7 +24,7 @@ from ratmap.sphere import (
     near_rows,
     normalized_pairs,
     parse_point,
-    screen_keys,
+    row_keys,
 )
 
 
@@ -59,7 +58,7 @@ def test_chordal_metric():
     assert one.chordal(inf) == pytest.approx(inf.chordal(one))
 
 
-def test_chordal_matrix_matches_the_pointwise_metric():
+def test_array_chordal_matches_the_pointwise_metric():
     points = [
         INFINITY,
         SpherePoint.infinity(exact=False),
@@ -71,16 +70,16 @@ def test_chordal_matrix_matches_the_pointwise_metric():
         SpherePoint.finite(1e-9j),
         SpherePoint.finite(GaussianRational(3 * 10**200)),  # |z|^2 beyond float range
     ]
-    dist = chordal_matrix(points[:5], points)
+    dist = array_chordal(normalized_pairs(points[:5]), normalized_pairs(points))
     assert dist.shape == (5, len(points))
     for i, p in enumerate(points[:5]):
         for j, q in enumerate(points):
             # both sides stay below 2; the order of operations differs
             assert abs(dist[i, j] - p.chordal(q)) <= 8 * 2.0**-52
-    assert chordal_matrix([], points).shape == (0, len(points))
+    assert array_chordal(normalized_pairs([]), normalized_pairs(points)).shape == (0, len(points))
 
 
-def test_screen_keys_differ_by_at_most_the_chordal_distance():
+def test_row_keys_differ_by_at_most_the_chordal_distance():
     # dedup_indices compares only the points whose keys are within 2 tol
     points = [
         INFINITY,
@@ -95,11 +94,11 @@ def test_screen_keys_differ_by_at_most_the_chordal_distance():
         SpherePoint.finite(1.0),
     ] + [SpherePoint.finite(complex(math.cos(k), math.sin(3 * k)) * 10 ** (k % 7 - 3))
          for k in range(40)]
-    keys = screen_keys(points)
+    keys = row_keys(normalized_pairs(points))
     for i, p in enumerate(points):
         for j, q in enumerate(points):
             assert abs(keys[i] - keys[j]) <= p.chordal(q) + 1e-15
-    assert screen_keys([]).shape == (0,)
+    assert row_keys(normalized_pairs([])).shape == (0,)
 
 
 def test_chart_values_have_the_keys_of_their_points():
@@ -109,8 +108,10 @@ def test_chart_values_have_the_keys_of_their_points():
                        -1e200, 1.5e308 + 1.5e308j]
                       + [complex(math.cos(k), math.sin(3 * k)) * 10 ** (k % 7 - 3)
                          for k in range(20)])
-    keys = screen_keys([SpherePoint.finite(complex(v)) for v in values])
-    assert np.all(np.abs(screen_keys(values) - keys) <= 1e-15)
+    keys = row_keys(normalized_pairs([SpherePoint.finite(complex(v)) for v in values]))
+    with np.errstate(all="ignore"):  # 1/0 at the origin, as near_partners builds the rows
+        rows = normalized_pairs(values)
+    assert np.all(np.abs(row_keys(rows) - keys) <= 1e-15)
 
 
 def test_a_floating_pair_past_float_range_keeps_its_ratio():
