@@ -61,8 +61,8 @@ def test_criterion_1_chebyshev():
 # -- criterion 2: (z-2)^2/z^2 -------------------------------------------------
 
 
-def test_criterion_2_rees_shape_map():
-    report = run_analysis(
+def test_criterion_2_rees_shape_map(analyzed):
+    report = analyzed(
         parse_map({"numerator": ["1", "-4", "4"], "denominator": ["1", "0", "0"]})
     )
     data = report.data
@@ -95,8 +95,8 @@ def test_criterion_2_rees_shape_map():
 # -- criterion 3: z^2 ---------------------------------------------------------
 
 
-def test_criterion_3_zsq():
-    report = run_analysis(parse_map({"numerator": ["1", "0", "0"], "denominator": ["1"]}))
+def test_criterion_3_zsq(analyzed):
+    report = analyzed(parse_map({"numerator": ["1", "0", "0"], "denominator": ["1"]}))
     data = report.data
     regions = data["atlas"]["regions"]
     kinds = [reg["core_type"]["kind"] for reg in regions]

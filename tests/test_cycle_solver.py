@@ -166,28 +166,33 @@ def test_a_multiple_fixed_point_of_r4_is_one_cycle(twin):
 
 def _reference_walk(rf, p, chart, w, shared_scale=False):
     """The fixed-point walk with P, Q, P' and Q' as separate arrays, one
-    ufunc call per term; the array walk must match it bit for bit."""
+    ufunc call per term; the array walk must match it bit for bit.  p is one
+    period or one period per row: step k advances the rows whose period
+    passes k, on their own arrays, and the shared scale is theirs."""
     d = rf.degree
     pc = np.concatenate([np.zeros(d - rf.p.degree, complex), rf.p.to_complex_array()])
     qc = np.concatenate([np.zeros(d - rf.q.degree, complex), rf.q.to_complex_array()])
+    # step k advances the rows whose period passes k: every row for one period
+    steps = [slice(None)] * p if np.ndim(p) == 0 else [np.asarray(p) > k for k in range(max(p))]
     # the overflow row would print RuntimeWarnings here
     with np.errstate(all="ignore"):
         alpha, beta, gamma, delta = chart
         m1, m2 = alpha * w + beta, gamma * w + delta
-        u, v, du, dv = m1, m2, np.full_like(w, alpha), np.full_like(w, gamma)
-        for _ in range(p):
+        u, v, du, dv = m1.copy(), m2.copy(), np.full_like(w, alpha), np.full_like(w, gamma)
+        for rows in steps:
+            uk, vk, duk, dvk = u[rows], v[rows], du[rows], dv[rows]
             # P_h(u, v) = sum c_i u^(d-i) v^i by Horner in u, carrying v^i
-            pu, qu = np.full_like(w, pc[0]), np.full_like(w, qc[0])
-            dpu, dqu = np.zeros_like(w), np.zeros_like(w)
-            vi, dvi = np.ones_like(w), np.zeros_like(w)
+            pu, qu = np.full_like(uk, pc[0]), np.full_like(uk, qc[0])
+            dpu, dqu = np.zeros_like(uk), np.zeros_like(uk)
+            vi, dvi = np.ones_like(uk), np.zeros_like(uk)
             for i in range(1, d + 1):
-                vi, dvi = vi * v, dvi * v + vi * dv
-                pu, dpu = pu * u + pc[i] * vi, dpu * u + pu * du + pc[i] * dvi
-                qu, dqu = qu * u + qc[i] * vi, dqu * u + qu * du + qc[i] * dvi
+                vi, dvi = vi * vk, dvi * vk + vi * dvk
+                pu, dpu = pu * uk + pc[i] * vi, dpu * uk + pu * duk + pc[i] * dvi
+                qu, dqu = qu * uk + qc[i] * vi, dqu * uk + qu * duk + qc[i] * dvi
             s = np.maximum(np.abs(pu), np.abs(qu))
             if shared_scale:
                 s = s.max()
-            u, v, du, dv = pu / s, qu / s, dpu / s, dqu / s
+            u[rows], v[rows], du[rows], dv[rows] = pu / s, qu / s, dpu / s, dqu / s
         return m1, m2, u, v, u * m2 - v * m1, du * m2 + u * gamma - dv * m1 - v * alpha
 
 
@@ -214,9 +219,10 @@ def _parity_map(key, twin):
     return parse_map(key) if isinstance(key, dict) else _corpus_map(key, twin)
 
 
-@pytest.mark.parametrize("key, twin", PARITY_MAPS)
-def test_the_array_walk_matches_the_reference_walk(key, twin):
-    rf = _parity_map(key, twin).floating()
+OVERFLOW = np.array([1e200 + 1e200j])
+
+
+def _one_period_walks(rf):
     for p in range(1, 5):
         w = _walk_points(rf, p)
         inner = np.arange(len(w)) % 3 != 0
@@ -225,6 +231,9 @@ def test_the_array_walk_matches_the_reference_walk(key, twin):
             eq = _FixedPointEquation(rf, p, chart)
             for shared in (False, True):
                 _assert_bitwise_equal(eq.walk(w, shared), _reference_walk(rf, p, chart, w, shared))
+            # the merge of a cluster walks its members under one scale
+            for x in (w[:3], w[:1], OVERFLOW):
+                _assert_bitwise_equal(eq.walk(x, True), _reference_walk(rf, p, chart, x, True))
             # one point at a time: numpy may pick other loops for n = 1
             for x in np.concatenate([w[:-9:5], w[-9:]]):
                 _assert_bitwise_equal(eq.walk(np.array([x])), _reference_walk(rf, p, chart, np.array([x])))
@@ -233,6 +242,43 @@ def test_the_array_walk_matches_the_reference_walk(key, twin):
         for chart, mask in ((INNER_CHART, inner), (OUTER_CHART, ~inner)):
             want = _reference_walk(rf, p, chart, w[mask])
             _assert_bitwise_equal([np.broadcast_to(x, w.shape)[mask] for x in got], want)
+        # the per-point charts of the balanced polish, one period per row
+        rows = [p] * len(w)
+        _assert_bitwise_equal(_FixedPointEquation(rf, rows, mixed).walk(w),
+                              _reference_walk(rf, rows, mixed, w))
+
+
+def _lock_step_walks(rf):
+    # the rows of a lock-step solve, by descending period, and a row that overflows
+    for periods in PERIOD_SETS:
+        periods = sorted((p for p in periods if rf.degree**p + 1 <= DEFAULT_PERIOD_WORK_CAP),
+                         reverse=True)
+        if not periods:
+            continue
+        w = np.concatenate([start_circle(rf.degree**p + 1, CHART_START_RADIUS) for p in periods]
+                           + [OVERFLOW])
+        rows = [p for p in periods for _ in range(rf.degree**p + 1)] + [periods[-1]]
+        _assert_bitwise_equal(_FixedPointEquation(rf, rows).walk(w),
+                              _reference_walk(rf, rows, SOLVE_CHART, w))
+
+
+def _start_circle_walks(rf):
+    # non-increasing periods over the start circle, with rows that overflow for n > 1
+    for n in (1, 2, 17, 158):
+        w = start_circle(n, CHART_START_RADIUS)
+        w[1::16] = OVERFLOW
+        rows = sorted((1 + k % 3 for k in range(n)), reverse=True)
+        for p in (3, rows):
+            for shared in (False, True):
+                _assert_bitwise_equal(_FixedPointEquation(rf, p).walk(w, shared),
+                                      _reference_walk(rf, p, SOLVE_CHART, w, shared))
+
+
+@pytest.mark.parametrize("walks", [_one_period_walks, _lock_step_walks, _start_circle_walks],
+                         ids=["one-period", "lock-step", "start-circle"])
+@pytest.mark.parametrize("key, twin", PARITY_MAPS)
+def test_the_array_walk_matches_the_reference_walk(key, twin, walks):
+    walks(_parity_map(key, twin).floating())
 
 
 def _reference_polish(rf, p, points):
@@ -814,111 +860,6 @@ def test_the_pairwise_sums_in_one_buffer_match_a_fresh_matrix(n):
         _assert_bitwise_equal([_pairwise_sums(z, buf)], [inv.sum(axis=1)])
 
 
-def _frozen_walk(eq, w, shared_scale=False):
-    """_FixedPointEquation.walk as it was with (P, Q) and v^i in separate arrays,
-    three numpy updates per Horner term."""
-    def times(x, m, dm):
-        tmp = x[0] * dm
-        x *= m
-        x[1] += tmp
-
-    alpha, beta, gamma, delta = eq.chart
-    with np.errstate(all="ignore"):
-        m1, m2 = alpha * w + beta, gamma * w + delta
-        state = np.array([[m1, m2], [np.full_like(w, alpha), np.full_like(w, gamma)]])
-        for n in eq.steps or [len(w)] * eq.p:
-            (u, v), (du, dv) = state[:, :, :n]
-            x = np.zeros((2, 2, n), complex)
-            x[0] = eq.coef[0]
-            vi = np.zeros((2, n), complex)
-            vi[0] = 1.0
-            for c in eq.coef[1:]:
-                times(vi, v, dv)
-                times(x, u, du)
-                x += c * vi[:, None]
-            s = np.maximum(*np.abs(x[0]))
-            if shared_scale:
-                s = s.max()
-            np.divide(x, s, out=state[:, :, :n])
-        (u, v), (du, dv) = state
-        return m1, m2, u, v, u * m2 - v * m1, du * m2 + u * gamma - dv * m1 - v * alpha
-
-
-WALK_MAPS = WORKED + [(index, True) for index in range(10)]
-
-
-@pytest.mark.parametrize("key, twin", WALK_MAPS)
-def test_the_one_array_walk_matches_the_frozen_walk(key, twin):
-    rf = _parity_map(key, twin).floating()
-    overflow = np.array([1e200 + 1e200j])
-    for periods in PERIOD_SETS:
-        periods = sorted((p for p in periods if rf.degree**p + 1 <= DEFAULT_PERIOD_WORK_CAP),
-                         reverse=True)
-        if not periods:
-            continue
-        # the rows of a lock-step solve, by descending period, and a row that overflows
-        w = np.concatenate([start_circle(rf.degree**p + 1, CHART_START_RADIUS) for p in periods]
-                           + [overflow])
-        rows = [p for p in periods for _ in range(rf.degree**p + 1)] + [periods[-1]]
-        eq = _FixedPointEquation(rf, rows)
-        _assert_bitwise_equal(eq.walk(w), _frozen_walk(eq, w))
-        for p in periods:
-            eq = _FixedPointEquation(rf, p)
-            # the merge of a cluster walks its members under one scale
-            for x in (w[:3], w[:1], overflow):
-                _assert_bitwise_equal(eq.walk(x, shared_scale=True), _frozen_walk(eq, x, True))
-            for x in w[::7]:
-                _assert_bitwise_equal(eq.walk(np.array([x])), _frozen_walk(eq, np.array([x])))
-            # the per-point charts of the balanced polish
-            inner = np.abs(w) <= 1.0
-            chart = tuple(np.where(inner, a, b) for a, b in zip(INNER_CHART, OUTER_CHART))
-            eq = _FixedPointEquation(rf, [p] * len(w), chart)
-            _assert_bitwise_equal(eq.walk(w), _frozen_walk(eq, w))
-
-
-def _indexed_walk(eq, w, shared_scale=False):
-    """_FixedPointEquation.walk as it was with one array y = ((P, Q, v^i),
-    (P', Q', (v^i)')) indexed afresh at each Horner term."""
-    def times(x, m, dm):
-        tmp = x[0] * dm
-        x *= m
-        x[1] += tmp
-
-    alpha, beta, gamma, delta = eq.chart
-    with np.errstate(all="ignore"):
-        m1, m2 = alpha * w + beta, gamma * w + delta
-        state = np.array([[m1, m2], [np.full_like(w, alpha), np.full_like(w, gamma)]])
-        for n in eq.steps or [len(w)] * eq.p:
-            m, dm = state[:, [0, 0, 1], :n]
-            y = np.zeros((2, 3, n), complex)
-            y[0, :2] = eq.coef[0]
-            y[0, 2] = 1.0
-            for c in eq.coef[1:]:
-                times(y, m, dm)
-                y[:, :2] += c * y[:, 2:]
-            x = y[:, :2]
-            s = np.maximum(*np.abs(x[0]))
-            if shared_scale:
-                s = s.max()
-            np.divide(x, s, out=state[:, :, :n])
-        (u, v), (du, dv) = state
-        return m1, m2, u, v, u * m2 - v * m1, du * m2 + u * gamma - dv * m1 - v * alpha
-
-
-@pytest.mark.parametrize("key, twin", WORKED[3:] + [(index, True) for index in (3, 4, 6)])
-@pytest.mark.parametrize("n", [1, 2, 17, 158])
-def test_the_buffered_walk_matches_the_indexed_walk(key, twin, n):
-    rf = _parity_map(key, twin).floating()
-    # the start circle, with rows that overflow to inf and NaN for n > 1
-    w = start_circle(n, CHART_START_RADIUS)
-    w[1::16] = 1e200 + 1e200j
-    # non-increasing periods, one per row
-    rows = sorted((1 + k % 3 for k in range(n)), reverse=True)
-    for eq in (_FixedPointEquation(rf, 3), _FixedPointEquation(rf, rows)):
-        for shared in (False, True):
-            _assert_bitwise_equal(eq.walk(w, shared), _indexed_walk(eq, w, shared))
-
-
 @pytest.mark.parametrize("doc, twin", WORKED)
 def test_an_analysis_screens_only_the_sets_above_the_crossover(doc, twin, monkeypatch):
     # of about 40 dedups and 25 clusterings per worked map, only the dedup of
@@ -1240,34 +1181,29 @@ def test_the_critical_value_screen_matches_the_matrix_test():
 @pytest.mark.parametrize("index", range(10))
 @pytest.mark.parametrize("twin", [False, True])
 def test_the_screened_cycle_search_gives_the_reports_of_the_matrices_at_cap_700(index, twin,
-                                                                               monkeypatch):
+                                                                               monkeypatch,
+                                                                               analyzed):
     config = AnalysisConfig(period_work_cap=700)
-    got = run_analysis(_corpus_map(index, twin), config).to_json_bytes()
+    got = analyzed(_corpus_map(index, twin), config).to_json_bytes()
     monkeypatch.setattr(ratmap.dynamics, "nearest_rows", _reference_nearest)
     monkeypatch.setattr(ratmap.dynamics, "rows_apart", _reference_apart)
     monkeypatch.setattr(ratmap.dynamics, "near_row_pairs", _reference_pairs)
     assert run_analysis(_corpus_map(index, twin), config).to_json_bytes() == got
 
 
-def test_the_clusters_of_roots_with_no_screened_pair_are_those_of_both_passes(monkeypatch):
+def test_the_clusters_of_roots_with_no_screened_pair_are_those_of_both_passes(recorded_analyses):
     # _clusters returns singletons without clustering where near_partners
     # pairs no roots: the large period groups of the corpus twins
-    calls = []
     clusters = ratmap.roots._clusters
-
-    def recorded(z, radii):
-        calls.append((z, radii))
-        return clusters(z, radii)
-
-    monkeypatch.setattr(ratmap.roots, "_clusters", recorded)
-    for index in range(10):
-        run_analysis(_corpus_map(index, True))
     wide = 10.0 * DEFAULT_CLUSTER_RADIUS
     lone = 0
-    for z, radii in calls:
-        partners = near_partners(z, _link_reach(wide, radii))
-        lone += not any(partners)
-        got, ambiguity = clusters(z, radii)
-        assert got == _cluster(z, DEFAULT_CLUSTER_RADIUS, radii, partners)
-        assert (ambiguity is None) == (_profile(got) == _profile(_cluster(z, wide, radii, partners)))
+    for record in recorded_analyses("twins")[:10]:
+        for z, radii in record.clusterings:
+            partners = near_partners(z, _link_reach(wide, radii))
+            lone += not any(partners)
+            got, ambiguity = clusters(z, radii)
+            assert got == _cluster(z, DEFAULT_CLUSTER_RADIUS, radii, partners)
+            assert (ambiguity is None) == (_profile(got) == _profile(_cluster(z, wide, radii, partners)))
     assert lone > 0
+
+

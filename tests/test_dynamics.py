@@ -30,7 +30,7 @@ from ratmap.dynamics import (
 from ratmap.errors import AsymptoticValencyUndeterminedError, IndeterminateEvaluationError
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
-from ratmap.report import parse_map, run_analysis
+from ratmap.report import parse_map
 from ratmap.scalars import GaussianRational
 from ratmap.sphere import INFINITY, SpherePoint, coincide
 
@@ -494,7 +494,7 @@ def test_converging_orbit_through_a_critical_point_multiplies_its_valency(doc):
     assert got == {one: ("converges", 4, None), minus_one: ("converges", 2, None)}
 
 
-def test_converging_orbit_near_a_critical_point_is_undetermined():
+def test_converging_orbit_near_a_critical_point_is_undetermined(analyzed):
     # z^3 - 3z + 1 + 1e-12: R(1) = -1 + 1e-12 lies within tolerance of the
     # critical point -1 without being it
     doc = _decimal_twin(CUBIC_THROUGH_CRITICAL)
@@ -503,7 +503,7 @@ def test_converging_orbit_near_a_critical_point_is_undetermined():
     assert cf.fate.kind == "converges" and cf.asymptotic_valency is None
     assert isinstance(cf.error, AsymptoticValencyUndeterminedError)
     assert cf.error.code == "asymptotic-valency-undetermined"
-    warnings = run_analysis(parse_map(doc)).data["warnings"]
+    warnings = analyzed(parse_map(doc)).data["warnings"]
     assert {"code": "asymptotic-valency-undetermined", "point": "1.0",
             "message": str(cf.error)} in warnings
 

@@ -202,9 +202,9 @@ def test_snap_of_a_non_finite_center_is_no_candidate():
     # finite coefficients, but 10^400 in W = P'Q - PQ'
     {"numerator": ["1", "0", "1" + "0" * 200], "denominator": ["1" + "0" * 200, "1"]},
 ])
-def test_an_exact_map_beyond_float_range_is_an_input_error(doc):
+def test_an_exact_map_beyond_float_range_is_an_input_error(doc, analyzed):
     with pytest.raises(InputFormatError, match="no finite floating value"):
-        run_analysis(parse_map(doc))
+        analyzed(parse_map(doc))
 
 
 def test_demoting_an_exact_coefficient_beyond_float_range_is_an_input_error():
@@ -213,16 +213,16 @@ def test_demoting_an_exact_coefficient_beyond_float_range_is_an_input_error():
         parse_map({"numerator": ["1", "0", "1" + "0" * 400], "denominator": ["1.0"]})
 
 
-def test_a_critical_point_near_infinity_is_listed_once():
+def test_a_critical_point_near_infinity_is_listed_once(analyzed):
     # the floating W is 1e-200 z^2 + 2z - 1e-200; its leading coefficient is
     # below the tolerance, so the root near -2e200 is infinity's own valency 2
     r = parse_map({"numerator": ["1", "0", "1"], "denominator": ["1e-200", "1"]})
-    report = json.loads(run_analysis(r, AnalysisConfig(max_period=1)).to_json_bytes())
+    report = json.loads(analyzed(r, AnalysisConfig(max_period=1)).to_json_bytes())
     assert report["critical_divisor_degree"] == 2
     assert [c["valency"] for c in report["critical_points"] if c["point"] == "inf"] == [2]
     assert all(w["code"] != "critical-divisor-mismatch" for w in report["warnings"])
     exact = parse_map({"numerator": ["1", "0", "1"], "denominator": ["1/10", "1"]})
-    report = json.loads(run_analysis(exact, AnalysisConfig(max_period=1)).to_json_bytes())
+    report = json.loads(analyzed(exact, AnalysisConfig(max_period=1)).to_json_bytes())
     assert report["critical_divisor_degree"] == 2
     assert all(w["code"] != "critical-divisor-mismatch" for w in report["warnings"])
 
@@ -236,9 +236,9 @@ def test_a_critical_point_near_infinity_is_listed_once():
     (["1", "0", "0", "1"], 3, 2, "superattracting"),
 ])
 def test_an_exact_critical_point_beyond_the_finite_chart_is_a_coded_warning(
-        numerator, found, inf_valency, inf_class):
+        numerator, found, inf_valency, inf_class, analyzed):
     r = parse_map({"numerator": numerator, "denominator": ["1/1" + "0" * 20, "1"]})
-    report = json.loads(run_analysis(r, AnalysisConfig(max_period=1)).to_json_bytes())
+    report = json.loads(analyzed(r, AnalysisConfig(max_period=1)).to_json_bytes())
     assert report["critical_divisor_degree"] == found
     inf_vals = [c["valency"] for c in report["critical_points"] if c["point"] == "inf"]
     assert inf_vals == [v for v in [inf_valency] if v > 1]

@@ -4,7 +4,6 @@ from ratmap.dynamics import CriticalFate, critical_fates, periodic_cycles
 from ratmap.errors import AsymptoticValencyUndeterminedError
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
-from ratmap.report import run_analysis
 from ratmap.restricted import TYPE3_LABELING_NOTE, exposed_orbits
 from ratmap.sphere import SpherePoint
 
@@ -30,7 +29,7 @@ def test_candidate_with_unresolved_fate_is_reported_not_emitted():
     assert any("unresolved" in u.reason for u in scan.undecided)
 
 
-def test_same_candidate_resolves_with_budget_and_gets_typed():
+def test_same_candidate_resolves_with_budget_and_gets_typed(analyzed):
     r = rees_family(complex(4, 3))
     cycles, _, _ = periodic_cycles(r, 1)
     fates = critical_fates(r, cycles, 3000)
@@ -44,7 +43,7 @@ def test_same_candidate_resolves_with_budget_and_gets_typed():
     assert orbit.in_julia is False
     assert any(n["code"] == "type3-labeling" for n in scan.notes)
     # the text report lists the note
-    text = run_analysis(r).to_text().splitlines()
+    text = analyzed(r).to_text().splitlines()
     assert text[text.index("notes:") + 1] == f"  [type3-labeling] {TYPE3_LABELING_NOTE}"
     # the same candidate, its critical record carrying an error, is undecided
     zero = SpherePoint.finite(0.0)

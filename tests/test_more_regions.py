@@ -14,16 +14,16 @@ from ratmap.atlas import build_atlas
 from ratmap.dynamics import DEFAULT_ORBIT_BUDGET, critical_fate, critical_points, periodic_cycles
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
-from ratmap.report import AnalysisConfig, parse_map, run_analysis
+from ratmap.report import AnalysisConfig, parse_map
 from ratmap.restricted import exposed_orbits
 from ratmap.scalars import GaussianRational, scalar_str
 from ratmap.synth import ExposureResolver, case_iv_diagram, full_decomposition
 
 
-def test_inverse_square_superattracting_two_cycle():
+def test_inverse_square_superattracting_two_cycle(analyzed):
     # R = 1/z^2: the critical points 0 and inf swap, forming a
     # superattracting 2-cycle of local degree 4
-    d = run_analysis(
+    d = analyzed(
         parse_map({"numerator": ["1"], "denominator": ["1", "0", "0"]}),
         AnalysisConfig(max_period=2),
     ).data
@@ -43,12 +43,12 @@ def test_inverse_square_superattracting_two_cycle():
     assert all(not o["in_julia"] for o in d["exposed"]["orbits"])
 
 
-def test_herman_declaration_on_cubic():
+def test_herman_declaration_on_cubic(analyzed):
     cfg = AnalysisConfig(
         max_period=1,
         declarations=[{"kind": "herman", "theta": 0.30102999566398114, "period": 1}],
     )
-    d = run_analysis(
+    d = analyzed(
         parse_map({"numerator": ["1", "0", "0", "0"], "denominator": ["1"]}), cfg
     ).data
     kinds = [reg["core_type"]["kind"] for reg in d["atlas"]["regions"]]
@@ -78,15 +78,15 @@ def test_herman_declaration_on_cubic():
 AMBIGUOUS_THETA = 0.6180339887498949
 
 
-def _ambiguous_siegel_report(declarations):
+def _ambiguous_siegel_report(analyzed, declarations):
     lam = (1 + 1e-8) * cmath.exp(2j * math.pi * AMBIGUOUS_THETA)
     doc = {"numerator": ["1.0", scalar_str(-2 * cmath.sqrt(lam)), scalar_str(lam), "0.0"],
            "denominator": ["1.0"]}
-    return run_analysis(parse_map(doc), AnalysisConfig(max_period=1, declarations=declarations))
+    return analyzed(parse_map(doc), AnalysisConfig(max_period=1, declarations=declarations))
 
 
-def test_a_declared_ambiguous_anchor_is_fatou_for_the_atlas_and_the_exposed_scan():
-    d = _ambiguous_siegel_report([{"kind": "siegel", "anchor": "0", "theta": AMBIGUOUS_THETA}]).data
+def test_a_declared_ambiguous_anchor_is_fatou_for_the_atlas_and_the_exposed_scan(analyzed):
+    d = _ambiguous_siegel_report(analyzed, [{"kind": "siegel", "anchor": "0", "theta": AMBIGUOUS_THETA}]).data
     siegel = next(reg for reg in d["atlas"]["regions"] if reg["core_type"]["kind"] == "siegel")
     anchor = d["cycles"][siegel["anchor_cycle"]]
     assert anchor["points"] == ["0.0"] and anchor["classification"] == "indifferent_ambiguous"
@@ -96,8 +96,8 @@ def test_a_declared_ambiguous_anchor_is_fatou_for_the_atlas_and_the_exposed_scan
     assert "text" in d["algebra"]["julia"]
 
 
-def test_an_undeclared_ambiguous_fixed_point_blocks_the_julia_quotient():
-    report = _ambiguous_siegel_report([])
+def test_an_undeclared_ambiguous_fixed_point_blocks_the_julia_quotient(analyzed):
+    report = _ambiguous_siegel_report(analyzed, [])
     d = report.data
     zero = next(o for o in d["exposed"]["orbits"] if o["points"] == ["0.0"])
     assert zero["in_julia"] is None
@@ -135,8 +135,8 @@ def test_parabolic_case_iv_diagram():
     assert render(diag.rows[0].quotient) == "C^2 (x) K_[0]"
 
 
-def test_bd_k_theory_in_report():
-    d = run_analysis(
+def test_bd_k_theory_in_report(analyzed):
+    d = analyzed(
         parse_map({"numerator": ["1", "0", "0"], "denominator": ["1"]})
     ).data
     case_iv = next(

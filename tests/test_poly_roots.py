@@ -38,6 +38,15 @@ def test_arithmetic():
     assert p.derivative() == Polynomial([1])
 
 
+def test_equal_polynomials_hash_equal_and_print_their_coefficients():
+    exact = Polynomial([1, 0, Fraction(-1, 2)])
+    floating = Polynomial([1.0, 0.0, -0.5])
+    assert exact == floating and hash(exact) == hash(floating)
+    assert len({exact, floating, Polynomial([1, 0, -1])}) == 2
+    assert repr(exact) == "Polynomial(['1', '0', '-1/2'])"
+    assert repr(floating) == "Polynomial(['(1+0j)', '0j', '(-0.5+0j)'])"
+
+
 def test_exact_divmod_and_gcd():
     p = Polynomial([1, 0, -1])  # z^2 - 1
     d = Polynomial([1, -1])

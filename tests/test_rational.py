@@ -10,7 +10,7 @@ from ratmap.dynamics import DEFAULT_MAX_PERIOD, Orbit, critical_points, periodic
 from ratmap.errors import MapDegreeError
 from ratmap.poly import Polynomial, vanishing_order_exact
 from ratmap.rational import RationalMap
-from ratmap.report import parse_map, run_analysis
+from ratmap.report import parse_map
 from ratmap.roots import DEFAULT_CLUSTER_RADIUS
 from ratmap.scalars import GaussianRational, is_exact
 from ratmap.sphere import INFINITY, SpherePoint, array_chordal, coincide, normalized_pairs
@@ -44,6 +44,13 @@ def test_auto_reduce_common_factor():
     assert r.degree == 2
     assert r.reduced_from_input
     assert r.q.degree == 0
+
+
+def test_a_map_prints_its_degree_and_mode():
+    assert repr(RationalMap(Polynomial([1, 0, -2]), Polynomial([1]))) == (
+        "RationalMap(degree=2, exact=True)")
+    assert repr(RationalMap(Polynomial([1.0, 0.0, 0.0, 1.0]), Polynomial([1.0, 0.0]))) == (
+        "RationalMap(degree=3, exact=False)")
 
 
 def test_evaluate_examples():
@@ -172,25 +179,17 @@ def _reference_valencies(r, points):
     return vals
 
 
-def test_the_valencies_of_an_analysis_match_the_matrix_rule(monkeypatch):
+def test_the_valencies_of_an_analysis_match_the_matrix_rule(recorded_analyses):
     # every valency query of the analyses of the worked maps and corpus maps
     # 0-9, exact and decimal twin
-    queries = []
-    valencies = RationalMap.valencies
-
-    def recorded(self, points):
-        got = valencies(self, points)
-        queries.append((self, list(points), got))
-        return got
-
-    monkeypatch.setattr(RationalMap, "valencies", recorded)
-    maps = [parse_map(doc) for doc in WORKED_MAPS + DECIMAL_TWINS]
-    for r in maps + [_corpus_map(i, twin) for i in range(10) for twin in (False, True)]:
-        run_analysis(r)
+    records = (recorded_analyses("worked") + recorded_analyses("corpus")[:10]
+               + recorded_analyses("twins")[:10])
     looked_up = 0
-    for r, points, got in queries:
-        assert got == _reference_valencies(r, points)
-        looked_up += sum(r._exact_valency(x) is None for x in points)
+    for record in records:
+        r = record.r
+        for points, got in record.valencies:
+            assert got == _reference_valencies(r, points)
+            looked_up += sum(r._exact_valency(x) is None for x in points)
     assert looked_up > 100
 
 

@@ -118,9 +118,9 @@ def test_report_determinism():
     assert a == b
 
 
-def test_report_round_trip():
+def test_report_round_trip(analyzed):
     doc = {"numerator": ["1", "0", "0"], "denominator": ["1"]}
-    report = run_analysis(parse_map(doc))
+    report = analyzed(parse_map(doc))
     blob = report.to_json_bytes()
     parsed = json.loads(blob)
     re_serialized = (json.dumps(parsed, indent=2, sort_keys=True, ensure_ascii=True) + "\n").encode()
@@ -170,9 +170,9 @@ def test_the_report_emitter_rejects_what_json_dumps_rejects():
             Report(data).to_json_bytes()
 
 
-def test_report_content_chebyshev():
+def test_report_content_chebyshev(analyzed):
     doc = {"numerator": ["1", "0", "-2"], "denominator": ["1"]}
-    report = run_analysis(parse_map(doc), AnalysisConfig(max_period=4))
+    report = analyzed(parse_map(doc), AnalysisConfig(max_period=4))
     data = report.data
     assert data["map"]["mode"] == "exact"
     crit = {c["point"] for c in data["critical_points"]}
@@ -183,9 +183,9 @@ def test_report_content_chebyshev():
     assert "C(T) (x) M_2" in text
 
 
-def test_report_content_zsq():
+def test_report_content_zsq(analyzed):
     doc = {"numerator": ["1", "0", "0"], "denominator": ["1"]}
-    data = run_analysis(parse_map(doc)).data
+    data = analyzed(parse_map(doc)).data
     regions = data["atlas"]["regions"]
     assert [reg["core_type"]["kind"] for reg in regions] == [
         "superattracting", "superattracting",
@@ -195,9 +195,9 @@ def test_report_content_zsq():
     assert data["primitive_ideals"]["t0_verdict"] == "not_T0"
 
 
-def test_report_content_whole_sphere():
+def test_report_content_whole_sphere(analyzed):
     doc = {"numerator": ["1", "-4", "4"], "denominator": ["1", "0", "0"]}
-    data = run_analysis(parse_map(doc)).data
+    data = analyzed(parse_map(doc)).data
     assert data["atlas"]["regions"] == []
     assert data["atlas"]["julia_is_sphere"] is True
     assert sorted(data["exposed"]["union"]) == ["0", "1", "inf"]
@@ -206,12 +206,12 @@ def test_report_content_whole_sphere():
     )
 
 
-def test_report_schema(tmp_path):
+def test_report_schema(analyzed):
     jsonschema = pytest.importorskip("jsonschema")
     from ratmap.schema import REPORT_SCHEMA
 
     doc = {"numerator": ["1", "0", "-1/2"], "denominator": ["1"]}
-    data = run_analysis(parse_map(doc)).data
+    data = analyzed(parse_map(doc)).data
     jsonschema.validate(data, REPORT_SCHEMA)
 
 
@@ -427,6 +427,31 @@ def test_root_past_float_range_gives_a_report_or_a_coded_error(tmp_path, capsys)
                                     "denominator": ["1e-200", "1"]}))
     code = cli.main(["analyze", str(map_file)])
     assert code == 0 or (code == 2 and "error [" in capsys.readouterr().err)
+
+
+def _map_file(tmp_path, doc):
+    map_file = tmp_path / "map.json"
+    map_file.write_text(json.dumps(doc))
+    return str(map_file)
+
+
+def test_cli_text_prints_the_text_of_the_report(tmp_path, capsys, analyzed):
+    assert cli.main(["analyze", _map_file(tmp_path, WORKED_MAPS[0]), "--text"]) == 0
+    assert capsys.readouterr().out == analyzed(parse_map(WORKED_MAPS[0])).to_text()
+
+
+def test_cli_exits_1_on_a_missing_map_file(tmp_path, capsys):
+    assert cli.main(["analyze", str(tmp_path / "missing.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_exits_2_on_a_config_file_that_is_not_json(tmp_path, capsys):
+    config_file = tmp_path / "config.json"
+    config_file.write_text('{"max_period": 2,')
+    argv = ["analyze", _map_file(tmp_path, WORKED_MAPS[0]), "--config", str(config_file)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "error [config-invalid]: configuration file is not valid JSON")
 
 
 def test_cli_round_trip(tmp_path):
@@ -733,7 +758,7 @@ PINNED_IDS = [
 ]
 
 
-def _pinned_report(source, index, twin, config):
+def _pinned_report(analyzed, source, index, twin, config):
     if source == "worked":
         r = parse_map((DECIMAL_TWINS if twin else WORKED_MAPS)[index])
     elif source == "two-cycle":
@@ -744,14 +769,14 @@ def _pinned_report(source, index, twin, config):
         r = parse_map(CUBIC_MAP)
     else:
         r = _corpus_map(index, twin)
-    return run_analysis(r, AnalysisConfig.from_dict(config))
+    return analyzed(r, AnalysisConfig.from_dict(config))
 
 
 @pytest.mark.parametrize("source, index, twin, config, json_digest, text_digest, shape_digest",
                          PINNED_REPORTS, ids=PINNED_IDS)
 def test_report_bytes_pinned(source, index, twin, config, json_digest, text_digest,
-                             shape_digest):
-    report = _pinned_report(source, index, twin, config)
+                             shape_digest, analyzed):
+    report = _pinned_report(analyzed, source, index, twin, config)
     assert report.to_json_bytes() == _dumps(report.data)
     assert hashlib.sha256(report.to_json_bytes()).hexdigest() == json_digest
     assert hashlib.sha256(report.to_text().encode()).hexdigest() == text_digest
@@ -760,8 +785,8 @@ def test_report_bytes_pinned(source, index, twin, config, json_digest, text_dige
 @pytest.mark.parametrize("source, index, twin, config, json_digest, text_digest, shape_digest",
                          PINNED_REPORTS, ids=PINNED_IDS)
 def test_report_shape_pinned(source, index, twin, config, json_digest, text_digest,
-                             shape_digest):
-    report = _pinned_report(source, index, twin, config)
+                             shape_digest, analyzed):
+    report = _pinned_report(analyzed, source, index, twin, config)
     shape = report_shape(json.loads(report.to_json_bytes()))
     assert hashlib.sha256(json.dumps(shape, sort_keys=True).encode()).hexdigest() == shape_digest
 

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from ratmap.report import parse_map, run_analysis
+from ratmap.report import parse_map
 from ratmap.scalars import parse_scalar, scalar_str
 
 from .report_comparator import report_differences, shape
@@ -16,15 +16,15 @@ from .test_report import _corpus_map, _decimal_twin
 
 
 @pytest.fixture(scope="module")
-def corpus_7_twin():
+def corpus_7_twin(analyzed):
     # floating cycle points of periods 1-4, a converging and a preperiodic fate
-    return json.loads(run_analysis(_corpus_map(7, True)).to_json_bytes())
+    return json.loads(analyzed(_corpus_map(7, True)).to_json_bytes())
 
 
 @pytest.fixture(scope="module")
-def parabolic_twin():
+def parabolic_twin(analyzed):
     # z^3 + z as decimals: the parabolic fixed point 0 is solved to about 5e-10
-    return json.loads(run_analysis(parse_map(_decimal_twin(PARABOLIC_MAPS[0]))).to_json_bytes())
+    return json.loads(analyzed(parse_map(_decimal_twin(PARABOLIC_MAPS[0]))).to_json_bytes())
 
 
 def _moved(text: str, delta: complex) -> str:

@@ -2,10 +2,9 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import count, tee
+from itertools import count
 
 import pytest
 
@@ -339,19 +338,11 @@ def test_every_point_of_a_critical_free_cycle_has_one_closure(source, index, twi
             assert all(c is not None and _same_set(c, first, tol) for c in rest)
 
 
-@pytest.mark.parametrize("doc, calls", zip(WORKED_MAPS + DECIMAL_TWINS, (11, 12, 9) * 2))
-def test_closure_runs_once_per_critical_free_cycle(doc, calls, monkeypatch):
+@pytest.mark.parametrize("index, calls", enumerate((11, 12, 9) * 2))
+def test_closure_runs_once_per_critical_free_cycle(index, calls, recorded_analyses):
     # with one closure per seed point the counts were 25, 26 and 23
-    count = [0]
-
-    def counted(r, seeds, crit_pts):
-        count[0] += len(seeds)
-        return closures(r, seeds, crit_pts)
-
-    closures = ratmap.restricted._closures
-    monkeypatch.setattr(ratmap.restricted, "_closures", counted)
-    run_analysis(parse_map(doc))
-    assert count[0] == calls
+    record = recorded_analyses("worked")[index]
+    assert sum(len(seeds) for seeds, _, _ in record.closures) == calls
 
 
 def _type1_identity(r, pts) -> bool:
@@ -474,35 +465,24 @@ def _quadratic_invariance_check(r, pts, depth, tol, fates=None):
 @pytest.mark.parametrize("source, index, twin", [
     ("worked", i, t) for i in range(3) for t in (False, True)
 ] + [("corpus", i, t) for i in range(20) for t in (False, True)])
-def test_pruned_closures_and_linear_dedup_match_the_old_rules(source, index, twin, monkeypatch):
+def test_pruned_closures_and_linear_dedup_match_the_old_rules(source, index, twin,
+                                                            recorded_analyses):
     # a seed the budget rules out has no closure under the old rule either,
     # every other closure is the same set, and every verdict is the same
     if source == "worked":
-        r = parse_map((DECIMAL_TWINS if twin else WORKED_MAPS)[index])
+        record = recorded_analyses("worked")[index + 3 * twin]
     else:
-        r = _corpus_map(index, twin)
-    closures = ratmap.restricted._closures
-    verify = ratmap.restricted._verify_critical_invariance
+        record = recorded_analyses("twins" if twin else "corpus")[index]
+    r = record.r
+    tol = r.tolerance
     compared = []
-
-    def compared_closures(r, seeds, crit_pts):
-        tol = r.tolerance
-        orbits = [tee(orbit) for orbit in seeds]
-        got = closures(r, [orbit for orbit, _ in orbits], crit_pts)
-        for seed, pts in zip([next(copy) for _, copy in orbits], got, strict=True):
+    for seeds, got, crit_pts in record.closures:
+        for seed, pts in zip(seeds, got, strict=True):
             old = _unbudgeted_closure(r, seed, crit_pts, tol)
             assert (pts is None) == (old is None) and (pts is None or _same_set(pts, old, tol))
             compared.append(pts)
-        return got
-
-    def compared_verify(r, pts, depth, fates=None):
-        got = verify(r, pts, depth, fates=fates)
-        assert got == _quadratic_invariance_check(r, pts, depth, r.tolerance, fates=fates)
-        return got
-
-    monkeypatch.setattr(ratmap.restricted, "_closures", compared_closures)
-    monkeypatch.setattr(ratmap.restricted, "_verify_critical_invariance", compared_verify)
-    run_analysis(r)
+    for pts, depth, fates, got in record.verifications:
+        assert got == _quadratic_invariance_check(r, pts, depth, tol, fates=fates)
     assert compared
 
 
@@ -534,46 +514,29 @@ def test_a_period_3_point_of_a_quadratic_costs_no_solve(monkeypatch):
     assert calls == []
 
 
+def _ten_corpus_maps(recorded_analyses, twin):
+    return recorded_analyses("twins" if twin else "corpus")[:10]
+
+
 @pytest.mark.parametrize("twin", [False, True])
-def test_uncached_preimage_solves_over_ten_corpus_maps(twin, monkeypatch):
+def test_uncached_preimage_solves_over_ten_corpus_maps(twin, recorded_analyses):
     # 398 in either mode before closures were budgeted by simple preimages,
     # 62 before forward images were taken ahead of every preimage solve
-    solves = []
-    target = RationalMap._target_polynomial
-    monkeypatch.setattr(RationalMap, "_target_polynomial",
-                        lambda self, y: solves.append(y) or target(self, y))
-    for index in range(10):
-        run_analysis(_corpus_map(index, twin))
-    assert len(solves) == 47
-
-
-def _evaluate_callers(monkeypatch):
-    """Per module, the RationalMap.evaluate calls made from its code."""
-    callers = Counter()
-    evaluate = RationalMap.evaluate
-
-    def counted(self, x):
-        callers[sys._getframe(1).f_globals["__name__"]] += 1
-        return evaluate(self, x)
-
-    monkeypatch.setattr(RationalMap, "evaluate", counted)
-    return callers
+    assert sum(record.target_solves for record in _ten_corpus_maps(recorded_analyses, twin)) == 47
 
 
 @pytest.mark.parametrize("source, total", [("worked", 98), ("corpus", 533), ("twins", 527)])
 def test_the_closures_read_every_forward_image_off_a_cycle_or_a_fate_walk(source, total,
-                                                                        monkeypatch):
+                                                                        recorded_analyses):
     # 204, 681 and 675 calls when each closure stepped its own points, 108,
     # 148 and 148 of them from restricted; the walk of the critical orbit of
     # z^2 - 2 and of its twin takes one step more, R(2) = 2, for the prefix
     # seed -2
-    callers = _evaluate_callers(monkeypatch)
     if source == "worked":
-        for doc in WORKED_MAPS + DECIMAL_TWINS:
-            run_analysis(parse_map(doc))
+        records = recorded_analyses("worked")
     else:
-        for index in range(10):
-            run_analysis(_corpus_map(index, source == "twins"))
+        records = _ten_corpus_maps(recorded_analyses, source == "twins")
+    callers = sum((record.evaluate_callers for record in records), Counter())
     assert callers["ratmap.restricted"] == 0
     assert sum(callers.values()) == total
 
@@ -624,18 +587,12 @@ def test_the_invariance_check_of_the_sparse_quintic_makes_one_aberth_call_per_le
 
 @pytest.mark.parametrize("twin", [False, True])
 def test_the_closures_of_ten_corpus_maps_make_at_most_one_aberth_call_per_round(
-        twin, monkeypatch):
+        twin, recorded_analyses):
     # their 17 preimage solves of degree 3 or more were 17 lone _aberth calls
-    counts = _count_batches(monkeypatch, "_closures")
-    per_map = []
-    for index in range(10):
-        before = counts.copy()
-        run_analysis(_corpus_map(index, twin))
-        per_map.append((counts["_closures", "aberth"] - before["_closures", "aberth"],
-                        counts["_closures", "batches"] - before["_closures", "batches"]))
-    assert all(calls <= rounds for calls, rounds in per_map)
-    assert counts["_closures", "groups"] == 17
-    assert counts["_closures", "aberth"] == 3
+    records = _ten_corpus_maps(recorded_analyses, twin)
+    assert all(record.closure_aberth <= record.closure_batches for record in records)
+    assert sum(record.closure_groups for record in records) == 17
+    assert sum(record.closure_aberth for record in records) == 3
 
 
 def test_frontier_dedup_keeps_the_first_node_of_each_point_and_valency():

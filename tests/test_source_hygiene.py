@@ -339,3 +339,80 @@ def test_the_check_finds_a_window_search():
     assert window_searches(tree) == [(1, "", "lexsort"), (3, "near_row_pairs", "searchsorted"),
                                      (6, "g", "searchsorted"), (7, "f", "lexsort"),
                                      (7, "f", "searchsorted"), (8, "", "lexsort")]
+
+
+TEST_SOURCES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+# the code in tests/ that calls run_analysis itself, with the reason it
+# cannot read the session's report cache (conftest.analyzed)
+FRESH_ANALYSES = {
+    ("conftest.py", "ReportCache"): "the cache: one analysis per key and session",
+    ("conftest.py", "_instrumented_pass"): "the shared pass: one probed analysis per map of a stream",
+    ("test_acceptance.py", "test_criterion_1_chebyshev"): "times the analysis under 5 s",
+    ("test_pipeline_corpus.py", "bounded"): "times each analysis under the 4 s bound",
+    ("test_report.py", "test_report_determinism"): "two fresh analyses give the same bytes",
+    ("test_report_cache.py", "test_two_reads_give_the_bytes_and_text_of_a_fresh_analysis"):
+        "compares the cache with a fresh analysis",
+    ("test_report.py", "test_an_overflowing_root_solve_is_silent_and_keeps_its_report"):
+        "checks that the analysis itself warns nothing",
+    ("test_errors.py", "test_a_walk_that_vanishes_leaks_no_runtime_warning"):
+        "checks that the analysis itself warns nothing",
+    ("test_errors.py", "test_a_failed_period_is_a_coded_warning"): "runs under a monkeypatch",
+    ("test_report.py", "test_critical_fates_computed_once_per_critical_point"):
+        "counts calls under a monkeypatch",
+    ("test_report.py", "test_each_critical_orbit_is_walked_once"): "counts steps under a monkeypatch",
+    ("test_report.py", "test_asymptotic_valency_only_reads_the_fate_walk"):
+        "counts steps under a monkeypatch",
+    ("test_report.py", "test_an_unresolved_walk_keeps_only_its_prefix"):
+        "records fates under a monkeypatch",
+    ("test_cycle_solver.py", "test_an_analysis_screens_only_the_sets_above_the_crossover"):
+        "counts calls under a monkeypatch",
+    ("test_cycle_solver.py", "test_an_analysis_walks_the_fixed_point_equation_at_most_30_times"):
+        "counts calls under a monkeypatch",
+    ("test_cycle_solver.py",
+     "test_the_screened_cycle_search_gives_the_reports_of_the_matrices_at_cap_700"):
+        "runs under the reference screens, against the cached report",
+    ("test_restricted.py",
+     "test_the_invariance_check_of_the_sparse_quintic_makes_one_aberth_call_per_level"):
+        "counts calls under a monkeypatch",
+}
+
+
+def analysis_runners(tree):
+    """The name of each top-level function or class of the tree that reads
+    run_analysis, as a name or an attribute, in its body or in code nested
+    in it; "" for module-level code.  An import is not a read."""
+    found = set()
+    for node in tree.body:
+        named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        if any(getattr(child, "id", None) == "run_analysis"
+               or getattr(child, "attr", None) == "run_analysis" for child in ast.walk(node)):
+            found.add(node.name if named else "")
+    return sorted(found)
+
+
+def test_only_the_named_tests_analyze_afresh():
+    # every other test reads its reports from the session's cache
+    found = {(path.name, name) for path in TEST_SOURCES
+             for name in analysis_runners(ast.parse(path.read_text(), str(path)))}
+    assert found == set(FRESH_ANALYSES)
+
+
+def test_the_check_finds_each_reader_of_run_analysis():
+    tree = ast.parse(
+        "from ratmap.report import run_analysis\n"
+        "import ratmap.report\n"
+        "def test_fresh(r):\n"
+        "    return run_analysis(r)\n"
+        "def test_cached(analyzed, r):\n"
+        "    return analyzed(r)\n"
+        "@pytest.fixture\n"
+        "def timed():\n"
+        "    def run(r):\n"
+        "        return ratmap.report.run_analysis(r)\n"
+        "    return run\n"
+        "class Cache:\n"
+        "    def __call__(self, r):\n"
+        "        return run_analysis(r)\n"
+        "analyze = run_analysis\n"
+    )
+    assert analysis_runners(tree) == ["", "Cache", "test_fresh", "timed"]
