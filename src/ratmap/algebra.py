@@ -486,6 +486,3 @@ class CaseIvDiagram:
             "top": expr_to_json(self.top),
             "rows": [row.to_json() for row in self.rows],
         }
-
-    def render(self) -> str:
-        return "\n".join(row.render() for row in self.rows)

@@ -50,9 +50,10 @@ degenerate level on, the periods start on a circle, as all did before: a
 level is degenerate when a target lies within DEFAULT_CLUSTER_RADIUS of a
 critical value of R, where its preimages are multiple, or when its starts
 are not all finite and pairwise more than DISTINCT_STARTS (1e-12) apart.
-Both tests measure only the pairs that the sphere's key screen passes
-(sphere.rows_apart, one sphere.near_row_pairs call for the targets of all
-levels), and the chart basis of a degree is built once.
+Each test is one sphere.near_row_pairs call over all levels (the starts
+of each level against each other, the targets against the critical
+values), so neither builds an n x n matrix, and the chart basis of a
+degree is built once.
 The seeds only start Aberth: its stop test, residual bar, clustering, merge
 and polish decide every root.  In each step of the recursion P, Q, the
 power v^i of Horner's scheme and their derivatives advance as the rows of
@@ -80,8 +81,8 @@ and the chains of p points that close are the cycles of period p.  The
 images of all solved points of all periods are computed in one array pass
 (RationalMap.image_rows), infinity and exact points excepted, and matched
 to the points of their period by the sphere's nearest-match rule
-(sphere.nearest_rows), whose key screen measures only the pairs it passes;
-no image is built as a point, and no n x n distance matrix is.  A cycle's chart factors take each point's
+(sphere.nearest_rows), which reads the pairs of near_row_pairs; no image
+is built as a point, and no n x n distance matrix is.  A cycle's chart factors take each point's
 successor as its image, and the valencies of all cycle points come from
 one lookup in the critical table (RationalMap.valencies).  Each period is certified by the rational
 fixed-point formula sum 1/(1 - mu) = 1; a failed or uncertified
@@ -138,7 +139,6 @@ from .sphere import (
     nearest_rows,
     normalized_pairs,
     point_sort_key,
-    rows_apart,
 )
 
 INDIFFERENT_BAND = 1e-6
@@ -595,35 +595,40 @@ def _seeds(rf: RationalMap, periods) -> list:
     DISTINCT_STARTS apart on the sphere.  That happens where SEED_POINT is
     exceptional, its tree meets a critical value, or a preimage lies at
     infinity within rounding.  Close simple preimages are normal where R^p
-    expands strongly, and Aberth separates them.  Each level's starts are
-    tested as they come (sphere.rows_apart); the targets of all levels are
-    then screened against the critical values at once, and the levels from
-    the first that meets one are dropped, so every decision is that of a
-    test per level.
+    expands strongly, and Aberth separates them.  All levels are solved,
+    then each test screens all of them in one near_row_pairs call, and the
+    levels from the first that fails are dropped, so every decision is that
+    of a test per level.
     """
     alpha, beta, gamma, delta = SOLVE_CHART
     d = rf.degree
     # row i of the homogeneous table is (P_i, Q_i) of P_h(u, v) = sum P_i u^(d-i) v^i
     table = _chart_basis(SOLVE_CHART, d) @ np.array(rf.homogeneous, complex)
-    # the targets of level p: SEED_POINT, then the normalized pairs of level p - 1
-    targets = [np.array([[SEED_POINT, 1.0]]) / math.hypot(abs(SEED_POINT), 1.0)]
-    seeds = []
+    seed_row = np.array([[SEED_POINT, 1.0]]) / math.hypot(abs(SEED_POINT), 1.0)
+    seeds, targets, rows = [], [], []
     with np.errstate(all="ignore"):
-        while len(seeds) < max(periods):
+        for _ in range(max(periods)):
+            # the targets of level p: SEED_POINT, then the start rows of level p - 1 but infinity
+            targets.append(rows[-1][:-1] if rows else seed_row)
             starts = np.append(preimages(table, targets[-1]), -delta / gamma)
             pairs = np.stack([alpha * starts + beta, gamma * starts + delta], axis=1)
-            pairs /= np.hypot(np.abs(pairs[:, :1]), np.abs(pairs[:, 1:]))
             # a start that is not finite has a NaN row
-            if not rows_apart(pairs, DISTINCT_STARTS):
-                break
+            rows.append(pairs / np.hypot(np.abs(pairs[:, :1]), np.abs(pairs[:, 1:])))
             seeds.append(starts)
-            targets.append(pairs[:-1])
-        # one screen of all targets: the first level whose targets meet a
-        # critical value falls back, and so do the levels past it
+        # the levels with two starts within DISTINCT_STARTS, or with a NaN
+        # row, which lies at distance NaN from itself
+        level = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+        start_rows = np.concatenate(rows)
+        i, j, distances = near_row_pairs(start_rows, start_rows, DISTINCT_STARTS)
+        near = ~(distances > DISTINCT_STARTS) & ((i != j) | np.isnan(distances))
+        failed = level[i[near & (level[i] == level[j])]].tolist()
+        # the levels with a target within DEFAULT_CLUSTER_RADIUS of a critical value
+        level = np.repeat(np.arange(len(targets)), [len(t) for t in targets])
         i, _, distances = near_row_pairs(np.concatenate(targets), _critical_value_rows(table),
                                          DEFAULT_CLUSTER_RADIUS)
-    level = np.repeat(np.arange(len(targets)), [len(rows) for rows in targets])
-    del seeds[min(level[i[distances <= DEFAULT_CLUSTER_RADIUS]], default=len(seeds)):]
+        failed += level[i[distances <= DEFAULT_CLUSTER_RADIUS]].tolist()
+    # the first level that fails falls back, and so do the levels past it
+    del seeds[min(failed, default=len(seeds)):]
     return [seeds[p - 1] if p <= len(seeds) else start_circle(d**p + 1, CHART_START_RADIUS)
             for p in periods]
 

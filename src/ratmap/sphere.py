@@ -19,17 +19,17 @@ point decides is_infinity and is_exact when it is built, and its floating
 pair and norm (norm_pair, which chordal, normalized_pairs and near_rows
 read) when first asked.
 
-near_row_pairs is the one key screen: it keys the rows of two
-normalized_pairs arrays on an axis through the unit sphere of R^3
-(row_keys), sorts the keys of one and takes each row of the other its
-searchsorted window, so it never drops a pair within the reach and builds
-no n x m matrix.  near_partners pairs a set of points on it, for
-dedup_indices and roots._cluster (every pair up to DIRECT_MAX_POINTS
-points); dynamics' seeds screen their starts (rows_apart) and their
-critical values on it; and nearest_rows, the one nearest-match rule (the
-nearest row within a reach, the lowest index on a tie), matches solved
-points' images in dynamics and points to the critical table in
-RationalMap.valencies.
+near_row_pairs is the one pair finder: up to DENSE_MAX_PAIRS pairs it
+measures every pair, cheaper than any sort, and above it it keys the rows
+of two normalized_pairs arrays on an axis through the unit sphere of R^3
+(row_keys) and takes each row its searchsorted window, so it never drops a
+pair within the reach.  near_partners pairs a set of points on it for
+dedup_indices and roots._cluster, but of at most DIRECT_MAX_POINTS points
+names every earlier one unmeasured, as its callers test so few pairs faster
+than the rows are built; dynamics' seeds screen their starts and critical
+values on it; and nearest_rows, the one nearest-match rule (the nearest row
+within a reach, the lowest index on a tie), matches solved points' images
+in dynamics and points to the critical table in RationalMap.valencies.
 near_rows screens one point, from its own norm_pair, against the rows of a
 normalized_pairs table, for orbit_fate.
 """
@@ -50,9 +50,11 @@ from .scalars import (
 )
 
 REPRESENTATION_EPS = 1e-14
-# the largest set whose near_partners are all earlier points; above it a
-# numpy screen picks them, whose fixed cost of about 40-60 us per call the
-# quadratic pairwise loop reaches at about 8 points
+# the largest set whose near_partners are all earlier points, unmeasured:
+# 0.4-1.6 us up to 16 points against 23-35 us through near_row_pairs' dense
+# path, but then the callers test every pair.  With those tests the two
+# break even at 6-8 points in roots._clusters and about 12 in dedup_indices
+# (timeit, best of 7, numpy 2.4 on a 2-CPU x86 host)
 DIRECT_MAX_POINTS = 8
 
 
@@ -246,17 +248,17 @@ def dedup_indices(points, tol):
 def near_partners(points, reach):
     """For each point (SpherePoints or chart values), the earlier points
     that may lie within chordal distance reach of it: all of them for at
-    most DIRECT_MAX_POINTS points, else those that near_row_pairs pairs
-    with it on their normalized_pairs rows, found in n log n.  A NaN value,
-    whose row is NaN, is paired with the NaN values only.
+    most DIRECT_MAX_POINTS points, else those whose normalized_pairs rows
+    near_row_pairs pairs with its row at a distance that is NaN or within
+    reach + SCREEN_SLACK, the rounding of the callers' own chordal tests.
     """
     n = len(points)
     if n <= DIRECT_MAX_POINTS:
         return [range(i) for i in range(n)]
     with np.errstate(all="ignore"):  # a NaN, infinite or zero chart value is paired silently
         rows = normalized_pairs(points)
-    i, j, _ = near_row_pairs(rows, rows, reach)
-    earlier = j < i
+    i, j, distances = near_row_pairs(rows, rows, reach)
+    earlier = (j < i) & ~(distances > reach + SCREEN_SLACK)
     partners = [[] for _ in range(n)]
     for k, m in zip(i[earlier].tolist(), j[earlier].tolist()):
         partners[k].append(m)
@@ -291,6 +293,11 @@ def normalized_pairs(points) -> np.ndarray:
 
 # far above the rounding of either chordal evaluation (a few units in the last place of 2)
 SCREEN_SLACK = 1e-14
+# the most pairs near_row_pairs measures all of, against the key screen at
+# reach 1e-6 (timeit, best of 7, numpy 2.4 on a 2-CPU x86 host): 7.8 against
+# 24.4 us at 5 x 4, 16.5 against 24.8 at 17 x 17, 22.1 against 24.0 at 22 x 22,
+# 25.8 against 24.3 at 24 x 24, 43.5 against 25.2 at 34 x 34, 969 against 37 at 126 x 126
+DENSE_MAX_PAIRS = 500
 # the key of a row is X . (0.48, 0.6, 0.64), a unit vector off every
 # coordinate plane, so that points sharing a coordinate (conjugates, points
 # of one modulus) do not share a key.  In the real coordinates
@@ -320,50 +327,37 @@ def array_chordal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def near_row_pairs(a: np.ndarray, b: np.ndarray, reach: float):
-    """(i, j, distances): the pairs of a row a[i] and a row b[j] of two
-    normalized_pairs arrays whose row_keys differ by at most
-    reach + SCREEN_SLACK, found in (n + m) log m, and the chordal distance
-    of each pair by the formula of array_chordal.
+    """(i, j, distances): pairs of a row a[i] and a row b[j] of two
+    normalized_pairs arrays, among them every pair within chordal distance
+    reach, and the distance of each by the formula of array_chordal.
 
-    So every pair within chordal distance reach is among them, and no n x m
-    matrix is built.  A NaN row, whose key is NaN, is paired with the NaN
-    rows only, at distance NaN.
+    Up to DENSE_MAX_PAIRS pairs all are taken; above it those whose
+    row_keys differ by at most reach + SCREEN_SLACK, found in (n + m) log m
+    without an n x m matrix.  A NaN row of a is paired with every NaN row
+    of b at distance NaN, and up to DENSE_MAX_PAIRS pairs with every row.
     """
-    keys = row_keys(b)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    query = row_keys(a)
-    margin = reach + SCREEN_SLACK
-    lo = np.searchsorted(sorted_keys, query - margin, "left")
-    counts = np.searchsorted(sorted_keys, query + margin, "right") - lo
-    i = np.repeat(np.arange(len(a)), counts)
-    # row i's window order[lo[i]:lo[i] + counts[i]], all windows in one gather
-    j = order[np.arange(len(i)) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    if len(a) * len(b) <= DENSE_MAX_PAIRS:
+        i, j = np.divmod(np.arange(len(a) * len(b)), max(len(b), 1))
+    else:
+        keys = row_keys(b)
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        query = row_keys(a)
+        margin = reach + SCREEN_SLACK
+        lo = np.searchsorted(sorted_keys, query - margin, "left")
+        counts = np.searchsorted(sorted_keys, query + margin, "right") - lo
+        i = np.repeat(np.arange(len(a)), counts)
+        # row i's window order[lo[i]:lo[i] + counts[i]], all windows in one gather
+        j = order[np.arange(len(i)) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
     ai, bj = a[i], b[j]
     return i, j, 2.0 * np.abs(ai[:, 0] * bj[:, 1] - ai[:, 1] * bj[:, 0])
-
-
-def rows_apart(a: np.ndarray, reach: float) -> bool:
-    """Whether the rows of a normalized_pairs array are pairwise more than
-    chordal distance reach apart; False when a row is NaN.
-
-    Sorted row_keys whose neighbours all lie more than reach + SCREEN_SLACK
-    apart decide it alone; otherwise the pairs of near_row_pairs decide.
-    """
-    keys = np.sort(row_keys(a))
-    if np.isnan(keys).any():
-        return False
-    if (keys[1:] - keys[:-1] > reach + SCREEN_SLACK).all():
-        return True
-    i, j, distances = near_row_pairs(a, a, reach)
-    return bool((distances[i != j] > reach).all())
 
 
 def nearest_rows(a: np.ndarray, b: np.ndarray, reach: float, sizes=None) -> list:
     """For each row of a, the index of the nearest row of b within chordal
     distance reach, or None; of rows at one distance the lowest index is
     taken, and a NaN row has none.  Both are normalized_pairs arrays, and
-    only the pairs that near_row_pairs screens in are measured.  Given
+    only the pairs that near_row_pairs returns are measured.  Given
     sizes, both arrays are consecutive blocks of those sizes, and each
     row's nearest is sought in its own block and indexed within it.
     """

@@ -7,26 +7,22 @@ from __future__ import annotations
 
 import random
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ratmap.algebra import (
     CircleAlg,
-    DirectSum,
     Matrix,
-    OpaqueSimple,
     Tensor,
     dimension,
     normalize,
-    render,
 )
 from ratmap.dynamics import Orbit, critical_divisor_degree, critical_fates, critical_points
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
 from ratmap.render import max_iteration_mask
-from ratmap.report import AnalysisConfig, RenderConfig, parse_map, run_analysis
+from ratmap.report import RenderConfig, parse_map, run_analysis
 from ratmap.restricted import brute_force_preimage_check, exposed_orbits, ro_related
 from ratmap.roots import find_roots
 from ratmap.scalars import GaussianRational

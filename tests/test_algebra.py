@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from ratmap.algebra import (
     BunceDeddens,
     CantorAlg,
@@ -15,7 +13,6 @@ from ratmap.algebra import (
     IrrationalRotation,
     MappingTorus,
     Matrix,
-    NamedUnknown,
     OpaqueSimple,
     RealsC0,
     Scalars,

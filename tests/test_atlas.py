@@ -8,7 +8,6 @@ import pytest
 from ratmap.atlas import bind_declarations, build_atlas
 from ratmap.dynamics import (
     DEFAULT_ORBIT_BUDGET,
-    INFINITE,
     critical_fate,
     critical_points,
     periodic_cycles,

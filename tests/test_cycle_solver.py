@@ -9,6 +9,7 @@ R^p must hold (Milnor, Dynamics in One Complex Variable, Thm 12.4).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from collections import Counter
 
@@ -55,6 +56,7 @@ from ratmap.roots import (
 )
 from ratmap.scalars import GaussianRational
 from ratmap.sphere import (
+    DENSE_MAX_PAIRS,
     DIRECT_MAX_POINTS,
     INFINITY,
     SpherePoint,
@@ -64,7 +66,6 @@ from ratmap.sphere import (
     near_row_pairs,
     nearest_rows,
     normalized_pairs,
-    rows_apart,
 )
 
 from .test_pipeline_corpus import PARABOLIC_MAPS, POLE_CYCLE_MAP, _sparse_map
@@ -1137,22 +1138,59 @@ def _successor_case(n, seed):
     return images, points
 
 
-@pytest.mark.parametrize("n", [1, 2, 9, 126, 1297])
-def test_the_screened_pairing_matches_the_n_by_n_reference(n):
+def _moved_case(n, m, seed):
+    """(image_rows, point_rows): m random points and n images, each a random
+    point moved by about DEFAULT_CLUSTER_RADIUS, the last of two or more NaN."""
+    rng = np.random.default_rng(seed)
+    points = _random_rows(m, seed)
+    moved = points[rng.integers(m, size=n)] + 0.3 * DEFAULT_CLUSTER_RADIUS * (
+        rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
+    images = moved / np.hypot(np.abs(moved[:, :1]), np.abs(moved[:, 1:]))
+    if n >= 2:
+        images[-1] = NAN_ROW
+    return images, points
+
+
+def _assert_the_pairs_within_reach_are_found(a, b, reach):
+    # every pair within reach is paired, measured with the bits of the matrix
+    i, j, distances = near_row_pairs(a, b, reach)
+    _assert_bitwise_equal([distances], [array_chordal(a, b)[i, j]])
+    ri, rj, rd = _reference_pairs(a, b, reach)
+    assert set(zip(ri[rd <= reach].tolist(), rj[rd <= reach].tolist())) <= set(
+        zip(i.tolist(), j.tolist()))
+
+
+def _seeded_level(rows, monkeypatch):
+    """(level, fell_back): the start rows of the one level of _seeds when
+    preimages returns the starts of rows but (1 : 0), and whether that level
+    fell back to the circle.  In the chart (0, 1, 1, 0) the start w has the
+    row (1 : w), so _row(s) keeps its bits, and the start at chart infinity
+    that _seeds adds is (1 : 0)."""
+    finite = ~(rows == INFINITE_ROW).all(axis=1)
+    rf = SEED_POINT_MAPS["z^2"].floating()
+    with monkeypatch.context() as m:
+        m.setattr(ratmap.dynamics, "SOLVE_CHART", (0.0, 1.0, 1.0, 0.0))
+        m.setattr(ratmap.dynamics, "preimages",
+                  lambda table, targets: rows[finite, 1] / rows[finite, 0])
+        starts = _seeds(rf, [1])
+    return np.vstack([rows[finite], INFINITE_ROW]), np.array_equal(starts, _circle_starts(rf, [1]))
+
+
+# n x n on both sides of DENSE_MAX_PAIRS, and the sizes of a solve
+@pytest.mark.parametrize("n", [1, 2, 9, math.isqrt(DENSE_MAX_PAIRS),
+                               math.isqrt(DENSE_MAX_PAIRS) + 1, 126, 1297])
+def test_the_screened_pairing_matches_the_n_by_n_reference(n, monkeypatch):
     for rows in _distinct_cases(n):
         for reach in (DISTINCT_STARTS, DEFAULT_CLUSTER_RADIUS):
-            assert rows_apart(rows, reach) == _reference_apart(rows, reach)
-            # every pair within reach is screened in, measured with the bits of the matrix
-            i, j, distances = near_row_pairs(rows, rows, reach)
-            _assert_bitwise_equal([distances], [array_chordal(rows, rows)[i, j]])
-            ri, rj, rd = _reference_pairs(rows, rows, reach)
-            assert set(zip(ri[rd <= reach].tolist(), rj[rd <= reach].tolist())) <= set(
-                zip(i.tolist(), j.tolist()))
+            _assert_the_pairs_within_reach_are_found(rows, rows, reach)
+        # a seed level falls back exactly when its starts are not apart
+        level, fell_back = _seeded_level(rows, monkeypatch)
+        assert fell_back == (not _reference_apart(level, DISTINCT_STARTS))
     if n >= 2:
         # (1 : 0) and a row exactly DISTINCT_STARTS from it are not apart
         exact = _distinct_cases(n)[3]
         assert array_chordal(exact[:1], exact[-1:])[0, 0] == DISTINCT_STARTS
-        assert not rows_apart(exact, DISTINCT_STARTS)
+        assert _seeded_level(exact, monkeypatch)[1]
     for seed in range(3):
         images, points = _successor_case(n, seed)
         got = nearest_rows(images, points, DEFAULT_CLUSTER_RADIUS)
@@ -1166,6 +1204,23 @@ def test_the_screened_pairing_matches_the_n_by_n_reference(n):
         sizes.append(n - sum(sizes))
         assert (nearest_rows(images, points, DEFAULT_CLUSTER_RADIUS, sizes)
                 == _reference_nearest(images, points, DEFAULT_CLUSTER_RADIUS, sizes))
+
+
+# the shapes of RationalMap.valencies, points against the critical table,
+# on both sides of DENSE_MAX_PAIRS
+@pytest.mark.parametrize("n, m", [(1, 9), (9, 1), (1, DENSE_MAX_PAIRS), (DENSE_MAX_PAIRS + 1, 1)])
+def test_the_screened_pairing_of_one_row_against_many_matches_the_reference(n, m):
+    found = []
+    for seed in range(3):
+        images, points = _moved_case(n, m, seed)
+        for reach in (DISTINCT_STARTS, DEFAULT_CLUSTER_RADIUS):
+            _assert_the_pairs_within_reach_are_found(images, points, reach)
+        got = nearest_rows(images, points, DEFAULT_CLUSTER_RADIUS)
+        assert got == _reference_nearest(images, points, DEFAULT_CLUSTER_RADIUS)
+        assert got[-1] is None or n == 1
+        found += got
+    # some images have a nearest point and some none
+    assert None in found and any(k is not None for k in found)
 
 
 def test_the_critical_value_screen_matches_the_matrix_test():
@@ -1186,7 +1241,6 @@ def test_the_screened_cycle_search_gives_the_reports_of_the_matrices_at_cap_700(
     config = AnalysisConfig(period_work_cap=700)
     got = analyzed(_corpus_map(index, twin), config).to_json_bytes()
     monkeypatch.setattr(ratmap.dynamics, "nearest_rows", _reference_nearest)
-    monkeypatch.setattr(ratmap.dynamics, "rows_apart", _reference_apart)
     monkeypatch.setattr(ratmap.dynamics, "near_row_pairs", _reference_pairs)
     assert run_analysis(_corpus_map(index, twin), config).to_json_bytes() == got
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ratmap.algebra import DirectSum, Matrix, Tensor, normalize
+from ratmap.algebra import Matrix
 from ratmap.atlas import build_atlas
 from ratmap.dynamics import (
     DEFAULT_ORBIT_BUDGET,

@@ -7,8 +7,6 @@ import cmath
 import math
 from fractions import Fraction
 
-import pytest
-
 from ratmap.algebra import render
 from ratmap.atlas import build_atlas
 from ratmap.dynamics import DEFAULT_ORBIT_BUDGET, critical_fate, critical_points, periodic_cycles

@@ -181,16 +181,19 @@ def _point_cloud(rng):
 
 
 def _clusterings(z, radius, radii, monkeypatch):
-    """_cluster's clusters three ways: from its own partners, from the
-    partners _clusters finds once at the wider radius, and with the screen
-    forced on a set of any size."""
+    """_cluster's clusters four ways: from its own partners, from the
+    partners _clusters finds once at the wider radius, and with the pairs
+    measured on a set of any size, through the key screen and in full."""
     def clusters(reach):
         return _cluster(z, radius, radii, near_partners(z, _link_reach(reach, radii)))
 
     with monkeypatch.context() as m:
         m.setattr(ratmap.sphere, "DIRECT_MAX_POINTS", 0)
+        m.setattr(ratmap.sphere, "DENSE_MAX_PAIRS", 0)
         screened = clusters(radius)
-    return [clusters(radius), clusters(10.0 * DEFAULT_CLUSTER_RADIUS), screened]
+        m.setattr(ratmap.sphere, "DENSE_MAX_PAIRS", len(z) ** 2)
+        measured = clusters(radius)
+    return [clusters(radius), clusters(10.0 * DEFAULT_CLUSTER_RADIUS), screened, measured]
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -201,7 +204,7 @@ def test_screened_clusters_match_the_pairwise_loop(seed, with_radii, monkeypatch
     radii = 10.0 ** rng.uniform(-12, -4, size=len(z)) if with_radii else None
     for radius in (1e-6, 1e-5):
         want = _cluster_pairwise(z, radius, radii)
-        assert _clusterings(z, radius, radii, monkeypatch) == [want] * 3
+        assert _clusterings(z, radius, radii, monkeypatch) == [want] * 4
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, DIRECT_MAX_POINTS - 1, DIRECT_MAX_POINTS,
@@ -225,7 +228,7 @@ def test_the_direct_and_the_screened_clusters_agree_around_the_crossover(n, with
             # _linked's arithmetic on an infinite row gives NaN
             with np.errstate(invalid="ignore"):
                 want = _cluster_pairwise(z, radius, radii)
-                assert _clusterings(z, radius, radii, monkeypatch) == [want] * 3
+                assert _clusterings(z, radius, radii, monkeypatch) == [want] * 4
 
 
 def test_the_link_reach_is_attained_by_a_pair_linked_through_its_radii():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import pytest

@@ -19,7 +19,7 @@ from ratmap.dynamics import DEFAULT_ORBIT_BUDGET
 from ratmap.errors import ConfigError, InputFormatError, MapDegreeError
 from ratmap.poly import Polynomial
 from ratmap.rational import RationalMap
-from ratmap.report import AnalysisConfig, RenderConfig, Report, parse_map, run_analysis
+from ratmap.report import AnalysisConfig, Report, parse_map, run_analysis
 from ratmap.scalars import scalar_str
 
 from .report_comparator import shape as report_shape

@@ -275,7 +275,7 @@ OUTSIDE_SPHERE = [p for p in SOURCES if p.stem != "sphere"]
 @pytest.mark.parametrize("path", OUTSIDE_SPHERE, ids=[p.name for p in OUTSIDE_SPHERE])
 def test_only_the_sphere_builds_a_chordal_matrix(path):
     # the seeds' distinct-starts and critical-value tests, the successors and
-    # the valency lookups measure only the pairs that the sphere's key screen passes
+    # the valency lookups read their pairs from the sphere's near_row_pairs
     assert chordal_matrix_reads(ast.parse(path.read_text(), str(path))) == []
 
 
@@ -416,3 +416,54 @@ def test_the_check_finds_each_reader_of_run_analysis():
         "analyze = run_analysis\n"
     )
     assert analysis_runners(tree) == ["", "Cache", "test_fresh", "timed"]
+
+
+def _dotted_name(node):
+    """a.b.c for an attribute chain on a name, else None."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + attrs[::-1]) if isinstance(node, ast.Name) else None
+
+
+def unread_imports(tree):
+    """(line, name) for each name an import of the tree binds that the tree
+    never reads: a name by a load of it, a dotted import (import a.b) by an
+    attribute chain through it.  A __future__ import binds no name."""
+    imported = [(node.lineno, alias.asname or alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+                for alias in node.names if alias.name != "*"]
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(_dotted_name(node))
+    return sorted((line, name) for line, name in imported if name not in read)
+
+
+# the package's __init__ imports only to re-export
+IMPORTERS = [p for p in SOURCES if p.name != "__init__.py"] + TEST_SOURCES
+
+
+@pytest.mark.parametrize("path", IMPORTERS, ids=[f"{p.parent.name}/{p.name}" for p in IMPORTERS])
+def test_every_imported_name_is_read(path):
+    assert unread_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_check_finds_an_unread_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import math, cmath\n"
+        "import numpy as np\n"
+        "import ratmap.roots\n"
+        "import ratmap.sphere\n"
+        "from fractions import Fraction as F, gcd\n"
+        "def f(x):\n"
+        "    from .sphere import coincide\n"
+        "    return math.pi * np.abs(x) + F(1), ratmap.sphere.INFINITY\n"
+    )
+    assert unread_imports(tree) == [(2, "cmath"), (4, "ratmap.roots"), (6, "gcd"),
+                                    (8, "coincide")]

@@ -138,14 +138,25 @@ def test_an_exact_component_past_float_range_beside_a_floating_one():
         SpherePoint(huge, float("inf"))
 
 
-def test_near_partners_pair_a_nan_value_with_the_nan_values_only():
+def test_near_partners_pair_a_nan_value_with_the_nan_values_only(monkeypatch):
+    n = DIRECT_MAX_POINTS + 4
     values = np.array([complex("nan+nanj") if k % 4 == 0 else complex(k, -k) * 1e-3
-                       for k in range(DIRECT_MAX_POINTS + 4)])
-    partners = near_partners(values, 2.0)  # the diameter: every pair is within reach
+                       for k in range(n)])
+    nan = [j for j in range(n) if np.isnan(values[j])]
+    with monkeypatch.context() as m:
+        m.setattr(ratmap.sphere, "DENSE_MAX_PAIRS", 0)  # the key screen
+        partners = near_partners(values, 2.0)  # the diameter: every pair is within reach
+        near = near_partners(values, 0.0)  # the values are distinct: no pair is
     for i, earlier in enumerate(partners):
-        nan = [j for j in range(i) if np.isnan(values[j])]
-        assert sorted(earlier) == (nan if np.isnan(values[i]) else
-                                   [j for j in range(i) if j not in nan])
+        assert sorted(earlier) == [j for j in range(i) if (j in nan) == (i in nan)]
+        assert sorted(near[i]) == ([j for j in nan if j < i] if i in nan else [])
+    # measured in full, a NaN value is at distance NaN from every value
+    with monkeypatch.context() as m:
+        m.setattr(ratmap.sphere, "DENSE_MAX_PAIRS", n * n)
+        assert [sorted(earlier) for earlier in near_partners(values, 2.0)] == [
+            list(range(i)) for i in range(n)]
+        assert [sorted(earlier) for earlier in near_partners(values, 0.0)] == [
+            list(range(i)) if i in nan else [j for j in nan if j < i] for i in range(n)]
     small = near_partners(values[:DIRECT_MAX_POINTS], 0.0)
     assert [list(earlier) for earlier in small] == [list(range(i)) for i in range(DIRECT_MAX_POINTS)]
 
@@ -205,9 +216,13 @@ def test_dedup_screen_matches_the_scalar_rule(name, p, q, same):
 
 
 @pytest.mark.parametrize("name, p, q, same", SCREEN_CASES, ids=[c[0] for c in SCREEN_CASES])
-def test_the_screened_dedup_matches_the_scalar_rule(name, p, q, same, monkeypatch):
-    # a pair is below the size at which near_partners screens
+@pytest.mark.parametrize("dense_max_pairs", [0, 4])
+def test_the_screened_dedup_matches_the_scalar_rule(name, p, q, same, dense_max_pairs,
+                                                    monkeypatch):
+    # a pair is below the size at which near_partners measures, and its
+    # four pairs are measured through the key screen or in full
     monkeypatch.setattr(ratmap.sphere, "DIRECT_MAX_POINTS", 0)
+    monkeypatch.setattr(ratmap.sphere, "DENSE_MAX_PAIRS", dense_max_pairs)
     assert dedup_indices([p, q], TOL) == ([0] if same else [0, 1])
 
 
@@ -256,10 +271,12 @@ def test_the_direct_and_the_screened_dedup_agree_around_the_crossover(n, monkeyp
         kept = {id(x) for x in _scalar_dedup(points, TOL)}
         want = [i for i, x in enumerate(points) if id(x) in kept]
         assert dedup_indices(points, TOL) == want
-        # the screen, on a set of any size
-        with monkeypatch.context() as m:
-            m.setattr(ratmap.sphere, "DIRECT_MAX_POINTS", 0)
-            assert dedup_indices(points, TOL) == want
+        # the key screen and the full measure, on a set of any size
+        for dense_max_pairs in (0, n * n):
+            with monkeypatch.context() as m:
+                m.setattr(ratmap.sphere, "DIRECT_MAX_POINTS", 0)
+                m.setattr(ratmap.sphere, "DENSE_MAX_PAIRS", dense_max_pairs)
+                assert dedup_indices(points, TOL) == want
 
 
 def test_an_exact_point_beyond_float_range_hashes_and_compares():
